@@ -67,6 +67,26 @@ def _parse_label(space, text: str) -> tuple:
         raise UsageError(str(exc)) from exc
 
 
+MAX_CUTOFF = 200
+
+
+def _parse_max(text: str) -> Fraction:
+    """The --max Casimir cutoff: a rational between 0 and MAX_CUTOFF.
+
+    The exponent of decimal notation is bounded before parsing, because
+    Fraction would expand 1e999999999 into a billion-digit integer."""
+    _, _, exponent = text.lower().partition("e")
+    try:
+        if exponent and abs(int(exponent)) > 1000:
+            raise ValueError("exponent out of range")
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"cannot parse --max {text!r}: {exc}") from exc
+    if not 0 <= value <= MAX_CUTOFF:
+        raise UsageError(f"--max must lie between 0 and {MAX_CUTOFF}, got {text}")
+    return value
+
+
 def _max_threads() -> int:
     value = os.environ.get("GRAY_STABILITY_THREADS", "")
     try:
@@ -339,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("casimir", help="Casimir table of a space's symmetry group")
     _add_space_arg(p)
-    p.add_argument("--max", default="12", help="Casimir cutoff (rational)")
+    p.add_argument("--max", default="12", help=f"Casimir cutoff, a rational in [0, {MAX_CUTOFF}]")
     _fmt(p)
 
     p = sub.add_parser("branch", help="branching table to the isotropy subgroup")
     _add_space_arg(p)
     p.add_argument("--gamma", default=None, help="single label, e.g. 1,1,0")
-    p.add_argument("--max", default="12")
+    p.add_argument("--max", default="12", help=f"Casimir cutoff, a rational in [0, {MAX_CUTOFF}]")
     _fmt(p)
 
     p = sub.add_parser("homdim", help="multiplicity in the primitive (1,1) module")
@@ -405,13 +425,13 @@ def _dispatch(args) -> int:
     cmd = args.command
 
     if cmd == "casimir":
-        doc = casimir_doc(args.space, Fraction(args.max))
+        doc = casimir_doc(args.space, _parse_max(args.max))
         _emit(doc, _render_casimir(doc), args)
         return 0
     if cmd == "branch":
         space = build_space(args.space)
         gamma = _parse_label(space, args.gamma) if args.gamma else None
-        doc = branch_doc(args.space, gamma, Fraction(args.max))
+        doc = branch_doc(args.space, gamma, _parse_max(args.max))
         _emit(doc, _render_branch(doc), args)
         return 0
     if cmd == "homdim":

@@ -183,22 +183,3 @@ def _normalize_leading(form: Form) -> Form:
     lead = min(form)
     return form_scale(form[lead].inverse(), form)
 
-
-def hrep_to_jsonable(rep: HRep) -> dict:
-    from .branching import format_h_label
-    from .render import scalar_jsonable
-
-    return {
-        "space": rep.space,
-        "name": rep.name,
-        "dim": rep.dim,
-        "weights": [list(w) for w in rep.weights],
-        "vectors": [
-            [{"indices": list(k), "coeff": scalar_jsonable(v)} for k, v in sorted(f.items())]
-            for f in rep.vectors
-        ],
-        "decomposition": [
-            {"h_label": format_h_label(lab), "mult": m}
-            for lab, m in sorted(rep.decomposition.items())
-        ],
-    }

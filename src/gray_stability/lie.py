@@ -164,7 +164,7 @@ def _trace_form(scale: Fraction):
     c = Scalar.from_fraction(scale)
 
     def ip(x: list, y: list) -> Scalar:
-        return c * linalg.trace(linalg.mat_mul(x, y))
+        return c * linalg.trace_product(x, y)
 
     return ip
 

@@ -60,10 +60,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return out
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
@@ -83,8 +79,16 @@ def trace(a: Matrix) -> Scalar:
     return s
 
 
-def conj_transpose(a: Matrix) -> Matrix:
-    return [[a[i][j].conjugate() for i in range(len(a))] for j in range(len(a[0]))]
+def trace_product(a: Matrix, b: Matrix) -> Scalar:
+    """tr(a b) = sum over i, j of a[i][j] * b[j][i], without forming a b."""
+    s = ZERO
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x:
+                y = b[j][i]
+                if y:
+                    s = s + x * y
+    return s
 
 
 def scalar_multiple_of_identity(a: Matrix) -> Scalar | None:

@@ -57,7 +57,7 @@ def _frame():
 
 def _ip_u3(x, y) -> Scalar:
     # -(1/2) tr extends -(1/12)B of su(3) and makes (e_i, sqrt2 h_j) orthonormal.
-    return rational(-1, 2) * linalg.trace(linalg.mat_mul(x, y))
+    return rational(-1, 2) * linalg.trace_product(x, y)
 
 
 def _coords_u3(m) -> tuple:
@@ -406,7 +406,7 @@ def gradient_is_adjugate_sample(rng: random.Random) -> bool:
     xi = random_traceless_skew(rng)
     eta = random_traceless_skew(rng)
     lhs = _det_linear_coefficient(xi, eta)
-    rhs = linalg.trace(linalg.mat_mul(linalg.adjugate3(xi), eta))
+    rhs = linalg.trace_product(linalg.adjugate3(xi), eta)
     return lhs == rhs
 
 

@@ -5,11 +5,17 @@ basis per group; the inner product on the weight space is the one induced
 by the catalog inner product Q, so Casimir constants come out in the
 normalization used throughout (Freudenthal's formula, cross-checked by
 brute force on the explicit representations).
+
+Freudenthal's recursion runs in plain integers: its inner products are
+scaled by the common denominator of the inverse Gram matrix and taken on
+doubled shifted weights, and membership of the simple-root cone is read
+off the inverse of the simple-root matrix, cleared of denominators.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,10 +34,9 @@ class GroupData:
     simple_roots: tuple
     positive_roots: tuple
     delta: tuple             # half sum of positive roots (Fractions)
-    lowest_coeffs: tuple     # hw -> expansion of hw - w0(hw) in simple roots
 
     def dual_ip(self, u, v) -> Fraction:
-        gi = _GRAM_INV[self.name]
+        gi, d = _GRAM_INV[self.name]
         total = Fraction(0)
         for a in range(self.rank):
             if not u[a]:
@@ -39,22 +44,28 @@ class GroupData:
             for b in range(self.rank):
                 if v[b]:
                     total += Fraction(u[a]) * gi[a][b] * Fraction(v[b])
-        return total
+        return total / d
 
 
-def _inv_fraction_matrix(g):
-    mat = [[Scalar.from_fraction(x) for x in row] for row in g]
-    inv = linalg.inverse(mat)
-    return tuple(tuple(x.rational() for x in row) for row in inv)
+def _integral_inverse(m) -> tuple:
+    """(d * m^-1, d) for an invertible rational matrix m, with d the least
+    common denominator of the entries of m^-1, so d * m^-1 is integral."""
+    inv = linalg.inverse([[Scalar.from_fraction(x) for x in row] for row in m])
+    inv = [[x.rational() for x in row] for row in inv]
+    d = math.lcm(*(x.denominator for row in inv for x in row))
+    return tuple(tuple(int(d * x) for x in row) for row in inv), d
 
 
 GROUPS: dict[str, GroupData] = {}
-_GRAM_INV: dict[str, tuple] = {}
+_GRAM_INV: dict[str, tuple] = {}    # (D * G^-1, D), D the denominator of G^-1
+_SIMPLE_INV: dict[str, tuple] = {}  # (d * S^-1, d), S's columns the simple roots
 
 
 def _register(g: GroupData):
     GROUPS[g.name] = g
-    _GRAM_INV[g.name] = _inv_fraction_matrix(g.gram_t)
+    _GRAM_INV[g.name] = _integral_inverse(g.gram_t)
+    simple = [[g.simple_roots[k][i] for k in range(g.rank)] for i in range(g.rank)]
+    _SIMPLE_INV[g.name] = _integral_inverse(simple)
 
 
 _register(
@@ -69,7 +80,6 @@ _register(
         simple_roots=((2, 0, 0), (0, 2, 0), (0, 0, 2)),
         positive_roots=((2, 0, 0), (0, 2, 0), (0, 0, 2)),
         delta=(Fraction(1), Fraction(1), Fraction(1)),
-        lowest_coeffs=None,
     )
 )
 
@@ -81,7 +91,6 @@ _register(
         simple_roots=((1, -1), (0, 1)),
         positive_roots=((1, -1), (0, 1), (1, 0), (1, 1)),
         delta=(Fraction(3, 2), Fraction(1, 2)),
-        lowest_coeffs=None,
     )
 )
 
@@ -93,7 +102,6 @@ _register(
         simple_roots=((2, -1), (-1, 2)),
         positive_roots=((2, -1), (-1, 2), (1, 1)),
         delta=(Fraction(1), Fraction(1)),
-        lowest_coeffs=None,
     )
 )
 
@@ -130,12 +138,29 @@ def _simple_root_box(group: str, hw: tuple) -> tuple:
 
 def weight_system(group: str, label: tuple) -> dict:
     """Full weight multiset of the irreducible module, by Freudenthal's
-    multiplicity recursion."""
+    multiplicity recursion, run in integers.
+
+    With D the common denominator of G^-1, 4D * |lam + delta|^2 (taken on
+    the integral doubled weight 2(lam + delta)) and D * <mu, alpha> are
+    ints, so the multiplicity 2 * num / denom is 8 * (D num) / (4D denom);
+    it must still divide out exactly."""
     label = check_label(group, label)
     g = GROUPS[group]
     hw = label
-    hw_shift = tuple(Fraction(x) + d for x, d in zip(hw, g.delta))
-    c = g.dual_ip(hw_shift, hw_shift)
+    gi, _ = _GRAM_INV[group]
+    two_delta = tuple(int(2 * d) for d in g.delta)
+
+    def norm4(lam):
+        """4D * |lam + delta|^2."""
+        v = [2 * x + d for x, d in zip(lam, two_delta)]
+        return sum(v[a] * gi[a][b] * v[b] for a in range(g.rank) for b in range(g.rank))
+
+    # D * G^-1 alpha, so that D * <mu, alpha> is a dot product.
+    root_duals = [
+        (alpha, tuple(sum(gi[a][b] * alpha[b] for b in range(g.rank)) for a in range(g.rank)))
+        for alpha in g.positive_roots
+    ]
+    c4 = norm4(hw)
 
     bounds = _simple_root_box(group, hw)
     candidates = []
@@ -152,12 +177,11 @@ def weight_system(group: str, label: tuple) -> dict:
         if level == 0:
             mult[lam] = 1
             continue
-        lam_shift = tuple(Fraction(x) + d for x, d in zip(lam, g.delta))
-        denom = c - g.dual_ip(lam_shift, lam_shift)
-        if denom == 0:
+        denom4 = c4 - norm4(lam)
+        if denom4 == 0:
             continue
-        num = Fraction(0)
-        for alpha in g.positive_roots:
+        num_d = 0
+        for alpha, alpha_dual in root_duals:
             k = 1
             while True:
                 mu = tuple(lam[i] + k * alpha[i] for i in range(g.rank))
@@ -165,38 +189,29 @@ def weight_system(group: str, label: tuple) -> dict:
                 if m == 0 and not _within(hw, mu, g):
                     break
                 if m:
-                    num += m * g.dual_ip(mu, alpha)
+                    num_d += m * sum(x * y for x, y in zip(mu, alpha_dual))
                 k += 1
-        val = 2 * num / denom
-        if val:
-            if val.denominator != 1 or val < 0:
-                raise ArithmeticError(f"non-integral multiplicity for {lam}: {val}")
-            mult[lam] = int(val)
+        if num_d:
+            val, rem = divmod(8 * num_d, denom4)
+            if rem or val < 0:
+                raise ArithmeticError(
+                    f"non-integral multiplicity for {lam}: {Fraction(8 * num_d, denom4)}"
+                )
+            mult[lam] = val
     return mult
 
 
 def _within(hw, mu, g: GroupData) -> bool:
-    """Whether hw - mu is a non-negative combination of simple roots."""
-    diff = tuple(h - m for h, m in zip(hw, mu))
-    coeffs = _solve_simple(diff, g)
-    return coeffs is not None and all(x >= 0 for x in coeffs)
-
-
-def _solve_simple(diff, g: GroupData):
-    mat = [[Scalar.from_fraction(g.simple_roots[k][i]) for k in range(g.rank)] for i in range(g.rank)]
-    rhs = [Scalar.from_fraction(x) for x in diff]
-    sol = linalg.solve(mat, rhs)
-    if sol is None:
-        return None
-    out = []
-    for x in sol:
-        if not x.is_rational():
-            return None
-        q = x.rational()
-        if q.denominator != 1:
-            return None
-        out.append(q)
-    return out
+    """Whether hw - mu is a non-negative integral combination of simple
+    roots: every entry of (d * S^-1)(hw - mu) is a non-negative multiple
+    of d."""
+    inv, d = _SIMPLE_INV[g.name]
+    diff = [h - m for h, m in zip(hw, mu)]
+    for row in inv:
+        q, r = divmod(sum(x * y for x, y in zip(row, diff)), d)
+        if r or q < 0:
+            return False
+    return True
 
 
 def dim(group: str, label: tuple) -> int:

@@ -1,10 +1,12 @@
 """Command-line interface behavior and output determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from gray_stability.cli import main
+from gray_stability.reps import casimir_constant
 
 
 def _run(capsys, *argv):
@@ -114,3 +116,18 @@ def test_bad_label_is_usage_error(capsys):
     assert main(["killing", "--t", "1,-1"]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 5
+
+
+@pytest.mark.parametrize("command", ["casimir", "branch"])
+@pytest.mark.parametrize("value", ["1e400", "-1", "201", "1e999999999", "1/0", "abc"])
+def test_out_of_range_max_is_usage_error(capsys, command, value):
+    assert main([command, "--space", "cp3", "--max", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_casimir_accepts_max_at_bound(capsys):
+    code, out = _run(capsys, "casimir", "--space", "flag", "--max", "200", "--format", "json")
+    assert code == 0
+    values = [Fraction(str(r["casimir"])) for r in json.loads(out)["rows"]]
+    assert values[-1] == casimir_constant("su3", (8, 4)) == Fraction(592, 3)

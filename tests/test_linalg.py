@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from gray_stability import linalg
+from gray_stability.lie import SPACE_NAMES, build_space
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 
 
@@ -67,3 +68,17 @@ def test_scalar_multiple_of_identity():
 def test_rank():
     a = [[ONE, ONE], [ONE, ONE], [ZERO, ONE]]
     assert linalg.rank(a) == 2
+
+
+def test_trace_product_matches_trace_of_product():
+    rng = random.Random(5)
+    for _ in range(20):
+        a = [[_rand_scalar(rng) for _ in range(3)] for _ in range(2)]
+        b = [[_rand_scalar(rng) for _ in range(2)] for _ in range(3)]
+        assert linalg.trace_product(a, b) == linalg.trace(linalg.mat_mul(a, b))
+        assert linalg.trace_product(b, a) == linalg.trace(linalg.mat_mul(b, a))
+    for name in SPACE_NAMES:
+        mats = build_space(name).algebra.basis_matrices
+        for x in mats:
+            for y in mats:
+                assert linalg.trace_product(x, y) == linalg.trace(linalg.mat_mul(x, y)), name

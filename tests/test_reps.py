@@ -1,6 +1,7 @@
 """Highest-weight data: weight systems, dimensions, Casimir constants,
 explicit representations."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from gray_stability import linalg
 from gray_stability.lie import build_space
 from gray_stability.reps import (
+    GROUP_NAMES,
+    GROUPS,
+    _within,
     casimir_bruteforce,
     casimir_constant,
     dim,
@@ -17,7 +21,7 @@ from gray_stability.reps import (
     weight_system,
     weyl_generators,
 )
-from gray_stability.scalars import I, J, ONE, SQRT2, ZERO
+from gray_stability.scalars import I, J, ONE, SQRT2, ZERO, Scalar
 
 
 SUPPORTED = [
@@ -84,25 +88,43 @@ def test_dimensions():
 
 
 def test_weight_system_totals_match_dimension():
-    cases = [
-        ("k3", (1, 1, 0)),
-        ("k3", (2, 1, 1)),
-        ("so5", (1, 0)),
-        ("so5", (1, 1)),
-        ("so5", (2, 0)),
-        ("su3", (1, 1)),
-        ("su3", (2, 1)),
-    ]
-    for group, lab in cases:
-        ws = weight_system(group, lab)
-        assert sum(ws.values()) == dim(group, lab)
+    for group in GROUP_NAMES:
+        for lab in enumerate_labels(group, Fraction(40)):
+            ws = weight_system(group, lab)
+            assert sum(ws.values()) == dim(group, lab), (group, lab)
 
 
 def test_weight_system_weyl_invariance():
-    for group, lab in [("k3", (1, 1, 0)), ("so5", (1, 1)), ("su3", (2, 1))]:
-        ws = weight_system(group, lab)
-        for gen in weyl_generators(group):
-            assert {gen(w): m for w, m in ws.items()} == ws
+    for group in GROUP_NAMES:
+        for lab in enumerate_labels(group, Fraction(40)):
+            ws = weight_system(group, lab)
+            for gen in weyl_generators(group):
+                assert {gen(w): m for w, m in ws.items()} == ws, (group, lab)
+
+
+def _within_by_solve(diff, g):
+    """Reference cone test: solve S n = diff exactly and require n to be
+    a non-negative integer vector."""
+    mat = [
+        [Scalar.from_fraction(g.simple_roots[k][i]) for k in range(g.rank)]
+        for i in range(g.rank)
+    ]
+    sol = linalg.solve(mat, [Scalar.from_fraction(x) for x in diff])
+    if sol is None or not all(x.is_rational() for x in sol):
+        return False
+    return all(x.rational().denominator == 1 and x.rational() >= 0 for x in sol)
+
+
+def test_integer_cone_test_matches_exact_solve():
+    for group in GROUP_NAMES:
+        g = GROUPS[group]
+        zero = (0,) * g.rank
+        inside = 0
+        for diff in itertools.product(range(-6, 7), repeat=g.rank):
+            expected = _within_by_solve(diff, g)
+            assert _within(diff, zero, g) == expected, (group, diff)
+            inside += expected
+        assert inside > 0
 
 
 def test_su3_adjoint_weights_against_tensor_oracle():
