@@ -8,9 +8,7 @@ invocations produce byte-identical output.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -85,14 +83,6 @@ def _parse_max(text: str) -> Fraction:
     if not 0 <= value <= MAX_CUTOFF:
         raise UsageError(f"--max must lie between 0 and {MAX_CUTOFF}, got {text}")
     return value
-
-
-def _max_threads() -> int:
-    value = os.environ.get("GRAY_STABILITY_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +172,8 @@ def obstruction_doc() -> dict:
         for k in range(6):
             entry = nabla_h_entry(i, k)
             table[f"({i+1},{k+1})"] = [str(p) for p in entry]
-    verdict = rigidity_verdict()
+    pairing = obstruction_pairing()
+    verdict = rigidity_verdict(pairing)
     breakdown = pairing_breakdown()
     return {
         "nabla_h": table,
@@ -190,7 +181,7 @@ def obstruction_doc() -> dict:
         "I1": str(i1),
         "I2": str(i2),
         "integrand": str(integrand()),
-        "pairing": scalar_jsonable(obstruction_pairing()),
+        "pairing": scalar_jsonable(pairing),
         "pairing_breakdown": {k: scalar_jsonable(v) for k, v in breakdown.items()},
         "verdict": {
             "pairing_nonzero": verdict.pairing_nonzero,
@@ -215,14 +206,7 @@ def validate_doc(space_names: list) -> dict:
 
 
 def reproduce_all_doc() -> dict:
-    threads = _max_threads()
     names = list(SPACE_NAMES)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(coindex_doc, names))
-    else:
-        reports = [coindex_doc(n) for n in names]
-
     doc = {
         "version": __version__,
         "casimir_branching_tables": {
@@ -251,7 +235,7 @@ def reproduce_all_doc() -> dict:
             ]
             for n in names
         },
-        "coindex": {n: r for n, r in zip(names, reports)},
+        "coindex": {n: coindex_doc(n) for n in names},
         "obstruction": obstruction_doc(),
         "validate": validate_doc(names),
     }

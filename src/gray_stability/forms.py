@@ -36,13 +36,7 @@ class HRep:
 
     def coords_of(self, form: Form) -> list:
         """Coordinates of a 2-vector lying in the span of this module."""
-        keys = sorted({k for v in self.vectors for k in v} | set(form))
-        mat = [[v.get(k, ZERO) for v in self.vectors] for k in keys]
-        rhs = [form.get(k, ZERO) for k in keys]
-        sol = linalg.solve(mat, rhs)
-        if sol is None:
-            raise ValueError("2-vector outside the module span")
-        return sol
+        return _span_coords(self.vectors, form)
 
     def realize(self, coords: list) -> Form:
         out: Form = {}
@@ -52,33 +46,25 @@ class HRep:
         return out
 
 
+def _span_coords(vectors, form: Form) -> list:
+    """Exact coordinates of a 2-vector against a spanning set of 2-vectors."""
+    keys = sorted({k for v in vectors for k in v})
+    sol = None
+    if set(form) <= set(keys):
+        mat = [[v.get(k, ZERO) for v in vectors] for k in keys]
+        sol = linalg.solve(mat, [form.get(k, ZERO) for k in keys])
+    if sol is None:
+        raise ValueError("2-vector outside the module span")
+    return sol
+
+
 def _h_action_matrices(space: ReductiveSpace, vectors: list) -> list:
     mats = []
-    coords_cache = _SpanSolver(vectors)
     for i in range(space.h_dim):
         ad = space.ad_m_of_h([ONE if j == i else ZERO for j in range(space.h_dim)])
-        cols = [coords_cache.coords_of(derivation_action(ad, v)) for v in vectors]
+        cols = [_span_coords(vectors, derivation_action(ad, v)) for v in vectors]
         mats.append(tuple(tuple(cols[b][w] for b in range(len(vectors))) for w in range(len(vectors))))
     return mats
-
-
-class _SpanSolver:
-    """Repeated exact coordinate extraction against a fixed spanning set."""
-
-    def __init__(self, vectors: list):
-        self.vectors = vectors
-        self.keys = sorted({k for v in vectors for k in v})
-        self.key_index = {k: i for i, k in enumerate(self.keys)}
-        self.mat = [[v.get(k, ZERO) for v in vectors] for k in self.keys]
-
-    def coords_of(self, form: Form) -> list:
-        if any(k not in self.key_index for k in form):
-            raise ValueError("2-vector outside the module span")
-        rhs = [form.get(k, ZERO) for k in self.keys]
-        sol = linalg.solve(self.mat, rhs)
-        if sol is None:
-            raise ValueError("2-vector outside the module span")
-        return sol
 
 
 @lru_cache(maxsize=None)

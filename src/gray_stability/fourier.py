@@ -132,6 +132,13 @@ def m_complex_coords(space: ReductiveSpace, f: FourierCoefficient) -> tuple:
     return tuple(tuple(row) for row in converted)
 
 
+def _delta_matrix(space: ReductiveSpace, gamma: tuple, target: HRep, basis: list) -> list:
+    """The codifferential on the span of a nonempty hom basis: column b is
+    the flattened delta image of basis[b]."""
+    cols = [[x for row in proto_delta(space, gamma, f, target).matrix for x in row] for f in basis]
+    return [[col[r] for col in cols] for r in range(len(cols[0]))]
+
+
 def coclosed_dim(space: ReductiveSpace, gamma: tuple, target: HRep | None = None) -> int:
     """Kernel dimension of the codifferential on the homomorphism space."""
     if target is None:
@@ -139,12 +146,7 @@ def coclosed_dim(space: ReductiveSpace, gamma: tuple, target: HRep | None = None
     if hom_dim(space, gamma, target.decomposition) == 0:
         return 0
     basis = hom_basis(space, gamma, target)
-    cols = []
-    for f in basis:
-        d = proto_delta(space, gamma, f, target)
-        cols.append([x for row in d.matrix for x in row])
-    mat = [[cols[b][r] for b in range(len(cols))] for r in range(len(cols[0]))]
-    return len(linalg.nullspace(mat))
+    return len(linalg.nullspace(_delta_matrix(space, gamma, target, basis)))
 
 
 def coclosed_basis(space: ReductiveSpace, gamma: tuple, target: HRep | None = None) -> list:
@@ -154,13 +156,8 @@ def coclosed_basis(space: ReductiveSpace, gamma: tuple, target: HRep | None = No
     basis = hom_basis(space, gamma, target)
     if not basis:
         return []
-    cols = []
-    for f in basis:
-        d = proto_delta(space, gamma, f, target)
-        cols.append([x for row in d.matrix for x in row])
-    mat = [[cols[b][r] for b in range(len(cols))] for r in range(len(cols[0]))]
     out = []
-    for combo in linalg.nullspace(mat):
+    for combo in linalg.nullspace(_delta_matrix(space, gamma, target, basis)):
         acc = [[ZERO] * basis[0].module_dim for _ in range(target.dim)]
         for c, f in zip(combo, basis):
             if not c:

@@ -30,10 +30,6 @@ def _mat(n: int, entries: dict) -> list:
     return m
 
 
-def _scaled(c: Scalar, m: list) -> list:
-    return [[c * x for x in row] for row in m]
-
-
 def _block_diag(blocks: list[list]) -> list:
     n = sum(len(b) for b in blocks)
     out = [[ZERO] * n for _ in range(n)]
@@ -189,8 +185,8 @@ def _build_s3xs3() -> ReductiveSpace:
     h_mats = [_block_diag([ya, ya, ya]) for ya in y]
     m_mats = []
     for ya in y:
-        u = _block_diag([_scaled(two_s2, ya), _scaled(-SQRT2, ya), _scaled(-SQRT2, ya)])
-        w = _block_diag([_scaled(ZERO, ya), _scaled(SQRT6, ya), _scaled(-SQRT6, ya)])
+        u = _block_diag([linalg.mat_scale(c, ya) for c in (two_s2, -SQRT2, -SQRT2)])
+        w = _block_diag([linalg.mat_scale(c, ya) for c in (ZERO, SQRT6, -SQRT6)])
         m_mats.extend([u, w])
     labels = ("d1", "d2", "d3", "u1", "w1", "u2", "w2", "u3", "w3")
     mats = h_mats + m_mats
@@ -262,7 +258,7 @@ def _build_cp3() -> ReductiveSpace:
     f2 = _mat(5, {(0, 3): ONE, (1, 2): ONE, (2, 1): -ONE, (3, 0): -ONE})
 
     h_mats = [t1, t2, a, b]
-    m_mats = [_scaled(SQRT2, ei) for ei in e] + [f1, f2]
+    m_mats = [linalg.mat_scale(SQRT2, ei) for ei in e] + [f1, f2]
     labels = ("t1", "t2", "a", "b", "e1", "e2", "e3", "e4", "f1", "f2")
     mats = h_mats + m_mats
     structure, gram = _structure_and_gram(mats, _trace_form(Fraction(-1, 4)))

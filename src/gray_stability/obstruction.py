@@ -25,12 +25,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
+from .exterior import _permutation_sign
 from .lie import build_space
 from .scalars import I, ZERO, Scalar, rational
 from .sympoly import (
+    NGENS,
     SymPoly,
     det_cubic,
+    eliminate_v3,
     generators,
+    gram_su3,
     reduce_v_cubic,
     sym_inner,
 )
@@ -105,14 +109,7 @@ def torus_derivative(h_index: int, p: SymPoly) -> SymPoly:
         coordinate_poly(linalg.commutator(h_mats[h_index], t))
         for t in h_mats + e_mats
     ]
-    out = SymPoly.zero()
-    for mono, c in p.terms.items():
-        for k, e in enumerate(mono):
-            if not e:
-                continue
-            lowered = tuple(x - 1 if j == k else x for j, x in enumerate(mono))
-            out = out + (SymPoly({lowered: c * rational(e)}) * derivs[k])
-    return out
+    return sum((p.partial(k) * d for k, d in enumerate(derivs)), SymPoly())
 
 
 @lru_cache(maxsize=2)
@@ -125,14 +122,7 @@ def _gen_derivatives(sign: int = 1) -> tuple:
 def poly_derivative(e_index: int, p: SymPoly, sign: int = 1) -> SymPoly:
     """Leibniz extension of the coordinate-function derivatives."""
     derivs = _gen_derivatives(sign)[e_index]
-    out = SymPoly()
-    for mono, c in p.terms.items():
-        for k, e in enumerate(mono):
-            if not e:
-                continue
-            lowered = tuple(x - 1 if j == k else x for j, x in enumerate(mono))
-            out = out + (SymPoly({lowered: c * rational(e)}) * derivs[k])
-    return out
+    return sum((p.partial(k) * d for k, d in enumerate(derivs)), SymPoly())
 
 
 Tensor = dict  # dict[index tuple, SymPoly]
@@ -156,19 +146,9 @@ def _psi_lookup():
     psi = {}
     for key, c in space.psi_minus:
         for perm in itertools.permutations(range(3)):
-            signed = c if _perm_sign(perm) == 1 else -c
+            signed = c if _permutation_sign(perm) == 1 else -c
             psi[tuple(key[p] for p in perm)] = signed
     return psi
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 @lru_cache(maxsize=1)
@@ -357,7 +337,6 @@ class RigidityReport:
     critical_points_exist: bool
     rigid: bool
     status: str
-    samples: int
 
 
 def matrix_from_coordinates(v: list, x: list) -> list:
@@ -390,50 +369,6 @@ def random_traceless_skew(rng: random.Random) -> list:
             return matrix_from_coordinates(v, x)
 
 
-def _det_linear_coefficient(xi, eta) -> Scalar:
-    """Coefficient of t in det(xi + t eta), by exact interpolation of the
-    cubic polynomial at t = -2, -1, 1, 2."""
-    def det_at(t):
-        m = linalg.mat_add(xi, linalg.mat_scale(rational(t), eta))
-        return linalg.det3(m)
-
-    d1, dm1, d2, dm2 = det_at(1), det_at(-1), det_at(2), det_at(-2)
-    return (rational(8) * (d1 - dm1) - (d2 - dm2)) * rational(1, 12)
-
-
-def gradient_is_adjugate_sample(rng: random.Random) -> bool:
-    """d/dt det(xi + t eta)|_0 equals tr(adj(xi) eta) on a random sample."""
-    xi = random_traceless_skew(rng)
-    eta = random_traceless_skew(rng)
-    lhs = _det_linear_coefficient(xi, eta)
-    rhs = linalg.trace_product(linalg.adjugate3(xi), eta)
-    return lhs == rhs
-
-
-def rank_one_trace_certificate(rng: random.Random) -> bool:
-    """A rank-one skew-hermitian matrix i*lam*u*u^dagger has trace
-    i*lam*|u|^2 != 0, so it can never be traceless; verified exactly on a
-    random sample (and its adjugate vanishes, confirming rank <= 1)."""
-    while True:
-        u = [
-            Scalar.from_fraction(_random_fraction(rng))
-            + I * Scalar.from_fraction(_random_fraction(rng))
-            for _ in range(3)
-        ]
-        if any(u):
-            break
-    lam = Fraction(0)
-    while lam == 0:
-        lam = _random_fraction(rng)
-    c = I * rational(lam)
-    xi = [[c * u[i] * u[j].conjugate() for j in range(3)] for i in range(3)]
-    if not linalg.is_zero_matrix(linalg.adjugate3(xi)):
-        return False
-    tr = linalg.trace(xi)
-    norm_sq = sum((u[i] * u[i].conjugate() for i in range(3)), ZERO)
-    return tr == I * rational(lam) * norm_sq and bool(tr)
-
-
 def adjugate_nonzero_sample(rng: random.Random) -> bool:
     """Nonzero traceless skew-hermitian matrices have rank >= 2, hence a
     nonzero adjugate; verified exactly on a random sample."""
@@ -441,25 +376,51 @@ def adjugate_nonzero_sample(rng: random.Random) -> bool:
     return not linalg.is_zero_matrix(linalg.adjugate3(xi))
 
 
-def rigidity_verdict(pairing: Scalar | None = None, samples: int = 200, seed: int = 20240) -> RigidityReport:
+def no_critical_point_certificate() -> bool:
+    """Whether the invariant cubic F on the traceless slice satisfies
+
+        sum_ab G_ab d_aF d_bF = (4/3) |xi|^4,   |xi|^2 = 2 sum v_i^2 + sum x_k^2,
+
+    exactly, with v3 = -v1 - v2 eliminated and a, b running over
+    (v1, v2, x1..x6), G the Gram matrix of these coordinates.
+
+    G is positive definite there (its v-block [[1/3, -1/6], [-1/6, 1/3]]
+    has determinant 1/12), so the left side vanishes only where dF = 0;
+    |xi|^2 is a positive sum of squares, so the right side vanishes only
+    at xi = 0.  The identity therefore proves dF != 0 for every nonzero
+    xi.  Why it holds: dF is proportional to the traceless part P of
+    adj(xi), and for traceless xi Cayley-Hamilton gives
+    P = xi^2 - (tr(xi^2)/3) Id and tr(P^2) = tr(xi^2)^2 / 6, while
+    |xi|^2 = -tr(xi^2)/2.
+    """
+    f = eliminate_v3(det_cubic())
+    gram = gram_su3()
+    slice_gens = [k for k in range(NGENS) if k != 2]
+    grad = {a: f.partial(a) for a in slice_gens}
+    lhs = SymPoly()
+    for a in slice_gens:
+        for b in slice_gens:
+            if gram[a][b]:
+                lhs = lhs + (grad[a] * grad[b]).scale(gram[a][b])
+    v_sq = sum((g * g for g in _GENS[:3]), SymPoly())
+    x_sq = sum((g * g for g in _GENS[3:]), SymPoly())
+    norm_sq = eliminate_v3(v_sq.scale(2) + x_sq)
+    return lhs == (norm_sq * norm_sq).scale(Fraction(4, 3))
+
+
+def rigidity_verdict(pairing: Scalar | None = None) -> RigidityReport:
     """Second-order rigidity decision.
 
     The deformations are unobstructed only at critical points of the
-    invariant cubic; its gradient is the adjugate, so criticality means
-    rank <= 1, which the trace certificate rules out for nonzero
-    traceless skew-hermitian matrices.  A nonzero pairing therefore
+    invariant cubic.  On the traceless slice its gradient is the
+    traceless part of adj(xi), so criticality means that this part
+    vanishes; the exact identity of no_critical_point_certificate rules
+    that out for every nonzero xi.  A nonzero pairing therefore
     obstructs every nonzero deformation.
     """
     if pairing is None:
         pairing = obstruction_pairing()
-    rng = random.Random(seed)
-    checks_ok = all(
-        gradient_is_adjugate_sample(rng)
-        and rank_one_trace_certificate(rng)
-        and adjugate_nonzero_sample(rng)
-        for _ in range(samples)
-    )
-    if not checks_ok:
+    if not no_critical_point_certificate():
         raise ArithmeticError("criticality certificate failed; internal inconsistency")
     nonzero = bool(pairing)
     rigid = nonzero
@@ -470,5 +431,4 @@ def rigidity_verdict(pairing: Scalar | None = None, samples: int = 200, seed: in
         critical_points_exist=False,
         rigid=rigid,
         status=status,
-        samples=samples,
     )

@@ -7,7 +7,6 @@ exact and no floating point is used anywhere in decision logic.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 __all__ = [
@@ -64,17 +63,6 @@ _MUL = _build_mul_table()
 _HAS_I = tuple(k for k, e in enumerate(_BASIS_EXPS) if e[0])
 _HAS_S2 = tuple(k for k, e in enumerate(_BASIS_EXPS) if e[1])
 _HAS_S3 = tuple(k for k, e in enumerate(_BASIS_EXPS) if e[2])
-
-_FLOAT_BASIS = (
-    1.0,
-    1.0j,
-    math.sqrt(2),
-    math.sqrt(3),
-    1.0j * math.sqrt(2),
-    1.0j * math.sqrt(3),
-    math.sqrt(6),
-    1.0j * math.sqrt(6),
-)
 
 
 class Scalar:
@@ -233,9 +221,6 @@ class Scalar:
 
     def imag(self) -> "Scalar":
         return (self - self.real()) * MINUS_I
-
-    def to_complex(self) -> complex:
-        return sum(float(q) * base for q, base in zip(self.c, _FLOAT_BASIS)) + 0j
 
     # -- rendering -------------------------------------------------------
 

@@ -104,6 +104,16 @@ class SymPoly:
         p.terms = {m: c * v for m, v in self.terms.items()}
         return p
 
+    def partial(self, k: int) -> "SymPoly":
+        """Partial derivative along the k-th generator."""
+        p = SymPoly()
+        p.terms = {
+            m[:k] + (m[k] - 1,) + m[k + 1 :]: c * m[k]
+            for m, c in self.terms.items()
+            if m[k]
+        }
+        return p
+
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 

@@ -1,5 +1,7 @@
 """The (1,1) isotropy modules and their primitive parts."""
 
+import pytest
+
 from gray_stability.exterior import form_inner
 from gray_stability.forms import lambda11, lambda11_0, trivial_summand_basis
 from gray_stability.lie import build_space
@@ -64,6 +66,16 @@ def test_cp3_f12_line_is_invariant():
     for m in rep.h_matrices:
         image = [sum((m[w][b] * coords[b] for b in range(9)), ZERO) for w in range(9)]
         assert not any(image)
+
+
+def test_coords_of_rejects_2_vectors_outside_the_span():
+    rep = lambda11_0("flag")
+    # a key that no basis vector uses
+    with pytest.raises(ValueError, match="outside the module span"):
+        rep.coords_of({(0, 6): ONE})
+    # the Kaehler 2-vector is orthogonal to the primitive part
+    with pytest.raises(ValueError, match="outside the module span"):
+        rep.coords_of(build_space("flag").kahler_form())
 
 
 def test_trivial_summands():

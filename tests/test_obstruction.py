@@ -10,7 +10,7 @@ from frozen_tables import (
     expected_nabla_h_table,
     expected_obstruction_terms,
 )
-from gray_stability import linalg
+from gray_stability import linalg, obstruction
 from gray_stability.obstruction import (
     a_action,
     a_endomorphisms,
@@ -21,6 +21,7 @@ from gray_stability.obstruction import (
     matrix_from_coordinates,
     nabla_h,
     nabla_h_entry,
+    no_critical_point_certificate,
     obstruction_pairing,
     obstruction_terms,
     pairing_breakdown,
@@ -178,7 +179,7 @@ def test_matrix_reconstruction_round_trip():
 
 
 def test_rigidity_verdict():
-    report = rigidity_verdict(samples=50)
+    report = rigidity_verdict()
     assert report.pairing == rational(256, 3)
     assert report.pairing_nonzero
     assert not report.critical_points_exist
@@ -187,6 +188,26 @@ def test_rigidity_verdict():
 
 
 def test_rigidity_verdict_with_zero_pairing_is_undetermined():
-    report = rigidity_verdict(pairing=ZERO, samples=5)
+    report = rigidity_verdict(pairing=ZERO)
     assert not report.rigid
     assert report.status == "undetermined-by-second-order"
+
+
+def test_no_critical_point_certificate_holds():
+    assert no_critical_point_certificate()
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        # critical along the x-axes: every partial vanishes at v = 0
+        lambda: (V1 * V2 * V3).scale(8),
+        # one triple-x sign flipped
+        lambda: det_cubic() - (X[1] * X[2] * X[4]).scale(4),
+    ],
+    ids=["pure-v", "flipped-triple-x"],
+)
+def test_rigidity_verdict_rejects_wrong_cubic(monkeypatch, mutant):
+    monkeypatch.setattr(obstruction, "det_cubic", mutant)
+    with pytest.raises(ArithmeticError):
+        rigidity_verdict(pairing=rational(256, 3))

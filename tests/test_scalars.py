@@ -1,7 +1,5 @@
 """Unit tests for the exact scalar tower."""
 
-import cmath
-import math
 from fractions import Fraction
 
 import pytest
@@ -44,14 +42,6 @@ def test_conjugation():
     assert (I * SQRT6).conjugate() == -(I * SQRT6)
     s = rational(3, 7) + I * SQRT2 - SQRT3 * rational(2)
     assert s.conjugate().conjugate() == s
-
-
-def test_to_complex():
-    assert cmath.isclose(rational(256, 3).to_complex(), 256 / 3, rel_tol=1e-12)
-    assert ZERO.to_complex() == 0j
-    assert cmath.isclose(
-        J.to_complex(), complex(-0.5, math.sqrt(3) / 2), rel_tol=1e-12
-    )
 
 
 def test_division_by_zero_is_distinct_error():

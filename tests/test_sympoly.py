@@ -130,6 +130,14 @@ def test_det_cubic_torus_invariance():
         assert torus_derivative(j, d) == SymPoly.zero()
 
 
+def test_partial_derivative_by_hand():
+    # d/dx1 (3 v1 x1^2 x2 - x1 v2 + 5) = 6 v1 x1 x2 - v2
+    p = (V1 * X[0] * X[0] * X[1]).scale(3) - X[0] * V2 + SymPoly.constant(5)
+    assert p.partial(3) == (V1 * X[0] * X[1]).scale(6) - V2
+    assert p.partial(2) == SymPoly.zero()
+    assert det_cubic().partial(0) == (V2 * V3).scale(8) - (X[4] * X[4] + X[5] * X[5]).scale(2)
+
+
 def test_reduce_v_cubic():
     p = (V1 * V1 * V1 + V2 * V2 * V2 + V3 * V3 * V3).scale(2)
     assert reduce_v_cubic(p) == (V1 * V2 * V3).scale(6)
