@@ -2,7 +2,8 @@
 
 All exact values render as integers or "p/q" strings; identical
 invocations produce byte-identical output.  Exit codes: 0 success,
-1 failed internal checks, 2 usage errors (argparse default).
+1 failed checks or an internal error, 2 usage errors (bad space, label
+or option, and labels without an explicit module).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .obstruction import (
     rigidity_verdict,
 )
 from .render import dumps, fraction_jsonable, scalar_jsonable
-from .reps import casimir_constant, dim, enumerate_labels
+from .reps import UnsupportedLabel, casimir_constant, dim, enumerate_labels
 from .stability import coindex_report
 
 
@@ -139,13 +140,11 @@ def delta_doc(space_name: str, gamma: tuple) -> dict:
     from .branching import hom_dim
 
     space = build_space(space_name)
-    target = lambda11_0(space_name)
-    hd = hom_dim(space, gamma, target.decomposition)
+    hd = hom_dim(space, gamma, lambda11_0(space_name).decomposition)
     generators = []
     if hd:
-        for f in hom_basis(space, gamma, target):
-            d = proto_delta(space, gamma, f, target)
-            mats = m_complex_coords(space, d)
+        for f in hom_basis(space, gamma):
+            mats = m_complex_coords(space, proto_delta(space, gamma, f))
             generators.append(
                 {
                     "delta_matrix": [[scalar_jsonable(x) for x in row] for row in mats],
@@ -156,7 +155,7 @@ def delta_doc(space_name: str, gamma: tuple) -> dict:
         "space": space_name,
         "gamma": list(gamma),
         "hom_dim": hd,
-        "coclosed_dim": coclosed_dim(space, gamma, target) if hd else 0,
+        "coclosed_dim": coclosed_dim(space, gamma),
         "generators": generators,
     }
 
@@ -400,9 +399,12 @@ def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, UnsupportedLabel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, ArithmeticError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 def _dispatch(args) -> int:
@@ -443,6 +445,8 @@ def _dispatch(args) -> int:
             raise UsageError(f"cannot parse --t {args.t!r}") from exc
         if len(triple) != 3:
             raise UsageError("--t needs three rationals")
+        if sum(triple) != 0:
+            raise UsageError("canonical-variation coefficients must sum to zero")
         ok = killing_check(*triple)
         doc = {"t": [fraction_jsonable(x) for x in triple], "killing": ok}
         _emit(doc, f"killing({args.t}) = {str(ok).lower()}\n", args)

@@ -30,6 +30,15 @@ def form_scale(c: Scalar, a: Form) -> Form:
     return {k: c * v for k, v in a.items()}
 
 
+def form_lin_comb(coeffs, forms) -> Form:
+    """sum_k coeffs[k] * forms[k] over the nonzero coefficients."""
+    out: Form = {}
+    for c, v in zip(coeffs, forms):
+        if c:
+            out = form_add(out, form_scale(c, v))
+    return out
+
+
 def wedge2(u: list, v: list) -> Form:
     """u wedge v for coordinate vectors in the orthonormal basis."""
     out: Form = {}

@@ -14,9 +14,9 @@ from functools import lru_cache
 
 from . import linalg
 from .branching import decompose_weights
-from .exterior import Form, derivation_action, form_add, form_inner, form_scale, wedge2
+from .exterior import Form, derivation_action, form_inner, form_lin_comb, form_scale, wedge2
 from .lie import ReductiveSpace, build_space
-from .scalars import ONE, ZERO
+from .scalars import ZERO
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,7 @@ class HRep:
         return _span_coords(self.vectors, form)
 
     def realize(self, coords: list) -> Form:
-        out: Form = {}
-        for c, v in zip(coords, self.vectors):
-            if c:
-                out = form_add(out, form_scale(c, v))
-        return out
+        return form_lin_comb(coords, self.vectors)
 
 
 def _span_coords(vectors, form: Form) -> list:
@@ -60,10 +56,10 @@ def _span_coords(vectors, form: Form) -> list:
 
 def _h_action_matrices(space: ReductiveSpace, vectors: list) -> list:
     mats = []
-    for i in range(space.h_dim):
-        ad = space.ad_m_of_h([ONE if j == i else ZERO for j in range(space.h_dim)])
+    for e in linalg.identity(space.h_dim):
+        ad = space.ad_m_of_h(e)
         cols = [_span_coords(vectors, derivation_action(ad, v)) for v in vectors]
-        mats.append(tuple(tuple(cols[b][w] for b in range(len(vectors))) for w in range(len(vectors))))
+        mats.append(linalg.transpose(cols))
     return mats
 
 
@@ -75,7 +71,7 @@ def lambda11(space_name: str) -> HRep:
     weights = []
     for p, wp in space.m_plus_weights:
         for q, wq in space.m_minus_weights:
-            vectors.append(wedge2(list(p), list(q)))
+            vectors.append(wedge2(p, q))
             weights.append(tuple(a + b for a, b in zip(wp, wq)))
     mats = _h_action_matrices(space, vectors)
     decomposition = decompose_weights(
@@ -125,12 +121,9 @@ def lambda11_0(space_name: str) -> HRep:
         if i not in zero_idx:
             vectors.append(v)
             weights.append(w)
+    zero_block = [full.vectors[i] for i in zero_idx]
     for combo in combos:
-        form: Form = {}
-        for c, i in zip(combo, zero_idx):
-            if c:
-                form = form_add(form, form_scale(c, full.vectors[i]))
-        vectors.append(form)
+        vectors.append(form_lin_comb(combo, zero_block))
         weights.append(zero_wt)
 
     mats = _h_action_matrices(space, vectors)
@@ -148,19 +141,9 @@ def lambda11_0(space_name: str) -> HRep:
 def trivial_summand_basis(space_name: str) -> list:
     """Basis of the isotropy-fixed subspace of lambda11_0, as 2-vectors."""
     rep = lambda11_0(space_name)
-    space = build_space(space_name)
-    rows = []
-    for m in rep.h_matrices:
-        rows.extend([list(r) for r in m])
+    rows = [r for m in rep.h_matrices for r in m]
     kernel = linalg.nullspace(rows) if rows else []
-    out = []
-    for combo in kernel:
-        form: Form = {}
-        for c, v in zip(combo, rep.vectors):
-            if c:
-                form = form_add(form, form_scale(c, v))
-        out.append(_normalize_leading(form))
-    return out
+    return [_normalize_leading(form_lin_comb(combo, rep.vectors)) for combo in kernel]
 
 
 def _normalize_leading(form: Form) -> Form:

@@ -21,7 +21,7 @@ from .exterior import contract
 from .forms import HRep, lambda11_0
 from .lie import ReductiveSpace
 from .reps import ExplicitRep, explicit_rep
-from .scalars import ONE, ZERO
+from .scalars import ZERO
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,11 @@ class FourierCoefficient:
         return len(self.matrix[0]) if self.matrix else 0
 
 
-def hom_basis(space: ReductiveSpace, gamma: tuple, target: HRep | None = None) -> list:
-    """Basis of the equivariant homomorphisms into the target module,
-    by exact null-space solving of the infinitesimal equivariance
+def hom_basis(space: ReductiveSpace, gamma: tuple) -> list:
+    """Basis of the equivariant homomorphisms into the primitive (1,1)
+    module, by exact null-space solving of the infinitesimal equivariance
     constraints (the isotropy groups are connected)."""
-    if target is None:
-        target = lambda11_0(space.name)
+    target = lambda11_0(space.name)
     rep = explicit_rep(space, gamma)
     wd, vd = target.dim, rep.dim
     rows = []
@@ -65,12 +64,10 @@ def hom_basis(space: ReductiveSpace, gamma: tuple, target: HRep | None = None) -
                         row[w * vd + l] = row[w * vd + l] - rm[l][v]
                 if any(row):
                     rows.append(row)
-    kernel = linalg.nullspace(rows) if rows else [
-        [ONE if i == j else ZERO for i in range(wd * vd)] for j in range(wd * vd)
-    ]
+    kernel = linalg.nullspace(rows) if rows else linalg.identity(wd * vd)
     out = []
     for vec in kernel:
-        mat = tuple(tuple(vec[w * vd + v] for v in range(vd)) for w in range(wd))
+        mat = linalg.from_entries(wd, {divmod(i, vd): x for i, x in enumerate(vec) if x}, vd)
         out.append(FourierCoefficient(space.name, gamma, target.name, mat))
     expected = hom_dim(space, gamma, target.decomposition)
     if len(out) != expected:
@@ -83,8 +80,8 @@ def hom_basis(space: ReductiveSpace, gamma: tuple, target: HRep | None = None) -
 
 def check_equivariance(space: ReductiveSpace, rep: ExplicitRep, target: HRep, f: FourierCoefficient) -> bool:
     for t in range(space.h_dim):
-        lhs = linalg.mat_mul([list(r) for r in target.h_matrices[t]], [list(r) for r in f.matrix])
-        rhs = linalg.mat_mul([list(r) for r in f.matrix], [list(r) for r in rep.matrices[t]])
+        lhs = linalg.mat_mul(target.h_matrices[t], f.matrix)
+        rhs = linalg.mat_mul(f.matrix, rep.matrices[t])
         if not linalg.mat_eq(lhs, rhs):
             return False
     return True
@@ -94,7 +91,6 @@ def proto_delta(
     space: ReductiveSpace,
     gamma: tuple,
     f: FourierCoefficient,
-    target: HRep | None = None,
     m_basis: list | None = None,
 ) -> FourierCoefficient:
     """Prototypical codifferential of a (1,1)-valued Fourier coefficient.
@@ -104,67 +100,54 @@ def proto_delta(
     of m may be supplied (as coordinate vectors) to exhibit basis
     independence; the default is the catalog basis.
     """
-    if target is None:
-        target = lambda11_0(space.name)
+    target = lambda11_0(space.name)
     rep = explicit_rep(space, gamma)
     md, vd = space.m_dim, rep.dim
     if m_basis is None:
-        m_basis = [[ONE if k == a else ZERO for k in range(md)] for a in range(md)]
-    out = [[ZERO] * vd for _ in range(md)]
+        m_basis = linalg.identity(md)
+    out: dict = {}
     for e in m_basis:
-        rho = rep.matrix_of(space.g_coords_of_m_coords(e))
-        composed = linalg.mat_mul([list(r) for r in f.matrix], rho)
+        rho = linalg.lin_comb(space.g_coords_of_m_coords(e), rep.matrices)
+        composed = linalg.mat_mul(f.matrix, rho)
         for v in range(vd):
             col = [composed[w][v] for w in range(target.dim)]
             form = target.realize(col)
             contracted = contract(e, form)
             for (idx,), c in contracted.items():
-                out[idx][v] = out[idx][v] + c
-    return FourierCoefficient(space.name, gamma, "m_complex", tuple(tuple(r) for r in out))
+                prev = out.get((idx, v))
+                out[idx, v] = c if prev is None else prev + c
+    return FourierCoefficient(space.name, gamma, "m_complex", linalg.from_entries(md, out, vd))
 
 
 def m_complex_coords(space: ReductiveSpace, f: FourierCoefficient) -> tuple:
     """Re-express a delta image in the complex eigenbasis (m^+ then m^-)."""
-    basis = [list(v) for v in space.m_plus] + [list(v) for v in space.m_minus]
-    p = [[basis[b][w] for b in range(space.m_dim)] for w in range(space.m_dim)]
-    pinv = linalg.inverse(p)
-    converted = linalg.mat_mul(pinv, [list(r) for r in f.matrix])
-    return tuple(tuple(row) for row in converted)
+    pinv = linalg.inverse(linalg.transpose(space.m_plus + space.m_minus))
+    return linalg.mat_mul(pinv, f.matrix)
 
 
-def _delta_matrix(space: ReductiveSpace, gamma: tuple, target: HRep, basis: list) -> list:
+def _delta_matrix(space: ReductiveSpace, gamma: tuple, basis: list) -> tuple:
     """The codifferential on the span of a nonempty hom basis: column b is
     the flattened delta image of basis[b]."""
-    cols = [[x for row in proto_delta(space, gamma, f, target).matrix for x in row] for f in basis]
-    return [[col[r] for col in cols] for r in range(len(cols[0]))]
+    return linalg.transpose(
+        [x for row in proto_delta(space, gamma, f).matrix for x in row] for f in basis
+    )
 
 
-def coclosed_dim(space: ReductiveSpace, gamma: tuple, target: HRep | None = None) -> int:
+def coclosed_dim(space: ReductiveSpace, gamma: tuple) -> int:
     """Kernel dimension of the codifferential on the homomorphism space."""
-    if target is None:
-        target = lambda11_0(space.name)
-    if hom_dim(space, gamma, target.decomposition) == 0:
+    if hom_dim(space, gamma, lambda11_0(space.name).decomposition) == 0:
         return 0
-    basis = hom_basis(space, gamma, target)
-    return len(linalg.nullspace(_delta_matrix(space, gamma, target, basis)))
+    basis = hom_basis(space, gamma)
+    return len(linalg.nullspace(_delta_matrix(space, gamma, basis)))
 
 
-def coclosed_basis(space: ReductiveSpace, gamma: tuple, target: HRep | None = None) -> list:
+def coclosed_basis(space: ReductiveSpace, gamma: tuple) -> list:
     """Fourier coefficients spanning the kernel of the codifferential."""
-    if target is None:
-        target = lambda11_0(space.name)
-    basis = hom_basis(space, gamma, target)
+    basis = hom_basis(space, gamma)
     if not basis:
         return []
-    out = []
-    for combo in linalg.nullspace(_delta_matrix(space, gamma, target, basis)):
-        acc = [[ZERO] * basis[0].module_dim for _ in range(target.dim)]
-        for c, f in zip(combo, basis):
-            if not c:
-                continue
-            for w in range(target.dim):
-                for v in range(f.module_dim):
-                    if f.matrix[w][v]:
-                        acc[w][v] = acc[w][v] + c * f.matrix[w][v]
-        out.append(FourierCoefficient(space.name, gamma, target.name, tuple(tuple(r) for r in acc)))
-    return out
+    mats = [f.matrix for f in basis]
+    return [
+        FourierCoefficient(space.name, gamma, basis[0].target, linalg.lin_comb(combo, mats))
+        for combo in linalg.nullspace(_delta_matrix(space, gamma, basis))
+    ]

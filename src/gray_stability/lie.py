@@ -20,29 +20,6 @@ from .scalars import I, ONE, SQRT2, SQRT3, SQRT6, ZERO, Scalar, rational
 
 SPACE_NAMES = ("s3xs3", "cp3", "flag")
 
-_HALF = rational(1, 2)
-
-
-def _mat(n: int, entries: dict) -> list:
-    m = [[ZERO] * n for _ in range(n)]
-    for (i, j), v in entries.items():
-        m[i][j] = m[i][j] + v
-    return m
-
-
-def _block_diag(blocks: list[list]) -> list:
-    n = sum(len(b) for b in blocks)
-    out = [[ZERO] * n for _ in range(n)]
-    offset = 0
-    for b in blocks:
-        k = len(b)
-        for i in range(k):
-            for j in range(k):
-                out[offset + i][offset + j] = b[i][j]
-        offset += k
-    return out
-
-
 @dataclass(frozen=True)
 class LieAlgebraData:
     """Basis, structure constants and invariant inner product of g."""
@@ -109,10 +86,8 @@ class ReductiveSpace:
 
     # -- coordinate helpers -------------------------------------------
 
-    def g_coords_of_m_index(self, a: int) -> list:
-        v = [ZERO] * self.algebra.dim
-        v[self.h_dim + a] = ONE
-        return v
+    def g_coords_of_m_index(self, a: int) -> tuple:
+        return linalg.identity(self.algebra.dim)[self.h_dim + a]
 
     def g_coords_of_h_coords(self, h: list) -> list:
         return list(h) + [ZERO] * self.m_dim
@@ -135,16 +110,25 @@ class ReductiveSpace:
             if any(br[: self.h_dim]):
                 raise ValueError(f"{self.name}: [h, m] leaves m")
             cols.append(br[self.h_dim :])
-        return [[cols[a][w] for a in range(self.m_dim)] for w in range(self.m_dim)]
-
-    def conj_vector(self, v: list) -> list:
-        return [x.conjugate() for x in v]
+        return linalg.transpose(cols)
 
 
-def _structure_and_gram(mats: list, ip) -> tuple:
+def _conjugate(v: tuple) -> tuple:
+    return tuple(x.conjugate() for x in v)
+
+
+def _conjugate_side(m_plus: tuple, plus_w: tuple) -> tuple:
+    """m^- and its weight vectors: the conjugates of m^+, weights negated."""
+    minus_w = tuple((_conjugate(v), tuple(-x for x in wt)) for v, wt in plus_w)
+    return tuple(map(_conjugate, m_plus)), minus_w
+
+
+def _structure_and_gram(mats: tuple, ip) -> tuple:
     dim = len(mats)
-    gram = [[ip(mats[a], mats[b]) for b in range(dim)] for a in range(dim)]
-    gram_inv = linalg.inverse([row[:] for row in gram])
+    gram = linalg.from_entries(
+        dim, {(a, b): ip(mats[a], mats[b]) for a in range(dim) for b in range(dim)}
+    )
+    gram_inv = linalg.inverse(gram)
     structure = []
     for a in range(dim):
         row = []
@@ -153,7 +137,7 @@ def _structure_and_gram(mats: list, ip) -> tuple:
             rhs = [ip(c, mats[k]) for k in range(dim)]
             row.append(tuple(linalg.mat_vec(gram_inv, rhs)))
         structure.append(tuple(row))
-    return tuple(structure), tuple(tuple(r) for r in gram)
+    return tuple(structure), gram
 
 
 def _trace_form(scale: Fraction):
@@ -173,34 +157,32 @@ def _su2_seed():
     # Orthonormal basis of su(2) for minus one twelfth of the triple Killing
     # form; Y3 is diagonal so the torus weights below come out integral.
     q = SQRT2 * rational(1, 4)   # 1/(2*sqrt2)
-    y1 = _mat(2, {(0, 1): I * q, (1, 0): I * q})
-    y2 = _mat(2, {(0, 1): -q, (1, 0): q})
-    y3 = _mat(2, {(0, 0): I * q, (1, 1): -(I * q)})
+    y1 = linalg.from_entries(2, {(0, 1): I * q, (1, 0): I * q})
+    y2 = linalg.from_entries(2, {(0, 1): -q, (1, 0): q})
+    y3 = linalg.from_entries(2, {(0, 0): I * q, (1, 1): -(I * q)})
     return y1, y2, y3
 
 
 def _build_s3xs3() -> ReductiveSpace:
     y = _su2_seed()
     two_s2 = SQRT2 * 2
-    h_mats = [_block_diag([ya, ya, ya]) for ya in y]
-    m_mats = []
-    for ya in y:
-        u = _block_diag([linalg.mat_scale(c, ya) for c in (two_s2, -SQRT2, -SQRT2)])
-        w = _block_diag([linalg.mat_scale(c, ya) for c in (ZERO, SQRT6, -SQRT6)])
-        m_mats.extend([u, w])
+    # blockdiag(a Y, b Y, c Y) = kron(diag(a, b, c), Y)
+    u_coeffs = linalg.diag(two_s2, -SQRT2, -SQRT2)
+    w_coeffs = linalg.diag(ZERO, SQRT6, -SQRT6)
+    h_mats = tuple(linalg.kron(linalg.identity(3), ya) for ya in y)
+    m_mats = tuple(linalg.kron(c, ya) for ya in y for c in (u_coeffs, w_coeffs))
     labels = ("d1", "d2", "d3", "u1", "w1", "u2", "w2", "u3", "w3")
     mats = h_mats + m_mats
     structure, gram = _structure_and_gram(mats, _trace_form(Fraction(-1, 3)))
-    algebra = LieAlgebraData("su2_cubed", 9, labels, tuple(tuple(map(tuple, m)) for m in mats), structure, gram)
+    algebra = LieAlgebraData("su2_cubed", 9, labels, mats, structure, gram)
 
     inv_s2 = SQRT2.inverse()
     i_inv_s2 = I * inv_s2
     # X_a = (u_a + i w_a)/sqrt2 spans the +i eigenspace of J.
-    x1 = [inv_s2, i_inv_s2, ZERO, ZERO, ZERO, ZERO]
-    x2 = [ZERO, ZERO, inv_s2, i_inv_s2, ZERO, ZERO]
-    x3 = [ZERO, ZERO, ZERO, ZERO, inv_s2, i_inv_s2]
-    m_plus = (tuple(x1), tuple(x2), tuple(x3))
-    m_minus = tuple(tuple(c.conjugate() for c in v) for v in m_plus)
+    x1 = (inv_s2, i_inv_s2, ZERO, ZERO, ZERO, ZERO)
+    x2 = (ZERO, ZERO, inv_s2, i_inv_s2, ZERO, ZERO)
+    x3 = (ZERO, ZERO, ZERO, ZERO, inv_s2, i_inv_s2)
+    m_plus = (x1, x2, x3)
 
     def _comb(u, v, coeff):
         return tuple(a + coeff * b for a, b in zip(u, v))
@@ -208,10 +190,10 @@ def _build_s3xs3() -> ReductiveSpace:
     # Diagonal-torus weight vectors inside m^+: X1 -/+ i X2 and X3.
     plus_w = (
         (_comb(x1, x2, -I), (2,)),
-        (tuple(x3), (0,)),
+        (x3, (0,)),
         (_comb(x1, x2, I), (-2,)),
     )
-    minus_w = tuple((tuple(c.conjugate() for c in v), (-wt[0],)) for v, wt in plus_w)
+    m_minus, minus_w = _conjugate_side(m_plus, plus_w)
 
     minus_one = -ONE
     return ReductiveSpace(
@@ -229,12 +211,7 @@ def _build_s3xs3() -> ReductiveSpace:
         weight_embedding=((1, 1, 1),),
         kahler=(((0, 1), minus_one), ((2, 3), minus_one), ((4, 5), minus_one)),
         psi_minus=None,
-        g_orthonormal=tuple(
-            tuple((rational(2) if k == a else ZERO) for k in range(9)) for a in range(3)
-        )
-        + tuple(
-            tuple((ONE if k == 3 + a else ZERO) for k in range(9)) for a in range(6)
-        ),
+        g_orthonormal=linalg.diag(*[rational(2)] * 3, *[ONE] * 6),
         einstein_constant=Fraction(5),
         scalar_curvature=Fraction(30),
         betti=(0, 2),
@@ -247,22 +224,22 @@ def _build_s3xs3() -> ReductiveSpace:
 
 def _build_cp3() -> ReductiveSpace:
     def skew(i, j):  # 1-indexed E_ij - E_ji inside so(5)
-        return _mat(5, {(i - 1, j - 1): ONE, (j - 1, i - 1): -ONE})
+        return linalg.from_entries(5, {(i - 1, j - 1): ONE, (j - 1, i - 1): -ONE})
 
     t1 = skew(2, 1)
     t2 = skew(4, 3)
-    a = _mat(5, {(0, 2): ONE, (1, 3): ONE, (2, 0): -ONE, (3, 1): -ONE})
-    b = _mat(5, {(0, 3): -ONE, (1, 2): ONE, (2, 1): -ONE, (3, 0): ONE})
+    a = linalg.from_entries(5, {(0, 2): ONE, (1, 3): ONE, (2, 0): -ONE, (3, 1): -ONE})
+    b = linalg.from_entries(5, {(0, 3): -ONE, (1, 2): ONE, (2, 1): -ONE, (3, 0): ONE})
     e = [skew(i, 5) for i in (1, 2, 3, 4)]
-    f1 = _mat(5, {(0, 2): ONE, (1, 3): -ONE, (2, 0): -ONE, (3, 1): ONE})
-    f2 = _mat(5, {(0, 3): ONE, (1, 2): ONE, (2, 1): -ONE, (3, 0): -ONE})
+    f1 = linalg.from_entries(5, {(0, 2): ONE, (1, 3): -ONE, (2, 0): -ONE, (3, 1): ONE})
+    f2 = linalg.from_entries(5, {(0, 3): ONE, (1, 2): ONE, (2, 1): -ONE, (3, 0): -ONE})
 
-    h_mats = [t1, t2, a, b]
-    m_mats = [linalg.mat_scale(SQRT2, ei) for ei in e] + [f1, f2]
+    h_mats = (t1, t2, a, b)
+    m_mats = tuple(linalg.mat_scale(SQRT2, ei) for ei in e) + (f1, f2)
     labels = ("t1", "t2", "a", "b", "e1", "e2", "e3", "e4", "f1", "f2")
     mats = h_mats + m_mats
     structure, gram = _structure_and_gram(mats, _trace_form(Fraction(-1, 4)))
-    algebra = LieAlgebraData("so5", 10, labels, tuple(tuple(map(tuple, m)) for m in mats), structure, gram)
+    algebra = LieAlgebraData("so5", 10, labels, mats, structure, gram)
 
     inv_s2 = SQRT2.inverse()
     i_inv_s2 = I * inv_s2
@@ -271,19 +248,8 @@ def _build_cp3() -> ReductiveSpace:
     p2 = (ZERO, ZERO, inv_s2, -i_inv_s2, ZERO, ZERO)
     p3 = (ZERO, ZERO, ZERO, ZERO, ONE, I)
     m_plus = (p1, p2, p3)
-    m_minus = tuple(tuple(c.conjugate() for c in v) for v in m_plus)
     plus_w = ((p1, (1, 0)), (p2, (0, 1)), (p3, (-1, -1)))
-    minus_w = tuple(
-        (tuple(c.conjugate() for c in v), tuple(-x for x in wt)) for v, wt in plus_w
-    )
-
-    h1 = (ONE, ZERO, ZERO, ZERO)
-    h2 = (ZERO, ONE, ZERO, ZERO)
-    g_on = [tuple([SQRT2 if k == 0 else ZERO for k in range(10)])]
-    g_on.append(tuple([SQRT2 if k == 1 else ZERO for k in range(10)]))
-    g_on.append(tuple([ONE if k == 2 else ZERO for k in range(10)]))
-    g_on.append(tuple([ONE if k == 3 else ZERO for k in range(10)]))
-    g_on += [tuple([ONE if k == 4 + j else ZERO for k in range(10)]) for j in range(6)]
+    m_minus, minus_w = _conjugate_side(m_plus, plus_w)
 
     return ReductiveSpace(
         name="cp3",
@@ -296,11 +262,11 @@ def _build_cp3() -> ReductiveSpace:
         m_minus=m_minus,
         m_plus_weights=plus_w,
         m_minus_weights=minus_w,
-        h_weight_torus=(h1, h2),
+        h_weight_torus=linalg.identity(4)[:2],
         weight_embedding=((1, 0), (0, 1)),
         kahler=(((0, 1), ONE), ((2, 3), ONE), ((4, 5), -ONE)),
         psi_minus=None,
-        g_orthonormal=tuple(g_on),
+        g_orthonormal=linalg.diag(SQRT2, SQRT2, *[ONE] * 8),
         einstein_constant=Fraction(5),
         scalar_curvature=Fraction(30),
         betti=(1, 0),
@@ -311,38 +277,34 @@ def _build_cp3() -> ReductiveSpace:
 # F_{1,2} = SU(3) / T^2
 # ---------------------------------------------------------------------------
 
-def _su3_frame_mats() -> list:
-    t1 = _mat(3, {(0, 0): I, (1, 1): -I})
-    t2 = _mat(3, {(1, 1): I, (2, 2): -I})
-    e1 = _mat(3, {(0, 1): ONE, (1, 0): -ONE})
-    e2 = _mat(3, {(0, 1): I, (1, 0): I})
-    e3 = _mat(3, {(0, 2): ONE, (2, 0): -ONE})
-    e4 = _mat(3, {(0, 2): I, (2, 0): I})
-    e5 = _mat(3, {(1, 2): ONE, (2, 1): -ONE})
-    e6 = _mat(3, {(1, 2): I, (2, 1): I})
-    return [t1, t2, e1, e2, e3, e4, e5, e6]
+def _su3_frame_mats() -> tuple:
+    t1 = linalg.from_entries(3, {(0, 0): I, (1, 1): -I})
+    t2 = linalg.from_entries(3, {(1, 1): I, (2, 2): -I})
+    e1 = linalg.from_entries(3, {(0, 1): ONE, (1, 0): -ONE})
+    e2 = linalg.from_entries(3, {(0, 1): I, (1, 0): I})
+    e3 = linalg.from_entries(3, {(0, 2): ONE, (2, 0): -ONE})
+    e4 = linalg.from_entries(3, {(0, 2): I, (2, 0): I})
+    e5 = linalg.from_entries(3, {(1, 2): ONE, (2, 1): -ONE})
+    e6 = linalg.from_entries(3, {(1, 2): I, (2, 1): I})
+    return (t1, t2, e1, e2, e3, e4, e5, e6)
 
 
 def _build_flag() -> ReductiveSpace:
     mats = _su3_frame_mats()
     labels = ("t1", "t2", "e1", "e2", "e3", "e4", "e5", "e6")
     structure, gram = _structure_and_gram(mats, _trace_form(Fraction(-1, 2)))
-    algebra = LieAlgebraData("su3", 8, labels, tuple(tuple(map(tuple, m)) for m in mats), structure, gram)
+    algebra = LieAlgebraData("su3", 8, labels, mats, structure, gram)
 
     p1 = (ONE, -I, ZERO, ZERO, ZERO, ZERO)   # e1 - i e2
     p2 = (ZERO, ZERO, ONE, I, ZERO, ZERO)    # e3 + i e4
     p3 = (ZERO, ZERO, ZERO, ZERO, ONE, -I)   # e5 - i e6
     m_plus = (p1, p2, p3)
-    m_minus = tuple(tuple(c.conjugate() for c in v) for v in m_plus)
     plus_w = ((p1, (1, -1)), (p2, (-2, -1)), (p3, (1, 2)))
-    minus_w = tuple(
-        (tuple(c.conjugate() for c in v), tuple(-x for x in wt)) for v, wt in plus_w
-    )
+    m_minus, minus_w = _conjugate_side(m_plus, plus_w)
 
     inv_s3 = SQRT3.inverse()
-    g_on = [tuple([ONE, ZERO] + [ZERO] * 6)]
-    g_on.append(tuple([inv_s3, inv_s3 * 2] + [ZERO] * 6))
-    g_on += [tuple([ONE if k == 2 + j else ZERO for k in range(8)]) for j in range(6)]
+    g_on = {(k, k): ONE for k in range(8)}
+    g_on[1, 0], g_on[1, 1] = inv_s3, inv_s3 * 2
 
     minus_one = -ONE
     return ReductiveSpace(
@@ -361,7 +323,7 @@ def _build_flag() -> ReductiveSpace:
         weight_embedding=((1, 1), (0, 1)),
         kahler=(((0, 1), ONE), ((2, 3), minus_one), ((4, 5), ONE)),
         psi_minus=(((1, 2, 5), ONE), ((0, 3, 5), minus_one), ((0, 2, 4), minus_one), ((1, 3, 4), minus_one)),
-        g_orthonormal=tuple(g_on),
+        g_orthonormal=linalg.from_entries(8, g_on),
         einstein_constant=Fraction(5),
         scalar_curvature=Fraction(30),
         betti=(2, 0),
@@ -395,8 +357,7 @@ def validate_algebra(alg: LieAlgebraData) -> dict:
                     ok = False
     checks["antisymmetry"] = ok
 
-    def coords(a):
-        return [ONE if k == a else ZERO for k in range(dim)]
+    basis = linalg.identity(dim)
 
     ok = True
     for a in range(dim):
@@ -404,9 +365,7 @@ def validate_algebra(alg: LieAlgebraData) -> dict:
             for c in range(b + 1, dim):
                 s = [ZERO] * dim
                 for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    term = alg.bracket_coords(
-                        coords(x), alg.bracket_coords(coords(y), coords(z))
-                    )
+                    term = alg.bracket_coords(basis[x], alg.bracket_coords(basis[y], basis[z]))
                     s = [p + q for p, q in zip(s, term)]
                 if any(s):
                     ok = False
@@ -416,8 +375,8 @@ def validate_algebra(alg: LieAlgebraData) -> dict:
     for a in range(dim):
         for b in range(dim):
             for c in range(dim):
-                lhs = alg.inner_coords(alg.bracket_coords(coords(a), coords(b)), coords(c))
-                rhs = alg.inner_coords(coords(b), alg.bracket_coords(coords(a), coords(c)))
+                lhs = alg.inner_coords(alg.bracket_coords(basis[a], basis[b]), basis[c])
+                rhs = alg.inner_coords(basis[b], alg.bracket_coords(basis[a], basis[c]))
                 if lhs + rhs != ZERO:
                     ok = False
     checks["ad_invariance"] = ok
@@ -430,21 +389,18 @@ def validate_space(space: ReductiveSpace) -> dict:
     hd, md = space.h_dim, space.m_dim
 
     checks["m_orthonormal"] = all(
-        alg.gram[hd + a][hd + b] == (ONE if a == b else ZERO)
-        for a in range(md)
-        for b in range(md)
+        row[hd:] == unit for row, unit in zip(alg.gram[hd:], linalg.identity(md))
     )
     checks["h_m_orthogonal"] = all(
         alg.gram[i][hd + a] == ZERO for i in range(hd) for a in range(md)
     )
 
-    def basis_coords(k):
-        return [ONE if j == k else ZERO for j in range(alg.dim)]
+    basis = linalg.identity(alg.dim)
 
     ok = True
     for i in range(hd):
         for a in range(md):
-            br = alg.bracket_coords(basis_coords(i), basis_coords(hd + a))
+            br = alg.bracket_coords(basis[i], basis[hd + a])
             if any(br[:hd]):
                 ok = False
     checks["reductivity"] = ok
@@ -452,45 +408,34 @@ def validate_space(space: ReductiveSpace) -> dict:
     ok = True
     for i in range(hd):
         for j in range(hd):
-            br = alg.bracket_coords(basis_coords(i), basis_coords(j))
+            br = alg.bracket_coords(basis[i], basis[j])
             if any(br[hd:]):
                 ok = False
     checks["h_subalgebra"] = ok
 
-    plus = [list(v) for v in space.m_plus]
-    minus = [list(v) for v in space.m_minus]
-    checks["m_pm_conjugate_swap"] = all(
-        space.conj_vector(p) in [list(q) for q in space.m_minus] for p in plus
-    ) and all(space.conj_vector(q) in [list(p) for p in space.m_plus] for q in minus)
-    checks["m_pm_spans"] = linalg.rank([list(v) for v in plus + minus]) == md
+    plus, minus = space.m_plus, space.m_minus
+    checks["m_pm_conjugate_swap"] = all(_conjugate(p) in minus for p in plus) and all(
+        _conjugate(q) in plus for q in minus
+    )
+    checks["m_pm_spans"] = linalg.rank(plus + minus) == md
 
     ok = True
     for torus_idx, t in enumerate(space.h_weight_torus):
-        ad = space.ad_m_of_h(list(t))
+        ad = space.ad_m_of_h(t)
         for vecs in (space.m_plus_weights, space.m_minus_weights):
             for v, wt in vecs:
-                got = linalg.mat_vec(ad, list(v))
+                got = linalg.mat_vec(ad, v)
                 want = [I * rational(wt[torus_idx]) * c for c in v]
                 if got != want:
                     ok = False
     checks["m_pm_weight_vectors"] = ok
 
+    h_ads = [space.ad_m_of_h(e) for e in linalg.identity(hd)]
     kahler = space.kahler_form()
-    ok = True
-    for i in range(hd):
-        ad = space.ad_m_of_h([ONE if j == i else ZERO for j in range(hd)])
-        if derivation_action(ad, kahler):
-            ok = False
-    checks["kahler_h_invariant"] = ok
-
+    checks["kahler_h_invariant"] = not any(derivation_action(ad, kahler) for ad in h_ads)
     if space.psi_minus is not None:
         psi = space.psi_minus_form()
-        ok = True
-        for i in range(hd):
-            ad = space.ad_m_of_h([ONE if j == i else ZERO for j in range(hd)])
-            if derivation_action(ad, psi):
-                ok = False
-        checks["psi_minus_h_invariant"] = ok
+        checks["psi_minus_h_invariant"] = not any(derivation_action(ad, psi) for ad in h_ads)
 
     return checks
 

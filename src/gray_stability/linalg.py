@@ -1,40 +1,100 @@
 """Small dense exact linear algebra over the scalar tower.
 
-Matrices are lists of row lists of Scalar.  Everything here is plain
-Gauss elimination with exact division; sizes never exceed a few hundred
-rows, so no fraction-free tricks are needed.
+A matrix is a tuple of row tuples of Scalar, and this module is the only
+one that builds that type: every function here that returns a matrix
+returns it, and every function reads any sequence of row sequences.
+Vectors are lists.  Everything here is plain Gauss elimination with exact
+division; sizes never exceed a few hundred rows, so no fraction-free
+tricks are needed.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .scalars import ONE, ZERO, Scalar
 
-Matrix = list  # list[list[Scalar]]
+Matrix = tuple  # tuple[tuple[Scalar, ...], ...]
 Vector = list  # list[Scalar]
 
 
+def _freeze(rows) -> Matrix:
+    return tuple(map(tuple, rows))
+
+
 def zeros(m: int, n: int) -> Matrix:
-    return [[ZERO] * n for _ in range(m)]
+    return ((ZERO,) * n,) * m
 
 
+@lru_cache(maxsize=None)
 def identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    return from_entries(n, {(i, i): ONE for i in range(n)})
+
+
+def from_entries(m: int, entries: dict, n: int | None = None) -> Matrix:
+    """The m x n matrix (n defaults to m) with the given {(i, j): c}
+    entries and zeros elsewhere."""
+    rows = [[ZERO] * (m if n is None else n) for _ in range(m)]
+    for (i, j), c in entries.items():
+        rows[i][j] = c
+    return _freeze(rows)
+
+
+def diag(*values) -> Matrix:
+    return from_entries(len(values), {(i, i): c for i, c in enumerate(values)})
+
+
+def kron(*mats) -> Matrix:
+    """Kronecker product of one or more matrices, left to right."""
+    out = mats[0]
+    for m in mats[1:]:
+        p, q = len(m), len(m[0])
+        rows = [[ZERO] * (len(out[0]) * q) for _ in range(len(out) * p)]
+        for i, orow in enumerate(out):
+            for j, c in enumerate(orow):
+                if not c:
+                    continue
+                for k, mrow in enumerate(m):
+                    for l, x in enumerate(mrow):
+                        if x:
+                            rows[i * p + k][j * q + l] = c * x
+        out = rows
+    return _freeze(out)
+
+
+def lin_comb(coeffs, mats) -> Matrix:
+    """sum_k coeffs[k] * mats[k] over the nonzero coefficients; the zero
+    matrix of the common shape when every coefficient vanishes."""
+    rows = [[ZERO] * len(mats[0][0]) for _ in mats[0]]
+    for c, m in zip(coeffs, mats):
+        if not c:
+            continue
+        for row, acc in zip(m, rows):
+            for j, x in enumerate(row):
+                if x:
+                    acc[j] = acc[j] + c * x
+    return _freeze(rows)
+
+
+def transpose(a: Matrix) -> Matrix:
+    return tuple(zip(*a))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(c: Scalar, a: Matrix) -> Matrix:
-    return [[c * x for x in row] for row in a]
+    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
+    out = [[ZERO] * m for _ in range(n)]
     for i in range(n):
         row = a[i]
         acc = out[i]
@@ -46,7 +106,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             for j in range(m):
                 if brow[j]:
                     acc[j] = acc[j] + c * brow[j]
-    return out
+    return _freeze(out)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
@@ -101,8 +161,8 @@ def scalar_multiple_of_identity(a: Matrix) -> Scalar | None:
     return c
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (copy) and the pivot column list."""
+def rref(a: Matrix) -> tuple[list, list[int]]:
+    """Reduced row echelon form (a list of row lists) and the pivot column list."""
     rows = [list(r) for r in a]
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -172,7 +232,7 @@ def inverse(a: Matrix) -> Matrix:
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
+    return _freeze(row[n:] for row in red[:n])
 
 
 def det3(a: Matrix) -> Scalar:
@@ -188,8 +248,8 @@ def det3(a: Matrix) -> Scalar:
 def adjugate3(a: Matrix) -> Matrix:
     """Classical adjugate of a 3x3 matrix: adj(a) @ a == det(a)*Id."""
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
-    return [
-        [a22 * a33 - a23 * a32, a13 * a32 - a12 * a33, a12 * a23 - a13 * a22],
-        [a23 * a31 - a21 * a33, a11 * a33 - a13 * a31, a13 * a21 - a11 * a23],
-        [a21 * a32 - a22 * a31, a12 * a31 - a11 * a32, a11 * a22 - a12 * a21],
-    ]
+    return (
+        (a22 * a33 - a23 * a32, a13 * a32 - a12 * a33, a12 * a23 - a13 * a22),
+        (a23 * a31 - a21 * a33, a11 * a33 - a13 * a31, a13 * a21 - a11 * a23),
+        (a21 * a32 - a22 * a31, a12 * a31 - a11 * a32, a11 * a22 - a12 * a21),
+    )

@@ -19,15 +19,14 @@ the torsion correction acts through the 3-form Psi^- as a derivation.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from . import linalg
 from .exterior import _permutation_sign
 from .lie import build_space
-from .scalars import I, ZERO, Scalar, rational
+from .scalars import I, Scalar, rational
 from .sympoly import (
     NGENS,
     SymPoly,
@@ -46,17 +45,9 @@ _GENS = generators()
 @lru_cache(maxsize=1)
 def _frame():
     """The unitary frame: 3x3 matrices of h1..h3 and e1..e6."""
-    space = build_space("flag")
-    su3 = space.algebra.basis_matrices  # (t1, t2, e1..e6)
-    e_mats = [[list(row) for row in su3[2 + k]] for k in range(6)]
-
-    def diag_i(k):
-        m = [[ZERO] * 3 for _ in range(3)]
-        m[k][k] = I
-        return m
-
-    h_mats = [diag_i(k) for k in range(3)]
-    return h_mats, e_mats
+    su3 = build_space("flag").algebra.basis_matrices  # (t1, t2, e1..e6)
+    h_mats = tuple(linalg.from_entries(3, {(k, k): I}) for k in range(3))
+    return h_mats, su3[2:]
 
 
 def _ip_u3(x, y) -> Scalar:
@@ -69,9 +60,7 @@ def _coords_u3(m) -> tuple:
     h_mats, e_mats = _frame()
     h_coeffs = [(_ip_u3(m, h) * rational(2)) for h in h_mats]
     e_coeffs = [_ip_u3(m, e) for e in e_mats]
-    recon = [[ZERO] * 3 for _ in range(3)]
-    for c, b in zip(h_coeffs + e_coeffs, h_mats + e_mats):
-        recon = linalg.mat_add(recon, linalg.mat_scale(c, b))
+    recon = linalg.lin_comb(h_coeffs + e_coeffs, h_mats + e_mats)
     if not linalg.mat_eq(recon, m):
         raise ValueError("matrix is not in the unitary frame span")
     return tuple(h_coeffs), tuple(e_coeffs)
@@ -128,6 +117,19 @@ def poly_derivative(e_index: int, p: SymPoly, sign: int = 1) -> SymPoly:
 Tensor = dict  # dict[index tuple, SymPoly]
 
 
+def _cached_by_sign(fn):
+    """lru_cache(maxsize=2) over the sign convention, keyed on its value
+    however it is passed, so that fn() and fn(1) share one entry."""
+    cached = lru_cache(maxsize=2)(fn)
+
+    @wraps(fn)
+    def call(sign: int = 1):
+        return cached(sign)
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
+
+
 def h_hat(sign: int = 1) -> Tensor:
     """The deformation 2-tensor in the orthonormal frame."""
     v1, v2, v3 = (_GENS[k] if sign == 1 else -_GENS[k] for k in range(3))
@@ -156,16 +158,10 @@ def a_endomorphisms() -> tuple:
     """A_X = X -| Psi^- as a skew endomorphism of m, for X = e_1..e_6;
     entries A[X][w][b] = Psi^-(e_X, e_b, e_w)."""
     psi = _psi_lookup()
-    mats = []
-    for x in range(M_DIM):
-        m = [[ZERO] * M_DIM for _ in range(M_DIM)]
-        for b in range(M_DIM):
-            for w in range(M_DIM):
-                c = psi.get((x, b, w))
-                if c:
-                    m[w][b] = c
-        mats.append(tuple(tuple(row) for row in m))
-    return tuple(mats)
+    return tuple(
+        linalg.from_entries(M_DIM, {(w, b): c for (k, b, w), c in psi.items() if k == x and c})
+        for x in range(M_DIM)
+    )
 
 
 def a_action(x_index: int, tensor: Tensor) -> Tensor:
@@ -195,7 +191,7 @@ def tensor_derivative(e_index: int, tensor: Tensor, sign: int = 1) -> Tensor:
     return out
 
 
-@lru_cache(maxsize=2)
+@_cached_by_sign
 def nabla_h(sign: int = 1) -> dict:
     """Full covariant derivative: entries (i, k, l) with
     nabla_h[(i, k, l)] = (e_i-component of the derivative) at slot (k, l),
@@ -223,6 +219,7 @@ def nabla_h_entry(i: int, k: int) -> list:
     return [table.get((i, k, l), SymPoly.zero()) for l in range(M_DIM)]
 
 
+@_cached_by_sign
 def obstruction_terms(sign: int = 1) -> tuple:
     """The three scalar invariants of the obstruction integrand, reduced to
     the canonical representatives modulo the trace relation."""
@@ -339,7 +336,7 @@ class RigidityReport:
     status: str
 
 
-def matrix_from_coordinates(v: list, x: list) -> list:
+def matrix_from_coordinates(v: list, x: list) -> tuple:
     """Reconstruct the traceless skew-hermitian matrix with coordinates
     (v1, v2, v3, x1..x6); scalars may be rationals or tower elements."""
 
@@ -349,31 +346,11 @@ def matrix_from_coordinates(v: list, x: list) -> list:
     v = [s(q) for q in v]
     x = [s(q) for q in x]
     two_i = I * rational(2)
-    return [
-        [two_i * v[0], x[0] + I * x[1], x[2] + I * x[3]],
-        [-x[0] + I * x[1], two_i * v[1], x[4] + I * x[5]],
-        [-x[2] + I * x[3], -x[4] + I * x[5], two_i * v[2]],
-    ]
-
-
-def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-
-def random_traceless_skew(rng: random.Random) -> list:
-    while True:
-        v1, v2 = _random_fraction(rng), _random_fraction(rng)
-        v = [v1, v2, -v1 - v2]
-        x = [_random_fraction(rng) for _ in range(6)]
-        if any(v[:2]) or any(x):
-            return matrix_from_coordinates(v, x)
-
-
-def adjugate_nonzero_sample(rng: random.Random) -> bool:
-    """Nonzero traceless skew-hermitian matrices have rank >= 2, hence a
-    nonzero adjugate; verified exactly on a random sample."""
-    xi = random_traceless_skew(rng)
-    return not linalg.is_zero_matrix(linalg.adjugate3(xi))
+    return (
+        (two_i * v[0], x[0] + I * x[1], x[2] + I * x[3]),
+        (-x[0] + I * x[1], two_i * v[1], x[4] + I * x[5]),
+        (-x[2] + I * x[3], -x[4] + I * x[5], two_i * v[2]),
+    )
 
 
 def no_critical_point_certificate() -> bool:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import linalg
 from .lie import ReductiveSpace
-from .scalars import ONE, ZERO, Scalar, rational
+from .scalars import ZERO, Scalar, rational
 
 GROUP_NAMES = ("k3", "so5", "su3")
 
@@ -53,7 +53,7 @@ def _integral_inverse(m) -> tuple:
     inv = linalg.inverse([[Scalar.from_fraction(x) for x in row] for row in m])
     inv = [[x.rational() for x in row] for row in inv]
     d = math.lcm(*(x.denominator for row in inv for x in row))
-    return tuple(tuple(int(d * x) for x in row) for row in inv), d
+    return [[int(d * x) for x in row] for row in inv], d
 
 
 GROUPS: dict[str, GroupData] = {}
@@ -287,6 +287,10 @@ def enumerate_labels(group: str, max_cas: Fraction) -> list:
 # Explicit representations on the catalog spaces
 # ---------------------------------------------------------------------------
 
+class UnsupportedLabel(ValueError):
+    """A valid label whose module has no explicit realization here."""
+
+
 @dataclass(frozen=True)
 class ExplicitRep:
     space: str
@@ -298,59 +302,23 @@ class ExplicitRep:
     def dim(self) -> int:
         return len(self.basis_labels)
 
-    def matrix_of(self, g_coords: list) -> list:
-        out = linalg.zeros(self.dim, self.dim)
-        for a, c in enumerate(g_coords):
-            if not c:
-                continue
-            m = self.matrices[a]
-            for i in range(self.dim):
-                row = m[i]
-                acc = out[i]
-                for j in range(self.dim):
-                    if row[j]:
-                        acc[j] = acc[j] + c * row[j]
-        return out
 
-
-def _su2_factor_rep(block: list, k: int) -> list:
-    """Action of a 2x2 matrix on Sym^k C^2 in the monomial basis."""
-    if k == 0:
-        return [[ZERO]]
+def _su2_factor_rep(block: tuple, k: int) -> tuple:
+    """Action of a 2x2 matrix on Sym^k C^2 (k = 1, 2) in the monomial basis."""
     if k == 1:
-        return [list(row) for row in block]
-    if k == 2:
-        (a, b), (c, d) = block
-        two = rational(2)
-        return [
-            [two * a, b, ZERO],
-            [two * c, a + d, two * b],
-            [ZERO, c, two * d],
-        ]
-    raise ValueError(f"unsupported SU(2) factor label {k}")
-
-
-def _kron(mats: list) -> list:
-    out = [[ONE]]
-    for m in mats:
-        n1, n2 = len(out), len(m)
-        new = [[ZERO] * (n1 * n2 * 0 + len(out[0]) * len(m[0])) for _ in range(n1 * n2)]
-        for i in range(n1):
-            for j in range(len(out[0])):
-                c = out[i][j]
-                if not c:
-                    continue
-                for p in range(n2):
-                    for q in range(len(m[0])):
-                        if m[p][q]:
-                            new[i * n2 + p][j * len(m[0]) + q] = c * m[p][q]
-        out = new
-    return out
+        return block
+    (a, b), (c, d) = block
+    two = rational(2)
+    return (
+        (two * a, b, ZERO),
+        (two * c, a + d, two * b),
+        (ZERO, c, two * d),
+    )
 
 
 def _k3_rep(space: ReductiveSpace, label: tuple) -> ExplicitRep:
     if any(x > 2 for x in label):
-        raise ValueError(f"unsupported k3 label {label}")
+        raise UnsupportedLabel(f"unsupported k3 label {label}")
     dims = [x + 1 for x in label]
     factor_names = [
         ["1"] if x == 0 else (["z1", "z2"] if x == 1 else ["z1^2", "z1*z2", "z2^2"])
@@ -359,52 +327,37 @@ def _k3_rep(space: ReductiveSpace, label: tuple) -> ExplicitRep:
     basis = tuple("(" + ")*(".join(t) + ")" for t in itertools.product(*factor_names))
     mats = []
     for g_mat in space.algebra.basis_matrices:
-        blocks = [
-            [[g_mat[2 * f + i][2 * f + j] for j in range(2)] for i in range(2)]
-            for f in range(3)
-        ]
         total = linalg.zeros(len(basis), len(basis))
         for f in range(3):
             if label[f] == 0:
                 continue
+            block = tuple(row[2 * f : 2 * f + 2] for row in g_mat[2 * f : 2 * f + 2])
             factors = [
-                _su2_factor_rep(blocks[f], label[f])
-                if g == f
-                else linalg.identity(dims[g])
+                _su2_factor_rep(block, label[f]) if g == f else linalg.identity(dims[g])
                 for g in range(3)
             ]
-            total = linalg.mat_add(total, _kron(factors))
-        mats.append(tuple(tuple(row) for row in total))
+            total = linalg.mat_add(total, linalg.kron(*factors))
+        mats.append(total)
     return ExplicitRep(space.name, label, basis, tuple(mats))
 
 
 def _adjoint_rep(space: ReductiveSpace, label: tuple) -> ExplicitRep:
     alg = space.algebra
-    mats = []
-    for a in range(alg.dim):
-        m = [
-            [alg.structure[a][b][k] for b in range(alg.dim)]
-            for k in range(alg.dim)
-        ]
-        mats.append(tuple(tuple(row) for row in m))
-    return ExplicitRep(space.name, label, alg.basis_labels, tuple(mats))
+    mats = tuple(linalg.transpose(alg.structure[a]) for a in range(alg.dim))
+    return ExplicitRep(space.name, label, alg.basis_labels, mats)
 
 
 def _matrix_rep(space: ReductiveSpace, label: tuple, dual: bool) -> ExplicitRep:
-    n = len(space.algebra.basis_matrices[0])
-    basis = tuple(f"v{i+1}" for i in range(n))
-    mats = []
-    for m in space.algebra.basis_matrices:
-        if dual:
-            mats.append(tuple(tuple(-m[j][i] for j in range(n)) for i in range(n)))
-        else:
-            mats.append(tuple(tuple(row) for row in m))
-    return ExplicitRep(space.name, label, basis, tuple(mats))
+    mats = space.algebra.basis_matrices
+    basis = tuple(f"v{i+1}" for i in range(len(mats[0])))
+    if dual:
+        mats = tuple(linalg.transpose([-x for x in row] for row in m) for m in mats)
+    return ExplicitRep(space.name, label, basis, mats)
 
 
 def _trivial_rep(space: ReductiveSpace, label: tuple) -> ExplicitRep:
-    zero = ((ZERO,),)
-    return ExplicitRep(space.name, label, ("1",), tuple(zero for _ in range(space.algebra.dim)))
+    zero = linalg.zeros(1, 1)
+    return ExplicitRep(space.name, label, ("1",), (zero,) * space.algebra.dim)
 
 
 def explicit_rep(space: ReductiveSpace, label: tuple) -> ExplicitRep:
@@ -418,7 +371,7 @@ def explicit_rep(space: ReductiveSpace, label: tuple) -> ExplicitRep:
             return _matrix_rep(space, label, dual=False)
         if label == (1, 1):
             return _adjoint_rep(space, label)
-        raise ValueError(f"unsupported so5 label {label}")
+        raise UnsupportedLabel(f"unsupported so5 label {label}")
     if space.group == "su3":
         if label == (1, 0):
             return _matrix_rep(space, label, dual=False)
@@ -426,7 +379,7 @@ def explicit_rep(space: ReductiveSpace, label: tuple) -> ExplicitRep:
             return _matrix_rep(space, label, dual=True)
         if label == (1, 1):
             return _adjoint_rep(space, label)
-        raise ValueError(f"unsupported su3 label {label}")
+        raise UnsupportedLabel(f"unsupported su3 label {label}")
     raise ValueError(space.group)
 
 
@@ -435,8 +388,8 @@ def validate_rep(space: ReductiveSpace, rep: ExplicitRep) -> bool:
     alg = space.algebra
     for a in range(alg.dim):
         for b in range(alg.dim):
-            lhs = rep.matrix_of(list(alg.structure[a][b]))
-            rhs = linalg.commutator([list(r) for r in rep.matrices[a]], [list(r) for r in rep.matrices[b]])
+            lhs = linalg.lin_comb(alg.structure[a][b], rep.matrices)
+            rhs = linalg.commutator(rep.matrices[a], rep.matrices[b])
             if not linalg.mat_eq(lhs, rhs):
                 return False
     return True
@@ -448,7 +401,7 @@ def casimir_bruteforce(space: ReductiveSpace, rep: ExplicitRep) -> Fraction:
     n = rep.dim
     acc = linalg.zeros(n, n)
     for v in space.g_orthonormal:
-        m = rep.matrix_of(list(v))
+        m = linalg.lin_comb(v, rep.matrices)
         acc = linalg.mat_sub(acc, linalg.mat_mul(m, m))
     c = linalg.scalar_multiple_of_identity(acc)
     if c is None:

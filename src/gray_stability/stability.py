@@ -174,7 +174,7 @@ def _coclosed_table(space: ReductiveSpace, labels: list | None = None) -> list:
     for label in labels:
         cas = casimir_constant(space.group, label)
         hd = hom_dim(space, label, target.decomposition)
-        cd = coclosed_dim(space, label, target) if hd else 0
+        cd = coclosed_dim(space, label)
         rows.append((label, dim(space.group, label), cas, hd, cd))
     return rows
 

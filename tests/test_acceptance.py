@@ -27,9 +27,9 @@ from gray_stability.fourier import (
 )
 from gray_stability.lie import build_space
 from gray_stability.obstruction import (
-    adjugate_nonzero_sample,
     integrand,
     killing_check,
+    matrix_from_coordinates,
     nabla_h_entry,
     obstruction_pairing,
     obstruction_terms,
@@ -167,8 +167,7 @@ def test_criterion_03_branching_tables():
 def _reference_s3xs3_generator():
     space = build_space("s3xs3")
     target = lambda11_0("s3xs3")
-    x = [list(v) for v in space.m_plus]
-    xb = [list(v) for v in space.m_minus]
+    x, xb = space.m_plus, space.m_minus
     b1 = form_add(wedge2(x[0], xb[1]), form_scale(-ONE, wedge2(x[1], xb[0])))
     b2 = form_add(wedge2(x[1], xb[2]), form_scale(-ONE, wedge2(x[2], xb[1])))
     b3 = form_add(wedge2(x[2], xb[0]), form_scale(-ONE, wedge2(x[0], xb[2])))
@@ -184,7 +183,7 @@ def _reference_s3xs3_generator():
         "s3xs3",
         (1, 1, 0),
         "lambda11_0",
-        tuple(tuple(coords[v][w] for v in range(4)) for w in range(8)),
+        linalg.transpose(coords),
     )
 
 
@@ -234,10 +233,10 @@ def test_criterion_04_prototypical_codifferential():
     coords = [target.coords_of(c) for c in cols]
     f_flag = FourierCoefficient(
         "flag", (1, 1), "lambda11_0",
-        tuple(tuple(coords[v][w] for v in range(8)) for w in range(8)),
+        linalg.transpose(coords),
     )
     d_flag = proto_delta(flag, (1, 1), f_flag)
-    assert linalg.is_zero_matrix([list(r) for r in d_flag.matrix])
+    assert linalg.is_zero_matrix(d_flag.matrix)
 
     # (d) coclosed multiplicity one at the deformation boundary.
     assert coclosed_dim(flag, (1, 1)) == 1
@@ -363,17 +362,12 @@ def test_criterion_08c_codifferential_basis_independence():
     inv_s2 = SQRT2.inverse()
     rotations = []
     for (p, q), (cc, ss) in (((0, 1), (c35, s35)), ((2, 5), (inv_s2, inv_s2)), ((3, 4), (c35, -s35))):
-        basis = [[ONE if k == a else ZERO for k in range(6)] for a in range(6)]
-        basis[p] = [ZERO] * 6
-        basis[q] = [ZERO] * 6
-        basis[p][p], basis[p][q] = cc, ss
-        basis[q][p], basis[q][q] = -ss, cc
-        rotations.append(basis)
+        entries = {(k, k): ONE for k in range(6) if k not in (p, q)}
+        entries.update({(p, p): cc, (p, q): ss, (q, p): -ss, (q, q): cc})
+        rotations.append(linalg.from_entries(6, entries))
     for basis in rotations:
         rotated = proto_delta(s3, (1, 1, 0), f, m_basis=basis)
-        assert linalg.mat_eq(
-            [list(r) for r in reference.matrix], [list(r) for r in rotated.matrix]
-        )
+        assert linalg.mat_eq(reference.matrix, rotated.matrix)
     _report(8, "codifferential invariant under exact orthonormal frame changes")
 
 
@@ -398,6 +392,26 @@ def test_criterion_08e_killing_random_triples():
         t2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         assert killing_check(t1, t2, -t1 - t2)
     _report(8, f"Killing cyclic sums vanish on {trials} random trace-free triples")
+
+
+def _random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def random_traceless_skew(rng: random.Random) -> tuple:
+    while True:
+        v1, v2 = _random_fraction(rng), _random_fraction(rng)
+        v = [v1, v2, -v1 - v2]
+        x = [_random_fraction(rng) for _ in range(6)]
+        if any(v[:2]) or any(x):
+            return matrix_from_coordinates(v, x)
+
+
+def adjugate_nonzero_sample(rng: random.Random) -> bool:
+    """Nonzero traceless skew-hermitian matrices have rank >= 2, hence a
+    nonzero adjugate; verified exactly on a random sample."""
+    xi = random_traceless_skew(rng)
+    return not linalg.is_zero_matrix(linalg.adjugate3(xi))
 
 
 def test_criterion_08f_adjugate_nonvanishing():

@@ -131,3 +131,37 @@ def test_casimir_accepts_max_at_bound(capsys):
     assert code == 0
     values = [Fraction(str(r["casimir"])) for r in json.loads(out)["rows"]]
     assert values[-1] == casimir_constant("su3", (8, 4)) == Fraction(592, 3)
+
+
+def test_obstruction_computes_its_terms_once(capsys):
+    from gray_stability import obstruction
+
+    obstruction.obstruction_terms.cache_clear()
+    obstruction.nabla_h.cache_clear()
+    assert main(["obstruction"]) == 0
+    assert obstruction.obstruction_terms.cache_info().misses == 1
+    assert obstruction.nabla_h.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("exc_type", [ArithmeticError, ValueError])
+def test_internal_error_exits_1(capsys, monkeypatch, exc_type):
+    from gray_stability import cli
+
+    def broken(space_name):
+        raise exc_type("matrix is singular")
+
+    monkeypatch.setattr(cli, "coindex_report", broken)
+    assert main(["coindex", "--space", "flag"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: matrix is singular\n"
+
+
+def test_user_input_errors_are_not_internal(capsys):
+    assert main(["killing", "--t", "1,1,1"]) == 2
+    assert main(["delta", "--space", "s3xs3", "--gamma", "3,1,0"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: canonical-variation coefficients must sum to zero\n"
+        "error: unsupported k3 label (3, 1, 0)\n"
+    )

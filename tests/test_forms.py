@@ -104,17 +104,6 @@ def test_basis_vectors_are_weight_vectors():
         rep = lambda11_0(name)
         for t_idx, torus in enumerate(space.h_weight_torus):
             # action of the torus element in the module basis
-            mat = [[ZERO] * rep.dim for _ in range(rep.dim)]
-            for h_idx, coeff in enumerate(torus):
-                if not coeff:
-                    continue
-                m = rep.h_matrices[h_idx]
-                for a in range(rep.dim):
-                    for b in range(rep.dim):
-                        if m[a][b]:
-                            mat[a][b] = mat[a][b] + coeff * m[a][b]
-            for b in range(rep.dim):
-                expected = I * rational(rep.weights[b][t_idx])
-                for a in range(rep.dim):
-                    want = expected if a == b else ZERO
-                    assert mat[a][b] == want
+            mat = linalg.lin_comb(torus, rep.h_matrices)
+            weights = [I * rational(w[t_idx]) for w in rep.weights]
+            assert linalg.mat_eq(mat, linalg.diag(*weights))

@@ -24,12 +24,12 @@ def test_unknown_space_rejected():
 def test_corrupted_structure_constants_fail_jacobi():
     space = build_space("flag")
     alg = space.algebra
-    bad = [list(map(list, row)) for row in alg.structure]
-    bad[2][3][0] = bad[2][3][0] + ONE
-    bad[3][2][0] = bad[3][2][0] - ONE  # keep antisymmetry so only Jacobi breaks
-    corrupted = dataclasses.replace(
-        alg, structure=tuple(tuple(tuple(c) for c in row) for row in bad)
-    )
+    # structure[a] is the matrix (b, k) -> coordinate k of [basis_a, basis_b];
+    # [basis_2, basis_3] and [basis_3, basis_2] move together, so only Jacobi breaks.
+    bad = list(alg.structure)
+    bad[2] = linalg.mat_add(bad[2], linalg.from_entries(alg.dim, {(3, 0): ONE}))
+    bad[3] = linalg.mat_sub(bad[3], linalg.from_entries(alg.dim, {(2, 0): ONE}))
+    corrupted = dataclasses.replace(alg, structure=tuple(bad))
     checks = validate_algebra(corrupted)
     assert checks["antisymmetry"]
     assert not checks["jacobi"]
@@ -38,22 +38,20 @@ def test_corrupted_structure_constants_fail_jacobi():
 def test_bracket_antisymmetry_on_basis():
     for name in ("s3xs3", "cp3", "flag"):
         alg = build_space(name).algebra
-        for a in range(alg.dim):
-            coords = [ONE if k == a else ZERO for k in range(alg.dim)]
+        for coords in linalg.identity(alg.dim):
             assert not any(alg.bracket_coords(coords, coords))
 
 
 def test_flag_torus_commutes():
     alg = build_space("flag").algebra
-    t1 = [ONE] + [ZERO] * 7
-    t2 = [ZERO, ONE] + [ZERO] * 6
+    t1, t2 = linalg.identity(8)[:2]
     assert not any(alg.bracket_coords(t1, t2))
 
 
 def test_killing_form_normalization_su3():
     # B(X, Y) = 6 tr(XY) for su(3), so -(1/12)B(e1, e1) = -(1/2) tr(e1^2) = 1.
     space = build_space("flag")
-    e1 = [list(row) for row in space.algebra.basis_matrices[2]]
+    e1 = space.algebra.basis_matrices[2]
     tr = linalg.trace(linalg.mat_mul(e1, e1))
     assert rational(-1, 2) * tr == ONE
     assert space.algebra.gram[2][2] == ONE
@@ -62,16 +60,14 @@ def test_killing_form_normalization_su3():
 def test_cp3_reductivity_brute_force():
     # [h, m] stays inside span(m), checked on the raw matrices.
     space = build_space("cp3")
-    mats = [
-        [list(row) for row in m] for m in space.algebra.basis_matrices
-    ]
+    mats = space.algebra.basis_matrices
     h_mats, m_mats = mats[: space.h_dim], mats[space.h_dim :]
     span_rows = [[x for row in m for x in row] for m in m_mats]
     for h in h_mats:
         for m in m_mats:
             br = linalg.commutator(h, m)
             flat = [x for row in br for x in row]
-            stacked = [list(r) for r in span_rows] + [flat]
+            stacked = span_rows + [flat]
             assert linalg.rank(stacked) == len(span_rows)
 
 
@@ -119,12 +115,11 @@ def test_g_orthonormal_bases():
     for name in ("s3xs3", "cp3", "flag"):
         space = build_space(name)
         alg = space.algebra
-        basis = [list(v) for v in space.g_orthonormal]
+        basis = space.g_orthonormal
         assert len(basis) == alg.dim
         for a, u in enumerate(basis):
             for b, w in enumerate(basis):
-                expected = ONE if a == b else ZERO
-                assert alg.inner_coords(u, w) == expected, (name, a, b)
+                assert alg.inner_coords(u, w) == linalg.identity(alg.dim)[a][b], (name, a, b)
 
 
 def test_json_dump_shape():

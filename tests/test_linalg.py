@@ -61,7 +61,7 @@ def test_scalar_multiple_of_identity():
     assert linalg.scalar_multiple_of_identity(linalg.identity(4)) == ONE
     m = linalg.mat_scale(SQRT2, linalg.identity(3))
     assert linalg.scalar_multiple_of_identity(m) == SQRT2
-    m[0][1] = ONE
+    m = linalg.mat_add(m, linalg.from_entries(3, {(0, 1): ONE}))
     assert linalg.scalar_multiple_of_identity(m) is None
 
 
@@ -82,3 +82,70 @@ def test_trace_product_matches_trace_of_product():
         for x in mats:
             for y in mats:
                 assert linalg.trace_product(x, y) == linalg.trace(linalg.mat_mul(x, y)), name
+
+
+def _is_matrix_type(m):
+    return isinstance(m, tuple) and all(isinstance(row, tuple) for row in m)
+
+
+def test_constructors_return_the_immutable_matrix_type():
+    a = [[ONE, I], [ZERO, SQRT2]]
+    results = [
+        linalg.zeros(2, 3),
+        linalg.identity(3),
+        linalg.from_entries(2, {(0, 1): I}),
+        linalg.diag(ONE, I),
+        linalg.kron(a, a),
+        linalg.lin_comb([ONE], [a]),
+        linalg.transpose(a),
+        linalg.mat_add(a, a),
+        linalg.mat_sub(a, a),
+        linalg.mat_scale(I, a),
+        linalg.mat_mul(a, a),
+        linalg.commutator(a, a),
+        linalg.inverse(a),
+        linalg.adjugate3(linalg.identity(3)),
+    ]
+    assert all(_is_matrix_type(m) for m in results)
+
+
+def test_from_entries_and_diag():
+    m = linalg.from_entries(2, {(0, 1): I, (1, 2): SQRT2}, 3)
+    assert m == ((ZERO, I, ZERO), (ZERO, ZERO, SQRT2))
+    assert linalg.from_entries(2, {}) == linalg.zeros(2, 2)
+    assert linalg.diag(ONE, I) == ((ONE, ZERO), (ZERO, I))
+    assert linalg.diag(ONE, ONE, ONE) == linalg.identity(3)
+
+
+def test_kron_blocks_and_associativity():
+    rng = random.Random(3)
+    y = [[_rand_scalar(rng) for _ in range(2)] for _ in range(2)]
+    a, b, c = rational(2), I, ZERO
+    # blockdiag(a y, b y, c y) = kron(diag(a, b, c), y)
+    k = linalg.kron(linalg.diag(a, b, c), y)
+    for blk, s in enumerate((a, b, c)):
+        for i in range(2):
+            for j in range(6):
+                want = s * y[i][j - 2 * blk] if 2 * blk <= j < 2 * blk + 2 else ZERO
+                assert k[2 * blk + i][j] == want
+    p = [[_rand_scalar(rng) for _ in range(3)] for _ in range(2)]
+    q = [[_rand_scalar(rng) for _ in range(2)] for _ in range(3)]
+    assert linalg.mat_eq(linalg.kron(p), p) and _is_matrix_type(linalg.kron(p))
+    left = linalg.kron(linalg.kron(p, q), y)
+    assert linalg.kron(p, q, y) == left == linalg.kron(p, linalg.kron(q, y))
+    # mixed product: (p (x) q)(q (x) p) = (p q) (x) (q p)
+    assert linalg.mat_eq(
+        linalg.mat_mul(linalg.kron(p, q), linalg.kron(q, p)),
+        linalg.kron(linalg.mat_mul(p, q), linalg.mat_mul(q, p)),
+    )
+
+
+def test_lin_comb_matches_scale_and_add():
+    rng = random.Random(9)
+    mats = [[[_rand_scalar(rng) for _ in range(3)] for _ in range(2)] for _ in range(3)]
+    coeffs = [SQRT2, ZERO, I]
+    expected = linalg.zeros(2, 3)
+    for c, m in zip(coeffs, mats):
+        expected = linalg.mat_add(expected, linalg.mat_scale(c, m))
+    assert linalg.lin_comb(coeffs, mats) == expected
+    assert linalg.lin_comb([ZERO, ZERO, ZERO], mats) == linalg.zeros(2, 3)

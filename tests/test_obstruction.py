@@ -162,12 +162,10 @@ def test_matrix_reconstruction_round_trip():
     x = [Fraction(k + 1, 3) for k in range(6)]
     xi = matrix_from_coordinates(v, x)
     # the coordinate functions <xi, h_a> and <xi, e_k> recover the inputs
-    su3 = build_space("flag").algebra.basis_matrices
-    e_mats = [[list(row) for row in su3[2 + k]] for k in range(6)]
+    e_mats = build_space("flag").algebra.basis_matrices[2:]
     half = rational(-1, 2)
     for a in range(3):
-        h = [[ZERO] * 3 for _ in range(3)]
-        h[a][a] = I
+        h = linalg.from_entries(3, {(a, a): I})
         assert half * linalg.trace(linalg.mat_mul(xi, h)) == rational(v[a])
     for k in range(6):
         assert half * linalg.trace(linalg.mat_mul(xi, e_mats[k])) == rational(x[k])

@@ -181,13 +181,13 @@ def test_explicit_rep_matches_reference_matrices():
         g = [ZERO] * 9
         g[3 + 2 * a] = inv_s2
         g[3 + 2 * a + 1] = I * inv_s2
-        return rep.matrix_of(g)
+        return linalg.lin_comb(g, rep.matrices)
 
     def rho_minus(a):
         g = [ZERO] * 9
         g[3 + 2 * a] = inv_s2
         g[3 + 2 * a + 1] = -(I * inv_s2)
-        return rep.matrix_of(g)
+        return linalg.lin_comb(g, rep.matrices)
 
     x1 = [
         [ZERO, c * J, c, ZERO],
