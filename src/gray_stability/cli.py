@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import __version__
 from .branching import format_h_label, restrict
 from .forms import lambda11_0
-from .fourier import coclosed_dim, hom_basis, m_complex_coords, proto_delta
+from .fourier import delta_kernel, hom_basis, m_complex_coords, proto_delta
 from .lie import SPACE_NAMES, build_space, validate_space
 from .obstruction import (
     integrand,
@@ -137,25 +137,22 @@ def homdim_doc(space_name: str, gamma: tuple) -> dict:
 
 
 def delta_doc(space_name: str, gamma: tuple) -> dict:
-    from .branching import hom_dim
-
     space = build_space(space_name)
-    hd = hom_dim(space, gamma, lambda11_0(space_name).decomposition)
+    images = [proto_delta(space, gamma, f) for f in hom_basis(space, gamma)]
     generators = []
-    if hd:
-        for f in hom_basis(space, gamma):
-            mats = m_complex_coords(space, proto_delta(space, gamma, f))
-            generators.append(
-                {
-                    "delta_matrix": [[scalar_jsonable(x) for x in row] for row in mats],
-                    "delta_is_zero": not any(any(row) for row in mats),
-                }
-            )
+    for d in images:
+        mats = m_complex_coords(space, d)
+        generators.append(
+            {
+                "delta_matrix": [[scalar_jsonable(x) for x in row] for row in mats],
+                "delta_is_zero": not any(any(row) for row in mats),
+            }
+        )
     return {
         "space": space_name,
         "gamma": list(gamma),
-        "hom_dim": hd,
-        "coclosed_dim": coclosed_dim(space, gamma),
+        "hom_dim": len(images),
+        "coclosed_dim": len(delta_kernel(images)),
         "generators": generators,
     }
 

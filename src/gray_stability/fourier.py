@@ -45,8 +45,12 @@ class FourierCoefficient:
 def hom_basis(space: ReductiveSpace, gamma: tuple) -> list:
     """Basis of the equivariant homomorphisms into the primitive (1,1)
     module, by exact null-space solving of the infinitesimal equivariance
-    constraints (the isotropy groups are connected)."""
+    constraints (the isotropy groups are connected).  A label whose
+    multiplicity count is 0 has no homomorphisms, explicit module or not."""
     target = lambda11_0(space.name)
+    expected = hom_dim(space, gamma, target.decomposition)
+    if expected == 0:
+        return []
     rep = explicit_rep(space, gamma)
     wd, vd = target.dim, rep.dim
     rows = []
@@ -69,7 +73,6 @@ def hom_basis(space: ReductiveSpace, gamma: tuple) -> list:
     for vec in kernel:
         mat = linalg.from_entries(wd, {divmod(i, vd): x for i, x in enumerate(vec) if x}, vd)
         out.append(FourierCoefficient(space.name, gamma, target.name, mat))
-    expected = hom_dim(space, gamma, target.decomposition)
     if len(out) != expected:
         raise ArithmeticError(
             f"hom space dimension {len(out)} != multiplicity count {expected} "
@@ -125,29 +128,25 @@ def m_complex_coords(space: ReductiveSpace, f: FourierCoefficient) -> tuple:
     return linalg.mat_mul(pinv, f.matrix)
 
 
-def _delta_matrix(space: ReductiveSpace, gamma: tuple, basis: list) -> tuple:
-    """The codifferential on the span of a nonempty hom basis: column b is
-    the flattened delta image of basis[b]."""
-    return linalg.transpose(
-        [x for row in proto_delta(space, gamma, f).matrix for x in row] for f in basis
+def delta_kernel(images: list) -> list:
+    """Null space of the codifferential on the span of a hom basis, given
+    the delta images of its members: each kernel vector holds the
+    coefficients of one coclosed combination of the basis."""
+    return linalg.nullspace(
+        linalg.transpose([x for row in d.matrix for x in row] for d in images)
     )
 
 
 def coclosed_dim(space: ReductiveSpace, gamma: tuple) -> int:
     """Kernel dimension of the codifferential on the homomorphism space."""
-    if hom_dim(space, gamma, lambda11_0(space.name).decomposition) == 0:
-        return 0
-    basis = hom_basis(space, gamma)
-    return len(linalg.nullspace(_delta_matrix(space, gamma, basis)))
+    return len(delta_kernel([proto_delta(space, gamma, f) for f in hom_basis(space, gamma)]))
 
 
 def coclosed_basis(space: ReductiveSpace, gamma: tuple) -> list:
     """Fourier coefficients spanning the kernel of the codifferential."""
     basis = hom_basis(space, gamma)
-    if not basis:
-        return []
     mats = [f.matrix for f in basis]
     return [
         FourierCoefficient(space.name, gamma, basis[0].target, linalg.lin_comb(combo, mats))
-        for combo in linalg.nullspace(_delta_matrix(space, gamma, basis))
+        for combo in delta_kernel([proto_delta(space, gamma, f) for f in basis])
     ]

@@ -3,11 +3,23 @@
 Every scalar occurring in the catalog geometries, representation matrices
 and obstruction polynomials lives in this field, so equality tests are
 exact and no floating point is used anywhere in decision logic.
+
+A scalar is stored as eight integer numerators ``n`` over one positive
+common denominator ``d`` (Cohen, *A Course in Computational Algebraic
+Number Theory*, 4.2; FLINT's ``nf_elem``), always in lowest terms:
+``gcd(*n, d) == 1``, and zero is ``((0,) * 8, 1)``.  The form is
+canonical, so equality is tuple equality and the zero test is ``any(n)``
+over ints.  Addition skips the cross-multiplication when the denominators
+agree, a product is one pass of the basis multiplication table over ints
+followed by one gcd, and the inverse divides the Galois-norm cofactor by
+the rational norm once.  Fractions appear only at the edges: the
+constructor, ``from_fraction``, ``rational()``, JSON and rendering.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "Scalar",
@@ -36,8 +48,7 @@ _BASIS_EXPS = (
 )
 _INDEX = {exps: k for k, exps in enumerate(_BASIS_EXPS)}
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+_new = object.__new__
 
 
 def _build_mul_table():
@@ -65,52 +76,87 @@ _HAS_S2 = tuple(k for k, e in enumerate(_BASIS_EXPS) if e[1])
 _HAS_S3 = tuple(k for k, e in enumerate(_BASIS_EXPS) if e[2])
 
 
-class Scalar:
-    """An element of Q(i, sqrt2, sqrt3), stored as 8 rational coordinates."""
+def _raw(n: tuple, d: int) -> "Scalar":
+    """Trusted 8-tuple of ints over a positive d, already in lowest terms."""
+    s = _new(Scalar)
+    s.n = n
+    s.d = d
+    return s
 
-    __slots__ = ("c",)
+
+def _reduced(n: list, d: int) -> "Scalar":
+    """The scalar n/d for 8 int numerators and a positive int d."""
+    if d != 1:
+        g = gcd(*n, d)
+        if g != 1:
+            n = [x // g for x in n]
+            d //= g
+    return _raw(tuple(n), d)
+
+
+class Scalar:
+    """An element of Q(i, sqrt2, sqrt3): 8 int numerators n over a positive
+    common denominator d, in lowest terms."""
+
+    __slots__ = ("n", "d")
 
     def __init__(self, coeffs):
-        self.c = tuple(x if type(x) is Fraction else Fraction(x) for x in coeffs)
-        if len(self.c) != 8:
+        qs = tuple(x if type(x) is Fraction else Fraction(x) for x in coeffs)
+        if len(qs) != 8:
             raise ValueError("scalar needs exactly 8 coordinates")
+        # each Fraction is in lowest terms, so over the lcm of the
+        # denominators the numerators already share no factor with d
+        d = lcm(*(q.denominator for q in qs))
+        self.n = tuple(q.numerator * (d // q.denominator) for q in qs)
+        self.d = d
 
     # -- construction -------------------------------------------------
 
-    @classmethod
-    def _raw(cls, coeffs: tuple) -> "Scalar":
-        # trusted 8-tuple of Fractions; used by the arithmetic fast paths
-        s = object.__new__(cls)
-        s.c = coeffs
-        return s
-
     @staticmethod
     def from_fraction(q) -> "Scalar":
-        return Scalar((Fraction(q), _F0, _F0, _F0, _F0, _F0, _F0, _F0))
+        if type(q) is int:
+            return _raw((q, 0, 0, 0, 0, 0, 0, 0), 1)
+        q = Fraction(q)
+        return _raw((q.numerator, 0, 0, 0, 0, 0, 0, 0), q.denominator)
 
     @staticmethod
     def basis_element(k: int) -> "Scalar":
-        coeffs = [_F0] * 8
-        coeffs[k] = _F1
-        return Scalar(coeffs)
+        n = [0] * 8
+        n[k] = 1
+        return _raw(tuple(n), 1)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.c, other.c
-        return Scalar._raw(tuple(x + y if y else x for x, y in zip(a, b)))
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        b = other.n
+        if not any(b):
+            return self
+        a = self.n
+        if not any(a):
+            return other
+        ad, bd = self.d, other.d
+        if ad == bd:
+            return _reduced([x + y for x, y in zip(a, b)], ad)
+        return _reduced([x * bd + y * ad for x, y in zip(a, b)], ad * bd)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.c, other.c
-        return Scalar._raw(tuple(x - y if y else x for x, y in zip(a, b)))
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        b = other.n
+        if not any(b):
+            return self
+        a, ad, bd = self.n, self.d, other.d
+        if ad == bd:
+            return _reduced([x - y for x, y in zip(a, b)], ad)
+        return _reduced([x * bd - y * ad for x, y in zip(a, b)], ad * bd)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -119,26 +165,25 @@ class Scalar:
         return other - self
 
     def __neg__(self):
-        return Scalar._raw(tuple(-x for x in self.c))
+        return _raw(tuple([-x for x in self.n]), self.d)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.c, other.c
-        out = [_F0] * 8
-        for k1 in range(8):
-            c1 = a[k1]
-            if not c1:
-                continue
-            row = _MUL[k1]
-            for k2 in range(8):
-                c2 = b[k2]
-                if not c2:
-                    continue
-                k, f = row[k2]
-                out[k] += c1 * c2 * f
-        return Scalar._raw(tuple(out))
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.n, other.n
+        nz = [(k2, c2) for k2, c2 in enumerate(b) if c2]
+        if not nz:
+            return ZERO
+        out = [0] * 8
+        for k1, c1 in enumerate(a):
+            if c1:
+                row = _MUL[k1]
+                for k2, c2 in nz:
+                    k, f = row[k2]
+                    out[k] += c1 * c2 * f
+        return _reduced(out, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -173,22 +218,23 @@ class Scalar:
         y1 = self * self.conjugate()                    # in Q(sqrt2, sqrt3)
         y2 = y1 * y1.galois(flip_sqrt2=True)            # in Q(sqrt3)
         y3 = y2 * y2.galois(flip_sqrt3=True)            # in Q
-        norm = y3.c[0]
         cofactor = self.conjugate() * y1.galois(flip_sqrt2=True) * y2.galois(flip_sqrt3=True)
-        return Scalar._raw(tuple(x / norm for x in cofactor.c))
+        # cofactor / (y3.n[0] / y3.d).  The norm y3 is the product of the
+        # 8 complex embeddings, which pair off into conjugates, so it is > 0.
+        return _reduced([x * y3.d for x in cofactor.n], cofactor.d * y3.n[0])
 
     def galois(self, flip_i: bool = False, flip_sqrt2: bool = False, flip_sqrt3: bool = False):
-        coeffs = list(self.c)
+        n = list(self.n)
         if flip_i:
             for k in _HAS_I:
-                coeffs[k] = -coeffs[k]
+                n[k] = -n[k]
         if flip_sqrt2:
             for k in _HAS_S2:
-                coeffs[k] = -coeffs[k]
+                n[k] = -n[k]
         if flip_sqrt3:
             for k in _HAS_S3:
-                coeffs[k] = -coeffs[k]
-        return Scalar._raw(tuple(coeffs))
+                n[k] = -n[k]
+        return _raw(tuple(n), self.d)
 
     def conjugate(self) -> "Scalar":
         """Complex conjugation; fixes the real subfield Q(sqrt2, sqrt3)."""
@@ -197,27 +243,40 @@ class Scalar:
     # -- predicates and conversions -------------------------------------
 
     def __bool__(self):
-        return any(self.c)
+        return any(self.n)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.c == other.c
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash(self.c)
+        # a rational scalar hashes like its Fraction (so like an int when
+        # d == 1), keeping hash consistent with == across coercion
+        if self.is_rational():
+            return hash(self.rational())
+        return hash((self.n, self.d))
 
     def is_rational(self) -> bool:
-        return not any(self.c[1:])
+        return not any(self.n[1:])
 
     def rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a rational scalar: {self}")
-        return self.c[0]
+        return Fraction(self.n[0], self.d)
+
+    def _fractions(self) -> tuple:
+        """The 8 rational coordinates, in storage order."""
+        d = self.d
+        return tuple(Fraction(x, d) for x in self.n)
 
     def real(self) -> "Scalar":
-        return Scalar(tuple((x + y) / 2 for x, y in zip(self.c, self.conjugate().c)))
+        n = list(self.n)
+        for k in _HAS_I:
+            n[k] = 0
+        return _reduced(n, self.d)
 
     def imag(self) -> "Scalar":
         return (self - self.real()) * MINUS_I
@@ -226,7 +285,7 @@ class Scalar:
 
     def __str__(self):
         terms = []
-        for q, name in zip(self.c, BASIS_NAMES):
+        for q, name in zip(self._fractions(), BASIS_NAMES):
             if not q:
                 continue
             if name == "1":
@@ -248,7 +307,7 @@ class Scalar:
         return f"Scalar({self})"
 
     def to_json(self) -> list:
-        return [_fraction_str(q) for q in self.c]
+        return [_fraction_str(q) for q in self._fractions()]
 
     @staticmethod
     def from_json(data) -> "Scalar":
@@ -279,4 +338,4 @@ SQRT3 = Scalar.basis_element(3)
 SQRT6 = Scalar.basis_element(6)
 MINUS_I = -I
 # Primitive cube root of unity (-1 + i*sqrt3)/2.
-J = Scalar((Fraction(-1, 2), _F0, _F0, _F0, _F0, Fraction(1, 2), _F0, _F0))
+J = Scalar((Fraction(-1, 2), 0, 0, 0, 0, Fraction(1, 2), 0, 0))

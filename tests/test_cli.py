@@ -165,3 +165,34 @@ def test_user_input_errors_are_not_internal(capsys):
         "error: canonical-variation coefficients must sum to zero\n"
         "error: unsupported k3 label (3, 1, 0)\n"
     )
+
+
+def test_delta_builds_hom_basis_and_images_once(capsys, monkeypatch):
+    from gray_stability import cli, fourier
+
+    calls = {"hom_basis": 0, "proto_delta": 0}
+
+    def counted(name):
+        original = getattr(fourier, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fourier, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    counted("hom_basis")
+    counted("proto_delta")
+    code, out = _run(capsys, "delta", "--space", "flag", "--gamma", "1,1", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["hom_dim"] == 4 and doc["coclosed_dim"] == 1
+    assert len(doc["generators"]) == 4
+    assert calls == {"hom_basis": 1, "proto_delta": 4}
+
+
+def test_delta_without_homomorphisms_needs_no_module(capsys):
+    code, out = _run(capsys, "delta", "--space", "flag", "--gamma", "2,0", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["hom_dim"] == 0 and doc["coclosed_dim"] == 0 and doc["generators"] == []

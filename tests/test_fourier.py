@@ -1,5 +1,7 @@
 """Fourier coefficient spaces and the prototypical codifferential."""
 
+import pytest
+
 from gray_stability import linalg
 from gray_stability.exterior import form_add, form_scale, wedge2
 from gray_stability.forms import lambda11_0
@@ -13,7 +15,7 @@ from gray_stability.fourier import (
     proto_delta,
 )
 from gray_stability.lie import build_space
-from gray_stability.reps import explicit_rep
+from gray_stability.reps import UnsupportedLabel, explicit_rep
 from gray_stability.scalars import I, J, ONE, SQRT2, ZERO, rational
 
 
@@ -49,6 +51,34 @@ def test_hom_basis_cardinalities():
     for name, gamma, expected in cases:
         space = build_space(name)
         assert len(hom_basis(space, gamma)) == expected, (name, gamma)
+
+
+def test_labels_without_homomorphisms_need_no_explicit_module():
+    # hom_dim is 0 for these labels and explicit_rep does not cover them
+    for name, gamma in [("s3xs3", (3, 0, 0)), ("flag", (2, 0)), ("flag", (1, 2))]:
+        space = build_space(name)
+        with pytest.raises(UnsupportedLabel):
+            explicit_rep(space, gamma)
+        assert hom_basis(space, gamma) == []
+        assert coclosed_dim(space, gamma) == 0
+        assert coclosed_basis(space, gamma) == []
+
+
+def test_coclosed_dim_computes_hom_dim_once_per_label(monkeypatch):
+    from gray_stability import fourier
+
+    calls = []
+    original = fourier.hom_dim
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(fourier, "hom_dim", counted)
+    space = build_space("flag")
+    assert coclosed_dim(space, (1, 1)) == 1
+    assert coclosed_dim(space, (2, 0)) == 0
+    assert calls == [(1, 1), (2, 0)]
 
 
 def test_hom_basis_is_equivariant():

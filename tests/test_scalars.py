@@ -1,5 +1,7 @@
 """Unit tests for the exact scalar tower."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -96,3 +98,152 @@ def test_coercion_with_ints_and_fractions():
     assert SQRT2 + 0 == SQRT2
     assert Fraction(1, 2) * rational(2) == ONE
     assert 1 - J - J * J == J ** 3 + ONE  # 1 + j + j^2 = 0 rearranged
+
+
+# -- storage: eight int numerators over one positive common denominator ----
+
+# (i, sqrt2, sqrt3) exponents of the storage basis, as in BASIS_NAMES
+_EXPS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+
+def _coords(s):
+    return [Fraction(x) for x in s.to_json()]
+
+
+def _reference_mul(p, q):
+    """Product of two coordinate lists by the rules i^2 = -1, sqrt2^2 = 2,
+    sqrt3^2 = 3, computed in Fractions."""
+    out = [Fraction(0)] * 8
+    for x, (i1, a1, b1) in zip(p, _EXPS):
+        for y, (i2, a2, b2) in zip(q, _EXPS):
+            c = x * y * (-1 if i1 and i2 else 1) * (2 if a1 and a2 else 1) * (3 if b1 and b2 else 1)
+            out[_EXPS.index(((i1 + i2) % 2, (a1 + a2) % 2, (b1 + b2) % 2))] += c
+    return out
+
+
+def _assert_canonical(s):
+    assert type(s) is Scalar
+    assert type(s.n) is tuple and len(s.n) == 8
+    assert all(type(x) is int for x in s.n)
+    assert type(s.d) is int and s.d > 0
+    assert math.gcd(*s.n, s.d) == 1
+    if not any(s.n):
+        assert s.d == 1
+
+
+def _random_scalar(rng):
+    big = 2 ** 70
+    coeffs = []
+    for _ in range(8):
+        kind = rng.random()
+        if kind < 0.3:
+            coeffs.append(0)
+        elif kind < 0.6:
+            coeffs.append(Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+        else:
+            coeffs.append(Fraction(rng.randint(-big, big), rng.randint(1, big)))
+    return Scalar(coeffs)
+
+
+def test_slots_hold_ints_only():
+    assert Scalar.__slots__ == ("n", "d")
+    for s in (ZERO, ONE, I, J, SQRT6, rational(-7, 3)):
+        _assert_canonical(s)
+    assert ZERO.n == (0,) * 8 and ZERO.d == 1
+    assert J.n == (-1, 0, 0, 0, 0, 1, 0, 0) and J.d == 2
+
+
+def test_canonical_form_after_every_operation():
+    rng = random.Random(2024)
+    samples = [_random_scalar(rng) for _ in range(40)]
+    assert any(s.d > 2 ** 64 for s in samples)
+    for a, b in zip(samples, samples[1:]):
+        _assert_canonical(a)
+        pa, pb = _coords(a), _coords(b)
+        results = {
+            "+": (a + b, [x + y for x, y in zip(pa, pb)]),
+            "-": (a - b, [x - y for x, y in zip(pa, pb)]),
+            "*": (a * b, _reference_mul(pa, pb)),
+            "neg": (-a, [-x for x in pa]),
+            "galois": (a.galois(flip_sqrt2=True, flip_sqrt3=True), [
+                -x if e[1] != e[2] else x for x, e in zip(pa, _EXPS)
+            ]),
+            "a - a": (a - a, [Fraction(0)] * 8),
+            "** 0": (a ** 0, [Fraction(1)] + [Fraction(0)] * 7),
+            "** 3": (a ** 3, _reference_mul(_reference_mul(pa, pa), pa)),
+        }
+        for op, (got, want) in results.items():
+            _assert_canonical(got)
+            assert _coords(got) == want, op
+        inv = a.inverse()
+        _assert_canonical(inv)
+        assert _reference_mul(_coords(inv), pa) == _coords(ONE)
+        _assert_canonical(a ** -2)
+        assert a ** -2 * (a * a) == ONE
+
+
+def test_canonical_form_of_rational_results():
+    # sign and common factors are moved out of the denominator
+    _assert_canonical(rational(6, -4))
+    assert rational(6, -4).n[0] == -3 and rational(6, -4).d == 2
+    _assert_canonical(rational(-3).inverse())
+    assert rational(-3).inverse() == rational(-1, 3)
+    half = rational(1, 2)
+    _assert_canonical(half + half)
+    assert (half + half).d == 1
+    s = rational(1, 6) + SQRT2 * rational(1, 3)
+    _assert_canonical(s * 6)
+    assert (s * 6).n == (1, 0, 2, 0, 0, 0, 0, 0) and (s * 6).d == 1
+
+
+def test_equal_values_by_different_routes_are_equal_and_hash_equal():
+    rng = random.Random(7)
+    for _ in range(20):
+        a, b, c = (_random_scalar(rng) for _ in range(3))
+        routes = [
+            ((a + b) * c, a * c + b * c),
+            ((a * b).inverse(), a.inverse() * b.inverse()),
+            (a / b * b, a),
+            (a.conjugate().conjugate(), a),
+            (a.real() + I * a.imag(), a),
+            (Scalar(_coords(a)), a),
+        ]
+        for x, y in routes:
+            assert x == y
+            assert hash(x) == hash(y)
+
+
+def test_hash_agrees_with_eq_across_coercion():
+    assert ONE == 1 and hash(ONE) == hash(1)
+    assert {ONE: "a"}.get(1) == "a"
+    assert {1: "a"}.get(ONE) == "a"
+    half = rational(1, 2)
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert {Fraction(1, 2): "h"}.get(half) == "h"
+    assert ZERO == 0 and hash(ZERO) == hash(0)
+    s = rational(3, 5) + SQRT2
+    t = SQRT2 + Fraction(3, 5)
+    assert s == t and hash(s) == hash(t)
+    assert {s: "x"}.get(t) == "x"
+    assert s != Fraction(3, 5)
+
+
+def test_json_round_trips():
+    rng = random.Random(11)
+    for s in [ZERO, ONE, J, I * SQRT6] + [_random_scalar(rng) for _ in range(20)]:
+        data = s.to_json()
+        assert all(type(x) is str for x in data)
+        back = Scalar.from_json(data)
+        _assert_canonical(back)
+        assert back == s and back.to_json() == data
+
+
+def test_constructor_takes_ints_and_fractions():
+    s = Scalar([1, Fraction(1, 2), 0, 0, 0, 0, -3, Fraction(-2, 3)])
+    _assert_canonical(s)
+    assert s.n == (6, 3, 0, 0, 0, 0, -18, -4) and s.d == 6
+    assert s == ONE + I * rational(1, 2) - SQRT6 * 3 - I * SQRT6 * rational(2, 3)
+    assert Scalar([Fraction(2, 4)] + [0] * 7) == rational(1, 2)
+    for bad in ([1] * 7, [1] * 9, []):
+        with pytest.raises(ValueError):
+            Scalar(bad)
