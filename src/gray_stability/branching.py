@@ -12,8 +12,6 @@ from __future__ import annotations
 from .lie import ReductiveSpace
 from .reps import weight_system
 
-H_TYPES = ("delta_su2", "u2", "t2")
-
 
 class BranchingError(ValueError):
     """Weight multiset is not a non-negative sum of irreducible characters."""
@@ -46,14 +44,6 @@ def h_irrep_weights(h_type: str, label: tuple) -> dict:
         _, a, b = label
         return {((s + b) // 2, (b - s) // 2): 1 for s in range(-a, a + 1, 2)}
     return {(label[1], label[2]): 1}
-
-
-def h_irrep_dim(h_type: str, label: tuple) -> int:
-    if h_type == "delta_su2":
-        return label[1] + 1
-    if h_type == "u2":
-        return label[1] + 1
-    return 1
 
 
 def format_h_label(label: tuple) -> str:
@@ -119,7 +109,3 @@ def hom_dim(space: ReductiveSpace, gamma: tuple, target_decomposition: dict) -> 
     multiplicities (Frobenius-reciprocity bookkeeping)."""
     res = restrict(space, gamma)
     return sum(m * target_decomposition.get(lab, 0) for lab, m in res.items())
-
-
-def decomposition_dim(h_type: str, decomposition: dict) -> int:
-    return sum(h_irrep_dim(h_type, lab) * m for lab, m in decomposition.items())

@@ -17,6 +17,7 @@ from .branching import format_h_label, restrict
 from .forms import lambda11_0
 from .fourier import delta_kernel, hom_basis, m_complex_coords, proto_delta
 from .lie import SPACE_NAMES, build_space, validate_space
+from .linalg import is_zero_matrix
 from .obstruction import (
     integrand,
     killing_check,
@@ -145,7 +146,7 @@ def delta_doc(space_name: str, gamma: tuple) -> dict:
         generators.append(
             {
                 "delta_matrix": [[scalar_jsonable(x) for x in row] for row in mats],
-                "delta_is_zero": not any(any(row) for row in mats),
+                "delta_is_zero": is_zero_matrix(mats),
             }
         )
     return {

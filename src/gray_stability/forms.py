@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import linalg
 from .branching import decompose_weights
-from .exterior import Form, derivation_action, form_inner, form_lin_comb, form_scale, wedge2
+from .exterior import Form, derivation_action, form_inner, form_lin_comb, wedge2
 from .lie import ReductiveSpace, build_space
 from .scalars import ZERO
 
@@ -136,19 +136,3 @@ def lambda11_0(space_name: str) -> HRep:
         h_matrices=tuple(mats),
         decomposition=decomposition,
     )
-
-
-def trivial_summand_basis(space_name: str) -> list:
-    """Basis of the isotropy-fixed subspace of lambda11_0, as 2-vectors."""
-    rep = lambda11_0(space_name)
-    rows = [r for m in rep.h_matrices for r in m]
-    kernel = linalg.nullspace(rows) if rows else []
-    return [_normalize_leading(form_lin_comb(combo, rep.vectors)) for combo in kernel]
-
-
-def _normalize_leading(form: Form) -> Form:
-    if not form:
-        return form
-    lead = min(form)
-    return form_scale(form[lead].inverse(), form)
-

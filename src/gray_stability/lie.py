@@ -26,7 +26,6 @@ class LieAlgebraData:
 
     name: str
     dim: int
-    basis_labels: tuple
     basis_matrices: tuple
     structure: tuple  # structure[a][b] = coordinates of [basis_a, basis_b]
     gram: tuple       # gram[a][b] = Q(basis_a, basis_b)
@@ -171,10 +170,9 @@ def _build_s3xs3() -> ReductiveSpace:
     w_coeffs = linalg.diag(ZERO, SQRT6, -SQRT6)
     h_mats = tuple(linalg.kron(linalg.identity(3), ya) for ya in y)
     m_mats = tuple(linalg.kron(c, ya) for ya in y for c in (u_coeffs, w_coeffs))
-    labels = ("d1", "d2", "d3", "u1", "w1", "u2", "w2", "u3", "w3")
-    mats = h_mats + m_mats
+    mats = h_mats + m_mats  # d1, d2, d3, u1, w1, u2, w2, u3, w3
     structure, gram = _structure_and_gram(mats, _trace_form(Fraction(-1, 3)))
-    algebra = LieAlgebraData("su2_cubed", 9, labels, mats, structure, gram)
+    algebra = LieAlgebraData("su2_cubed", 9, mats, structure, gram)
 
     inv_s2 = SQRT2.inverse()
     i_inv_s2 = I * inv_s2
@@ -236,10 +234,9 @@ def _build_cp3() -> ReductiveSpace:
 
     h_mats = (t1, t2, a, b)
     m_mats = tuple(linalg.mat_scale(SQRT2, ei) for ei in e) + (f1, f2)
-    labels = ("t1", "t2", "a", "b", "e1", "e2", "e3", "e4", "f1", "f2")
     mats = h_mats + m_mats
     structure, gram = _structure_and_gram(mats, _trace_form(Fraction(-1, 4)))
-    algebra = LieAlgebraData("so5", 10, labels, mats, structure, gram)
+    algebra = LieAlgebraData("so5", 10, mats, structure, gram)
 
     inv_s2 = SQRT2.inverse()
     i_inv_s2 = I * inv_s2
@@ -291,9 +288,8 @@ def _su3_frame_mats() -> tuple:
 
 def _build_flag() -> ReductiveSpace:
     mats = _su3_frame_mats()
-    labels = ("t1", "t2", "e1", "e2", "e3", "e4", "e5", "e6")
     structure, gram = _structure_and_gram(mats, _trace_form(Fraction(-1, 2)))
-    algebra = LieAlgebraData("su3", 8, labels, mats, structure, gram)
+    algebra = LieAlgebraData("su3", 8, mats, structure, gram)
 
     p1 = (ONE, -I, ZERO, ZERO, ZERO, ZERO)   # e1 - i e2
     p2 = (ZERO, ZERO, ONE, I, ZERO, ZERO)    # e3 + i e4
@@ -438,30 +434,3 @@ def validate_space(space: ReductiveSpace) -> dict:
         checks["psi_minus_h_invariant"] = not any(derivation_action(ad, psi) for ad in h_ads)
 
     return checks
-
-
-def space_to_jsonable(space: ReductiveSpace) -> dict:
-    """Dump of the catalog data for external verification."""
-    alg = space.algebra
-    return {
-        "name": space.name,
-        "group": space.group,
-        "h_type": space.h_type,
-        "basis_labels": list(alg.basis_labels),
-        "h_dim": space.h_dim,
-        "m_dim": space.m_dim,
-        "gram": [[x.to_json() for x in row] for row in alg.gram],
-        "structure_constants": [
-            [[x.to_json() for x in alg.structure[a][b]] for b in range(alg.dim)]
-            for a in range(alg.dim)
-        ],
-        "m_plus": [[c.to_json() for c in v] for v in space.m_plus],
-        "m_minus": [[c.to_json() for c in v] for v in space.m_minus],
-        "kahler": [{"indices": list(k), "coeff": v.to_json()} for k, v in space.kahler],
-        "psi_minus": None
-        if space.psi_minus is None
-        else [{"indices": list(k), "coeff": v.to_json()} for k, v in space.psi_minus],
-        "betti": list(space.betti),
-        "einstein_constant": str(space.einstein_constant),
-        "scalar_curvature": str(space.scalar_curvature),
-    }

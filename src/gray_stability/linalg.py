@@ -132,13 +132,6 @@ def is_zero_matrix(a: Matrix) -> bool:
     return not any(any(row) for row in a)
 
 
-def trace(a: Matrix) -> Scalar:
-    s = ZERO
-    for i in range(len(a)):
-        s = s + a[i][i]
-    return s
-
-
 def trace_product(a: Matrix, b: Matrix) -> Scalar:
     """tr(a b) = sum over i, j of a[i][j] * b[j][i], without forming a b."""
     s = ZERO

@@ -90,17 +90,6 @@ def directional_derivative(e_index: int, gen_index: int, sign: int = 1) -> SymPo
     return p if sign == 1 else -p
 
 
-def torus_derivative(h_index: int, p: SymPoly) -> SymPoly:
-    """Leibniz derivative of a polynomial along the isotropy direction
-    h_{h_index+1}; vanishes exactly on torus-invariant functions."""
-    h_mats, e_mats = _frame()
-    derivs = [
-        coordinate_poly(linalg.commutator(h_mats[h_index], t))
-        for t in h_mats + e_mats
-    ]
-    return sum((p.partial(k) * d for k, d in enumerate(derivs)), SymPoly())
-
-
 @lru_cache(maxsize=2)
 def _gen_derivatives(sign: int = 1) -> tuple:
     return tuple(
@@ -334,23 +323,6 @@ class RigidityReport:
     critical_points_exist: bool
     rigid: bool
     status: str
-
-
-def matrix_from_coordinates(v: list, x: list) -> tuple:
-    """Reconstruct the traceless skew-hermitian matrix with coordinates
-    (v1, v2, v3, x1..x6); scalars may be rationals or tower elements."""
-
-    def s(q):
-        return q if isinstance(q, Scalar) else Scalar.from_fraction(q)
-
-    v = [s(q) for q in v]
-    x = [s(q) for q in x]
-    two_i = I * rational(2)
-    return (
-        (two_i * v[0], x[0] + I * x[1], x[2] + I * x[3]),
-        (-x[0] + I * x[1], two_i * v[1], x[4] + I * x[5]),
-        (-x[2] + I * x[3], -x[4] + I * x[5], two_i * v[2]),
-    )
 
 
 def no_critical_point_certificate() -> bool:

@@ -23,9 +23,6 @@ from . import linalg
 from .lie import ReductiveSpace
 from .scalars import ZERO, Scalar, rational
 
-GROUP_NAMES = ("k3", "so5", "su3")
-
-
 @dataclass(frozen=True)
 class GroupData:
     name: str
@@ -238,48 +235,19 @@ def casimir_constant(group: str, label: tuple) -> Fraction:
     return g.dual_ip(label, label) + g.dual_ip(label, two_delta)
 
 
-def weyl_generators(group: str):
-    if group == "k3":
-        return [
-            lambda w, i=i: tuple(-x if k == i else x for k, x in enumerate(w))
-            for i in range(3)
-        ]
-    if group == "so5":
-        return [lambda w: (w[1], w[0]), lambda w: (w[0], -w[1])]
-    if group == "su3":
-        return [lambda w: (-w[0], w[0] + w[1]), lambda w: (w[0] + w[1], -w[1])]
-    raise ValueError(group)
-
-
 def enumerate_labels(group: str, max_cas: Fraction) -> list:
     """All dominant labels with Casimir constant <= max_cas.  The Casimir
-    polynomial is strictly increasing in each label coordinate, so a
-    per-coordinate sweep bounds the search box."""
-    out = []
-    if group == "k3":
-        a = 0
-        while casimir_constant(group, (a, 0, 0)) <= max_cas:
-            a += 1
-        for lab in itertools.product(range(a), repeat=3):
-            if casimir_constant(group, lab) <= max_cas:
-                out.append(lab)
-    elif group == "so5":
-        a = 0
-        while casimir_constant(group, (a, 0)) <= max_cas:
-            a += 1
-        for la in range(a):
-            for lb in range(la + 1):
-                if casimir_constant(group, (la, lb)) <= max_cas:
-                    out.append((la, lb))
-    elif group == "su3":
-        k = 0
-        while casimir_constant(group, (k, 0)) <= max_cas:
-            k += 1
-        for lab in itertools.product(range(k), repeat=2):
-            if casimir_constant(group, lab) <= max_cas:
-                out.append(lab)
-    else:
-        raise ValueError(group)
+    polynomial is strictly increasing in each label coordinate, so the
+    sweep of the first coordinate bounds every coordinate."""
+    rank = GROUPS[group].rank
+    n = 0
+    while casimir_constant(group, (n,) + (0,) * (rank - 1)) <= max_cas:
+        n += 1
+    out = [
+        lab
+        for lab in itertools.product(range(n), repeat=rank)
+        if (group != "so5" or lab[0] >= lab[1]) and casimir_constant(group, lab) <= max_cas
+    ]
     return sorted(out, key=lambda lab: (casimir_constant(group, lab), lab))
 
 
@@ -289,18 +257,6 @@ def enumerate_labels(group: str, max_cas: Fraction) -> list:
 
 class UnsupportedLabel(ValueError):
     """A valid label whose module has no explicit realization here."""
-
-
-@dataclass(frozen=True)
-class ExplicitRep:
-    space: str
-    label: tuple
-    basis_labels: tuple
-    matrices: tuple  # one matrix per symmetry-algebra basis vector
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis_labels)
 
 
 def _su2_factor_rep(block: tuple, k: int) -> tuple:
@@ -316,18 +272,14 @@ def _su2_factor_rep(block: tuple, k: int) -> tuple:
     )
 
 
-def _k3_rep(space: ReductiveSpace, label: tuple) -> ExplicitRep:
+def _k3_rep(space: ReductiveSpace, label: tuple) -> tuple:
     if any(x > 2 for x in label):
         raise UnsupportedLabel(f"unsupported k3 label {label}")
     dims = [x + 1 for x in label]
-    factor_names = [
-        ["1"] if x == 0 else (["z1", "z2"] if x == 1 else ["z1^2", "z1*z2", "z2^2"])
-        for x in label
-    ]
-    basis = tuple("(" + ")*(".join(t) + ")" for t in itertools.product(*factor_names))
+    n = math.prod(dims)
     mats = []
     for g_mat in space.algebra.basis_matrices:
-        total = linalg.zeros(len(basis), len(basis))
+        total = linalg.zeros(n, n)
         for f in range(3):
             if label[f] == 0:
                 continue
@@ -338,72 +290,39 @@ def _k3_rep(space: ReductiveSpace, label: tuple) -> ExplicitRep:
             ]
             total = linalg.mat_add(total, linalg.kron(*factors))
         mats.append(total)
-    return ExplicitRep(space.name, label, basis, tuple(mats))
+    return tuple(mats)
 
 
-def _adjoint_rep(space: ReductiveSpace, label: tuple) -> ExplicitRep:
-    alg = space.algebra
-    mats = tuple(linalg.transpose(alg.structure[a]) for a in range(alg.dim))
-    return ExplicitRep(space.name, label, alg.basis_labels, mats)
-
-
-def _matrix_rep(space: ReductiveSpace, label: tuple, dual: bool) -> ExplicitRep:
-    mats = space.algebra.basis_matrices
-    basis = tuple(f"v{i+1}" for i in range(len(mats[0])))
-    if dual:
-        mats = tuple(linalg.transpose([-x for x in row] for row in m) for m in mats)
-    return ExplicitRep(space.name, label, basis, mats)
-
-
-def _trivial_rep(space: ReductiveSpace, label: tuple) -> ExplicitRep:
-    zero = linalg.zeros(1, 1)
-    return ExplicitRep(space.name, label, ("1",), (zero,) * space.algebra.dim)
-
-
-def explicit_rep(space: ReductiveSpace, label: tuple) -> ExplicitRep:
+def explicit_rep(space: ReductiveSpace, label: tuple) -> tuple:
+    """The module of a label as one matrix per symmetry-algebra basis
+    vector: the trivial module, the defining module of so5 and su3 and
+    the dual of su3's, the adjoint (label (1, 1)), and the k3 tensor
+    products of Sym^k C^2 with k <= 2."""
     label = check_label(space.group, label)
-    if all(x == 0 for x in label):
-        return _trivial_rep(space, label)
+    alg = space.algebra
+    if not any(label):
+        return (linalg.zeros(1, 1),) * alg.dim
     if space.group == "k3":
         return _k3_rep(space, label)
-    if space.group == "so5":
-        if label == (1, 0):
-            return _matrix_rep(space, label, dual=False)
-        if label == (1, 1):
-            return _adjoint_rep(space, label)
-        raise UnsupportedLabel(f"unsupported so5 label {label}")
-    if space.group == "su3":
-        if label == (1, 0):
-            return _matrix_rep(space, label, dual=False)
-        if label == (0, 1):
-            return _matrix_rep(space, label, dual=True)
-        if label == (1, 1):
-            return _adjoint_rep(space, label)
-        raise UnsupportedLabel(f"unsupported su3 label {label}")
-    raise ValueError(space.group)
+    if label == (1, 0):
+        return alg.basis_matrices
+    if label == (1, 1):
+        return tuple(linalg.transpose(alg.structure[a]) for a in range(alg.dim))
+    if label == (0, 1) and space.group == "su3":
+        return tuple(linalg.transpose([-x for x in row] for row in m) for m in alg.basis_matrices)
+    raise UnsupportedLabel(f"unsupported {space.group} label {label}")
 
 
-def validate_rep(space: ReductiveSpace, rep: ExplicitRep) -> bool:
-    """Homomorphism property on all pairs of symmetry-algebra basis vectors."""
-    alg = space.algebra
-    for a in range(alg.dim):
-        for b in range(alg.dim):
-            lhs = linalg.lin_comb(alg.structure[a][b], rep.matrices)
-            rhs = linalg.commutator(rep.matrices[a], rep.matrices[b])
-            if not linalg.mat_eq(lhs, rhs):
-                return False
-    return True
-
-
-def casimir_bruteforce(space: ReductiveSpace, rep: ExplicitRep) -> Fraction:
-    """Casimir constant as minus the sum of squares over a Q-orthonormal
-    basis of the symmetry algebra; raises if the operator is not scalar."""
-    n = rep.dim
+def casimir_bruteforce(space: ReductiveSpace, rep: tuple) -> Fraction:
+    """Casimir constant of a module given by explicit_rep, as minus the
+    sum of squares over a Q-orthonormal basis of the symmetry algebra;
+    raises if the operator is not scalar."""
+    n = len(rep[0])
     acc = linalg.zeros(n, n)
     for v in space.g_orthonormal:
-        m = linalg.lin_comb(v, rep.matrices)
+        m = linalg.lin_comb(v, rep)
         acc = linalg.mat_sub(acc, linalg.mat_mul(m, m))
     c = linalg.scalar_multiple_of_identity(acc)
     if c is None:
-        raise ArithmeticError(f"Casimir of {rep.label} on {space.name} is not scalar")
+        raise ArithmeticError(f"Casimir operator on a module of {space.name} is not scalar")
     return c.rational()

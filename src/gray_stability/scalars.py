@@ -29,7 +29,6 @@ __all__ = [
     "SQRT2",
     "SQRT3",
     "SQRT6",
-    "J",
     "rational",
 ]
 
@@ -158,12 +157,6 @@ class Scalar:
             return _reduced([x - y for x, y in zip(a, b)], ad)
         return _reduced([x * bd - y * ad for x, y in zip(a, b)], ad * bd)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __neg__(self):
         return _raw(tuple([-x for x in self.n]), self.d)
 
@@ -186,30 +179,6 @@ class Scalar:
         return _reduced(out, self.d * other.d)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse via the tower of Galois norms."""
@@ -272,15 +241,6 @@ class Scalar:
         d = self.d
         return tuple(Fraction(x, d) for x in self.n)
 
-    def real(self) -> "Scalar":
-        n = list(self.n)
-        for k in _HAS_I:
-            n[k] = 0
-        return _reduced(n, self.d)
-
-    def imag(self) -> "Scalar":
-        return (self - self.real()) * MINUS_I
-
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
@@ -309,10 +269,6 @@ class Scalar:
     def to_json(self) -> list:
         return [_fraction_str(q) for q in self._fractions()]
 
-    @staticmethod
-    def from_json(data) -> "Scalar":
-        return Scalar(tuple(Fraction(s) for s in data))
-
 
 def _coerce(x):
     if isinstance(x, Scalar):
@@ -336,6 +292,3 @@ I = Scalar.basis_element(1)
 SQRT2 = Scalar.basis_element(2)
 SQRT3 = Scalar.basis_element(3)
 SQRT6 = Scalar.basis_element(6)
-MINUS_I = -I
-# Primitive cube root of unity (-1 + i*sqrt3)/2.
-J = Scalar((Fraction(-1, 2), 0, 0, 0, 0, Fraction(1, 2), 0, 0))

@@ -3,9 +3,23 @@ action on the catalog spaces.
 
 The tt-eigenspace of the Lichnerowicz Laplacian at lambda = 10 - eps is
 assembled from eigenspaces E(mu) of the Hodge Laplacian on coclosed
-primitive (1,1)-forms, by the case dispatch below (thresholds at eps = 6
-and eps = 25/4, both handled by exact rational comparison).  E(mu) itself
-is computed from the Casimir spectrum and coclosed multiplicities.
+primitive (1,1)-forms, by the case analysis of eigenspace_sources
+(thresholds at eps = 6 and eps = 25/4, both handled by exact rational
+comparison).  E(mu) itself is computed from the Casimir spectrum and
+coclosed multiplicities; that mu is the Casimir constant on these forms
+is cited from Moroianu-Semmelmann (*The Hermitian Laplace operator on
+nearly Kaehler manifolds*; *Infinitesimal Einstein deformations of
+nearly Kaehler metrics*), not checked here.
+
+Why the Casimir cutoff of 12 suffices.  Only 0 < eps <= 25/4 can give a
+nonzero eigenspace.  There sqrt(25 - 4 eps) < 5, so
+mu1 = 7 - eps + sqrt(25 - 4 eps) < 12, while
+mu2 = 7 - eps - sqrt(25 - 4 eps) and mu3 = 6 - eps are below 7; eps = 6
+reads only E(2) (and b3), and eps = 25/4 only E(3/4).  So no E(mu) with
+mu >= 12 enters solution_dim; mu = 12 enters only at the boundary
+eps = 0 of the infinitesimal Einstein deformations, which
+assemble_report counts apart.  The tests check this on every candidate
+eps of the three spaces and on a grid of eps.
 """
 
 from __future__ import annotations
@@ -25,15 +39,6 @@ CRITICAL_EPS = Fraction(25, 4)
 CASIMIR_THRESHOLD = Fraction(12)
 
 
-def matrix_a(eps) -> list:
-    """Coupling matrix of the (phi, delta sigma) system at lambda = 10 - eps."""
-    eps = Fraction(eps)
-    return [
-        [Fraction(4) - eps, Fraction(-1)],
-        [Fraction(-4) * (Fraction(4) - eps), Fraction(10) - eps],
-    ]
-
-
 def _sqrt_fraction(q: Fraction):
     """Exact square root of a non-negative rational, or None."""
     if q < 0:
@@ -50,26 +55,6 @@ def _isqrt_exact(n: int):
     return r if r * r == n else None
 
 
-def matrix_a_eigenvalues(eps):
-    """(eigenvalues sorted descending, diagonalizable) for rational spectra,
-    or (None, None) when the eigenvalues are irrational."""
-    a = matrix_a(eps)
-    tr = a[0][0] + a[1][1]
-    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    disc = tr * tr - 4 * det
-    s = _sqrt_fraction(disc)
-    if s is None:
-        return None, None
-    vals = ((tr + s) / 2, (tr - s) / 2)
-    if vals[0] != vals[1]:
-        return vals, True
-    lam = vals[0]
-    diagonalizable = all(
-        a[i][j] == (lam if i == j else 0) for i in range(2) for j in range(2)
-    )
-    return vals, diagonalizable
-
-
 @dataclass(frozen=True)
 class MuValues:
     eps: Fraction
@@ -78,16 +63,6 @@ class MuValues:
     mu2: Fraction | None
     mu3: Fraction | None
     exact: bool            # mu1, mu2 rational?
-
-    def required_eigenspaces(self) -> tuple:
-        if self.case == "empty":
-            return ()
-        if self.case == "eps6":
-            return (Fraction(2),)
-        if self.case == "eps25over4":
-            return (Fraction(3, 4),)
-        out = [m for m in (self.mu1, self.mu2, self.mu3) if m is not None and m >= 0]
-        return tuple(out)
 
 
 def mu_values(eps) -> MuValues:
@@ -107,27 +82,51 @@ def mu_values(eps) -> MuValues:
     return MuValues(eps, "generic", Fraction(7) - eps + s, Fraction(7) - eps - s, mu3, True)
 
 
-def solution_dim(eps, e_dims: dict, b3: int) -> int:
-    """Dimension of the tt-eigenspace at lambda = 10 - eps, given the
-    dimensions of E(mu) (absent keys count as zero) and the third Betti
-    number.  eps must be positive."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("the case analysis requires eps > 0")
+def eigenspace_sources(eps, e_dims: dict, b3: int) -> list:
+    """The (multiplicity, source) pairs that make up the tt-eigenspace at
+    lambda = 10 - eps, given the dimensions of E(mu) (absent keys count
+    as zero) and the third Betti number; a multiplicity may be 0."""
     mv = mu_values(eps)
     if mv.case == "empty":
-        return 0
+        return []
     if mv.case == "eps25over4":
-        return e_dims.get(Fraction(3, 4), 0)
+        return [(e_dims.get(Fraction(3, 4), 0), "E(3/4) eigenforms")]
     if mv.case == "eps6":
-        return e_dims.get(Fraction(2), 0) + b3
-    total = 0
-    for mu in (mv.mu1, mv.mu2):
-        if mu is not None:
-            total += e_dims.get(mu, 0)
-    if mv.mu3 >= 0:
-        total += e_dims.get(mv.mu3, 0)
-    return total
+        return [(e_dims.get(Fraction(2), 0), "E(2) eigenforms"), (b3, "harmonic-3-forms")]
+    return [
+        (e_dims.get(mu, 0), "harmonic-2-forms" if mu == 0 else f"E({mu}) eigenforms")
+        for mu in (mv.mu1, mv.mu2, mv.mu3)
+        if mu is not None and mu >= 0
+    ]
+
+
+def solution_dim(eps, e_dims: dict, b3: int) -> int:
+    """Dimension of the tt-eigenspace at lambda = 10 - eps; eps must be
+    positive."""
+    if Fraction(eps) <= 0:
+        raise ValueError("the case analysis requires eps > 0")
+    return sum(mult for mult, _ in eigenspace_sources(eps, e_dims, b3))
+
+
+def candidate_eps(e_dims: dict, b3: int) -> set:
+    """Every eps in (0, 25/4] at which the eigenspace can be nonzero: where
+    mu1, mu2 or mu3 hits a Casimir value present in e_dims, and the two
+    thresholds when what they read is present."""
+    candidates = set()
+    for mu in e_dims:
+        s = _sqrt_fraction(1 + 4 * mu)
+        if s is not None:
+            for eps in (Fraction(5) - mu + s, Fraction(5) - mu - s):
+                if 0 < eps <= CRITICAL_EPS:
+                    candidates.add(eps)
+        eps3 = Fraction(6) - mu
+        if 0 < eps3:
+            candidates.add(eps3)
+    if b3 > 0 or e_dims.get(Fraction(2), 0) > 0:
+        candidates.add(Fraction(6))
+    if e_dims.get(Fraction(3, 4), 0) > 0:
+        candidates.add(CRITICAL_EPS)
+    return candidates
 
 
 @dataclass(frozen=True)
@@ -164,14 +163,12 @@ class StabilityReport:
         }
 
 
-def _coclosed_table(space: ReductiveSpace, labels: list | None = None) -> list:
+def _coclosed_table(space: ReductiveSpace) -> list:
     """(label, dim, casimir, hom multiplicity, coclosed multiplicity) for
     every label with Casimir constant up to the enumeration threshold."""
     target = lambda11_0(space.name)
-    if labels is None:
-        labels = enumerate_labels(space.group, CASIMIR_THRESHOLD)
     rows = []
-    for label in labels:
+    for label in enumerate_labels(space.group, CASIMIR_THRESHOLD):
         cas = casimir_constant(space.group, label)
         hd = hom_dim(space, label, target.decomposition)
         cd = coclosed_dim(space, label)
@@ -210,51 +207,18 @@ def assemble_report(space_name: str, rows: list) -> StabilityReport:
 
     ied_dim = e_dims.get(Fraction(2), 0) + e_dims.get(Fraction(6), 0) + ied_boundary
 
-    candidates = set()
-    for mu in e_dims:
-        s = _sqrt_fraction(1 + 4 * mu)
-        if s is not None:
-            for eps in (Fraction(5) - mu + s, Fraction(5) - mu - s):
-                if 0 < eps <= CRITICAL_EPS:
-                    candidates.add(eps)
-        eps3 = Fraction(6) - mu
-        if 0 < eps3:
-            candidates.add(eps3)
-    if b3 > 0 or e_dims.get(Fraction(2), 0) > 0:
-        candidates.add(Fraction(6))
-    if e_dims.get(Fraction(3, 4), 0) > 0:
-        candidates.add(CRITICAL_EPS)
-
-    destabilizing = []
-    for eps in sorted(candidates):
-        if solution_dim(eps, e_dims, b3) == 0:
-            continue
-        lam = Fraction(10) - eps
-        mv = mu_values(eps)
-        if mv.case == "eps6":
-            if e_dims.get(Fraction(2), 0):
-                destabilizing.append(
-                    DestabilizingSpace(lam, e_dims[Fraction(2)], "E(2) eigenforms")
-                )
-            if b3:
-                destabilizing.append(DestabilizingSpace(lam, b3, "harmonic-3-forms"))
-        elif mv.case == "eps25over4":
-            destabilizing.append(
-                DestabilizingSpace(lam, e_dims[Fraction(3, 4)], "E(3/4) eigenforms")
-            )
-        else:
-            for mu in mv.required_eigenspaces():
-                mult = e_dims.get(mu, 0)
-                if not mult:
-                    continue
-                source = "harmonic-2-forms" if mu == 0 else f"E({mu}) eigenforms"
-                destabilizing.append(DestabilizingSpace(lam, mult, source))
-
+    candidates = candidate_eps(e_dims, b3)
+    destabilizing = [
+        DestabilizingSpace(Fraction(10) - eps, mult, source)
+        for eps in candidates
+        for mult, source in eigenspace_sources(eps, e_dims, b3)
+        if mult
+    ]
     destabilizing.sort(key=lambda d: (d.lam, d.source))
     return StabilityReport(
         space=space_name,
         destabilizing=tuple(destabilizing),
-        coindex=sum(d.mult for d in destabilizing),
+        coindex=sum(solution_dim(eps, e_dims, b3) for eps in candidates),
         ied_dim=ied_dim,
         coclosed_spectrum=tuple(sorted(e_dims.items())),
         casimir_rows=tuple(rows),

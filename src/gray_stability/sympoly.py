@@ -114,9 +114,6 @@ class SymPoly:
         }
         return p
 
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     def is_homogeneous(self, k: int | None = None) -> bool:
         degs = {sum(m) for m in self.terms}
         if not degs:
@@ -124,9 +121,6 @@ class SymPoly:
         if len(degs) > 1:
             return False
         return k is None or degs == {k}
-
-    def coefficient(self, mono: Monomial) -> Scalar:
-        return self.terms.get(tuple(mono), ZERO)
 
     def substitute(self, values: list) -> Scalar:
         """Evaluate at scalar values for the nine generators."""
@@ -181,14 +175,6 @@ class SymPoly:
     def __repr__(self):
         return f"SymPoly({self})"
 
-    def to_jsonable(self) -> list:
-        from .render import scalar_jsonable
-
-        return [
-            {"exponents": list(m), "coeff": scalar_jsonable(self.terms[m])}
-            for m in sorted(self.terms, key=_grlex_key)
-        ]
-
 
 def _grlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in m))
@@ -224,13 +210,11 @@ def _factors(mono: Monomial) -> list:
     return out
 
 
-def sym_inner(p: SymPoly, q: SymPoly, gram: list | None = None) -> Scalar:
+def sym_inner(p: SymPoly, q: SymPoly) -> Scalar:
     """Inner product on the k-th symmetric power:
     <a_1...a_k, b_1...b_k> = sum over permutations of prod <a_i, b_sigma(i)>,
     extended bilinearly.  Both arguments must be homogeneous of equal degree.
     """
-    if gram is None:
-        gram = _GRAM
     if not p.terms or not q.terms:
         if p.is_homogeneous() and q.is_homogeneous():
             return ZERO
@@ -249,7 +233,7 @@ def sym_inner(p: SymPoly, q: SymPoly, gram: list | None = None) -> Scalar:
             for perm in itertools.permutations(range(len(f2))):
                 prod = Fraction(1)
                 for i, s in enumerate(perm):
-                    prod *= gram[f1[i]][f2[s]]
+                    prod *= _GRAM[f1[i]][f2[s]]
                     if not prod:
                         break
                 acc += prod
@@ -323,7 +307,3 @@ def eliminate_v3(p: SymPoly) -> SymPoly:
     trace relation."""
     subs = [V1, V2, -(V1 + V2)] + list(X)
     return p.substitute_polys(subs)
-
-
-def equal_mod_trace(p: SymPoly, q: SymPoly) -> bool:
-    return eliminate_v3(p - q) == SymPoly.zero()

@@ -1,0 +1,238 @@
+"""Reference code that only the tests use.
+
+Each helper here is an independent check on a library result or a
+convenience for writing one; none of them runs under a command.
+"""
+
+from fractions import Fraction
+
+from gray_stability import linalg
+from gray_stability.exterior import Form, contract, form_add, form_lin_comb, form_scale, wedge2
+from gray_stability.forms import lambda11_0
+from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
+from gray_stability.lie import ReductiveSpace, build_space
+from gray_stability.obstruction import _frame, coordinate_poly
+from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
+from gray_stability.stability import _sqrt_fraction
+from gray_stability.sympoly import SymPoly, eliminate_v3
+
+# Primitive cube root of unity (-1 + i*sqrt3)/2.
+J = Scalar((Fraction(-1, 2), 0, 0, 0, 0, Fraction(1, 2), 0, 0))
+
+
+# -- scalars -----------------------------------------------------------------
+
+def real(s: Scalar) -> Scalar:
+    """The part of s in the real subfield Q(sqrt2, sqrt3)."""
+    return (s + s.conjugate()) * rational(1, 2)
+
+
+def imag(s: Scalar) -> Scalar:
+    """The real scalar t with s = real(s) + i t."""
+    return (s - real(s)) * -I
+
+
+def from_json(data) -> Scalar:
+    """Inverse of Scalar.to_json."""
+    return Scalar(tuple(Fraction(x) for x in data))
+
+
+# -- linear algebra ----------------------------------------------------------
+
+def trace(a) -> Scalar:
+    s = ZERO
+    for i in range(len(a)):
+        s = s + a[i][i]
+    return s
+
+
+# -- representations ---------------------------------------------------------
+
+def weyl_generators(group: str):
+    if group == "k3":
+        return [
+            lambda w, i=i: tuple(-x if k == i else x for k, x in enumerate(w))
+            for i in range(3)
+        ]
+    if group == "so5":
+        return [lambda w: (w[1], w[0]), lambda w: (w[0], -w[1])]
+    if group == "su3":
+        return [lambda w: (-w[0], w[0] + w[1]), lambda w: (w[0] + w[1], -w[1])]
+    raise ValueError(group)
+
+
+def validate_rep(space: ReductiveSpace, rep: tuple) -> bool:
+    """Homomorphism property on all pairs of symmetry-algebra basis vectors."""
+    alg = space.algebra
+    for a in range(alg.dim):
+        for b in range(alg.dim):
+            lhs = linalg.lin_comb(alg.structure[a][b], rep)
+            rhs = linalg.commutator(rep[a], rep[b])
+            if not linalg.mat_eq(lhs, rhs):
+                return False
+    return True
+
+
+# -- branching ---------------------------------------------------------------
+
+def h_irrep_dim(h_type: str, label: tuple) -> int:
+    if h_type == "delta_su2":
+        return label[1] + 1
+    if h_type == "u2":
+        return label[1] + 1
+    return 1
+
+
+def decomposition_dim(h_type: str, decomposition: dict) -> int:
+    return sum(h_irrep_dim(h_type, lab) * m for lab, m in decomposition.items())
+
+
+# -- isotropy modules and Fourier coefficients -------------------------------
+
+def trivial_summand_basis(space_name: str) -> list:
+    """Basis of the isotropy-fixed subspace of lambda11_0, as 2-vectors."""
+    rep = lambda11_0(space_name)
+    rows = [r for m in rep.h_matrices for r in m]
+    kernel = linalg.nullspace(rows) if rows else []
+    return [_normalize_leading(form_lin_comb(combo, rep.vectors)) for combo in kernel]
+
+
+def _normalize_leading(form: Form) -> Form:
+    if not form:
+        return form
+    lead = min(form)
+    return form_scale(form[lead].inverse(), form)
+
+
+def check_equivariance(space: ReductiveSpace, rep: tuple, target, f: tuple) -> bool:
+    for t in range(space.h_dim):
+        lhs = linalg.mat_mul(target.h_matrices[t], f)
+        rhs = linalg.mat_mul(f, rep[t])
+        if not linalg.mat_eq(lhs, rhs):
+            return False
+    return True
+
+
+def s3xs3_display_generator() -> tuple:
+    """The reference display matrix on the module (1, 1, 0) of the triple
+    product space; it differs from the equivariant generator by the sign
+    of its first column."""
+    space = build_space("s3xs3")
+    target = lambda11_0("s3xs3")
+    x, xb = space.m_plus, space.m_minus
+    b1 = form_add(wedge2(x[0], xb[1]), form_scale(-ONE, wedge2(x[1], xb[0])))
+    b2 = form_add(wedge2(x[1], xb[2]), form_scale(-ONE, wedge2(x[2], xb[1])))
+    b3 = form_add(wedge2(x[2], xb[0]), form_scale(-ONE, wedge2(x[0], xb[2])))
+    inv_s2 = SQRT2.inverse()
+    cols = [
+        form_scale(inv_s2, form_add(b2, form_scale(-I, b3))),
+        form_scale(inv_s2, b1),
+        form_scale(inv_s2, b1),
+        form_scale(inv_s2, form_add(b2, form_scale(I, b3))),
+    ]
+    return linalg.transpose([target.coords_of(c) for c in cols])
+
+
+def flag_invariant_coefficient() -> tuple:
+    """The Fourier coefficient on the adjoint module of the flag manifold
+    sending X to <X,h1> e56 - <X,h2> e34 + <X,h3> e12 (coordinates against
+    the su(3) basis (t1, t2, e1..e6) of the catalog)."""
+    target = lambda11_0("flag")
+    half = rational(1, 2)
+    # t1 = h1 - h2, t2 = h2 - h3 in the unitary frame: <t1,h1> = 1/2,
+    # <t1,h2> = -1/2, <t2,h2> = 1/2, <t2,h3> = -1/2, all others zero.
+    col_t1 = {(4, 5): half, (2, 3): half}
+    col_t2 = {(2, 3): -half, (0, 1): -half}
+    cols = [col_t1, col_t2] + [{}] * 6
+    return linalg.transpose([target.coords_of(c) for c in cols])
+
+
+def cp3_contraction_ratio(d: tuple):
+    """The scalar c with delta(F)(v_i) = c (e_i -| eta) for i = 1..4, where
+    d is the delta image of a Fourier coefficient on the defining module
+    of cp3 and eta the invariant (1,1)-form; None when no single c fits."""
+    eta = {(0, 1): rational(1, 2), (2, 3): rational(1, 2), (4, 5): ONE}
+    inv_s2 = SQRT2.inverse()
+    ratios = set()
+    for idx in range(4):
+        e_i = [(inv_s2 if k == idx else ZERO) for k in range(6)]
+        expected = contract(e_i, eta)
+        col = {(k,): d[k][idx] for k in range(6) if d[k][idx]}
+        if set(col) != set(expected):
+            return None
+        ratios |= {col[key] * expected[key].inverse() for key in col}
+    return ratios.pop() if len(ratios) == 1 else None
+
+
+def coclosed_basis(space: ReductiveSpace, gamma: tuple) -> list:
+    """Fourier coefficients spanning the kernel of the codifferential."""
+    basis = hom_basis(space, gamma)
+    return [
+        linalg.lin_comb(combo, basis)
+        for combo in delta_kernel([proto_delta(space, gamma, f) for f in basis])
+    ]
+
+
+# -- spectral case analysis --------------------------------------------------
+
+def matrix_a(eps) -> list:
+    """Coupling matrix of the (phi, delta sigma) system at lambda = 10 - eps."""
+    eps = Fraction(eps)
+    return [
+        [Fraction(4) - eps, Fraction(-1)],
+        [Fraction(-4) * (Fraction(4) - eps), Fraction(10) - eps],
+    ]
+
+
+def matrix_a_eigenvalues(eps):
+    """(eigenvalues sorted descending, diagonalizable) for rational spectra,
+    or (None, None) when the eigenvalues are irrational."""
+    a = matrix_a(eps)
+    tr = a[0][0] + a[1][1]
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    disc = tr * tr - 4 * det
+    s = _sqrt_fraction(disc)
+    if s is None:
+        return None, None
+    vals = ((tr + s) / 2, (tr - s) / 2)
+    if vals[0] != vals[1]:
+        return vals, True
+    lam = vals[0]
+    diagonalizable = all(
+        a[i][j] == (lam if i == j else 0) for i in range(2) for j in range(2)
+    )
+    return vals, diagonalizable
+
+
+# -- the obstruction ---------------------------------------------------------
+
+def equal_mod_trace(p: SymPoly, q: SymPoly) -> bool:
+    return eliminate_v3(p - q) == SymPoly.zero()
+
+
+def torus_derivative(h_index: int, p: SymPoly) -> SymPoly:
+    """Leibniz derivative of a polynomial along the isotropy direction
+    h_{h_index+1}; vanishes exactly on torus-invariant functions."""
+    h_mats, e_mats = _frame()
+    derivs = [
+        coordinate_poly(linalg.commutator(h_mats[h_index], t))
+        for t in h_mats + e_mats
+    ]
+    return sum((p.partial(k) * d for k, d in enumerate(derivs)), SymPoly())
+
+
+def matrix_from_coordinates(v: list, x: list) -> tuple:
+    """Reconstruct the traceless skew-hermitian matrix with coordinates
+    (v1, v2, v3, x1..x6); scalars may be rationals or tower elements."""
+
+    def s(q):
+        return q if isinstance(q, Scalar) else Scalar.from_fraction(q)
+
+    v = [s(q) for q in v]
+    x = [s(q) for q in x]
+    two_i = I * rational(2)
+    return (
+        (two_i * v[0], x[0] + I * x[1], x[2] + I * x[3]),
+        (-x[0] + I * x[1], two_i * v[1], x[4] + I * x[5]),
+        (-x[2] + I * x[3], -x[4] + I * x[5], two_i * v[2]),
+    )

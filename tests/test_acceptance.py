@@ -13,13 +13,20 @@ from frozen_tables import (
     expected_nabla_h_table,
     expected_obstruction_terms,
 )
+from oracles import (
+    J,
+    cp3_contraction_ratio,
+    decomposition_dim,
+    flag_invariant_coefficient,
+    matrix_a_eigenvalues,
+    matrix_from_coordinates,
+    s3xs3_display_generator,
+)
 from gray_stability import linalg
-from gray_stability.branching import decomposition_dim, restrict
+from gray_stability.branching import restrict
 from gray_stability.cli import reproduce_all_doc
-from gray_stability.exterior import contract, form_add, form_scale, wedge2
 from gray_stability.forms import lambda11_0
 from gray_stability.fourier import (
-    FourierCoefficient,
     coclosed_dim,
     hom_basis,
     m_complex_coords,
@@ -29,7 +36,6 @@ from gray_stability.lie import build_space
 from gray_stability.obstruction import (
     integrand,
     killing_check,
-    matrix_from_coordinates,
     nabla_h_entry,
     obstruction_pairing,
     obstruction_terms,
@@ -42,10 +48,9 @@ from gray_stability.reps import (
     enumerate_labels,
     explicit_rep,
 )
-from gray_stability.scalars import I, J, ONE, SQRT2, ZERO, Scalar, rational
+from gray_stability.scalars import ONE, SQRT2, Scalar, rational
 from gray_stability.stability import (
     coindex_report,
-    matrix_a_eigenvalues,
     solution_dim,
 )
 from gray_stability.sympoly import SymPoly, V1, V2, V3, X, det_cubic, sym_inner
@@ -164,29 +169,6 @@ def test_criterion_03_branching_tables():
 
 # -- 4 ----------------------------------------------------------------------
 
-def _reference_s3xs3_generator():
-    space = build_space("s3xs3")
-    target = lambda11_0("s3xs3")
-    x, xb = space.m_plus, space.m_minus
-    b1 = form_add(wedge2(x[0], xb[1]), form_scale(-ONE, wedge2(x[1], xb[0])))
-    b2 = form_add(wedge2(x[1], xb[2]), form_scale(-ONE, wedge2(x[2], xb[1])))
-    b3 = form_add(wedge2(x[2], xb[0]), form_scale(-ONE, wedge2(x[0], xb[2])))
-    inv_s2 = SQRT2.inverse()
-    cols = [
-        form_scale(inv_s2, form_add(b2, form_scale(-I, b3))),
-        form_scale(inv_s2, b1),
-        form_scale(inv_s2, b1),
-        form_scale(inv_s2, form_add(b2, form_scale(I, b3))),
-    ]
-    coords = [target.coords_of(c) for c in cols]
-    return FourierCoefficient(
-        "s3xs3",
-        (1, 1, 0),
-        "lambda11_0",
-        linalg.transpose(coords),
-    )
-
-
 def test_criterion_04_prototypical_codifferential():
     # (a) the triple product space: delta does not vanish on the Fourier
     # space, and the reference display pair is reproduced entry for entry
@@ -194,8 +176,8 @@ def test_criterion_04_prototypical_codifferential():
     s3 = build_space("s3xs3")
     (gen,) = hom_basis(s3, (1, 1, 0))
     d_gen = proto_delta(s3, (1, 1, 0), gen)
-    assert any(any(row) for row in d_gen.matrix)
-    reference = _reference_s3xs3_generator()
+    assert any(any(row) for row in d_gen)
+    reference = s3xs3_display_generator()
     d_ref = m_complex_coords(s3, proto_delta(s3, (1, 1, 0), reference))
     jj = J * J
     assert d_ref[2][1] == ONE - jj and d_ref[2][2] == -(ONE - jj)
@@ -207,36 +189,14 @@ def test_criterion_04_prototypical_codifferential():
     cp3 = build_space("cp3")
     (f,) = hom_basis(cp3, (1, 0))
     d = proto_delta(cp3, (1, 0), f)
-    assert not any(d.matrix[w][4] for w in range(6))
-    eta = {(0, 1): rational(1, 2), (2, 3): rational(1, 2), (4, 5): ONE}
-    inv_s2 = SQRT2.inverse()
-    ratio = None
-    for idx in range(4):
-        e_i = [(inv_s2 if k == idx else ZERO) for k in range(6)]
-        expected = contract(e_i, eta)
-        col = {(k,): d.matrix[k][idx] for k in range(6) if d.matrix[k][idx]}
-        assert set(col) == set(expected)
-        for key in col:
-            r = col[key] / expected[key]
-            ratio = r if ratio is None else ratio
-            assert r == ratio
-    assert ratio
+    assert not any(d[w][4] for w in range(6))
+    assert cp3_contraction_ratio(d)
 
     # (c) the flag manifold: the invariant-pairing coefficient is exactly
     # coclosed.
     flag = build_space("flag")
-    target = lambda11_0("flag")
-    half = rational(1, 2)
-    col_t1 = {(4, 5): half, (2, 3): half}
-    col_t2 = {(2, 3): -half, (0, 1): -half}
-    cols = [col_t1, col_t2] + [{}] * 6
-    coords = [target.coords_of(c) for c in cols]
-    f_flag = FourierCoefficient(
-        "flag", (1, 1), "lambda11_0",
-        linalg.transpose(coords),
-    )
-    d_flag = proto_delta(flag, (1, 1), f_flag)
-    assert linalg.is_zero_matrix(d_flag.matrix)
+    d_flag = proto_delta(flag, (1, 1), flag_invariant_coefficient())
+    assert linalg.is_zero_matrix(d_flag)
 
     # (d) coclosed multiplicity one at the deformation boundary.
     assert coclosed_dim(flag, (1, 1)) == 1
@@ -367,7 +327,7 @@ def test_criterion_08c_codifferential_basis_independence():
         rotations.append(linalg.from_entries(6, entries))
     for basis in rotations:
         rotated = proto_delta(s3, (1, 1, 0), f, m_basis=basis)
-        assert linalg.mat_eq(reference.matrix, rotated.matrix)
+        assert linalg.mat_eq(reference, rotated)
     _report(8, "codifferential invariant under exact orthonormal frame changes")
 
 

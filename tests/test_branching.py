@@ -7,9 +7,7 @@ import pytest
 from gray_stability.branching import (
     BranchingError,
     decompose_weights,
-    decomposition_dim,
     format_h_label,
-    h_irrep_dim,
     h_irrep_weights,
     hom_dim,
     restrict,
@@ -18,6 +16,7 @@ from gray_stability.branching import (
 from gray_stability.forms import lambda11_0
 from gray_stability.lie import build_space
 from gray_stability.reps import dim, enumerate_labels
+from oracles import decomposition_dim, h_irrep_dim
 
 
 def test_branching_table_s3xs3():

@@ -6,9 +6,6 @@ from gray_stability import linalg
 from gray_stability.exterior import form_add, form_scale, wedge2
 from gray_stability.forms import lambda11_0
 from gray_stability.fourier import (
-    FourierCoefficient,
-    check_equivariance,
-    coclosed_basis,
     coclosed_dim,
     hom_basis,
     m_complex_coords,
@@ -16,7 +13,15 @@ from gray_stability.fourier import (
 )
 from gray_stability.lie import build_space
 from gray_stability.reps import UnsupportedLabel, explicit_rep
-from gray_stability.scalars import I, J, ONE, SQRT2, ZERO, rational
+from gray_stability.scalars import I, ONE, SQRT2, ZERO, rational
+from oracles import (
+    J,
+    check_equivariance,
+    coclosed_basis,
+    cp3_contraction_ratio,
+    flag_invariant_coefficient,
+    s3xs3_display_generator,
+)
 
 
 def _proportional(a, b):
@@ -27,7 +32,7 @@ def _proportional(a, b):
             if bool(x) != bool(y):
                 return False
             if x:
-                r = y / x
+                r = y * x.inverse()
                 if ratio is None:
                     ratio = r
                 elif r != ratio:
@@ -118,8 +123,7 @@ def _tensor_generator_oracle():
         combo(-(two_s2 * I), two_s2, ZERO),    # z2 (x) z2  ->  2 E_21
     ]
     coords = [target.coords_of(c) for c in cols]
-    mat = linalg.transpose(coords)
-    return FourierCoefficient("s3xs3", (1, 1, 0), "lambda11_0", mat)
+    return linalg.transpose(coords)
 
 
 def test_s3xs3_generator_matches_independent_oracle():
@@ -128,14 +132,14 @@ def test_s3xs3_generator_matches_independent_oracle():
     oracle = _tensor_generator_oracle()
     rep = explicit_rep(space, (1, 1, 0))
     assert check_equivariance(space, rep, lambda11_0("s3xs3"), oracle)
-    assert _proportional(mine.matrix, oracle.matrix)
+    assert _proportional(mine, oracle)
 
 
 def test_s3xs3_delta_nonzero_and_coclosed_dims():
     space = build_space("s3xs3")
     (f,) = hom_basis(space, (1, 1, 0))
     d = proto_delta(space, (1, 1, 0), f)
-    assert any(any(row) for row in d.matrix)
+    assert any(any(row) for row in d)
     assert coclosed_dim(space, (1, 1, 0)) == 0
     assert coclosed_dim(space, (1, 0, 1)) == 0
     assert coclosed_dim(space, (0, 1, 1)) == 0
@@ -152,8 +156,8 @@ def test_s3xs3_delta_output_is_equivariant():
     # equivariance into the complexified complement: ad(h) after = before
     for t, h in enumerate(linalg.identity(space.h_dim)):
         ad = space.ad_m_of_h(h)
-        lhs = linalg.mat_mul(ad, d.matrix)
-        rhs = linalg.mat_mul(d.matrix, rep.matrices[t])
+        lhs = linalg.mat_mul(ad, d)
+        rhs = linalg.mat_mul(d, rep[t])
         assert linalg.mat_eq(lhs, rhs)
 
 
@@ -163,75 +167,41 @@ def test_cp3_generator_is_z5_eta():
     (f,) = hom_basis(space, (1, 0))
     # columns v1..v4 vanish; column v5 spans the invariant line eta
     for v in range(4):
-        assert not any(f.matrix[w][v] for w in range(8))
+        assert not any(f[w][v] for w in range(8))
     eta = {(0, 1): rational(1, 2), (2, 3): rational(1, 2), (4, 5): ONE}
-    col5 = target.realize([f.matrix[w][4] for w in range(8)])
-    ratios = {k: col5[k] / eta[k] for k in eta}
+    col5 = target.realize([f[w][4] for w in range(8)])
+    ratios = {k: col5[k] * eta[k].inverse() for k in eta}
     assert len(set(ratios.values())) == 1 and set(col5) == set(eta)
 
 
 def test_cp3_delta_matches_contraction_formula():
-    from gray_stability.exterior import contract
-
     space = build_space("cp3")
     (f,) = hom_basis(space, (1, 0))
     d = proto_delta(space, (1, 0), f)
     # delta(F)(v5) = 0
-    assert not any(d.matrix[w][4] for w in range(6))
+    assert not any(d[w][4] for w in range(6))
     # delta(F)(v_i) = c * (e_i -| eta) for one common scalar c != 0
-    eta = {(0, 1): rational(1, 2), (2, 3): rational(1, 2), (4, 5): ONE}
-    inv_s2 = SQRT2.inverse()
-    ratio = None
-    for idx in range(4):
-        e_i = [(inv_s2 if k == idx else ZERO) for k in range(6)]
-        expected = contract(e_i, eta)
-        col = {(k,): d.matrix[k][idx] for k in range(6) if d.matrix[k][idx]}
-        assert set(col) == set(expected)
-        for key in col:
-            r = col[key] / expected[key]
-            if ratio is None:
-                ratio = r
-            assert r == ratio
-    assert ratio and bool(ratio)
+    assert cp3_contraction_ratio(d)
     assert coclosed_dim(space, (1, 0)) == 0
     assert coclosed_dim(space, (0, 0)) == 1
     assert coclosed_dim(space, (1, 1)) == 0
 
 
-def _flag_invariant_coefficient():
-    """The Fourier coefficient sending X to
-    <X,h1> e56 - <X,h2> e34 + <X,h3> e12 (coordinates against the su(3)
-    basis (t1, t2, e1..e6) of the catalog)."""
-    target = lambda11_0("flag")
-    half = rational(1, 2)
-    e12 = {(0, 1): ONE}
-    e34 = {(2, 3): ONE}
-    e56 = {(4, 5): ONE}
-    # t1 = h1 - h2, t2 = h2 - h3 in the unitary frame: <t1,h1> = 1/2,
-    # <t1,h2> = -1/2, <t2,h2> = 1/2, <t2,h3> = -1/2, all others zero.
-    col_t1 = form_add(form_scale(half, e56), form_scale(half, e34))
-    col_t2 = form_add(form_scale(-half, e34), form_scale(-half, e12))
-    cols = [col_t1, col_t2] + [{}] * 6
-    coords = [target.coords_of(c) for c in cols]
-    mat = linalg.transpose(coords)
-    return FourierCoefficient("flag", (1, 1), "lambda11_0", mat)
-
-
 def test_flag_invariant_coefficient_is_coclosed():
     space = build_space("flag")
-    f = _flag_invariant_coefficient()
+    f = flag_invariant_coefficient()
     rep = explicit_rep(space, (1, 1))
     assert check_equivariance(space, rep, lambda11_0("flag"), f)
     d = proto_delta(space, (1, 1), f)
-    assert linalg.is_zero_matrix(d.matrix)
+    assert linalg.is_zero_matrix(d)
 
 
 def test_flag_coclosed_kernel_is_the_invariant_line():
     space = build_space("flag")
     assert coclosed_dim(space, (1, 1)) == 1
     (kernel,) = coclosed_basis(space, (1, 1))
-    f = _flag_invariant_coefficient()
-    assert _proportional(kernel.matrix, f.matrix)
+    f = flag_invariant_coefficient()
+    assert _proportional(kernel, f)
 
 
 def test_trivial_label_delta_vanishes():
@@ -240,7 +210,7 @@ def test_trivial_label_delta_vanishes():
         trivial = (0, 0, 0) if space.group == "k3" else (0, 0)
         for f in hom_basis(space, trivial):
             d = proto_delta(space, trivial, f)
-            assert linalg.is_zero_matrix(d.matrix)
+            assert linalg.is_zero_matrix(d)
         # every invariant is coclosed
         hd = len(hom_basis(space, trivial))
         assert coclosed_dim(space, trivial) == hd
@@ -252,26 +222,7 @@ def test_reference_display_pair_s3xs3():
     display matrix differs from the equivariant generator by the sign of
     its first column, so only its own delta-rows are comparable."""
     space = build_space("s3xs3")
-    target = lambda11_0("s3xs3")
-    x, xb = space.m_plus, space.m_minus
-    b1 = form_add(wedge2(x[0], xb[1]), form_scale(-ONE, wedge2(x[1], xb[0])))
-    b2 = form_add(wedge2(x[1], xb[2]), form_scale(-ONE, wedge2(x[2], xb[1])))
-    b3 = form_add(wedge2(x[2], xb[0]), form_scale(-ONE, wedge2(x[0], xb[2])))
-    inv_s2 = SQRT2.inverse()
-    cols = [
-        form_scale(inv_s2, form_add(b2, form_scale(-I, b3))),
-        form_scale(inv_s2, b1),
-        form_scale(inv_s2, b1),
-        form_scale(inv_s2, form_add(b2, form_scale(I, b3))),
-    ]
-    coords = [target.coords_of(c) for c in cols]
-    reference_f = FourierCoefficient(
-        "s3xs3",
-        (1, 1, 0),
-        "lambda11_0",
-        linalg.transpose(coords),
-    )
-    d = m_complex_coords(space, proto_delta(space, (1, 1, 0), reference_f))
+    d = m_complex_coords(space, proto_delta(space, (1, 1, 0), s3xs3_display_generator()))
     jj = J * J
     # rows (X3 | conj X3), columns (z1z2, z2z1): entries 1-j^2 and 1-j.
     assert d[2][1] == ONE - jj and d[2][2] == -(ONE - jj)
@@ -284,13 +235,12 @@ def test_proto_delta_linear_in_f():
     space = build_space("flag")
     f1, f2 = hom_basis(space, (1, 1))[:2]
     a, b = SQRT2, I * rational(3) - rational(1, 2)
-    combo_matrix = linalg.lin_comb((a, b), (f1.matrix, f2.matrix))
-    combo = FourierCoefficient("flag", (1, 1), "lambda11_0", combo_matrix)
+    combo = linalg.lin_comb((a, b), (f1, f2))
     d1 = proto_delta(space, (1, 1), f1)
     d2 = proto_delta(space, (1, 1), f2)
     dc = proto_delta(space, (1, 1), combo)
-    expected = linalg.lin_comb((a, b), (d1.matrix, d2.matrix))
-    assert linalg.mat_eq(dc.matrix, expected)
+    expected = linalg.lin_comb((a, b), (d1, d2))
+    assert linalg.mat_eq(dc, expected)
 
 
 def test_proto_delta_independent_of_orthonormal_basis():
@@ -302,4 +252,4 @@ def test_proto_delta_independent_of_orthonormal_basis():
     rotation = ((c, s, ZERO, ZERO, ZERO, ZERO), (-s, c, ZERO, ZERO, ZERO, ZERO))
     basis = rotation + linalg.identity(6)[2:]
     rotated = proto_delta(space, (1, 1, 0), f, m_basis=basis)
-    assert linalg.mat_eq(default.matrix, rotated.matrix)
+    assert linalg.mat_eq(default, rotated)

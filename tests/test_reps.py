@@ -9,7 +9,6 @@ import pytest
 from gray_stability import linalg
 from gray_stability.lie import build_space
 from gray_stability.reps import (
-    GROUP_NAMES,
     GROUPS,
     _within,
     casimir_bruteforce,
@@ -17,11 +16,10 @@ from gray_stability.reps import (
     dim,
     enumerate_labels,
     explicit_rep,
-    validate_rep,
     weight_system,
-    weyl_generators,
 )
-from gray_stability.scalars import I, J, ONE, SQRT2, ZERO, Scalar
+from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar
+from oracles import J, validate_rep, weyl_generators
 
 
 SUPPORTED = [
@@ -88,14 +86,14 @@ def test_dimensions():
 
 
 def test_weight_system_totals_match_dimension():
-    for group in GROUP_NAMES:
+    for group in GROUPS:
         for lab in enumerate_labels(group, Fraction(40)):
             ws = weight_system(group, lab)
             assert sum(ws.values()) == dim(group, lab), (group, lab)
 
 
 def test_weight_system_weyl_invariance():
-    for group in GROUP_NAMES:
+    for group in GROUPS:
         for lab in enumerate_labels(group, Fraction(40)):
             ws = weight_system(group, lab)
             for gen in weyl_generators(group):
@@ -116,7 +114,7 @@ def _within_by_solve(diff, g):
 
 
 def test_integer_cone_test_matches_exact_solve():
-    for group in GROUP_NAMES:
+    for group in GROUPS:
         g = GROUPS[group]
         zero = (0,) * g.rank
         inside = 0
@@ -181,13 +179,13 @@ def test_explicit_rep_matches_reference_matrices():
         g = [ZERO] * 9
         g[3 + 2 * a] = inv_s2
         g[3 + 2 * a + 1] = I * inv_s2
-        return linalg.lin_comb(g, rep.matrices)
+        return linalg.lin_comb(g, rep)
 
     def rho_minus(a):
         g = [ZERO] * 9
         g[3 + 2 * a] = inv_s2
         g[3 + 2 * a + 1] = -(I * inv_s2)
-        return linalg.lin_comb(g, rep.matrices)
+        return linalg.lin_comb(g, rep)
 
     x1 = [
         [ZERO, c * J, c, ZERO],

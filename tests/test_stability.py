@@ -7,14 +7,15 @@ import pytest
 
 from gray_stability.stability import (
     assemble_report,
+    candidate_eps,
     coindex_report,
-    matrix_a,
-    matrix_a_eigenvalues,
+    eigenspace_sources,
     mu_values,
     solution_dim,
     _coclosed_table,
 )
 from gray_stability.lie import build_space
+from oracles import matrix_a, matrix_a_eigenvalues
 
 
 def test_matrix_a_entries():
@@ -68,6 +69,52 @@ def test_solution_dim_cases():
     for k in range(1, 30):
         eps = Fraction(25, 4) + Fraction(k, 7)
         assert solution_dim(eps, {Fraction(0): 4, Fraction(2): 4}, b3=9) == 0
+
+
+def test_eigenspace_sources_per_case():
+    e_dims = {Fraction(0): 1, Fraction(2): 3, Fraction(6): 5, Fraction(3, 4): 7}
+    assert eigenspace_sources(4, e_dims, b3=2) == [
+        (5, "E(6) eigenforms"), (1, "harmonic-2-forms"), (3, "E(2) eigenforms")
+    ]
+    assert eigenspace_sources(6, e_dims, b3=2) == [(3, "E(2) eigenforms"), (2, "harmonic-3-forms")]
+    assert eigenspace_sources(Fraction(25, 4), e_dims, b3=2) == [(7, "E(3/4) eigenforms")]
+    assert eigenspace_sources(7, e_dims, b3=2) == []
+    # sqrt(21) is irrational: only mu3 = 5 is read
+    assert eigenspace_sources(1, e_dims, b3=2) == [(0, "E(5) eigenforms")]
+
+
+class _ReadLog(dict):
+    """E(mu) dimensions that record every mu looked up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = []
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+
+def test_casimir_cutoff_covers_every_eigenvalue_read():
+    # The coindex reports only know E(mu) for Casimir values below 12, so
+    # the case analysis must never read mu >= 12 at eps > 0 (the argument
+    # is in the stability docstring).  The grid holds 6 = 384/64 and
+    # 25/4 = 400/64.
+    grid = [Fraction(k, 64) for k in range(1, 401)]
+    assert Fraction(6) in grid and Fraction(25, 4) in grid
+    for name in ("s3xs3", "cp3", "flag"):
+        e_dims = dict(coindex_report(name).coclosed_spectrum)
+        b3 = build_space(name).betti[1]
+        candidates = candidate_eps(e_dims, b3)
+        assert candidates and all(0 < eps <= Fraction(25, 4) for eps in candidates)
+        for eps in sorted(candidates):
+            log = _ReadLog(e_dims)
+            solution_dim(eps, log, b3)
+            assert log.read and all(mu < 12 for mu in log.read), (name, eps, log.read)
+        for eps in grid:
+            log = _ReadLog(e_dims)
+            solution_dim(eps, log, b3)
+            assert all(mu < 12 for mu in log.read), (name, eps, log.read)
 
 
 def test_coindex_reports():
