@@ -28,7 +28,7 @@ from .obstruction import (
     rigidity_verdict,
 )
 from .render import dumps, fraction_jsonable, scalar_jsonable
-from .reps import UnsupportedLabel, casimir_constant, dim, enumerate_labels
+from .reps import UnsupportedLabel, casimir_constant, check_label, dim, enumerate_labels
 from .stability import coindex_report
 
 
@@ -52,15 +52,10 @@ class UsageError(ValueError):
 
 
 def _parse_label(space, text: str) -> tuple:
-    from .reps import check_label
-
     try:
         parts = tuple(int(x) for x in text.replace("(", "").replace(")", "").split(","))
     except ValueError as exc:
         raise UsageError(f"cannot parse label {text!r}") from exc
-    expected = 3 if space.group == "k3" else 2
-    if len(parts) != expected:
-        raise UsageError(f"{space.group} labels need {expected} components")
     try:
         return check_label(space.group, parts)
     except ValueError as exc:

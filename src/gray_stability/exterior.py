@@ -1,6 +1,8 @@
 """Exterior algebra helpers on the reductive complement.
 
-Multivectors are sparse dicts keyed by strictly increasing index tuples.
+Multivectors are sparse dicts keyed by strictly increasing index tuples;
+derivation_action works on tensors keyed by ordered index tuples, and
+alternate turns such a tensor into a multivector.
 All formulas below assume the ambient basis is orthonormal for the
 invariant metric, which holds for every catalog space.
 """
@@ -67,29 +69,44 @@ def wedge2(u: list, v: list) -> Form:
     return out
 
 
-def derivation_action(m: list, form: Form) -> Form:
-    """Extend the endomorphism m of the base space to k-vectors as a derivation."""
-    out: Form = {}
-    for key, coeff in form.items():
+def derivation_action(m: list, tensor: dict) -> dict:
+    """Extend the endomorphism m of the base space to a tensor as a
+    derivation.  Keys are ordered index tuples and coefficients anything
+    that multiplies a Scalar (Scalar or SymPoly); zeros are dropped."""
+    out: dict = {}
+    for key, coeff in tensor.items():
         for slot, idx in enumerate(key):
-            col = idx
             for w in range(len(m)):
-                c = m[w][col]
+                c = m[w][idx]
                 if not c:
                     continue
                 new = key[:slot] + (w,) + key[slot + 1 :]
-                if len(set(new)) != len(new):
-                    continue
-                order = sorted(range(len(new)), key=lambda s: new[s])
-                sign = _permutation_sign(order)
-                skey = tuple(sorted(new))
-                val = coeff * c if sign == 1 else -(coeff * c)
-                s = out.get(skey)
+                val = coeff * c
+                s = out.get(new)
                 s = val if s is None else s + val
                 if s:
-                    out[skey] = s
+                    out[new] = s
                 else:
-                    out.pop(skey, None)
+                    out.pop(new, None)
+    return out
+
+
+def alternate(tensor: dict) -> Form:
+    """The k-vector of an ordered tensor: keys with a repeated index drop
+    out, the rest are sorted with the sign of the sorting permutation."""
+    out: Form = {}
+    for key, coeff in tensor.items():
+        if len(set(key)) != len(key):
+            continue
+        order = sorted(range(len(key)), key=lambda s: key[s])
+        val = coeff if _permutation_sign(order) == 1 else -coeff
+        skey = tuple(sorted(key))
+        s = out.get(skey)
+        s = val if s is None else s + val
+        if s:
+            out[skey] = s
+        else:
+            out.pop(skey, None)
     return out
 
 

@@ -1,4 +1,4 @@
-"""The isotropy representations Lambda^{1,1} m and its primitive part.
+"""The isotropy representation on the primitive part of Lambda^{1,1} m.
 
 Basis vectors are (1,1)-wedges of the weight-adapted eigenbasis of the
 complexified reductive complement, expanded in real wedge coordinates.
@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import linalg
 from .branching import decompose_weights
-from .exterior import Form, derivation_action, form_inner, form_lin_comb, wedge2
+from .exterior import Form, alternate, derivation_action, form_inner, form_lin_comb, wedge2
 from .lie import ReductiveSpace, build_space
 from .scalars import ZERO
 
@@ -23,8 +23,6 @@ from .scalars import ZERO
 class HRep:
     """A finite isotropy module with explicit 2-vector realization."""
 
-    space: str
-    name: str
     vectors: tuple          # tuple of Form (real wedge coordinates)
     weights: tuple          # tuple of integer weight tuples
     h_matrices: tuple       # action of each isotropy basis element
@@ -33,10 +31,6 @@ class HRep:
     @property
     def dim(self) -> int:
         return len(self.vectors)
-
-    def coords_of(self, form: Form) -> list:
-        """Coordinates of a 2-vector lying in the span of this module."""
-        return _span_coords(self.vectors, form)
 
     def realize(self, coords: list) -> Form:
         return form_lin_comb(coords, self.vectors)
@@ -58,33 +52,9 @@ def _h_action_matrices(space: ReductiveSpace, vectors: list) -> list:
     mats = []
     for e in linalg.identity(space.h_dim):
         ad = space.ad_m_of_h(e)
-        cols = [_span_coords(vectors, derivation_action(ad, v)) for v in vectors]
+        cols = [_span_coords(vectors, alternate(derivation_action(ad, v))) for v in vectors]
         mats.append(linalg.transpose(cols))
     return mats
-
-
-@lru_cache(maxsize=None)
-def lambda11(space_name: str) -> HRep:
-    """m^+ wedge m^-, the full (1,1) module (dimension 9)."""
-    space = build_space(space_name)
-    vectors = []
-    weights = []
-    for p, wp in space.m_plus_weights:
-        for q, wq in space.m_minus_weights:
-            vectors.append(wedge2(p, q))
-            weights.append(tuple(a + b for a, b in zip(wp, wq)))
-    mats = _h_action_matrices(space, vectors)
-    decomposition = decompose_weights(
-        space.h_type, _weight_multiset(weights)
-    )
-    return HRep(
-        space=space_name,
-        name="lambda11",
-        vectors=tuple(vectors),
-        weights=tuple(weights),
-        h_matrices=tuple(mats),
-        decomposition=decomposition,
-    )
 
 
 def _weight_multiset(weights) -> dict:
@@ -96,32 +66,38 @@ def _weight_multiset(weights) -> dict:
 
 @lru_cache(maxsize=None)
 def lambda11_0(space_name: str) -> HRep:
-    """Orthogonal complement of the Kaehler 2-vector inside lambda11."""
+    """Orthogonal complement of the Kaehler 2-vector inside the nine
+    (1,1)-wedges p ^ q, p in m^+ and q in m^-."""
     space = build_space(space_name)
-    full = lambda11(space_name)
+    wedges = []
+    wedge_weights = []
+    for p, wp in space.m_plus_weights:
+        for q, wq in space.m_minus_weights:
+            wedges.append(wedge2(p, q))
+            wedge_weights.append(tuple(a + b for a, b in zip(wp, wq)))
     kahler = space.kahler_form()
-    kahler_coords = full.coords_of(kahler)
+    kahler_coords = _span_coords(wedges, kahler)
 
     zero_wt = tuple(0 for _ in space.h_weight_torus)
-    zero_idx = [i for i, w in enumerate(full.weights) if w == zero_wt]
+    zero_idx = [i for i, w in enumerate(wedge_weights) if w == zero_wt]
     if not any(kahler_coords[i] for i in zero_idx) or any(
-        kahler_coords[i] for i in range(full.dim) if i not in zero_idx
+        kahler_coords[i] for i in range(len(wedges)) if i not in zero_idx
     ):
         raise AssertionError("Kaehler 2-vector must span a zero-weight line")
 
     # Pairing of the zero-weight block against the Kaehler vector.
     row = []
     for i in zero_idx:
-        row.append(form_inner(full.vectors[i], kahler))
+        row.append(form_inner(wedges[i], kahler))
     combos = linalg.nullspace([row])
 
     vectors: list[Form] = []
     weights: list[tuple] = []
-    for i, (v, w) in enumerate(zip(full.vectors, full.weights)):
+    for i, (v, w) in enumerate(zip(wedges, wedge_weights)):
         if i not in zero_idx:
             vectors.append(v)
             weights.append(w)
-    zero_block = [full.vectors[i] for i in zero_idx]
+    zero_block = [wedges[i] for i in zero_idx]
     for combo in combos:
         vectors.append(form_lin_comb(combo, zero_block))
         weights.append(zero_wt)
@@ -129,8 +105,6 @@ def lambda11_0(space_name: str) -> HRep:
     mats = _h_action_matrices(space, vectors)
     decomposition = decompose_weights(space.h_type, _weight_multiset(weights))
     return HRep(
-        space=space_name,
-        name="lambda11_0",
         vectors=tuple(vectors),
         weights=tuple(weights),
         h_matrices=tuple(mats),

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .exterior import Form, derivation_action
+from .exterior import Form, alternate, derivation_action
 from .scalars import I, ONE, SQRT2, SQRT3, SQRT6, ZERO, Scalar, rational
 
 SPACE_NAMES = ("s3xs3", "cp3", "flag")
@@ -24,7 +24,6 @@ SPACE_NAMES = ("s3xs3", "cp3", "flag")
 class LieAlgebraData:
     """Basis, structure constants and invariant inner product of g."""
 
-    name: str
     dim: int
     basis_matrices: tuple
     structure: tuple  # structure[a][b] = coordinates of [basis_a, basis_b]
@@ -80,7 +79,6 @@ class ReductiveSpace:
     psi_minus: tuple | None     # sorted ((a, b, c), Scalar) or None
     g_orthonormal: tuple        # Q-orthonormal basis of g, in g-coordinates
     einstein_constant: Fraction
-    scalar_curvature: Fraction
     betti: tuple                # (b2, b3)
 
     # -- coordinate helpers -------------------------------------------
@@ -172,7 +170,7 @@ def _build_s3xs3() -> ReductiveSpace:
     m_mats = tuple(linalg.kron(c, ya) for ya in y for c in (u_coeffs, w_coeffs))
     mats = h_mats + m_mats  # d1, d2, d3, u1, w1, u2, w2, u3, w3
     structure, gram = _structure_and_gram(mats, _trace_form(Fraction(-1, 3)))
-    algebra = LieAlgebraData("su2_cubed", 9, mats, structure, gram)
+    algebra = LieAlgebraData(9, mats, structure, gram)
 
     inv_s2 = SQRT2.inverse()
     i_inv_s2 = I * inv_s2
@@ -211,7 +209,6 @@ def _build_s3xs3() -> ReductiveSpace:
         psi_minus=None,
         g_orthonormal=linalg.diag(*[rational(2)] * 3, *[ONE] * 6),
         einstein_constant=Fraction(5),
-        scalar_curvature=Fraction(30),
         betti=(0, 2),
     )
 
@@ -236,7 +233,7 @@ def _build_cp3() -> ReductiveSpace:
     m_mats = tuple(linalg.mat_scale(SQRT2, ei) for ei in e) + (f1, f2)
     mats = h_mats + m_mats
     structure, gram = _structure_and_gram(mats, _trace_form(Fraction(-1, 4)))
-    algebra = LieAlgebraData("so5", 10, mats, structure, gram)
+    algebra = LieAlgebraData(10, mats, structure, gram)
 
     inv_s2 = SQRT2.inverse()
     i_inv_s2 = I * inv_s2
@@ -265,7 +262,6 @@ def _build_cp3() -> ReductiveSpace:
         psi_minus=None,
         g_orthonormal=linalg.diag(SQRT2, SQRT2, *[ONE] * 8),
         einstein_constant=Fraction(5),
-        scalar_curvature=Fraction(30),
         betti=(1, 0),
     )
 
@@ -289,7 +285,7 @@ def _su3_frame_mats() -> tuple:
 def _build_flag() -> ReductiveSpace:
     mats = _su3_frame_mats()
     structure, gram = _structure_and_gram(mats, _trace_form(Fraction(-1, 2)))
-    algebra = LieAlgebraData("su3", 8, mats, structure, gram)
+    algebra = LieAlgebraData(8, mats, structure, gram)
 
     p1 = (ONE, -I, ZERO, ZERO, ZERO, ZERO)   # e1 - i e2
     p2 = (ZERO, ZERO, ONE, I, ZERO, ZERO)    # e3 + i e4
@@ -321,7 +317,6 @@ def _build_flag() -> ReductiveSpace:
         psi_minus=(((1, 2, 5), ONE), ((0, 3, 5), minus_one), ((0, 2, 4), minus_one), ((1, 3, 4), minus_one)),
         g_orthonormal=linalg.from_entries(8, g_on),
         einstein_constant=Fraction(5),
-        scalar_curvature=Fraction(30),
         betti=(2, 0),
     )
 
@@ -428,9 +423,11 @@ def validate_space(space: ReductiveSpace) -> dict:
 
     h_ads = [space.ad_m_of_h(e) for e in linalg.identity(hd)]
     kahler = space.kahler_form()
-    checks["kahler_h_invariant"] = not any(derivation_action(ad, kahler) for ad in h_ads)
+    checks["kahler_h_invariant"] = not any(alternate(derivation_action(ad, kahler)) for ad in h_ads)
     if space.psi_minus is not None:
         psi = space.psi_minus_form()
-        checks["psi_minus_h_invariant"] = not any(derivation_action(ad, psi) for ad in h_ads)
+        checks["psi_minus_h_invariant"] = not any(
+            alternate(derivation_action(ad, psi)) for ad in h_ads
+        )
 
     return checks

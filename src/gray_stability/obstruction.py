@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 
 from . import linalg
-from .exterior import _permutation_sign
+from .exterior import _permutation_sign, derivation_action, form_add
 from .lie import build_space
 from .scalars import I, Scalar, rational
 from .sympoly import (
@@ -156,19 +156,13 @@ def a_endomorphisms() -> tuple:
 def a_action(x_index: int, tensor: Tensor) -> Tensor:
     """Derivation action of A_{e_{x_index+1}} on a tensor with polynomial
     coefficients."""
-    a = a_endomorphisms()[x_index]
-    out: Tensor = {}
-    for key, coeff in tensor.items():
-        for slot, idx in enumerate(key):
-            for w in range(M_DIM):
-                c = a[w][idx]
-                if not c:
-                    continue
-                new = key[:slot] + (w,) + key[slot + 1 :]
-                term = coeff.scale(c)
-                prev = out.get(new)
-                out[new] = term if prev is None else prev + term
-    return {k: v for k, v in out.items() if v}
+    return derivation_action(a_endomorphisms()[x_index], tensor)
+
+
+def _half_torsion(i: int, tensor: Tensor) -> Tensor:
+    """The torsion correction (1/2) A_{e_{i+1}}(tensor)."""
+    half = rational(1, 2)
+    return {key: coeff.scale(half) for key, coeff in a_action(i, tensor).items()}
 
 
 def tensor_derivative(e_index: int, tensor: Tensor, sign: int = 1) -> Tensor:
@@ -187,18 +181,10 @@ def nabla_h(sign: int = 1) -> dict:
     computed as the invariant derivative plus half the torsion correction.
     Symmetric in (k, l)."""
     hh = h_hat(sign)
-    half = rational(1, 2)
     out: dict = {}
     for i in range(M_DIM):
-        t = tensor_derivative(i, hh, sign)
-        corr = a_action(i, hh)
-        for key, coeff in corr.items():
-            scaled = coeff.scale(half)
-            prev = t.get(key)
-            t[key] = scaled if prev is None else prev + scaled
-        for (k, l), coeff in t.items():
-            if coeff:
-                out[(i, k, l)] = coeff
+        t = form_add(tensor_derivative(i, hh, sign), _half_torsion(i, hh))
+        out.update(((i,) + key, coeff) for key, coeff in t.items())
     return out
 
 
@@ -292,13 +278,9 @@ def killing_check(t1, t2, t3) -> bool:
         (4, 4): t3, (5, 5): t3,
     }
     tensor = {k: SymPoly.constant(v) for k, v in coeffs.items() if v}
-    half = rational(1, 2)
-    nabla: dict = {}
-    for i in range(M_DIM):
-        for key, coeff in a_action(i, tensor).items():
-            c = coeff.scale(half)
-            prev = nabla.get((i,) + key)
-            nabla[(i,) + key] = c if prev is None else prev + c
+    nabla = {
+        (i,) + key: coeff for i in range(M_DIM) for key, coeff in _half_torsion(i, tensor).items()
+    }
     for a in range(M_DIM):
         for b in range(M_DIM):
             for c in range(M_DIM):
@@ -318,7 +300,6 @@ def killing_check(t1, t2, t3) -> bool:
 
 @dataclass(frozen=True)
 class RigidityReport:
-    pairing: Scalar
     pairing_nonzero: bool
     critical_points_exist: bool
     rigid: bool
@@ -375,7 +356,6 @@ def rigidity_verdict(pairing: Scalar | None = None) -> RigidityReport:
     rigid = nonzero
     status = "rigid" if rigid else "undetermined-by-second-order"
     return RigidityReport(
-        pairing=pairing,
         pairing_nonzero=nonzero,
         critical_points_exist=False,
         rigid=rigid,

@@ -6,10 +6,11 @@ by the catalog inner product Q, so Casimir constants come out in the
 normalization used throughout (Freudenthal's formula, cross-checked by
 brute force on the explicit representations).
 
-Freudenthal's recursion runs in plain integers: its inner products are
-scaled by the common denominator of the inverse Gram matrix and taken on
-doubled shifted weights, and membership of the simple-root cone is read
-off the inverse of the simple-root matrix, cleared of denominators.
+Freudenthal's recursion, the Weyl dimension and the Casimir constant run
+in plain integers: their inner products (_dual) are scaled by the common
+denominator of the inverse Gram matrix and taken on doubled shifted
+weights, and membership of the simple-root cone is read off the inverse
+of the simple-root matrix, cleared of denominators.
 """
 
 from __future__ import annotations
@@ -30,18 +31,7 @@ class GroupData:
     gram_t: tuple            # Gram of Q on the torus basis (Fractions)
     simple_roots: tuple
     positive_roots: tuple
-    delta: tuple             # half sum of positive roots (Fractions)
-
-    def dual_ip(self, u, v) -> Fraction:
-        gi, d = _GRAM_INV[self.name]
-        total = Fraction(0)
-        for a in range(self.rank):
-            if not u[a]:
-                continue
-            for b in range(self.rank):
-                if v[b]:
-                    total += Fraction(u[a]) * gi[a][b] * Fraction(v[b])
-        return total / d
+    two_delta: tuple         # sum of positive roots, i.e. twice delta
 
 
 def _integral_inverse(m) -> tuple:
@@ -76,7 +66,7 @@ _register(
         ),
         simple_roots=((2, 0, 0), (0, 2, 0), (0, 0, 2)),
         positive_roots=((2, 0, 0), (0, 2, 0), (0, 0, 2)),
-        delta=(Fraction(1), Fraction(1), Fraction(1)),
+        two_delta=(2, 2, 2),
     )
 )
 
@@ -87,7 +77,7 @@ _register(
         gram_t=((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))),
         simple_roots=((1, -1), (0, 1)),
         positive_roots=((1, -1), (0, 1), (1, 0), (1, 1)),
-        delta=(Fraction(3, 2), Fraction(1, 2)),
+        two_delta=(3, 1),
     )
 )
 
@@ -98,9 +88,21 @@ _register(
         gram_t=((Fraction(1), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(1))),
         simple_roots=((2, -1), (-1, 2)),
         positive_roots=((2, -1), (-1, 2), (1, 1)),
-        delta=(Fraction(1), Fraction(1)),
+        two_delta=(2, 2),
     )
 )
+
+
+def _dual(group: str, u, v) -> int:
+    """D * <u, v> in the Q-dual inner product, for integral weights u, v,
+    with D the common denominator of G^-1."""
+    gi, _ = _GRAM_INV[group]
+    return sum(u[a] * gi[a][b] * v[b] for a in range(len(u)) for b in range(len(v)))
+
+
+def _doubled_shift(group: str, label: tuple) -> tuple:
+    """2 (label + delta), an integral weight."""
+    return tuple(2 * x + d for x, d in zip(label, GROUPS[group].two_delta))
 
 
 def check_label(group: str, label: tuple) -> tuple:
@@ -145,12 +147,11 @@ def weight_system(group: str, label: tuple) -> dict:
     g = GROUPS[group]
     hw = label
     gi, _ = _GRAM_INV[group]
-    two_delta = tuple(int(2 * d) for d in g.delta)
 
     def norm4(lam):
         """4D * |lam + delta|^2."""
-        v = [2 * x + d for x, d in zip(lam, two_delta)]
-        return sum(v[a] * gi[a][b] * v[b] for a in range(g.rank) for b in range(g.rank))
+        v = _doubled_shift(group, lam)
+        return _dual(group, v, v)
 
     # D * G^-1 alpha, so that D * <mu, alpha> is a dot product.
     root_duals = [
@@ -212,27 +213,27 @@ def _within(hw, mu, g: GroupData) -> bool:
 
 
 def dim(group: str, label: tuple) -> int:
-    """Weyl dimension formula."""
+    """Weyl dimension formula, prod <lam + delta, alpha> / <delta, alpha>
+    over the positive roots, on doubled shifted weights."""
     label = check_label(group, label)
     g = GROUPS[group]
-    hw_shift = tuple(Fraction(x) + d for x, d in zip(label, g.delta))
-    num = Fraction(1)
-    den = Fraction(1)
-    for alpha in g.positive_roots:
-        num *= g.dual_ip(hw_shift, alpha)
-        den *= g.dual_ip(g.delta, alpha)
-    d = num / den
-    if d.denominator != 1 or d <= 0:
-        raise ArithmeticError(f"bad dimension {d} for {group} {label}")
-    return int(d)
+    shift = _doubled_shift(group, label)
+    num = math.prod(_dual(group, shift, alpha) for alpha in g.positive_roots)
+    den = math.prod(_dual(group, g.two_delta, alpha) for alpha in g.positive_roots)
+    d, rem = divmod(num, den)
+    if rem or d <= 0:
+        raise ArithmeticError(f"bad dimension {Fraction(num, den)} for {group} {label}")
+    return d
 
 
 def casimir_constant(group: str, label: tuple) -> Fraction:
-    """Casimir eigenvalue <hw, hw + 2 delta> in the Q-dual inner product."""
+    """Casimir eigenvalue <hw, hw + 2 delta> = |hw + delta|^2 - |delta|^2
+    in the Q-dual inner product."""
     label = check_label(group, label)
-    g = GROUPS[group]
-    two_delta = tuple(2 * d for d in g.delta)
-    return g.dual_ip(label, label) + g.dual_ip(label, two_delta)
+    _, d = _GRAM_INV[group]
+    shift = _doubled_shift(group, label)
+    two_delta = GROUPS[group].two_delta
+    return Fraction(_dual(group, shift, shift) - _dual(group, two_delta, two_delta), 4 * d)
 
 
 def enumerate_labels(group: str, max_cas: Fraction) -> list:

@@ -57,12 +57,10 @@ def _isqrt_exact(n: int):
 
 @dataclass(frozen=True)
 class MuValues:
-    eps: Fraction
     case: str              # generic | eps6 | eps25over4 | empty
-    mu1: Fraction | None
+    mu1: Fraction | None   # None when irrational or not read by the case
     mu2: Fraction | None
     mu3: Fraction | None
-    exact: bool            # mu1, mu2 rational?
 
 
 def mu_values(eps) -> MuValues:
@@ -70,16 +68,16 @@ def mu_values(eps) -> MuValues:
     mu_{1,2} = 7 - eps +/- sqrt(25 - 4 eps) and mu_3 = 6 - eps."""
     eps = Fraction(eps)
     if eps > CRITICAL_EPS:
-        return MuValues(eps, "empty", None, None, None, True)
+        return MuValues("empty", None, None, None)
     mu3 = Fraction(6) - eps
     if eps == CRITICAL_EPS:
-        return MuValues(eps, "eps25over4", Fraction(3, 4), Fraction(3, 4), mu3, True)
+        return MuValues("eps25over4", Fraction(3, 4), Fraction(3, 4), mu3)
     if eps == 6:
-        return MuValues(eps, "eps6", None, None, Fraction(0), True)
+        return MuValues("eps6", None, None, Fraction(0))
     s = _sqrt_fraction(Fraction(25) - 4 * eps)
     if s is None:
-        return MuValues(eps, "generic", None, None, mu3, False)
-    return MuValues(eps, "generic", Fraction(7) - eps + s, Fraction(7) - eps - s, mu3, True)
+        return MuValues("generic", None, None, mu3)
+    return MuValues("generic", Fraction(7) - eps + s, Fraction(7) - eps - s, mu3)
 
 
 def eigenspace_sources(eps, e_dims: dict, b3: int) -> list:
@@ -142,7 +140,6 @@ class StabilityReport:
     destabilizing: tuple   # tuple of DestabilizingSpace
     coindex: int
     ied_dim: int
-    coclosed_spectrum: tuple  # ((mu, dim E(mu)) ...) below the threshold
     casimir_rows: tuple    # ((label, dim, casimir, hom_dim, coclosed_dim) ...)
 
     def to_jsonable(self) -> dict:
@@ -220,6 +217,5 @@ def assemble_report(space_name: str, rows: list) -> StabilityReport:
         destabilizing=tuple(destabilizing),
         coindex=sum(solution_dim(eps, e_dims, b3) for eps in candidates),
         ied_dim=ied_dim,
-        coclosed_spectrum=tuple(sorted(e_dims.items())),
         casimir_rows=tuple(rows),
     )

@@ -122,17 +122,6 @@ class SymPoly:
             return False
         return k is None or degs == {k}
 
-    def substitute(self, values: list) -> Scalar:
-        """Evaluate at scalar values for the nine generators."""
-        total = ZERO
-        for m, c in self.terms.items():
-            term = c
-            for k, e in enumerate(m):
-                for _ in range(e):
-                    term = term * values[k]
-            total = total + term
-        return total
-
     def substitute_polys(self, values: list) -> "SymPoly":
         """Substitute polynomials for the generators."""
         total = SymPoly()
@@ -287,19 +276,14 @@ def reduce_v_cubic(p: SymPoly) -> SymPoly:
         )
         if permuted != pv:
             raise ValueError("pure-v part is not symmetric; no canonical form")
-    # On e1 = 0 a symmetric cubic is c * e3; sample at (1, 1, -2) where
-    # e3 = -2, and cross-check at (1, -1, 0) where e3 = 0.
-    one = ONE
-    probe0 = pv.substitute([one, -one, ZERO] + [ZERO] * 6)
-    if probe0:
-        raise ArithmeticError("symmetric cubic reduction failed consistency probe")
-    val = pv.substitute([one, one, Scalar.from_fraction(-2)] + [ZERO] * 6)
-    coeff = val * Scalar.from_fraction(Fraction(-1, 2))
-    mono = (1, 1, 1, 0, 0, 0, 0, 0, 0)
-    out = SymPoly(rest)
-    if coeff:
-        out = out + SymPoly({mono: coeff})
-    return out
+    # On e1 = 0 a symmetric cubic is c * e3, and eliminating v3 turns e3
+    # into -v1^2 v2 - v1 v2^2, so c is read off the coefficient of v1^2 v2.
+    reduced = eliminate_v3(pv)
+    coeff = -reduced.terms.get((2, 1, 0, 0, 0, 0, 0, 0, 0), ZERO)
+    cubic = SymPoly({(1, 1, 1, 0, 0, 0, 0, 0, 0): coeff})
+    if reduced != eliminate_v3(cubic):
+        raise ArithmeticError("symmetric cubic is not a multiple of v1 v2 v3 modulo the trace")
+    return SymPoly(rest) + cubic
 
 
 def eliminate_v3(p: SymPoly) -> SymPoly:

@@ -7,11 +7,21 @@ convenience for writing one; none of them runs under a command.
 from fractions import Fraction
 
 from gray_stability import linalg
-from gray_stability.exterior import Form, contract, form_add, form_lin_comb, form_scale, wedge2
-from gray_stability.forms import lambda11_0
+from gray_stability.branching import decompose_weights
+from gray_stability.exterior import (
+    Form,
+    _permutation_sign,
+    contract,
+    form_add,
+    form_lin_comb,
+    form_scale,
+    wedge2,
+)
+from gray_stability.forms import HRep, _h_action_matrices, _span_coords, _weight_multiset, lambda11_0
 from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, build_space
 from gray_stability.obstruction import _frame, coordinate_poly
+from gray_stability.reps import _GRAM_INV, GROUPS, check_label
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from gray_stability.stability import _sqrt_fraction
 from gray_stability.sympoly import SymPoly, eliminate_v3
@@ -46,7 +56,67 @@ def trace(a) -> Scalar:
     return s
 
 
+# -- exterior algebra --------------------------------------------------------
+
+def derivation_reference(m: list, form: Form) -> Form:
+    """The endomorphism m of the base space extended to a k-vector as a
+    derivation, sorting each key as it is made."""
+    out: Form = {}
+    for key, coeff in form.items():
+        for slot, idx in enumerate(key):
+            for w in range(len(m)):
+                c = m[w][idx]
+                if not c:
+                    continue
+                new = key[:slot] + (w,) + key[slot + 1 :]
+                if len(set(new)) != len(new):
+                    continue
+                order = sorted(range(len(new)), key=lambda s: new[s])
+                val = coeff * c if _permutation_sign(order) == 1 else -(coeff * c)
+                skey = tuple(sorted(new))
+                s = out.get(skey)
+                s = val if s is None else s + val
+                if s:
+                    out[skey] = s
+                else:
+                    out.pop(skey, None)
+    return out
+
+
 # -- representations ---------------------------------------------------------
+
+def dual_ip(group: str, u, v) -> Fraction:
+    """<u, v> in the Q-dual inner product, in Fractions."""
+    gi, d = _GRAM_INV[group]
+    total = Fraction(0)
+    for a in range(GROUPS[group].rank):
+        for b in range(GROUPS[group].rank):
+            total += Fraction(u[a]) * gi[a][b] * Fraction(v[b])
+    return total / d
+
+
+def _delta(group: str) -> tuple:
+    return tuple(Fraction(x, 2) for x in GROUPS[group].two_delta)
+
+
+def weyl_dim_reference(group: str, label: tuple) -> Fraction:
+    """prod over the positive roots of <label + delta, alpha> / <delta, alpha>."""
+    label = check_label(group, label)
+    delta = _delta(group)
+    shift = tuple(x + d for x, d in zip(label, delta))
+    out = Fraction(1)
+    for alpha in GROUPS[group].positive_roots:
+        out *= dual_ip(group, shift, alpha) / dual_ip(group, delta, alpha)
+    return out
+
+
+def casimir_reference(group: str, label: tuple) -> Fraction:
+    """<label, label> + <label, 2 delta>."""
+    label = check_label(group, label)
+    two_delta = tuple(2 * d for d in _delta(group))
+    return dual_ip(group, label, label) + dual_ip(group, label, two_delta)
+
+
 
 def weyl_generators(group: str):
     if group == "k3":
@@ -89,6 +159,28 @@ def decomposition_dim(h_type: str, decomposition: dict) -> int:
 
 # -- isotropy modules and Fourier coefficients -------------------------------
 
+def lambda11(space_name: str) -> HRep:
+    """m^+ wedge m^-, the full (1,1) module (dimension 9)."""
+    space = build_space(space_name)
+    vectors = []
+    weights = []
+    for p, wp in space.m_plus_weights:
+        for q, wq in space.m_minus_weights:
+            vectors.append(wedge2(p, q))
+            weights.append(tuple(a + b for a, b in zip(wp, wq)))
+    return HRep(
+        vectors=tuple(vectors),
+        weights=tuple(weights),
+        h_matrices=tuple(_h_action_matrices(space, vectors)),
+        decomposition=decompose_weights(space.h_type, _weight_multiset(weights)),
+    )
+
+
+def coords_of(rep: HRep, form: Form) -> list:
+    """Coordinates of a 2-vector lying in the span of the module."""
+    return _span_coords(rep.vectors, form)
+
+
 def trivial_summand_basis(space_name: str) -> list:
     """Basis of the isotropy-fixed subspace of lambda11_0, as 2-vectors."""
     rep = lambda11_0(space_name)
@@ -130,7 +222,7 @@ def s3xs3_display_generator() -> tuple:
         form_scale(inv_s2, b1),
         form_scale(inv_s2, form_add(b2, form_scale(I, b3))),
     ]
-    return linalg.transpose([target.coords_of(c) for c in cols])
+    return linalg.transpose([coords_of(target, c) for c in cols])
 
 
 def flag_invariant_coefficient() -> tuple:
@@ -144,7 +236,7 @@ def flag_invariant_coefficient() -> tuple:
     col_t1 = {(4, 5): half, (2, 3): half}
     col_t2 = {(2, 3): -half, (0, 1): -half}
     cols = [col_t1, col_t2] + [{}] * 6
-    return linalg.transpose([target.coords_of(c) for c in cols])
+    return linalg.transpose([coords_of(target, c) for c in cols])
 
 
 def cp3_contraction_ratio(d: tuple):
@@ -205,6 +297,18 @@ def matrix_a_eigenvalues(eps):
 
 
 # -- the obstruction ---------------------------------------------------------
+
+def substitute(p: SymPoly, values: list) -> Scalar:
+    """Evaluate p at scalar values for the nine generators."""
+    total = ZERO
+    for m, c in p.terms.items():
+        term = c
+        for k, e in enumerate(m):
+            for _ in range(e):
+                term = term * values[k]
+        total = total + term
+    return total
+
 
 def equal_mod_trace(p: SymPoly, q: SymPoly) -> bool:
     return eliminate_v3(p - q) == SymPoly.zero()

@@ -1,12 +1,16 @@
 """Command-line interface behavior and output determinism."""
 
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from gray_stability.cli import main
 from gray_stability.reps import casimir_constant
+
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _run(capsys, *argv):
@@ -55,6 +59,18 @@ def test_delta_command(capsys):
     doc = json.loads(out)
     assert doc["hom_dim"] == 1 and doc["coclosed_dim"] == 0
     assert doc["generators"][0]["delta_is_zero"] is False
+
+
+@pytest.mark.parametrize(
+    "space,gamma", [("s3xs3", "1,1,0"), ("cp3", "1,0"), ("flag", "1,1")]
+)
+def test_delta_matches_golden(capsys, space, gamma):
+    # the delta matrices are printed in the basis of the primitive (1,1)
+    # module, so they pin its construction and its isotropy matrices
+    code, out = _run(capsys, "delta", "--space", space, "--gamma", gamma, "--format", "json")
+    assert code == 0
+    name = f"golden_delta_{space}_{gamma.replace(',', '_')}.json"
+    assert out == (DATA / name).read_text(encoding="utf-8")
 
 
 def test_coindex_json_schema(capsys):

@@ -18,6 +18,7 @@ from oracles import (
     J,
     check_equivariance,
     coclosed_basis,
+    coords_of,
     cp3_contraction_ratio,
     flag_invariant_coefficient,
     s3xs3_display_generator,
@@ -122,7 +123,7 @@ def _tensor_generator_oracle():
         combo(ZERO, ZERO, -(two_s2 * I)),      # z2 (x) z1
         combo(-(two_s2 * I), two_s2, ZERO),    # z2 (x) z2  ->  2 E_21
     ]
-    coords = [target.coords_of(c) for c in cols]
+    coords = [coords_of(target, c) for c in cols]
     return linalg.transpose(coords)
 
 

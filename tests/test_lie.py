@@ -99,7 +99,6 @@ def test_betti_numbers_and_constants():
         space = build_space(name)
         assert space.betti == betti
         assert space.einstein_constant == 5
-        assert space.scalar_curvature == 30
 
 
 def test_psi_minus_flag_coefficients():

@@ -177,7 +177,7 @@ def test_matrix_reconstruction_round_trip():
 
 def test_rigidity_verdict():
     report = rigidity_verdict()
-    assert report.pairing == rational(256, 3)
+    assert obstruction_pairing() == rational(256, 3)
     assert report.pairing_nonzero
     assert not report.critical_points_exist
     assert report.rigid

@@ -19,7 +19,7 @@ from gray_stability.reps import (
     weight_system,
 )
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar
-from oracles import J, validate_rep, weyl_generators
+from oracles import J, casimir_reference, validate_rep, weyl_dim_reference, weyl_generators
 
 
 SUPPORTED = [
@@ -83,6 +83,13 @@ def test_dimensions():
     assert dim("su3", (1, 0)) == 3
     assert dim("su3", (1, 1)) == 8
     assert dim("su3", (0, 0)) == 1
+
+
+def test_integer_dim_and_casimir_match_fraction_references():
+    for group in GROUPS:
+        for label in enumerate_labels(group, 200):
+            assert dim(group, label) == weyl_dim_reference(group, label), (group, label)
+            assert casimir_constant(group, label) == casimir_reference(group, label), (group, label)
 
 
 def test_weight_system_totals_match_dimension():

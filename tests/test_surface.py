@@ -1,10 +1,17 @@
 """Every function, method, class and module constant of the library has a
-caller inside the library.
+caller inside the library, and every field of a dataclass is read there.
 
 Reference code that only the tests need lives in ``tests/oracles.py``;
 the library keeps what its commands run.  The scan is by name: a
 definition counts as used when some ``Name`` or ``Attribute`` anywhere in
-``src/gray_stability`` outside the definition itself spells its name.
+``src/gray_stability`` outside the definition itself spells its name, and
+a field of a ``@dataclass`` counts as read when some attribute load
+(``x.field``) there spells its name; passing it to the constructor is not
+a read.
+
+Known limit: matching is by bare name, so a definition or a field that
+shares its name with a used one (say a field ``name`` beside every
+``space.name``) passes unseen.
 """
 
 import ast
@@ -47,6 +54,23 @@ def _definitions(module: str, tree: ast.Module):
                     yield f"{module}.{name.id}", name.id, None
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _fields(module: str, tree: ast.Module):
+    """(qualified name, bare name) of every field of a dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{module}.{node.name}.{item.target.id}", item.target.id
+
+
 def _references(node) -> Counter:
     names = Counter()
     for sub in ast.walk(node):
@@ -62,8 +86,15 @@ def unreferenced(src: pathlib.Path = SRC) -> list:
     used = Counter()
     for tree in trees.values():
         used += _references(tree)
+    read = {
+        sub.attr
+        for tree in trees.values()
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
     out = []
     for module, tree in trees.items():
+        out += [qualname for qualname, name in _fields(module, tree) if name not in read]
         for qualname, name, node in _definitions(module, tree):
             if _dunder(name):
                 continue
@@ -101,3 +132,24 @@ def test_scan_sees_functions_methods_classes_and_constants(tmp_path):
         encoding="utf-8",
     )
     assert unreferenced(tmp_path) == ["a.Box.spare", "a.Spare", "a.UNUSED", "a.orphan"]
+
+
+def test_scan_sees_unread_dataclass_fields(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Point:\n"
+        "    x: int\n"
+        "    y: int\n"
+        "    label: str\n"
+        "@dataclass\n"
+        "class Pair:\n"
+        "    first: int\n"
+        "class Plain:\n"
+        "    z: int\n"
+        "def show(p):\n"
+        "    return p.y + Pair(first=1).first + Point(1, 2, label='p').x\n"
+        "VALUE = show(Plain())\n",
+        encoding="utf-8",
+    )
+    assert unreferenced(tmp_path) == ["a.Point.label", "a.VALUE"]
