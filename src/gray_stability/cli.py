@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .branching import format_h_label, restrict
+from .branching import format_h_label, hom_dim, restrict
 from .forms import lambda11_0
 from .fourier import delta_kernel, hom_basis, m_complex_coords, proto_delta
 from .lie import SPACE_NAMES, build_space, validate_space
@@ -51,32 +51,43 @@ class UsageError(ValueError):
     """Bad space/label input; mapped to exit status 2."""
 
 
+MAX_CUTOFF = 200
+
+
 def _parse_label(space, text: str) -> tuple:
+    """A --gamma label of the space's group whose Casimir constant is at
+    most MAX_CUTOFF: the weight system grows with the label, so the bound
+    of --max bounds the work of a single label too."""
     try:
         parts = tuple(int(x) for x in text.replace("(", "").replace(")", "").split(","))
     except ValueError as exc:
         raise UsageError(f"cannot parse label {text!r}") from exc
     try:
-        return check_label(space.group, parts)
+        label = check_label(space.group, parts)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    cas = casimir_constant(space.group, label)
+    if cas > MAX_CUTOFF:
+        raise UsageError(f"label {text} has Casimir constant {cas} above {MAX_CUTOFF}")
+    return label
 
 
-MAX_CUTOFF = 200
-
-
-def _parse_max(text: str) -> Fraction:
-    """The --max Casimir cutoff: a rational between 0 and MAX_CUTOFF.
-
-    The exponent of decimal notation is bounded before parsing, because
-    Fraction would expand 1e999999999 into a billion-digit integer."""
+def _parse_rational(text: str, option: str) -> Fraction:
+    """A rational option value.  The exponent of decimal notation is
+    bounded before parsing, because Fraction would expand 1e999999999
+    into a billion-digit integer."""
     _, _, exponent = text.lower().partition("e")
     try:
         if exponent and abs(int(exponent)) > 1000:
             raise ValueError("exponent out of range")
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse --max {text!r}: {exc}") from exc
+        raise UsageError(f"cannot parse {option} {text!r}: {exc}") from exc
+
+
+def _parse_max(text: str) -> Fraction:
+    """The --max Casimir cutoff: a rational between 0 and MAX_CUTOFF."""
+    value = _parse_rational(text, "--max")
     if not 0 <= value <= MAX_CUTOFF:
         raise UsageError(f"--max must lie between 0 and {MAX_CUTOFF}, got {text}")
     return value
@@ -120,8 +131,6 @@ def branch_doc(space_name: str, gamma: tuple | None, max_cas: Fraction) -> dict:
 
 
 def homdim_doc(space_name: str, gamma: tuple) -> dict:
-    from .branching import hom_dim
-
     space = build_space(space_name)
     target = lambda11_0(space_name)
     return {
@@ -432,10 +441,7 @@ def _dispatch(args) -> int:
         _emit(doc, _render_obstruction(doc), args)
         return 0
     if cmd == "killing":
-        try:
-            triple = [Fraction(x) for x in args.t.split(",")]
-        except ValueError as exc:
-            raise UsageError(f"cannot parse --t {args.t!r}") from exc
+        triple = [_parse_rational(x, "--t") for x in args.t.split(",")]
         if len(triple) != 3:
             raise UsageError("--t needs three rationals")
         if sum(triple) != 0:

@@ -9,7 +9,7 @@ invariant metric, which holds for every catalog space.
 
 from __future__ import annotations
 
-from .scalars import Scalar
+from .scalars import ZERO, Scalar
 
 Form = dict  # dict[tuple[int, ...], Scalar]
 
@@ -154,8 +154,6 @@ def contract(x: list, form: Form) -> Form:
 def form_inner(a: Form, b: Form) -> Scalar:
     """Bilinear inner product induced by the orthonormal base frame:
     <u1 ^ u2, w1 ^ w2> = <u1,w1><u2,w2> - <u1,w2><u2,w1>, etc."""
-    from .scalars import ZERO
-
     total = ZERO
     small, large = (a, b) if len(a) <= len(b) else (b, a)
     for key, va in small.items():

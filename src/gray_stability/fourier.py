@@ -82,7 +82,7 @@ def proto_delta(
         m_basis = linalg.identity(md)
     out: dict = {}
     for e in m_basis:
-        rho = linalg.lin_comb(space.g_coords_of_m_coords(e), rep)
+        rho = linalg.lin_comb(e, rep[space.h_dim :])
         composed = linalg.mat_mul(f, rho)
         for v in range(vd):
             col = [composed[w][v] for w in range(target.dim)]

@@ -2,7 +2,7 @@
 
 Each space is hard-coded from an explicit matrix realization: basis of the
 symmetry algebra (isotropy subalgebra first, then an orthonormal basis of
-the reductive complement m), exact structure constants, the invariant
+the reductive complement m), its exact adjoint matrices, the invariant
 inner product, the splitting of the complexified complement into the
 almost-complex eigenspaces, the Kaehler 2-vector and (for the flag
 manifold) the imaginary part of the complex volume form.
@@ -22,39 +22,12 @@ SPACE_NAMES = ("s3xs3", "cp3", "flag")
 
 @dataclass(frozen=True)
 class LieAlgebraData:
-    """Basis, structure constants and invariant inner product of g."""
+    """Basis, adjoint matrices and invariant inner product of g."""
 
     dim: int
     basis_matrices: tuple
-    structure: tuple  # structure[a][b] = coordinates of [basis_a, basis_b]
-    gram: tuple       # gram[a][b] = Q(basis_a, basis_b)
-
-    def bracket_coords(self, x: list, y: list) -> list:
-        out = [ZERO] * self.dim
-        for a in range(self.dim):
-            xa = x[a]
-            if not xa:
-                continue
-            for b in range(self.dim):
-                yb = y[b]
-                if not yb:
-                    continue
-                c = xa * yb
-                for k, s in enumerate(self.structure[a][b]):
-                    if s:
-                        out[k] = out[k] + c * s
-        return out
-
-    def inner_coords(self, x: list, y: list) -> Scalar:
-        total = ZERO
-        for a in range(self.dim):
-            xa = x[a]
-            if not xa:
-                continue
-            for b in range(self.dim):
-                if y[b] and self.gram[a][b]:
-                    total = total + xa * y[b] * self.gram[a][b]
-        return total
+    ad: tuple    # ad[a] = matrix of ad(basis_a); column b = coordinates of [basis_a, basis_b]
+    gram: tuple  # gram[a][b] = Q(basis_a, basis_b)
 
 
 @dataclass(frozen=True)
@@ -81,33 +54,19 @@ class ReductiveSpace:
     einstein_constant: Fraction
     betti: tuple                # (b2, b3)
 
-    # -- coordinate helpers -------------------------------------------
-
-    def g_coords_of_m_index(self, a: int) -> tuple:
-        return linalg.identity(self.algebra.dim)[self.h_dim + a]
-
-    def g_coords_of_h_coords(self, h: list) -> list:
-        return list(h) + [ZERO] * self.m_dim
-
-    def g_coords_of_m_coords(self, m: list) -> list:
-        return [ZERO] * self.h_dim + list(m)
-
     def kahler_form(self) -> Form:
         return dict(self.kahler)
 
     def psi_minus_form(self) -> Form:
         return dict(self.psi_minus) if self.psi_minus is not None else {}
 
-    def ad_m_of_h(self, h_coords: list) -> list:
+    def ad_m_of_h(self, h_coords: list) -> tuple:
         """Matrix of ad(X) on m, in the orthonormal m-basis, for X in h."""
-        x = self.g_coords_of_h_coords(h_coords)
-        cols = []
-        for a in range(self.m_dim):
-            br = self.algebra.bracket_coords(x, self.g_coords_of_m_index(a))
-            if any(br[: self.h_dim]):
-                raise ValueError(f"{self.name}: [h, m] leaves m")
-            cols.append(br[self.h_dim :])
-        return linalg.transpose(cols)
+        hd = self.h_dim
+        ad = linalg.lin_comb(h_coords, self.algebra.ad[:hd])
+        if any(any(row[hd:]) for row in ad[:hd]):
+            raise ValueError(f"{self.name}: [h, m] leaves m")
+        return tuple(row[hd:] for row in ad[hd:])
 
 
 def _conjugate(v: tuple) -> tuple:
@@ -120,21 +79,20 @@ def _conjugate_side(m_plus: tuple, plus_w: tuple) -> tuple:
     return tuple(map(_conjugate, m_plus)), minus_w
 
 
-def _structure_and_gram(mats: tuple, ip) -> tuple:
+def _ad_and_gram(mats: tuple, ip) -> tuple:
     dim = len(mats)
     gram = linalg.from_entries(
         dim, {(a, b): ip(mats[a], mats[b]) for a in range(dim) for b in range(dim)}
     )
     gram_inv = linalg.inverse(gram)
-    structure = []
-    for a in range(dim):
-        row = []
-        for b in range(dim):
-            c = linalg.commutator(mats[a], mats[b])
-            rhs = [ip(c, mats[k]) for k in range(dim)]
-            row.append(tuple(linalg.mat_vec(gram_inv, rhs)))
-        structure.append(tuple(row))
-    return tuple(structure), gram
+    ad = tuple(
+        linalg.transpose(
+            linalg.mat_vec(gram_inv, [ip(c, m) for m in mats])
+            for c in (linalg.commutator(x, y) for y in mats)
+        )
+        for x in mats
+    )
+    return ad, gram
 
 
 def _trace_form(scale: Fraction):
@@ -169,8 +127,8 @@ def _build_s3xs3() -> ReductiveSpace:
     h_mats = tuple(linalg.kron(linalg.identity(3), ya) for ya in y)
     m_mats = tuple(linalg.kron(c, ya) for ya in y for c in (u_coeffs, w_coeffs))
     mats = h_mats + m_mats  # d1, d2, d3, u1, w1, u2, w2, u3, w3
-    structure, gram = _structure_and_gram(mats, _trace_form(Fraction(-1, 3)))
-    algebra = LieAlgebraData(9, mats, structure, gram)
+    ad, gram = _ad_and_gram(mats, _trace_form(Fraction(-1, 3)))
+    algebra = LieAlgebraData(9, mats, ad, gram)
 
     inv_s2 = SQRT2.inverse()
     i_inv_s2 = I * inv_s2
@@ -232,8 +190,8 @@ def _build_cp3() -> ReductiveSpace:
     h_mats = (t1, t2, a, b)
     m_mats = tuple(linalg.mat_scale(SQRT2, ei) for ei in e) + (f1, f2)
     mats = h_mats + m_mats
-    structure, gram = _structure_and_gram(mats, _trace_form(Fraction(-1, 4)))
-    algebra = LieAlgebraData(10, mats, structure, gram)
+    ad, gram = _ad_and_gram(mats, _trace_form(Fraction(-1, 4)))
+    algebra = LieAlgebraData(10, mats, ad, gram)
 
     inv_s2 = SQRT2.inverse()
     i_inv_s2 = I * inv_s2
@@ -284,8 +242,8 @@ def _su3_frame_mats() -> tuple:
 
 def _build_flag() -> ReductiveSpace:
     mats = _su3_frame_mats()
-    structure, gram = _structure_and_gram(mats, _trace_form(Fraction(-1, 2)))
-    algebra = LieAlgebraData(8, mats, structure, gram)
+    ad, gram = _ad_and_gram(mats, _trace_form(Fraction(-1, 2)))
+    algebra = LieAlgebraData(8, mats, ad, gram)
 
     p1 = (ONE, -I, ZERO, ZERO, ZERO, ZERO)   # e1 - i e2
     p2 = (ZERO, ZERO, ONE, I, ZERO, ZERO)    # e3 + i e4
@@ -337,41 +295,26 @@ def build_space(name: str) -> ReductiveSpace:
 
 def validate_algebra(alg: LieAlgebraData) -> dict:
     """Run the structural checks; failures are reported, not raised."""
-    dim = alg.dim
-    checks = {}
-
-    ok = True
-    for a in range(dim):
-        for b in range(dim):
-            for k in range(dim):
-                if alg.structure[a][b][k] != -alg.structure[b][a][k]:
-                    ok = False
-    checks["antisymmetry"] = ok
-
-    basis = linalg.identity(dim)
-
-    ok = True
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            for c in range(b + 1, dim):
-                s = [ZERO] * dim
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    term = alg.bracket_coords(basis[x], alg.bracket_coords(basis[y], basis[z]))
-                    s = [p + q for p, q in zip(s, term)]
-                if any(s):
-                    ok = False
-    checks["jacobi"] = ok
-
-    ok = True
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                lhs = alg.inner_coords(alg.bracket_coords(basis[a], basis[b]), basis[c])
-                rhs = alg.inner_coords(basis[b], alg.bracket_coords(basis[a], basis[c]))
-                if lhs + rhs != ZERO:
-                    ok = False
-    checks["ad_invariance"] = ok
-    return checks
+    ad, g = alg.ad, alg.gram
+    cols = [linalg.transpose(x) for x in ad]  # cols[a][b] = [basis_a, basis_b]
+    pairs = [(a, b) for a in range(alg.dim) for b in range(alg.dim)]
+    return {
+        "antisymmetry": all(cols[a][b] == tuple(-x for x in cols[b][a]) for a, b in pairs),
+        # ad is a homomorphism, ad([X_a, X_b]) = [ad_a, ad_b]; with
+        # antisymmetry the pairs a < b suffice, and this is Jacobi.
+        "jacobi": all(
+            linalg.mat_eq(linalg.lin_comb(cols[a][b], ad), linalg.commutator(ad[a], ad[b]))
+            for a, b in pairs
+            if a < b
+        ),
+        # Q([X_a, y], z) + Q(y, [X_a, z]) = 0: ad_a^T G + G ad_a = 0
+        "ad_invariance": all(
+            linalg.is_zero_matrix(
+                linalg.mat_add(linalg.mat_mul(linalg.transpose(x), g), linalg.mat_mul(g, x))
+            )
+            for x in ad
+        ),
+    }
 
 
 def validate_space(space: ReductiveSpace) -> dict:
@@ -386,23 +329,8 @@ def validate_space(space: ReductiveSpace) -> dict:
         alg.gram[i][hd + a] == ZERO for i in range(hd) for a in range(md)
     )
 
-    basis = linalg.identity(alg.dim)
-
-    ok = True
-    for i in range(hd):
-        for a in range(md):
-            br = alg.bracket_coords(basis[i], basis[hd + a])
-            if any(br[:hd]):
-                ok = False
-    checks["reductivity"] = ok
-
-    ok = True
-    for i in range(hd):
-        for j in range(hd):
-            br = alg.bracket_coords(basis[i], basis[j])
-            if any(br[hd:]):
-                ok = False
-    checks["h_subalgebra"] = ok
+    checks["reductivity"] = not any(any(row[hd:]) for x in alg.ad[:hd] for row in x[:hd])
+    checks["h_subalgebra"] = not any(any(row[:hd]) for x in alg.ad[:hd] for row in x[hd:])
 
     plus, minus = space.m_plus, space.m_minus
     checks["m_pm_conjugate_swap"] = all(_conjugate(p) in minus for p in plus) and all(

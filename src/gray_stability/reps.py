@@ -308,7 +308,7 @@ def explicit_rep(space: ReductiveSpace, label: tuple) -> tuple:
     if label == (1, 0):
         return alg.basis_matrices
     if label == (1, 1):
-        return tuple(linalg.transpose(alg.structure[a]) for a in range(alg.dim))
+        return alg.ad
     if label == (0, 1) and space.group == "su3":
         return tuple(linalg.transpose([-x for x in row] for row in m) for m in alg.basis_matrices)
     raise UnsupportedLabel(f"unsupported {space.group} label {label}")

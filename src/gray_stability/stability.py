@@ -33,6 +33,7 @@ from .branching import hom_dim
 from .forms import lambda11_0
 from .fourier import coclosed_dim
 from .lie import ReductiveSpace, build_space
+from .render import fraction_jsonable
 from .reps import casimir_constant, dim, enumerate_labels
 
 CRITICAL_EPS = Fraction(25, 4)
@@ -143,8 +144,6 @@ class StabilityReport:
     casimir_rows: tuple    # ((label, dim, casimir, hom_dim, coclosed_dim) ...)
 
     def to_jsonable(self) -> dict:
-        from .render import fraction_jsonable
-
         return {
             "space": self.space,
             "destabilizing": [

@@ -135,8 +135,9 @@ def validate_rep(space: ReductiveSpace, rep: tuple) -> bool:
     """Homomorphism property on all pairs of symmetry-algebra basis vectors."""
     alg = space.algebra
     for a in range(alg.dim):
+        cols = linalg.transpose(alg.ad[a])
         for b in range(alg.dim):
-            lhs = linalg.lin_comb(alg.structure[a][b], rep)
+            lhs = linalg.lin_comb(cols[b], rep)
             rhs = linalg.commutator(rep[a], rep[b])
             if not linalg.mat_eq(lhs, rhs):
                 return False

@@ -142,6 +142,33 @@ def test_out_of_range_max_is_usage_error(capsys, command, value):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("value", ["1/0,0,0", "1e999999999,-1e999999999,0", "abc,0,0"])
+def test_unparsable_killing_t_is_usage_error(capsys, value):
+    assert main(["killing", "--t", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["branch", "homdim", "delta"])
+@pytest.mark.parametrize(
+    "space, gamma, group",
+    [("cp3", "9,0", "so5"), ("flag", "11,0", "su3")],
+)
+def test_label_above_cutoff_is_usage_error(capsys, command, space, gamma, group):
+    label = tuple(int(x) for x in gamma.split(","))
+    assert casimir_constant(group, label) > 200
+    assert main([command, "--space", space, "--gamma", gamma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_branch_accepts_label_at_cutoff(capsys):
+    assert casimir_constant("so5", (8, 3)) == 200
+    code, out = _run(capsys, "branch", "--space", "cp3", "--gamma", "8,3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["gamma"] == [8, 3]
+
+
 def test_casimir_accepts_max_at_bound(capsys):
     code, out = _run(capsys, "casimir", "--space", "flag", "--max", "200", "--format", "json")
     assert code == 0

@@ -1,4 +1,4 @@
-"""Catalog geometry checks: structure constants, inner products, splittings."""
+"""Catalog geometry checks: adjoint matrices, inner products, splittings."""
 
 import dataclasses
 
@@ -22,31 +22,59 @@ def test_unknown_space_rejected():
         build_space("s6")
 
 
-def test_corrupted_structure_constants_fail_jacobi():
-    space = build_space("flag")
-    alg = space.algebra
-    # structure[a] is the matrix (b, k) -> coordinate k of [basis_a, basis_b];
-    # [basis_2, basis_3] and [basis_3, basis_2] move together, so only Jacobi breaks.
-    bad = list(alg.structure)
-    bad[2] = linalg.mat_add(bad[2], linalg.from_entries(alg.dim, {(3, 0): ONE}))
-    bad[3] = linalg.mat_sub(bad[3], linalg.from_entries(alg.dim, {(2, 0): ONE}))
-    corrupted = dataclasses.replace(alg, structure=tuple(bad))
-    checks = validate_algebra(corrupted)
-    assert checks["antisymmetry"]
-    assert not checks["jacobi"]
+def _shift_entry(mats: tuple, a: int, entry: tuple, c) -> tuple:
+    """mats with c added to entry (i, j) of mats[a]."""
+    out = list(mats)
+    out[a] = linalg.mat_add(out[a], linalg.from_entries(len(out[a]), {entry: c}))
+    return tuple(out)
+
+
+# ad[a] has column b = coordinates of [basis_a, basis_b], so entry (k, b)
+# of ad[a] is coordinate k of [basis_a, basis_b].
+@pytest.mark.parametrize(
+    "corrupt, failing",
+    [
+        # [basis_2, basis_3] and [basis_3, basis_2] move together, so
+        # antisymmetry still holds.
+        (
+            lambda alg: {"ad": _shift_entry(_shift_entry(alg.ad, 2, (0, 3), ONE), 3, (0, 2), -ONE)},
+            {"jacobi", "ad_invariance"},
+        ),
+        # [basis_2, basis_3] alone moves.
+        (
+            lambda alg: {"ad": _shift_entry(alg.ad, 2, (0, 3), ONE)},
+            {"antisymmetry", "jacobi", "ad_invariance"},
+        ),
+        # Q(basis_2, basis_2) + 1 leaves the bracket alone.
+        (
+            lambda alg: {"gram": linalg.mat_add(alg.gram, linalg.from_entries(alg.dim, {(2, 2): ONE}))},
+            {"ad_invariance"},
+        ),
+    ],
+    ids=["symmetric_bracket", "one_sided_bracket", "gram_entry"],
+)
+def test_corrupted_algebra_fails_named_checks(corrupt, failing):
+    alg = build_space("flag").algebra
+    assert all(validate_algebra(alg).values())
+    checks = validate_algebra(dataclasses.replace(alg, **corrupt(alg)))
+    assert {k for k, ok in checks.items() if not ok} == failing
+
+
+def _bracket(alg, x, y) -> list:
+    return linalg.mat_vec(linalg.lin_comb(x, alg.ad), y)
 
 
 def test_bracket_antisymmetry_on_basis():
     for name in ("s3xs3", "cp3", "flag"):
         alg = build_space(name).algebra
         for coords in linalg.identity(alg.dim):
-            assert not any(alg.bracket_coords(coords, coords))
+            assert not any(_bracket(alg, coords, coords))
 
 
 def test_flag_torus_commutes():
     alg = build_space("flag").algebra
     t1, t2 = linalg.identity(8)[:2]
-    assert not any(alg.bracket_coords(t1, t2))
+    assert not any(_bracket(alg, t1, t2))
 
 
 def test_killing_form_normalization_su3():
@@ -119,4 +147,5 @@ def test_g_orthonormal_bases():
         assert len(basis) == alg.dim
         for a, u in enumerate(basis):
             for b, w in enumerate(basis):
-                assert alg.inner_coords(u, w) == linalg.identity(alg.dim)[a][b], (name, a, b)
+                ip = linalg.mat_vec([u], linalg.mat_vec(alg.gram, w))[0]
+                assert ip == linalg.identity(alg.dim)[a][b], (name, a, b)
