@@ -36,24 +36,26 @@ class HRep:
         return form_lin_comb(coords, self.vectors)
 
 
-def _span_coords(vectors, form: Form) -> list:
-    """Exact coordinates of a 2-vector against a spanning set of 2-vectors."""
+def _span_coords(vectors, forms) -> tuple:
+    """Exact coordinates of 2-vectors against a spanning set of 2-vectors,
+    by one elimination: column j of the result holds those of forms[j]."""
     keys = sorted({k for v in vectors for k in v})
     sol = None
-    if set(form) <= set(keys):
+    if all(set(f) <= set(keys) for f in forms):
         mat = [[v.get(k, ZERO) for v in vectors] for k in keys]
-        sol = linalg.solve(mat, [form.get(k, ZERO) for k in keys])
+        sol = linalg.solve(mat, [[f.get(k, ZERO) for f in forms] for k in keys])
     if sol is None:
         raise ValueError("2-vector outside the module span")
     return sol
 
 
 def _h_action_matrices(space: ReductiveSpace, vectors: list) -> list:
+    """The matrix of each isotropy basis element on the span of vectors:
+    column j holds the coordinates of its image of vectors[j]."""
     mats = []
     for e in linalg.identity(space.h_dim):
         ad = space.ad_m_of_h(e)
-        cols = [_span_coords(vectors, alternate(derivation_action(ad, v))) for v in vectors]
-        mats.append(linalg.transpose(cols))
+        mats.append(_span_coords(vectors, [alternate(derivation_action(ad, v)) for v in vectors]))
     return mats
 
 
@@ -76,7 +78,7 @@ def lambda11_0(space_name: str) -> HRep:
             wedges.append(wedge2(p, q))
             wedge_weights.append(tuple(a + b for a, b in zip(wp, wq)))
     kahler = space.kahler_form()
-    kahler_coords = _span_coords(wedges, kahler)
+    kahler_coords = [row[0] for row in _span_coords(wedges, [kahler])]
 
     zero_wt = tuple(0 for _ in space.h_weight_torus)
     zero_idx = [i for i, w in enumerate(wedge_weights) if w == zero_wt]

@@ -109,6 +109,9 @@ def delta_kernel(images: list) -> list:
     )
 
 
-def coclosed_dim(space: ReductiveSpace, gamma: tuple) -> int:
-    """Kernel dimension of the codifferential on the homomorphism space."""
-    return len(delta_kernel([proto_delta(space, gamma, f) for f in hom_basis(space, gamma)]))
+def coclosed_dim(space: ReductiveSpace, gamma: tuple, basis: list | None = None) -> int:
+    """Kernel dimension of the codifferential on the homomorphism space,
+    whose basis is built here unless the caller already holds it."""
+    if basis is None:
+        basis = hom_basis(space, gamma)
+    return len(delta_kernel([proto_delta(space, gamma, f) for f in basis]))

@@ -1,11 +1,15 @@
-"""Small dense exact linear algebra over the scalar tower.
+"""Exact linear algebra over the scalar tower.
 
 A matrix is a tuple of row tuples of Scalar, and this module is the only
 one that builds that type: every function here that returns a matrix
 returns it, and every function reads any sequence of row sequences.
-Vectors are lists.  Everything here is plain Gauss elimination with exact
-division; sizes never exceed a few hundred rows, so no fraction-free
-tricks are needed.
+Vectors are lists.
+
+Every kernel, solve, rank and inverse goes through one sparse exact
+elimination, ``rref``.  The systems the pipeline builds (equivariance
+constraints, wedge coordinates) are a few percent dense, so ``rref``
+holds each row as a dict of its nonzeros and touches only those.
+Division is exact in the field, so no fraction-free tricks are needed.
 """
 
 from __future__ import annotations
@@ -155,32 +159,63 @@ def scalar_multiple_of_identity(a: Matrix) -> Scalar | None:
 
 
 def rref(a: Matrix) -> tuple[list, list[int]]:
-    """Reduced row echelon form (a list of row lists) and the pivot column list."""
-    rows = [list(r) for r in a]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+    """Reduced row echelon form (a list of row lists, zero rows last) and
+    the pivot column list.
+
+    Sparse elimination: each row is a {column: entry} dict of its
+    nonzeros, filed under its leading column.  The columns are taken in
+    their natural order; each is pivoted on the sparsest row that leads
+    with it (Markowitz's choice, restricted to rows), which clears the
+    column from the other rows leading there, and back-substitution runs
+    once at the end.  The columns are never reordered, so the result is
+    the unique reduced echelon form of the row space, whichever rows
+    pivot.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    by_lead: dict[int, list] = {}
+    for row in a:
+        d = {j: x for j, x in enumerate(row) if x}
+        if d:
+            by_lead.setdefault(min(d), []).append(d)
     pivots: list[int] = []
-    r = 0
+    reduced: list[dict] = []
     for col in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        rows = by_lead.pop(col, None)
+        if rows is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [x * inv if x else x for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [x - c * y if y else x for x, y in zip(rows[i], rows[r])]
+        piv = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
+        inv = piv[col].inverse()
+        piv = {j: x * inv for j, x in piv.items()}
+        for d in rows:
+            _sub_multiple(d, d[col], piv)
+            if d:
+                by_lead.setdefault(min(d), []).append(d)
         pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+        reduced.append(piv)
+    for k in range(len(pivots) - 1, 0, -1):
+        col, piv = pivots[k], reduced[k]
+        for d in reduced[:k]:
+            c = d.get(col)
+            if c is not None:
+                _sub_multiple(d, c, piv)
+    out = [[d.get(j, ZERO) for j in range(n)] for d in reduced]
+    out += ([ZERO] * n for _ in range(m - len(reduced)))
+    return out, pivots
+
+
+def _sub_multiple(d: dict, c: Scalar, piv: dict) -> None:
+    """d -= c * piv on sparse rows, in place; entries that cancel leave d."""
+    for j, y in piv.items():
+        x = d.get(j)
+        if x is None:
+            d[j] = -(c * y)
+        else:
+            x = x - c * y
+            if x:
+                d[j] = x
+            else:
+                del d[j]
 
 
 def rank(a: Matrix) -> int:
@@ -205,18 +240,21 @@ def nullspace(a: Matrix) -> list[Vector]:
     return basis
 
 
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """Solve a x = b; returns None if inconsistent, else one solution
-    (the unique one when a has full column rank)."""
-    n_cols = len(a[0])
-    aug = [list(row) + [bb] for row, bb in zip(a, b)]
-    red, pivots = rref(aug)
-    if n_cols in pivots:
+def solve(a: Matrix, b):
+    """Solve a x = b by one elimination, for one right-hand side (b a
+    vector) or several (the columns of a matrix b).  Returns x of the same
+    kind as b, each column one solution (the unique one when a has full
+    column rank), or None if some column is inconsistent."""
+    n = len(a[0])
+    several = not isinstance(b[0], Scalar)
+    rhs = b if several else [(x,) for x in b]
+    red, pivots = rref([list(row) + list(r) for row, r in zip(a, rhs)])
+    if pivots and pivots[-1] >= n:
         return None
-    x = [ZERO] * n_cols
+    x = [(ZERO,) * len(rhs[0])] * n
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][n_cols]
-    return x
+        x[pc] = tuple(red[r][n:])
+    return tuple(x) if several else [row[0] for row in x]
 
 
 def inverse(a: Matrix) -> Matrix:

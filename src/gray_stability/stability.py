@@ -29,9 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .branching import hom_dim
-from .forms import lambda11_0
-from .fourier import coclosed_dim
+from .fourier import coclosed_dim, hom_basis
 from .lie import ReductiveSpace, build_space
 from .render import fraction_jsonable
 from .reps import casimir_constant, dim, enumerate_labels
@@ -162,13 +160,12 @@ class StabilityReport:
 def _coclosed_table(space: ReductiveSpace) -> list:
     """(label, dim, casimir, hom multiplicity, coclosed multiplicity) for
     every label with Casimir constant up to the enumeration threshold."""
-    target = lambda11_0(space.name)
     rows = []
     for label in enumerate_labels(space.group, CASIMIR_THRESHOLD):
         cas = casimir_constant(space.group, label)
-        hd = hom_dim(space, label, target.decomposition)
-        cd = coclosed_dim(space, label)
-        rows.append((label, dim(space.group, label), cas, hd, cd))
+        basis = hom_basis(space, label)
+        cd = coclosed_dim(space, label, basis)
+        rows.append((label, dim(space.group, label), cas, len(basis), cd))
     return rows
 
 

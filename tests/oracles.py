@@ -56,6 +56,37 @@ def trace(a) -> Scalar:
     return s
 
 
+def dense_rref(a) -> tuple:
+    """Reference for linalg.rref: dense Gauss-Jordan elimination that
+    zero-tests every cell, pivoting on the first row that holds each
+    column."""
+    rows = [list(r) for r in a]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for col in range(n):
+        pivot_row = None
+        for i in range(r, m):
+            if rows[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [x * inv if x else x for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [x - c * y if y else x for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    return rows, pivots
+
+
 # -- exterior algebra --------------------------------------------------------
 
 def derivation_reference(m: list, form: Form) -> Form:
@@ -179,7 +210,7 @@ def lambda11(space_name: str) -> HRep:
 
 def coords_of(rep: HRep, form: Form) -> list:
     """Coordinates of a 2-vector lying in the span of the module."""
-    return _span_coords(rep.vectors, form)
+    return [row[0] for row in _span_coords(rep.vectors, [form])]
 
 
 def trivial_summand_basis(space_name: str) -> list:

@@ -70,6 +70,19 @@ def test_cp3_f12_line_is_invariant():
         assert not any(image)
 
 
+def test_batched_action_matrices_equal_per_form_coordinates():
+    # one elimination per isotropy generator gives what one elimination
+    # per image does
+    for name in ("s3xs3", "cp3", "flag"):
+        space = build_space(name)
+        for rep in (lambda11_0(name), lambda11(name)):
+            assert len(rep.h_matrices) == space.h_dim
+            for e, mat in zip(linalg.identity(space.h_dim), rep.h_matrices):
+                ad = space.ad_m_of_h(e)
+                cols = [coords_of(rep, alternate(derivation_action(ad, v))) for v in rep.vectors]
+                assert mat == linalg.transpose(cols), name
+
+
 def test_coords_of_rejects_2_vectors_outside_the_span():
     rep = lambda11_0("flag")
     # a key that no basis vector uses

@@ -20,6 +20,7 @@ from oracles import (
     coclosed_basis,
     coords_of,
     cp3_contraction_ratio,
+    dense_rref,
     flag_invariant_coefficient,
     s3xs3_display_generator,
 )
@@ -85,6 +86,15 @@ def test_coclosed_dim_computes_hom_dim_once_per_label(monkeypatch):
     assert coclosed_dim(space, (1, 1)) == 1
     assert coclosed_dim(space, (2, 0)) == 0
     assert calls == [(1, 1), (2, 0)]
+
+
+def test_hom_basis_matches_dense_elimination(monkeypatch):
+    # the 266 x 96 equivariance system of s3xs3 (1,1,2)
+    space = build_space("s3xs3")
+    basis = hom_basis(space, (1, 1, 2))
+    assert len(basis) == 3
+    monkeypatch.setattr(linalg, "rref", dense_rref)
+    assert hom_basis(space, (1, 1, 2)) == basis
 
 
 def test_hom_basis_is_equivariant():

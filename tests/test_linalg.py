@@ -1,12 +1,15 @@
 """Unit tests for the exact linear algebra helpers."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from gray_stability import linalg
 from gray_stability.lie import SPACE_NAMES, build_space
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
-from oracles import trace
+from oracles import dense_rref, trace
 
 
 def _rand_scalar(rng):
@@ -150,3 +153,84 @@ def test_lin_comb_matches_scale_and_add():
         expected = linalg.mat_add(expected, linalg.mat_scale(c, m))
     assert linalg.lin_comb(coeffs, mats) == expected
     assert linalg.lin_comb([ZERO, ZERO, ZERO], mats) == linalg.zeros(2, 3)
+
+
+def _sparse_entry(rng, density):
+    """Zero with probability 1 - density, else a scalar of Q(i, sqrt2,
+    sqrt3) with one to three nonzero rational coordinates."""
+    if rng.random() >= density:
+        return ZERO
+    coeffs = [0] * 8
+    for _ in range(rng.randint(1, 3)):
+        coeffs[rng.randrange(8)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    return Scalar(coeffs)
+
+
+def _sparse_matrix(rng, m, n, density=0.3):
+    return [[_sparse_entry(rng, density) for _ in range(n)] for _ in range(m)]
+
+
+def _sparse_cases(rng):
+    """Sparse matrices of every shape the eliminations meet: tall, wide and
+    square, rank-deficient (a product through a thin middle), invertible
+    (the identity plus a sparse matrix), all-zero, and with zero rows."""
+    cases = []
+    for m, n in [(9, 5), (4, 9), (7, 7), (1, 6), (6, 1)]:
+        cases.append(_sparse_matrix(rng, m, n))
+    for m, n, r in [(8, 6, 3), (5, 9, 2), (7, 7, 4), (6, 6, 1)]:
+        cases.append(linalg.mat_mul(_sparse_matrix(rng, m, r, 0.6), _sparse_matrix(rng, r, n, 0.5)))
+    cases.append(linalg.mat_add(linalg.identity(6), _sparse_matrix(rng, 6, 6, 0.2)))
+    cases.append(linalg.zeros(4, 5))
+    cases.append(linalg.zeros(3, 3))
+    for m, n in [(8, 6), (5, 5)]:
+        a = _sparse_matrix(rng, m, n, 0.5)
+        for i in rng.sample(range(m), 2):
+            a[i] = [ZERO] * n
+        cases.append(a)
+    return cases
+
+
+def _eliminations(a, rhs):
+    """Every result that rests on rref, for the matrix a and the
+    right-hand sides rhs (vectors of length len(a))."""
+    out = {
+        "rref": linalg.rref(a),
+        "rank": linalg.rank(a),
+        "nullspace": linalg.nullspace(a),
+        "solve": [linalg.solve(a, b) for b in rhs],
+        "solve_several": linalg.solve(a, linalg.transpose(rhs)),
+    }
+    if len(a) == len(a[0]):
+        try:
+            out["inverse"] = linalg.inverse(a)
+        except ValueError:
+            out["inverse"] = "singular"
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sparse_elimination_equals_dense_oracle(monkeypatch, seed):
+    rng = random.Random(seed)
+    outcomes = Counter()
+    for a in _sparse_cases(rng):
+        m, n = len(a), len(a[0])
+        x = [_sparse_entry(rng, 0.7) for _ in range(n)]
+        rhs = [linalg.mat_vec(a, x), [ZERO] * m, [_sparse_entry(rng, 0.8) for _ in range(m)]]
+        got = _eliminations(a, rhs)
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "rref", dense_rref)
+            want = _eliminations(a, rhs)
+        assert got == want
+        # one elimination over several columns solves each column
+        cols = want["solve"]
+        assert got["solve_several"] == (None if None in cols else linalg.transpose(cols))
+        assert linalg.solve(a, linalg.transpose(rhs[:2])) == linalg.transpose(cols[:2])
+        for b, sol in zip(rhs, cols):
+            assert sol is None or linalg.mat_vec(a, sol) == b
+        for v in got["nullspace"]:
+            assert not any(linalg.mat_vec(a, v))
+        assert len(got["nullspace"]) == n - got["rank"]
+        outcomes["inconsistent"] += cols[2] is None
+        outcomes["singular"] += got.get("inverse") == "singular"
+        outcomes["inverted"] += isinstance(got.get("inverse"), tuple)
+    assert outcomes["inconsistent"] and outcomes["singular"] and outcomes["inverted"], outcomes

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from gray_stability import branching
+from gray_stability.branching import hom_dim
+from gray_stability.forms import lambda11_0
 from gray_stability.stability import (
     assemble_report,
     candidate_eps,
@@ -208,3 +211,21 @@ def test_report_jsonable_schema():
         "destabilizing": [{"lambda": 6, "mult": 2, "source": "harmonic-2-forms"}],
         "ied_dim": 8,
     }
+
+
+def test_coclosed_table_branches_each_label_once(monkeypatch):
+    # the row's hom multiplicity is the size of the hom basis, whose own
+    # dimension check is the one hom_dim (one restriction) per label
+    calls = []
+    original = branching.restrict
+
+    def counted(space, gamma):
+        calls.append(gamma)
+        return original(space, gamma)
+
+    monkeypatch.setattr(branching, "restrict", counted)
+    space = build_space("flag")
+    rows = _coclosed_table(space)
+    assert sorted(calls) == sorted(row[0] for row in rows)
+    decomposition = lambda11_0("flag").decomposition
+    assert [row[3] for row in rows] == [hom_dim(space, row[0], decomposition) for row in rows]
