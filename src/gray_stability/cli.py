@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .branching import format_h_label, hom_dim, restrict
@@ -333,7 +334,10 @@ def _add_space_arg(p, required=True):
     p.add_argument("--space", choices=SPACE_NAMES, required=required)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged."""
     ap = argparse.ArgumentParser(
         prog="gray-stability",
         description="Exact stability and rigidity computations for the "

@@ -34,22 +34,26 @@ def hom_basis(space: ReductiveSpace, gamma: tuple) -> list:
         return []
     rep = explicit_rep(space, gamma)
     wd, vd = target.dim, len(rep[0])
+    # one row per (t, w, v): entry (w, v) of W_t F - F R_t, as {column: c}
     rows = []
     for t in range(space.h_dim):
-        wm = target.h_matrices[t]
-        rm = rep[t]
-        for w in range(wd):
+        r_cols = [[(l, x) for l, x in enumerate(col) if x] for col in zip(*rep[t])]
+        for w, wrow in enumerate(target.h_matrices[t]):
+            w_nz = [(k, x) for k, x in enumerate(wrow) if x]
             for v in range(vd):
-                row = [ZERO] * (wd * vd)
-                for k in range(wd):
-                    if wm[w][k]:
-                        row[k * vd + v] = row[k * vd + v] + wm[w][k]
-                for l in range(vd):
-                    if rm[l][v]:
-                        row[w * vd + l] = row[w * vd + l] - rm[l][v]
-                if any(row):
-                    rows.append(row)
-    kernel = linalg.nullspace(rows) if rows else linalg.identity(wd * vd)
+                d = {k * vd + v: x for k, x in w_nz}
+                for l, x in r_cols[v]:
+                    j = w * vd + l
+                    y = d.pop(j, ZERO) - x
+                    if y:
+                        d[j] = y
+                if d:
+                    rows.append(d)
+    if rows:
+        a = {(r, j): x for r, d in enumerate(rows) for j, x in d.items()}
+        kernel = linalg.nullspace(linalg.from_entries(len(rows), a, wd * vd))
+    else:
+        kernel = linalg.identity(wd * vd)
     out = [
         linalg.from_entries(wd, {divmod(i, vd): x for i, x in enumerate(vec) if x}, vd)
         for vec in kernel

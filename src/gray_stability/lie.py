@@ -6,6 +6,15 @@ the reductive complement m), its exact adjoint matrices, the invariant
 inner product, the splitting of the complexified complement into the
 almost-complex eigenspaces, the Kaehler 2-vector and (for the flag
 manifold) the imaginary part of the complex volume form.
+
+The adjoint matrices and the Gram matrix are built from the basis
+matrices' nonzeros alone (two to six each).  Each basis matrix is read
+once as a ``{(i, j): Scalar}`` dict; a Gram entry is a sparse trace
+pairing, and the Gram matrix is inverted once.  The dual basis then gives
+one coordinate reader: the coordinates of any matrix C are the sum, over
+the nonzeros of C, of C_ij times the reader's ``{k: c}`` for (i, j).  Each
+commutator [X_a, X_b] with a < b is the difference of two sparse products,
+read through it; [X_b, X_a] is its negative.
 """
 
 from __future__ import annotations
@@ -79,29 +88,88 @@ def _conjugate_side(m_plus: tuple, plus_w: tuple) -> tuple:
     return tuple(map(_conjugate, m_plus)), minus_w
 
 
-def _ad_and_gram(mats: tuple, ip) -> tuple:
+def _nonzeros(x: tuple) -> dict:
+    return {(i, j): c for i, row in enumerate(x) for j, c in enumerate(row) if c}
+
+
+def _add_into(acc: dict, key, c: Scalar) -> None:
+    """acc[key] += c; an entry that cancels leaves acc."""
+    prev = acc.get(key)
+    if prev is None:
+        acc[key] = c
+    else:
+        s = prev + c
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
+
+
+def _sparse_commutator(x_rows: dict, y_rows: dict) -> dict:
+    """Nonzeros of x y - y x, from each matrix's {i: [(j, x_ij), ...]}."""
+    out: dict = {}
+    for first, second, negate in ((x_rows, y_rows, False), (y_rows, x_rows, True)):
+        for i, row in first.items():
+            for k, c in row:
+                if negate:
+                    c = -c
+                for j, d in second.get(k, ()):
+                    _add_into(out, (i, j), c * d)
+    return out
+
+
+def _ad_and_gram(mats: tuple, scale: Fraction) -> tuple:
+    """Adjoint matrices and Gram matrix of the basis mats under the trace
+    form Q(x, y) = scale * tr(x y), touching only nonzero entries."""
     dim = len(mats)
-    gram = linalg.from_entries(
-        dim, {(a, b): ip(mats[a], mats[b]) for a in range(dim) for b in range(dim)}
-    )
+    s = Scalar.from_fraction(scale)
+    nz = [_nonzeros(x) for x in mats]
+    rows = []
+    for x in nz:
+        by_row: dict = {}
+        for (i, j), c in x.items():
+            by_row.setdefault(i, []).append((j, c))
+        rows.append(by_row)
+
+    # tr(x y) = sum of x_ij y_ji; the form is symmetric
+    entries = {}
+    for a in range(dim):
+        for b in range(a, dim):
+            t = ZERO
+            for (i, j), c in nz[a].items():
+                d = nz[b].get((j, i))
+                if d is not None:
+                    t = t + c * d
+            entries[a, b] = entries[b, a] = s * t
+    gram = linalg.from_entries(dim, entries)
     gram_inv = linalg.inverse(gram)
-    ad = tuple(
-        linalg.transpose(
-            linalg.mat_vec(gram_inv, [ip(c, m) for m in mats])
-            for c in (linalg.commutator(x, y) for y in mats)
-        )
-        for x in mats
-    )
+
+    # Coordinate k of C is Q(C, dual_k) = s * sum_ij C_ij (dual_k)_ji with
+    # dual_k = sum_l gram_inv[k][l] X_l, so position (i, j) of C reads
+    # reader[i, j] = {k: s * sum_l gram_inv[k][l] (X_l)_ji}.
+    reader: dict = {}
+    for l, x in enumerate(nz):
+        for (j, i), c in x.items():
+            sc = s * c
+            acc = reader.setdefault((i, j), {})
+            for k in range(dim):
+                g = gram_inv[k][l]
+                if g:
+                    _add_into(acc, k, g * sc)
+
+    # [X_b, X_a] = -[X_a, X_b], so each pair a < b is formed once
+    ad_entries = [{} for _ in range(dim)]
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            coords: dict = {}
+            for pos, c in _sparse_commutator(rows[a], rows[b]).items():
+                for k, r in reader.get(pos, {}).items():
+                    _add_into(coords, k, c * r)
+            for k, c in coords.items():
+                ad_entries[a][k, b] = c
+                ad_entries[b][k, a] = -c
+    ad = tuple(linalg.from_entries(dim, e) for e in ad_entries)
     return ad, gram
-
-
-def _trace_form(scale: Fraction):
-    c = Scalar.from_fraction(scale)
-
-    def ip(x: list, y: list) -> Scalar:
-        return c * linalg.trace_product(x, y)
-
-    return ip
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +195,7 @@ def _build_s3xs3() -> ReductiveSpace:
     h_mats = tuple(linalg.kron(linalg.identity(3), ya) for ya in y)
     m_mats = tuple(linalg.kron(c, ya) for ya in y for c in (u_coeffs, w_coeffs))
     mats = h_mats + m_mats  # d1, d2, d3, u1, w1, u2, w2, u3, w3
-    ad, gram = _ad_and_gram(mats, _trace_form(Fraction(-1, 3)))
+    ad, gram = _ad_and_gram(mats, Fraction(-1, 3))
     algebra = LieAlgebraData(9, mats, ad, gram)
 
     inv_s2 = SQRT2.inverse()
@@ -190,7 +258,7 @@ def _build_cp3() -> ReductiveSpace:
     h_mats = (t1, t2, a, b)
     m_mats = tuple(linalg.mat_scale(SQRT2, ei) for ei in e) + (f1, f2)
     mats = h_mats + m_mats
-    ad, gram = _ad_and_gram(mats, _trace_form(Fraction(-1, 4)))
+    ad, gram = _ad_and_gram(mats, Fraction(-1, 4))
     algebra = LieAlgebraData(10, mats, ad, gram)
 
     inv_s2 = SQRT2.inverse()
@@ -242,7 +310,7 @@ def _su3_frame_mats() -> tuple:
 
 def _build_flag() -> ReductiveSpace:
     mats = _su3_frame_mats()
-    ad, gram = _ad_and_gram(mats, _trace_form(Fraction(-1, 2)))
+    ad, gram = _ad_and_gram(mats, Fraction(-1, 2))
     algebra = LieAlgebraData(8, mats, ad, gram)
 
     p1 = (ONE, -I, ZERO, ZERO, ZERO, ZERO)   # e1 - i e2

@@ -56,6 +56,29 @@ def trace(a) -> Scalar:
     return s
 
 
+def ad_and_gram_reference(mats, scale) -> tuple:
+    """Reference for lie._ad_and_gram: the Gram matrix of Q(x, y) =
+    scale * tr(x y) by dense trace products, and each column of ad[a] as
+    gram_inv times the pairings of [X_a, X_b] with every basis matrix."""
+
+    def ip(x, y):
+        return Scalar.from_fraction(scale) * linalg.trace_product(x, y)
+
+    dim = len(mats)
+    gram = linalg.from_entries(
+        dim, {(a, b): ip(mats[a], mats[b]) for a in range(dim) for b in range(dim)}
+    )
+    gram_inv = linalg.inverse(gram)
+    ad = tuple(
+        linalg.transpose(
+            linalg.mat_vec(gram_inv, [ip(c, m) for m in mats])
+            for c in (linalg.commutator(x, y) for y in mats)
+        )
+        for x in mats
+    )
+    return ad, gram
+
+
 def dense_rref(a) -> tuple:
     """Reference for linalg.rref: dense Gauss-Jordan elimination that
     zero-tests every cell, pivoting on the first row that holds each

@@ -239,3 +239,33 @@ def test_delta_without_homomorphisms_needs_no_module(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["hom_dim"] == 0 and doc["coclosed_dim"] == 0 and doc["generators"] == []
+
+
+def _run_all(capsys, argv):
+    """Exit status (SystemExit code included), stdout and stderr of main."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_matches_fresh_parser(capsys):
+    from gray_stability import cli
+
+    commands = [
+        ["branch", "--space", "cp3", "--max", "12", "--format", "json"],
+        ["casimir", "--space", "s6"],  # argparse rejects the choice: exit 2
+        ["killing", "--t", "1,1,1"],  # usage error: exit 2
+        ["casimir", "--space", "flag"],
+        ["homdim", "--space", "flag", "--gamma", "1,1", "--format", "json"],
+        ["killing", "--t", "1,-1,0", "--format", "json"],
+    ]
+    cli.build_parser.cache_clear()
+    shared = [_run_all(capsys, argv) for argv in commands]
+    assert cli.build_parser.cache_info().misses == 1
+    assert [r[0] for r in shared] == [0, 2, 2, 0, 0, 0]
+    for argv, got in zip(commands, shared):
+        cli.build_parser.cache_clear()
+        assert got == _run_all(capsys, argv), argv

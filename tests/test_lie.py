@@ -1,13 +1,16 @@
 """Catalog geometry checks: adjoint matrices, inner products, splittings."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 from gray_stability import linalg
-from gray_stability.lie import build_space, validate_algebra, validate_space
-from gray_stability.scalars import ONE, rational
-from oracles import trace
+from gray_stability.lie import _ad_and_gram, build_space, validate_algebra, validate_space
+from gray_stability.scalars import ONE, ZERO, rational
+from oracles import ad_and_gram_reference, trace
+
+SCALES = {"s3xs3": Fraction(-1, 3), "cp3": Fraction(-1, 4), "flag": Fraction(-1, 2)}
 
 
 def test_all_catalog_spaces_validate():
@@ -15,6 +18,33 @@ def test_all_catalog_spaces_validate():
         checks = validate_space(build_space(name))
         failing = [k for k, ok in checks.items() if not ok]
         assert not failing, f"{name}: {failing}"
+
+
+@pytest.mark.parametrize("name", sorted(SCALES))
+def test_ad_is_bracket_of_basis_matrices(name):
+    alg = build_space(name).algebra
+    mats = alg.basis_matrices
+    for a in range(alg.dim):
+        cols = linalg.transpose(alg.ad[a])
+        for b in range(alg.dim):
+            assert linalg.mat_eq(
+                linalg.lin_comb(cols[b], mats), linalg.commutator(mats[a], mats[b])
+            ), (a, b)
+
+
+@pytest.mark.parametrize("name", sorted(SCALES))
+def test_ad_and_gram_matches_dense_reference(name):
+    mats = build_space(name).algebra.basis_matrices
+    assert _ad_and_gram(mats, SCALES[name]) == ad_and_gram_reference(mats, SCALES[name])
+
+
+def test_ad_and_gram_matches_dense_reference_on_skew_basis():
+    # X_0 + X_2 in place of X_0 pairs t1 with e1, so gram_inv couples h and m
+    mats = list(build_space("flag").algebra.basis_matrices)
+    mats[0] = linalg.mat_add(mats[0], mats[2])
+    ad, gram = _ad_and_gram(tuple(mats), SCALES["flag"])
+    assert linalg.inverse(gram)[0][2] != ZERO
+    assert (ad, gram) == ad_and_gram_reference(tuple(mats), SCALES["flag"])
 
 
 def test_unknown_space_rejected():
