@@ -49,14 +49,9 @@ def hom_basis(space: ReductiveSpace, gamma: tuple) -> list:
                         d[j] = y
                 if d:
                     rows.append(d)
-    if rows:
-        a = {(r, j): x for r, d in enumerate(rows) for j, x in d.items()}
-        kernel = linalg.nullspace(linalg.from_entries(len(rows), a, wd * vd))
-    else:
-        kernel = linalg.identity(wd * vd)
     out = [
-        linalg.from_entries(wd, {divmod(i, vd): x for i, x in enumerate(vec) if x}, vd)
-        for vec in kernel
+        linalg.from_entries(wd, {divmod(i, vd): x for i, x in vec.items()}, vd)
+        for vec in linalg.nullspace(rows, wd * vd)
     ]
     if len(out) != expected:
         raise ArithmeticError(
@@ -106,11 +101,12 @@ def m_complex_coords(space: ReductiveSpace, d: tuple) -> tuple:
 
 def delta_kernel(images: list) -> list:
     """Null space of the codifferential on the span of a hom basis, given
-    the delta images of its members: each kernel vector holds the
-    coefficients of one coclosed combination of the basis."""
-    return linalg.nullspace(
-        linalg.transpose([x for row in d for x in row] for d in images)
-    )
+    the delta images of its members: each kernel vector is a {k: c} dict
+    of the nonzero coefficients of one coclosed combination of the basis.
+    Row (w, v) of the system holds entry (w, v) of every image."""
+    flat = [[x for row in d for x in row] for d in images]
+    rows = [{k: x for k, x in enumerate(cell) if x} for cell in zip(*flat)]
+    return linalg.nullspace(rows, len(images))
 
 
 def coclosed_dim(space: ReductiveSpace, gamma: tuple, basis: list | None = None) -> int:

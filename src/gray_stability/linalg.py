@@ -6,10 +6,17 @@ returns it, and every function reads any sequence of row sequences.
 Vectors are lists.
 
 Every kernel, solve, rank and inverse goes through one sparse exact
-elimination, ``rref``.  The systems the pipeline builds (equivariance
-constraints, wedge coordinates) are a few percent dense, so ``rref``
-holds each row as a dict of its nonzeros and touches only those.
+elimination, ``_eliminate``.  The systems the pipeline builds
+(equivariance constraints, wedge coordinates) are a few percent dense,
+so it holds each row as a dict of its nonzeros and touches only those.
 Division is exact in the field, so no fraction-free tricks are needed.
+
+``nullspace`` also takes such dict rows with an explicit column count
+and returns its kernel vectors as dicts, so ``fourier`` hands over the
+equivariance and codifferential systems as it builds them, with no dense
+matrix in between and no zero test per cell.  ``rref`` keeps its dense
+rows in and out: the tracer of ``perfbench`` sizes each elimination by
+``len(a[0])`` of the argument of ``rref``.
 """
 
 from __future__ import annotations
@@ -160,10 +167,25 @@ def scalar_multiple_of_identity(a: Matrix) -> Scalar | None:
 
 def rref(a: Matrix) -> tuple[list, list[int]]:
     """Reduced row echelon form (a list of row lists, zero rows last) and
-    the pivot column list.
+    the pivot column list, by the sparse elimination ``_eliminate``.
 
-    Sparse elimination: each row is a {column: entry} dict of its
-    nonzeros, filed under its leading column.  The columns are taken in
+    ``rref`` takes and returns dense rows, for ``rank``, ``solve`` and
+    ``inverse``; ``nullspace`` calls ``_eliminate`` directly.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    reduced, pivots = _eliminate([{j: x for j, x in enumerate(row) if x} for row in a], n)
+    out = [[d.get(j, ZERO) for j in range(n)] for d in reduced]
+    out += ([ZERO] * n for _ in range(m - len(reduced)))
+    return out, pivots
+
+
+def _eliminate(rows: list, n: int) -> tuple[list, list[int]]:
+    """The nonzero rows of the reduced row echelon form of ``rows`` (each
+    a {column: entry} dict of its nonzeros, consumed here; columns below
+    n) and the pivot column list.
+
+    Each row is filed under its leading column.  The columns are taken in
     their natural order; each is pivoted on the sparsest row that leads
     with it (Markowitz's choice, restricted to rows), which clears the
     column from the other rows leading there, and back-substitution runs
@@ -171,23 +193,20 @@ def rref(a: Matrix) -> tuple[list, list[int]]:
     the unique reduced echelon form of the row space, whichever rows
     pivot.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
     by_lead: dict[int, list] = {}
-    for row in a:
-        d = {j: x for j, x in enumerate(row) if x}
+    for d in rows:
         if d:
             by_lead.setdefault(min(d), []).append(d)
     pivots: list[int] = []
     reduced: list[dict] = []
     for col in range(n):
-        rows = by_lead.pop(col, None)
-        if rows is None:
+        leading = by_lead.pop(col, None)
+        if leading is None:
             continue
-        piv = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
+        piv = leading.pop(min(range(len(leading)), key=lambda i: len(leading[i])))
         inv = piv[col].inverse()
         piv = {j: x * inv for j, x in piv.items()}
-        for d in rows:
+        for d in leading:
             _sub_multiple(d, d[col], piv)
             if d:
                 by_lead.setdefault(min(d), []).append(d)
@@ -199,9 +218,7 @@ def rref(a: Matrix) -> tuple[list, list[int]]:
             c = d.get(col)
             if c is not None:
                 _sub_multiple(d, c, piv)
-    out = [[d.get(j, ZERO) for j in range(n)] for d in reduced]
-    out += ([ZERO] * n for _ in range(m - len(reduced)))
-    return out, pivots
+    return reduced, pivots
 
 
 def _sub_multiple(d: dict, c: Scalar, piv: dict) -> None:
@@ -222,22 +239,31 @@ def rank(a: Matrix) -> int:
     return len(rref(a)[1])
 
 
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right kernel, in deterministic (free-column) order."""
-    if not a:
-        return []
-    n = len(a[0])
-    red, pivots = rref(a)
+def nullspace(a, n: int | None = None) -> list:
+    """Basis of the right kernel, in deterministic (free-column) order.
+
+    ``a`` is a matrix, and each kernel vector a list; or, with the column
+    count n given, a list of sparse rows, each a {column: entry} dict of
+    its nonzeros, and each kernel vector such a dict.
+    """
+    dense = n is None
+    if dense:
+        if not a:
+            return []
+        n = len(a[0])
+        rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    else:
+        rows = [dict(d) for d in a]
+    reduced, pivots = _eliminate(rows, n)
     pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [ZERO] * n
-        v[j] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][j]
-        basis.append(v)
-    return basis
+    kernel = {j: {j: ONE} for j in range(n) if j not in pivot_set}
+    for pc, d in zip(pivots, reduced):
+        for j, x in d.items():
+            if j != pc:
+                kernel[j][pc] = -x
+    if dense:
+        return [[v.get(j, ZERO) for j in range(n)] for v in kernel.values()]
+    return list(kernel.values())
 
 
 def solve(a: Matrix, b):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -199,10 +200,28 @@ def _factors(mono: Monomial) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
+def _monomial_pairing(m1: Monomial, m2: Monomial) -> Scalar:
+    """<m1, m2> on the symmetric power: the sum over permutations of the
+    Gram products of the two monomials' factors."""
+    f1, f2 = _factors(m1), _factors(m2)
+    acc = Fraction(0)
+    for perm in itertools.permutations(range(len(f2))):
+        prod = Fraction(1)
+        for i, s in enumerate(perm):
+            prod *= _GRAM[f1[i]][f2[s]]
+            if not prod:
+                break
+        acc += prod
+    return Scalar.from_fraction(acc)
+
+
 def sym_inner(p: SymPoly, q: SymPoly) -> Scalar:
     """Inner product on the k-th symmetric power:
     <a_1...a_k, b_1...b_k> = sum over permutations of prod <a_i, b_sigma(i)>,
     extended bilinearly.  Both arguments must be homogeneous of equal degree.
+    The pairing of two monomials depends on their exponents alone, so it
+    is computed once per pair and kept.
     """
     if not p.terms or not q.terms:
         if p.is_homogeneous() and q.is_homogeneous():
@@ -215,19 +234,10 @@ def sym_inner(p: SymPoly, q: SymPoly) -> Scalar:
         raise ValueError(f"degree mismatch: {dp} vs {dq}")
     total = ZERO
     for m1, c1 in p.terms.items():
-        f1 = _factors(m1)
         for m2, c2 in q.terms.items():
-            f2 = _factors(m2)
-            acc = Fraction(0)
-            for perm in itertools.permutations(range(len(f2))):
-                prod = Fraction(1)
-                for i, s in enumerate(perm):
-                    prod *= _GRAM[f1[i]][f2[s]]
-                    if not prod:
-                        break
-                acc += prod
-            if acc:
-                total = total + (c1 * c2) * Scalar.from_fraction(acc)
+            pairing = _monomial_pairing(m1, m2)
+            if pairing:
+                total = total + (c1 * c2) * pairing
     return total
 
 

@@ -21,7 +21,7 @@ from gray_stability.forms import HRep, _h_action_matrices, _span_coords, _weight
 from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, build_space
 from gray_stability.obstruction import _frame, coordinate_poly
-from gray_stability.reps import _GRAM_INV, GROUPS, check_label
+from gray_stability.reps import _GRAM_INV, GROUPS, check_label, explicit_rep
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from gray_stability.stability import _sqrt_fraction
 from gray_stability.sympoly import SymPoly, eliminate_v3
@@ -108,6 +108,44 @@ def dense_rref(a) -> tuple:
         if r == m:
             break
     return rows, pivots
+
+
+def dense_nullspace(a) -> list:
+    """Reference for linalg.nullspace on a matrix: one kernel vector per
+    free column of dense_rref, in column order."""
+    if not a:
+        return []
+    n = len(a[0])
+    red, pivots = dense_rref(a)
+    basis = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        v = [ZERO] * n
+        v[j] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][j]
+        basis.append(v)
+    return basis
+
+
+def dense_hom_basis(space: ReductiveSpace, gamma: tuple) -> list:
+    """Reference for fourier.hom_basis: the dense equivariance matrix,
+    one block W_t (x) Id - Id (x) R_t^T on the row-major coordinates of
+    F per isotropy generator t, and its kernel by dense_nullspace."""
+    target = lambda11_0(space.name)
+    rep = explicit_rep(space, gamma)
+    wd, vd = target.dim, len(rep[0])
+    rows = []
+    for w_t, r_t in zip(target.h_matrices, rep):
+        rows.extend(linalg.mat_sub(
+            linalg.kron(w_t, linalg.identity(vd)),
+            linalg.kron(linalg.identity(wd), linalg.transpose(r_t)),
+        ))
+    return [
+        linalg.from_entries(wd, {divmod(i, vd): x for i, x in enumerate(v) if x}, vd)
+        for v in dense_nullspace(rows)
+    ]
 
 
 # -- exterior algebra --------------------------------------------------------
@@ -315,7 +353,7 @@ def coclosed_basis(space: ReductiveSpace, gamma: tuple) -> list:
     """Fourier coefficients spanning the kernel of the codifferential."""
     basis = hom_basis(space, gamma)
     return [
-        linalg.lin_comb(combo, basis)
+        linalg.lin_comb([combo.get(k, ZERO) for k in range(len(basis))], basis)
         for combo in delta_kernel([proto_delta(space, gamma, f) for f in basis])
     ]
 

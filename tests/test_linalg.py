@@ -9,7 +9,7 @@ import pytest
 from gray_stability import linalg
 from gray_stability.lie import SPACE_NAMES, build_space
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
-from oracles import dense_rref, trace
+from oracles import dense_nullspace, dense_rref, trace
 
 
 def _rand_scalar(rng):
@@ -219,6 +219,7 @@ def test_sparse_elimination_equals_dense_oracle(monkeypatch, seed):
         got = _eliminations(a, rhs)
         with monkeypatch.context() as patched:
             patched.setattr(linalg, "rref", dense_rref)
+            patched.setattr(linalg, "nullspace", dense_nullspace)
             want = _eliminations(a, rhs)
         assert got == want
         # one elimination over several columns solves each column
@@ -234,3 +235,25 @@ def test_sparse_elimination_equals_dense_oracle(monkeypatch, seed):
         outcomes["singular"] += got.get("inverse") == "singular"
         outcomes["inverted"] += isinstance(got.get("inverse"), tuple)
     assert outcomes["inconsistent"] and outcomes["singular"] and outcomes["inverted"], outcomes
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_nullspace_of_sparse_rows_equals_dense_kernels(seed):
+    rng = random.Random(seed)
+    cases = [(a, len(a[0])) for a in _sparse_cases(rng)]
+    cases += [(_sparse_matrix(rng, m, 1, 0.5), 1) for m in (1, 2, 3)]
+    cases += [([[ZERO]], 1), ([[rational(-2, 3)]], 1), ([], 1), ([], 4)]
+    assert any(not any(map(any, a)) for a, n in cases if a)
+    for a, n in cases:
+        rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+        snapshot = [dict(d) for d in rows]
+        kernel = linalg.nullspace(rows, n)
+        assert rows == snapshot
+        for v in kernel:
+            assert all(x for x in v.values()) and all(0 <= j < n for j in v)
+        dense = [[v.get(j, ZERO) for j in range(n)] for v in kernel]
+        # an empty row list with n columns expands to the zero row
+        expanded = a or linalg.zeros(1, n)
+        assert dense == linalg.nullspace(expanded) == dense_nullspace(expanded)
+        for v in dense:
+            assert not any(linalg.mat_vec(expanded, v))

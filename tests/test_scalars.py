@@ -240,3 +240,92 @@ def test_constructor_takes_ints_and_fractions():
     for bad in ([1] * 7, [1] * 9, []):
         with pytest.raises(ValueError):
             Scalar(bad)
+
+
+# -- monomials: one nonzero coordinate ---------------------------------------
+
+_BIG = 2 ** 64
+
+# coefficient pairs of two monomials: equal denominators (one pair sums to a
+# reducible fraction), coprime denominators, denominators above 2**64
+# (shared and equal), and an integer whose product clears the denominator
+_MONOMIAL_PAIRS = [
+    (Fraction(3, 4), Fraction(-5, 4)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(-2, 9), Fraction(7, 10)),
+    (Fraction(5, _BIG + 1), Fraction(-(_BIG + 3), 3 * (_BIG + 1))),
+    (Fraction(_BIG + 7, 2 * _BIG + 1), Fraction(3, 2 * _BIG + 1)),
+    (Fraction(1, 6), Fraction(3)),
+]
+
+
+def _monomial(k, q):
+    coeffs = [0] * 8
+    coeffs[k] = q
+    return Scalar(coeffs)
+
+
+def test_monomial_products_sums_and_inverses_on_every_basis_pair():
+    for k1 in range(8):
+        for p, _q in _MONOMIAL_PAIRS:
+            a = _monomial(k1, p)
+            inv = a.inverse()
+            _assert_canonical(inv)
+            assert inv.n.count(0) == 7
+            assert _reference_mul(_coords(inv), _coords(a)) == _coords(ONE), (k1, p)
+        for k2 in range(8):
+            for p, q in _MONOMIAL_PAIRS:
+                a, b = _monomial(k1, p), _monomial(k2, q)
+                pa, pb = _coords(a), _coords(b)
+                assert a.n.count(0) == b.n.count(0) == 7
+                results = {
+                    "*": (a * b, _reference_mul(pa, pb)),
+                    "+": (a + b, [x + y for x, y in zip(pa, pb)]),
+                    "-": (a - b, [x - y for x, y in zip(pa, pb)]),
+                    "int *": (a * 3, [3 * x for x in pa]),
+                    "int +": (2 + a, [x + 2 * (k == 0) for k, x in enumerate(pa)]),
+                }
+                for op, (got, want) in results.items():
+                    _assert_canonical(got)
+                    assert _coords(got) == want, (op, k1, k2, p, q)
+
+
+def test_monomial_sums_that_cancel_are_canonical_zero():
+    for k in range(8):
+        for p, q in _MONOMIAL_PAIRS:
+            a = _monomial(k, p)
+            same = _monomial(k, Fraction(p.numerator * 3, p.denominator * 3))
+            for got in (a - a, a + (-a), -a + a, a - same, (-a) - (-a)):
+                _assert_canonical(got)
+                assert got == ZERO and got.n == ZERO.n and got.d == 1
+            # a difference that leaves a monomial on the same basis element
+            b = _monomial(k, q)
+            if p != q:
+                _assert_canonical(a - b)
+                assert _coords(a - b) == [p - q if j == k else 0 for j in range(8)]
+
+
+def test_mixed_monomial_and_general_operands():
+    rng = random.Random(64)
+    generals = [s for s in (_random_scalar(rng) for _ in range(12)) if s.n.count(0) < 7][:5]
+    assert len(generals) == 5
+    for general in generals:
+        pg = _coords(general)
+        for k in range(8):
+            # one coefficient of each kind: small, and above 2**64
+            for p in (Fraction(-2, 9), Fraction(5, _BIG + 1)):
+                a = _monomial(k, p)
+                pa = _coords(a)
+                results = {
+                    "m * g": (a * general, _reference_mul(pa, pg)),
+                    "g * m": (general * a, _reference_mul(pg, pa)),
+                    "m + g": (a + general, [x + y for x, y in zip(pa, pg)]),
+                    "g - m": (general - a, [y - x for x, y in zip(pa, pg)]),
+                    "m - g": (a - general, [x - y for x, y in zip(pa, pg)]),
+                    "m * 0": (a * ZERO, [0] * 8),
+                    "m + 0": (a + ZERO, pa),
+                    "0 - m": (ZERO - a, [-x for x in pa]),
+                }
+                for op, (got, want) in results.items():
+                    _assert_canonical(got)
+                    assert _coords(got) == want, (op, k, p)
