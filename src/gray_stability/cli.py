@@ -18,7 +18,7 @@ from .branching import format_h_label, hom_dim, restrict
 from .forms import lambda11_0
 from .fourier import delta_kernel, hom_basis, m_complex_coords, proto_delta
 from .lie import SPACE_NAMES, build_space, validate_space
-from .linalg import is_zero_matrix
+from .linalg import diag, is_zero_matrix, lin_comb, mat_eq
 from .obstruction import (
     integrand,
     killing_check,
@@ -30,6 +30,7 @@ from .obstruction import (
 )
 from .render import dumps, fraction_jsonable, scalar_jsonable
 from .reps import UnsupportedLabel, casimir_constant, check_label, dim, enumerate_labels
+from .scalars import I, rational
 from .stability import coindex_report
 
 
@@ -197,11 +198,17 @@ def obstruction_doc() -> dict:
 def validate_doc(space_names: list) -> dict:
     out = {}
     for name in space_names:
-        checks = validate_space(build_space(name))
+        space = build_space(name)
+        checks = validate_space(space)
         target = lambda11_0(name)
         checks["lambda11_0_dim_8"] = target.dim == 8
+        # each torus element t acts on the module as diag(i * weight_t)
         checks["lambda11_0_weight_vectors"] = all(
-            w is not None for w in target.weights
+            mat_eq(
+                lin_comb(t, target.h_matrices),
+                diag(*(I * rational(w[k]) for w in target.weights)),
+            )
+            for k, t in enumerate(space.h_weight_torus)
         )
         out[name] = {k: bool(v) for k, v in sorted(checks.items())}
     return out

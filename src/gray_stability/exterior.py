@@ -9,6 +9,7 @@ invariant metric, which holds for every catalog space.
 
 from __future__ import annotations
 
+from .linalg import add_into, axpy
 from .scalars import ZERO, Scalar
 
 Form = dict  # dict[tuple[int, ...], Scalar]
@@ -17,27 +18,15 @@ Form = dict  # dict[tuple[int, ...], Scalar]
 def form_add(a: Form, b: Form) -> Form:
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k)
-        s = v if s is None else s + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+        add_into(out, k, v)
     return out
 
 
-def form_scale(c: Scalar, a: Form) -> Form:
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}
-
-
 def form_lin_comb(coeffs, forms) -> Form:
-    """sum_k coeffs[k] * forms[k] over the nonzero coefficients."""
+    """sum_k coeffs[k] * forms[k]."""
     out: Form = {}
     for c, v in zip(coeffs, forms):
-        if c:
-            out = form_add(out, form_scale(c, v))
+        axpy(out, c, v)
     return out
 
 
@@ -57,15 +46,9 @@ def wedge2(u: list, v: list) -> Form:
                 continue
             c = ua * vb
             if a < b:
-                key = (a, b)
+                add_into(out, (a, b), c)
             else:
-                key, c = (b, a), -c
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+                add_into(out, (b, a), -c)
     return out
 
 
@@ -80,14 +63,7 @@ def derivation_action(m: list, tensor: dict) -> dict:
                 c = m[w][idx]
                 if not c:
                     continue
-                new = key[:slot] + (w,) + key[slot + 1 :]
-                val = coeff * c
-                s = out.get(new)
-                s = val if s is None else s + val
-                if s:
-                    out[new] = s
-                else:
-                    out.pop(new, None)
+                add_into(out, key[:slot] + (w,) + key[slot + 1 :], coeff * c)
     return out
 
 
@@ -99,14 +75,7 @@ def alternate(tensor: dict) -> Form:
         if len(set(key)) != len(key):
             continue
         order = sorted(range(len(key)), key=lambda s: key[s])
-        val = coeff if _permutation_sign(order) == 1 else -coeff
-        skey = tuple(sorted(key))
-        s = out.get(skey)
-        s = val if s is None else s + val
-        if s:
-            out[skey] = s
-        else:
-            out.pop(skey, None)
+        add_into(out, tuple(sorted(key)), coeff if _permutation_sign(order) == 1 else -coeff)
     return out
 
 
@@ -139,15 +108,7 @@ def contract(x: list, form: Form) -> Form:
             if not xc:
                 continue
             val = xc * coeff
-            if slot % 2 == 1:
-                val = -val
-            skey = key[:slot] + key[slot + 1 :]
-            s = out.get(skey)
-            s = val if s is None else s + val
-            if s:
-                out[skey] = s
-            else:
-                out.pop(skey, None)
+            add_into(out, key[:slot] + key[slot + 1 :], -val if slot % 2 else val)
     return out
 
 

@@ -19,7 +19,6 @@ from .exterior import contract
 from .forms import lambda11_0
 from .lie import ReductiveSpace
 from .reps import explicit_rep
-from .scalars import ZERO
 
 
 def hom_basis(space: ReductiveSpace, gamma: tuple) -> list:
@@ -37,16 +36,13 @@ def hom_basis(space: ReductiveSpace, gamma: tuple) -> list:
     # one row per (t, w, v): entry (w, v) of W_t F - F R_t, as {column: c}
     rows = []
     for t in range(space.h_dim):
-        r_cols = [[(l, x) for l, x in enumerate(col) if x] for col in zip(*rep[t])]
+        neg_r_cols = [[(l, -x) for l, x in enumerate(col) if x] for col in zip(*rep[t])]
         for w, wrow in enumerate(target.h_matrices[t]):
             w_nz = [(k, x) for k, x in enumerate(wrow) if x]
             for v in range(vd):
                 d = {k * vd + v: x for k, x in w_nz}
-                for l, x in r_cols[v]:
-                    j = w * vd + l
-                    y = d.pop(j, ZERO) - x
-                    if y:
-                        d[j] = y
+                for l, x in neg_r_cols[v]:
+                    linalg.add_into(d, w * vd + l, x)
                 if d:
                     rows.append(d)
     out = [
@@ -86,10 +82,8 @@ def proto_delta(
         for v in range(vd):
             col = [composed[w][v] for w in range(target.dim)]
             form = target.realize(col)
-            contracted = contract(e, form)
-            for (idx,), c in contracted.items():
-                prev = out.get((idx, v))
-                out[idx, v] = c if prev is None else prev + c
+            for (idx,), c in contract(e, form).items():
+                linalg.add_into(out, (idx, v), c)
     return linalg.from_entries(md, out, vd)
 
 

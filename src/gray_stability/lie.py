@@ -92,19 +92,6 @@ def _nonzeros(x: tuple) -> dict:
     return {(i, j): c for i, row in enumerate(x) for j, c in enumerate(row) if c}
 
 
-def _add_into(acc: dict, key, c: Scalar) -> None:
-    """acc[key] += c; an entry that cancels leaves acc."""
-    prev = acc.get(key)
-    if prev is None:
-        acc[key] = c
-    else:
-        s = prev + c
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
-
-
 def _sparse_commutator(x_rows: dict, y_rows: dict) -> dict:
     """Nonzeros of x y - y x, from each matrix's {i: [(j, x_ij), ...]}."""
     out: dict = {}
@@ -114,7 +101,7 @@ def _sparse_commutator(x_rows: dict, y_rows: dict) -> dict:
                 if negate:
                     c = -c
                 for j, d in second.get(k, ()):
-                    _add_into(out, (i, j), c * d)
+                    linalg.add_into(out, (i, j), c * d)
     return out
 
 
@@ -155,7 +142,7 @@ def _ad_and_gram(mats: tuple, scale: Fraction) -> tuple:
             for k in range(dim):
                 g = gram_inv[k][l]
                 if g:
-                    _add_into(acc, k, g * sc)
+                    linalg.add_into(acc, k, g * sc)
 
     # [X_b, X_a] = -[X_a, X_b], so each pair a < b is formed once
     ad_entries = [{} for _ in range(dim)]
@@ -163,8 +150,7 @@ def _ad_and_gram(mats: tuple, scale: Fraction) -> tuple:
         for b in range(a + 1, dim):
             coords: dict = {}
             for pos, c in _sparse_commutator(rows[a], rows[b]).items():
-                for k, r in reader.get(pos, {}).items():
-                    _add_into(coords, k, c * r)
+                linalg.axpy(coords, c, reader.get(pos, {}))
             for k, c in coords.items():
                 ad_entries[a][k, b] = c
                 ad_entries[b][k, a] = -c

@@ -5,14 +5,21 @@ one that builds that type: every function here that returns a matrix
 returns it, and every function reads any sequence of row sequences.
 Vectors are lists.
 
+A sparse vector is a dict of its nonzeros: elimination rows, kernel
+vectors, forms, polynomial terms.  It never stores a zero, so two of them
+are equal exactly when their dicts are, and ``min(d)`` is the leading
+column of a row.  Every sum into one goes through ``add_into`` (one
+entry) or ``axpy`` (a multiple of another sparse vector), which drop an
+entry when it cancels.
+
 Every kernel, solve, rank and inverse goes through one sparse exact
 elimination, ``_eliminate``.  The systems the pipeline builds
 (equivariance constraints, wedge coordinates) are a few percent dense,
-so it holds each row as a dict of its nonzeros and touches only those.
+so it holds each row as a sparse vector and touches only its nonzeros.
 Division is exact in the field, so no fraction-free tricks are needed.
 
-``nullspace`` also takes such dict rows with an explicit column count
-and returns its kernel vectors as dicts, so ``fourier`` hands over the
+``nullspace`` also takes sparse rows with an explicit column count and
+returns its kernel vectors sparse, so ``fourier`` hands over the
 equivariance and codifferential systems as it builds them, with no dense
 matrix in between and no zero test per cell.  ``rref`` keeps its dense
 rows in and out: the tracer of ``perfbench`` sizes each elimination by
@@ -31,6 +38,36 @@ Vector = list  # list[Scalar]
 
 def _freeze(rows) -> Matrix:
     return tuple(map(tuple, rows))
+
+
+def add_into(acc: dict, key, c) -> None:
+    """acc[key] += c on a sparse vector, in place; an entry that cancels
+    leaves acc.  c is anything that adds and has a truth value (Scalar or
+    SymPoly)."""
+    s = acc.get(key)
+    s = c if s is None else s + c
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
+def axpy(acc: dict, c, x: dict) -> None:
+    """acc += c * x on sparse vectors, in place; entries that cancel leave
+    acc.  The loop is ``add_into`` written out, as the elimination runs it
+    once per row operation."""
+    if not c:
+        return
+    for k, y in x.items():
+        s = acc.get(k)
+        if s is None:
+            acc[k] = c * y
+        else:
+            s = s + c * y
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
 
 
 def zeros(m: int, n: int) -> Matrix:
@@ -207,7 +244,7 @@ def _eliminate(rows: list, n: int) -> tuple[list, list[int]]:
         inv = piv[col].inverse()
         piv = {j: x * inv for j, x in piv.items()}
         for d in leading:
-            _sub_multiple(d, d[col], piv)
+            axpy(d, -d[col], piv)
             if d:
                 by_lead.setdefault(min(d), []).append(d)
         pivots.append(col)
@@ -217,22 +254,8 @@ def _eliminate(rows: list, n: int) -> tuple[list, list[int]]:
         for d in reduced[:k]:
             c = d.get(col)
             if c is not None:
-                _sub_multiple(d, c, piv)
+                axpy(d, -c, piv)
     return reduced, pivots
-
-
-def _sub_multiple(d: dict, c: Scalar, piv: dict) -> None:
-    """d -= c * piv on sparse rows, in place; entries that cancel leave d."""
-    for j, y in piv.items():
-        x = d.get(j)
-        if x is None:
-            d[j] = -(c * y)
-        else:
-            x = x - c * y
-            if x:
-                d[j] = x
-            else:
-                del d[j]
 
 
 def rank(a: Matrix) -> int:
@@ -266,21 +289,18 @@ def nullspace(a, n: int | None = None) -> list:
     return list(kernel.values())
 
 
-def solve(a: Matrix, b):
-    """Solve a x = b by one elimination, for one right-hand side (b a
-    vector) or several (the columns of a matrix b).  Returns x of the same
-    kind as b, each column one solution (the unique one when a has full
+def solve(a: Matrix, b: Matrix):
+    """Solve a x = b for every column of b by one elimination.  Returns
+    the matrix x, each column one solution (the unique one when a has full
     column rank), or None if some column is inconsistent."""
     n = len(a[0])
-    several = not isinstance(b[0], Scalar)
-    rhs = b if several else [(x,) for x in b]
-    red, pivots = rref([list(row) + list(r) for row, r in zip(a, rhs)])
+    red, pivots = rref([list(row) + list(r) for row, r in zip(a, b)])
     if pivots and pivots[-1] >= n:
         return None
-    x = [(ZERO,) * len(rhs[0])] * n
+    x = [(ZERO,) * len(b[0])] * n
     for r, pc in enumerate(pivots):
         x[pc] = tuple(red[r][n:])
-    return tuple(x) if several else [row[0] for row in x]
+    return tuple(x)
 
 
 def inverse(a: Matrix) -> Matrix:

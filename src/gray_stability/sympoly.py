@@ -12,6 +12,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import add_into
 from .scalars import ONE, ZERO, Scalar
 
 NGENS = 9
@@ -59,12 +60,7 @@ class SymPoly:
     def __add__(self, other: "SymPoly") -> "SymPoly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            add_into(out, m, c)
         p = SymPoly()
         p.terms = out
         return p
@@ -82,14 +78,7 @@ class SymPoly:
             out: dict = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    c = c1 * c2
-                    s = out.get(m)
-                    s = c if s is None else s + c
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
+                    add_into(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
             p = SymPoly()
             p.terms = out
             return p

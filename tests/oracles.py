@@ -14,7 +14,6 @@ from gray_stability.exterior import (
     contract,
     form_add,
     form_lin_comb,
-    form_scale,
     wedge2,
 )
 from gray_stability.forms import HRep, _h_action_matrices, _span_coords, _weight_multiset, lambda11_0
@@ -149,6 +148,13 @@ def dense_hom_basis(space: ReductiveSpace, gamma: tuple) -> list:
 
 
 # -- exterior algebra --------------------------------------------------------
+
+def form_scale(c: Scalar, a: Form) -> Form:
+    """The multiple c * a of a k-vector; zero when c is."""
+    if not c:
+        return {}
+    return {k: c * v for k, v in a.items()}
+
 
 def derivation_reference(m: list, form: Form) -> Form:
     """The endomorphism m of the base space extended to a k-vector as a

@@ -1,5 +1,6 @@
 """Command-line interface behavior and output determinism."""
 
+import dataclasses
 import json
 import pathlib
 from fractions import Fraction
@@ -62,7 +63,8 @@ def test_delta_command(capsys):
 
 
 @pytest.mark.parametrize(
-    "space,gamma", [("s3xs3", "1,1,0"), ("cp3", "1,0"), ("flag", "1,1")]
+    "space,gamma",
+    [("s3xs3", "1,1,0"), ("cp3", "1,0"), ("flag", "1,1"), ("s3xs3", "1,1,2"), ("cp3", "1,1")],
 )
 def test_delta_matches_golden(capsys, space, gamma):
     # the delta matrices are printed in the basis of the primitive (1,1)
@@ -100,6 +102,23 @@ def test_validate_exit_code(capsys):
     code, out = _run(capsys, "validate", "--space", "flag")
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("space", ["s3xs3", "cp3", "flag"])
+def test_validate_reads_the_weights_of_lambda11_0(monkeypatch, space):
+    # the key compares each torus element's action with diag(i * weight),
+    # so one wrong weight turns it false
+    from gray_stability import cli
+
+    assert cli.validate_doc([space])[space]["lambda11_0_weight_vectors"] is True
+    target = cli.lambda11_0(space)
+    weights = list(target.weights)
+    weights[0] = (weights[0][0] + 1,) + weights[0][1:]
+    wrong = dataclasses.replace(target, weights=tuple(weights))
+    monkeypatch.setattr(cli, "lambda11_0", lambda name: wrong)
+    checks = cli.validate_doc([space])[space]
+    assert checks["lambda11_0_weight_vectors"] is False
+    assert checks["lambda11_0_dim_8"] is True
 
 
 def test_byte_identical_reruns(capsys):

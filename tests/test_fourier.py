@@ -3,7 +3,7 @@
 import pytest
 
 from gray_stability import linalg
-from gray_stability.exterior import form_add, form_scale, wedge2
+from gray_stability.exterior import form_add, wedge2
 from gray_stability.forms import lambda11_0
 from gray_stability.fourier import (
     coclosed_dim,
@@ -22,6 +22,7 @@ from oracles import (
     cp3_contraction_ratio,
     dense_hom_basis,
     flag_invariant_coefficient,
+    form_scale,
     s3xs3_display_generator,
 )
 

@@ -9,6 +9,7 @@ import pytest
 from gray_stability import linalg
 from gray_stability.lie import SPACE_NAMES, build_space
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
+from gray_stability.sympoly import V1, X
 from oracles import dense_nullspace, dense_rref, trace
 
 
@@ -30,16 +31,21 @@ def test_rref_and_nullspace():
         assert not any(linalg.mat_vec(a, v))
 
 
+def _column(v):
+    """The vector v as a one-column matrix."""
+    return [(x,) for x in v]
+
+
 def test_solve_unique():
     a = [[ONE, I], [ZERO, SQRT2]]
     x = [rational(3), I * rational(5)]
     b = linalg.mat_vec(a, x)
-    assert linalg.solve(a, b) == x
+    assert linalg.solve(a, _column(b)) == tuple(_column(x))
 
 
 def test_solve_inconsistent():
     a = [[ONE], [ONE]]
-    assert linalg.solve(a, [ONE, rational(2)]) is None
+    assert linalg.solve(a, _column([ONE, rational(2)])) is None
 
 
 def test_inverse_round_trip():
@@ -197,7 +203,7 @@ def _eliminations(a, rhs):
         "rref": linalg.rref(a),
         "rank": linalg.rank(a),
         "nullspace": linalg.nullspace(a),
-        "solve": [linalg.solve(a, b) for b in rhs],
+        "solve": [linalg.solve(a, _column(b)) for b in rhs],
         "solve_several": linalg.solve(a, linalg.transpose(rhs)),
     }
     if len(a) == len(a[0]):
@@ -223,7 +229,7 @@ def test_sparse_elimination_equals_dense_oracle(monkeypatch, seed):
             want = _eliminations(a, rhs)
         assert got == want
         # one elimination over several columns solves each column
-        cols = want["solve"]
+        cols = [None if x is None else [row[0] for row in x] for x in want["solve"]]
         assert got["solve_several"] == (None if None in cols else linalg.transpose(cols))
         assert linalg.solve(a, linalg.transpose(rhs[:2])) == linalg.transpose(cols[:2])
         for b, sol in zip(rhs, cols):
@@ -257,3 +263,49 @@ def test_nullspace_of_sparse_rows_equals_dense_kernels(seed):
         assert dense == linalg.nullspace(expanded) == dense_nullspace(expanded)
         for v in dense:
             assert not any(linalg.mat_vec(expanded, v))
+
+
+def test_add_into_drops_a_sum_that_cancels():
+    acc = {}
+    linalg.add_into(acc, (0, 1), SQRT2)
+    linalg.add_into(acc, (2, 3), I)
+    linalg.add_into(acc, (0, 1), -SQRT2)
+    assert acc == {(2, 3): I}
+    linalg.add_into(acc, (2, 3), I * rational(-1))
+    linalg.add_into(acc, (4, 5), ZERO)
+    assert acc == {}
+
+
+def test_add_into_and_axpy_accumulate_sympoly_coefficients():
+    acc = {}
+    linalg.add_into(acc, 0, X[0] * V1)
+    linalg.add_into(acc, 0, X[1])
+    linalg.add_into(acc, 1, X[2])
+    linalg.add_into(acc, 0, -(X[0] * V1))
+    assert acc == {0: X[1], 1: X[2]}
+    linalg.add_into(acc, 0, -X[1])
+    assert acc == {1: X[2]}
+    linalg.axpy(acc, SQRT2, {1: X[2], 2: V1})
+    assert acc == {1: X[2] * (ONE + SQRT2), 2: V1 * SQRT2}
+    linalg.axpy(acc, rational(-1), {1: X[2] * (ONE + SQRT2), 2: V1 * SQRT2})
+    assert acc == {}
+
+
+@pytest.mark.parametrize("seed", [6, 7, 8])
+def test_axpy_equals_dense_lin_comb(seed):
+    rng = random.Random(seed)
+    n = 12
+    for _ in range(20):
+        vecs = [{j: x for j in range(n) if (x := _sparse_entry(rng, 0.4))} for _ in range(4)]
+        coeffs = [_sparse_entry(rng, 0.8) for _ in vecs]
+        # a multiple of an earlier vector, so whole entries cancel
+        c = _sparse_entry(rng, 1.0)
+        vecs.append({j: x * c for j, x in vecs[0].items()})
+        coeffs.append(-coeffs[0] * c.inverse())
+        acc = {}
+        for c, v in zip(coeffs, vecs):
+            linalg.axpy(acc, c, v)
+        dense = [((tuple(v.get(j, ZERO) for j in range(n))),) for v in vecs]
+        (row,) = linalg.lin_comb(coeffs, dense)
+        assert acc == {j: x for j, x in enumerate(row) if x}
+        assert all(acc.values())

@@ -114,10 +114,10 @@ def _within_by_solve(diff, g):
         [Scalar.from_fraction(g.simple_roots[k][i]) for k in range(g.rank)]
         for i in range(g.rank)
     ]
-    sol = linalg.solve(mat, [Scalar.from_fraction(x) for x in diff])
-    if sol is None or not all(x.is_rational() for x in sol):
+    sol = linalg.solve(mat, [(Scalar.from_fraction(x),) for x in diff])
+    if sol is None or not all(x.is_rational() for (x,) in sol):
         return False
-    return all(x.rational().denominator == 1 and x.rational() >= 0 for x in sol)
+    return all(x.rational().denominator == 1 and x.rational() >= 0 for (x,) in sol)
 
 
 def test_integer_cone_test_matches_exact_solve():
