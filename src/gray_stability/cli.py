@@ -145,16 +145,14 @@ def homdim_doc(space_name: str, gamma: tuple) -> dict:
 
 def delta_doc(space_name: str, gamma: tuple) -> dict:
     space = build_space(space_name)
-    images = [proto_delta(space, gamma, f) for f in hom_basis(space, gamma)]
-    generators = []
-    for d in images:
-        mats = m_complex_coords(space, d)
-        generators.append(
-            {
-                "delta_matrix": [[scalar_jsonable(x) for x in row] for row in mats],
-                "delta_is_zero": is_zero_matrix(mats),
-            }
-        )
+    images = proto_delta(space, gamma, hom_basis(space, gamma))
+    generators = [
+        {
+            "delta_matrix": [[scalar_jsonable(x) for x in row] for row in mats],
+            "delta_is_zero": is_zero_matrix(mats),
+        }
+        for mats in m_complex_coords(space, images, dim(space.group, gamma))
+    ]
     return {
         "space": space_name,
         "gamma": list(gamma),

@@ -9,7 +9,7 @@ invariant metric, which holds for every catalog space.
 
 from __future__ import annotations
 
-from .linalg import add_into, axpy
+from .linalg import add_into
 from .scalars import ZERO, Scalar
 
 Form = dict  # dict[tuple[int, ...], Scalar]
@@ -19,14 +19,6 @@ def form_add(a: Form, b: Form) -> Form:
     out = dict(a)
     for k, v in b.items():
         add_into(out, k, v)
-    return out
-
-
-def form_lin_comb(coeffs, forms) -> Form:
-    """sum_k coeffs[k] * forms[k]."""
-    out: Form = {}
-    for c, v in zip(coeffs, forms):
-        axpy(out, c, v)
     return out
 
 

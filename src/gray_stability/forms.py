@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import linalg
 from .branching import decompose_weights
-from .exterior import Form, alternate, derivation_action, form_inner, form_lin_comb, wedge2
+from .exterior import Form, alternate, derivation_action, form_inner, wedge2
 from .lie import ReductiveSpace, build_space
 from .scalars import ZERO
 
@@ -31,9 +31,6 @@ class HRep:
     @property
     def dim(self) -> int:
         return len(self.vectors)
-
-    def realize(self, coords: list) -> Form:
-        return form_lin_comb(coords, self.vectors)
 
 
 def _span_coords(vectors, forms) -> tuple:
@@ -88,10 +85,10 @@ def lambda11_0(space_name: str) -> HRep:
         raise AssertionError("Kaehler 2-vector must span a zero-weight line")
 
     # Pairing of the zero-weight block against the Kaehler vector.
-    row = []
-    for i in zero_idx:
-        row.append(form_inner(wedges[i], kahler))
-    combos = linalg.nullspace([row])
+    row: dict = {}
+    for j, i in enumerate(zero_idx):
+        linalg.add_into(row, j, form_inner(wedges[i], kahler))
+    combos = linalg.nullspace([row], len(zero_idx))
 
     vectors: list[Form] = []
     weights: list[tuple] = []
@@ -101,7 +98,10 @@ def lambda11_0(space_name: str) -> HRep:
             weights.append(w)
     zero_block = [wedges[i] for i in zero_idx]
     for combo in combos:
-        vectors.append(form_lin_comb(combo, zero_block))
+        vec: Form = {}
+        for j, c in combo.items():
+            linalg.axpy(vec, c, zero_block[j])
+        vectors.append(vec)
         weights.append(zero_wt)
 
     mats = _h_action_matrices(space, vectors)

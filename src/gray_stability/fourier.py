@@ -1,14 +1,18 @@
 """Equivariant homomorphism spaces and the prototypical codifferential.
 
-A Fourier coefficient is an explicit matrix F from an irreducible module
-into an isotropy module of (1,1)-type.  The codifferential acts on it by
+A Fourier coefficient is an equivariant map F from an irreducible module
+V into the primitive (1,1) isotropy module, held as the sparse vector
+{(w, v): c} of its matrix entries: w indexes the basis 2-vectors Lambda_w
+of that module, v the basis of V.  The codifferential acts on it by
 
     delta(F) = sum_a  e_a -| (F o rho(e_a))
 
 summed over the real orthonormal basis (e_a) of the reductive complement,
 with the contraction convention e -| (x ^ y) = <e,x> y - <e,y> x extended
-bilinearly.  The kernel dimension of delta on the homomorphism space is
-the coclosed multiplicity.
+bilinearly; its image is the sparse vector {(i, v): c}, i indexing (e_a).
+``proto_delta`` tabulates the contractions e_a -| Lambda_w once per label.
+The kernel dimension of delta on the homomorphism space is the coclosed
+multiplicity.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .reps import explicit_rep
 
 def hom_basis(space: ReductiveSpace, gamma: tuple) -> list:
     """Basis of the equivariant homomorphisms into the primitive (1,1)
-    module, each a target_dim x module_dim matrix, by exact null-space
+    module, each a sparse {(w, v): c} coefficient, by exact null-space
     solving of the infinitesimal equivariance constraints (the isotropy
     groups are connected).  A label whose multiplicity count is 0 has no
     homomorphisms, explicit module or not."""
@@ -45,10 +49,7 @@ def hom_basis(space: ReductiveSpace, gamma: tuple) -> list:
                     linalg.add_into(d, w * vd + l, x)
                 if d:
                     rows.append(d)
-    out = [
-        linalg.from_entries(wd, {divmod(i, vd): x for i, x in vec.items()}, vd)
-        for vec in linalg.nullspace(rows, wd * vd)
-    ]
+    out = [{divmod(i, vd): x for i, x in vec.items()} for vec in linalg.nullspace(rows, wd * vd)]
     if len(out) != expected:
         raise ArithmeticError(
             f"hom space dimension {len(out)} != multiplicity count {expected} "
@@ -57,50 +58,50 @@ def hom_basis(space: ReductiveSpace, gamma: tuple) -> list:
     return out
 
 
-def proto_delta(
-    space: ReductiveSpace,
-    gamma: tuple,
-    f: tuple,
-    m_basis: list | None = None,
-) -> tuple:
-    """Prototypical codifferential of a (1,1)-valued Fourier coefficient.
-
-    Returns the matrix into the complexified reductive complement, in
-    real orthonormal coordinates.  An alternative real orthonormal basis
-    of m may be supplied (as coordinate vectors) to exhibit basis
-    independence; the default is the catalog basis.
-    """
-    target = lambda11_0(space.name)
+def proto_delta(space: ReductiveSpace, gamma: tuple, basis: list) -> list:
+    """Prototypical codifferential of each Fourier coefficient in basis, as
+    the sparse image {(i, v): c} in the real orthonormal coordinates i of
+    the complexified reductive complement, by one pass over the nonzeros of
+    F: delta(F)(i, v) = sum F[w, l] rho(e_a)[l][v] (e_a -| Lambda_w)[i]."""
+    if not basis:
+        return []
     rep = explicit_rep(space, gamma)
-    md, vd = space.m_dim, len(rep[0])
-    if m_basis is None:
-        m_basis = linalg.identity(md)
-    out: dict = {}
-    for e in m_basis:
-        rho = linalg.lin_comb(e, rep[space.h_dim :])
-        composed = linalg.mat_mul(f, rho)
-        for v in range(vd):
-            col = [composed[w][v] for w in range(target.dim)]
-            form = target.realize(col)
-            for (idx,), c in contract(e, form).items():
-                linalg.add_into(out, (idx, v), c)
-    return linalg.from_entries(md, out, vd)
+    # rho[a][l]: the nonzeros (v, x) of row l of rho(e_a)
+    rho = [[[(v, x) for v, x in enumerate(row) if x] for row in m] for m in rep[space.h_dim :]]
+    frame, vectors = linalg.identity(space.m_dim), lambda11_0(space.name).vectors
+    # hook[w]: the (a, e_a -| Lambda_w) whose contraction is nonzero
+    hook = [[(a, h) for a, h in enumerate(contract(e, vec) for e in frame) if h] for vec in vectors]
+    images = []
+    for f in basis:
+        out: dict = {}
+        for (w, l), c in f.items():
+            for a, hooked in hook[w]:
+                for v, x in rho[a][l]:
+                    cx = c * x
+                    for (i,), h in hooked.items():
+                        linalg.add_into(out, (i, v), cx * h)
+        images.append(out)
+    return images
 
 
-def m_complex_coords(space: ReductiveSpace, d: tuple) -> tuple:
-    """Re-express a delta image in the complex eigenbasis (m^+ then m^-)."""
+def m_complex_coords(space: ReductiveSpace, images: list, vd: int) -> list:
+    """The delta images of coefficients on a module of dimension vd as
+    matrices in the complex eigenbasis (m^+ then m^-), for display; the
+    frame is inverted once for all of them."""
     pinv = linalg.inverse(linalg.transpose(space.m_plus + space.m_minus))
-    return linalg.mat_mul(pinv, d)
+    return [linalg.mat_mul(pinv, linalg.from_entries(space.m_dim, d, vd)) for d in images]
 
 
 def delta_kernel(images: list) -> list:
     """Null space of the codifferential on the span of a hom basis, given
     the delta images of its members: each kernel vector is a {k: c} dict
     of the nonzero coefficients of one coclosed combination of the basis.
-    Row (w, v) of the system holds entry (w, v) of every image."""
-    flat = [[x for row in d for x in row] for d in images]
-    rows = [{k: x for k, x in enumerate(cell) if x} for cell in zip(*flat)]
-    return linalg.nullspace(rows, len(images))
+    Row (i, v) of the system holds entry (i, v) of every image."""
+    rows: dict = {}
+    for k, d in enumerate(images):
+        for cell, x in d.items():
+            rows.setdefault(cell, {})[k] = x
+    return linalg.nullspace(list(rows.values()), len(images))
 
 
 def coclosed_dim(space: ReductiveSpace, gamma: tuple, basis: list | None = None) -> int:
@@ -108,4 +109,4 @@ def coclosed_dim(space: ReductiveSpace, gamma: tuple, basis: list | None = None)
     whose basis is built here unless the caller already holds it."""
     if basis is None:
         basis = hom_basis(space, gamma)
-    return len(delta_kernel([proto_delta(space, gamma, f) for f in basis]))
+    return len(delta_kernel(proto_delta(space, gamma, basis)))

@@ -18,12 +18,13 @@ elimination, ``_eliminate``.  The systems the pipeline builds
 so it holds each row as a sparse vector and touches only its nonzeros.
 Division is exact in the field, so no fraction-free tricks are needed.
 
-``nullspace`` also takes sparse rows with an explicit column count and
+``nullspace(rows, n)`` takes sparse rows with their column count and
 returns its kernel vectors sparse, so ``fourier`` hands over the
-equivariance and codifferential systems as it builds them, with no dense
-matrix in between and no zero test per cell.  ``rref`` keeps its dense
-rows in and out: the tracer of ``perfbench`` sizes each elimination by
-``len(a[0])`` of the argument of ``rref``.
+equivariance and codifferential systems as it builds them and keeps its
+coefficients and their kernels sparse, with no dense matrix in between
+and no zero test per cell.  ``rref`` keeps its dense rows in and out:
+the tracer of ``perfbench`` sizes each elimination by ``len(a[0])`` of
+the argument of ``rref``.
 """
 
 from __future__ import annotations
@@ -262,30 +263,17 @@ def rank(a: Matrix) -> int:
     return len(rref(a)[1])
 
 
-def nullspace(a, n: int | None = None) -> list:
-    """Basis of the right kernel, in deterministic (free-column) order.
-
-    ``a`` is a matrix, and each kernel vector a list; or, with the column
-    count n given, a list of sparse rows, each a {column: entry} dict of
-    its nonzeros, and each kernel vector such a dict.
-    """
-    dense = n is None
-    if dense:
-        if not a:
-            return []
-        n = len(a[0])
-        rows = [{j: x for j, x in enumerate(row) if x} for row in a]
-    else:
-        rows = [dict(d) for d in a]
-    reduced, pivots = _eliminate(rows, n)
+def nullspace(rows: list, n: int) -> list:
+    """Basis of the right kernel of the sparse rows (each a {column:
+    entry} dict of its nonzeros, columns below n), in deterministic
+    (free-column) order; each kernel vector is such a dict."""
+    reduced, pivots = _eliminate([dict(d) for d in rows], n)
     pivot_set = set(pivots)
     kernel = {j: {j: ONE} for j in range(n) if j not in pivot_set}
     for pc, d in zip(pivots, reduced):
         for j, x in d.items():
             if j != pc:
                 kernel[j][pc] = -x
-    if dense:
-        return [[v.get(j, ZERO) for j in range(n)] for v in kernel.values()]
     return list(kernel.values())
 
 

@@ -8,14 +8,7 @@ from fractions import Fraction
 
 from gray_stability import linalg
 from gray_stability.branching import decompose_weights
-from gray_stability.exterior import (
-    Form,
-    _permutation_sign,
-    contract,
-    form_add,
-    form_lin_comb,
-    wedge2,
-)
+from gray_stability.exterior import Form, _permutation_sign, contract, form_add, wedge2
 from gray_stability.forms import HRep, _h_action_matrices, _span_coords, _weight_multiset, lambda11_0
 from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, build_space
@@ -109,6 +102,23 @@ def dense_rref(a) -> tuple:
     return rows, pivots
 
 
+def to_sparse(a) -> dict:
+    """The nonzero entries of a vector, as {j: c}, or of a matrix, as
+    {(i, j): c}: the sparse form of kernel vectors, elimination rows,
+    Fourier coefficients and their delta images."""
+    if a and isinstance(a[0], (list, tuple)):
+        return {(i, j): x for i, row in enumerate(a) for j, x in enumerate(row) if x}
+    return {j: x for j, x in enumerate(a) if x}
+
+
+def to_dense(d: dict, m: int, n: int | None = None):
+    """Inverse of to_sparse: the length-m vector, or with n the m x n
+    matrix, holding the entries of d and zeros elsewhere."""
+    if n is None:
+        return [d.get(j, ZERO) for j in range(m)]
+    return linalg.from_entries(m, d, n)
+
+
 def dense_nullspace(a) -> list:
     """Reference for linalg.nullspace on a matrix: one kernel vector per
     free column of dense_rref, in column order."""
@@ -147,7 +157,37 @@ def dense_hom_basis(space: ReductiveSpace, gamma: tuple) -> list:
     ]
 
 
+def proto_delta_reference(space: ReductiveSpace, gamma: tuple, f, m_basis=None) -> tuple:
+    """Reference for fourier.proto_delta on one dense coefficient f: for
+    each vector e of a real orthonormal basis of m (coordinate rows; the
+    catalog basis by default) the dense product F rho(e), each column
+    realized as a 2-vector and contracted with e.  The result is the
+    dense matrix into the complexified complement."""
+    target = lambda11_0(space.name)
+    rep = explicit_rep(space, gamma)
+    md, vd = space.m_dim, len(rep[0])
+    if m_basis is None:
+        m_basis = linalg.identity(md)
+    out: dict = {}
+    for e in m_basis:
+        rho = linalg.lin_comb(e, rep[space.h_dim :])
+        composed = linalg.mat_mul(f, rho)
+        for v in range(vd):
+            form = realize(target, [composed[w][v] for w in range(target.dim)])
+            for (idx,), c in contract(e, form).items():
+                linalg.add_into(out, (idx, v), c)
+    return linalg.from_entries(md, out, vd)
+
+
 # -- exterior algebra --------------------------------------------------------
+
+def form_lin_comb(coeffs, forms) -> Form:
+    """sum_k coeffs[k] * forms[k]."""
+    out: Form = {}
+    for c, v in zip(coeffs, forms):
+        linalg.axpy(out, c, v)
+    return out
+
 
 def form_scale(c: Scalar, a: Form) -> Form:
     """The multiple c * a of a k-vector; zero when c is."""
@@ -275,6 +315,11 @@ def lambda11(space_name: str) -> HRep:
     )
 
 
+def realize(rep: HRep, coords: list) -> Form:
+    """The 2-vector with the given coordinates in the module basis."""
+    return form_lin_comb(coords, rep.vectors)
+
+
 def coords_of(rep: HRep, form: Form) -> list:
     """Coordinates of a 2-vector lying in the span of the module."""
     return [row[0] for row in _span_coords(rep.vectors, [form])]
@@ -284,8 +329,8 @@ def trivial_summand_basis(space_name: str) -> list:
     """Basis of the isotropy-fixed subspace of lambda11_0, as 2-vectors."""
     rep = lambda11_0(space_name)
     rows = [r for m in rep.h_matrices for r in m]
-    kernel = linalg.nullspace(rows) if rows else []
-    return [_normalize_leading(form_lin_comb(combo, rep.vectors)) for combo in kernel]
+    kernel = linalg.nullspace([to_sparse(row) for row in rows], rep.dim) if rows else []
+    return [_normalize_leading(form_lin_comb(to_dense(combo, rep.dim), rep.vectors)) for combo in kernel]
 
 
 def _normalize_leading(form: Form) -> Form:
@@ -358,9 +403,11 @@ def cp3_contraction_ratio(d: tuple):
 def coclosed_basis(space: ReductiveSpace, gamma: tuple) -> list:
     """Fourier coefficients spanning the kernel of the codifferential."""
     basis = hom_basis(space, gamma)
+    vd = len(explicit_rep(space, gamma)[0]) if basis else 0
+    dense = [to_dense(f, lambda11_0(space.name).dim, vd) for f in basis]
     return [
-        linalg.lin_comb([combo.get(k, ZERO) for k in range(len(basis))], basis)
-        for combo in delta_kernel([proto_delta(space, gamma, f) for f in basis])
+        linalg.lin_comb(to_dense(combo, len(basis)), dense)
+        for combo in delta_kernel(proto_delta(space, gamma, basis))
     ]
 
 

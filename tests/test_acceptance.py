@@ -20,7 +20,10 @@ from oracles import (
     flag_invariant_coefficient,
     matrix_a_eigenvalues,
     matrix_from_coordinates,
+    proto_delta_reference,
     s3xs3_display_generator,
+    to_dense,
+    to_sparse,
 )
 from gray_stability import linalg
 from gray_stability.branching import restrict
@@ -174,11 +177,10 @@ def test_criterion_04_prototypical_codifferential():
     # space, and the reference display pair is reproduced entry for entry
     # (unit scalar) on its support.
     s3 = build_space("s3xs3")
-    (gen,) = hom_basis(s3, (1, 1, 0))
-    d_gen = proto_delta(s3, (1, 1, 0), gen)
-    assert any(any(row) for row in d_gen)
+    (d_gen,) = proto_delta(s3, (1, 1, 0), hom_basis(s3, (1, 1, 0)))
+    assert any(any(row) for row in to_dense(d_gen, 6, 4))
     reference = s3xs3_display_generator()
-    d_ref = m_complex_coords(s3, proto_delta(s3, (1, 1, 0), reference))
+    (d_ref,) = m_complex_coords(s3, proto_delta(s3, (1, 1, 0), [to_sparse(reference)]), 4)
     jj = J * J
     assert d_ref[2][1] == ONE - jj and d_ref[2][2] == -(ONE - jj)
     assert d_ref[5][1] == ONE - J and d_ref[5][2] == -(ONE - J)
@@ -187,16 +189,16 @@ def test_criterion_04_prototypical_codifferential():
     # (b) the projective space: delta(F)(v5) = 0, delta(F)(v_i) is a fixed
     # multiple of the contraction of eta along e_i.
     cp3 = build_space("cp3")
-    (f,) = hom_basis(cp3, (1, 0))
-    d = proto_delta(cp3, (1, 0), f)
+    (d,) = proto_delta(cp3, (1, 0), hom_basis(cp3, (1, 0)))
+    d = to_dense(d, 6, 5)
     assert not any(d[w][4] for w in range(6))
     assert cp3_contraction_ratio(d)
 
     # (c) the flag manifold: the invariant-pairing coefficient is exactly
     # coclosed.
     flag = build_space("flag")
-    d_flag = proto_delta(flag, (1, 1), flag_invariant_coefficient())
-    assert linalg.is_zero_matrix(d_flag)
+    (d_flag,) = proto_delta(flag, (1, 1), [to_sparse(flag_invariant_coefficient())])
+    assert linalg.is_zero_matrix(to_dense(d_flag, 6, 8))
 
     # (d) coclosed multiplicity one at the deformation boundary.
     assert coclosed_dim(flag, (1, 1)) == 1
@@ -317,7 +319,8 @@ def test_criterion_08b_gram_kernel_invariance():
 def test_criterion_08c_codifferential_basis_independence():
     s3 = build_space("s3xs3")
     (f,) = hom_basis(s3, (1, 1, 0))
-    reference = proto_delta(s3, (1, 1, 0), f)
+    (reference,) = proto_delta(s3, (1, 1, 0), [f])
+    reference = to_dense(reference, 6, 4)
     c35, s35 = rational(3, 5), rational(4, 5)
     inv_s2 = SQRT2.inverse()
     rotations = []
@@ -326,7 +329,7 @@ def test_criterion_08c_codifferential_basis_independence():
         entries.update({(p, p): cc, (p, q): ss, (q, p): -ss, (q, q): cc})
         rotations.append(linalg.from_entries(6, entries))
     for basis in rotations:
-        rotated = proto_delta(s3, (1, 1, 0), f, m_basis=basis)
+        rotated = proto_delta_reference(s3, (1, 1, 0), to_dense(f, 8, 4), m_basis=basis)
         assert linalg.mat_eq(reference, rotated)
     _report(8, "codifferential invariant under exact orthonormal frame changes")
 

@@ -12,8 +12,9 @@ from gray_stability.fourier import (
     proto_delta,
 )
 from gray_stability.lie import build_space
-from gray_stability.reps import UnsupportedLabel, explicit_rep
+from gray_stability.reps import UnsupportedLabel, dim, enumerate_labels, explicit_rep
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, rational
+from gray_stability.stability import CASIMIR_THRESHOLD
 from oracles import (
     J,
     check_equivariance,
@@ -23,7 +24,11 @@ from oracles import (
     dense_hom_basis,
     flag_invariant_coefficient,
     form_scale,
+    proto_delta_reference,
+    realize,
     s3xs3_display_generator,
+    to_dense,
+    to_sparse,
 )
 
 
@@ -96,7 +101,7 @@ def test_hom_basis_matches_dense_elimination():
         space = build_space(name)
         basis = hom_basis(space, gamma)
         assert len(basis) == dim, (name, gamma)
-        assert basis == dense_hom_basis(space, gamma), (name, gamma)
+        assert basis == [to_sparse(f) for f in dense_hom_basis(space, gamma)], (name, gamma)
 
 
 def test_hom_basis_is_equivariant():
@@ -105,7 +110,7 @@ def test_hom_basis_is_equivariant():
         rep = explicit_rep(space, gamma)
         target = lambda11_0(name)
         for f in hom_basis(space, gamma):
-            assert check_equivariance(space, rep, target, f)
+            assert check_equivariance(space, rep, target, to_dense(f, target.dim, len(rep[0])))
 
 
 def _tensor_generator_oracle():
@@ -145,14 +150,13 @@ def test_s3xs3_generator_matches_independent_oracle():
     oracle = _tensor_generator_oracle()
     rep = explicit_rep(space, (1, 1, 0))
     assert check_equivariance(space, rep, lambda11_0("s3xs3"), oracle)
-    assert _proportional(mine, oracle)
+    assert _proportional(to_dense(mine, 8, 4), oracle)
 
 
 def test_s3xs3_delta_nonzero_and_coclosed_dims():
     space = build_space("s3xs3")
-    (f,) = hom_basis(space, (1, 1, 0))
-    d = proto_delta(space, (1, 1, 0), f)
-    assert any(any(row) for row in d)
+    (d,) = proto_delta(space, (1, 1, 0), hom_basis(space, (1, 1, 0)))
+    assert any(any(row) for row in to_dense(d, 6, 4))
     assert coclosed_dim(space, (1, 1, 0)) == 0
     assert coclosed_dim(space, (1, 0, 1)) == 0
     assert coclosed_dim(space, (0, 1, 1)) == 0
@@ -164,8 +168,8 @@ def test_s3xs3_delta_nonzero_and_coclosed_dims():
 def test_s3xs3_delta_output_is_equivariant():
     space = build_space("s3xs3")
     rep = explicit_rep(space, (1, 1, 0))
-    (f,) = hom_basis(space, (1, 1, 0))
-    d = proto_delta(space, (1, 1, 0), f)
+    (d,) = proto_delta(space, (1, 1, 0), hom_basis(space, (1, 1, 0)))
+    d = to_dense(d, 6, 4)
     # equivariance into the complexified complement: ad(h) after = before
     for t, h in enumerate(linalg.identity(space.h_dim)):
         ad = space.ad_m_of_h(h)
@@ -178,19 +182,20 @@ def test_cp3_generator_is_z5_eta():
     space = build_space("cp3")
     target = lambda11_0("cp3")
     (f,) = hom_basis(space, (1, 0))
+    f = to_dense(f, 8, 5)
     # columns v1..v4 vanish; column v5 spans the invariant line eta
     for v in range(4):
         assert not any(f[w][v] for w in range(8))
     eta = {(0, 1): rational(1, 2), (2, 3): rational(1, 2), (4, 5): ONE}
-    col5 = target.realize([f[w][4] for w in range(8)])
+    col5 = realize(target, [f[w][4] for w in range(8)])
     ratios = {k: col5[k] * eta[k].inverse() for k in eta}
     assert len(set(ratios.values())) == 1 and set(col5) == set(eta)
 
 
 def test_cp3_delta_matches_contraction_formula():
     space = build_space("cp3")
-    (f,) = hom_basis(space, (1, 0))
-    d = proto_delta(space, (1, 0), f)
+    (d,) = proto_delta(space, (1, 0), hom_basis(space, (1, 0)))
+    d = to_dense(d, 6, 5)
     # delta(F)(v5) = 0
     assert not any(d[w][4] for w in range(6))
     # delta(F)(v_i) = c * (e_i -| eta) for one common scalar c != 0
@@ -205,8 +210,8 @@ def test_flag_invariant_coefficient_is_coclosed():
     f = flag_invariant_coefficient()
     rep = explicit_rep(space, (1, 1))
     assert check_equivariance(space, rep, lambda11_0("flag"), f)
-    d = proto_delta(space, (1, 1), f)
-    assert linalg.is_zero_matrix(d)
+    (d,) = proto_delta(space, (1, 1), [to_sparse(f)])
+    assert linalg.is_zero_matrix(to_dense(d, 6, 8))
 
 
 def test_flag_coclosed_kernel_is_the_invariant_line():
@@ -221,9 +226,8 @@ def test_trivial_label_delta_vanishes():
     for name in ("s3xs3", "cp3", "flag"):
         space = build_space(name)
         trivial = (0, 0, 0) if space.group == "k3" else (0, 0)
-        for f in hom_basis(space, trivial):
-            d = proto_delta(space, trivial, f)
-            assert linalg.is_zero_matrix(d)
+        for d in proto_delta(space, trivial, hom_basis(space, trivial)):
+            assert linalg.is_zero_matrix(to_dense(d, 6, 1))
         # every invariant is coclosed
         hd = len(hom_basis(space, trivial))
         assert coclosed_dim(space, trivial) == hd
@@ -235,7 +239,8 @@ def test_reference_display_pair_s3xs3():
     display matrix differs from the equivariant generator by the sign of
     its first column, so only its own delta-rows are comparable."""
     space = build_space("s3xs3")
-    d = m_complex_coords(space, proto_delta(space, (1, 1, 0), s3xs3_display_generator()))
+    images = proto_delta(space, (1, 1, 0), [to_sparse(s3xs3_display_generator())])
+    (d,) = m_complex_coords(space, images, 4)
     jj = J * J
     # rows (X3 | conj X3), columns (z1z2, z2z1): entries 1-j^2 and 1-j.
     assert d[2][1] == ONE - jj and d[2][2] == -(ONE - jj)
@@ -246,23 +251,46 @@ def test_reference_display_pair_s3xs3():
 
 def test_proto_delta_linear_in_f():
     space = build_space("flag")
-    f1, f2 = hom_basis(space, (1, 1))[:2]
+    f1, f2 = (to_dense(f, 8, 8) for f in hom_basis(space, (1, 1))[:2])
     a, b = SQRT2, I * rational(3) - rational(1, 2)
     combo = linalg.lin_comb((a, b), (f1, f2))
-    d1 = proto_delta(space, (1, 1), f1)
-    d2 = proto_delta(space, (1, 1), f2)
-    dc = proto_delta(space, (1, 1), combo)
+    images = proto_delta(space, (1, 1), [to_sparse(f) for f in (f1, f2, combo)])
+    d1, d2, dc = (to_dense(d, 6, 8) for d in images)
     expected = linalg.lin_comb((a, b), (d1, d2))
     assert linalg.mat_eq(dc, expected)
+
+
+def test_proto_delta_equals_dense_reference():
+    # every hom basis vector of every label in the three coindex tables,
+    # and of s3xs3 (2,2,2) (the largest system delta accepts) and (2,2,0)
+    # (a nonzero coclosed kernel)
+    cases = [
+        (name, label)
+        for name in ("s3xs3", "cp3", "flag")
+        for label in enumerate_labels(build_space(name).group, CASIMIR_THRESHOLD)
+    ]
+    cases += [("s3xs3", (2, 2, 2)), ("s3xs3", (2, 2, 0))]
+    checked = 0
+    for name, gamma in cases:
+        space = build_space(name)
+        basis = hom_basis(space, gamma)
+        vd = dim(space.group, gamma)
+        for f, d in zip(basis, proto_delta(space, gamma, basis), strict=True):
+            want = proto_delta_reference(space, gamma, to_dense(f, 8, vd))
+            assert to_dense(d, space.m_dim, vd) == want, (name, gamma)
+            checked += 1
+    # 16 coefficients in the three tables, then 5 and 2
+    assert checked == 16 + 5 + 2
 
 
 def test_proto_delta_independent_of_orthonormal_basis():
     space = build_space("s3xs3")
     (f,) = hom_basis(space, (1, 1, 0))
-    default = proto_delta(space, (1, 1, 0), f)
+    (default,) = proto_delta(space, (1, 1, 0), [f])
+    default = to_dense(default, 6, 4)
     # exact rotation by the 3-4-5 triangle in the (u1, w1) plane
     c, s = rational(3, 5), rational(4, 5)
     rotation = ((c, s, ZERO, ZERO, ZERO, ZERO), (-s, c, ZERO, ZERO, ZERO, ZERO))
     basis = rotation + linalg.identity(6)[2:]
-    rotated = proto_delta(space, (1, 1, 0), f, m_basis=basis)
+    rotated = proto_delta_reference(space, (1, 1, 0), to_dense(f, 8, 4), m_basis=basis)
     assert linalg.mat_eq(default, rotated)

@@ -10,7 +10,7 @@ from gray_stability import linalg
 from gray_stability.lie import SPACE_NAMES, build_space
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from gray_stability.sympoly import V1, X
-from oracles import dense_nullspace, dense_rref, trace
+from oracles import dense_nullspace, dense_rref, to_dense, to_sparse, trace
 
 
 def _rand_scalar(rng):
@@ -25,7 +25,7 @@ def test_rref_and_nullspace():
         [ONE, rational(2), rational(3)],
         [rational(2), rational(4), rational(6)],
     ]
-    ns = linalg.nullspace(a)
+    ns = [to_dense(v, 3) for v in linalg.nullspace([to_sparse(row) for row in a], 3)]
     assert len(ns) == 2
     for v in ns:
         assert not any(linalg.mat_vec(a, v))
@@ -199,10 +199,11 @@ def _sparse_cases(rng):
 def _eliminations(a, rhs):
     """Every result that rests on rref, for the matrix a and the
     right-hand sides rhs (vectors of length len(a))."""
+    n = len(a[0])
     out = {
         "rref": linalg.rref(a),
         "rank": linalg.rank(a),
-        "nullspace": linalg.nullspace(a),
+        "nullspace": [to_dense(v, n) for v in linalg.nullspace([to_sparse(row) for row in a], n)],
         "solve": [linalg.solve(a, _column(b)) for b in rhs],
         "solve_several": linalg.solve(a, linalg.transpose(rhs)),
     }
@@ -225,7 +226,11 @@ def test_sparse_elimination_equals_dense_oracle(monkeypatch, seed):
         got = _eliminations(a, rhs)
         with monkeypatch.context() as patched:
             patched.setattr(linalg, "rref", dense_rref)
-            patched.setattr(linalg, "nullspace", dense_nullspace)
+            patched.setattr(
+                linalg,
+                "nullspace",
+                lambda rows, n: [to_sparse(v) for v in dense_nullspace([to_dense(r, n) for r in rows])],
+            )
             want = _eliminations(a, rhs)
         assert got == want
         # one elimination over several columns solves each column
@@ -260,7 +265,8 @@ def test_nullspace_of_sparse_rows_equals_dense_kernels(seed):
         dense = [[v.get(j, ZERO) for j in range(n)] for v in kernel]
         # an empty row list with n columns expands to the zero row
         expanded = a or linalg.zeros(1, n)
-        assert dense == linalg.nullspace(expanded) == dense_nullspace(expanded)
+        again = linalg.nullspace([to_sparse(row) for row in expanded], n)
+        assert dense == [to_dense(v, n) for v in again] == dense_nullspace(expanded)
         for v in dense:
             assert not any(linalg.mat_vec(expanded, v))
 

@@ -1,11 +1,12 @@
 """Spectral case analysis and the coindex assembly."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from gray_stability import branching
+from gray_stability import branching, fourier
 from gray_stability.branching import hom_dim
 from gray_stability.forms import lambda11_0
 from gray_stability.stability import (
@@ -17,7 +18,7 @@ from gray_stability.stability import (
     solution_dim,
     _coclosed_table,
 )
-from gray_stability.lie import build_space
+from gray_stability.lie import SPACE_NAMES, build_space
 from oracles import matrix_a, matrix_a_eigenvalues
 
 
@@ -229,3 +230,21 @@ def test_coclosed_table_branches_each_label_once(monkeypatch):
     assert sorted(calls) == sorted(row[0] for row in rows)
     decomposition = lambda11_0("flag").decomposition
     assert [row[3] for row in rows] == [hom_dim(space, row[0], decomposition) for row in rows]
+
+
+def test_coindex_reports_build_each_module_twice(monkeypatch):
+    # one explicit module for the hom basis of a label with homomorphisms
+    # and one for all of its delta images: 22 for the 11 such labels
+    calls = Counter()
+    original = fourier.explicit_rep
+
+    def counted(space, gamma):
+        calls[space.name, gamma] += 1
+        return original(space, gamma)
+
+    monkeypatch.setattr(fourier, "explicit_rep", counted)
+    coindex_report.cache_clear()
+    reports = [coindex_report(name) for name in SPACE_NAMES]
+    with_homs = {(r.space, row[0]) for r in reports for row in r.casimir_rows if row[3]}
+    assert set(calls) == with_homs and len(with_homs) == 11
+    assert set(calls.values()) == {2} and sum(calls.values()) == 22
