@@ -3,7 +3,8 @@
 All exact values render as integers or "p/q" strings; identical
 invocations produce byte-identical output.  Exit codes: 0 success,
 1 failed checks or an internal error, 2 usage errors (bad space, label
-or option, and labels without an explicit module).
+or option, labels without an explicit module, and an --output path that
+cannot be written).
 """
 
 from __future__ import annotations
@@ -400,8 +401,11 @@ def _fmt(p):
 def _emit(doc: dict, text: str, args) -> None:
     payload = dumps(doc) if args.format == "json" else text
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(payload)
 

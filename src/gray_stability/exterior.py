@@ -15,13 +15,6 @@ from .scalars import ZERO, Scalar
 Form = dict  # dict[tuple[int, ...], Scalar]
 
 
-def form_add(a: Form, b: Form) -> Form:
-    out = dict(a)
-    for k, v in b.items():
-        add_into(out, k, v)
-    return out
-
-
 def wedge2(u: list, v: list) -> Form:
     """u wedge v for coordinate vectors in the orthonormal basis."""
     out: Form = {}

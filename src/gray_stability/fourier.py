@@ -104,9 +104,7 @@ def delta_kernel(images: list) -> list:
     return linalg.nullspace(list(rows.values()), len(images))
 
 
-def coclosed_dim(space: ReductiveSpace, gamma: tuple, basis: list | None = None) -> int:
-    """Kernel dimension of the codifferential on the homomorphism space,
-    whose basis is built here unless the caller already holds it."""
-    if basis is None:
-        basis = hom_basis(space, gamma)
+def coclosed_dim(space: ReductiveSpace, gamma: tuple, basis: list) -> int:
+    """Kernel dimension of the codifferential on the homomorphism space
+    spanned by basis, the hom_basis of the label."""
     return len(delta_kernel(proto_delta(space, gamma, basis)))

@@ -14,7 +14,9 @@ pairing, and the Gram matrix is inverted once.  The dual basis then gives
 one coordinate reader: the coordinates of any matrix C are the sum, over
 the nonzeros of C, of C_ij times the reader's ``{k: c}`` for (i, j).  Each
 commutator [X_a, X_b] with a < b is the difference of two sparse products,
-read through it; [X_b, X_a] is its negative.
+read through it; [X_b, X_a] is its negative.  ``ad_and_gram`` is the
+library's one bracket: ``obstruction`` calls it on the u(3) frame to read
+the derivatives of the coordinate functions.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def _sparse_commutator(x_rows: dict, y_rows: dict) -> dict:
     return out
 
 
-def _ad_and_gram(mats: tuple, scale: Fraction) -> tuple:
+def ad_and_gram(mats: tuple, scale: Fraction) -> tuple:
     """Adjoint matrices and Gram matrix of the basis mats under the trace
     form Q(x, y) = scale * tr(x y), touching only nonzero entries."""
     dim = len(mats)
@@ -181,7 +183,7 @@ def _build_s3xs3() -> ReductiveSpace:
     h_mats = tuple(linalg.kron(linalg.identity(3), ya) for ya in y)
     m_mats = tuple(linalg.kron(c, ya) for ya in y for c in (u_coeffs, w_coeffs))
     mats = h_mats + m_mats  # d1, d2, d3, u1, w1, u2, w2, u3, w3
-    ad, gram = _ad_and_gram(mats, Fraction(-1, 3))
+    ad, gram = ad_and_gram(mats, Fraction(-1, 3))
     algebra = LieAlgebraData(9, mats, ad, gram)
 
     inv_s2 = SQRT2.inverse()
@@ -244,7 +246,7 @@ def _build_cp3() -> ReductiveSpace:
     h_mats = (t1, t2, a, b)
     m_mats = tuple(linalg.mat_scale(SQRT2, ei) for ei in e) + (f1, f2)
     mats = h_mats + m_mats
-    ad, gram = _ad_and_gram(mats, Fraction(-1, 4))
+    ad, gram = ad_and_gram(mats, Fraction(-1, 4))
     algebra = LieAlgebraData(10, mats, ad, gram)
 
     inv_s2 = SQRT2.inverse()
@@ -296,7 +298,7 @@ def _su3_frame_mats() -> tuple:
 
 def _build_flag() -> ReductiveSpace:
     mats = _su3_frame_mats()
-    ad, gram = _ad_and_gram(mats, Fraction(-1, 2))
+    ad, gram = ad_and_gram(mats, Fraction(-1, 2))
     algebra = LieAlgebraData(8, mats, ad, gram)
 
     p1 = (ONE, -I, ZERO, ZERO, ZERO, ZERO)   # e1 - i e2

@@ -181,18 +181,6 @@ def is_zero_matrix(a: Matrix) -> bool:
     return not any(any(row) for row in a)
 
 
-def trace_product(a: Matrix, b: Matrix) -> Scalar:
-    """tr(a b) = sum over i, j of a[i][j] * b[j][i], without forming a b."""
-    s = ZERO
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x:
-                y = b[j][i]
-                if y:
-                    s = s + x * y
-    return s
-
-
 def scalar_multiple_of_identity(a: Matrix) -> Scalar | None:
     """Return c with a == c*Id, or None if a is not scalar."""
     c = a[0][0]

@@ -1,34 +1,39 @@
 """Second-order integrability obstruction for the Einstein deformations
 of the flag manifold.
 
-Works in the unitary 3x3 frame (h1, h2, h3, e1, ..., e6) with the inner
-product making (e_i, sqrt2 h_j) orthonormal.  The infinitesimal Einstein
-deformations are parametrized by traceless skew-hermitian matrices xi via
-nine coordinate functions v1..v3, x1..x6; the deformation tensor is
+Works in the unitary 3x3 frame Z = (h1, h2, h3, e1, ..., e6), h_k = i E_kk,
+with the inner product -(1/2) tr, which makes (e_i, sqrt2 h_j)
+orthonormal.  The infinitesimal Einstein deformations are parametrized by
+traceless skew-hermitian matrices xi via nine coordinate functions
+v1..v3, x1..x6; the deformation tensor is
 
     h = v3 (e1 (x) e1 + e2 (x) e2) + v2 (e3 (x) e3 + e4 (x) e4)
       + v1 (e5 (x) e5 + e6 (x) e6).
 
-Derivatives reduce to finite bracket computations: the left-invariant
-derivative of the coordinate function of Z along e is the coordinate
-function of [e, Z] (this global sign choice is fixed once; flipping it
-negates every degree-1 function and leaves the pairing unchanged), and
-the torsion correction acts through the 3-form Psi^- as a derivation.
+Derivatives reduce to the one bracket: the left-invariant derivative of
+the coordinate function of Z_g along e is the coordinate function of
+[e, Z_g], and ``lie.ad_and_gram`` of the frame holds the coordinates of
+[e, Z_g] in column g of the adjoint matrix of e.  The sign of this
+convention is fixed once; flipping it negates every degree-1 function and
+leaves the pairing unchanged (test_sign_convention_toggle).  The torsion
+correction acts through the 3-form Psi^- as a derivation.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 from . import linalg
-from .exterior import _permutation_sign, derivation_action, form_add
-from .lie import build_space
+from .exterior import contract, derivation_action
+from .lie import ad_and_gram, build_space
 from .scalars import I, Scalar, rational
 from .sympoly import (
     NGENS,
+    V1,
+    V2,
+    V3,
     SymPoly,
     det_cubic,
     eliminate_v3,
@@ -41,116 +46,54 @@ from .sympoly import (
 M_DIM = 6
 _GENS = generators()
 
-
-@lru_cache(maxsize=1)
-def _frame():
-    """The unitary frame: 3x3 matrices of h1..h3 and e1..e6."""
-    su3 = build_space("flag").algebra.basis_matrices  # (t1, t2, e1..e6)
-    h_mats = tuple(linalg.from_entries(3, {(k, k): I}) for k in range(3))
-    return h_mats, su3[2:]
-
-
-def _ip_u3(x, y) -> Scalar:
-    # -(1/2) tr extends -(1/12)B of su(3) and makes (e_i, sqrt2 h_j) orthonormal.
-    return rational(-1, 2) * linalg.trace_product(x, y)
-
-
-def _coords_u3(m) -> tuple:
-    """Coordinates of a u(3) matrix in the (h, e) basis."""
-    h_mats, e_mats = _frame()
-    h_coeffs = [(_ip_u3(m, h) * rational(2)) for h in h_mats]
-    e_coeffs = [_ip_u3(m, e) for e in e_mats]
-    recon = linalg.lin_comb(h_coeffs + e_coeffs, h_mats + e_mats)
-    if not linalg.mat_eq(recon, m):
-        raise ValueError("matrix is not in the unitary frame span")
-    return tuple(h_coeffs), tuple(e_coeffs)
-
-
-def coordinate_poly(m) -> SymPoly:
-    """The coordinate function <xi*, m> as a linear polynomial."""
-    h_coeffs, e_coeffs = _coords_u3(m)
-    out = SymPoly()
-    for k, c in enumerate(h_coeffs):
-        if c:
-            out = out + _GENS[k].scale(c)
-    for k, c in enumerate(e_coeffs):
-        if c:
-            out = out + _GENS[3 + k].scale(c)
-    return out
-
-
-def directional_derivative(e_index: int, gen_index: int, sign: int = 1) -> SymPoly:
-    """Derivative of the coordinate function of the target basis vector
-    along the frame direction e_{e_index+1}: the coordinate function of
-    sign * [e, target]."""
-    h_mats, e_mats = _frame()
-    target = h_mats[gen_index] if gen_index < 3 else e_mats[gen_index - 3]
-    br = linalg.commutator(e_mats[e_index], target)
-    p = coordinate_poly(br)
-    return p if sign == 1 else -p
-
-
-@lru_cache(maxsize=2)
-def _gen_derivatives(sign: int = 1) -> tuple:
-    return tuple(
-        tuple(directional_derivative(e, g, sign) for g in range(9)) for e in range(M_DIM)
-    )
-
-
-def poly_derivative(e_index: int, p: SymPoly, sign: int = 1) -> SymPoly:
-    """Leibniz extension of the coordinate-function derivatives."""
-    derivs = _gen_derivatives(sign)[e_index]
-    return sum((p.partial(k) * d for k, d in enumerate(derivs)), SymPoly())
-
-
 Tensor = dict  # dict[index tuple, SymPoly]
 
-
-def _cached_by_sign(fn):
-    """lru_cache(maxsize=2) over the sign convention, keyed on its value
-    however it is passed, so that fn() and fn(1) share one entry."""
-    cached = lru_cache(maxsize=2)(fn)
-
-    @wraps(fn)
-    def call(sign: int = 1):
-        return cached(sign)
-
-    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-    return call
+# The deformation 2-tensor in the orthonormal frame.
+H_HAT: Tensor = {
+    (0, 0): V3,
+    (1, 1): V3,
+    (2, 2): V2,
+    (3, 3): V2,
+    (4, 4): V1,
+    (5, 5): V1,
+}
 
 
-def h_hat(sign: int = 1) -> Tensor:
-    """The deformation 2-tensor in the orthonormal frame."""
-    v1, v2, v3 = (_GENS[k] if sign == 1 else -_GENS[k] for k in range(3))
-    return {
-        (0, 0): v3,
-        (1, 1): v3,
-        (2, 2): v2,
-        (3, 3): v2,
-        (4, 4): v1,
-        (5, 5): v1,
-    }
-
-
-def _psi_lookup():
-    space = build_space("flag")
-    psi = {}
-    for key, c in space.psi_minus:
-        for perm in itertools.permutations(range(3)):
-            signed = c if _permutation_sign(perm) == 1 else -c
-            psi[tuple(key[p] for p in perm)] = signed
-    return psi
+@lru_cache(maxsize=1)
+def coordinate_derivatives() -> tuple:
+    """D[a][g]: the derivative of coordinate function g along e_{a+1}, the
+    linear polynomial whose coefficients are column g of the adjoint
+    matrix of e_{a+1} on the u(3) frame.  Each column is checked exactly
+    to recombine to the bracket [e_{a+1}, Z_g]."""
+    frame = tuple(linalg.from_entries(3, {(k, k): I}) for k in range(3))
+    frame += build_space("flag").algebra.basis_matrices[2:]
+    ad, _ = ad_and_gram(frame, Fraction(-1, 2))
+    table = []
+    for a in range(M_DIM):
+        e = frame[3 + a]
+        row = []
+        for g, col in enumerate(linalg.transpose(ad[3 + a])):
+            if not linalg.mat_eq(linalg.lin_comb(col, frame), linalg.commutator(e, frame[g])):
+                raise ValueError("matrix is not in the unitary frame span")
+            row.append(sum((_GENS[k].scale(c) for k, c in enumerate(col) if c), SymPoly()))
+        table.append(tuple(row))
+    return tuple(table)
 
 
 @lru_cache(maxsize=1)
 def a_endomorphisms() -> tuple:
     """A_X = X -| Psi^- as a skew endomorphism of m, for X = e_1..e_6;
-    entries A[X][w][b] = Psi^-(e_X, e_b, e_w)."""
-    psi = _psi_lookup()
-    return tuple(
-        linalg.from_entries(M_DIM, {(w, b): c for (k, b, w), c in psi.items() if k == x and c})
-        for x in range(M_DIM)
-    )
+    entries A[X][w][b] = Psi^-(e_X, e_b, e_w).  For b < w the (b, w)
+    coefficient c of the 2-form e_X -| Psi^- gives A[X][w][b] = c and
+    A[X][b][w] = -c."""
+    psi = build_space("flag").psi_minus_form()
+    out = []
+    for e_x in linalg.identity(M_DIM):
+        entries = {}
+        for (b, w), c in contract(e_x, psi).items():
+            entries[w, b], entries[b, w] = c, -c
+        out.append(linalg.from_entries(M_DIM, entries))
+    return tuple(out)
 
 
 def a_action(x_index: int, tensor: Tensor) -> Tensor:
@@ -165,25 +108,19 @@ def _half_torsion(i: int, tensor: Tensor) -> Tensor:
     return {key: coeff.scale(half) for key, coeff in a_action(i, tensor).items()}
 
 
-def tensor_derivative(e_index: int, tensor: Tensor, sign: int = 1) -> Tensor:
-    out: Tensor = {}
-    for key, coeff in tensor.items():
-        d = poly_derivative(e_index, coeff, sign)
-        if d:
-            out[key] = d
-    return out
-
-
-@_cached_by_sign
-def nabla_h(sign: int = 1) -> dict:
+@lru_cache(maxsize=1)
+def nabla_h() -> dict:
     """Full covariant derivative: entries (i, k, l) with
     nabla_h[(i, k, l)] = (e_i-component of the derivative) at slot (k, l),
-    computed as the invariant derivative plus half the torsion correction.
+    computed as the invariant derivative (the Leibniz rule over the
+    coordinate derivatives) plus half the torsion correction.
     Symmetric in (k, l)."""
-    hh = h_hat(sign)
     out: dict = {}
-    for i in range(M_DIM):
-        t = form_add(tensor_derivative(i, hh, sign), _half_torsion(i, hh))
+    for i, derivs in enumerate(coordinate_derivatives()):
+        t = _half_torsion(i, H_HAT)
+        for key, p in H_HAT.items():
+            d = sum((p.partial(k) * dk for k, dk in enumerate(derivs)), SymPoly())
+            linalg.add_into(t, key, d)
         out.update(((i,) + key, coeff) for key, coeff in t.items())
     return out
 
@@ -194,16 +131,15 @@ def nabla_h_entry(i: int, k: int) -> list:
     return [table.get((i, k, l), SymPoly.zero()) for l in range(M_DIM)]
 
 
-@_cached_by_sign
-def obstruction_terms(sign: int = 1) -> tuple:
+@lru_cache(maxsize=1)
+def obstruction_terms() -> tuple:
     """The three scalar invariants of the obstruction integrand, reduced to
     the canonical representatives modulo the trace relation."""
-    hh = h_hat(sign)
-    table = nabla_h(sign)
+    table = nabla_h()
 
     i0 = SymPoly.zero()
     for a in range(M_DIM):
-        c = hh.get((a, a))
+        c = H_HAT.get((a, a))
         if c:
             i0 = i0 + c * c * c
 
@@ -212,7 +148,7 @@ def obstruction_terms(sign: int = 1) -> tuple:
 
     i1 = SymPoly.zero()
     i2 = SymPoly.zero()
-    for (i, j), hij in hh.items():
+    for (i, j), hij in H_HAT.items():
         acc1 = SymPoly.zero()
         acc2 = SymPoly.zero()
         for k in range(M_DIM):
@@ -229,11 +165,11 @@ def obstruction_terms(sign: int = 1) -> tuple:
     return reduce_v_cubic(i0), reduce_v_cubic(i1), reduce_v_cubic(i2)
 
 
-def integrand(sign: int = 1) -> SymPoly:
+def integrand() -> SymPoly:
     """(1/2)(2E I0 - 3 I1 + 6 I2) with the Einstein constant E = 5 from
     the catalog."""
     e_const = build_space("flag").einstein_constant
-    i0, i1, i2 = obstruction_terms(sign)
+    i0, i1, i2 = obstruction_terms()
     half = rational(1, 2)
     return (
         i0.scale(2 * e_const) - i1.scale(3) + i2.scale(6)

@@ -4,19 +4,20 @@ Each helper here is an independent check on a library result or a
 convenience for writing one; none of them runs under a command.
 """
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from gray_stability import linalg
 from gray_stability.branching import decompose_weights
-from gray_stability.exterior import Form, _permutation_sign, contract, form_add, wedge2
+from gray_stability.exterior import Form, _permutation_sign, contract, wedge2
 from gray_stability.forms import HRep, _h_action_matrices, _span_coords, _weight_multiset, lambda11_0
 from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, build_space
-from gray_stability.obstruction import _frame, coordinate_poly
 from gray_stability.reps import _GRAM_INV, GROUPS, check_label, explicit_rep
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from gray_stability.stability import _sqrt_fraction
-from gray_stability.sympoly import SymPoly, eliminate_v3
+from gray_stability.sympoly import SymPoly, eliminate_v3, generators
 
 # Primitive cube root of unity (-1 + i*sqrt3)/2.
 J = Scalar((Fraction(-1, 2), 0, 0, 0, 0, Fraction(1, 2), 0, 0))
@@ -48,13 +49,25 @@ def trace(a) -> Scalar:
     return s
 
 
+def trace_product(a, b) -> Scalar:
+    """tr(a b) = sum over i, j of a[i][j] * b[j][i], without forming a b."""
+    s = ZERO
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x:
+                y = b[j][i]
+                if y:
+                    s = s + x * y
+    return s
+
+
 def ad_and_gram_reference(mats, scale) -> tuple:
-    """Reference for lie._ad_and_gram: the Gram matrix of Q(x, y) =
+    """Reference for lie.ad_and_gram: the Gram matrix of Q(x, y) =
     scale * tr(x y) by dense trace products, and each column of ad[a] as
     gram_inv times the pairings of [X_a, X_b] with every basis matrix."""
 
     def ip(x, y):
-        return Scalar.from_fraction(scale) * linalg.trace_product(x, y)
+        return Scalar.from_fraction(scale) * trace_product(x, y)
 
     dim = len(mats)
     gram = linalg.from_entries(
@@ -180,6 +193,13 @@ def proto_delta_reference(space: ReductiveSpace, gamma: tuple, f, m_basis=None) 
 
 
 # -- exterior algebra --------------------------------------------------------
+
+def form_add(a: Form, b: Form) -> Form:
+    out = dict(a)
+    for k, v in b.items():
+        linalg.add_into(out, k, v)
+    return out
+
 
 def form_lin_comb(coeffs, forms) -> Form:
     """sum_k coeffs[k] * forms[k]."""
@@ -458,6 +478,55 @@ def substitute(p: SymPoly, values: list) -> Scalar:
 
 def equal_mod_trace(p: SymPoly, q: SymPoly) -> bool:
     return eliminate_v3(p - q) == SymPoly.zero()
+
+
+@lru_cache(maxsize=1)
+def _frame():
+    """The unitary frame: 3x3 matrices of h1..h3 and e1..e6."""
+    su3 = build_space("flag").algebra.basis_matrices  # (t1, t2, e1..e6)
+    h_mats = tuple(linalg.from_entries(3, {(k, k): I}) for k in range(3))
+    return h_mats, su3[2:]
+
+
+def _ip_u3(x, y) -> Scalar:
+    # -(1/2) tr extends -(1/12)B of su(3) and makes (e_i, sqrt2 h_j) orthonormal.
+    return rational(-1, 2) * trace_product(x, y)
+
+
+def _coords_u3(m) -> tuple:
+    """Coordinates of a u(3) matrix in the (h, e) basis, read through the
+    trace form: the h-coordinate is twice the pairing, as |h_j|^2 = 1/2."""
+    h_mats, e_mats = _frame()
+    h_coeffs = [(_ip_u3(m, h) * rational(2)) for h in h_mats]
+    e_coeffs = [_ip_u3(m, e) for e in e_mats]
+    recon = linalg.lin_comb(h_coeffs + e_coeffs, h_mats + e_mats)
+    if not linalg.mat_eq(recon, m):
+        raise ValueError("matrix is not in the unitary frame span")
+    return tuple(h_coeffs), tuple(e_coeffs)
+
+
+def coordinate_poly(m) -> SymPoly:
+    """Reference for obstruction.coordinate_derivatives: the coordinate
+    function <xi*, m> as a linear polynomial, by the trace form."""
+    h_coeffs, e_coeffs = _coords_u3(m)
+    gens = generators()
+    out = SymPoly()
+    for k, c in enumerate(h_coeffs + e_coeffs):
+        if c:
+            out = out + gens[k].scale(c)
+    return out
+
+
+def psi_lookup() -> dict:
+    """Reference for obstruction.a_endomorphisms: Psi^-(e_a, e_b, e_c) of
+    the flag manifold for every ordered triple of distinct indices, by
+    permuting each stored coefficient with its sign."""
+    psi = {}
+    for key, c in build_space("flag").psi_minus:
+        for perm in itertools.permutations(range(3)):
+            signed = c if _permutation_sign(perm) == 1 else -c
+            psi[tuple(key[p] for p in perm)] = signed
+    return psi
 
 
 def torus_derivative(h_index: int, p: SymPoly) -> SymPoly:

@@ -184,7 +184,7 @@ def test_criterion_04_prototypical_codifferential():
     jj = J * J
     assert d_ref[2][1] == ONE - jj and d_ref[2][2] == -(ONE - jj)
     assert d_ref[5][1] == ONE - J and d_ref[5][2] == -(ONE - J)
-    assert coclosed_dim(s3, (1, 1, 0)) == 0
+    assert coclosed_dim(s3, (1, 1, 0), hom_basis(s3, (1, 1, 0))) == 0
 
     # (b) the projective space: delta(F)(v5) = 0, delta(F)(v_i) is a fixed
     # multiple of the contraction of eta along e_i.
@@ -201,7 +201,7 @@ def test_criterion_04_prototypical_codifferential():
     assert linalg.is_zero_matrix(to_dense(d_flag, 6, 8))
 
     # (d) coclosed multiplicity one at the deformation boundary.
-    assert coclosed_dim(flag, (1, 1)) == 1
+    assert coclosed_dim(flag, (1, 1), hom_basis(flag, (1, 1))) == 1
     _report(4, "codifferential displays, kernel element and coclosed "
                "multiplicities exact")
 

@@ -101,6 +101,13 @@ def test_obstruction_final_line(capsys):
     assert out.strip().splitlines()[-1] == "pairing = 256/3, rigid = true"
 
 
+def test_obstruction_table_matches_golden(capsys):
+    # the nabla_h table, I0, I1, I2, I, the pairing and the verdict
+    code, out = _run(capsys, "obstruction", "--format", "table")
+    assert code == 0
+    assert out == (DATA / "golden_obstruction.txt").read_text(encoding="utf-8")
+
+
 def test_killing_command(capsys):
     code, out = _run(capsys, "killing", "--t", "1,-1,0")
     assert code == 0 and out.strip() == "killing(1,-1,0) = true"
@@ -143,6 +150,18 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     doc = json.loads(path.read_text())
     assert doc["coindex"] == 2
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "out.txt"
+    assert main(["casimir", "--space", "flag", "--output", str(missing)]) == 2
+    assert main(["casimir", "--space", "flag", "--output", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not missing.exists()
+    assert err == (
+        f"error: cannot write {missing}: No such file or directory\n"
+        f"error: cannot write {tmp_path}: Is a directory\n"
+    )
 
 
 def test_unknown_space_is_usage_error(capsys):

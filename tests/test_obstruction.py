@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,11 +12,12 @@ from frozen_tables import (
     expected_obstruction_terms,
 )
 from gray_stability import linalg, obstruction
+from gray_stability.lie import build_space
 from gray_stability.obstruction import (
+    H_HAT,
     a_action,
     a_endomorphisms,
-    directional_derivative,
-    h_hat,
+    coordinate_derivatives,
     integrand,
     killing_check,
     nabla_h,
@@ -28,7 +30,14 @@ from gray_stability.obstruction import (
 )
 from gray_stability.scalars import I, ZERO, rational
 from gray_stability.sympoly import SymPoly, V1, V2, V3, X, det_cubic, sym_inner
-from oracles import matrix_from_coordinates, torus_derivative, trace
+from oracles import (
+    _frame,
+    coordinate_poly,
+    matrix_from_coordinates,
+    psi_lookup,
+    torus_derivative,
+    trace,
+)
 
 
 def test_coordinate_derivatives_match_displays():
@@ -44,7 +53,31 @@ def test_coordinate_derivatives_match_displays():
         (6, 3): -X[4], (6, 2): X[4], (6, 1): SymPoly.zero(),
     }
     for (e, v), poly in expect.items():
-        assert directional_derivative(e - 1, v - 1) == poly, (e, v)
+        assert coordinate_derivatives()[e - 1][v - 1] == poly, (e, v)
+
+
+def test_coordinate_derivatives_match_trace_form_reference():
+    # every (direction, generator) pair: the adjoint column against the
+    # bracket read back through the trace form
+    h_mats, e_mats = _frame()
+    table = coordinate_derivatives()
+    for a in range(6):
+        for g, target in enumerate(h_mats + e_mats):
+            expected = coordinate_poly(linalg.commutator(e_mats[a], target))
+            assert table[a][g] == expected, (a, g)
+
+
+def test_coordinate_derivatives_check_the_frame_span(monkeypatch):
+    # a frame missing e6: the bracket [e1, e4] = -e6 leaves its span
+    space = build_space("flag")
+    algebra = SimpleNamespace(basis_matrices=space.algebra.basis_matrices[:-1])
+    monkeypatch.setattr(obstruction, "build_space", lambda name: SimpleNamespace(algebra=algebra))
+    coordinate_derivatives.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="not in the unitary frame span"):
+            coordinate_derivatives()
+    finally:
+        coordinate_derivatives.cache_clear()
 
 
 def test_torus_directions_annihilate_v():
@@ -55,15 +88,14 @@ def test_torus_directions_annihilate_v():
 
 
 def test_a_action_displays():
-    hh = h_hat()
-    a1 = a_action(0, hh)
+    a1 = a_action(0, H_HAT)
     # (v1 - v2) (e3 . e5 + e4 . e6) as a symmetric 2-tensor
     d = (V1 - V2)
     assert a1[(2, 4)] == d and a1[(4, 2)] == d
     assert a1[(3, 5)] == d and a1[(5, 3)] == d
     assert set(a1) == {(2, 4), (4, 2), (3, 5), (5, 3)}
 
-    a6 = a_action(5, hh)
+    a6 = a_action(5, H_HAT)
     d = (V2 - V3)
     assert a6[(0, 3)] == d and a6[(3, 0)] == d
     assert a6[(1, 2)] == -d and a6[(2, 1)] == -d
@@ -74,6 +106,14 @@ def test_a_action_annihilates_metric():
     metric = {(k, k): SymPoly.constant(1) for k in range(6)}
     for x in range(6):
         assert a_action(x, metric) == {}
+
+
+def test_a_endomorphisms_match_permutation_reference():
+    psi = psi_lookup()
+    for x, m in enumerate(a_endomorphisms()):
+        for w in range(6):
+            for b in range(6):
+                assert m[w][b] == psi.get((x, b, w), ZERO), (x, w, b)
 
 
 def test_a_endomorphisms_skew():
@@ -137,10 +177,11 @@ def test_sign_convention_toggle():
     # Flipping the global sign of every degree-1 coordinate function
     # negates the integrand; re-expressing the invariant cubic in the
     # flipped functions negates it as well, so the pairing is unchanged.
-    plus = integrand(1)
-    minus = integrand(-1)
+    gens = (V1, V2, V3) + X
+    plus = integrand()
+    minus = integrand().substitute_polys([-g for g in gens])
     assert minus == -plus
-    flipped_det = det_cubic().substitute_polys([-g for g in (V1, V2, V3) + X])
+    flipped_det = det_cubic().substitute_polys([-g for g in gens])
     assert flipped_det == -det_cubic()
     assert sym_inner(minus, flipped_det) == sym_inner(plus, det_cubic())
 
@@ -155,8 +196,6 @@ def test_killing_property():
 
 
 def test_matrix_reconstruction_round_trip():
-    from gray_stability.lie import build_space
-
     v = [Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)]
     x = [Fraction(k + 1, 3) for k in range(6)]
     xi = matrix_from_coordinates(v, x)
