@@ -1,10 +1,18 @@
 """Restriction of symmetry-group irreps to the isotropy subgroup.
 
-The three isotropy types are the diagonal SU(2) (weights are integers),
-U(2) (weight pairs; irreps E^a_b = Sym^a C^2 (x) det-power b with
-a == b mod 2) and the maximal torus T^2 (weight pairs are the irreps).
-Decomposition is by greedy highest-weight subtraction of full characters,
-which self-verifies through the non-negativity of every remainder.
+Each isotropy group is SU(2)^e x torus: the diagonal SU(2) of S^3 x S^3
+(e = 1, no torus), U(2) for CP^3 (e = 1, its centre U(1)) and the
+maximal torus T^2 for F_{1,2} (e = 0).  An isotropy weight lists its
+SU(2) weight first.  For U(2) the catalog writes the torus weight (p, q)
+as (p - q, p + q), so the irrep E^a_b = Sym^a C^2 (x) det^((b - a)/2)
+(a >= 0, a == b mod 2) is the SU(2) string of length a + 1 on the first
+coordinate at central weight b, with highest weight (a, b).  An irrep is
+labelled by its kind and its highest weight: ("V", k), ("E", a, b),
+("chi", p, q).
+
+Decomposition is by greedy subtraction of full characters: the
+lexicographically largest remaining weight is a highest weight.  It
+self-verifies through the non-negativity of every remainder.
 """
 
 from __future__ import annotations
@@ -12,46 +20,26 @@ from __future__ import annotations
 from .lie import ReductiveSpace
 from .reps import weight_system
 
+# the irrep kind of each isotropy type
+KINDS = {"delta_su2": "V", "u2": "E", "t2": "chi"}
+LABEL_FORMATS = {"V": "V{}", "E": "E^{}_{}", "chi": "({},{})"}
+
 
 class BranchingError(ValueError):
     """Weight multiset is not a non-negative sum of irreducible characters."""
 
 
-def h_label_check(h_type: str, label: tuple) -> tuple:
-    if h_type == "delta_su2":
-        (kind, k) = label
-        if kind != "V" or k < 0:
-            raise ValueError(f"bad diagonal-SU(2) label {label}")
-    elif h_type == "u2":
-        kind, a, b = label
-        if kind != "E" or a < 0 or (a - b) % 2 != 0:
-            raise ValueError(f"bad U(2) label {label}: need a >= 0 and a == b mod 2")
-    elif h_type == "t2":
-        kind, p, q = label
-        if kind != "chi":
-            raise ValueError(f"bad torus label {label}")
-    else:
-        raise ValueError(f"unknown isotropy type {h_type}")
-    return label
-
-
 def h_irrep_weights(h_type: str, label: tuple) -> dict:
-    h_label_check(h_type, label)
-    if h_type == "delta_su2":
-        k = label[1]
-        return {(n,): 1 for n in range(-k, k + 1, 2)}
-    if h_type == "u2":
-        _, a, b = label
-        return {((s + b) // 2, (b - s) // 2): 1 for s in range(-a, a + 1, 2)}
-    return {(label[1], label[2]): 1}
+    """Weights of an isotropy irrep: the SU(2) string through its highest
+    weight, or that weight alone when the isotropy group is a torus."""
+    top = label[1:]
+    if h_type == "t2":
+        return {top: 1}
+    return {(n,) + top[1:]: 1 for n in range(-top[0], top[0] + 1, 2)}
 
 
 def format_h_label(label: tuple) -> str:
-    if label[0] == "V":
-        return f"V{label[1]}"
-    if label[0] == "E":
-        return f"E^{label[1]}_{label[2]}"
-    return f"({label[1]},{label[2]})"
+    return LABEL_FORMATS[label[0]].format(*label[1:])
 
 
 def decompose_weights(h_type: str, weights: dict) -> dict:
@@ -61,20 +49,10 @@ def decompose_weights(h_type: str, weights: dict) -> dict:
         raise BranchingError("negative input multiplicity")
     out: dict[tuple, int] = {}
     while remaining:
-        if h_type == "delta_su2":
-            top = max(remaining)
-            if top[0] < 0:
-                raise BranchingError(f"asymmetric SU(2) weight multiset: {remaining}")
-            label = ("V", top[0])
-        elif h_type == "u2":
-            top = max(remaining, key=lambda w: (w[0] - w[1], w[0]))
-            p, q = top
-            if p < q:
-                raise BranchingError(f"asymmetric U(2) weight multiset: {remaining}")
-            label = ("E", p - q, p + q)
-        else:
-            top = max(remaining)
-            label = ("chi", top[0], top[1])
+        top = max(remaining)
+        if top[0] < 0 and h_type != "t2":
+            raise BranchingError(f"asymmetric SU(2) weight multiset: {remaining}")
+        label = (KINDS[h_type],) + top
         mult = remaining[top]
         for w in h_irrep_weights(h_type, label):
             have = remaining.get(w, 0) - mult

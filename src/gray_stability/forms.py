@@ -82,7 +82,7 @@ def lambda11_0(space_name: str) -> HRep:
     if not any(kahler_coords[i] for i in zero_idx) or any(
         kahler_coords[i] for i in range(len(wedges)) if i not in zero_idx
     ):
-        raise AssertionError("Kaehler 2-vector must span a zero-weight line")
+        raise ArithmeticError("Kaehler 2-vector must span a zero-weight line")
 
     # Pairing of the zero-weight block against the Kaehler vector.
     row: dict = {}

@@ -256,7 +256,8 @@ def _build_cp3() -> ReductiveSpace:
     p2 = (ZERO, ZERO, inv_s2, -i_inv_s2, ZERO, ZERO)
     p3 = (ZERO, ZERO, ZERO, ZERO, ONE, I)
     m_plus = (p1, p2, p3)
-    plus_w = ((p1, (1, 0)), (p2, (0, 1)), (p3, (-1, -1)))
+    # U(2) weights (p - q, p + q) of the torus weight (p, q) on (t1, t2)
+    plus_w = ((p1, (1, 1)), (p2, (-1, 1)), (p3, (0, -2)))
     m_minus, minus_w = _conjugate_side(m_plus, plus_w)
 
     return ReductiveSpace(
@@ -270,8 +271,8 @@ def _build_cp3() -> ReductiveSpace:
         m_minus=m_minus,
         m_plus_weights=plus_w,
         m_minus_weights=minus_w,
-        h_weight_torus=linalg.identity(4)[:2],
-        weight_embedding=((1, 0), (0, 1)),
+        h_weight_torus=((ONE, -ONE, ZERO, ZERO), (ONE, ONE, ZERO, ZERO)),
+        weight_embedding=((1, -1), (1, 1)),
         kahler=(((0, 1), ONE), ((2, 3), ONE), ((4, 5), -ONE)),
         psi_minus=None,
         g_orthonormal=linalg.diag(SQRT2, SQRT2, *[ONE] * 8),

@@ -6,11 +6,19 @@ by the catalog inner product Q, so Casimir constants come out in the
 normalization used throughout (Freudenthal's formula, cross-checked by
 brute force on the explicit representations).
 
+A label is a dominant integral weight: <label, alpha> >= 0 for every
+simple root alpha (Humphreys, *Introduction to Lie Algebras and
+Representation Theory*, section 13).  Every weight of its module is
+label - sum n_k alpha_k with n_k >= 0 bounded by the group's box matrix
+applied to the label, so Freudenthal's recursion runs over that box.
+Along a root string mu = lam + k alpha (alpha positive) the simple-root
+coordinates of label - mu only fall, so the string leaves the box exactly
+where it leaves the simple-root cone.
+
 Freudenthal's recursion, the Weyl dimension and the Casimir constant run
 in plain integers: their inner products (_dual) are scaled by the common
 denominator of the inverse Gram matrix and taken on doubled shifted
-weights, and membership of the simple-root cone is read off the inverse
-of the simple-root matrix, cleared of denominators.
+weights.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ class GroupData:
     simple_roots: tuple
     positive_roots: tuple
     two_delta: tuple         # sum of positive roots, i.e. twice delta
+    box: tuple               # label -> bounds of the simple-root coordinates of its weights
 
 
 def _integral_inverse(m) -> tuple:
@@ -44,15 +53,12 @@ def _integral_inverse(m) -> tuple:
 
 
 GROUPS: dict[str, GroupData] = {}
-_GRAM_INV: dict[str, tuple] = {}    # (D * G^-1, D), D the denominator of G^-1
-_SIMPLE_INV: dict[str, tuple] = {}  # (d * S^-1, d), S's columns the simple roots
+_GRAM_INV: dict[str, tuple] = {}  # (D * G^-1, D), D the denominator of G^-1
 
 
 def _register(g: GroupData):
     GROUPS[g.name] = g
     _GRAM_INV[g.name] = _integral_inverse(g.gram_t)
-    simple = [[g.simple_roots[k][i] for k in range(g.rank)] for i in range(g.rank)]
-    _SIMPLE_INV[g.name] = _integral_inverse(simple)
 
 
 _register(
@@ -67,6 +73,7 @@ _register(
         simple_roots=((2, 0, 0), (0, 2, 0), (0, 0, 2)),
         positive_roots=((2, 0, 0), (0, 2, 0), (0, 0, 2)),
         two_delta=(2, 2, 2),
+        box=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
     )
 )
 
@@ -78,6 +85,7 @@ _register(
         simple_roots=((1, -1), (0, 1)),
         positive_roots=((1, -1), (0, 1), (1, 0), (1, 1)),
         two_delta=(3, 1),
+        box=((2, 0), (2, 2)),
     )
 )
 
@@ -89,6 +97,7 @@ _register(
         simple_roots=((2, -1), (-1, 2)),
         positive_roots=((2, -1), (-1, 2), (1, 1)),
         two_delta=(2, 2),
+        box=((1, 1), (1, 1)),
     )
 )
 
@@ -105,34 +114,19 @@ def _doubled_shift(group: str, label: tuple) -> tuple:
     return tuple(2 * x + d for x, d in zip(label, GROUPS[group].two_delta))
 
 
+def _dominant(group: str, label: tuple) -> bool:
+    return all(_dual(group, label, alpha) >= 0 for alpha in GROUPS[group].simple_roots)
+
+
 def check_label(group: str, label: tuple) -> tuple:
-    label = tuple(int(x) for x in label)
-    if group == "k3":
-        if len(label) != 3 or any(x < 0 for x in label):
-            raise ValueError(f"k3 labels are triples of non-negative integers: {label}")
-    elif group == "so5":
-        if len(label) != 2 or not (label[0] >= label[1] >= 0):
-            raise ValueError(f"so5 labels need a >= b >= 0: {label}")
-    elif group == "su3":
-        if len(label) != 2 or any(x < 0 for x in label):
-            raise ValueError(f"su3 labels are pairs of non-negative integers: {label}")
-    else:
+    """The label as a tuple of ints, if it is a dominant weight of the group."""
+    if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
+    label = tuple(int(x) for x in label)
+    rank = GROUPS[group].rank
+    if len(label) != rank or not _dominant(group, label):
+        raise ValueError(f"{group} labels are dominant weights of rank {rank}: {label}")
     return label
-
-
-def _simple_root_box(group: str, hw: tuple) -> tuple:
-    """Expansion of hw - (lowest weight) in simple roots; box bounds for
-    the weight enumeration."""
-    if group == "k3":
-        return hw
-    if group == "so5":
-        a, b = hw
-        return (2 * a, 2 * a + 2 * b)
-    if group == "su3":
-        k, l = hw
-        return (k + l, k + l)
-    raise ValueError(group)
 
 
 def weight_system(group: str, label: tuple) -> dict:
@@ -160,7 +154,7 @@ def weight_system(group: str, label: tuple) -> dict:
     ]
     c4 = norm4(hw)
 
-    bounds = _simple_root_box(group, hw)
+    bounds = [sum(b * h for b, h in zip(row, hw)) for row in g.box]
     candidates = []
     for ns in itertools.product(*(range(b + 1) for b in bounds)):
         lam = tuple(
@@ -169,6 +163,7 @@ def weight_system(group: str, label: tuple) -> dict:
         )
         candidates.append((sum(ns), lam))
     candidates.sort()
+    listed = {lam for _, lam in candidates}
 
     mult: dict[tuple, int] = {}
     for level, lam in candidates:
@@ -184,7 +179,7 @@ def weight_system(group: str, label: tuple) -> dict:
             while True:
                 mu = tuple(lam[i] + k * alpha[i] for i in range(g.rank))
                 m = mult.get(mu, 0)
-                if m == 0 and not _within(hw, mu, g):
+                if m == 0 and mu not in listed:
                     break
                 if m:
                     num_d += m * sum(x * y for x, y in zip(mu, alpha_dual))
@@ -197,19 +192,6 @@ def weight_system(group: str, label: tuple) -> dict:
                 )
             mult[lam] = val
     return mult
-
-
-def _within(hw, mu, g: GroupData) -> bool:
-    """Whether hw - mu is a non-negative integral combination of simple
-    roots: every entry of (d * S^-1)(hw - mu) is a non-negative multiple
-    of d."""
-    inv, d = _SIMPLE_INV[g.name]
-    diff = [h - m for h, m in zip(hw, mu)]
-    for row in inv:
-        q, r = divmod(sum(x * y for x, y in zip(row, diff)), d)
-        if r or q < 0:
-            return False
-    return True
 
 
 def dim(group: str, label: tuple) -> int:
@@ -247,7 +229,7 @@ def enumerate_labels(group: str, max_cas: Fraction) -> list:
     out = [
         lab
         for lab in itertools.product(range(n), repeat=rank)
-        if (group != "so5" or lab[0] >= lab[1]) and casimir_constant(group, lab) <= max_cas
+        if _dominant(group, lab) and casimir_constant(group, lab) <= max_cas
     ]
     return sorted(out, key=lambda lab: (casimir_constant(group, lab), lab))
 

@@ -16,7 +16,7 @@ nonzero eigenspace.  There sqrt(25 - 4 eps) < 5, so
 mu1 = 7 - eps + sqrt(25 - 4 eps) < 12, while
 mu2 = 7 - eps - sqrt(25 - 4 eps) and mu3 = 6 - eps are below 7; eps = 6
 reads only E(2) (and b3), and eps = 25/4 only E(3/4).  So no E(mu) with
-mu >= 12 enters solution_dim; mu = 12 enters only at the boundary
+mu >= 12 enters eigenspace_sources; mu = 12 enters only at the boundary
 eps = 0 of the infinitesimal Einstein deformations, which
 assemble_report counts apart.  The tests check this on every candidate
 eps of the three spaces and on a grid of eps.
@@ -95,14 +95,6 @@ def eigenspace_sources(eps, e_dims: dict, b3: int) -> list:
         for mu in (mv.mu1, mv.mu2, mv.mu3)
         if mu is not None and mu >= 0
     ]
-
-
-def solution_dim(eps, e_dims: dict, b3: int) -> int:
-    """Dimension of the tt-eigenspace at lambda = 10 - eps; eps must be
-    positive."""
-    if Fraction(eps) <= 0:
-        raise ValueError("the case analysis requires eps > 0")
-    return sum(mult for mult, _ in eigenspace_sources(eps, e_dims, b3))
 
 
 def candidate_eps(e_dims: dict, b3: int) -> set:
@@ -211,7 +203,7 @@ def assemble_report(space_name: str, rows: list) -> StabilityReport:
     return StabilityReport(
         space=space_name,
         destabilizing=tuple(destabilizing),
-        coindex=sum(solution_dim(eps, e_dims, b3) for eps in candidates),
+        coindex=sum(d.mult for d in destabilizing),
         ied_dim=ied_dim,
         casimir_rows=tuple(rows),
     )

@@ -16,7 +16,7 @@ from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, build_space
 from gray_stability.reps import _GRAM_INV, GROUPS, check_label, explicit_rep
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
-from gray_stability.stability import _sqrt_fraction
+from gray_stability.stability import _sqrt_fraction, eigenspace_sources
 from gray_stability.sympoly import SymPoly, eliminate_v3, generators
 
 # Primitive cube root of unity (-1 + i*sqrt3)/2.
@@ -432,6 +432,14 @@ def coclosed_basis(space: ReductiveSpace, gamma: tuple) -> list:
 
 
 # -- spectral case analysis --------------------------------------------------
+
+def solution_dim(eps, e_dims: dict, b3: int) -> int:
+    """Dimension of the tt-eigenspace at lambda = 10 - eps, summed over
+    eigenspace_sources; eps must be positive."""
+    if Fraction(eps) <= 0:
+        raise ValueError("the case analysis requires eps > 0")
+    return sum(mult for mult, _ in eigenspace_sources(eps, e_dims, b3))
+
 
 def matrix_a(eps) -> list:
     """Coupling matrix of the (phi, delta sigma) system at lambda = 10 - eps."""

@@ -22,6 +22,7 @@ from oracles import (
     matrix_from_coordinates,
     proto_delta_reference,
     s3xs3_display_generator,
+    solution_dim,
     to_dense,
     to_sparse,
 )
@@ -52,10 +53,7 @@ from gray_stability.reps import (
     explicit_rep,
 )
 from gray_stability.scalars import ONE, SQRT2, Scalar, rational
-from gray_stability.stability import (
-    coindex_report,
-    solution_dim,
-)
+from gray_stability.stability import coindex_report
 from gray_stability.sympoly import SymPoly, V1, V2, V3, X, det_cubic, sym_inner
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_reproduce_all.json"

@@ -103,15 +103,19 @@ def test_greedy_rejects_non_character_multisets():
     with pytest.raises(BranchingError):
         decompose_weights("delta_su2", {(2,): 1, (-2,): 1})  # missing interior
     with pytest.raises(BranchingError):
-        decompose_weights("u2", {(0, 1): 1})  # no mirror
+        decompose_weights("u2", {_u2(0, 1): 1})  # no mirror
+
+
+def _u2(p: int, q: int) -> tuple:
+    """The U(2) weight of the torus weight (p, q): SU(2) weight first."""
+    return (p - q, p + q)
 
 
 def test_u2_label_conventions():
-    assert h_irrep_weights("u2", ("E", 1, 1)) == {(1, 0): 1, (0, 1): 1}
-    assert h_irrep_weights("u2", ("E", 0, 2)) == {(1, 1): 1}
+    # E^1_1 is the defining module C^2, E^0_2 the determinant
+    assert h_irrep_weights("u2", ("E", 1, 1)) == {_u2(1, 0): 1, _u2(0, 1): 1}
+    assert h_irrep_weights("u2", ("E", 0, 2)) == {_u2(1, 1): 1}
     assert h_irrep_dim("u2", ("E", 2, 0)) == 3
-    with pytest.raises(ValueError):
-        h_irrep_weights("u2", ("E", 1, 2))  # parity violation
     assert format_h_label(("E", 1, -3)) == "E^1_-3"
 
 

@@ -83,6 +83,14 @@ def test_delta_matches_golden(capsys, space, gamma):
     assert out == (DATA / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("space", ["s3xs3", "cp3", "flag"])
+def test_branch_table_matches_golden(capsys, space):
+    # the table pins the isotropy label format and the mult*label join
+    code, out = _run(capsys, "branch", "--space", space, "--max", "40", "--format", "table")
+    assert code == 0
+    assert out == (DATA / f"golden_branch_{space}_max40.txt").read_text(encoding="utf-8")
+
+
 def test_coindex_json_schema(capsys):
     code, out = _run(capsys, "coindex", "--space", "flag", "--format", "json")
     assert code == 0

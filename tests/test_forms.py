@@ -1,9 +1,11 @@
 """The (1,1) isotropy modules and their primitive parts."""
 
+import dataclasses
+
 import pytest
 
-from gray_stability import linalg
-from gray_stability.exterior import alternate, derivation_action, form_inner
+from gray_stability import forms, linalg
+from gray_stability.exterior import alternate, derivation_action, form_inner, wedge2
 from gray_stability.forms import lambda11_0
 from gray_stability.lie import build_space
 from gray_stability.scalars import ONE, ZERO, rational
@@ -40,6 +42,17 @@ def test_lambda11_0_decompositions():
     assert flag[("chi", 0, 0)] == 2
     for rep in ("s3xs3", "cp3", "flag"):
         assert lambda11_0(rep).dim == 8
+
+
+def test_kahler_off_the_zero_weight_line_is_an_internal_error(monkeypatch):
+    # an ArithmeticError, which the command line reports as an internal
+    # error with exit 1, not an AssertionError traceback
+    space = build_space("flag")
+    off_line = wedge2(space.m_plus[0], space.m_minus[1])
+    bad = dataclasses.replace(space, kahler=tuple(sorted(off_line.items())))
+    monkeypatch.setattr(forms, "build_space", lambda name: bad)
+    with pytest.raises(ArithmeticError, match="zero-weight line"):
+        forms.lambda11_0.__wrapped__("flag")
 
 
 def test_lambda11_0_is_orthogonal_to_kahler():

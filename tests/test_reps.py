@@ -10,9 +10,9 @@ from gray_stability import linalg
 from gray_stability.lie import build_space
 from gray_stability.reps import (
     GROUPS,
-    _within,
     casimir_bruteforce,
     casimir_constant,
+    check_label,
     dim,
     enumerate_labels,
     explicit_rep,
@@ -120,16 +120,46 @@ def _within_by_solve(diff, g):
     return all(x.rational().denominator == 1 and x.rational() >= 0 for (x,) in sol)
 
 
-def test_integer_cone_test_matches_exact_solve():
+def _weyl_orbit(group, weight):
+    orbit, frontier = {weight}, [weight]
+    while frontier:
+        new = {gen(w) for w in frontier for gen in weyl_generators(group)} - orbit
+        orbit |= new
+        frontier = list(new)
+    return orbit
+
+
+def test_root_string_leaves_the_box_where_it_leaves_the_cone():
+    # weight_system stops a root string at its first weight outside the
+    # listed box; that must be its first weight outside the simple-root cone
     for group in GROUPS:
         g = GROUPS[group]
-        zero = (0,) * g.rank
-        inside = 0
-        for diff in itertools.product(range(-6, 7), repeat=g.rank):
-            expected = _within_by_solve(diff, g)
-            assert _within(diff, zero, g) == expected, (group, diff)
-            inside += expected
-        assert inside > 0
+        in_cone = {}
+        for hw in enumerate_labels(group, Fraction(40)):
+            bounds = [sum(b * h for b, h in zip(row, hw)) for row in g.box]
+
+            def corner(ns):
+                return tuple(
+                    hw[i] - sum(n * g.simple_roots[k][i] for k, n in enumerate(ns))
+                    for i in range(g.rank)
+                )
+
+            box = {corner(ns) for ns in itertools.product(*(range(b + 1) for b in bounds))}
+            # the box reaches down to the lowest weight, the bottom of the Weyl orbit
+            orbit = _weyl_orbit(group, hw)
+            assert orbit <= box and corner(bounds) in orbit, (group, hw)
+            for lam in weight_system(group, hw):
+                assert lam in box, (group, hw, lam)
+                for alpha in g.positive_roots:
+                    mu, inside = lam, True
+                    while inside:
+                        mu = tuple(x + a for x, a in zip(mu, alpha))
+                        diff = tuple(h - x for h, x in zip(hw, mu))
+                        if diff not in in_cone:
+                            in_cone[diff] = _within_by_solve(diff, g)
+                        inside = mu in box
+                        assert inside == in_cone[diff], (group, hw, lam, alpha, mu)
+        assert any(in_cone.values()) and not all(in_cone.values())
 
 
 def test_su3_adjoint_weights_against_tensor_oracle():
@@ -166,6 +196,23 @@ def test_label_validation():
         casimir_constant("k3", (1, -1, 0))
     with pytest.raises(ValueError):
         casimir_constant("e8", (1,))
+
+
+def test_check_label_is_the_dominance_test():
+    assert check_label("so5", [2, 1]) == (2, 1)
+    assert check_label("su3", (0, 3)) == (0, 3)
+    assert check_label("k3", (0, 1, 2)) == (0, 1, 2)
+    for group, label in [
+        ("k3", (1, 0)),  # wrong rank
+        ("su3", (1, 0, 0)),  # wrong rank
+        ("so5", (1, 2)),  # not dominant: a < b
+        ("k3", (1, -1, 0)),  # negative entry
+        ("su3", (-1, 2)),  # negative entry
+    ]:
+        with pytest.raises(ValueError, match="dominant"):
+            check_label(group, label)
+    with pytest.raises(ValueError, match="unknown group"):
+        check_label("e8", (1,))
 
 
 def test_enumerate_labels_below_threshold():

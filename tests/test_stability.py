@@ -15,11 +15,10 @@ from gray_stability.stability import (
     coindex_report,
     eigenspace_sources,
     mu_values,
-    solution_dim,
     _coclosed_table,
 )
 from gray_stability.lie import SPACE_NAMES, build_space
-from oracles import matrix_a, matrix_a_eigenvalues
+from oracles import matrix_a, matrix_a_eigenvalues, solution_dim
 
 
 def test_matrix_a_entries():
@@ -149,6 +148,16 @@ def test_coindex_reports():
     assert [(d.lam, d.mult, d.source) for d in r.destabilizing] == [
         (6, 2, "harmonic-2-forms")
     ]
+
+
+def test_coindex_is_the_solution_dim_sum_over_candidates():
+    # the report sums the destabilizing multiplicities once; the reference
+    # re-runs the case analysis at every candidate eps
+    for name in ("s3xs3", "cp3", "flag"):
+        e_dims = _e_dims(name)
+        b3 = build_space(name).betti[1]
+        expected = sum(solution_dim(eps, e_dims, b3) for eps in candidate_eps(e_dims, b3))
+        assert coindex_report(name).coindex == expected > 0, name
 
 
 def test_harmonic_two_form_count_matches_b2():
