@@ -10,12 +10,14 @@ of that module, v the basis of V.  The codifferential acts on it by
 summed over the real orthonormal basis (e_a) of the reductive complement,
 with the contraction convention e -| (x ^ y) = <e,x> y - <e,y> x extended
 bilinearly; its image is the sparse vector {(i, v): c}, i indexing (e_a).
-``proto_delta`` tabulates the contractions e_a -| Lambda_w once per label.
+The contractions e_a -| Lambda_w are tabulated once per space.
 The kernel dimension of delta on the homomorphism space is the coclosed
 multiplicity.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from . import linalg
 from .branching import hom_dim
@@ -68,9 +70,7 @@ def proto_delta(space: ReductiveSpace, gamma: tuple, basis: list) -> list:
     rep = explicit_rep(space, gamma)
     # rho[a][l]: the nonzeros (v, x) of row l of rho(e_a)
     rho = [[[(v, x) for v, x in enumerate(row) if x] for row in m] for m in rep[space.h_dim :]]
-    frame, vectors = linalg.identity(space.m_dim), lambda11_0(space.name).vectors
-    # hook[w]: the (a, e_a -| Lambda_w) whose contraction is nonzero
-    hook = [[(a, h) for a, h in enumerate(contract(e, vec) for e in frame) if h] for vec in vectors]
+    hook = _hooks(space.name, space.m_dim)
     images = []
     for f in basis:
         out: dict = {}
@@ -82,6 +82,16 @@ def proto_delta(space: ReductiveSpace, gamma: tuple, basis: list) -> list:
                         linalg.add_into(out, (i, v), cx * h)
         images.append(out)
     return images
+
+
+@lru_cache(maxsize=None)
+def _hooks(name: str, m_dim: int) -> tuple:
+    """hook[w]: the (a, e_a -| Lambda_w) whose contraction is nonzero."""
+    frame = linalg.identity(m_dim)
+    return tuple(
+        tuple((a, h) for a, h in enumerate(contract(e, vec) for e in frame) if h)
+        for vec in lambda11_0(name).vectors
+    )
 
 
 def m_complex_coords(space: ReductiveSpace, images: list, vd: int) -> list:

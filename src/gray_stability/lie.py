@@ -17,6 +17,11 @@ commutator [X_a, X_b] with a < b is the difference of two sparse products,
 read through it; [X_b, X_a] is its negative.  ``ad_and_gram`` is the
 library's one bracket: ``obstruction`` calls it on the u(3) frame to read
 the derivatives of the coordinate functions.
+
+The run-time checks work on nonzeros too: ``bracket_closes`` compares
+sum_k ad[a][k][b] X_k with [X_a, X_b] as exact ``{(i, j): c}`` dicts, for
+Jacobi (X = ad, a < b) and the frame span of ``obstruction``, and the
+ad-invariance ad^T G + G ad = 0 is one sparse sum of products.
 """
 
 from __future__ import annotations
@@ -94,10 +99,15 @@ def _nonzeros(x: tuple) -> dict:
     return {(i, j): c for i, row in enumerate(x) for j, c in enumerate(row) if c}
 
 
-def _sparse_commutator(x_rows: dict, y_rows: dict) -> dict:
-    """Nonzeros of x y - y x, from each matrix's {i: [(j, x_ij), ...]}."""
+def _rows(x: tuple) -> dict:
+    return {i: [(j, c) for j, c in enumerate(row) if c] for i, row in enumerate(x)}
+
+
+def _sum_of_products(terms) -> dict:
+    """Nonzeros of the sum of x y (of -x y when negate) over the terms
+    (x_rows, y_rows, negate), each matrix given as {i: [(j, x_ij), ...]}."""
     out: dict = {}
-    for first, second, negate in ((x_rows, y_rows, False), (y_rows, x_rows, True)):
+    for first, second, negate in terms:
         for i, row in first.items():
             for k, c in row:
                 if negate:
@@ -107,18 +117,30 @@ def _sparse_commutator(x_rows: dict, y_rows: dict) -> dict:
     return out
 
 
+def _sparse_commutator(x_rows: dict, y_rows: dict) -> dict:
+    """Nonzeros of x y - y x, from each matrix's {i: [(j, x_ij), ...]}."""
+    return _sum_of_products(((x_rows, y_rows, False), (y_rows, x_rows, True)))
+
+
+def bracket_closes(mats: tuple, ad: tuple, pairs) -> bool:
+    """Whether sum_k ad[a][k][b] mats[k] == [mats[a], mats[b]] for each pair
+    (a, b), on {(i, j): c} dicts of nonzeros, so dict equality is exact."""
+    nz, rows = [_nonzeros(x) for x in mats], [_rows(x) for x in mats]
+    for a, b in pairs:
+        lhs: dict = {}
+        for k, row in enumerate(ad[a]):
+            linalg.axpy(lhs, row[b], nz[k])
+        if lhs != _sparse_commutator(rows[a], rows[b]):
+            return False
+    return True
+
+
 def ad_and_gram(mats: tuple, scale: Fraction) -> tuple:
     """Adjoint matrices and Gram matrix of the basis mats under the trace
     form Q(x, y) = scale * tr(x y), touching only nonzero entries."""
     dim = len(mats)
     s = Scalar.from_fraction(scale)
-    nz = [_nonzeros(x) for x in mats]
-    rows = []
-    for x in nz:
-        by_row: dict = {}
-        for (i, j), c in x.items():
-            by_row.setdefault(i, []).append((j, c))
-        rows.append(by_row)
+    nz, rows = [_nonzeros(x) for x in mats], [_rows(x) for x in mats]
 
     # tr(x y) = sum of x_ij y_ji; the form is symmetric
     entries = {}
@@ -352,24 +374,18 @@ def build_space(name: str) -> ReductiveSpace:
 
 def validate_algebra(alg: LieAlgebraData) -> dict:
     """Run the structural checks; failures are reported, not raised."""
-    ad, g = alg.ad, alg.gram
+    ad, g = alg.ad, _rows(alg.gram)
     cols = [linalg.transpose(x) for x in ad]  # cols[a][b] = [basis_a, basis_b]
     pairs = [(a, b) for a in range(alg.dim) for b in range(alg.dim)]
     return {
         "antisymmetry": all(cols[a][b] == tuple(-x for x in cols[b][a]) for a, b in pairs),
         # ad is a homomorphism, ad([X_a, X_b]) = [ad_a, ad_b]; with
         # antisymmetry the pairs a < b suffice, and this is Jacobi.
-        "jacobi": all(
-            linalg.mat_eq(linalg.lin_comb(cols[a][b], ad), linalg.commutator(ad[a], ad[b]))
-            for a, b in pairs
-            if a < b
-        ),
+        "jacobi": bracket_closes(ad, ad, [(a, b) for a, b in pairs if a < b]),
         # Q([X_a, y], z) + Q(y, [X_a, z]) = 0: ad_a^T G + G ad_a = 0
-        "ad_invariance": all(
-            linalg.is_zero_matrix(
-                linalg.mat_add(linalg.mat_mul(linalg.transpose(x), g), linalg.mat_mul(g, x))
-            )
-            for x in ad
+        "ad_invariance": not any(
+            _sum_of_products(((_rows(col), g, False), (g, _rows(x), False)))
+            for x, col in zip(ad, cols)
         ),
     }
 

@@ -169,10 +169,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return out
 
 
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from . import linalg
 from .exterior import contract, derivation_action
-from .lie import ad_and_gram, build_space
+from .lie import ad_and_gram, bracket_closes, build_space
 from .scalars import I, Scalar, rational
 from .sympoly import (
     NGENS,
@@ -68,16 +68,15 @@ def coordinate_derivatives() -> tuple:
     frame = tuple(linalg.from_entries(3, {(k, k): I}) for k in range(3))
     frame += build_space("flag").algebra.basis_matrices[2:]
     ad, _ = ad_and_gram(frame, Fraction(-1, 2))
-    table = []
-    for a in range(M_DIM):
-        e = frame[3 + a]
-        row = []
-        for g, col in enumerate(linalg.transpose(ad[3 + a])):
-            if not linalg.mat_eq(linalg.lin_comb(col, frame), linalg.commutator(e, frame[g])):
-                raise ValueError("matrix is not in the unitary frame span")
-            row.append(sum((_GENS[k].scale(c) for k, c in enumerate(col) if c), SymPoly()))
-        table.append(tuple(row))
-    return tuple(table)
+    if not bracket_closes(frame, ad, ((3 + a, g) for a in range(M_DIM) for g in range(len(frame)))):
+        raise ValueError("matrix is not in the unitary frame span")
+    return tuple(
+        tuple(
+            sum((_GENS[k].scale(c) for k, c in enumerate(col) if c), SymPoly())
+            for col in linalg.transpose(ad[3 + a])
+        )
+        for a in range(M_DIM)
+    )
 
 
 @lru_cache(maxsize=1)

@@ -27,9 +27,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
-from .lie import ReductiveSpace
+from .lie import ReductiveSpace, build_space
 from .scalars import ZERO, Scalar, rational
 
 @dataclass(frozen=True)
@@ -280,8 +281,13 @@ def explicit_rep(space: ReductiveSpace, label: tuple) -> tuple:
     """The module of a label as one matrix per symmetry-algebra basis
     vector: the trivial module, the defining module of so5 and su3 and
     the dual of su3's, the adjoint (label (1, 1)), and the k3 tensor
-    products of Sym^k C^2 with k <= 2."""
-    label = check_label(space.group, label)
+    products of Sym^k C^2 with k <= 2; built once per (space.name, label)."""
+    return _explicit_rep(space.name, check_label(space.group, label))
+
+
+@lru_cache(maxsize=None)
+def _explicit_rep(name: str, label: tuple) -> tuple:
+    space = build_space(name)
     alg = space.algebra
     if not any(label):
         return (linalg.zeros(1, 1),) * alg.dim

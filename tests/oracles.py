@@ -61,6 +61,33 @@ def trace_product(a, b) -> Scalar:
     return s
 
 
+def commutator(a, b):
+    """Dense a b - b a."""
+    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+
+
+def validate_algebra_reference(alg) -> dict:
+    """Reference for lie.validate_algebra: the same three checks with
+    dense commutators and dense products."""
+    ad, g = alg.ad, alg.gram
+    cols = [linalg.transpose(x) for x in ad]  # cols[a][b] = [basis_a, basis_b]
+    pairs = [(a, b) for a in range(alg.dim) for b in range(alg.dim)]
+    return {
+        "antisymmetry": all(cols[a][b] == tuple(-x for x in cols[b][a]) for a, b in pairs),
+        "jacobi": all(
+            linalg.mat_eq(linalg.lin_comb(cols[a][b], ad), commutator(ad[a], ad[b]))
+            for a, b in pairs
+            if a < b
+        ),
+        "ad_invariance": all(
+            linalg.is_zero_matrix(
+                linalg.mat_add(linalg.mat_mul(linalg.transpose(x), g), linalg.mat_mul(g, x))
+            )
+            for x in ad
+        ),
+    }
+
+
 def ad_and_gram_reference(mats, scale) -> tuple:
     """Reference for lie.ad_and_gram: the Gram matrix of Q(x, y) =
     scale * tr(x y) by dense trace products, and each column of ad[a] as
@@ -77,7 +104,7 @@ def ad_and_gram_reference(mats, scale) -> tuple:
     ad = tuple(
         linalg.transpose(
             linalg.mat_vec(gram_inv, [ip(c, m) for m in mats])
-            for c in (linalg.commutator(x, y) for y in mats)
+            for c in (commutator(x, y) for y in mats)
         )
         for x in mats
     )
@@ -296,7 +323,7 @@ def validate_rep(space: ReductiveSpace, rep: tuple) -> bool:
         cols = linalg.transpose(alg.ad[a])
         for b in range(alg.dim):
             lhs = linalg.lin_comb(cols[b], rep)
-            rhs = linalg.commutator(rep[a], rep[b])
+            rhs = commutator(rep[a], rep[b])
             if not linalg.mat_eq(lhs, rhs):
                 return False
     return True
@@ -542,7 +569,7 @@ def torus_derivative(h_index: int, p: SymPoly) -> SymPoly:
     h_{h_index+1}; vanishes exactly on torus-invariant functions."""
     h_mats, e_mats = _frame()
     derivs = [
-        coordinate_poly(linalg.commutator(h_mats[h_index], t))
+        coordinate_poly(commutator(h_mats[h_index], t))
         for t in h_mats + e_mats
     ]
     return sum((p.partial(k) * d for k, d in enumerate(derivs)), SymPoly())

@@ -116,6 +116,13 @@ def test_obstruction_table_matches_golden(capsys):
     assert out == (DATA / "golden_obstruction.txt").read_text(encoding="utf-8")
 
 
+def test_validate_table_matches_golden(capsys):
+    # every structural check of the three spaces, by name
+    code, out = _run(capsys, "validate", "--format", "table")
+    assert code == 0
+    assert out == (DATA / "golden_validate.txt").read_text(encoding="utf-8")
+
+
 def test_killing_command(capsys):
     code, out = _run(capsys, "killing", "--t", "1,-1,0")
     assert code == 0 and out.strip() == "killing(1,-1,0) = true"

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from gray_stability import linalg
-from gray_stability.lie import ad_and_gram, build_space, validate_algebra, validate_space
-from gray_stability.scalars import ONE, ZERO, rational
-from oracles import ad_and_gram_reference, trace
+from gray_stability.lie import ad_and_gram, bracket_closes, build_space, validate_algebra, validate_space
+from gray_stability.scalars import I, ONE, ZERO, rational
+from oracles import ad_and_gram_reference, commutator, trace, validate_algebra_reference
 
 SCALES = {"s3xs3": Fraction(-1, 3), "cp3": Fraction(-1, 4), "flag": Fraction(-1, 2)}
 
@@ -28,7 +28,7 @@ def test_ad_is_bracket_of_basis_matrices(name):
         cols = linalg.transpose(alg.ad[a])
         for b in range(alg.dim):
             assert linalg.mat_eq(
-                linalg.lin_comb(cols[b], mats), linalg.commutator(mats[a], mats[b])
+                linalg.lin_comb(cols[b], mats), commutator(mats[a], mats[b])
             ), (a, b)
 
 
@@ -83,11 +83,34 @@ def _shift_entry(mats: tuple, a: int, entry: tuple, c) -> tuple:
     ],
     ids=["symmetric_bracket", "one_sided_bracket", "gram_entry"],
 )
-def test_corrupted_algebra_fails_named_checks(corrupt, failing):
-    alg = build_space("flag").algebra
+@pytest.mark.parametrize("name", sorted(SCALES))
+def test_corrupted_algebra_fails_named_checks(name, corrupt, failing):
+    alg = build_space(name).algebra
     assert all(validate_algebra(alg).values())
-    checks = validate_algebra(dataclasses.replace(alg, **corrupt(alg)))
+    bad = dataclasses.replace(alg, **corrupt(alg))
+    checks = validate_algebra(bad)
     assert {k for k, ok in checks.items() if not ok} == failing
+    assert checks == validate_algebra_reference(bad)
+
+
+@pytest.mark.parametrize("name", sorted(SCALES))
+def test_sparse_validate_algebra_equals_dense_reference(name):
+    alg = build_space(name).algebra
+    assert validate_algebra(alg) == validate_algebra_reference(alg)
+
+
+@pytest.mark.parametrize("name", sorted(SCALES))
+def test_bracket_closes_on_basis_matrices_and_fails_on_a_wrong_column(name):
+    # mats are the basis matrices, not the adjoint matrices ad itself
+    alg = build_space(name).algebra
+    mats, dim = alg.basis_matrices, alg.dim
+    pairs = [(a, b) for a in range(dim) for b in range(dim)]
+    assert bracket_closes(mats, alg.ad, pairs)
+    # coordinate 0 of [basis_2, basis_3] moves by i; only that pair breaks
+    wrong = _shift_entry(alg.ad, 2, (0, 3), I)
+    assert not bracket_closes(mats, wrong, pairs)
+    assert not bracket_closes(mats, wrong, [(2, 3)])
+    assert bracket_closes(mats, wrong, [pair for pair in pairs if pair != (2, 3)])
 
 
 def _bracket(alg, x, y) -> list:
@@ -124,7 +147,7 @@ def test_cp3_reductivity_brute_force():
     span_rows = [[x for row in m for x in row] for m in m_mats]
     for h in h_mats:
         for m in m_mats:
-            br = linalg.commutator(h, m)
+            br = commutator(h, m)
             flat = [x for row in br for x in row]
             stacked = span_rows + [flat]
             assert linalg.rank(stacked) == len(span_rows)

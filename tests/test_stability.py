@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gray_stability import branching, fourier
+from gray_stability import branching, fourier, reps
 from gray_stability.branching import hom_dim
 from gray_stability.forms import lambda11_0
 from gray_stability.stability import (
@@ -241,9 +241,10 @@ def test_coclosed_table_branches_each_label_once(monkeypatch):
     assert [row[3] for row in rows] == [hom_dim(space, row[0], decomposition) for row in rows]
 
 
-def test_coindex_reports_build_each_module_twice(monkeypatch):
-    # one explicit module for the hom basis of a label with homomorphisms
-    # and one for all of its delta images: 22 for the 11 such labels
+def test_coindex_reports_build_each_module_once(monkeypatch):
+    # the hom basis and the delta images of a label with homomorphisms
+    # each ask for its explicit module, and the cache builds it once:
+    # 11 builds for the 11 such labels
     calls = Counter()
     original = fourier.explicit_rep
 
@@ -253,7 +254,9 @@ def test_coindex_reports_build_each_module_twice(monkeypatch):
 
     monkeypatch.setattr(fourier, "explicit_rep", counted)
     coindex_report.cache_clear()
+    reps._explicit_rep.cache_clear()
     reports = [coindex_report(name) for name in SPACE_NAMES]
     with_homs = {(r.space, row[0]) for r in reports for row in r.casimir_rows if row[3]}
     assert set(calls) == with_homs and len(with_homs) == 11
-    assert set(calls.values()) == {2} and sum(calls.values()) == 22
+    assert set(calls.values()) == {2}
+    assert reps._explicit_rep.cache_info().misses == 11
