@@ -3,8 +3,8 @@
 All exact values render as integers or "p/q" strings; identical
 invocations produce byte-identical output.  Exit codes: 0 success,
 1 failed checks or an internal error, 2 usage errors (bad space, label
-or option, labels without an explicit module, and an --output path that
-cannot be written).
+or option, a label whose product module is above the bound, and an
+--output path that cannot be written).
 """
 
 from __future__ import annotations

@@ -95,42 +95,20 @@ def _conjugate_side(m_plus: tuple, plus_w: tuple) -> tuple:
     return tuple(map(_conjugate, m_plus)), minus_w
 
 
-def _nonzeros(x: tuple) -> dict:
-    return {(i, j): c for i, row in enumerate(x) for j, c in enumerate(row) if c}
-
-
-def _rows(x: tuple) -> dict:
-    return {i: [(j, c) for j, c in enumerate(row) if c] for i, row in enumerate(x)}
-
-
-def _sum_of_products(terms) -> dict:
-    """Nonzeros of the sum of x y (of -x y when negate) over the terms
-    (x_rows, y_rows, negate), each matrix given as {i: [(j, x_ij), ...]}."""
-    out: dict = {}
-    for first, second, negate in terms:
-        for i, row in first.items():
-            for k, c in row:
-                if negate:
-                    c = -c
-                for j, d in second.get(k, ()):
-                    linalg.add_into(out, (i, j), c * d)
-    return out
-
-
-def _sparse_commutator(x_rows: dict, y_rows: dict) -> dict:
-    """Nonzeros of x y - y x, from each matrix's {i: [(j, x_ij), ...]}."""
-    return _sum_of_products(((x_rows, y_rows, False), (y_rows, x_rows, True)))
+def _sparse_commutator(x: dict, y: dict) -> dict:
+    """Nonzeros of x y - y x, from each matrix's nonzeros {(i, j): c}."""
+    return linalg.sum_of_products(((x, y, False), (y, x, True)))
 
 
 def bracket_closes(mats: tuple, ad: tuple, pairs) -> bool:
     """Whether sum_k ad[a][k][b] mats[k] == [mats[a], mats[b]] for each pair
     (a, b), on {(i, j): c} dicts of nonzeros, so dict equality is exact."""
-    nz, rows = [_nonzeros(x) for x in mats], [_rows(x) for x in mats]
+    nz = [linalg.nonzeros(x) for x in mats]
     for a, b in pairs:
         lhs: dict = {}
         for k, row in enumerate(ad[a]):
             linalg.axpy(lhs, row[b], nz[k])
-        if lhs != _sparse_commutator(rows[a], rows[b]):
+        if lhs != _sparse_commutator(nz[a], nz[b]):
             return False
     return True
 
@@ -140,7 +118,7 @@ def ad_and_gram(mats: tuple, scale: Fraction) -> tuple:
     form Q(x, y) = scale * tr(x y), touching only nonzero entries."""
     dim = len(mats)
     s = Scalar.from_fraction(scale)
-    nz, rows = [_nonzeros(x) for x in mats], [_rows(x) for x in mats]
+    nz = [linalg.nonzeros(x) for x in mats]
 
     # tr(x y) = sum of x_ij y_ji; the form is symmetric
     entries = {}
@@ -173,7 +151,7 @@ def ad_and_gram(mats: tuple, scale: Fraction) -> tuple:
     for a in range(dim):
         for b in range(a + 1, dim):
             coords: dict = {}
-            for pos, c in _sparse_commutator(rows[a], rows[b]).items():
+            for pos, c in _sparse_commutator(nz[a], nz[b]).items():
                 linalg.axpy(coords, c, reader.get(pos, {}))
             for k, c in coords.items():
                 ad_entries[a][k, b] = c
@@ -374,7 +352,7 @@ def build_space(name: str) -> ReductiveSpace:
 
 def validate_algebra(alg: LieAlgebraData) -> dict:
     """Run the structural checks; failures are reported, not raised."""
-    ad, g = alg.ad, _rows(alg.gram)
+    ad, g = alg.ad, linalg.nonzeros(alg.gram)
     cols = [linalg.transpose(x) for x in ad]  # cols[a][b] = [basis_a, basis_b]
     pairs = [(a, b) for a in range(alg.dim) for b in range(alg.dim)]
     return {
@@ -384,7 +362,7 @@ def validate_algebra(alg: LieAlgebraData) -> dict:
         "jacobi": bracket_closes(ad, ad, [(a, b) for a, b in pairs if a < b]),
         # Q([X_a, y], z) + Q(y, [X_a, z]) = 0: ad_a^T G + G ad_a = 0
         "ad_invariance": not any(
-            _sum_of_products(((_rows(col), g, False), (g, _rows(x), False)))
+            linalg.sum_of_products(((linalg.nonzeros(col), g, False), (g, linalg.nonzeros(x), False)))
             for x, col in zip(ad, cols)
         ),
     }

@@ -71,6 +71,25 @@ def axpy(acc: dict, c, x: dict) -> None:
                 del acc[k]
 
 
+def nonzeros(a: Matrix) -> dict:
+    """The nonzeros {(i, j): c} of a matrix, as a sparse vector."""
+    return {(i, j): c for i, row in enumerate(a) for j, c in enumerate(row) if c}
+
+
+def sum_of_products(terms) -> dict:
+    """Nonzeros of the sum of x y (of -x y when negate) over the terms
+    (x, y, negate), each matrix given by its nonzeros {(i, j): c}."""
+    out: dict = {}
+    for first, second, negate in terms:
+        rows: dict = {}
+        for (k, j), d in second.items():
+            rows.setdefault(k, []).append((j, d))
+        for (i, k), c in first.items():
+            for j, d in rows.get(k, ()):
+                add_into(out, (i, j), -c * d if negate else c * d)
+    return out
+
+
 def zeros(m: int, n: int) -> Matrix:
     return ((ZERO,) * n,) * m
 
@@ -127,14 +146,6 @@ def lin_comb(coeffs, mats) -> Matrix:
 
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(c: Scalar, a: Matrix) -> Matrix:

@@ -19,6 +19,15 @@ Freudenthal's recursion, the Weyl dimension and the Casimir constant run
 in plain integers: their inner products (_dual) are scaled by the common
 denominator of the inverse Gram matrix and taken on doubled shifted
 weights.
+
+The explicit module of a label is the top component of the product of
+Sym^k(seed) over the group's seed modules (``_SEEDS``): C^2 of each su2
+factor for k3; C^3, its dual and ad for su3; C^5 and ad for so5.  The
+algebra acts on its monomials by derivation.  A product of the Weyl
+dimension is the module.  Otherwise every other component has a lower
+highest weight, so a smaller Casimir constant (Humphreys, sections 13 and
+21; Fulton-Harris, Lectures 13 and 19), and the module is the kernel of
+C - Cas(label), C the Casimir operator, whose dimension is checked exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from functools import lru_cache
 
 from . import linalg
 from .lie import ReductiveSpace, build_space
-from .scalars import ZERO, Scalar, rational
+from .scalars import Scalar
 
 @dataclass(frozen=True)
 class GroupData:
@@ -240,78 +249,82 @@ def enumerate_labels(group: str, max_cas: Fraction) -> list:
 # ---------------------------------------------------------------------------
 
 class UnsupportedLabel(ValueError):
-    """A valid label whose module has no explicit realization here."""
+    """A valid label whose product module is larger than MAX_PRODUCT_DIM."""
 
 
-def _su2_factor_rep(block: tuple, k: int) -> tuple:
-    """Action of a 2x2 matrix on Sym^k C^2 (k = 1, 2) in the monomial basis."""
-    if k == 1:
-        return block
-    (a, b), (c, d) = block
-    two = rational(2)
-    return (
-        (two * a, b, ZERO),
-        (two * c, a + d, two * b),
-        (ZERO, c, two * d),
-    )
+MAX_PRODUCT_DIM = 150  # cp3 (3, 1), Sym^2 C^5 (x) ad, is the largest up to Casimir 40
 
-
-def _k3_rep(space: ReductiveSpace, label: tuple) -> tuple:
-    if any(x > 2 for x in label):
-        raise UnsupportedLabel(f"unsupported k3 label {label}")
-    dims = [x + 1 for x in label]
-    n = math.prod(dims)
-    mats = []
-    for g_mat in space.algebra.basis_matrices:
-        total = linalg.zeros(n, n)
-        for f in range(3):
-            if label[f] == 0:
-                continue
-            block = tuple(row[2 * f : 2 * f + 2] for row in g_mat[2 * f : 2 * f + 2])
-            factors = [
-                _su2_factor_rep(block, label[f]) if g == f else linalg.identity(dims[g])
-                for g in range(3)
-            ]
-            total = linalg.mat_add(total, linalg.kron(*factors))
-        mats.append(total)
-    return tuple(mats)
+_SEEDS = {  # group -> (basis matrices, ad, label) -> [(seed module, its power)]
+    "k3": lambda mats, ad, lab: [
+        (tuple(tuple(r[2 * f : 2 * f + 2] for r in m[2 * f : 2 * f + 2]) for m in mats), k)
+        for f, k in enumerate(lab)
+    ],
+    "su3": lambda mats, ad, lab: [
+        (mats, lab[0] - min(lab)),
+        (tuple(linalg.transpose([-x for x in r] for r in m) for m in mats), lab[1] - min(lab)),
+        (ad, min(lab)),
+    ],
+    "so5": lambda mats, ad, lab: [(mats, lab[0] - lab[1]), (ad, lab[1])],
+}
 
 
 def explicit_rep(space: ReductiveSpace, label: tuple) -> tuple:
-    """The module of a label as one matrix per symmetry-algebra basis
-    vector: the trivial module, the defining module of so5 and su3 and
-    the dual of su3's, the adjoint (label (1, 1)), and the k3 tensor
-    products of Sym^k C^2 with k <= 2; built once per (space.name, label)."""
+    """The module of a label (see the module docstring) as one matrix per
+    symmetry-algebra basis vector, built once per (space.name, label)."""
     return _explicit_rep(space.name, check_label(space.group, label))
 
 
 @lru_cache(maxsize=None)
 def _explicit_rep(name: str, label: tuple) -> tuple:
     space = build_space(name)
-    alg = space.algebra
-    if not any(label):
-        return (linalg.zeros(1, 1),) * alg.dim
-    if space.group == "k3":
-        return _k3_rep(space, label)
-    if label == (1, 0):
-        return alg.basis_matrices
-    if label == (1, 1):
-        return alg.ad
-    if label == (0, 1) and space.group == "su3":
-        return tuple(linalg.transpose([-x for x in row] for row in m) for m in alg.basis_matrices)
-    raise UnsupportedLabel(f"unsupported {space.group} label {label}")
+    seeds = _SEEDS[space.group](space.algebra.basis_matrices, space.algebra.ad, label)
+    n = math.prod(math.comb(len(seed[0]) + k - 1, k) for seed, k in seeds)
+    if n > MAX_PRODUCT_DIM:
+        raise UnsupportedLabel(f"{space.group} label {label} needs a product module of "
+                               f"dimension {n}, above the bound {MAX_PRODUCT_DIM}")
+    # k_f indices of each seed f, in itertools.product order: the kron order
+    combos = (itertools.combinations_with_replacement(range(len(s[0])), k) for s, k in seeds)
+    index = {mono: i for i, mono in enumerate(itertools.product(*combos))}
+    rep = [{} for _ in range(space.algebra.dim)]  # the nonzeros {(i, j): c} of each matrix
+    for a, entries in enumerate(rep):
+        for mono, col in index.items():
+            for f, (seed, _) in enumerate(seeds):
+                for i, j in enumerate(mono[f]):  # x_j -> seed[a] x_j at place i of factor f
+                    for b, row in enumerate(seed[a]):
+                        if row[j]:
+                            factor = tuple(sorted(mono[f][:i] + (b,) + mono[f][i + 1 :]))
+                            new = index[mono[:f] + (factor,) + mono[f + 1 :]]
+                            linalg.add_into(entries, (new, col), row[j])
+    d = dim(space.group, label)
+    if n == d:
+        return tuple(linalg.from_entries(n, e) for e in rep)
+    c = -Scalar.from_fraction(casimir_constant(space.group, label))
+    shifted = [{i: c} for i in range(n)]
+    for (i, j), x in _casimir_operator(space, rep).items():
+        linalg.add_into(shifted[i], j, x)
+    kernel = linalg.nullspace(shifted, n)
+    if len(kernel) != d:
+        raise ArithmeticError(f"{name} {label}: top component of dimension {len(kernel)}, not {d}")
+    # each kernel vector is 1 at its free column (its last) and 0 at the others'
+    free = {max(v): t for t, v in enumerate(kernel)}
+    basis = {(i, t): x for t, v in enumerate(kernel) for i, x in v.items()}
+    rows = [{(free[i], j): x for (i, j), x in e.items() if i in free} for e in rep]
+    return tuple(linalg.from_entries(d, linalg.sum_of_products([(r, basis, False)])) for r in rows)
+
+
+def _casimir_operator(space: ReductiveSpace, rep: list) -> dict:
+    """-sum rho(e)^2 over a Q-orthonormal basis e, on nonzeros {(i, j): c}."""
+    mats = [{} for _ in space.g_orthonormal]
+    for v, m in zip(space.g_orthonormal, mats):
+        for c, x in zip(v, rep):
+            linalg.axpy(m, c, x)
+    return linalg.sum_of_products((m, m, True) for m in mats)
 
 
 def casimir_bruteforce(space: ReductiveSpace, rep: tuple) -> Fraction:
-    """Casimir constant of a module given by explicit_rep, as minus the
-    sum of squares over a Q-orthonormal basis of the symmetry algebra;
-    raises if the operator is not scalar."""
-    n = len(rep[0])
-    acc = linalg.zeros(n, n)
-    for v in space.g_orthonormal:
-        m = linalg.lin_comb(v, rep)
-        acc = linalg.mat_sub(acc, linalg.mat_mul(m, m))
-    c = linalg.scalar_multiple_of_identity(acc)
+    """Casimir constant of an explicit_rep module; raises if it is not scalar."""
+    cas = _casimir_operator(space, [linalg.nonzeros(m) for m in rep])
+    c = linalg.scalar_multiple_of_identity(linalg.from_entries(len(rep[0]), cas))
     if c is None:
         raise ArithmeticError(f"Casimir operator on a module of {space.name} is not scalar")
     return c.rational()

@@ -61,9 +61,17 @@ def trace_product(a, b) -> Scalar:
     return s
 
 
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
 def commutator(a, b):
     """Dense a b - b a."""
-    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+    return mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
 
 def validate_algebra_reference(alg) -> dict:
@@ -81,7 +89,7 @@ def validate_algebra_reference(alg) -> dict:
         ),
         "ad_invariance": all(
             linalg.is_zero_matrix(
-                linalg.mat_add(linalg.mat_mul(linalg.transpose(x), g), linalg.mat_mul(g, x))
+                mat_add(linalg.mat_mul(linalg.transpose(x), g), linalg.mat_mul(g, x))
             )
             for x in ad
         ),
@@ -187,7 +195,7 @@ def dense_hom_basis(space: ReductiveSpace, gamma: tuple) -> list:
     wd, vd = target.dim, len(rep[0])
     rows = []
     for w_t, r_t in zip(target.h_matrices, rep):
-        rows.extend(linalg.mat_sub(
+        rows.extend(mat_sub(
             linalg.kron(w_t, linalg.identity(vd)),
             linalg.kron(linalg.identity(wd), linalg.transpose(r_t)),
         ))
@@ -317,11 +325,13 @@ def weyl_generators(group: str):
 
 
 def validate_rep(space: ReductiveSpace, rep: tuple) -> bool:
-    """Homomorphism property on all pairs of symmetry-algebra basis vectors."""
+    """Homomorphism property on all pairs of symmetry-algebra basis vectors;
+    both sides are antisymmetric in the pair (ad is, as validate_algebra
+    checks), so the pairs a < b decide it."""
     alg = space.algebra
     for a in range(alg.dim):
         cols = linalg.transpose(alg.ad[a])
-        for b in range(alg.dim):
+        for b in range(a + 1, alg.dim):
             lhs = linalg.lin_comb(cols[b], rep)
             rhs = commutator(rep[a], rep[b])
             if not linalg.mat_eq(lhs, rhs):

@@ -106,23 +106,17 @@ def test_criterion_01_casimir_tables():
 # -- 2 ----------------------------------------------------------------------
 
 def test_criterion_02_bruteforce_freudenthal_agreement():
-    import itertools
-
+    # every dominant label up to Casimir 40, each module built explicitly
     checked = 0
     for name in ("s3xs3", "cp3", "flag"):
         space = build_space(name)
-        if space.group == "k3":
-            labels = [lab for lab in itertools.product(range(3), repeat=3)]
-        elif space.group == "so5":
-            labels = [(0, 0), (1, 0), (1, 1)]
-        else:
-            labels = [(0, 0), (1, 0), (0, 1), (1, 1)]
-        for label in labels:
+        for label in enumerate_labels(space.group, Fraction(40)):
             rep = explicit_rep(space, label)
             assert casimir_bruteforce(space, rep) == casimir_constant(
                 space.group, label
             ), (name, label)
             checked += 1
+    assert checked == 77
     _report(2, f"Casimir operator exactly scalar on {checked} modules, "
                "brute force equals the weight formula")
 

@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from gray_stability.branching import hom_dim
 from gray_stability.cli import main
+from gray_stability.forms import lambda11_0
+from gray_stability.lie import build_space
 from gray_stability.reps import casimir_constant
 
 
@@ -72,6 +75,8 @@ def test_delta_command(capsys):
         ("cp3", "1,1"),
         ("s3xs3", "2,2,2"),
         ("s3xs3", "2,2,0"),
+        ("cp3", "2,0"),  # Sym^2 C^5, 15 -> 14 by the Casimir kernel
+        ("flag", "2,2"),  # Sym^2 ad, 36 -> 27 by the Casimir kernel
     ],
 )
 def test_delta_matches_golden(capsys, space, gamma):
@@ -188,7 +193,7 @@ def test_unknown_space_is_usage_error(capsys):
 def test_bad_label_is_usage_error(capsys):
     assert main(["homdim", "--space", "cp3", "--gamma", "1,2"]) == 2
     assert main(["branch", "--space", "s3xs3", "--gamma", "1,1"]) == 2
-    assert main(["delta", "--space", "cp3", "--gamma", "2,0"]) == 2  # unsupported module
+    assert main(["delta", "--space", "cp3", "--gamma", "3,2"]) == 2  # product module above the bound
     assert main(["killing", "--t", "1,1,1"]) == 2
     assert main(["killing", "--t", "1,-1"]) == 2
     err = capsys.readouterr().err
@@ -263,12 +268,31 @@ def test_internal_error_exits_1(capsys, monkeypatch, exc_type):
 
 def test_user_input_errors_are_not_internal(capsys):
     assert main(["killing", "--t", "1,1,1"]) == 2
-    assert main(["delta", "--space", "s3xs3", "--gamma", "3,1,0"]) == 2
+    assert main(["delta", "--space", "s3xs3", "--gamma", "4,5,5"]) == 2
     err = capsys.readouterr().err
     assert err == (
         "error: canonical-variation coefficients must sum to zero\n"
-        "error: unsupported k3 label (3, 1, 0)\n"
+        "error: k3 label (4, 5, 5) needs a product module of dimension 180, above the bound 150\n"
     )
+
+
+def test_label_above_the_product_bound_builds_nothing(capsys, monkeypatch):
+    # cp3 (3,2) has homomorphisms, so delta asks for its module; the bound
+    # on Sym^1 C^5 (x) Sym^2 ad (5 * 55 = 275) refuses before any entry
+    from gray_stability import linalg, reps
+
+    space = build_space("cp3")
+    assert hom_dim(space, (3, 2), lambda11_0("cp3").decomposition) == 7
+
+    def refuse(*args):
+        raise AssertionError("a module entry was built")
+
+    monkeypatch.setattr(linalg, "add_into", refuse)
+    monkeypatch.setattr(linalg, "from_entries", refuse)
+    reps._explicit_rep.cache_clear()
+    assert main(["delta", "--space", "cp3", "--gamma", "3,2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"above the bound {reps.MAX_PRODUCT_DIM}" in err
 
 
 def test_delta_builds_hom_basis_and_images_once(capsys, monkeypatch):

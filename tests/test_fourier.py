@@ -1,8 +1,9 @@
 """Fourier coefficient spaces and the prototypical codifferential."""
 
-import pytest
+import itertools
+from fractions import Fraction
 
-from gray_stability import linalg
+from gray_stability import linalg, reps
 from gray_stability.exterior import wedge2
 from gray_stability.forms import lambda11_0
 from gray_stability.fourier import (
@@ -11,8 +12,8 @@ from gray_stability.fourier import (
     m_complex_coords,
     proto_delta,
 )
-from gray_stability.lie import build_space
-from gray_stability.reps import UnsupportedLabel, dim, enumerate_labels, explicit_rep
+from gray_stability.lie import SPACE_NAMES, build_space
+from gray_stability.reps import casimir_constant, dim, enumerate_labels, explicit_rep
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, rational
 from gray_stability.stability import CASIMIR_THRESHOLD
 from oracles import (
@@ -68,14 +69,36 @@ def test_hom_basis_cardinalities():
 
 
 def test_labels_without_homomorphisms_need_no_explicit_module():
-    # hom_dim is 0 for these labels and explicit_rep does not cover them
+    # hom_dim is 0 for these labels, so the Fourier layer builds no module
+    reps._explicit_rep.cache_clear()
     for name, gamma in [("s3xs3", (3, 0, 0)), ("flag", (2, 0)), ("flag", (1, 2))]:
         space = build_space(name)
-        with pytest.raises(UnsupportedLabel):
-            explicit_rep(space, gamma)
         assert hom_basis(space, gamma) == []
         assert coclosed_dim(space, gamma, hom_basis(space, gamma)) == 0
         assert coclosed_basis(space, gamma) == []
+    assert reps._explicit_rep.cache_info().misses == 0
+
+
+def test_coclosed_dims_above_the_cutoff():
+    # every label with Casimir constant in (12, 40]: coclosed dimension 1
+    # on s3xs3 (2,2,0), (0,0,4), (1,2,3) and their permutations and on cp3
+    # (2,0), (2,2), (3,0), (3,1); 3 on flag (2,2); 0 on every other
+    expected = {
+        ("s3xs3", perm): 1
+        for base in [(2, 2, 0), (0, 0, 4), (1, 2, 3)]
+        for perm in itertools.permutations(base)
+    }
+    expected.update({("cp3", lab): 1 for lab in [(2, 0), (2, 2), (3, 0), (3, 1)]})
+    expected["flag", (2, 2)] = 3
+    seen = set()
+    for name in SPACE_NAMES:
+        space = build_space(name)
+        for gamma in enumerate_labels(space.group, Fraction(40)):
+            if casimir_constant(space.group, gamma) > CASIMIR_THRESHOLD:
+                got = coclosed_dim(space, gamma, hom_basis(space, gamma))
+                assert got == expected.get((name, gamma), 0), (name, gamma)
+                seen.add((name, gamma))
+    assert set(expected) <= seen
 
 
 def test_coclosed_dim_computes_hom_dim_once_per_label(monkeypatch):

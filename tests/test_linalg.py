@@ -10,7 +10,17 @@ from gray_stability import linalg
 from gray_stability.lie import SPACE_NAMES, build_space
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from gray_stability.sympoly import V1, X
-from oracles import commutator, dense_nullspace, dense_rref, to_dense, to_sparse, trace, trace_product
+from oracles import (
+    commutator,
+    dense_nullspace,
+    dense_rref,
+    mat_add,
+    mat_sub,
+    to_dense,
+    to_sparse,
+    trace,
+    trace_product,
+)
 
 
 def _rand_scalar(rng):
@@ -71,7 +81,7 @@ def test_scalar_multiple_of_identity():
     assert linalg.scalar_multiple_of_identity(linalg.identity(4)) == ONE
     m = linalg.mat_scale(SQRT2, linalg.identity(3))
     assert linalg.scalar_multiple_of_identity(m) == SQRT2
-    m = linalg.mat_add(m, linalg.from_entries(3, {(0, 1): ONE}))
+    m = mat_add(m, linalg.from_entries(3, {(0, 1): ONE}))
     assert linalg.scalar_multiple_of_identity(m) is None
 
 
@@ -108,8 +118,8 @@ def test_constructors_return_the_immutable_matrix_type():
         linalg.kron(a, a),
         linalg.lin_comb([ONE], [a]),
         linalg.transpose(a),
-        linalg.mat_add(a, a),
-        linalg.mat_sub(a, a),
+        mat_add(a, a),
+        mat_sub(a, a),
         linalg.mat_scale(I, a),
         linalg.mat_mul(a, a),
         commutator(a, a),
@@ -156,7 +166,7 @@ def test_lin_comb_matches_scale_and_add():
     coeffs = [SQRT2, ZERO, I]
     expected = linalg.zeros(2, 3)
     for c, m in zip(coeffs, mats):
-        expected = linalg.mat_add(expected, linalg.mat_scale(c, m))
+        expected = mat_add(expected, linalg.mat_scale(c, m))
     assert linalg.lin_comb(coeffs, mats) == expected
     assert linalg.lin_comb([ZERO, ZERO, ZERO], mats) == linalg.zeros(2, 3)
 
@@ -185,7 +195,7 @@ def _sparse_cases(rng):
         cases.append(_sparse_matrix(rng, m, n))
     for m, n, r in [(8, 6, 3), (5, 9, 2), (7, 7, 4), (6, 6, 1)]:
         cases.append(linalg.mat_mul(_sparse_matrix(rng, m, r, 0.6), _sparse_matrix(rng, r, n, 0.5)))
-    cases.append(linalg.mat_add(linalg.identity(6), _sparse_matrix(rng, 6, 6, 0.2)))
+    cases.append(mat_add(linalg.identity(6), _sparse_matrix(rng, 6, 6, 0.2)))
     cases.append(linalg.zeros(4, 5))
     cases.append(linalg.zeros(3, 3))
     for m, n in [(8, 6), (5, 5)]:
@@ -315,3 +325,17 @@ def test_axpy_equals_dense_lin_comb(seed):
         (row,) = linalg.lin_comb(coeffs, dense)
         assert acc == {j: x for j, x in enumerate(row) if x}
         assert all(acc.values())
+
+
+def test_sum_of_products_matches_dense_products():
+    # x y - z y on nonzeros against the dense products; an entry that
+    # cancels leaves the result
+    rng = random.Random(17)
+    for _ in range(20):
+        x, z = _sparse_matrix(rng, 4, 5, 0.4), _sparse_matrix(rng, 4, 5, 0.4)
+        y = _sparse_matrix(rng, 5, 3, 0.4)
+        nx, ny, nz = linalg.nonzeros(x), linalg.nonzeros(y), linalg.nonzeros(z)
+        assert all(nx.values()) and linalg.from_entries(4, nx, 5) == tuple(map(tuple, x))
+        expected = mat_sub(linalg.mat_mul(x, y), linalg.mat_mul(z, y))
+        assert linalg.sum_of_products([(nx, ny, False), (nz, ny, True)]) == linalg.nonzeros(expected)
+    assert linalg.sum_of_products([(nx, ny, False), (nx, ny, True)]) == {}

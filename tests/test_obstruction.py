@@ -81,6 +81,27 @@ def test_coordinate_derivatives_check_the_frame_span(monkeypatch):
         coordinate_derivatives.cache_clear()
 
 
+def test_coordinate_derivatives_check_all_54_frame_brackets(monkeypatch):
+    # the span check covers each direction e_1..e_6 against each of the
+    # nine frame matrices, once
+    seen = []
+    original = obstruction.bracket_closes
+
+    def recording(mats, ad, pairs):
+        pairs = list(pairs)
+        seen.append((len(mats), pairs))
+        return original(mats, ad, pairs)
+
+    monkeypatch.setattr(obstruction, "bracket_closes", recording)
+    coordinate_derivatives.cache_clear()
+    try:
+        coordinate_derivatives()
+    finally:
+        coordinate_derivatives.cache_clear()
+    assert [n for n, _ in seen] == [9]
+    assert sorted(seen[0][1]) == [(3 + a, g) for a in range(6) for g in range(9)]
+
+
 def test_torus_directions_annihilate_v():
     for j in range(3):
         for v in range(3):

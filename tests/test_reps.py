@@ -6,10 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from gray_stability import linalg
-from gray_stability.lie import build_space
+from gray_stability import linalg, reps
+from gray_stability.branching import hom_dim, restricted_weights
+from gray_stability.forms import lambda11_0
+from gray_stability.fourier import hom_basis
+from gray_stability.lie import SPACE_NAMES, build_space
 from gray_stability.reps import (
     GROUPS,
+    MAX_PRODUCT_DIM,
+    UnsupportedLabel,
     casimir_bruteforce,
     casimir_constant,
     check_label,
@@ -18,26 +23,16 @@ from gray_stability.reps import (
     explicit_rep,
     weight_system,
 )
-from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar
+from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from oracles import J, casimir_reference, validate_rep, weyl_dim_reference, weyl_generators
 
 
-SUPPORTED = [
-    ("s3xs3", (0, 0, 0)),
-    ("s3xs3", (1, 0, 0)),
-    ("s3xs3", (1, 1, 0)),
-    ("s3xs3", (1, 0, 1)),
-    ("s3xs3", (0, 1, 1)),
-    ("s3xs3", (2, 0, 0)),
-    ("s3xs3", (0, 2, 0)),
-    ("s3xs3", (0, 0, 2)),
-    ("cp3", (0, 0)),
-    ("cp3", (1, 0)),
-    ("cp3", (1, 1)),
-    ("flag", (0, 0)),
-    ("flag", (1, 0)),
-    ("flag", (0, 1)),
-    ("flag", (1, 1)),
+# Every dominant label up to Casimir 40 on the three spaces, with
+# homomorphisms into the primitive (1,1) module or without.
+SWEEP = [
+    (name, lab)
+    for name in SPACE_NAMES
+    for lab in enumerate_labels(build_space(name).group, Fraction(40))
 ]
 
 
@@ -286,14 +281,14 @@ def _rewrite_j(x, jj):
 
 
 def test_all_supported_reps_are_homomorphisms():
-    for name, lab in SUPPORTED:
+    for name, lab in SWEEP:
         space = build_space(name)
         rep = explicit_rep(space, lab)
         assert validate_rep(space, rep), (name, lab)
 
 
 def test_bruteforce_casimir_matches_freudenthal():
-    for name, lab in SUPPORTED:
+    for name, lab in SWEEP:
         space = build_space(name)
         rep = explicit_rep(space, lab)
         assert casimir_bruteforce(space, rep) == casimir_constant(space.group, lab), (
@@ -302,10 +297,67 @@ def test_bruteforce_casimir_matches_freudenthal():
         )
 
 
+def test_explicit_rep_has_the_weyl_dimension():
+    assert len(SWEEP) == 77
+    for name, lab in SWEEP:
+        space = build_space(name)
+        rep = explicit_rep(space, lab)
+        n = dim(space.group, lab)
+        assert len(rep) == space.algebra.dim, (name, lab)
+        assert all(len(m) == n and all(len(row) == n for row in m) for m in rep), (name, lab)
+
+
+def test_torus_weights_are_the_restricted_weights():
+    # the multiplicity of each restricted weight w is the dimension of the
+    # exact joint kernel of rho(t_k) - i w_k over the isotropy torus, and
+    # these kernels fill the module
+    for name, lab in SWEEP:
+        space = build_space(name)
+        rep = explicit_rep(space, lab)
+        n = len(rep[0])
+        torus = [linalg.lin_comb(t, rep) for t in space.h_weight_torus]
+        weights = restricted_weights(space, lab)
+        for w, mult in weights.items():
+            rows = []
+            for t, wk in zip(torus, w):
+                for i, row in enumerate(t):
+                    d = {j: x for j, x in enumerate(row) if x}
+                    linalg.add_into(d, i, -(I * rational(wk)))
+                    rows.append(d)
+            assert len(linalg.nullspace(rows, n)) == mult, (name, lab, w)
+        assert sum(weights.values()) == n, (name, lab)
+
+
+def test_hom_basis_has_hom_dim_elements():
+    with_homs = 0
+    for name, lab in SWEEP:
+        space = build_space(name)
+        expected = hom_dim(space, lab, lambda11_0(name).decomposition)
+        assert len(hom_basis(space, lab)) == expected, (name, lab)
+        with_homs += expected > 0
+    assert with_homs == 41
+
+
 def test_unsupported_labels_rejected():
-    with pytest.raises(ValueError):
-        explicit_rep(build_space("s3xs3"), (3, 0, 0))
-    with pytest.raises(ValueError):
-        explicit_rep(build_space("cp3"), (2, 0))
-    with pytest.raises(ValueError):
-        explicit_rep(build_space("flag"), (2, 1))
+    # the bound is on the dimension of the product module: past it a label
+    # raises, naming both; a product of exactly the bound builds; labels
+    # that had no hand-written module build now
+    for name, lab, n in [("s3xs3", (4, 5, 5), 180), ("cp3", (3, 2), 275), ("flag", (2, 5), 360)]:
+        with pytest.raises(UnsupportedLabel, match=f"dimension {n}, above the bound {MAX_PRODUCT_DIM}"):
+            explicit_rep(build_space(name), lab)
+    assert len(explicit_rep(build_space("s3xs3"), (2, 9, 4))[0]) == MAX_PRODUCT_DIM
+    for name, lab in [("s3xs3", (3, 0, 0)), ("cp3", (2, 0)), ("flag", (2, 1))]:
+        space = build_space(name)
+        assert len(explicit_rep(space, lab)[0]) == dim(space.group, lab)
+
+
+def test_top_component_dimension_is_checked(monkeypatch):
+    # with a wrong Casimir constant the kernel of C - Cas on Sym^2 C^5
+    # (the module 14 + the trivial 1) is empty, and the build refuses
+    monkeypatch.setattr(reps, "casimir_constant", lambda group, label: Fraction(1))
+    reps._explicit_rep.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="top component of dimension 0, not 14"):
+            explicit_rep(build_space("cp3"), (2, 0))
+    finally:
+        reps._explicit_rep.cache_clear()
