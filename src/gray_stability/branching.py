@@ -17,7 +17,7 @@ self-verifies through the non-negativity of every remainder.
 
 from __future__ import annotations
 
-from .lie import ReductiveSpace
+from .lie import GroupRecord, ReductiveSpace
 from .reps import weight_system
 
 # the irrep kind of each isotropy type
@@ -66,8 +66,8 @@ def decompose_weights(h_type: str, weights: dict) -> dict:
     return out
 
 
-def restricted_weights(space: ReductiveSpace, gamma: tuple) -> dict:
-    """Weight multiset of the restriction to the isotropy torus."""
+def restricted_weights(space: GroupRecord, gamma: tuple) -> dict:
+    """Weight multiset of the restriction to the isotropy torus; the group record suffices."""
     ws = weight_system(space.group, gamma)
     emb = space.weight_embedding
     out: dict[tuple, int] = {}
@@ -77,7 +77,7 @@ def restricted_weights(space: ReductiveSpace, gamma: tuple) -> dict:
     return out
 
 
-def restrict(space: ReductiveSpace, gamma: tuple) -> dict:
+def restrict(space: GroupRecord, gamma: tuple) -> dict:
     """Decomposition of the restricted irrep into isotropy irreps."""
     return decompose_weights(space.h_type, restricted_weights(space, gamma))
 

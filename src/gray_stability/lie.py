@@ -34,7 +34,31 @@ from . import linalg
 from .exterior import Form, alternate, derivation_action
 from .scalars import I, ONE, SQRT2, SQRT3, SQRT6, ZERO, Scalar, rational
 
-SPACE_NAMES = ("s3xs3", "cp3", "flag")
+
+@dataclass(frozen=True)
+class GroupRecord:
+    """The symmetry-group data of a catalog space: all that its Casimir and
+    branching tables read."""
+
+    name: str
+    group: str                  # rep-theory group key: k3 | so5 | su3
+    h_type: str                 # delta_su2 | u2 | t2
+    weight_embedding: tuple     # integer matrix: G-weight coords -> H-weight coords
+
+
+GROUP_RECORDS = {r.name: r for r in (
+    GroupRecord("s3xs3", "k3", "delta_su2", ((1, 1, 1),)),
+    GroupRecord("cp3", "so5", "u2", ((1, -1), (1, 1))),
+    GroupRecord("flag", "su3", "t2", ((1, 1), (0, 1))),
+)}
+SPACE_NAMES = tuple(GROUP_RECORDS)
+
+
+def group_record(name: str) -> GroupRecord:
+    if name not in GROUP_RECORDS:
+        raise ValueError(f"unknown space {name!r}; expected one of {SPACE_NAMES}")
+    return GROUP_RECORDS[name]
+
 
 @dataclass(frozen=True)
 class LieAlgebraData:
@@ -47,12 +71,9 @@ class LieAlgebraData:
 
 
 @dataclass(frozen=True)
-class ReductiveSpace:
+class ReductiveSpace(GroupRecord):
     """A catalog homogeneous space G/H with all exact geometric data."""
 
-    name: str
-    group: str                  # rep-theory group key: k3 | so5 | su3
-    h_type: str                 # delta_su2 | u2 | t2
     algebra: LieAlgebraData
     h_dim: int
     m_dim: int
@@ -63,7 +84,6 @@ class ReductiveSpace:
     m_plus_weights: tuple       # tuple of (coords, weight tuple)
     m_minus_weights: tuple
     h_weight_torus: tuple       # h-coordinate vectors with integer ad-eigenvalues
-    weight_embedding: tuple     # integer matrix: G-weight coords -> H-weight coords
     kahler: tuple               # sorted ((a, b), Scalar) pairs, m-coordinates
     psi_minus: tuple | None     # sorted ((a, b, c), Scalar) or None
     g_orthonormal: tuple        # Q-orthonormal basis of g, in g-coordinates
@@ -207,9 +227,7 @@ def _build_s3xs3() -> ReductiveSpace:
 
     minus_one = -ONE
     return ReductiveSpace(
-        name="s3xs3",
-        group="k3",
-        h_type="delta_su2",
+        **vars(GROUP_RECORDS["s3xs3"]),
         algebra=algebra,
         h_dim=3,
         m_dim=6,
@@ -218,7 +236,6 @@ def _build_s3xs3() -> ReductiveSpace:
         m_plus_weights=plus_w,
         m_minus_weights=minus_w,
         h_weight_torus=((ZERO, ZERO, two_s2),),
-        weight_embedding=((1, 1, 1),),
         kahler=(((0, 1), minus_one), ((2, 3), minus_one), ((4, 5), minus_one)),
         psi_minus=None,
         g_orthonormal=linalg.diag(*[rational(2)] * 3, *[ONE] * 6),
@@ -261,9 +278,7 @@ def _build_cp3() -> ReductiveSpace:
     m_minus, minus_w = _conjugate_side(m_plus, plus_w)
 
     return ReductiveSpace(
-        name="cp3",
-        group="so5",
-        h_type="u2",
+        **vars(GROUP_RECORDS["cp3"]),
         algebra=algebra,
         h_dim=4,
         m_dim=6,
@@ -272,7 +287,6 @@ def _build_cp3() -> ReductiveSpace:
         m_plus_weights=plus_w,
         m_minus_weights=minus_w,
         h_weight_torus=((ONE, -ONE, ZERO, ZERO), (ONE, ONE, ZERO, ZERO)),
-        weight_embedding=((1, -1), (1, 1)),
         kahler=(((0, 1), ONE), ((2, 3), ONE), ((4, 5), -ONE)),
         psi_minus=None,
         g_orthonormal=linalg.diag(SQRT2, SQRT2, *[ONE] * 8),
@@ -315,9 +329,7 @@ def _build_flag() -> ReductiveSpace:
 
     minus_one = -ONE
     return ReductiveSpace(
-        name="flag",
-        group="su3",
-        h_type="t2",
+        **vars(GROUP_RECORDS["flag"]),
         algebra=algebra,
         h_dim=2,
         m_dim=6,
@@ -327,7 +339,6 @@ def _build_flag() -> ReductiveSpace:
         m_minus_weights=minus_w,
         # torus of the (z1, z2) parametrization: diag(i,0,-i) = t1 + t2, diag(0,i,-i) = t2
         h_weight_torus=((ONE, ONE), (ZERO, ONE)),
-        weight_embedding=((1, 1), (0, 1)),
         kahler=(((0, 1), ONE), ((2, 3), minus_one), ((4, 5), ONE)),
         psi_minus=(((1, 2, 5), ONE), ((0, 3, 5), minus_one), ((0, 2, 4), minus_one), ((1, 3, 4), minus_one)),
         g_orthonormal=linalg.from_entries(8, g_on),
@@ -341,8 +352,7 @@ _BUILDERS = {"s3xs3": _build_s3xs3, "cp3": _build_cp3, "flag": _build_flag}
 
 @lru_cache(maxsize=None)
 def build_space(name: str) -> ReductiveSpace:
-    if name not in _BUILDERS:
-        raise ValueError(f"unknown space {name!r}; expected one of {SPACE_NAMES}")
+    group_record(name)  # rejects an unknown name
     return _BUILDERS[name]()
 
 

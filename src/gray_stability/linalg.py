@@ -153,19 +153,16 @@ def mat_scale(c: Scalar, a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[ZERO] * m for _ in range(n)]
-    for i in range(n):
-        row = a[i]
-        acc = out[i]
-        for t in range(k):
-            c = row[t]
-            if not c:
-                continue
-            brow = b[t]
-            for j in range(m):
-                if brow[j]:
-                    acc[j] = acc[j] + c * brow[j]
+    m = len(b[0])
+    b_rows = [[(j, x) for j, x in enumerate(brow) if x] for brow in b]  # each row's nonzeros, read once
+    out = []
+    for row in a:
+        acc = [ZERO] * m
+        for c, brow in zip(row, b_rows, strict=True):
+            if c:
+                for j, x in brow:
+                    acc[j] = acc[j] + c * x
+        out.append(acc)
     return _freeze(out)
 
 

@@ -10,15 +10,18 @@ A label is a dominant integral weight: <label, alpha> >= 0 for every
 simple root alpha (Humphreys, *Introduction to Lie Algebras and
 Representation Theory*, section 13).  Every weight of its module is
 label - sum n_k alpha_k with n_k >= 0 bounded by the group's box matrix
-applied to the label, so Freudenthal's recursion runs over that box.
-Along a root string mu = lam + k alpha (alpha positive) the simple-root
-coordinates of label - mu only fall, so the string leaves the box exactly
-where it leaves the simple-root cone.
+applied to the label, and every dominant point of that box is a weight
+(section 21.3).  Freudenthal's recursion runs on those points alone, in
+level order (sum n_k), and writes each multiplicity to the point's Weyl
+orbit, reached by the simple reflections mu - <mu, alpha^vee> alpha that
+lower a weight (Moody-Patera, Bull. AMS 7 (1982); Humphreys, section
+22.3).  Every weight above lam then has its entry and alpha-strings are
+unbroken, so the sum over lam + k alpha stops at the first k without one.
 
 Freudenthal's recursion, the Weyl dimension and the Casimir constant run
 in plain integers: their inner products (_dual) are scaled by the common
 denominator of the inverse Gram matrix and taken on doubled shifted
-weights.
+weights; each simple coroot is an integral row.
 
 The explicit module of a label is the top component of the product of
 Sym^k(seed) over the group's seed modules (``_SEEDS``): C^2 of each su2
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,13 +66,30 @@ def _integral_inverse(m) -> tuple:
     return [[int(d * x) for x in row] for row in inv], d
 
 
+def _dot(u, v) -> int:
+    return sum(map(operator.mul, u, v))
+
+
 GROUPS: dict[str, GroupData] = {}
 _GRAM_INV: dict[str, tuple] = {}  # (D * G^-1, D), D the denominator of G^-1
+_ROOT_DUALS: dict[str, tuple] = {}  # (alpha, D G^-1 alpha) per positive root: D <mu, alpha> = mu . dual
+_COROOTS: dict[str, tuple] = {}  # per simple root, in order, the coroot: <mu, alpha^vee> = mu . coroot
 
 
 def _register(g: GroupData):
     GROUPS[g.name] = g
-    _GRAM_INV[g.name] = _integral_inverse(g.gram_t)
+    gi, _ = _GRAM_INV[g.name] = _integral_inverse(g.gram_t)
+    duals = {a: tuple(_dot(row, a) for row in gi) for a in g.positive_roots}  # G^-1 is symmetric
+    _ROOT_DUALS[g.name] = tuple(duals.items())
+    _COROOTS[g.name] = tuple(_coroot(a, duals[a]) for a in g.simple_roots)
+
+
+def _coroot(alpha: tuple, dual: tuple) -> tuple:
+    """2 G^-1 alpha / <alpha, alpha> as an integral row, from dual = D G^-1 alpha."""
+    n = _dot(alpha, dual)
+    if any(2 * x % n for x in dual):
+        raise ArithmeticError(f"coroot of {alpha} is not integral")
+    return tuple(2 * x // n for x in dual)
 
 
 _register(
@@ -116,7 +137,7 @@ def _dual(group: str, u, v) -> int:
     """D * <u, v> in the Q-dual inner product, for integral weights u, v,
     with D the common denominator of G^-1."""
     gi, _ = _GRAM_INV[group]
-    return sum(u[a] * gi[a][b] * v[b] for a in range(len(u)) for b in range(len(v)))
+    return _dot(u, [_dot(row, v) for row in gi])
 
 
 def _doubled_shift(group: str, label: tuple) -> tuple:
@@ -124,8 +145,14 @@ def _doubled_shift(group: str, label: tuple) -> tuple:
     return tuple(2 * x + d for x, d in zip(label, GROUPS[group].two_delta))
 
 
+def _norm4(group: str, label: tuple) -> int:
+    """4D * |label + delta|^2."""
+    v = _doubled_shift(group, label)
+    return _dual(group, v, v)
+
+
 def _dominant(group: str, label: tuple) -> bool:
-    return all(_dual(group, label, alpha) >= 0 for alpha in GROUPS[group].simple_roots)
+    return all(_dot(label, co) >= 0 for co in _COROOTS[group])
 
 
 def check_label(group: str, label: tuple) -> tuple:
@@ -141,7 +168,8 @@ def check_label(group: str, label: tuple) -> tuple:
 
 def weight_system(group: str, label: tuple) -> dict:
     """Full weight multiset of the irreducible module, by Freudenthal's
-    multiplicity recursion, run in integers.
+    recursion on the dominant weights, run in integers, each multiplicity
+    written to its Weyl orbit.
 
     With D the common denominator of G^-1, 4D * |lam + delta|^2 (taken on
     the integral doubled weight 2(lam + delta)) and D * <mu, alpha> are
@@ -149,58 +177,43 @@ def weight_system(group: str, label: tuple) -> dict:
     it must still divide out exactly."""
     label = check_label(group, label)
     g = GROUPS[group]
-    hw = label
-    gi, _ = _GRAM_INV[group]
+    c4 = _norm4(group, label)
 
-    def norm4(lam):
-        """4D * |lam + delta|^2."""
-        v = _doubled_shift(group, lam)
-        return _dual(group, v, v)
-
-    # D * G^-1 alpha, so that D * <mu, alpha> is a dot product.
-    root_duals = [
-        (alpha, tuple(sum(gi[a][b] * alpha[b] for b in range(g.rank)) for a in range(g.rank)))
-        for alpha in g.positive_roots
-    ]
-    c4 = norm4(hw)
-
-    bounds = [sum(b * h for b, h in zip(row, hw)) for row in g.box]
-    candidates = []
+    bounds = [_dot(row, label) for row in g.box]
+    columns = tuple(zip(*g.simple_roots))
+    dominant = []
     for ns in itertools.product(*(range(b + 1) for b in bounds)):
-        lam = tuple(
-            hw[i] - sum(n * g.simple_roots[k][i] for k, n in enumerate(ns))
-            for i in range(g.rank)
-        )
-        candidates.append((sum(ns), lam))
-    candidates.sort()
-    listed = {lam for _, lam in candidates}
+        lam = tuple(h - _dot(ns, col) for h, col in zip(label, columns))
+        if _dominant(group, lam):
+            dominant.append((sum(ns), lam))
+    dominant.sort()
 
     mult: dict[tuple, int] = {}
-    for level, lam in candidates:
-        if level == 0:
-            mult[lam] = 1
-            continue
-        denom4 = c4 - norm4(lam)
-        if denom4 == 0:
-            continue
-        num_d = 0
-        for alpha, alpha_dual in root_duals:
-            k = 1
-            while True:
-                mu = tuple(lam[i] + k * alpha[i] for i in range(g.rank))
-                m = mult.get(mu, 0)
-                if m == 0 and mu not in listed:
-                    break
-                if m:
-                    num_d += m * sum(x * y for x, y in zip(mu, alpha_dual))
-                k += 1
-        if num_d:
-            val, rem = divmod(8 * num_d, denom4)
-            if rem or val < 0:
-                raise ArithmeticError(
-                    f"non-integral multiplicity for {lam}: {Fraction(8 * num_d, denom4)}"
-                )
-            mult[lam] = val
+    for level, lam in dominant:
+        m = 1
+        if level:
+            # every weight above lam has its entry, and alpha-strings are unbroken
+            num_d = 0
+            for alpha, alpha_dual in _ROOT_DUALS[group]:
+                mu = tuple(map(operator.add, lam, alpha))
+                while mu in mult:
+                    num_d += mult[mu] * _dot(mu, alpha_dual)
+                    mu = tuple(map(operator.add, mu, alpha))
+            denom4 = c4 - _norm4(group, lam)
+            m, rem = divmod(8 * num_d, denom4)
+            if rem or m <= 0:  # every dominant weight below the label is a weight
+                raise ArithmeticError(f"bad multiplicity for {lam}: {Fraction(8 * num_d, denom4)}")
+        # the orbit of lam: reflect each weight by the simple roots that lower it
+        mult[lam] = m
+        orbit = [lam]
+        for mu in orbit:
+            for alpha, co in zip(g.simple_roots, _COROOTS[group]):
+                c = _dot(mu, co)
+                if c > 0:
+                    nu = tuple(x - c * a for x, a in zip(mu, alpha))
+                    if nu not in mult:
+                        mult[nu] = m
+                        orbit.append(nu)
     return mult
 
 
@@ -221,27 +234,28 @@ def dim(group: str, label: tuple) -> int:
 def casimir_constant(group: str, label: tuple) -> Fraction:
     """Casimir eigenvalue <hw, hw + 2 delta> = |hw + delta|^2 - |delta|^2
     in the Q-dual inner product."""
-    label = check_label(group, label)
+    return _casimir(group, check_label(group, label))
+
+
+def _casimir(group: str, label: tuple) -> Fraction:
     _, d = _GRAM_INV[group]
-    shift = _doubled_shift(group, label)
     two_delta = GROUPS[group].two_delta
-    return Fraction(_dual(group, shift, shift) - _dual(group, two_delta, two_delta), 4 * d)
+    return Fraction(_norm4(group, label) - _dual(group, two_delta, two_delta), 4 * d)
 
 
 def enumerate_labels(group: str, max_cas: Fraction) -> list:
-    """All dominant labels with Casimir constant <= max_cas.  The Casimir
-    polynomial is strictly increasing in each label coordinate, so the
-    sweep of the first coordinate bounds every coordinate."""
+    """All dominant labels with Casimir constant <= max_cas, each computed
+    once.  The Casimir polynomial is strictly increasing in each label
+    coordinate, so the sweep of the first coordinate bounds every one."""
     rank = GROUPS[group].rank
     n = 0
-    while casimir_constant(group, (n,) + (0,) * (rank - 1)) <= max_cas:
+    while _casimir(group, (n,) + (0,) * (rank - 1)) <= max_cas:
         n += 1
-    out = [
-        lab
-        for lab in itertools.product(range(n), repeat=rank)
-        if _dominant(group, lab) and casimir_constant(group, lab) <= max_cas
-    ]
-    return sorted(out, key=lambda lab: (casimir_constant(group, lab), lab))
+    keyed = []
+    for lab in itertools.product(range(n), repeat=rank):
+        if _dominant(group, lab) and (cas := _casimir(group, lab)) <= max_cas:
+            keyed.append((cas, lab))
+    return [lab for _, lab in sorted(keyed)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from gray_stability.exterior import Form, _permutation_sign, contract, wedge2
 from gray_stability.forms import HRep, _h_action_matrices, _span_coords, _weight_multiset, lambda11_0
 from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, build_space
-from gray_stability.reps import _GRAM_INV, GROUPS, check_label, explicit_rep
+from gray_stability.reps import _GRAM_INV, GROUPS, _doubled_shift, _dual, check_label, explicit_rep
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from gray_stability.stability import _sqrt_fraction, eigenspace_sources
 from gray_stability.sympoly import SymPoly, eliminate_v3, generators
@@ -290,6 +290,64 @@ def dual_ip(group: str, u, v) -> Fraction:
 
 def _delta(group: str) -> tuple:
     return tuple(Fraction(x, 2) for x in GROUPS[group].two_delta)
+
+
+def weight_system_reference(group: str, label: tuple) -> dict:
+    """Freudenthal's recursion on every point of the box, in level order,
+    in integers: with D the common denominator of G^-1, the multiplicity of
+    lam is 8 * (D num) / (4D denom), num = sum m(mu) <mu, alpha> over
+    mu = lam + k alpha (alpha positive, k >= 1) up to mu's leaving the box,
+    denom = |label + delta|^2 - |lam + delta|^2; lam is skipped where
+    denom is 0."""
+    label = check_label(group, label)
+    g = GROUPS[group]
+    gi, _ = _GRAM_INV[group]
+
+    def norm4(lam):
+        """4D * |lam + delta|^2."""
+        v = _doubled_shift(group, lam)
+        return _dual(group, v, v)
+
+    # D * G^-1 alpha, so that D * <mu, alpha> is a dot product.
+    root_duals = [
+        (alpha, tuple(sum(gi[a][b] * alpha[b] for b in range(g.rank)) for a in range(g.rank)))
+        for alpha in g.positive_roots
+    ]
+    c4 = norm4(label)
+
+    bounds = [sum(b * h for b, h in zip(row, label)) for row in g.box]
+    candidates = []
+    for ns in itertools.product(*(range(b + 1) for b in bounds)):
+        lam = tuple(
+            label[i] - sum(n * g.simple_roots[k][i] for k, n in enumerate(ns))
+            for i in range(g.rank)
+        )
+        candidates.append((sum(ns), lam))
+    candidates.sort()
+    listed = {lam for _, lam in candidates}
+
+    mult: dict[tuple, int] = {}
+    for level, lam in candidates:
+        if level == 0:
+            mult[lam] = 1
+            continue
+        denom4 = c4 - norm4(lam)
+        if denom4 == 0:
+            continue
+        num_d = 0
+        for alpha, alpha_dual in root_duals:
+            mu = tuple(x + a for x, a in zip(lam, alpha))
+            while mu in listed:
+                num_d += mult.get(mu, 0) * sum(x * y for x, y in zip(mu, alpha_dual))
+                mu = tuple(x + a for x, a in zip(mu, alpha))
+        if num_d:
+            val, rem = divmod(8 * num_d, denom4)
+            if rem or val < 0:
+                raise ArithmeticError(
+                    f"non-integral multiplicity for {lam}: {Fraction(8 * num_d, denom4)}"
+                )
+            mult[lam] = val
+    return mult
 
 
 def weyl_dim_reference(group: str, label: tuple) -> Fraction:

@@ -96,6 +96,31 @@ def test_branch_table_matches_golden(capsys, space):
     assert out == (DATA / f"golden_branch_{space}_max40.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("space", ["s3xs3", "cp3", "flag"])
+def test_casimir_table_matches_golden(capsys, space):
+    code, out = _run(capsys, "casimir", "--space", space, "--max", "40", "--format", "table")
+    assert code == 0
+    assert out == (DATA / f"golden_casimir_{space}_max40.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("space,gamma", [("s3xs3", "1,1,0"), ("cp3", "2,1"), ("flag", "1,2")])
+def test_branch_builds_no_space(capsys, fmt, space, gamma):
+    # branch reads only the space's group record
+    for extra in ([], ["--gamma", gamma]):
+        build_space.cache_clear()
+        code, _ = _run(capsys, "branch", "--space", space, "--max", "40", "--format", fmt, *extra)
+        assert code == 0
+        assert build_space.cache_info().misses == 0, extra
+
+
+def test_homdim_builds_the_space(capsys):
+    build_space.cache_clear()
+    code, _ = _run(capsys, "homdim", "--space", "cp3", "--gamma", "1,1")
+    assert code == 0
+    assert build_space.cache_info().misses == 1
+
+
 def test_coindex_json_schema(capsys):
     code, out = _run(capsys, "coindex", "--space", "flag", "--format", "json")
     assert code == 0

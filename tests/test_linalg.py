@@ -68,6 +68,14 @@ def test_inverse_round_trip():
         assert linalg.mat_eq(linalg.mat_mul(a, linalg.inverse(a)), linalg.identity(3))
 
 
+def test_mat_mul_rejects_mismatched_shapes():
+    a = [[ONE, ZERO, SQRT2]]
+    with pytest.raises(ValueError):
+        linalg.mat_mul(a, linalg.identity(2))
+    with pytest.raises(ValueError):
+        linalg.mat_mul(a, linalg.identity(4))
+
+
 def test_adjugate_identity():
     rng = random.Random(11)
     for _ in range(20):

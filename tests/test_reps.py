@@ -24,7 +24,15 @@ from gray_stability.reps import (
     weight_system,
 )
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
-from oracles import J, casimir_reference, validate_rep, weyl_dim_reference, weyl_generators
+from oracles import (
+    J,
+    casimir_reference,
+    dual_ip,
+    validate_rep,
+    weight_system_reference,
+    weyl_dim_reference,
+    weyl_generators,
+)
 
 
 # Every dominant label up to Casimir 40 on the three spaces, with
@@ -124,12 +132,31 @@ def _weyl_orbit(group, weight):
     return orbit
 
 
-def test_root_string_leaves_the_box_where_it_leaves_the_cone():
-    # weight_system stops a root string at its first weight outside the
-    # listed box; that must be its first weight outside the simple-root cone
+def test_weight_system_matches_the_box_wide_recursion():
+    for group, top in [("k3", 40), ("so5", 200), ("su3", 200)]:
+        for lab in enumerate_labels(group, Fraction(top)):
+            assert weight_system(group, lab) == weight_system_reference(group, lab), (group, lab)
+
+
+def test_root_strings_above_a_weight_are_unbroken():
+    # weight_system runs Freudenthal on the dominant points of the box and
+    # ends the string mu + k alpha at its first k without an entry.  That is
+    # exact if every dominant point of the box is a weight, and if for every
+    # weight mu and positive root alpha the k >= 1 with mu + k alpha a weight
+    # are 1, ..., q.  A weight lies in the simple-root cone below the label,
+    # and a string that leaves the cone does not come back: alpha itself is
+    # in the cone, so the simple-root coordinates of label - mu - k alpha fall.
     for group in GROUPS:
         g = GROUPS[group]
+        assert all(_within_by_solve(alpha, g) for alpha in g.positive_roots)
         in_cone = {}
+
+        def within(diff):
+            if diff not in in_cone:
+                in_cone[diff] = _within_by_solve(diff, g)
+            return in_cone[diff]
+
+        lengths = set()
         for hw in enumerate_labels(group, Fraction(40)):
             bounds = [sum(b * h for b, h in zip(row, hw)) for row in g.box]
 
@@ -143,18 +170,35 @@ def test_root_string_leaves_the_box_where_it_leaves_the_cone():
             # the box reaches down to the lowest weight, the bottom of the Weyl orbit
             orbit = _weyl_orbit(group, hw)
             assert orbit <= box and corner(bounds) in orbit, (group, hw)
-            for lam in weight_system(group, hw):
-                assert lam in box, (group, hw, lam)
+            ws = weight_system_reference(group, hw)
+            dominant = {
+                lam for lam in box if all(dual_ip(group, lam, a) >= 0 for a in g.simple_roots)
+            }
+            assert dominant <= set(ws) <= box, (group, hw)
+            for lam in ws:
+                assert within(tuple(h - x for h, x in zip(hw, lam))), (group, hw, lam)
                 for alpha in g.positive_roots:
-                    mu, inside = lam, True
-                    while inside:
-                        mu = tuple(x + a for x, a in zip(mu, alpha))
-                        diff = tuple(h - x for h, x in zip(hw, mu))
-                        if diff not in in_cone:
-                            in_cone[diff] = _within_by_solve(diff, g)
-                        inside = mu in box
-                        assert inside == in_cone[diff], (group, hw, lam, alpha, mu)
+                    ks, k, mu = [], 1, tuple(x + a for x, a in zip(lam, alpha))
+                    while within(tuple(h - x for h, x in zip(hw, mu))):
+                        if mu in ws:
+                            ks.append(k)
+                        k, mu = k + 1, tuple(x + a for x, a in zip(mu, alpha))
+                    assert ks == list(range(1, len(ks) + 1)), (group, hw, lam, alpha, ks)
+                    lengths.add(len(ks))
         assert any(in_cone.values()) and not all(in_cone.values())
+        assert 0 in lengths and max(lengths) > 1, (group, lengths)
+
+
+def test_a_non_integral_or_negative_multiplicity_raises(monkeypatch):
+    norm4 = reps._norm4
+    monkeypatch.setattr(reps, "_norm4", lambda group, lam: 3 * norm4(group, lam))
+    with pytest.raises(ArithmeticError, match="multiplicity"):
+        weight_system("so5", (1, 0))  # 1/3 at the zero weight
+    monkeypatch.setattr(reps, "_norm4", norm4)
+    negated = tuple((alpha, tuple(-x for x in d)) for alpha, d in reps._ROOT_DUALS["su3"])
+    monkeypatch.setitem(reps._ROOT_DUALS, "su3", negated)
+    with pytest.raises(ArithmeticError, match="multiplicity"):
+        weight_system("su3", (1, 1))
 
 
 def test_su3_adjoint_weights_against_tensor_oracle():
@@ -216,6 +260,20 @@ def test_enumerate_labels_below_threshold():
     k3 = enumerate_labels("k3", Fraction(12))
     assert (1, 1, 0) in k3 and (2, 0, 0) in k3 and (1, 1, 1) not in k3
     assert all(casimir_constant("k3", lab) <= 12 for lab in k3)
+
+
+def test_enumerate_labels_equals_a_brute_force_sort():
+    # every coordinate of a label up to Casimir 200 is at most 10, inside range(12)
+    for group, g in GROUPS.items():
+        brute = sorted(
+            (casimir_constant(group, lab), lab)
+            for lab in itertools.product(range(12), repeat=g.rank)
+            if all(dual_ip(group, lab, a) >= 0 for a in g.simple_roots)
+        )
+        for top in (Fraction(0), Fraction(12), Fraction(81, 2), Fraction(200)):
+            below = [lab for cas, lab in brute if cas <= top]
+            assert enumerate_labels(group, top) == below, (group, top)
+        assert max(map(max, below)) <= 10, group
 
 
 def test_explicit_rep_matches_reference_matrices():
