@@ -17,6 +17,10 @@ elimination, ``_eliminate``.  The systems the pipeline builds
 (equivariance constraints, wedge coordinates) are a few percent dense,
 so it holds each row as a sparse vector and touches only its nonzeros.
 Division is exact in the field, so no fraction-free tricks are needed.
+The isotropy torus acts diagonally on the weight bases, so many
+equivariance rows hold one entry; a presolve clears those columns with
+no arithmetic, and leaves the output alone, as the reduced echelon form
+of a row space is unique.  A system with no such row skips it.
 
 ``nullspace(rows, n)`` takes sparse rows with their column count and
 returns its kernel vectors sparse, so ``fourier`` hands over the
@@ -215,14 +219,38 @@ def _eliminate(rows: list, n: int) -> tuple[list, list[int]]:
     a {column: entry} dict of its nonzeros, consumed here; columns below
     n) and the pivot column list.
 
-    Each row is filed under its leading column.  The columns are taken in
-    their natural order; each is pivoted on the sparsest row that leads
-    with it (Markowitz's choice, restricted to rows), which clears the
-    column from the other rows leading there, and back-substitution runs
-    once at the end.  The columns are never reordered, so the result is
-    the unique reduced echelon form of the row space, whichever rows
-    pivot.
+    A presolve clears the singleton rows first (the singleton-row step of
+    LP presolve): a row with one entry forces its column c, whose reduced
+    row is the unit row {c: ONE}, and c is deleted from every other row,
+    a multiple of a unit row subtracted with no arithmetic.  A row left
+    with one entry cascades.  The column index is built only when some row
+    is a singleton, so a system without one pays a length test per row.
+
+    Each remaining row is filed under its leading column.  The columns are
+    taken in their natural order; each is pivoted on the sparsest row that
+    leads with it (Markowitz's choice, restricted to rows), which clears
+    the column from the other rows leading there, and back-substitution
+    runs once at the end, past the unit rows: no other row holds a forced
+    column.  The columns are never reordered, so the result is the unique
+    reduced echelon form of the row space, whichever rows are presolved
+    or pivot.
     """
+    forced: dict[int, dict] = {}
+    singles = [d for d in rows if len(d) == 1]
+    if singles:
+        by_col: dict[int, list] = {}
+        for d in rows:
+            for j in d:
+                by_col.setdefault(j, []).append(d)
+        while singles:
+            d = singles.pop()
+            if not d:  # emptied by a column forced since it was queued
+                continue
+            (col,) = d
+            forced[col] = {col: ONE}
+            for e in by_col[col]:  # d itself is emptied here
+                if e.pop(col, None) is not None and len(e) == 1:
+                    singles.append(e)
     by_lead: dict[int, list] = {}
     for d in rows:
         if d:
@@ -230,20 +258,24 @@ def _eliminate(rows: list, n: int) -> tuple[list, list[int]]:
     pivots: list[int] = []
     reduced: list[dict] = []
     for col in range(n):
-        leading = by_lead.pop(col, None)
-        if leading is None:
-            continue
-        piv = leading.pop(min(range(len(leading)), key=lambda i: len(leading[i])))
-        inv = piv[col].inverse()
-        piv = {j: x * inv for j, x in piv.items()}
-        for d in leading:
-            axpy(d, -d[col], piv)
-            if d:
-                by_lead.setdefault(min(d), []).append(d)
+        piv = forced.get(col)
+        if piv is None:
+            leading = by_lead.pop(col, None)
+            if leading is None:
+                continue
+            piv = leading.pop(min(range(len(leading)), key=lambda i: len(leading[i])))
+            inv = piv[col].inverse()
+            piv = {j: x * inv for j, x in piv.items()}
+            for d in leading:
+                axpy(d, -d[col], piv)
+                if d:
+                    by_lead.setdefault(min(d), []).append(d)
         pivots.append(col)
         reduced.append(piv)
     for k in range(len(pivots) - 1, 0, -1):
         col, piv = pivots[k], reduced[k]
+        if col in forced:
+            continue
         for d in reduced[:k]:
             c = d.get(col)
             if c is not None:

@@ -150,6 +150,53 @@ def dense_rref(a) -> tuple:
     return rows, pivots
 
 
+def count_inverses(monkeypatch) -> list:
+    """Patch Scalar.inverse to record each element it inverts; returns the
+    list it appends to."""
+    calls: list = []
+    original = Scalar.inverse
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Scalar, "inverse", counted)
+    return calls
+
+
+def eliminate_reference(rows: list, n: int) -> tuple:
+    """Reference for linalg._eliminate without the singleton presolve:
+    every column pivoted on the sparsest row that leads with it, then one
+    back-substitution, so each forced column costs an inverse and a row
+    scaling."""
+    by_lead: dict = {}
+    for d in rows:
+        if d:
+            by_lead.setdefault(min(d), []).append(d)
+    pivots: list = []
+    reduced: list = []
+    for col in range(n):
+        leading = by_lead.pop(col, None)
+        if leading is None:
+            continue
+        piv = leading.pop(min(range(len(leading)), key=lambda i: len(leading[i])))
+        inv = piv[col].inverse()
+        piv = {j: x * inv for j, x in piv.items()}
+        for d in leading:
+            linalg.axpy(d, -d[col], piv)
+            if d:
+                by_lead.setdefault(min(d), []).append(d)
+        pivots.append(col)
+        reduced.append(piv)
+    for k in range(len(pivots) - 1, 0, -1):
+        col, piv = pivots[k], reduced[k]
+        for d in reduced[:k]:
+            c = d.get(col)
+            if c is not None:
+                linalg.axpy(d, -c, piv)
+    return reduced, pivots
+
+
 def to_sparse(a) -> dict:
     """The nonzero entries of a vector, as {j: c}, or of a matrix, as
     {(i, j): c}: the sparse form of kernel vectors, elimination rows,

@@ -103,6 +103,15 @@ def test_casimir_table_matches_golden(capsys, space):
     assert out == (DATA / f"golden_casimir_{space}_max40.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("space", ["s3xs3", "cp3", "flag"])
+def test_coindex_table_matches_golden(capsys, space):
+    # the destabilizing eigenvalues with their multiplicities and sources,
+    # the coindex and the IED dimension
+    code, out = _run(capsys, "coindex", "--space", space, "--format", "table")
+    assert code == 0
+    assert out == (DATA / f"golden_coindex_{space}.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 @pytest.mark.parametrize("space,gamma", [("s3xs3", "1,1,0"), ("cp3", "2,1"), ("flag", "1,2")])
 def test_branch_builds_no_space(capsys, fmt, space, gamma):

@@ -8,6 +8,7 @@ from gray_stability.exterior import wedge2
 from gray_stability.forms import lambda11_0
 from gray_stability.fourier import (
     coclosed_dim,
+    delta_kernel,
     hom_basis,
     m_complex_coords,
     proto_delta,
@@ -21,8 +22,10 @@ from oracles import (
     check_equivariance,
     coclosed_basis,
     coords_of,
+    count_inverses,
     cp3_contraction_ratio,
     dense_hom_basis,
+    eliminate_reference,
     flag_invariant_coefficient,
     form_add,
     form_scale,
@@ -126,6 +129,48 @@ def test_hom_basis_matches_dense_elimination():
         basis = hom_basis(space, gamma)
         assert len(basis) == dim, (name, gamma)
         assert basis == [to_sparse(f) for f in dense_hom_basis(space, gamma)], (name, gamma)
+
+
+def _labels_with_homomorphisms():
+    """Every (space, label) up to Casimir 40 with a nonzero hom basis."""
+    return [
+        (name, gamma)
+        for name in SPACE_NAMES
+        for gamma in enumerate_labels(build_space(name).group, Fraction(40))
+        if hom_basis(build_space(name), gamma)
+    ]
+
+
+def test_presolve_leaves_hom_basis_and_delta_kernel_unchanged(monkeypatch):
+    # the elimination with its singleton presolve against the one without
+    # it, on every label up to Casimir 40 that has homomorphisms
+    cases = _labels_with_homomorphisms()
+    assert len(cases) == 41
+    got = []
+    for name, gamma in cases:
+        space = build_space(name)
+        basis = hom_basis(space, gamma)
+        got.append((basis, delta_kernel(proto_delta(space, gamma, basis))))
+    monkeypatch.setattr(linalg, "_eliminate", eliminate_reference)
+    for (name, gamma), (basis, kernel) in zip(cases, got):
+        space = build_space(name)
+        assert hom_basis(space, gamma) == basis, (name, gamma)
+        assert delta_kernel(proto_delta(space, gamma, basis)) == kernel, (name, gamma)
+
+
+def test_flag_invariants_need_no_inverse(monkeypatch):
+    # the torus acts diagonally on the eight weight vectors of the
+    # primitive (1,1) module of flag, so each equivariance row of the
+    # trivial label is a singleton: the presolve clears all of them
+    space = build_space("flag")
+    explicit_rep(space, (0, 0))
+    lambda11_0("flag")
+    calls = count_inverses(monkeypatch)
+    basis = hom_basis(space, (0, 0))
+    assert len(basis) == 2 and calls == []
+    monkeypatch.setattr(linalg, "_eliminate", eliminate_reference)
+    assert hom_basis(space, (0, 0)) == basis
+    assert len(calls) == 6
 
 
 def test_hom_basis_is_equivariant():

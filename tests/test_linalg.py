@@ -12,8 +12,10 @@ from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from gray_stability.sympoly import V1, X
 from oracles import (
     commutator,
+    count_inverses,
     dense_nullspace,
     dense_rref,
+    eliminate_reference,
     mat_add,
     mat_sub,
     to_dense,
@@ -233,43 +235,157 @@ def _eliminations(a, rhs):
     return out
 
 
+def _check_against_dense(monkeypatch, rng, a, outcomes):
+    """Every elimination result on a (and on three right-hand sides: one
+    consistent, zero, and one random) against the dense oracles, and each
+    checked on its own terms; outcomes counts the kinds of answer."""
+    m, n = len(a), len(a[0])
+    x = [_sparse_entry(rng, 0.7) for _ in range(n)]
+    rhs = [linalg.mat_vec(a, x), [ZERO] * m, [_sparse_entry(rng, 0.8) for _ in range(m)]]
+    got = _eliminations(a, rhs)
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "rref", dense_rref)
+        patched.setattr(
+            linalg,
+            "nullspace",
+            lambda rows, n: [to_sparse(v) for v in dense_nullspace([to_dense(r, n) for r in rows])],
+        )
+        want = _eliminations(a, rhs)
+    assert got == want
+    # one elimination over several columns solves each column
+    cols = [None if x is None else [row[0] for row in x] for x in want["solve"]]
+    assert got["solve_several"] == (None if None in cols else linalg.transpose(cols))
+    assert linalg.solve(a, linalg.transpose(rhs[:2])) == linalg.transpose(cols[:2])
+    for b, sol in zip(rhs, cols):
+        assert sol is None or linalg.mat_vec(a, sol) == b
+    for v in got["nullspace"]:
+        assert not any(linalg.mat_vec(a, v))
+    assert len(got["nullspace"]) == n - got["rank"]
+    outcomes["inconsistent"] += cols[2] is None
+    outcomes["singular"] += got.get("inverse") == "singular"
+    outcomes["inverted"] += isinstance(got.get("inverse"), tuple)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_sparse_elimination_equals_dense_oracle(monkeypatch, seed):
     rng = random.Random(seed)
     outcomes = Counter()
     for a in _sparse_cases(rng):
-        m, n = len(a), len(a[0])
-        x = [_sparse_entry(rng, 0.7) for _ in range(n)]
-        rhs = [linalg.mat_vec(a, x), [ZERO] * m, [_sparse_entry(rng, 0.8) for _ in range(m)]]
-        got = _eliminations(a, rhs)
-        with monkeypatch.context() as patched:
-            patched.setattr(linalg, "rref", dense_rref)
-            patched.setattr(
-                linalg,
-                "nullspace",
-                lambda rows, n: [to_sparse(v) for v in dense_nullspace([to_dense(r, n) for r in rows])],
-            )
-            want = _eliminations(a, rhs)
-        assert got == want
-        # one elimination over several columns solves each column
-        cols = [None if x is None else [row[0] for row in x] for x in want["solve"]]
-        assert got["solve_several"] == (None if None in cols else linalg.transpose(cols))
-        assert linalg.solve(a, linalg.transpose(rhs[:2])) == linalg.transpose(cols[:2])
-        for b, sol in zip(rhs, cols):
-            assert sol is None or linalg.mat_vec(a, sol) == b
-        for v in got["nullspace"]:
-            assert not any(linalg.mat_vec(a, v))
-        assert len(got["nullspace"]) == n - got["rank"]
-        outcomes["inconsistent"] += cols[2] is None
-        outcomes["singular"] += got.get("inverse") == "singular"
-        outcomes["inverted"] += isinstance(got.get("inverse"), tuple)
+        _check_against_dense(monkeypatch, rng, a, outcomes)
     assert outcomes["inconsistent"] and outcomes["singular"] and outcomes["inverted"], outcomes
+
+
+def _nonzero(rng):
+    return _sparse_entry(rng, 1.0)
+
+
+def _from_pattern(rng, pattern):
+    """A matrix with a random nonzero wherever the pattern has a 1."""
+    return [[_nonzero(rng) if p else ZERO for p in row] for row in pattern]
+
+
+# zero patterns rich in singleton rows, each named for what the presolve
+# meets in it
+SINGLETON_PATTERNS = {
+    # row 0 forces column 0; then row 1 forces 1, row 2 forces 2, and row
+    # 3 (which held 0, 2 and 3) forces 3: every row presolved
+    "cascade": [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1]],
+    # a cascade that stops: rows 2 and 3 keep two entries each
+    "cascade_then_pivots": [[0, 0, 1, 0, 0], [1, 0, 1, 0, 0], [0, 1, 1, 1, 0], [1, 1, 0, 1, 1]],
+    # two singleton rows on one column; forcing it cascades to the others
+    "two_singletons_one_column": [[0, 1, 0], [0, 1, 0], [1, 1, 0], [0, 1, 1]],
+    "diagonal": [[1 if i == j else 0 for j in range(5)] for i in range(5)],
+    "permuted_diagonal": [[1 if j == (3 * i + 1) % 5 else 0 for j in range(5)] for i in range(5)],
+    "singletons_and_zero_rows": [[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 1, 0]],
+    # a singleton whose column is emptied first, by a cascade from below
+    "singleton_emptied_in_queue": [[0, 1, 0], [1, 1, 0], [1, 0, 0], [0, 1, 1]],
+    "wide_with_free_columns": [[0, 0, 1, 0, 0, 0], [1, 0, 1, 0, 1, 0], [0, 0, 0, 0, 0, 1]],
+}
+
+
+def _singleton_cases(rng):
+    """The patterns above with random entries, and random sparse matrices
+    with some rows cut down to one entry."""
+    cases = [_from_pattern(rng, p) for p in SINGLETON_PATTERNS.values()]
+    for m, n in [(9, 6), (6, 6), (5, 8), (8, 8)]:
+        a = _sparse_matrix(rng, m, n, 0.4)
+        for i in rng.sample(range(m), m // 2):
+            j = rng.randrange(n)
+            a[i] = [_nonzero(rng) if k == j else ZERO for k in range(n)]
+        cases.append(a)
+    return cases
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_singleton_rich_elimination_equals_dense_oracle(monkeypatch, seed):
+    rng = random.Random(seed)
+    outcomes = Counter()
+    for a in _singleton_cases(rng):
+        _check_against_dense(monkeypatch, rng, a, outcomes)
+    assert outcomes["inconsistent"] and outcomes["singular"] and outcomes["inverted"], outcomes
+
+
+def test_singleton_in_augmented_columns_is_inconsistent():
+    # row 0 of a is zero, so row 0 of the augmented system is the
+    # singleton (0, 0 | c): its pivot lies past the columns of a
+    rng = random.Random(12)
+    a = [[ZERO, ZERO], [_nonzero(rng), _nonzero(rng)], [ZERO, _nonzero(rng)]]
+    assert linalg.solve(a, _column([_nonzero(rng), ZERO, ZERO])) is None
+    assert linalg.solve(a, [(ZERO, _nonzero(rng)), (ZERO, ZERO), (ZERO, ZERO)]) is None
+    # a consistent right-hand side on the same rows
+    assert linalg.solve(a, _column([ZERO, ZERO, ZERO])) == ((ZERO,), (ZERO,))
+
+
+@pytest.mark.parametrize("name", ["cascade", "diagonal", "permuted_diagonal", "two_singletons_one_column"])
+def test_presolved_system_needs_no_inverse(monkeypatch, name):
+    # every row of these systems is a singleton or becomes one, so the
+    # elimination divides by nothing, where the reference divides once
+    # per pivot
+    a = _from_pattern(random.Random(5), SINGLETON_PATTERNS[name])
+    n = len(a[0])
+    rows = [to_sparse(row) for row in a]
+    kernel = [to_sparse(v) for v in dense_nullspace(a)]
+    calls = count_inverses(monkeypatch)
+    want = eliminate_reference([dict(d) for d in rows], n)
+    assert len(calls) == len(want[1])
+    calls.clear()
+    assert linalg._eliminate([dict(d) for d in rows], n) == want
+    assert linalg.rank(a) == len(want[1])
+    assert linalg.nullspace(rows, n) == kernel
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [9, 10])
+def test_eliminate_equals_reference(seed):
+    # the same reduced rows and pivots as the elimination without the
+    # presolve, on random and singleton-rich systems
+    rng = random.Random(seed)
+    for a in _sparse_cases(rng) + _singleton_cases(rng):
+        n = len(a[0])
+        rows = [to_sparse(row) for row in a]
+        got = linalg._eliminate([dict(d) for d in rows], n)
+        assert got == eliminate_reference([dict(d) for d in rows], n)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_nullspace_vectors_are_one_at_their_own_last_column(seed):
+    # reps._explicit_rep reads each kernel vector's free column as max(v):
+    # ONE there, its largest column, and no other kernel vector's column
+    rng = random.Random(seed)
+    for a in _sparse_cases(rng) + _singleton_cases(rng):
+        n = len(a[0])
+        kernel = linalg.nullspace([to_sparse(row) for row in a], n)
+        free = [max(v) for v in kernel]
+        assert free == sorted(set(free))
+        for v, j in zip(kernel, free):
+            assert v[j] == ONE
+            assert not set(v) & (set(free) - {j})
 
 
 @pytest.mark.parametrize("seed", [4, 5])
 def test_nullspace_of_sparse_rows_equals_dense_kernels(seed):
     rng = random.Random(seed)
-    cases = [(a, len(a[0])) for a in _sparse_cases(rng)]
+    cases = [(a, len(a[0])) for a in _sparse_cases(rng) + _singleton_cases(rng)]
     cases += [(_sparse_matrix(rng, m, 1, 0.5), 1) for m in (1, 2, 3)]
     cases += [([[ZERO]], 1), ([[rational(-2, 3)]], 1), ([], 1), ([], 4)]
     assert any(not any(map(any, a)) for a, n in cases if a)
