@@ -1,7 +1,9 @@
 """Command-line front end: every computation as a reproducible command.
 
-All exact values render as integers or "p/q" strings; identical
-invocations produce byte-identical output.  Exit codes: 0 success,
+Each subcommand registers its document builder, table renderer and exit
+rule with argparse's ``set_defaults``, and ``main`` runs them.  All exact
+values render as integers or "p/q" strings; identical invocations
+produce byte-identical output.  Exit codes: 0 success,
 1 failed checks or an internal error, 2 usage errors (bad space, label
 or option, a label whose product module is above the bound, and an
 --output path that cannot be written).
@@ -196,6 +198,15 @@ def obstruction_doc() -> dict:
     }
 
 
+def _killing_doc(text: str) -> dict:
+    triple = [_parse_rational(x, "--t") for x in text.split(",")]
+    if len(triple) != 3:
+        raise UsageError("--t needs three rationals")
+    if sum(triple) != 0:
+        raise UsageError("canonical-variation coefficients must sum to zero")
+    return {"t": [fraction_jsonable(x) for x in triple], "killing": killing_check(*triple)}
+
+
 def validate_doc(space_names: list) -> dict:
     out = {}
     for name in space_names:
@@ -249,7 +260,7 @@ def reproduce_all_doc() -> dict:
         "obstruction": obstruction_doc(),
         "validate": validate_doc(names),
     }
-    ok = all(all(checks.values()) for checks in doc["validate"].values())
+    ok = _all_pass(doc["validate"])
     expected_coindex = {"s3xs3": 2, "cp3": 1, "flag": 2}
     expected_ied = {"s3xs3": 0, "cp3": 0, "flag": 8}
     ok = ok and all(
@@ -267,14 +278,14 @@ def reproduce_all_doc() -> dict:
 # rendering
 # ---------------------------------------------------------------------------
 
-def _render_casimir(doc: dict) -> str:
+def _render_casimir(doc: dict, args) -> str:
     rows = [
         (_label_str(r["label"]), r["dim"], r["casimir"]) for r in doc["rows"]
     ]
     return _table(rows, ["label", "dim", "casimir"])
 
 
-def _render_branch(doc: dict) -> str:
+def _render_branch(doc: dict, args) -> str:
     rows = []
     for r in doc["rows"]:
         dec = " + ".join(
@@ -285,7 +296,7 @@ def _render_branch(doc: dict) -> str:
     return _table(rows, ["gamma", "branching", "casimir"])
 
 
-def _render_coindex(doc: dict) -> str:
+def _render_coindex(doc: dict, args) -> str:
     rows = [
         (d["lambda"], d["mult"], d["source"]) for d in doc["destabilizing"]
     ]
@@ -296,7 +307,7 @@ def _render_coindex(doc: dict) -> str:
     return out
 
 
-def _render_obstruction(doc: dict) -> str:
+def _render_obstruction(doc: dict, args) -> str:
     out = "covariant derivative coefficients (rows i, slots k):\n"
     rows = []
     for i in range(6):
@@ -316,7 +327,7 @@ def _render_obstruction(doc: dict) -> str:
     return out
 
 
-def _render_validate(doc: dict) -> str:
+def _render_validate(doc: dict, args) -> str:
     rows = []
     for name, checks in doc.items():
         for check, ok in checks.items():
@@ -324,7 +335,7 @@ def _render_validate(doc: dict) -> str:
     return _table(rows, ["space", "check", "result"])
 
 
-def _render_delta(doc: dict) -> str:
+def _render_delta(doc: dict, args) -> str:
     out = (
         f'space: {doc["space"]}  gamma: {_label_str(doc["gamma"])}\n'
         f'hom_dim = {doc["hom_dim"]}  coclosed_dim = {doc["coclosed_dim"]}\n'
@@ -342,10 +353,15 @@ def _add_space_arg(p, required=True):
     p.add_argument("--space", choices=SPACE_NAMES, required=required)
 
 
+def _all_pass(doc: dict) -> bool:
+    return all(all(checks.values()) for checks in doc.values())
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it
-    unchanged."""
+    unchanged.  Each subcommand sets ``doc`` (args -> document), ``table``
+    (document, args -> table text) and ``ok`` (document -> exit 0)."""
     ap = argparse.ArgumentParser(
         prog="gray-stability",
         description="Exact stability and rigidity computations for the "
@@ -357,57 +373,73 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("casimir", help="Casimir table of a space's symmetry group")
     _add_space_arg(p)
     p.add_argument("--max", default="12", help=f"Casimir cutoff, a rational in [0, {MAX_CUTOFF}]")
-    _fmt(p)
+    _command(p, lambda a: casimir_doc(a.space, _parse_max(a.max)), _render_casimir)
 
     p = sub.add_parser("branch", help="branching table to the isotropy subgroup")
     _add_space_arg(p)
     p.add_argument("--gamma", default=None, help="single label, e.g. 1,1,0")
     p.add_argument("--max", default="12", help=f"Casimir cutoff, a rational in [0, {MAX_CUTOFF}]")
-    _fmt(p)
+    _command(
+        p,
+        lambda a: branch_doc(
+            a.space, _parse_label(a.space, a.gamma) if a.gamma else None, _parse_max(a.max)
+        ),
+        _render_branch,
+    )
 
     p = sub.add_parser("homdim", help="multiplicity in the primitive (1,1) module")
     _add_space_arg(p)
     p.add_argument("--gamma", required=True)
-    _fmt(p)
+    _command(p, lambda a: homdim_doc(a.space, _parse_label(a.space, a.gamma)), lambda doc, a: dumps(doc))
 
     p = sub.add_parser("delta", help="prototypical codifferential on a Fourier space")
     _add_space_arg(p)
     p.add_argument("--gamma", required=True)
-    _fmt(p)
+    _command(p, lambda a: delta_doc(a.space, _parse_label(a.space, a.gamma)), _render_delta)
 
     p = sub.add_parser("coindex", help="coindex report of a catalog space")
     _add_space_arg(p)
-    _fmt(p)
+    _command(p, lambda a: coindex_doc(a.space), _render_coindex)
 
     p = sub.add_parser("obstruction", help="second-order rigidity obstruction")
-    _fmt(p)
+    _command(p, lambda a: obstruction_doc(), _render_obstruction)
 
     p = sub.add_parser("killing", help="Killing property of canonical variations")
     p.add_argument("--t", required=True, help="trace-free triple, e.g. 1,-1,0")
-    _fmt(p)
+    _command(
+        p,
+        lambda a: _killing_doc(a.t),
+        lambda doc, a: f"killing({a.t}) = {str(doc['killing']).lower()}\n",  # the raw --t text
+    )
 
     p = sub.add_parser("validate", help="run catalog invariant checks")
     _add_space_arg(p, required=False)
-    _fmt(p)
+    _command(p, lambda a: validate_doc([a.space] if a.space else SPACE_NAMES), _render_validate, _all_pass)
 
     p = sub.add_parser("reproduce-all", help="regenerate every checked number")
-    _fmt(p)
+    _command(
+        p,
+        lambda a: reproduce_all_doc(),
+        lambda doc, a: "all checks pass\n" if doc["all_checks_pass"] else "CHECKS FAILED\n",
+        lambda doc: doc["all_checks_pass"],
+    )
     return ap
 
 
-def _fmt(p):
+def _command(p, doc, table, ok=lambda doc: True):
+    """The output options of a subcommand, and what it runs."""
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--output", default=None, help="write output to a file")
+    p.set_defaults(doc=doc, table=table, ok=ok)
 
 
-def _emit(doc: dict, text: str, args) -> None:
-    payload = dumps(doc) if args.format == "json" else text
-    if args.output:
+def _emit(payload: str, path: str | None) -> None:
+    if path:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(payload)
         except OSError as exc:
-            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -415,64 +447,15 @@ def _emit(doc: dict, text: str, args) -> None:
 def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        doc = args.doc(args)
+        _emit(dumps(doc) if args.format == "json" else args.table(doc, args), args.output)
+        return 0 if args.ok(doc) else 1
     except (UsageError, UnsupportedLabel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args) -> int:
-    cmd = args.command
-
-    if cmd == "casimir":
-        doc = casimir_doc(args.space, _parse_max(args.max))
-        _emit(doc, _render_casimir(doc), args)
-        return 0
-    if cmd == "branch":
-        gamma = _parse_label(args.space, args.gamma) if args.gamma else None
-        doc = branch_doc(args.space, gamma, _parse_max(args.max))
-        _emit(doc, _render_branch(doc), args)
-        return 0
-    if cmd == "homdim":
-        doc = homdim_doc(args.space, _parse_label(args.space, args.gamma))
-        _emit(doc, dumps(doc), args)
-        return 0
-    if cmd == "delta":
-        doc = delta_doc(args.space, _parse_label(args.space, args.gamma))
-        _emit(doc, _render_delta(doc), args)
-        return 0
-    if cmd == "coindex":
-        doc = coindex_doc(args.space)
-        _emit(doc, _render_coindex(doc), args)
-        return 0
-    if cmd == "obstruction":
-        doc = obstruction_doc()
-        _emit(doc, _render_obstruction(doc), args)
-        return 0
-    if cmd == "killing":
-        triple = [_parse_rational(x, "--t") for x in args.t.split(",")]
-        if len(triple) != 3:
-            raise UsageError("--t needs three rationals")
-        if sum(triple) != 0:
-            raise UsageError("canonical-variation coefficients must sum to zero")
-        ok = killing_check(*triple)
-        doc = {"t": [fraction_jsonable(x) for x in triple], "killing": ok}
-        _emit(doc, f"killing({args.t}) = {str(ok).lower()}\n", args)
-        return 0
-    if cmd == "validate":
-        names = [args.space] if args.space else list(SPACE_NAMES)
-        doc = validate_doc(names)
-        _emit(doc, _render_validate(doc), args)
-        return 0 if all(all(c.values()) for c in doc.values()) else 1
-    if cmd == "reproduce-all":
-        doc = reproduce_all_doc()
-        text = "all checks pass\n" if doc["all_checks_pass"] else "CHECKS FAILED\n"
-        _emit(doc, text, args)
-        return 0 if doc["all_checks_pass"] else 1
-    raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,16 @@
 """Exterior algebra helpers on the reductive complement.
 
 Multivectors are sparse dicts keyed by strictly increasing index tuples;
-derivation_action works on tensors keyed by ordered index tuples, and
-alternate turns such a tensor into a multivector.
+tensors are sparse dicts keyed by ordered index tuples.  alternate is the
+one map from a tensor to a multivector: wedge2 alternates an outer
+product, and derivation_action's result is alternated by its callers.
 All formulas below assume the ambient basis is orthonormal for the
 invariant metric, which holds for every catalog space.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .linalg import add_into
 from .scalars import ZERO, Scalar
@@ -17,24 +20,7 @@ Form = dict  # dict[tuple[int, ...], Scalar]
 
 def wedge2(u: list, v: list) -> Form:
     """u wedge v for coordinate vectors in the orthonormal basis."""
-    out: Form = {}
-    n = len(u)
-    for a in range(n):
-        ua = u[a]
-        if not ua:
-            continue
-        for b in range(n):
-            if a == b:
-                continue
-            vb = v[b]
-            if not vb:
-                continue
-            c = ua * vb
-            if a < b:
-                add_into(out, (a, b), c)
-            else:
-                add_into(out, (b, a), -c)
-    return out
+    return alternate({(a, b): x * y for a, x in enumerate(u) if x for b, y in enumerate(v) if y})
 
 
 def derivation_action(m: list, tensor: dict) -> dict:
@@ -54,31 +40,15 @@ def derivation_action(m: list, tensor: dict) -> dict:
 
 def alternate(tensor: dict) -> Form:
     """The k-vector of an ordered tensor: keys with a repeated index drop
-    out, the rest are sorted with the sign of the sorting permutation."""
+    out, the rest are sorted, negated when the key has an odd number of
+    inversions."""
     out: Form = {}
     for key, coeff in tensor.items():
         if len(set(key)) != len(key):
             continue
-        order = sorted(range(len(key)), key=lambda s: key[s])
-        add_into(out, tuple(sorted(key)), coeff if _permutation_sign(order) == 1 else -coeff)
+        inversions = sum(a > b for a, b in combinations(key, 2))
+        add_into(out, tuple(sorted(key)), -coeff if inversions % 2 else coeff)
     return out
-
-
-def _permutation_sign(perm: list[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def contract(x: list, form: Form) -> Form:

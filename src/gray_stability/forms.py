@@ -9,6 +9,7 @@ basis vector stays an exact torus weight vector.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,13 +57,6 @@ def _h_action_matrices(space: ReductiveSpace, vectors: list) -> list:
     return mats
 
 
-def _weight_multiset(weights) -> dict:
-    out: dict[tuple, int] = {}
-    for w in weights:
-        out[w] = out.get(w, 0) + 1
-    return out
-
-
 @lru_cache(maxsize=None)
 def lambda11_0(space_name: str) -> HRep:
     """Orthogonal complement of the Kaehler 2-vector inside the nine
@@ -105,7 +99,7 @@ def lambda11_0(space_name: str) -> HRep:
         weights.append(zero_wt)
 
     mats = _h_action_matrices(space, vectors)
-    decomposition = decompose_weights(space.h_type, _weight_multiset(weights))
+    decomposition = decompose_weights(space.h_type, Counter(weights))
     return HRep(
         vectors=tuple(vectors),
         weights=tuple(weights),

@@ -94,10 +94,6 @@ def sum_of_products(terms) -> dict:
     return out
 
 
-def zeros(m: int, n: int) -> Matrix:
-    return ((ZERO,) * n,) * m
-
-
 @lru_cache(maxsize=None)
 def identity(n: int) -> Matrix:
     return from_entries(n, {(i, i): ONE for i in range(n)})

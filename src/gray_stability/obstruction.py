@@ -95,16 +95,12 @@ def a_endomorphisms() -> tuple:
     return tuple(out)
 
 
-def a_action(x_index: int, tensor: Tensor) -> Tensor:
-    """Derivation action of A_{e_{x_index+1}} on a tensor with polynomial
-    coefficients."""
-    return derivation_action(a_endomorphisms()[x_index], tensor)
-
-
 def _half_torsion(i: int, tensor: Tensor) -> Tensor:
-    """The torsion correction (1/2) A_{e_{i+1}}(tensor)."""
+    """The torsion correction (1/2) A_{e_{i+1}}(tensor), A acting as a
+    derivation on a tensor with polynomial coefficients."""
     half = rational(1, 2)
-    return {key: coeff.scale(half) for key, coeff in a_action(i, tensor).items()}
+    torsion = derivation_action(a_endomorphisms()[i], tensor)
+    return {key: coeff.scale(half) for key, coeff in torsion.items()}
 
 
 @lru_cache(maxsize=1)

@@ -5,13 +5,14 @@ convenience for writing one; none of them runs under a command.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 from gray_stability import linalg
 from gray_stability.branching import decompose_weights
-from gray_stability.exterior import Form, _permutation_sign, contract, wedge2
-from gray_stability.forms import HRep, _h_action_matrices, _span_coords, _weight_multiset, lambda11_0
+from gray_stability.exterior import Form, contract, wedge2
+from gray_stability.forms import HRep, _h_action_matrices, _span_coords, lambda11_0
 from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, build_space
 from gray_stability.reps import _GRAM_INV, GROUPS, _doubled_shift, _dual, check_label, explicit_rep
@@ -41,6 +42,11 @@ def from_json(data) -> Scalar:
 
 
 # -- linear algebra ----------------------------------------------------------
+
+def zeros(m: int, n: int):
+    """The m x n zero matrix, in the tuple-of-row-tuples form of linalg."""
+    return ((ZERO,) * n,) * m
+
 
 def trace(a) -> Scalar:
     s = ZERO
@@ -276,6 +282,57 @@ def proto_delta_reference(space: ReductiveSpace, gamma: tuple, f, m_basis=None) 
 
 # -- exterior algebra --------------------------------------------------------
 
+def permutation_sign(perm) -> int:
+    """The sign of a permutation of range(len(perm)), by its cycle lengths."""
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def alternate_reference(tensor: dict) -> Form:
+    """exterior.alternate by the sign of each key's sorting permutation."""
+    out: Form = {}
+    for key, coeff in tensor.items():
+        if len(set(key)) != len(key):
+            continue
+        order = sorted(range(len(key)), key=lambda s: key[s])
+        linalg.add_into(out, tuple(sorted(key)), coeff if permutation_sign(order) == 1 else -coeff)
+    return out
+
+
+def wedge2_reference(u: list, v: list) -> Form:
+    """exterior.wedge2 as a double loop over the coordinates of u and v."""
+    out: Form = {}
+    n = len(u)
+    for a in range(n):
+        ua = u[a]
+        if not ua:
+            continue
+        for b in range(n):
+            if a == b:
+                continue
+            vb = v[b]
+            if not vb:
+                continue
+            c = ua * vb
+            if a < b:
+                linalg.add_into(out, (a, b), c)
+            else:
+                linalg.add_into(out, (b, a), -c)
+    return out
+
+
 def form_add(a: Form, b: Form) -> Form:
     out = dict(a)
     for k, v in b.items():
@@ -312,7 +369,7 @@ def derivation_reference(m: list, form: Form) -> Form:
                 if len(set(new)) != len(new):
                     continue
                 order = sorted(range(len(new)), key=lambda s: new[s])
-                val = coeff * c if _permutation_sign(order) == 1 else -(coeff * c)
+                val = coeff * c if permutation_sign(order) == 1 else -(coeff * c)
                 skey = tuple(sorted(new))
                 s = out.get(skey)
                 s = val if s is None else s + val
@@ -473,7 +530,7 @@ def lambda11(space_name: str) -> HRep:
         vectors=tuple(vectors),
         weights=tuple(weights),
         h_matrices=tuple(_h_action_matrices(space, vectors)),
-        decomposition=decompose_weights(space.h_type, _weight_multiset(weights)),
+        decomposition=decompose_weights(space.h_type, Counter(weights)),
     )
 
 
@@ -674,7 +731,7 @@ def psi_lookup() -> dict:
     psi = {}
     for key, c in build_space("flag").psi_minus:
         for perm in itertools.permutations(range(3)):
-            signed = c if _permutation_sign(perm) == 1 else -c
+            signed = c if permutation_sign(perm) == 1 else -c
             psi[tuple(key[p] for p in perm)] = signed
     return psi
 

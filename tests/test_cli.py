@@ -388,3 +388,102 @@ def test_shared_parser_matches_fresh_parser(capsys):
     for argv, got in zip(commands, shared):
         cli.build_parser.cache_clear()
         assert got == _run_all(capsys, argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["homdim", "--space", "flag", "--gamma", "1,1"], "golden_homdim_flag_1_1"),
+        (["killing", "--t", "1,-1,0"], "golden_killing_integers"),
+        # the table line keeps the raw --t text, the JSON the reduced rationals
+        (["killing", "--t", "1/2,-0.5,0"], "golden_killing_rationals"),
+    ],
+)
+@pytest.mark.parametrize("fmt, suffix", [("table", "txt"), ("json", "json")])
+def test_homdim_and_killing_match_golden(capsys, argv, name, fmt, suffix):
+    code, out = _run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert out == (DATA / f"{name}.{suffix}").read_text(encoding="utf-8")
+
+
+def _fail_one_check(monkeypatch):
+    from gray_stability import cli
+
+    real = cli.validate_space
+
+    def failing(space):
+        return {**real(space), "kahler_h_invariant": False}
+
+    monkeypatch.setattr(cli, "validate_space", failing)
+
+
+def test_validate_with_a_failed_check_exits_1(capsys, monkeypatch):
+    _fail_one_check(monkeypatch)
+    code, out = _run(capsys, "validate", "--space", "cp3")
+    assert code == 1
+    assert ["cp3", "kahler_h_invariant", "FAIL"] in [line.split() for line in out.splitlines()]
+    code, out = _run(capsys, "validate", "--space", "cp3", "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["cp3"]
+    assert checks["kahler_h_invariant"] is False
+    assert [k for k, ok in checks.items() if not ok] == ["kahler_h_invariant"]
+
+
+def test_reproduce_all_with_a_failed_check_exits_1(capsys, monkeypatch):
+    _fail_one_check(monkeypatch)
+    code, out = _run(capsys, "reproduce-all")
+    assert (code, out) == (1, "CHECKS FAILED\n")
+    code, out = _run(capsys, "reproduce-all", "--format", "json")
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["all_checks_pass"] is False
+    assert all(doc["validate"][n]["kahler_h_invariant"] is False for n in ("s3xs3", "cp3", "flag"))
+
+
+# Each subcommand's actions in order: option strings, required, default,
+# choices.  Read from the parser, not from --help, whose layout changes
+# between Python versions.
+_SUPPRESS = "==SUPPRESS=="
+_HELP = (("-h", "--help"), False, _SUPPRESS, None)
+_SPACE = (("--space",), True, None, ("s3xs3", "cp3", "flag"))
+_OUTPUTS = [(("--format",), False, "table", ("table", "json")), (("--output",), False, None, None)]
+PARSER_TABLE = {
+    "casimir": [_HELP, _SPACE, (("--max",), False, "12", None)] + _OUTPUTS,
+    "branch": [
+        _HELP, _SPACE, (("--gamma",), False, None, None), (("--max",), False, "12", None)
+    ] + _OUTPUTS,
+    "homdim": [_HELP, _SPACE, (("--gamma",), True, None, None)] + _OUTPUTS,
+    "delta": [_HELP, _SPACE, (("--gamma",), True, None, None)] + _OUTPUTS,
+    "coindex": [_HELP, _SPACE] + _OUTPUTS,
+    "obstruction": [_HELP] + _OUTPUTS,
+    "killing": [_HELP, (("--t",), True, None, None)] + _OUTPUTS,
+    "validate": [_HELP, (("--space",), False, None, ("s3xs3", "cp3", "flag"))] + _OUTPUTS,
+    "reproduce-all": [_HELP] + _OUTPUTS,
+}
+
+
+def _action_rows(parser) -> list:
+    return [
+        (tuple(a.option_strings), a.required, a.default, tuple(a.choices) if a.choices else None)
+        for a in parser._actions
+        if a.option_strings
+    ]
+
+
+def test_parser_options_are_pinned():
+    import argparse
+
+    from gray_stability import cli
+
+    ap = cli.build_parser()
+    assert _action_rows(ap) == [_HELP, (("--version",), False, _SUPPRESS, None)]
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sub.required
+    assert {name: _action_rows(p) for name, p in sub.choices.items()} == PARSER_TABLE
+    assert list(sub.choices) == list(PARSER_TABLE)
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"]] + [[c, "--help"] for c in PARSER_TABLE])
+def test_version_and_help_exit_0(capsys, argv):
+    code, out, err = _run_all(capsys, argv)
+    assert code == 0 and out and err == ""

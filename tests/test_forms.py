@@ -1,6 +1,9 @@
 """The (1,1) isotropy modules and their primitive parts."""
 
 import dataclasses
+import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,8 +11,15 @@ from gray_stability import forms, linalg
 from gray_stability.exterior import alternate, derivation_action, form_inner, wedge2
 from gray_stability.forms import lambda11_0
 from gray_stability.lie import build_space
-from gray_stability.scalars import ONE, ZERO, rational
-from oracles import coords_of, derivation_reference, lambda11, trivial_summand_basis
+from gray_stability.scalars import I, ONE, SQRT2, SQRT3, ZERO, Scalar, rational
+from oracles import (
+    alternate_reference,
+    coords_of,
+    derivation_reference,
+    lambda11,
+    trivial_summand_basis,
+    wedge2_reference,
+)
 
 
 def test_lambda11_dimensions_and_decompositions():
@@ -136,8 +146,6 @@ def test_alternated_derivation_matches_reference():
 
 
 def test_basis_vectors_are_weight_vectors():
-    from gray_stability.scalars import I
-
     for name in ("s3xs3", "cp3", "flag"):
         space = build_space(name)
         rep = lambda11_0(name)
@@ -146,3 +154,38 @@ def test_basis_vectors_are_weight_vectors():
             mat = linalg.lin_comb(torus, rep.h_matrices)
             weights = [I * rational(w[t_idx]) for w in rep.weights]
             assert linalg.mat_eq(mat, linalg.diag(*weights))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_alternate_matches_the_permutation_sign_reference(k):
+    # every ordered key of length k over indices 0..5, one at a time and
+    # all together with coefficients that differ per key
+    c = SQRT2 + I * rational(1, 3)
+    tensor = {}
+    for n, key in enumerate(itertools.product(range(6), repeat=k)):
+        single = alternate({key: c})
+        assert single == alternate_reference({key: c}), key
+        if len(set(key)) < k:
+            assert single == {}, key
+        tensor[key] = c * rational(n + 1) + SQRT3
+    assert alternate(tensor) == alternate_reference(tensor)
+
+
+def _random_vector(rng):
+    out = [ZERO] * 6
+    for a in rng.sample(range(6), rng.randint(1, 6)):
+        out[a] = Scalar(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(8)))
+    return out
+
+
+def test_wedge2_matches_the_double_loop_reference():
+    for name in ("s3xs3", "cp3", "flag"):
+        space = build_space(name)
+        vectors = [p for p, _ in space.m_plus_weights] + [q for q, _ in space.m_minus_weights]
+        for u, v in itertools.product(vectors, repeat=2):
+            assert wedge2(u, v) == wedge2_reference(u, v)
+    rng = random.Random(20)
+    for _ in range(200):
+        u, v = _random_vector(rng), _random_vector(rng)
+        assert wedge2(u, v) == wedge2_reference(u, v)
+        assert wedge2(u, u) == {}

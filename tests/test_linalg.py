@@ -22,6 +22,7 @@ from oracles import (
     to_sparse,
     trace,
     trace_product,
+    zeros,
 )
 
 
@@ -121,7 +122,7 @@ def _is_matrix_type(m):
 def test_constructors_return_the_immutable_matrix_type():
     a = [[ONE, I], [ZERO, SQRT2]]
     results = [
-        linalg.zeros(2, 3),
+        zeros(2, 3),
         linalg.identity(3),
         linalg.from_entries(2, {(0, 1): I}),
         linalg.diag(ONE, I),
@@ -142,7 +143,7 @@ def test_constructors_return_the_immutable_matrix_type():
 def test_from_entries_and_diag():
     m = linalg.from_entries(2, {(0, 1): I, (1, 2): SQRT2}, 3)
     assert m == ((ZERO, I, ZERO), (ZERO, ZERO, SQRT2))
-    assert linalg.from_entries(2, {}) == linalg.zeros(2, 2)
+    assert linalg.from_entries(2, {}) == zeros(2, 2)
     assert linalg.diag(ONE, I) == ((ONE, ZERO), (ZERO, I))
     assert linalg.diag(ONE, ONE, ONE) == linalg.identity(3)
 
@@ -174,11 +175,11 @@ def test_lin_comb_matches_scale_and_add():
     rng = random.Random(9)
     mats = [[[_rand_scalar(rng) for _ in range(3)] for _ in range(2)] for _ in range(3)]
     coeffs = [SQRT2, ZERO, I]
-    expected = linalg.zeros(2, 3)
+    expected = zeros(2, 3)
     for c, m in zip(coeffs, mats):
         expected = mat_add(expected, linalg.mat_scale(c, m))
     assert linalg.lin_comb(coeffs, mats) == expected
-    assert linalg.lin_comb([ZERO, ZERO, ZERO], mats) == linalg.zeros(2, 3)
+    assert linalg.lin_comb([ZERO, ZERO, ZERO], mats) == zeros(2, 3)
 
 
 def _sparse_entry(rng, density):
@@ -206,8 +207,8 @@ def _sparse_cases(rng):
     for m, n, r in [(8, 6, 3), (5, 9, 2), (7, 7, 4), (6, 6, 1)]:
         cases.append(linalg.mat_mul(_sparse_matrix(rng, m, r, 0.6), _sparse_matrix(rng, r, n, 0.5)))
     cases.append(mat_add(linalg.identity(6), _sparse_matrix(rng, 6, 6, 0.2)))
-    cases.append(linalg.zeros(4, 5))
-    cases.append(linalg.zeros(3, 3))
+    cases.append(zeros(4, 5))
+    cases.append(zeros(3, 3))
     for m, n in [(8, 6), (5, 5)]:
         a = _sparse_matrix(rng, m, n, 0.5)
         for i in rng.sample(range(m), 2):
@@ -398,7 +399,7 @@ def test_nullspace_of_sparse_rows_equals_dense_kernels(seed):
             assert all(x for x in v.values()) and all(0 <= j < n for j in v)
         dense = [[v.get(j, ZERO) for j in range(n)] for v in kernel]
         # an empty row list with n columns expands to the zero row
-        expanded = a or linalg.zeros(1, n)
+        expanded = a or zeros(1, n)
         again = linalg.nullspace([to_sparse(row) for row in expanded], n)
         assert dense == [to_dense(v, n) for v in again] == dense_nullspace(expanded)
         for v in dense:

@@ -7,11 +7,14 @@ definition counts as used when some ``Name`` or ``Attribute`` anywhere in
 ``src/gray_stability`` outside the definition itself spells its name, and
 a field of a ``@dataclass`` counts as read when some attribute load
 (``x.field``) there spells its name; passing it to the constructor is not
-a read.
+a read.  A bare ``Name`` counts only where no enclosing function, lambda
+or comprehension binds that name itself (as an argument, an assignment,
+a ``for``/``with`` target or a comprehension target): a local ``zeros``
+is not a use of a module-level ``zeros``.
 
-Known limit: matching is by bare name, so a definition or a field that
-shares its name with a used one (say a field ``name`` beside every
-``space.name``) passes unseen.
+Known limit: attributes match by bare name, so a definition or a field
+that shares its name with a used attribute (say a field ``name`` beside
+every ``space.name``) passes unseen.
 """
 
 import ast
@@ -71,13 +74,39 @@ def _fields(module: str, tree: ast.Module):
                     yield f"{module}.{node.name}.{item.target.id}", item.target.id
 
 
-def _references(node) -> Counter:
-    names = Counter()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            names[sub.id] += 1
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            names[sub.attr] += 1
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_SCOPES = _FUNCTIONS + (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _binds(scope) -> set:
+    """The names a function, lambda or comprehension binds itself; the
+    scopes nested in it bind their own."""
+    if not isinstance(scope, _FUNCTIONS):
+        return {n.id for g in scope.generators for n in ast.walk(g.target) if isinstance(n, ast.Name)}
+    a = scope.args
+    names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x}
+    stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _references(node, names=None, local=frozenset()) -> Counter:
+    """Loads under node of each attribute name, and of each bare name that
+    no enclosing scope inside node binds."""
+    names = Counter() if names is None else names
+    if isinstance(node, _SCOPES):
+        local = local | _binds(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+        names[node.id] += 1
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        names[node.attr] += 1
+    for child in ast.iter_child_nodes(node):
+        _references(child, names, local)
     return names
 
 
@@ -153,3 +182,39 @@ def test_scan_sees_unread_dataclass_fields(tmp_path):
         encoding="utf-8",
     )
     assert unreferenced(tmp_path) == ["a.Point.label", "a.VALUE"]
+
+
+def test_scan_skips_names_a_function_binds_itself(tmp_path):
+    # each module-level function is shadowed by a local of the same name,
+    # so none of them has a caller
+    (tmp_path / "a.py").write_text(
+        "def zeros(n):\n"
+        "    return [0] * n\n"
+        "def width():\n"
+        "    return 1\n"
+        "def row():\n"
+        "    return []\n"
+        "def handle():\n"
+        "    return None\n"
+        "def cell():\n"
+        "    return 0\n"
+        "def key():\n"
+        "    return 0\n"
+        "def summary(rows, width):\n"
+        "    zeros = rows.count(0)\n"
+        "    for row in rows:\n"
+        "        pass\n"
+        "    with open(rows) as handle:\n"
+        "        pass\n"
+        "    cells = [cell for cell in rows]\n"
+        "    order = sorted(rows, key=lambda key: key)\n"
+        "    late = lambda: zeros\n"
+        "    return zeros, width, row, handle, cells, order, late\n"
+        "def reads_module_level():\n"
+        "    return summary\n"
+        "VALUE = reads_module_level()\n",
+        encoding="utf-8",
+    )
+    assert unreferenced(tmp_path) == [
+        "a.VALUE", "a.cell", "a.handle", "a.key", "a.row", "a.width", "a.zeros"
+    ]
