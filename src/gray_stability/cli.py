@@ -335,6 +335,13 @@ def _render_validate(doc: dict, args) -> str:
     return _table(rows, ["space", "check", "result"])
 
 
+def _render_homdim(doc: dict, args) -> str:
+    return (
+        f'space: {doc["space"]}  gamma: {_label_str(doc["gamma"])}  '
+        f'casimir: {doc["casimir"]}  hom_dim: {doc["hom_dim"]}\n'
+    )
+
+
 def _render_delta(doc: dict, args) -> str:
     out = (
         f'space: {doc["space"]}  gamma: {_label_str(doc["gamma"])}\n'
@@ -390,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homdim", help="multiplicity in the primitive (1,1) module")
     _add_space_arg(p)
     p.add_argument("--gamma", required=True)
-    _command(p, lambda a: homdim_doc(a.space, _parse_label(a.space, a.gamma)), lambda doc, a: dumps(doc))
+    _command(p, lambda a: homdim_doc(a.space, _parse_label(a.space, a.gamma)), _render_homdim)
 
     p = sub.add_parser("delta", help="prototypical codifferential on a Fourier space")
     _add_space_arg(p)

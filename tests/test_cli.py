@@ -58,6 +58,14 @@ def test_homdim(capsys):
     assert doc["hom_dim"] == 4 and doc["casimir"] == 12
 
 
+def test_homdim_table_is_one_line_not_the_json(capsys):
+    argv = ("homdim", "--space", "flag", "--gamma", "1,1", "--format")
+    code, table = _run(capsys, *argv, "table")
+    assert code == 0
+    assert table != _run(capsys, *argv, "json")[1]
+    assert table.count("\n") == 1
+
+
 def test_delta_command(capsys):
     code, out = _run(capsys, "delta", "--space", "cp3", "--gamma", "1,0", "--format", "json")
     doc = json.loads(out)

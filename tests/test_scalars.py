@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from gray_stability.scalars import (
+    _GENERAL_TAG,
+    _ZERO_TAG,
     I,
     ONE,
     SQRT2,
@@ -120,9 +122,18 @@ def _assert_canonical(s):
     assert type(s.n) is tuple and len(s.n) == 8
     assert all(type(x) is int for x in s.n)
     assert type(s.d) is int and s.d > 0
+    assert type(s.tag) is int
     assert math.gcd(*s.n, s.d) == 1
     if not any(s.n):
         assert s.d == 1
+    # the tag names the only nonzero coordinate, else zero or general
+    nonzero = [k for k, x in enumerate(s.n) if x]
+    if not nonzero:
+        assert s.tag == _ZERO_TAG
+    elif len(nonzero) == 1:
+        assert s.tag == nonzero[0]
+    else:
+        assert s.tag == _GENERAL_TAG
 
 
 def _random_scalar(rng):
@@ -140,7 +151,7 @@ def _random_scalar(rng):
 
 
 def test_slots_hold_ints_only():
-    assert Scalar.__slots__ == ("n", "d")
+    assert Scalar.__slots__ == ("n", "d", "tag")
     for s in (ZERO, ONE, I, J, SQRT6, rational(-7, 3)):
         _assert_canonical(s)
     assert ZERO.n == (0,) * 8 and ZERO.d == 1
@@ -173,6 +184,36 @@ def test_canonical_form_after_every_operation():
         assert _reference_mul(_coords(inv), pa) == _coords(ONE)
         _assert_canonical((a * a).inverse())
         assert (a * a).inverse() * (a * a) == ONE
+
+
+def test_general_operations_that_end_on_a_monomial_or_zero():
+    g = rational(3, 5) + SQRT2 - I * SQRT6 * rational(1, 7)
+    cases = [
+        ((SQRT2 + I) - I, SQRT2, 2),
+        ((ONE + I) * (ONE - I), rational(2), 0),
+        ((SQRT3 + I) + (-I), SQRT3, 3),
+        (g - g, ZERO, _ZERO_TAG),
+        (g + (-g), ZERO, _ZERO_TAG),
+        ((ONE + I).inverse(), rational(1, 2) - I * rational(1, 2), _GENERAL_TAG),
+        ((I * rational(-2, 3)).inverse(), I * rational(3, 2), 1),
+        (g.inverse() * g, ONE, 0),
+    ]
+    for got, want, tag in cases:
+        _assert_canonical(got)
+        assert got == want and got.tag == tag
+    for x in (ZERO, ONE, I * SQRT6 * rational(-5, 3), g):
+        for got in (
+            -x,
+            x.conjugate(),
+            x.galois(flip_sqrt2=True),
+            x.galois(flip_i=True, flip_sqrt2=True, flip_sqrt3=True),
+        ):
+            _assert_canonical(got)
+            assert got.tag == x.tag
+        assert -(-x) == x and x.conjugate().conjugate() == x
+    assert -ZERO is ZERO
+    assert g * ZERO is ZERO and ZERO * I is ZERO and I * 0 is ZERO
+    assert not (g - g) and g and I
 
 
 def test_canonical_form_of_rational_results():
