@@ -17,7 +17,9 @@ self-verifies through the non-negativity of every remainder.
 
 from __future__ import annotations
 
-from .lie import GroupRecord, ReductiveSpace
+from functools import lru_cache
+
+from .lie import GroupRecord, ReductiveSpace, group_record
 from .reps import weight_system
 
 # the irrep kind of each isotropy type
@@ -78,8 +80,15 @@ def restricted_weights(space: GroupRecord, gamma: tuple) -> dict:
 
 
 def restrict(space: GroupRecord, gamma: tuple) -> dict:
-    """Decomposition of the restricted irrep into isotropy irreps."""
-    return decompose_weights(space.h_type, restricted_weights(space, gamma))
+    """Decomposition of the restricted irrep into isotropy irreps, made
+    once per (space.name, gamma); callers share the dict and only read it."""
+    return _restrict(space.name, tuple(gamma))
+
+
+@lru_cache(maxsize=None)
+def _restrict(name: str, gamma: tuple) -> dict:
+    record = group_record(name)
+    return decompose_weights(record.h_type, restricted_weights(record, gamma))
 
 
 def hom_dim(space: ReductiveSpace, gamma: tuple, target_decomposition: dict) -> int:

@@ -30,6 +30,8 @@ from .exterior import contract, derivation_action
 from .lie import ad_and_gram, bracket_closes, build_space
 from .scalars import I, Scalar, rational
 from .sympoly import (
+    GRAM_D,
+    INTEGRAL_GRAM,
     NGENS,
     V1,
     V2,
@@ -38,13 +40,13 @@ from .sympoly import (
     det_cubic,
     eliminate_v3,
     generators,
-    gram_su3,
     reduce_v_cubic,
     sym_inner,
 )
 
 M_DIM = 6
 _GENS = generators()
+_UNITS = tuple(next(iter(g.terms)) for g in _GENS)  # the exponent tuple of each generator
 
 Tensor = dict  # dict[index tuple, SymPoly]
 
@@ -71,10 +73,7 @@ def coordinate_derivatives() -> tuple:
     if not bracket_closes(frame, ad, ((3 + a, g) for a in range(M_DIM) for g in range(len(frame)))):
         raise ValueError("matrix is not in the unitary frame span")
     return tuple(
-        tuple(
-            sum((_GENS[k].scale(c) for k, c in enumerate(col) if c), SymPoly())
-            for col in linalg.transpose(ad[3 + a])
-        )
+        tuple(SymPoly(dict(zip(_UNITS, col))) for col in linalg.transpose(ad[3 + a]))
         for a in range(M_DIM)
     )
 
@@ -160,6 +159,7 @@ def obstruction_terms() -> tuple:
     return reduce_v_cubic(i0), reduce_v_cubic(i1), reduce_v_cubic(i2)
 
 
+@lru_cache(maxsize=1)
 def integrand() -> SymPoly:
     """(1/2)(2E I0 - 3 I1 + 6 I2) with the Einstein constant E = 5 from
     the catalog."""
@@ -255,18 +255,19 @@ def no_critical_point_certificate() -> bool:
     |xi|^2 = -tr(xi^2)/2.
     """
     f = eliminate_v3(det_cubic())
-    gram = gram_su3()
     slice_gens = [k for k in range(NGENS) if k != 2]
     grad = {a: f.partial(a) for a in slice_gens}
+    # D * lhs over the integral Gram, each unordered pair once
     lhs = SymPoly()
-    for a in slice_gens:
-        for b in slice_gens:
-            if gram[a][b]:
-                lhs = lhs + (grad[a] * grad[b]).scale(gram[a][b])
+    for i, a in enumerate(slice_gens):
+        for b in slice_gens[i:]:
+            g = INTEGRAL_GRAM[a][b]
+            if g:
+                lhs = lhs + (grad[a] * grad[b]).scale(g if a == b else 2 * g)
     v_sq = sum((g * g for g in _GENS[:3]), SymPoly())
     x_sq = sum((g * g for g in _GENS[3:]), SymPoly())
     norm_sq = eliminate_v3(v_sq.scale(2) + x_sq)
-    return lhs == (norm_sq * norm_sq).scale(Fraction(4, 3))
+    return lhs == (norm_sq * norm_sq).scale(Fraction(4, 3) * GRAM_D)
 
 
 def rigidity_verdict(pairing: Scalar | None = None) -> RigidityReport:

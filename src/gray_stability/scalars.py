@@ -12,8 +12,9 @@ canonical, so equality is tuple equality.  Addition skips the
 cross-multiplication when the denominators agree, a product is one pass
 of the basis multiplication table over ints followed by one gcd, and the
 inverse divides the Galois-norm cofactor by the rational norm once.
-Fractions appear only at the edges: the constructor, ``from_fraction``,
-``rational()``, JSON and rendering.
+Fractions appear only at the edges: the constructor, ``from_fraction``
+and ``rational()``.  JSON and ``str`` read the numerators directly: each
+coordinate x/d is put in lowest terms with one gcd.
 
 Most scalars the pipeline meets are monomials, one rational times one
 basis element, or zero.  In ``coindex`` on the three spaces, 5,612 of
@@ -324,26 +325,22 @@ class Scalar:
             raise ValueError(f"not a rational scalar: {self}")
         return Fraction(self.n[0], self.d)
 
-    def _fractions(self) -> tuple:
-        """The 8 rational coordinates, in storage order."""
-        d = self.d
-        return tuple(Fraction(x, d) for x in self.n)
-
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
         terms = []
-        for q, name in zip(self._fractions(), BASIS_NAMES):
-            if not q:
+        d = self.d
+        for x, name in zip(self.n, BASIS_NAMES):
+            if not x:
                 continue
             if name == "1":
-                terms.append(str(q))
-            elif q == 1:
+                terms.append(_ratio_str(x, d))
+            elif x == d:
                 terms.append(name)
-            elif q == -1:
+            elif x == -d:
                 terms.append(f"-{name}")
             else:
-                terms.append(f"{q}*{name}")
+                terms.append(f"{_ratio_str(x, d)}*{name}")
         if not terms:
             return "0"
         out = terms[0]
@@ -355,7 +352,7 @@ class Scalar:
         return f"Scalar({self})"
 
     def to_json(self) -> list:
-        return [_fraction_str(q) for q in self._fractions()]
+        return [_ratio_str(x, self.d) for x in self.n]
 
 
 def _coerce(x):
@@ -366,8 +363,10 @@ def _coerce(x):
     return NotImplemented
 
 
-def _fraction_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+def _ratio_str(x: int, d: int) -> str:
+    """x/d for a positive d, in lowest terms: "p/q", or "p" when q is 1."""
+    g = gcd(x, d)
+    return f"{x // g}/{d // g}" if g != d else str(x // g)
 
 
 def rational(p, q=1) -> Scalar:

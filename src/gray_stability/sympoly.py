@@ -4,6 +4,10 @@ The free commutative algebra is used; the trace relation v1 + v2 + v3 = 0
 is NOT quotiented out.  Well-definedness of the symmetric-power inner
 product under that relation comes from the degenerate Gram matrix, whose
 kernel is spanned by v1 + v2 + v3.
+
+The pairing of two degree-k monomials is a permanent of Gram entries,
+taken in ints over the integral Gram matrix D*G (D = 6, the lcm of G's
+denominators, checked at import) and divided by D**k once.
 """
 
 from __future__ import annotations
@@ -11,9 +15,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import add
 
 from .linalg import add_into
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, rational
 
 NGENS = 9
 GEN_NAMES = ("v1", "v2", "v3", "x1", "x2", "x3", "x4", "x5", "x6")
@@ -78,7 +84,7 @@ class SymPoly:
             out: dict = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
-                    add_into(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+                    add_into(out, tuple(map(add, m1, m2)), c1 * c2)
             p = SymPoly()
             p.terms = out
             return p
@@ -113,13 +119,17 @@ class SymPoly:
         return k is None or degs == {k}
 
     def substitute_polys(self, values: list) -> "SymPoly":
-        """Substitute polynomials for the generators."""
+        """Substitute polynomials for the generators, each power once."""
+        powers = [[SymPoly.constant(ONE), v] for v in values]
         total = SymPoly()
         for m, c in self.terms.items():
             term = SymPoly.constant(c)
             for k, e in enumerate(m):
-                for _ in range(e):
-                    term = term * values[k]
+                if e:
+                    pk = powers[k]
+                    while len(pk) <= e:
+                        pk.append(pk[-1] * values[k])
+                    term = term * pk[e]
             total = total + term
         return total
 
@@ -180,29 +190,27 @@ def gram_su3() -> list:
 
 
 _GRAM = gram_su3()
-
-
-def _factors(mono: Monomial) -> list:
-    out = []
-    for k, e in enumerate(mono):
-        out.extend([k] * e)
-    return out
+GRAM_D = lcm(*(q.denominator for row in _GRAM for q in row))
+INTEGRAL_GRAM = tuple(tuple(int(q * GRAM_D) for q in row) for row in _GRAM)
+if [[Fraction(x, GRAM_D) for x in row] for row in INTEGRAL_GRAM] != _GRAM:
+    raise ArithmeticError("D * G is not integral")
 
 
 @lru_cache(maxsize=None)
 def _monomial_pairing(m1: Monomial, m2: Monomial) -> Scalar:
     """<m1, m2> on the symmetric power: the sum over permutations of the
-    Gram products of the two monomials' factors."""
-    f1, f2 = _factors(m1), _factors(m2)
-    acc = Fraction(0)
-    for perm in itertools.permutations(range(len(f2))):
-        prod = Fraction(1)
-        for i, s in enumerate(perm):
-            prod *= _GRAM[f1[i]][f2[s]]
+    Gram products of the two monomials' factors, taken in ints over D*G
+    and divided by D**k once."""
+    rows = [INTEGRAL_GRAM[k] for k, e in enumerate(m1) for _ in range(e)]
+    acc = 0
+    for perm in itertools.permutations([k for k, e in enumerate(m2) for _ in range(e)]):
+        prod = 1
+        for row, b in zip(rows, perm):
+            prod *= row[b]
             if not prod:
                 break
         acc += prod
-    return Scalar.from_fraction(acc)
+    return rational(acc, GRAM_D ** len(rows))
 
 
 def sym_inner(p: SymPoly, q: SymPoly) -> Scalar:

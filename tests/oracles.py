@@ -16,9 +16,9 @@ from gray_stability.forms import HRep, _h_action_matrices, _span_coords, lambda1
 from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, build_space
 from gray_stability.reps import _GRAM_INV, GROUPS, _doubled_shift, _dual, check_label, explicit_rep
-from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
+from gray_stability.scalars import BASIS_NAMES, I, ONE, SQRT2, ZERO, Scalar, rational
 from gray_stability.stability import _sqrt_fraction, eigenspace_sources
-from gray_stability.sympoly import SymPoly, eliminate_v3, generators
+from gray_stability.sympoly import SymPoly, eliminate_v3, generators, gram_su3
 
 # Primitive cube root of unity (-1 + i*sqrt3)/2.
 J = Scalar((Fraction(-1, 2), 0, 0, 0, 0, Fraction(1, 2), 0, 0))
@@ -39,6 +39,42 @@ def imag(s: Scalar) -> Scalar:
 def from_json(data) -> Scalar:
     """Inverse of Scalar.to_json."""
     return Scalar(tuple(Fraction(x) for x in data))
+
+
+def _fractions(s: Scalar) -> tuple:
+    """The 8 rational coordinates of s, in storage order."""
+    return tuple(Fraction(x, s.d) for x in s.n)
+
+
+def _fraction_str(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+
+
+def scalar_str_reference(s: Scalar) -> str:
+    """str(s) rendered from the Fraction coordinates."""
+    terms = []
+    for q, name in zip(_fractions(s), BASIS_NAMES):
+        if not q:
+            continue
+        if name == "1":
+            terms.append(str(q))
+        elif q == 1:
+            terms.append(name)
+        elif q == -1:
+            terms.append(f"-{name}")
+        else:
+            terms.append(f"{q}*{name}")
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
+def scalar_json_reference(s: Scalar) -> list:
+    """s.to_json() rendered from the Fraction coordinates."""
+    return [_fraction_str(q) for q in _fractions(s)]
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -676,6 +712,36 @@ def substitute(p: SymPoly, values: list) -> Scalar:
     total = ZERO
     for m, c in p.terms.items():
         term = c
+        for k, e in enumerate(m):
+            for _ in range(e):
+                term = term * values[k]
+        total = total + term
+    return total
+
+
+_GRAM_SU3 = gram_su3()
+
+
+def monomial_pairing_reference(m1: tuple, m2: tuple) -> Scalar:
+    """<m1, m2> on the symmetric power as the Fraction permanent of the
+    Gram entries of the two monomials' factors."""
+    f1, f2 = ([k for k, e in enumerate(m) for _ in range(e)] for m in (m1, m2))
+    acc = Fraction(0)
+    for perm in itertools.permutations(range(len(f2))):
+        prod = Fraction(1)
+        for i, s in enumerate(perm):
+            prod *= _GRAM_SU3[f1[i]][f2[s]]
+            if not prod:
+                break
+        acc += prod
+    return Scalar.from_fraction(acc)
+
+
+def substitute_polys_reference(p: SymPoly, values: list) -> SymPoly:
+    """p with the generators replaced by polynomials, one factor at a time."""
+    total = SymPoly()
+    for m, c in p.terms.items():
+        term = SymPoly.constant(c)
         for k, e in enumerate(m):
             for _ in range(e):
                 term = term * values[k]

@@ -10,8 +10,8 @@ import pytest
 from gray_stability.branching import hom_dim
 from gray_stability.cli import main
 from gray_stability.forms import lambda11_0
-from gray_stability.lie import build_space
-from gray_stability.reps import casimir_constant
+from gray_stability.lie import SPACE_NAMES, build_space, group_record
+from gray_stability.reps import casimir_constant, enumerate_labels
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -163,6 +163,13 @@ def test_obstruction_table_matches_golden(capsys):
     assert out == (DATA / "golden_obstruction.txt").read_text(encoding="utf-8")
 
 
+def test_obstruction_json_matches_golden(capsys):
+    # every nabla_h string, the integrand and the pairing breakdown
+    code, out = _run(capsys, "obstruction", "--format", "json")
+    assert code == 0
+    assert out == (DATA / "golden_obstruction.json").read_text(encoding="utf-8")
+
+
 def test_validate_table_matches_golden(capsys):
     # every structural check of the three spaces, by name
     code, out = _run(capsys, "validate", "--format", "table")
@@ -289,9 +296,30 @@ def test_obstruction_computes_its_terms_once(capsys):
 
     obstruction.obstruction_terms.cache_clear()
     obstruction.nabla_h.cache_clear()
+    obstruction.integrand.cache_clear()
     assert main(["obstruction"]) == 0
     assert obstruction.obstruction_terms.cache_info().misses == 1
     assert obstruction.nabla_h.cache_info().misses == 1
+    assert obstruction.integrand.cache_info().misses == 1
+
+
+def test_reproduce_all_restricts_each_label_once():
+    # the branch tables and the coindex reports' hom_dim both restrict the
+    # 17 labels with Casimir <= 12; the second pass reads the cache
+    from gray_stability import branching, stability
+    from gray_stability.cli import reproduce_all_doc
+
+    branching._restrict.cache_clear()
+    stability.coindex_report.cache_clear()
+    reproduce_all_doc()
+    info = branching._restrict.cache_info()
+    assert (info.misses, info.hits) == (17, 17)
+    # no caller changed a cached decomposition
+    for name in SPACE_NAMES:
+        record = group_record(name)
+        for label in enumerate_labels(record.group, Fraction(12)):
+            fresh = branching.decompose_weights(record.h_type, branching.restricted_weights(record, label))
+            assert branching.restrict(record, label) == fresh
 
 
 @pytest.mark.parametrize("exc_type", [ArithmeticError, ValueError])

@@ -18,7 +18,7 @@ from gray_stability.scalars import (
     Scalar,
     rational,
 )
-from oracles import J, from_json, imag, real
+from oracles import J, from_json, imag, real, scalar_json_reference, scalar_str_reference
 
 
 def test_cube_root_of_unity():
@@ -370,3 +370,21 @@ def test_mixed_monomial_and_general_operands():
                 for op, (got, want) in results.items():
                     _assert_canonical(got)
                     assert _coords(got) == want, (op, k, p)
+
+
+def test_rendering_matches_the_fraction_reference():
+    # zero, rationals, each basis element with either sign and with and
+    # without a denominator, and general scalars
+    rng = random.Random(23)
+    samples = [ZERO, ONE, -ONE, rational(6, 4), rational(-7, 3), rational(5, _BIG + 1)]
+    for k in range(8):
+        for q in (1, -1, 3, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(-6, 4)):
+            samples.append(_monomial(k, q))
+    samples += [J, -J, ONE + I, rational(1, 2) - I * SQRT3 * rational(1, 2)]
+    samples += [_random_scalar(rng) for _ in range(30)]
+    for s in samples:
+        assert str(s) == scalar_str_reference(s), s.n
+        assert s.to_json() == scalar_json_reference(s), s.n
+    assert str(_monomial(3, Fraction(-2, 3))) == "-2/3*sqrt3"
+    assert str(_monomial(4, -1)) == "-i*sqrt2"
+    assert _monomial(7, Fraction(-6, 4)).to_json() == ["0"] * 7 + ["-3/2"]

@@ -1,6 +1,7 @@
 """Polynomial algebra in the nine coordinate functions and the
 symmetric-power inner product."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,11 +10,15 @@ import pytest
 from gray_stability import linalg
 from gray_stability.scalars import I, ONE, ZERO, Scalar, rational
 from gray_stability.sympoly import (
+    GRAM_D,
+    INTEGRAL_GRAM,
+    NGENS,
     SymPoly,
     V1,
     V2,
     V3,
     X,
+    _monomial_pairing,
     det_cubic,
     eliminate_v3,
     generators,
@@ -21,7 +26,14 @@ from gray_stability.sympoly import (
     reduce_v_cubic,
     sym_inner,
 )
-from oracles import equal_mod_trace, matrix_from_coordinates, substitute, torus_derivative
+from oracles import (
+    equal_mod_trace,
+    matrix_from_coordinates,
+    monomial_pairing_reference,
+    substitute,
+    substitute_polys_reference,
+    torus_derivative,
+)
 
 
 def test_ring_basics():
@@ -153,3 +165,55 @@ def test_eliminate_v3_normal_form():
     assert eliminate_v3(V1 + V2 + V3) == SymPoly.zero()
     assert equal_mod_trace((V1 + V2 + V3) * X[0], SymPoly.zero())
     assert not equal_mod_trace(V1, V2)
+
+
+def test_integral_gram_is_six_times_the_gram():
+    assert GRAM_D == 6
+    assert [[Fraction(x, 6) for x in row] for row in INTEGRAL_GRAM] == gram_su3()
+    assert all(type(x) is int for row in INTEGRAL_GRAM for x in row)
+
+
+def _monomials(degree: int) -> list:
+    return [
+        tuple(combo.count(k) for k in range(NGENS))
+        for combo in itertools.combinations_with_replacement(range(NGENS), degree)
+    ]
+
+
+def test_monomial_pairing_matches_the_fraction_permanent():
+    # every pair of monomials of equal degree 1-3: 9, 45 and 165 of them
+    pairing = _monomial_pairing.__wrapped__
+    counts = []
+    for degree in (1, 2, 3):
+        monos = _monomials(degree)
+        counts.append(len(monos))
+        for m1 in monos:
+            for m2 in monos:
+                assert pairing(m1, m2) == monomial_pairing_reference(m1, m2), (m1, m2)
+    assert counts == [9, 45, 165]
+
+
+def _random_poly(rng, max_degree: int, n_terms: int) -> SymPoly:
+    p = SymPoly()
+    for _ in range(n_terms):
+        mono = [0] * NGENS
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.randrange(NGENS)] += 1
+        coeff = rational(rng.randint(-5, 5), rng.randint(1, 4))
+        if rng.random() < 0.3:
+            coeff = coeff * I
+        p = p + SymPoly({tuple(mono): coeff})
+    return p
+
+
+def test_substitute_polys_matches_repeated_multiplication():
+    rng = random.Random(2022)
+    for trial in range(30):
+        p = _random_poly(rng, 4, 8)
+        values = [_random_poly(rng, 2, 3) for _ in range(NGENS)]
+        if trial % 3 == 0:
+            values[2] = -(V1 + V2)  # the substitution of eliminate_v3
+        assert p.substitute_polys(values) == substitute_polys_reference(p, values)
+    p = (V1 * V1 * V1 * X[0] + V3 * V3 * X[5] * X[5]).scale(3)
+    subs = [V1, V2, -(V1 + V2)] + list(X)
+    assert eliminate_v3(p) == substitute_polys_reference(p, subs)
