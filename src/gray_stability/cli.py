@@ -26,7 +26,6 @@ from .obstruction import (
     integrand,
     killing_check,
     nabla_h_entry,
-    obstruction_pairing,
     obstruction_terms,
     pairing_breakdown,
     rigidity_verdict,
@@ -178,8 +177,6 @@ def obstruction_doc() -> dict:
         for k in range(6):
             entry = nabla_h_entry(i, k)
             table[f"({i+1},{k+1})"] = [str(p) for p in entry]
-    pairing = obstruction_pairing()
-    verdict = rigidity_verdict(pairing)
     breakdown = pairing_breakdown()
     return {
         "nabla_h": table,
@@ -187,14 +184,9 @@ def obstruction_doc() -> dict:
         "I1": str(i1),
         "I2": str(i2),
         "integrand": str(integrand()),
-        "pairing": scalar_jsonable(pairing),
+        "pairing": scalar_jsonable(breakdown["total"]),
         "pairing_breakdown": {k: scalar_jsonable(v) for k, v in breakdown.items()},
-        "verdict": {
-            "pairing_nonzero": verdict.pairing_nonzero,
-            "critical_points_exist": verdict.critical_points_exist,
-            "rigid": verdict.rigid,
-            "status": verdict.status,
-        },
+        "verdict": rigidity_verdict(breakdown["total"]),
     }
 
 

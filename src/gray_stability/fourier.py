@@ -96,10 +96,9 @@ def _hooks(name: str, m_dim: int) -> tuple:
 
 def m_complex_coords(space: ReductiveSpace, images: list, vd: int) -> list:
     """The delta images of coefficients on a module of dimension vd as
-    matrices in the complex eigenbasis (m^+ then m^-), for display; the
-    frame is inverted once for all of them."""
-    pinv = linalg.inverse(linalg.transpose(space.m_plus + space.m_minus))
-    return [linalg.mat_mul(pinv, linalg.from_entries(space.m_dim, d, vd)) for d in images]
+    matrices in the complex eigenbasis (m^+ then m^-), for display,
+    through the space's one inverse of that frame."""
+    return [linalg.mat_mul(space.eigenframe_inverse, linalg.from_entries(space.m_dim, d, vd)) for d in images]
 
 
 def delta_kernel(images: list) -> list:

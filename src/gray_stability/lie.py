@@ -1,11 +1,22 @@
 """Catalog of the three unstable homogeneous Gray manifolds.
 
-Each space is hard-coded from an explicit matrix realization: basis of the
-symmetry algebra (isotropy subalgebra first, then an orthonormal basis of
-the reductive complement m), its exact adjoint matrices, the invariant
-inner product, the splitting of the complexified complement into the
-almost-complex eigenspaces, the Kaehler 2-vector and (for the flag
-manifold) the imaginary part of the complex volume form.
+A catalog space types its bracket and its complex structure, nothing
+metric: the basis matrices of the symmetry algebra (isotropy subalgebra
+first, then an orthonormal basis of the reductive complement m) with the
+scale of their trace form, the eigenspaces m^+ and m^- of J in m^C with
+their weight vectors and the isotropy torus, the Betti numbers, and on
+the flag manifold the imaginary part Psi^- of the complex volume form, a
+witness that a test compares with the bracket.  What the metric gives is
+derived from ``ad`` and the Gram matrix, lazily, once per space:
+
+- the Einstein constant E, from the Ricci tensor of the normal metric,
+  Ric(X, Y) = -B(X, Y)/2 - (1/4) sum_i <[X, e_i]_m, [Y, e_i]_m> with B
+  the trace form tr(ad_X ad_Y) (Besse, *Einstein Manifolds*, 7.38); it
+  raises unless Ric = E g with E rational;
+- J = P diag(i, i, i, -i, -i, -i) P^-1, P the frame m^+ | m^-, and the
+  Kaehler form omega(X, Y) = g(JX, Y);
+- the inverse Gram matrix, which ``ad_and_gram`` forms to read
+  coordinates and which the Casimir operator contracts with.
 
 The adjoint matrices and the Gram matrix are built from the basis
 matrices' nonzeros alone (two to six each).  Each basis matrix is read
@@ -28,11 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .exterior import Form, alternate, derivation_action
-from .scalars import I, ONE, SQRT2, SQRT3, SQRT6, ZERO, Scalar, rational
+from .scalars import I, ONE, SQRT2, SQRT6, ZERO, Scalar, rational
 
 
 @dataclass(frozen=True)
@@ -66,15 +77,18 @@ class LieAlgebraData:
 
     dim: int
     basis_matrices: tuple
-    ad: tuple    # ad[a] = matrix of ad(basis_a); column b = coordinates of [basis_a, basis_b]
-    gram: tuple  # gram[a][b] = Q(basis_a, basis_b)
+    ad: tuple        # ad[a] = matrix of ad(basis_a); column b = coordinates of [basis_a, basis_b]
+    gram: tuple      # gram[a][b] = Q(basis_a, basis_b)
+    gram_inv: tuple  # the inverse of gram: Q-dual coordinates
 
 
 @dataclass(frozen=True)
 class ReductiveSpace(GroupRecord):
-    """A catalog homogeneous space G/H with all exact geometric data."""
+    """A catalog homogeneous space G/H as typed: its bracket and complex
+    structure.  Its metric data are derived on first use: E, J and the
+    Kaehler form below, and the inverse Gram matrix in ``algebra``."""
 
-    algebra: LieAlgebraData
+    algebra: LieAlgebraData     # the bracket; the metric is its Gram matrix
     h_dim: int
     m_dim: int
     # complex structure eigenbasis of m^C, in m-coordinates
@@ -84,14 +98,45 @@ class ReductiveSpace(GroupRecord):
     m_plus_weights: tuple       # tuple of (coords, weight tuple)
     m_minus_weights: tuple
     h_weight_torus: tuple       # h-coordinate vectors with integer ad-eigenvalues
-    kahler: tuple               # sorted ((a, b), Scalar) pairs, m-coordinates
-    psi_minus: tuple | None     # sorted ((a, b, c), Scalar) or None
-    g_orthonormal: tuple        # Q-orthonormal basis of g, in g-coordinates
-    einstein_constant: Fraction
+    psi_minus: tuple | None     # sorted ((a, b, c), Scalar) or None; a test ties it to ad
     betti: tuple                # (b2, b3)
 
+    @cached_property
+    def einstein_constant(self) -> Fraction:
+        """E with Ric = E g on m, Ric the Ricci tensor of the normal metric
+        (module docstring), its sum over the m-basis taken as orthonormal;
+        raises ArithmeticError when there is none."""
+        hd, g = self.h_dim, self.algebra.gram
+        ads = [linalg.nonzeros(x) for x in self.algebra.ad[hd:]]
+        ric4 = {}  # 4 Ric(e_a, e_b) = -2 B(e_a, e_b) - sum_i <[e_a, e_i]_m, [e_b, e_i]_m>
+        for a, x in enumerate(ads):
+            for b, y in enumerate(ads[a:], a):
+                # B(e_a, e_b) = sum_ij x_ij y_ji, and the squares sum x_ki y_ki over the m-block
+                trace_form = sum((c * y[j, i] for (i, j), c in x.items() if (j, i) in y), ZERO)
+                squares = sum((c * y[k] for k, c in x.items() if k in y and min(k) >= hd), ZERO)
+                ric4[a, b] = -(trace_form + trace_form + squares)
+        e4 = ric4[0, 0] * g[hd][hd].inverse()
+        if not e4.is_rational() or any(r != e4 * g[hd + a][hd + b] for (a, b), r in ric4.items()):
+            raise ArithmeticError(f"{self.name}: the Ricci tensor is not a rational multiple of g")
+        return e4.rational() * Fraction(1, 4)
+
+    @cached_property
+    def eigenframe_inverse(self) -> tuple:
+        """P^-1, P the matrix with columns m^+ then m^-: it takes
+        m-coordinates to coordinates in the eigenbasis of J."""
+        return linalg.inverse(linalg.transpose(self.m_plus + self.m_minus))
+
+    @cached_property
+    def complex_structure(self) -> tuple:
+        """J = P diag(i, i, i, -i, -i, -i) P^-1 on m, P the frame m^+ | m^-."""
+        k = len(self.m_plus)
+        d_pinv = [[(I if r < k else -I) * x for x in row] for r, row in enumerate(self.eigenframe_inverse)]
+        return linalg.mat_mul(linalg.transpose(self.m_plus + self.m_minus), d_pinv)
+
     def kahler_form(self) -> Form:
-        return dict(self.kahler)
+        """omega(e_a, e_b) = g(J e_a, e_b) for a < b, in the orthonormal m-basis."""
+        j, md = self.complex_structure, self.m_dim
+        return {(a, b): j[b][a] for a in range(md) for b in range(a + 1, md) if j[b][a]}
 
     def psi_minus_form(self) -> Form:
         return dict(self.psi_minus) if self.psi_minus is not None else {}
@@ -133,9 +178,10 @@ def bracket_closes(mats: tuple, ad: tuple, pairs) -> bool:
     return True
 
 
-def ad_and_gram(mats: tuple, scale: Fraction) -> tuple:
-    """Adjoint matrices and Gram matrix of the basis mats under the trace
-    form Q(x, y) = scale * tr(x y), touching only nonzero entries."""
+def ad_and_gram(mats: tuple, scale: Fraction) -> LieAlgebraData:
+    """The algebra spanned by the basis mats: its adjoint matrices and the
+    Gram matrix of the trace form Q(x, y) = scale * tr(x y) with its
+    inverse, touching only nonzero entries."""
     dim = len(mats)
     s = Scalar.from_fraction(scale)
     nz = [linalg.nonzeros(x) for x in mats]
@@ -177,7 +223,7 @@ def ad_and_gram(mats: tuple, scale: Fraction) -> tuple:
                 ad_entries[a][k, b] = c
                 ad_entries[b][k, a] = -c
     ad = tuple(linalg.from_entries(dim, e) for e in ad_entries)
-    return ad, gram
+    return LieAlgebraData(dim, mats, ad, gram, gram_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +249,7 @@ def _build_s3xs3() -> ReductiveSpace:
     h_mats = tuple(linalg.kron(linalg.identity(3), ya) for ya in y)
     m_mats = tuple(linalg.kron(c, ya) for ya in y for c in (u_coeffs, w_coeffs))
     mats = h_mats + m_mats  # d1, d2, d3, u1, w1, u2, w2, u3, w3
-    ad, gram = ad_and_gram(mats, Fraction(-1, 3))
-    algebra = LieAlgebraData(9, mats, ad, gram)
+    algebra = ad_and_gram(mats, Fraction(-1, 3))
 
     inv_s2 = SQRT2.inverse()
     i_inv_s2 = I * inv_s2
@@ -225,7 +270,6 @@ def _build_s3xs3() -> ReductiveSpace:
     )
     m_minus, minus_w = _conjugate_side(m_plus, plus_w)
 
-    minus_one = -ONE
     return ReductiveSpace(
         **vars(GROUP_RECORDS["s3xs3"]),
         algebra=algebra,
@@ -236,10 +280,7 @@ def _build_s3xs3() -> ReductiveSpace:
         m_plus_weights=plus_w,
         m_minus_weights=minus_w,
         h_weight_torus=((ZERO, ZERO, two_s2),),
-        kahler=(((0, 1), minus_one), ((2, 3), minus_one), ((4, 5), minus_one)),
         psi_minus=None,
-        g_orthonormal=linalg.diag(*[rational(2)] * 3, *[ONE] * 6),
-        einstein_constant=Fraction(5),
         betti=(0, 2),
     )
 
@@ -263,8 +304,7 @@ def _build_cp3() -> ReductiveSpace:
     h_mats = (t1, t2, a, b)
     m_mats = tuple(linalg.mat_scale(SQRT2, ei) for ei in e) + (f1, f2)
     mats = h_mats + m_mats
-    ad, gram = ad_and_gram(mats, Fraction(-1, 4))
-    algebra = LieAlgebraData(10, mats, ad, gram)
+    algebra = ad_and_gram(mats, Fraction(-1, 4))
 
     inv_s2 = SQRT2.inverse()
     i_inv_s2 = I * inv_s2
@@ -287,10 +327,7 @@ def _build_cp3() -> ReductiveSpace:
         m_plus_weights=plus_w,
         m_minus_weights=minus_w,
         h_weight_torus=((ONE, -ONE, ZERO, ZERO), (ONE, ONE, ZERO, ZERO)),
-        kahler=(((0, 1), ONE), ((2, 3), ONE), ((4, 5), -ONE)),
         psi_minus=None,
-        g_orthonormal=linalg.diag(SQRT2, SQRT2, *[ONE] * 8),
-        einstein_constant=Fraction(5),
         betti=(1, 0),
     )
 
@@ -313,8 +350,7 @@ def _su3_frame_mats() -> tuple:
 
 def _build_flag() -> ReductiveSpace:
     mats = _su3_frame_mats()
-    ad, gram = ad_and_gram(mats, Fraction(-1, 2))
-    algebra = LieAlgebraData(8, mats, ad, gram)
+    algebra = ad_and_gram(mats, Fraction(-1, 2))
 
     p1 = (ONE, -I, ZERO, ZERO, ZERO, ZERO)   # e1 - i e2
     p2 = (ZERO, ZERO, ONE, I, ZERO, ZERO)    # e3 + i e4
@@ -322,10 +358,6 @@ def _build_flag() -> ReductiveSpace:
     m_plus = (p1, p2, p3)
     plus_w = ((p1, (1, -1)), (p2, (-2, -1)), (p3, (1, 2)))
     m_minus, minus_w = _conjugate_side(m_plus, plus_w)
-
-    inv_s3 = SQRT3.inverse()
-    g_on = {(k, k): ONE for k in range(8)}
-    g_on[1, 0], g_on[1, 1] = inv_s3, inv_s3 * 2
 
     minus_one = -ONE
     return ReductiveSpace(
@@ -339,10 +371,7 @@ def _build_flag() -> ReductiveSpace:
         m_minus_weights=minus_w,
         # torus of the (z1, z2) parametrization: diag(i,0,-i) = t1 + t2, diag(0,i,-i) = t2
         h_weight_torus=((ONE, ONE), (ZERO, ONE)),
-        kahler=(((0, 1), ONE), ((2, 3), minus_one), ((4, 5), ONE)),
         psi_minus=(((1, 2, 5), ONE), ((0, 3, 5), minus_one), ((0, 2, 4), minus_one), ((1, 3, 4), minus_one)),
-        g_orthonormal=linalg.from_entries(8, g_on),
-        einstein_constant=Fraction(5),
         betti=(2, 0),
     )
 

@@ -16,17 +16,17 @@ the coordinate function of Z_g along e is the coordinate function of
 [e, Z_g] in column g of the adjoint matrix of e.  The sign of this
 convention is fixed once; flipping it negates every degree-1 function and
 leaves the pairing unchanged (test_sign_convention_toggle).  The torsion
-correction acts through the 3-form Psi^- as a derivation.
+correction acts as a derivation through A_X, the m-block of ad(X) on the
+catalog's su(3) frame; a test ties A_X to X -| Psi^-, entry by entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .exterior import contract, derivation_action
+from .exterior import derivation_action
 from .lie import ad_and_gram, bracket_closes, build_space
 from .scalars import I, Scalar, rational
 from .sympoly import (
@@ -69,7 +69,7 @@ def coordinate_derivatives() -> tuple:
     to recombine to the bracket [e_{a+1}, Z_g]."""
     frame = tuple(linalg.from_entries(3, {(k, k): I}) for k in range(3))
     frame += build_space("flag").algebra.basis_matrices[2:]
-    ad, _ = ad_and_gram(frame, Fraction(-1, 2))
+    ad = ad_and_gram(frame, Fraction(-1, 2)).ad
     if not bracket_closes(frame, ad, ((3 + a, g) for a in range(M_DIM) for g in range(len(frame)))):
         raise ValueError("matrix is not in the unitary frame span")
     return tuple(
@@ -78,27 +78,13 @@ def coordinate_derivatives() -> tuple:
     )
 
 
-@lru_cache(maxsize=1)
-def a_endomorphisms() -> tuple:
-    """A_X = X -| Psi^- as a skew endomorphism of m, for X = e_1..e_6;
-    entries A[X][w][b] = Psi^-(e_X, e_b, e_w).  For b < w the (b, w)
-    coefficient c of the 2-form e_X -| Psi^- gives A[X][w][b] = c and
-    A[X][b][w] = -c."""
-    psi = build_space("flag").psi_minus_form()
-    out = []
-    for e_x in linalg.identity(M_DIM):
-        entries = {}
-        for (b, w), c in contract(e_x, psi).items():
-            entries[w, b], entries[b, w] = c, -c
-        out.append(linalg.from_entries(M_DIM, entries))
-    return tuple(out)
-
-
 def _half_torsion(i: int, tensor: Tensor) -> Tensor:
-    """The torsion correction (1/2) A_{e_{i+1}}(tensor), A acting as a
-    derivation on a tensor with polynomial coefficients."""
+    """The torsion correction (1/2) A_{e_{i+1}}(tensor), A_X the m-block of
+    ad(X) acting as a derivation on a tensor with polynomial coefficients."""
+    flag = build_space("flag")
+    hd = flag.h_dim
     half = rational(1, 2)
-    torsion = derivation_action(a_endomorphisms()[i], tensor)
+    torsion = derivation_action([row[hd:] for row in flag.algebra.ad[hd + i][hd:]], tensor)
     return {key: coeff.scale(half) for key, coeff in torsion.items()}
 
 
@@ -173,12 +159,13 @@ def integrand() -> SymPoly:
 
 def obstruction_pairing() -> Scalar:
     """Symmetric-cube pairing of the integrand against the invariant cubic."""
-    return sym_inner(integrand(), det_cubic())
+    return pairing_breakdown()["total"]
 
 
 def pairing_breakdown() -> dict:
-    """Audit subtotals: the pure v-cubic block and the x^2 v block pair
-    separately (the Gram matrix is block diagonal)."""
+    """The symmetric-cube pairing of the integrand against the invariant
+    cubic, with its audit subtotals: the pure v-cubic block and the x^2 v
+    block pair separately (the Gram matrix is block diagonal)."""
     full = integrand()
     det = det_cubic()
     vvv = SymPoly({m: c for m, c in full.terms.items() if not any(m[3:])})
@@ -229,14 +216,6 @@ def killing_check(t1, t2, t3) -> bool:
 # Rigidity verdict
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RigidityReport:
-    pairing_nonzero: bool
-    critical_points_exist: bool
-    rigid: bool
-    status: str
-
-
 def no_critical_point_certificate() -> bool:
     """Whether the invariant cubic F on the traceless slice satisfies
 
@@ -270,7 +249,7 @@ def no_critical_point_certificate() -> bool:
     return lhs == (norm_sq * norm_sq).scale(Fraction(4, 3) * GRAM_D)
 
 
-def rigidity_verdict(pairing: Scalar | None = None) -> RigidityReport:
+def rigidity_verdict(pairing: Scalar) -> dict:
     """Second-order rigidity decision.
 
     The deformations are unobstructed only at critical points of the
@@ -278,18 +257,14 @@ def rigidity_verdict(pairing: Scalar | None = None) -> RigidityReport:
     traceless part of adj(xi), so criticality means that this part
     vanishes; the exact identity of no_critical_point_certificate rules
     that out for every nonzero xi.  A nonzero pairing therefore
-    obstructs every nonzero deformation.
+    obstructs every nonzero deformation.  Returns the verdict document.
     """
-    if pairing is None:
-        pairing = obstruction_pairing()
     if not no_critical_point_certificate():
         raise ArithmeticError("criticality certificate failed; internal inconsistency")
-    nonzero = bool(pairing)
-    rigid = nonzero
-    status = "rigid" if rigid else "undetermined-by-second-order"
-    return RigidityReport(
-        pairing_nonzero=nonzero,
-        critical_points_exist=False,
-        rigid=rigid,
-        status=status,
-    )
+    rigid = bool(pairing)
+    return {
+        "pairing_nonzero": rigid,
+        "critical_points_exist": False,
+        "rigid": rigid,
+        "status": "rigid" if rigid else "undetermined-by-second-order",
+    }

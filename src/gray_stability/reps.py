@@ -327,12 +327,13 @@ def _explicit_rep(name: str, label: tuple) -> tuple:
 
 
 def _casimir_operator(space: ReductiveSpace, rep: list) -> dict:
-    """-sum rho(e)^2 over a Q-orthonormal basis e, on nonzeros {(i, j): c}."""
-    mats = [{} for _ in space.g_orthonormal]
-    for v, m in zip(space.g_orthonormal, mats):
-        for c, x in zip(v, rep):
+    """-sum_ab (G^-1)_ab rho(X_a) rho(X_b), G the Gram matrix of the basis
+    X, on nonzeros {(i, j): c}."""
+    duals = [{} for _ in rep]  # sum_b (G^-1)_ab rho(X_b)
+    for row, m in zip(space.algebra.gram_inv, duals):
+        for c, x in zip(row, rep):
             linalg.axpy(m, c, x)
-    return linalg.sum_of_products((m, m, True) for m in mats)
+    return linalg.sum_of_products((x, m, True) for x, m in zip(rep, duals))
 
 
 def casimir_bruteforce(space: ReductiveSpace, rep: tuple) -> Fraction:

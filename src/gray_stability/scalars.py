@@ -47,7 +47,6 @@ __all__ = [
     "ONE",
     "I",
     "SQRT2",
-    "SQRT3",
     "SQRT6",
     "rational",
 ]
@@ -377,5 +376,4 @@ ZERO = Scalar.from_fraction(0)
 ONE = Scalar.from_fraction(1)
 I = Scalar.basis_element(1)
 SQRT2 = Scalar.basis_element(2)
-SQRT3 = Scalar.basis_element(3)
 SQRT6 = Scalar.basis_element(6)

@@ -171,6 +171,8 @@ def coindex_report(space_name: str) -> StabilityReport:
 
 def assemble_report(space_name: str, rows: list) -> StabilityReport:
     space = build_space(space_name)
+    if space.einstein_constant != 5:  # lambda = 10 - eps is 2E - eps, and 25/4 assumes E = 5
+        raise ArithmeticError(f"{space_name}: Einstein constant {space.einstein_constant}, not 5")
     b2, b3 = space.betti
 
     e_dims: dict[Fraction, int] = {}

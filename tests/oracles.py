@@ -20,6 +20,7 @@ from gray_stability.scalars import BASIS_NAMES, I, ONE, SQRT2, ZERO, Scalar, rat
 from gray_stability.stability import _sqrt_fraction, eigenspace_sources
 from gray_stability.sympoly import SymPoly, eliminate_v3, generators, gram_su3
 
+SQRT3 = Scalar.basis_element(3)
 # Primitive cube root of unity (-1 + i*sqrt3)/2.
 J = Scalar((Fraction(-1, 2), 0, 0, 0, 0, Fraction(1, 2), 0, 0))
 
@@ -139,9 +140,10 @@ def validate_algebra_reference(alg) -> dict:
 
 
 def ad_and_gram_reference(mats, scale) -> tuple:
-    """Reference for lie.ad_and_gram: the Gram matrix of Q(x, y) =
-    scale * tr(x y) by dense trace products, and each column of ad[a] as
-    gram_inv times the pairings of [X_a, X_b] with every basis matrix."""
+    """Reference for lie.ad_and_gram: (ad, gram, gram_inv), the Gram
+    matrix of Q(x, y) = scale * tr(x y) by dense trace products, and each
+    column of ad[a] as gram_inv times the pairings of [X_a, X_b] with
+    every basis matrix."""
 
     def ip(x, y):
         return Scalar.from_fraction(scale) * trace_product(x, y)
@@ -158,7 +160,36 @@ def ad_and_gram_reference(mats, scale) -> tuple:
         )
         for x in mats
     )
-    return ad, gram
+    return ad, gram, gram_inv
+
+
+def nomizu_ricci(space: ReductiveSpace, sign: int = 1, isotropy_term: bool = True) -> tuple:
+    """Reference for ReductiveSpace.einstein_constant: the Ricci tensor on
+    m of the invariant connection with Nomizu map Lambda_X = sign * (1/2)
+    ad_m(X), from its curvature
+
+        R(X, Y) = [Lambda_X, Lambda_Y] - Lambda_{[X, Y]_m} - ad_m([X, Y]_h),
+
+    the last term kept only with isotropy_term, contracted as
+    Ric(Y, Z) = sum_c <R(e_c, Y) Z, e_c> in the orthonormal m-basis."""
+    hd, md, ad = space.h_dim, space.m_dim, space.algebra.ad
+
+    def block(x):  # the m-block of an adjoint matrix
+        return [row[hd:] for row in x[hd:]]
+
+    lam = [linalg.mat_scale(rational(sign, 2), block(ad[hd + a])) for a in range(md)]
+    ad_h = [block(ad[k]) for k in range(hd)]
+
+    def curvature(a, b):
+        bracket = [row[hd + b] for row in ad[hd + a]]  # [e_a, e_b] in g-coordinates
+        r = mat_sub(linalg.mat_mul(lam[a], lam[b]), linalg.mat_mul(lam[b], lam[a]))
+        r = mat_sub(r, linalg.lin_comb(bracket[hd:], lam))
+        return mat_sub(r, linalg.lin_comb(bracket[:hd], ad_h)) if isotropy_term else r
+
+    curv = {(c, y): curvature(c, y) for c in range(md) for y in range(md)}
+    return linalg.from_entries(
+        md, {(y, z): sum((curv[c, y][c][z] for c in range(md)), ZERO) for y in range(md) for z in range(md)}
+    )
 
 
 def dense_rref(a) -> tuple:
@@ -791,9 +822,9 @@ def coordinate_poly(m) -> SymPoly:
 
 
 def psi_lookup() -> dict:
-    """Reference for obstruction.a_endomorphisms: Psi^-(e_a, e_b, e_c) of
-    the flag manifold for every ordered triple of distinct indices, by
-    permuting each stored coefficient with its sign."""
+    """Reference for the torsion endomorphisms A_X of obstruction:
+    Psi^-(e_a, e_b, e_c) of the flag manifold for every ordered triple of
+    distinct indices, by permuting each stored coefficient with its sign."""
     psi = {}
     for key, c in build_space("flag").psi_minus:
         for perm in itertools.permutations(range(3)):

@@ -253,8 +253,8 @@ def test_criterion_07_obstruction_pipeline():
     assert (i0, i1, i2) == (e0, e1, e2)
     assert integrand() == expected_integrand()
     assert obstruction_pairing() == rational(256, 3)
-    verdict = rigidity_verdict()
-    assert verdict.rigid and not verdict.critical_points_exist
+    verdict = rigidity_verdict(obstruction_pairing())
+    assert verdict["rigid"] and not verdict["critical_points_exist"]
     _report(7, "all 36 derivative coefficients, the three invariants, the "
                "integrand, the pairing 256/3 and the rigidity verdict exact")
 

@@ -303,6 +303,19 @@ def test_obstruction_computes_its_terms_once(capsys):
     assert obstruction.integrand.cache_info().misses == 1
 
 
+def test_obstruction_doc_pairs_the_integrand_once(monkeypatch):
+    # the breakdown's two blocks are the only pairings; "pairing" is their total
+    from gray_stability import obstruction
+    from gray_stability.cli import obstruction_doc
+
+    calls = []
+    sym_inner = obstruction.sym_inner
+    monkeypatch.setattr(obstruction, "sym_inner", lambda p, q: calls.append(p) or sym_inner(p, q))
+    doc = obstruction_doc()
+    assert len(calls) == 2
+    assert doc["pairing"] == doc["pairing_breakdown"]["total"] == "256/3"
+
+
 def test_reproduce_all_restricts_each_label_once():
     # the branch tables and the coindex reports' hom_dim both restrict the
     # 17 labels with Casimir <= 12; the second pass reads the cache

@@ -1,14 +1,22 @@
 """Catalog geometry checks: adjoint matrices, inner products, splittings."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from gray_stability import linalg
 from gray_stability.lie import ad_and_gram, bracket_closes, build_space, validate_algebra, validate_space
-from gray_stability.scalars import I, ONE, ZERO, rational
-from oracles import ad_and_gram_reference, commutator, mat_add, trace, validate_algebra_reference
+from gray_stability.scalars import I, ONE, ZERO, Scalar, rational
+from oracles import (
+    ad_and_gram_reference,
+    commutator,
+    mat_add,
+    nomizu_ricci,
+    trace,
+    validate_algebra_reference,
+)
 
 SCALES = {"s3xs3": Fraction(-1, 3), "cp3": Fraction(-1, 4), "flag": Fraction(-1, 2)}
 
@@ -35,16 +43,17 @@ def test_ad_is_bracket_of_basis_matrices(name):
 @pytest.mark.parametrize("name", sorted(SCALES))
 def test_ad_and_gram_matches_dense_reference(name):
     mats = build_space(name).algebra.basis_matrices
-    assert ad_and_gram(mats, SCALES[name]) == ad_and_gram_reference(mats, SCALES[name])
+    alg = ad_and_gram(mats, SCALES[name])
+    assert (alg.ad, alg.gram, alg.gram_inv) == ad_and_gram_reference(mats, SCALES[name])
 
 
 def test_ad_and_gram_matches_dense_reference_on_skew_basis():
     # X_0 + X_2 in place of X_0 pairs t1 with e1, so gram_inv couples h and m
     mats = list(build_space("flag").algebra.basis_matrices)
     mats[0] = mat_add(mats[0], mats[2])
-    ad, gram = ad_and_gram(tuple(mats), SCALES["flag"])
-    assert linalg.inverse(gram)[0][2] != ZERO
-    assert (ad, gram) == ad_and_gram_reference(tuple(mats), SCALES["flag"])
+    alg = ad_and_gram(tuple(mats), SCALES["flag"])
+    assert alg.gram_inv[0][2] != ZERO
+    assert (alg.ad, alg.gram, alg.gram_inv) == ad_and_gram_reference(tuple(mats), SCALES["flag"])
 
 
 def test_unknown_space_rejected():
@@ -154,13 +163,52 @@ def test_cp3_reductivity_brute_force():
 
 
 def test_kahler_elements():
-    assert dict(build_space("flag").kahler) == {(0, 1): ONE, (2, 3): -ONE, (4, 5): ONE}
-    assert dict(build_space("cp3").kahler) == {(0, 1): ONE, (2, 3): ONE, (4, 5): -ONE}
-    assert dict(build_space("s3xs3").kahler) == {
+    assert build_space("flag").kahler_form() == {(0, 1): ONE, (2, 3): -ONE, (4, 5): ONE}
+    assert build_space("cp3").kahler_form() == {(0, 1): ONE, (2, 3): ONE, (4, 5): -ONE}
+    assert build_space("s3xs3").kahler_form() == {
         (0, 1): -ONE,
         (2, 3): -ONE,
         (4, 5): -ONE,
     }
+
+
+@pytest.mark.parametrize("name", sorted(SCALES))
+def test_complex_structure_is_a_real_isometry_squaring_to_minus_one(name):
+    space = build_space(name)
+    j = space.complex_structure
+    assert all(x.is_rational() for row in j for x in row)
+    assert linalg.mat_mul(j, j) == linalg.mat_scale(-ONE, linalg.identity(6))
+    # g(J., J.) = g, g the identity on the orthonormal m-basis
+    assert linalg.mat_mul(linalg.transpose(j), j) == linalg.identity(6)
+    # J is i on m^+ and -i on m^-
+    for sign, side in ((I, space.m_plus), (-I, space.m_minus)):
+        for v in side:
+            assert linalg.mat_vec(j, v) == [sign * x for x in v]
+
+
+@pytest.mark.parametrize("name", sorted(SCALES))
+def test_einstein_constant_is_the_nomizu_ricci_contraction(name):
+    space = build_space(name)
+    hd = space.h_dim
+    g = [row[hd:] for row in space.algebra.gram[hd:]]
+    e = Scalar.from_fraction(space.einstein_constant)
+    assert nomizu_ricci(space) == linalg.mat_scale(e, g)
+
+
+def test_nomizu_ricci_sees_the_sign_of_lambda_and_the_isotropy_term():
+    flag = build_space("flag")
+    assert nomizu_ricci(flag, sign=-1) == linalg.identity(6)
+    assert nomizu_ricci(flag, isotropy_term=False) != nomizu_ricci(flag)
+
+
+def test_einstein_constant_raises_when_m_is_not_orthonormal():
+    # e1 doubled: g(e1, e1) = 4, and the Ricci tensor is no multiple of g
+    flag = build_space("flag")
+    mats = list(flag.algebra.basis_matrices)
+    mats[2] = linalg.mat_scale(rational(2), mats[2])
+    bad = dataclasses.replace(flag, algebra=ad_and_gram(tuple(mats), SCALES["flag"]))
+    with pytest.raises(ArithmeticError, match="not a rational multiple of g"):
+        bad.einstein_constant
 
 
 def test_cp3_kahler_unnormalized_coordinates():
@@ -168,7 +216,7 @@ def test_cp3_kahler_unnormalized_coordinates():
     # 2 e12 + 2 e34 - f12 in the unnormalized so(5) basis, since each
     # hat e_i ^ hat e_j wedge carries a factor (sqrt2)^2 = 2.
     space = build_space("cp3")
-    kahler = dict(space.kahler)
+    kahler = space.kahler_form()
     scale = {(0, 1): rational(2), (2, 3): rational(2), (4, 5): ONE}
     unnormalized = {k: kahler[k] * scale[k] for k in kahler}
     assert unnormalized == {(0, 1): rational(2), (2, 3): rational(2), (4, 5): -ONE}
@@ -192,13 +240,13 @@ def test_psi_minus_flag_coefficients():
     }
 
 
-def test_g_orthonormal_bases():
-    for name in ("s3xs3", "cp3", "flag"):
-        space = build_space(name)
-        alg = space.algebra
-        basis = space.g_orthonormal
-        assert len(basis) == alg.dim
-        for a, u in enumerate(basis):
-            for b, w in enumerate(basis):
-                ip = linalg.mat_vec([u], linalg.mat_vec(alg.gram, w))[0]
-                assert ip == linalg.identity(alg.dim)[a][b], (name, a, b)
+def test_psi_minus_is_the_bracket_three_form():
+    # Psi^-(e_a, e_b, e_c) = <[e_a, e_b]_m, e_c>, read off column b of ad(e_a)
+    flag = build_space("flag")
+    hd, ad = flag.h_dim, flag.algebra.ad
+    bracket = {
+        (a, b, c): ad[hd + a][hd + c][hd + b]
+        for a, b, c in itertools.combinations(range(flag.m_dim), 3)
+        if ad[hd + a][hd + c][hd + b]
+    }
+    assert bracket == dict(flag.psi_minus)

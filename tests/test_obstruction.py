@@ -16,7 +16,6 @@ from gray_stability.exterior import derivation_action
 from gray_stability.lie import build_space
 from gray_stability.obstruction import (
     H_HAT,
-    a_endomorphisms,
     coordinate_derivatives,
     integrand,
     killing_check,
@@ -102,6 +101,13 @@ def test_coordinate_derivatives_check_all_54_frame_brackets(monkeypatch):
     assert sorted(seen[0][1]) == [(3 + a, g) for a in range(6) for g in range(9)]
 
 
+def _a(x: int) -> list:
+    """A_{e_{x+1}}: the m-block of the adjoint matrix of e_{x+1} on flag."""
+    flag = build_space("flag")
+    hd = flag.h_dim
+    return [row[hd:] for row in flag.algebra.ad[hd + x][hd:]]
+
+
 def test_torus_directions_annihilate_v():
     for j in range(3):
         for v in range(3):
@@ -110,14 +116,14 @@ def test_torus_directions_annihilate_v():
 
 
 def test_a_action_displays():
-    a1 = derivation_action(a_endomorphisms()[0], H_HAT)
+    a1 = derivation_action(_a(0), H_HAT)
     # (v1 - v2) (e3 . e5 + e4 . e6) as a symmetric 2-tensor
     d = (V1 - V2)
     assert a1[(2, 4)] == d and a1[(4, 2)] == d
     assert a1[(3, 5)] == d and a1[(5, 3)] == d
     assert set(a1) == {(2, 4), (4, 2), (3, 5), (5, 3)}
 
-    a6 = derivation_action(a_endomorphisms()[5], H_HAT)
+    a6 = derivation_action(_a(5), H_HAT)
     d = (V2 - V3)
     assert a6[(0, 3)] == d and a6[(3, 0)] == d
     assert a6[(1, 2)] == -d and a6[(2, 1)] == -d
@@ -127,19 +133,21 @@ def test_a_action_displays():
 def test_a_action_annihilates_metric():
     metric = {(k, k): SymPoly.constant(1) for k in range(6)}
     for x in range(6):
-        assert derivation_action(a_endomorphisms()[x], metric) == {}
+        assert derivation_action(_a(x), metric) == {}
 
 
 def test_a_endomorphisms_match_permutation_reference():
+    # A_X = X -| Psi^-: the m-block of ad(e_X) is Psi^-(e_X, e_b, e_w) at (w, b)
     psi = psi_lookup()
-    for x, m in enumerate(a_endomorphisms()):
+    for x in range(6):
+        m = _a(x)
         for w in range(6):
             for b in range(6):
                 assert m[w][b] == psi.get((x, b, w), ZERO), (x, w, b)
 
 
 def test_a_endomorphisms_skew():
-    for m in a_endomorphisms():
+    for m in map(_a, range(6)):
         for a in range(6):
             for b in range(6):
                 assert m[a][b] == -m[b][a]
@@ -179,6 +187,11 @@ def test_pairing_value_and_breakdown():
     assert parts["vvv"] == rational(112, 3)  # 672 * (1/18)
     assert parts["xxv"] == rational(48)      # 12 * 6 * (2/3)
     assert parts["total"] == rational(256, 3)
+
+
+def test_breakdown_total_is_the_full_pairing():
+    # the blocks' sum against one pairing of the whole integrand
+    assert pairing_breakdown()["total"] == sym_inner(integrand(), det_cubic())
 
 
 def test_pairing_insensitive_to_trace_relation():
@@ -237,18 +250,19 @@ def test_matrix_reconstruction_round_trip():
 
 
 def test_rigidity_verdict():
-    report = rigidity_verdict()
     assert obstruction_pairing() == rational(256, 3)
-    assert report.pairing_nonzero
-    assert not report.critical_points_exist
-    assert report.rigid
-    assert report.status == "rigid"
+    assert rigidity_verdict(obstruction_pairing()) == {
+        "pairing_nonzero": True,
+        "critical_points_exist": False,
+        "rigid": True,
+        "status": "rigid",
+    }
 
 
 def test_rigidity_verdict_with_zero_pairing_is_undetermined():
     report = rigidity_verdict(pairing=ZERO)
-    assert not report.rigid
-    assert report.status == "undetermined-by-second-order"
+    assert not report["pairing_nonzero"] and not report["rigid"]
+    assert report["status"] == "undetermined-by-second-order"
 
 
 def test_no_critical_point_certificate_holds():

@@ -330,7 +330,7 @@ def test_explicit_rep_matches_reference_matrices():
 def _rewrite_j(x, jj):
     # Decompose x = p + q*j with p, q in Q(i, sqrt2); since
     # j = (-1 + i sqrt3)/2, the sqrt3-part of x determines q exactly.
-    from gray_stability.scalars import SQRT3
+    from oracles import SQRT3
 
     q = (x - x.galois(flip_sqrt3=True)) * (I * SQRT3).inverse()
     p = x - q * J

@@ -12,13 +12,12 @@ from gray_stability.scalars import (
     I,
     ONE,
     SQRT2,
-    SQRT3,
     SQRT6,
     ZERO,
     Scalar,
     rational,
 )
-from oracles import J, from_json, imag, real, scalar_json_reference, scalar_str_reference
+from oracles import SQRT3, J, from_json, imag, real, scalar_json_reference, scalar_str_reference
 
 
 def test_cube_root_of_unity():

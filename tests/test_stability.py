@@ -1,12 +1,13 @@
 """Spectral case analysis and the coindex assembly."""
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from gray_stability import branching, fourier, reps
+from gray_stability import branching, fourier, reps, stability
 from gray_stability.branching import hom_dim
 from gray_stability.forms import lambda11_0
 from gray_stability.stability import (
@@ -178,6 +179,16 @@ def test_report_invariant_under_permuted_enumeration():
         b = assemble_report(name, shuffled)
         assert a.coindex == b.coindex and a.ied_dim == b.ied_dim
         assert a.destabilizing == b.destabilizing
+
+
+def test_assemble_report_rejects_an_einstein_constant_other_than_5(monkeypatch):
+    # its thresholds lambda = 10 - eps = 2E - eps and eps = 25/4 assume E = 5
+    rows = coindex_report("cp3").casimir_rows
+    other = dataclasses.replace(build_space("cp3"))  # a copy with nothing derived yet
+    other.__dict__["einstein_constant"] = Fraction(6)
+    monkeypatch.setattr(stability, "build_space", lambda name: other)
+    with pytest.raises(ArithmeticError, match="Einstein constant 6, not 5"):
+        assemble_report("cp3", rows)
 
 
 def test_matrix_a_left_eigenvectors():

@@ -1,5 +1,6 @@
 """Every function, method, class and module constant of the library has a
-caller inside the library, and every field of a dataclass is read there.
+caller inside the library, and every field of a dataclass is read there;
+and no float enters the library.
 
 Reference code that only the tests need lives in ``tests/oracles.py``;
 the library keeps what its commands run.  The scan is by name: a
@@ -15,6 +16,11 @@ is not a use of a module-level ``zeros``.
 Known limit: attributes match by bare name, so a definition or a field
 that shares its name with a used attribute (say a field ``name`` beside
 every ``space.name``) passes unseen.
+
+The float scan rejects, anywhere in ``src/gray_stability``, a float or
+complex literal, the name ``float``, the true-division operator ``/`` and
+every ``math`` function but the integer ones; exact arithmetic divides
+through ``Fraction`` or ``Scalar.inverse``.
 """
 
 import ast
@@ -29,7 +35,10 @@ EXEMPT = {
     "linalg.det3": "tracer boundary; the 3x3 determinant is a test oracle",
     "linalg.adjugate3": "tracer boundary; the 3x3 adjugate is a test oracle",
     "reps.casimir_bruteforce": "tracer boundary; cross-checks casimir_constant in the tests",
+    "obstruction.obstruction_pairing": "tracer boundary; the commands read the pairing off pairing_breakdown",
 }
+# The math functions that stay in the integers.
+INTEGER_MATH = {"isqrt", "gcd", "lcm", "prod", "comb"}
 
 
 def _dunder(name: str) -> bool:
@@ -132,6 +141,56 @@ def unreferenced(src: pathlib.Path = SRC) -> list:
             if outside <= 0:
                 out.append(qualname)
     return sorted(out)
+
+
+def float_uses(src: pathlib.Path = SRC) -> list:
+    """'module:line: what' for every float literal, name float, true
+    division and non-integer math function in the modules under src."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            found = []
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found = [f"literal {node.value!r}"]
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found = ["float"]
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found = ["/"]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "math" and node.attr not in INTEGER_MATH):
+                found = [f"math.{node.attr}"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found = [f"from math import {a.name}" for a in node.names if a.name not in INTEGER_MATH]
+            out += [f"{path.stem}:{node.lineno}: {what}" for what in found]
+    return out
+
+
+def test_no_float_enters_the_library():
+    assert float_uses() == []
+
+
+def test_float_scan_sees_literals_division_and_math(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import math\n"
+        "from math import gcd, sqrt\n"
+        "HALF = 0.5\n"
+        "ROOT = 2j\n"
+        "def ratio(p, q):\n"
+        "    q /= 2\n"
+        "    return float(p) + p / q + p // q\n"
+        "def norm(n):\n"
+        "    return math.isqrt(n) + math.sqrt(n) + math.comb(n, 2) + gcd(n, 2)\n",
+        encoding="utf-8",
+    )
+    assert float_uses(tmp_path) == [
+        "a:2: from math import sqrt",
+        "a:3: literal 0.5",
+        "a:4: literal 2j",
+        "a:6: /",
+        "a:7: /",
+        "a:7: float",
+        "a:9: math.sqrt",
+    ]
 
 
 def test_every_definition_has_a_caller_in_src():
