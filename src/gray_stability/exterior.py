@@ -51,22 +51,6 @@ def alternate(tensor: dict) -> Form:
     return out
 
 
-def contract(x: list, form: Form) -> Form:
-    """Interior product x -| form, contraction convention
-    x -| (v1 ^ ... ^ vk) = sum_s (-1)^(s-1) <x, v_s> v1 ^ ... (omit s) ... ^ vk
-    with the bilinear pairing of the orthonormal base frame.
-    """
-    out: Form = {}
-    for key, coeff in form.items():
-        for slot, idx in enumerate(key):
-            xc = x[idx]
-            if not xc:
-                continue
-            val = xc * coeff
-            add_into(out, key[:slot] + key[slot + 1 :], -val if slot % 2 else val)
-    return out
-
-
 def form_inner(a: Form, b: Form) -> Scalar:
     """Bilinear inner product induced by the orthonormal base frame:
     <u1 ^ u2, w1 ^ w2> = <u1,w1><u2,w2> - <u1,w2><u2,w1>, etc."""

@@ -10,18 +10,16 @@ of that module, v the basis of V.  The codifferential acts on it by
 summed over the real orthonormal basis (e_a) of the reductive complement,
 with the contraction convention e -| (x ^ y) = <e,x> y - <e,y> x extended
 bilinearly; its image is the sparse vector {(i, v): c}, i indexing (e_a).
-The contractions e_a -| Lambda_w are tabulated once per space.
+Each wedge e_p ^ e_q of Lambda_w contracts to e_q along e_p and to -e_p
+along e_q, and every other e_a kills it.
 The kernel dimension of delta on the homomorphism space is the coclosed
 multiplicity.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import linalg
 from .branching import hom_dim
-from .exterior import contract
 from .forms import lambda11_0
 from .lie import ReductiveSpace
 from .reps import explicit_rep
@@ -64,34 +62,26 @@ def proto_delta(space: ReductiveSpace, gamma: tuple, basis: list) -> list:
     """Prototypical codifferential of each Fourier coefficient in basis, as
     the sparse image {(i, v): c} in the real orthonormal coordinates i of
     the complexified reductive complement, by one pass over the nonzeros of
-    F: delta(F)(i, v) = sum F[w, l] rho(e_a)[l][v] (e_a -| Lambda_w)[i]."""
+    F: delta(F)(i, v) = sum F[w, l] rho(e_a)[l][v] (e_a -| Lambda_w)[i],
+    read off the wedges e_p ^ e_q of Lambda_w."""
     if not basis:
         return []
     rep = explicit_rep(space, gamma)
     # rho[a][l]: the nonzeros (v, x) of row l of rho(e_a)
     rho = [[[(v, x) for v, x in enumerate(row) if x] for row in m] for m in rep[space.h_dim :]]
-    hook = _hooks(space.name, space.m_dim)
+    vectors = lambda11_0(space.name).vectors
     images = []
     for f in basis:
         out: dict = {}
         for (w, l), c in f.items():
-            for a, hooked in hook[w]:
-                for v, x in rho[a][l]:
-                    cx = c * x
-                    for (i,), h in hooked.items():
-                        linalg.add_into(out, (i, v), cx * h)
+            for (p, q), y in vectors[w].items():
+                cy = c * y
+                for v, x in rho[p][l]:
+                    linalg.add_into(out, (q, v), cy * x)
+                for v, x in rho[q][l]:
+                    linalg.add_into(out, (p, v), -(cy * x))
         images.append(out)
     return images
-
-
-@lru_cache(maxsize=None)
-def _hooks(name: str, m_dim: int) -> tuple:
-    """hook[w]: the (a, e_a -| Lambda_w) whose contraction is nonzero."""
-    frame = linalg.identity(m_dim)
-    return tuple(
-        tuple((a, h) for a, h in enumerate(contract(e, vec) for e in frame) if h)
-        for vec in lambda11_0(name).vectors
-    )
 
 
 def m_complex_coords(space: ReductiveSpace, images: list, vd: int) -> list:

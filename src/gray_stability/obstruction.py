@@ -18,17 +18,21 @@ convention is fixed once; flipping it negates every degree-1 function and
 leaves the pairing unchanged (test_sign_convention_toggle).  The torsion
 correction acts as a derivation through A_X, the m-block of ad(X) on the
 catalog's su(3) frame; a test ties A_X to X -| Psi^-, entry by entry.
+
+The invariants I0 = tr(h^3), I1 and I2 are each one SymPoly.sum over the
+nonzeros of h and of nabla h.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
 from .exterior import derivation_action
 from .lie import ad_and_gram, bracket_closes, build_space
-from .scalars import I, Scalar, rational
+from .scalars import I, ZERO, Scalar, rational
 from .sympoly import (
     GRAM_D,
     INTEGRAL_GRAM,
@@ -61,7 +65,6 @@ H_HAT: Tensor = {
 }
 
 
-@lru_cache(maxsize=1)
 def coordinate_derivatives() -> tuple:
     """D[a][g]: the derivative of coordinate function g along e_{a+1}, the
     linear polynomial whose coefficients are column g of the adjoint
@@ -80,12 +83,13 @@ def coordinate_derivatives() -> tuple:
 
 def _half_torsion(i: int, tensor: Tensor) -> Tensor:
     """The torsion correction (1/2) A_{e_{i+1}}(tensor), A_X the m-block of
-    ad(X) acting as a derivation on a tensor with polynomial coefficients."""
+    ad(X) acting as a derivation on a tensor whose coefficients are
+    polynomials or constants."""
     flag = build_space("flag")
     hd = flag.h_dim
     half = rational(1, 2)
     torsion = derivation_action([row[hd:] for row in flag.algebra.ad[hd + i][hd:]], tensor)
-    return {key: coeff.scale(half) for key, coeff in torsion.items()}
+    return {key: coeff * half for key, coeff in torsion.items()}
 
 
 @lru_cache(maxsize=1)
@@ -99,7 +103,7 @@ def nabla_h() -> dict:
     for i, derivs in enumerate(coordinate_derivatives()):
         t = _half_torsion(i, H_HAT)
         for key, p in H_HAT.items():
-            d = sum((p.partial(k) * dk for k, dk in enumerate(derivs)), SymPoly())
+            d = SymPoly.sum(p.partial(k) * dk for k, dk in enumerate(derivs))
             linalg.add_into(t, key, d)
         out.update(((i,) + key, coeff) for key, coeff in t.items())
     return out
@@ -111,38 +115,37 @@ def nabla_h_entry(i: int, k: int) -> list:
     return [table.get((i, k, l), SymPoly.zero()) for l in range(M_DIM)]
 
 
+def trace_cube(tensor: Tensor) -> SymPoly:
+    """tr(t^3) = sum t_ab t_bc t_ca over the nonzeros of a 2-tensor."""
+    return SymPoly.sum(
+        tab * tbc * tca
+        for (a, b), tab in tensor.items()
+        for (p, c), tbc in tensor.items()
+        if p == b and (tca := tensor.get((c, a)))
+    )
+
+
 @lru_cache(maxsize=1)
 def obstruction_terms() -> tuple:
-    """The three scalar invariants of the obstruction integrand, reduced to
-    the canonical representatives modulo the trace relation."""
+    """The three scalar invariants of the obstruction integrand,
+    I0 = tr(h^3), I1 = h_ij <nabla_i h, nabla_j h> and
+    I2 = h_ij (nabla_k h)_il (nabla_j h)_kl, each summed over the nonzeros
+    of nabla_h and reduced to its canonical representative modulo the
+    trace relation."""
     table = nabla_h()
-
-    i0 = SymPoly.zero()
-    for a in range(M_DIM):
-        c = H_HAT.get((a, a))
-        if c:
-            i0 = i0 + c * c * c
-
-    def entry(i, k, l):
-        return table.get((i, k, l))
-
-    i1 = SymPoly.zero()
-    i2 = SymPoly.zero()
-    for (i, j), hij in H_HAT.items():
-        acc1 = SymPoly.zero()
-        acc2 = SymPoly.zero()
-        for k in range(M_DIM):
-            for l in range(M_DIM):
-                a = entry(i, k, l)
-                b = entry(j, k, l)
-                if a and b:
-                    acc1 = acc1 + a * b
-                c = entry(k, i, l)
-                if c and b:
-                    acc2 = acc2 + c * b
-        i1 = i1 + hij * acc1
-        i2 = i2 + hij * acc2
-    return reduce_v_cubic(i0), reduce_v_cubic(i1), reduce_v_cubic(i2)
+    i1 = SymPoly.sum(
+        hij * a * b
+        for (i, j), hij in H_HAT.items()
+        for (p, k, l), a in table.items()
+        if p == i and (b := table.get((j, k, l)))
+    )
+    i2 = SymPoly.sum(
+        hij * c * b
+        for (i, j), hij in H_HAT.items()
+        for (k, p, l), c in table.items()
+        if p == i and (b := table.get((j, k, l)))
+    )
+    return reduce_v_cubic(trace_cube(H_HAT)), reduce_v_cubic(i1), reduce_v_cubic(i2)
 
 
 @lru_cache(maxsize=1)
@@ -190,26 +193,14 @@ def killing_check(t1, t2, t3) -> bool:
     t1, t2, t3 = Fraction(t1), Fraction(t2), Fraction(t3)
     if t1 + t2 + t3 != 0:
         raise ValueError("canonical-variation coefficients must sum to zero")
-    coeffs = {
-        (0, 0): t1, (1, 1): t1,
-        (2, 2): t2, (3, 3): t2,
-        (4, 4): t3, (5, 5): t3,
-    }
-    tensor = {k: SymPoly.constant(v) for k, v in coeffs.items() if v}
+    tensor = {(a, a): Scalar.from_fraction(t) for a, t in enumerate((t1, t1, t2, t2, t3, t3)) if t}
     nabla = {
         (i,) + key: coeff for i in range(M_DIM) for key, coeff in _half_torsion(i, tensor).items()
     }
-    for a in range(M_DIM):
-        for b in range(M_DIM):
-            for c in range(M_DIM):
-                s = SymPoly.zero()
-                for key in ((a, b, c), (b, c, a), (c, a, b)):
-                    term = nabla.get(key)
-                    if term:
-                        s = s + term
-                if s:
-                    return False
-    return True
+    return not any(
+        nabla.get((a, b, c), ZERO) + nabla.get((b, c, a), ZERO) + nabla.get((c, a, b), ZERO)
+        for a, b, c in itertools.product(range(M_DIM), repeat=3)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +228,13 @@ def no_critical_point_certificate() -> bool:
     slice_gens = [k for k in range(NGENS) if k != 2]
     grad = {a: f.partial(a) for a in slice_gens}
     # D * lhs over the integral Gram, each unordered pair once
-    lhs = SymPoly()
-    for i, a in enumerate(slice_gens):
-        for b in slice_gens[i:]:
-            g = INTEGRAL_GRAM[a][b]
-            if g:
-                lhs = lhs + (grad[a] * grad[b]).scale(g if a == b else 2 * g)
-    v_sq = sum((g * g for g in _GENS[:3]), SymPoly())
-    x_sq = sum((g * g for g in _GENS[3:]), SymPoly())
-    norm_sq = eliminate_v3(v_sq.scale(2) + x_sq)
+    lhs = SymPoly.sum(
+        (grad[a] * grad[b]).scale(g if a == b else 2 * g)
+        for i, a in enumerate(slice_gens)
+        for b in slice_gens[i:]
+        if (g := INTEGRAL_GRAM[a][b])
+    )
+    norm_sq = eliminate_v3(SymPoly.sum((g * g).scale(2 if k < 3 else 1) for k, g in enumerate(_GENS)))
     return lhs == (norm_sq * norm_sq).scale(Fraction(4, 3) * GRAM_D)
 
 

@@ -5,16 +5,20 @@ is NOT quotiented out.  Well-definedness of the symmetric-power inner
 product under that relation comes from the degenerate Gram matrix, whose
 kernel is spanned by v1 + v2 + v3.
 
+Every sum of polynomials goes through one accumulator, SymPoly.sum, which
+adds each term into a single dict with linalg.add_into; ``+`` is its
+two-operand case.
+
 The pairing of two degree-k monomials is a permanent of Gram entries,
 taken in ints over the integral Gram matrix D*G (D = 6, the lcm of G's
-denominators, checked at import) and divided by D**k once.
+denominators, checked at import) and divided by D**k once.  It is not
+memoized: the pairings a command takes share no monomial pair.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import add
 
@@ -63,18 +67,20 @@ class SymPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    @staticmethod
+    def sum(polys) -> "SymPoly":
+        """The sum of polys, every term added into one dict."""
+        out: dict = {}
+        for p in polys:
+            for m, c in p.terms.items():
+                add_into(out, m, c)
+        return _of(out)
+
     def __add__(self, other: "SymPoly") -> "SymPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            add_into(out, m, c)
-        p = SymPoly()
-        p.terms = out
-        return p
+        return SymPoly.sum((self, other))
 
     def __neg__(self) -> "SymPoly":
-        p = SymPoly()
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return _of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "SymPoly") -> "SymPoly":
         return self + (-other)
@@ -85,9 +91,7 @@ class SymPoly:
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     add_into(out, tuple(map(add, m1, m2)), c1 * c2)
-            p = SymPoly()
-            p.terms = out
-            return p
+            return _of(out)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -96,19 +100,11 @@ class SymPoly:
         c = c if isinstance(c, Scalar) else Scalar.from_fraction(c)
         if not c:
             return SymPoly()
-        p = SymPoly()
-        p.terms = {m: c * v for m, v in self.terms.items()}
-        return p
+        return _of({m: c * v for m, v in self.terms.items()})
 
     def partial(self, k: int) -> "SymPoly":
         """Partial derivative along the k-th generator."""
-        p = SymPoly()
-        p.terms = {
-            m[:k] + (m[k] - 1,) + m[k + 1 :]: c * m[k]
-            for m, c in self.terms.items()
-            if m[k]
-        }
-        return p
+        return _of({m[:k] + (m[k] - 1,) + m[k + 1 :]: c * m[k] for m, c in self.terms.items() if m[k]})
 
     def is_homogeneous(self, k: int | None = None) -> bool:
         degs = {sum(m) for m in self.terms}
@@ -121,7 +117,7 @@ class SymPoly:
     def substitute_polys(self, values: list) -> "SymPoly":
         """Substitute polynomials for the generators, each power once."""
         powers = [[SymPoly.constant(ONE), v] for v in values]
-        total = SymPoly()
+        images = []
         for m, c in self.terms.items():
             term = SymPoly.constant(c)
             for k, e in enumerate(m):
@@ -130,8 +126,8 @@ class SymPoly:
                     while len(pk) <= e:
                         pk.append(pk[-1] * values[k])
                     term = term * pk[e]
-            total = total + term
-        return total
+            images.append(term)
+        return SymPoly.sum(images)
 
     def __str__(self):
         if not self.terms:
@@ -165,6 +161,13 @@ class SymPoly:
         return f"SymPoly({self})"
 
 
+def _of(terms: dict) -> SymPoly:
+    """The SymPoly on terms, a dict that stores no zero coefficient."""
+    p = SymPoly()
+    p.terms = terms
+    return p
+
+
 def _grlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in m))
 
@@ -196,7 +199,6 @@ if [[Fraction(x, GRAM_D) for x in row] for row in INTEGRAL_GRAM] != _GRAM:
     raise ArithmeticError("D * G is not integral")
 
 
-@lru_cache(maxsize=None)
 def _monomial_pairing(m1: Monomial, m2: Monomial) -> Scalar:
     """<m1, m2> on the symmetric power: the sum over permutations of the
     Gram products of the two monomials' factors, taken in ints over D*G
@@ -217,8 +219,6 @@ def sym_inner(p: SymPoly, q: SymPoly) -> Scalar:
     """Inner product on the k-th symmetric power:
     <a_1...a_k, b_1...b_k> = sum over permutations of prod <a_i, b_sigma(i)>,
     extended bilinearly.  Both arguments must be homogeneous of equal degree.
-    The pairing of two monomials depends on their exponents alone, so it
-    is computed once per pair and kept.
     """
     if not p.terms or not q.terms:
         if p.is_homogeneous() and q.is_homogeneous():
@@ -249,13 +249,16 @@ def det_cubic() -> SymPoly:
     reconstructed matrix (see the tests); they make the cubic exactly
     torus invariant, which any conjugation-invariant function must be.
     """
-    p = (V1 * V2 * V3).scale(8)
-    p = p + (X[1] * X[2] * X[4]).scale(2) + (X[0] * X[2] * X[5]).scale(2)
-    p = p + (X[1] * X[3] * X[5]).scale(2) - (X[0] * X[3] * X[4]).scale(2)
-    p = p - ((X[0] * X[0] + X[1] * X[1]) * V3).scale(2)
-    p = p - ((X[2] * X[2] + X[3] * X[3]) * V2).scale(2)
-    p = p - ((X[4] * X[4] + X[5] * X[5]) * V1).scale(2)
-    return p
+    return SymPoly.sum((
+        (V1 * V2 * V3).scale(8),
+        (X[1] * X[2] * X[4]).scale(2),
+        (X[0] * X[2] * X[5]).scale(2),
+        (X[1] * X[3] * X[5]).scale(2),
+        (X[0] * X[3] * X[4]).scale(-2),
+        ((X[0] * X[0] + X[1] * X[1]) * V3).scale(-2),
+        ((X[2] * X[2] + X[3] * X[3]) * V2).scale(-2),
+        ((X[4] * X[4] + X[5] * X[5]) * V1).scale(-2),
+    ))
 
 
 def reduce_v_cubic(p: SymPoly) -> SymPoly:

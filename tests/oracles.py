@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from gray_stability import linalg
 from gray_stability.branching import decompose_weights
-from gray_stability.exterior import Form, contract, wedge2
+from gray_stability.exterior import Form, wedge2
 from gray_stability.forms import HRep, _h_action_matrices, _span_coords, lambda11_0
 from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, build_space
@@ -365,6 +365,22 @@ def permutation_sign(perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def contract(x: list, form: Form) -> Form:
+    """Interior product x -| form, contraction convention
+    x -| (v1 ^ ... ^ vk) = sum_s (-1)^(s-1) <x, v_s> v1 ^ ... (omit s) ... ^ vk
+    with the bilinear pairing of the orthonormal base frame.
+    """
+    out: Form = {}
+    for key, coeff in form.items():
+        for slot, idx in enumerate(key):
+            xc = x[idx]
+            if not xc:
+                continue
+            val = xc * coeff
+            linalg.add_into(out, key[:slot] + key[slot + 1 :], -val if slot % 2 else val)
+    return out
 
 
 def alternate_reference(tensor: dict) -> Form:
@@ -778,6 +794,18 @@ def substitute_polys_reference(p: SymPoly, values: list) -> SymPoly:
                 term = term * values[k]
         total = total + term
     return total
+
+
+def trace_cube_reference(tensor: dict, n: int = 6) -> SymPoly:
+    """Reference for obstruction.trace_cube: tr(t^3) of the dense n x n
+    matrix of polynomials, by two matrix products."""
+    t = [[tensor.get((a, b), SymPoly()) for b in range(n)] for a in range(n)]
+
+    def product(x, y):
+        return [[sum((x[a][k] * y[k][b] for k in range(n)), SymPoly()) for b in range(n)] for a in range(n)]
+
+    cube = product(product(t, t), t)
+    return sum((cube[a][a] for a in range(n)), SymPoly())
 
 
 def equal_mod_trace(p: SymPoly, q: SymPoly) -> bool:

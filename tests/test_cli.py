@@ -303,6 +303,23 @@ def test_obstruction_computes_its_terms_once(capsys):
     assert obstruction.integrand.cache_info().misses == 1
 
 
+def test_obstruction_doc_sums_polynomials_in_one_accumulator(monkeypatch):
+    # every polynomial sum goes through SymPoly.sum; a sum written as a
+    # chain of `acc + x` costs hundreds of two-operand additions
+    from gray_stability import obstruction
+    from gray_stability.cli import obstruction_doc
+    from gray_stability.sympoly import SymPoly
+
+    calls = []
+    add = SymPoly.__add__
+    monkeypatch.setattr(SymPoly, "__add__", lambda p, q: calls.append(p) or add(p, q))
+    obstruction.obstruction_terms.cache_clear()
+    obstruction.nabla_h.cache_clear()
+    obstruction.integrand.cache_clear()
+    assert obstruction_doc()["pairing"] == "256/3"
+    assert 0 < len(calls) <= 100
+
+
 def test_obstruction_doc_pairs_the_integrand_once(monkeypatch):
     # the breakdown's two blocks are the only pairings; "pairing" is their total
     from gray_stability import obstruction

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gray_stability import linalg
+from gray_stability.exterior import derivation_action
 from gray_stability.lie import ad_and_gram, bracket_closes, build_space, validate_algebra, validate_space
 from gray_stability.scalars import I, ONE, ZERO, Scalar, rational
 from oracles import (
@@ -193,6 +194,39 @@ def test_einstein_constant_is_the_nomizu_ricci_contraction(name):
     g = [row[hd:] for row in space.algebra.gram[hd:]]
     e = Scalar.from_fraction(space.einstein_constant)
     assert nomizu_ricci(space) == linalg.mat_scale(e, g)
+
+
+def _nabla_omega(space, omega) -> dict:
+    """(nabla_X omega)(a, b) = (Lambda_X . omega)(a, b), Lambda_X = (1/2) ad_m(X)
+    the Nomizu map of the normal metric, on the orthonormal m-basis."""
+    hd = space.h_dim
+    full = {}
+    for (a, b), c in omega.items():
+        full[a, b], full[b, a] = c, -c
+    out = {}
+    for x in range(space.m_dim):
+        lam = [[y * rational(1, 2) for y in row[hd:]] for row in space.algebra.ad[hd + x][hd:]]
+        out.update(((x,) + key, c) for key, c in derivation_action(lam, full).items())
+    return out
+
+
+def _skew_in_first_two(t: dict) -> bool:
+    return all(t.get((x, a, b), ZERO) == -t.get((a, x, b), ZERO) for x, a, b in itertools.product(range(6), repeat=3))
+
+
+@pytest.mark.parametrize("name", sorted(SCALES))
+def test_nabla_omega_is_totally_skew_and_nonzero(name):
+    # strict nearly Kaehler: nabla omega is a nonzero 3-form; it is skew
+    # in (a, b) by construction, so skewness in (X, a) makes it total
+    space = build_space(name)
+    omega = space.kahler_form()
+    t = _nabla_omega(space, omega)
+    assert t and _skew_in_first_two(t)
+    # negative control: J flipped on one 2-plane is no longer nearly Kaehler
+    plane = next(iter(omega))
+    flipped = dict(omega)
+    flipped[plane] = -flipped[plane]
+    assert not _skew_in_first_two(_nabla_omega(space, flipped))
 
 
 def test_nomizu_ricci_sees_the_sign_of_lambda_and_the_isotropy_term():

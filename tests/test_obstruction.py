@@ -26,9 +26,10 @@ from gray_stability.obstruction import (
     obstruction_terms,
     pairing_breakdown,
     rigidity_verdict,
+    trace_cube,
 )
-from gray_stability.scalars import I, ZERO, rational
-from gray_stability.sympoly import SymPoly, V1, V2, V3, X, det_cubic, sym_inner
+from gray_stability.scalars import I, ONE, ZERO, rational
+from gray_stability.sympoly import SymPoly, V1, V2, V3, X, det_cubic, reduce_v_cubic, sym_inner
 from oracles import (
     _frame,
     commutator,
@@ -37,6 +38,7 @@ from oracles import (
     psi_lookup,
     torus_derivative,
     trace,
+    trace_cube_reference,
 )
 
 
@@ -72,12 +74,8 @@ def test_coordinate_derivatives_check_the_frame_span(monkeypatch):
     space = build_space("flag")
     algebra = SimpleNamespace(basis_matrices=space.algebra.basis_matrices[:-1])
     monkeypatch.setattr(obstruction, "build_space", lambda name: SimpleNamespace(algebra=algebra))
-    coordinate_derivatives.cache_clear()
-    try:
-        with pytest.raises(ValueError, match="not in the unitary frame span"):
-            coordinate_derivatives()
-    finally:
-        coordinate_derivatives.cache_clear()
+    with pytest.raises(ValueError, match="not in the unitary frame span"):
+        coordinate_derivatives()
 
 
 def test_coordinate_derivatives_check_all_54_frame_brackets(monkeypatch):
@@ -92,11 +90,7 @@ def test_coordinate_derivatives_check_all_54_frame_brackets(monkeypatch):
         return original(mats, ad, pairs)
 
     monkeypatch.setattr(obstruction, "bracket_closes", recording)
-    coordinate_derivatives.cache_clear()
-    try:
-        coordinate_derivatives()
-    finally:
-        coordinate_derivatives.cache_clear()
+    coordinate_derivatives()
     assert [n for n, _ in seen] == [9]
     assert sorted(seen[0][1]) == [(3 + a, g) for a in range(6) for g in range(9)]
 
@@ -221,6 +215,19 @@ def test_sign_convention_toggle():
     assert sym_inner(minus, flipped_det) == sym_inner(plus, det_cubic())
 
 
+def test_trace_cube_is_the_trace_of_the_cube():
+    # I0 = tr(h^3): on the diagonal H_HAT it is the sum of the cubed
+    # diagonal, 6 v1 v2 v3 modulo the trace; an off-diagonal x1 at (1,2)
+    # adds 3 (h_11 + h_22) x1^2 = 6 v3 x1^2, which the diagonal misses
+    assert trace_cube(H_HAT) == trace_cube_reference(H_HAT)
+    assert reduce_v_cubic(trace_cube(H_HAT)) == (V1 * V2 * V3).scale(6)
+    off = dict(H_HAT)
+    off[0, 1] = off[1, 0] = X[0]
+    diagonal = SymPoly.sum(off[a, a] * off[a, a] * off[a, a] for a in range(6))
+    assert trace_cube(off) == trace_cube_reference(off)
+    assert trace_cube(off) - diagonal == (V3 * X[0] * X[0]).scale(6)
+
+
 def test_killing_property():
     assert killing_check(1, -1, 0)
     assert killing_check(0, 0, 0)
@@ -228,6 +235,12 @@ def test_killing_property():
     assert killing_check(Fraction(1, 3), Fraction(1, 6), Fraction(-1, 2))
     with pytest.raises(ValueError):
         killing_check(1, 1, 1)
+
+
+def test_killing_check_can_say_no(monkeypatch):
+    # a torsion term at (e1; e1, e1) leaves the cyclic sum 3 there
+    monkeypatch.setattr(obstruction, "_half_torsion", lambda i, tensor: {(0, 0): ONE} if i == 0 else {})
+    assert not killing_check(1, -1, 0)
 
 
 def test_matrix_reconstruction_round_trip():
