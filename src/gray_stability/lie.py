@@ -3,11 +3,14 @@
 A catalog space types its bracket and its complex structure, nothing
 metric: the basis matrices of the symmetry algebra (isotropy subalgebra
 first, then an orthonormal basis of the reductive complement m) with the
-scale of their trace form, the eigenspaces m^+ and m^- of J in m^C with
-their weight vectors and the isotropy torus, the Betti numbers, and on
-the flag manifold the imaginary part Psi^- of the complex volume form, a
-witness that a test compares with the bracket.  What the metric gives is
-derived from ``ad`` and the Gram matrix, lazily, once per space:
+scale of their trace form, the +i eigenspace m^+ of J in m^C with its
+weight basis and the isotropy torus, the Betti numbers, and on the flag
+manifold the imaginary part Psi^- of the complex volume form, a witness
+that a test compares with the bracket.  What follows from these is
+derived where it is read, once per space: m^- and its weight basis are
+the conjugates of m^+ with the weights negated, dim m is twice dim m^+
+and dim h is dim g - dim m.  What the metric gives is derived from
+``ad`` and the Gram matrix:
 
 - the Einstein constant E, from the Ricci tensor of the normal metric,
   Ric(X, Y) = -B(X, Y)/2 - (1/4) sum_i <[X, e_i]_m, [Y, e_i]_m> with B
@@ -75,31 +78,48 @@ def group_record(name: str) -> GroupRecord:
 class LieAlgebraData:
     """Basis, adjoint matrices and invariant inner product of g."""
 
-    dim: int
     basis_matrices: tuple
     ad: tuple        # ad[a] = matrix of ad(basis_a); column b = coordinates of [basis_a, basis_b]
     gram: tuple      # gram[a][b] = Q(basis_a, basis_b)
     gram_inv: tuple  # the inverse of gram: Q-dual coordinates
 
+    @property
+    def dim(self) -> int:
+        return len(self.basis_matrices)
+
 
 @dataclass(frozen=True)
 class ReductiveSpace(GroupRecord):
     """A catalog homogeneous space G/H as typed: its bracket and complex
-    structure.  Its metric data are derived on first use: E, J and the
-    Kaehler form below, and the inverse Gram matrix in ``algebra``."""
+    structure.  The rest is derived on first use: m^-, its weight basis
+    and the dimensions below, and the metric data E, J and the Kaehler
+    form, with the inverse Gram matrix in ``algebra``."""
 
     algebra: LieAlgebraData     # the bracket; the metric is its Gram matrix
-    h_dim: int
-    m_dim: int
-    # complex structure eigenbasis of m^C, in m-coordinates
-    m_plus: tuple
-    m_minus: tuple
-    # weight-adapted eigenbasis used to build H-representations
+    m_plus: tuple               # the +i eigenbasis of J in m^C, in m-coordinates
+    # weight-adapted basis of m^+ used to build H-representations
     m_plus_weights: tuple       # tuple of (coords, weight tuple)
-    m_minus_weights: tuple
     h_weight_torus: tuple       # h-coordinate vectors with integer ad-eigenvalues
     psi_minus: tuple | None     # sorted ((a, b, c), Scalar) or None; a test ties it to ad
     betti: tuple                # (b2, b3)
+
+    @cached_property
+    def m_dim(self) -> int:
+        return 2 * len(self.m_plus)
+
+    @cached_property
+    def h_dim(self) -> int:
+        return self.algebra.dim - self.m_dim
+
+    @cached_property
+    def m_minus(self) -> tuple:
+        """The -i eigenbasis: the conjugates of m^+."""
+        return tuple(map(_conjugate, self.m_plus))
+
+    @cached_property
+    def m_minus_weights(self) -> tuple:
+        """The conjugates of m^+'s weight basis, weights negated."""
+        return tuple((_conjugate(v), tuple(-x for x in wt)) for v, wt in self.m_plus_weights)
 
     @cached_property
     def einstein_constant(self) -> Fraction:
@@ -111,8 +131,8 @@ class ReductiveSpace(GroupRecord):
         ric4 = {}  # 4 Ric(e_a, e_b) = -2 B(e_a, e_b) - sum_i <[e_a, e_i]_m, [e_b, e_i]_m>
         for a, x in enumerate(ads):
             for b, y in enumerate(ads[a:], a):
-                # B(e_a, e_b) = sum_ij x_ij y_ji, and the squares sum x_ki y_ki over the m-block
-                trace_form = sum((c * y[j, i] for (i, j), c in x.items() if (j, i) in y), ZERO)
+                # B(e_a, e_b) = tr(x y), and the squares sum x_ki y_ki over the m-block
+                trace_form = linalg.trace_pairing(x, y)
                 squares = sum((c * y[k] for k, c in x.items() if k in y and min(k) >= hd), ZERO)
                 ric4[a, b] = -(trace_form + trace_form + squares)
         e4 = ric4[0, 0] * g[hd][hd].inverse()
@@ -154,12 +174,6 @@ def _conjugate(v: tuple) -> tuple:
     return tuple(x.conjugate() for x in v)
 
 
-def _conjugate_side(m_plus: tuple, plus_w: tuple) -> tuple:
-    """m^- and its weight vectors: the conjugates of m^+, weights negated."""
-    minus_w = tuple((_conjugate(v), tuple(-x for x in wt)) for v, wt in plus_w)
-    return tuple(map(_conjugate, m_plus)), minus_w
-
-
 def _sparse_commutator(x: dict, y: dict) -> dict:
     """Nonzeros of x y - y x, from each matrix's nonzeros {(i, j): c}."""
     return linalg.sum_of_products(((x, y, False), (y, x, True)))
@@ -186,16 +200,10 @@ def ad_and_gram(mats: tuple, scale: Fraction) -> LieAlgebraData:
     s = Scalar.from_fraction(scale)
     nz = [linalg.nonzeros(x) for x in mats]
 
-    # tr(x y) = sum of x_ij y_ji; the form is symmetric
-    entries = {}
+    entries = {}  # the form is symmetric
     for a in range(dim):
         for b in range(a, dim):
-            t = ZERO
-            for (i, j), c in nz[a].items():
-                d = nz[b].get((j, i))
-                if d is not None:
-                    t = t + c * d
-            entries[a, b] = entries[b, a] = s * t
+            entries[a, b] = entries[b, a] = s * linalg.trace_pairing(nz[a], nz[b])
     gram = linalg.from_entries(dim, entries)
     gram_inv = linalg.inverse(gram)
 
@@ -223,7 +231,7 @@ def ad_and_gram(mats: tuple, scale: Fraction) -> LieAlgebraData:
                 ad_entries[a][k, b] = c
                 ad_entries[b][k, a] = -c
     ad = tuple(linalg.from_entries(dim, e) for e in ad_entries)
-    return LieAlgebraData(dim, mats, ad, gram, gram_inv)
+    return LieAlgebraData(mats, ad, gram, gram_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +265,6 @@ def _build_s3xs3() -> ReductiveSpace:
     x1 = (inv_s2, i_inv_s2, ZERO, ZERO, ZERO, ZERO)
     x2 = (ZERO, ZERO, inv_s2, i_inv_s2, ZERO, ZERO)
     x3 = (ZERO, ZERO, ZERO, ZERO, inv_s2, i_inv_s2)
-    m_plus = (x1, x2, x3)
 
     def _comb(u, v, coeff):
         return tuple(a + coeff * b for a, b in zip(u, v))
@@ -268,17 +275,12 @@ def _build_s3xs3() -> ReductiveSpace:
         (x3, (0,)),
         (_comb(x1, x2, I), (-2,)),
     )
-    m_minus, minus_w = _conjugate_side(m_plus, plus_w)
 
     return ReductiveSpace(
         **vars(GROUP_RECORDS["s3xs3"]),
         algebra=algebra,
-        h_dim=3,
-        m_dim=6,
-        m_plus=m_plus,
-        m_minus=m_minus,
+        m_plus=(x1, x2, x3),
         m_plus_weights=plus_w,
-        m_minus_weights=minus_w,
         h_weight_torus=((ZERO, ZERO, two_s2),),
         psi_minus=None,
         betti=(0, 2),
@@ -312,20 +314,14 @@ def _build_cp3() -> ReductiveSpace:
     p1 = (inv_s2, -i_inv_s2, ZERO, ZERO, ZERO, ZERO)
     p2 = (ZERO, ZERO, inv_s2, -i_inv_s2, ZERO, ZERO)
     p3 = (ZERO, ZERO, ZERO, ZERO, ONE, I)
-    m_plus = (p1, p2, p3)
     # U(2) weights (p - q, p + q) of the torus weight (p, q) on (t1, t2)
     plus_w = ((p1, (1, 1)), (p2, (-1, 1)), (p3, (0, -2)))
-    m_minus, minus_w = _conjugate_side(m_plus, plus_w)
 
     return ReductiveSpace(
         **vars(GROUP_RECORDS["cp3"]),
         algebra=algebra,
-        h_dim=4,
-        m_dim=6,
-        m_plus=m_plus,
-        m_minus=m_minus,
+        m_plus=(p1, p2, p3),
         m_plus_weights=plus_w,
-        m_minus_weights=minus_w,
         h_weight_torus=((ONE, -ONE, ZERO, ZERO), (ONE, ONE, ZERO, ZERO)),
         psi_minus=None,
         betti=(1, 0),
@@ -355,20 +351,14 @@ def _build_flag() -> ReductiveSpace:
     p1 = (ONE, -I, ZERO, ZERO, ZERO, ZERO)   # e1 - i e2
     p2 = (ZERO, ZERO, ONE, I, ZERO, ZERO)    # e3 + i e4
     p3 = (ZERO, ZERO, ZERO, ZERO, ONE, -I)   # e5 - i e6
-    m_plus = (p1, p2, p3)
     plus_w = ((p1, (1, -1)), (p2, (-2, -1)), (p3, (1, 2)))
-    m_minus, minus_w = _conjugate_side(m_plus, plus_w)
 
     minus_one = -ONE
     return ReductiveSpace(
         **vars(GROUP_RECORDS["flag"]),
         algebra=algebra,
-        h_dim=2,
-        m_dim=6,
-        m_plus=m_plus,
-        m_minus=m_minus,
+        m_plus=(p1, p2, p3),
         m_plus_weights=plus_w,
-        m_minus_weights=minus_w,
         # torus of the (z1, z2) parametrization: diag(i,0,-i) = t1 + t2, diag(0,i,-i) = t2
         h_weight_torus=((ONE, ONE), (ZERO, ONE)),
         psi_minus=(((1, 2, 5), ONE), ((0, 3, 5), minus_one), ((0, 2, 4), minus_one), ((1, 3, 4), minus_one)),
@@ -428,16 +418,11 @@ def validate_space(space: ReductiveSpace) -> dict:
     )
     checks["m_pm_spans"] = linalg.rank(plus + minus) == md
 
-    ok = True
-    for torus_idx, t in enumerate(space.h_weight_torus):
-        ad = space.ad_m_of_h(t)
-        for vecs in (space.m_plus_weights, space.m_minus_weights):
-            for v, wt in vecs:
-                got = linalg.mat_vec(ad, v)
-                want = [I * rational(wt[torus_idx]) * c for c in v]
-                if got != want:
-                    ok = False
-    checks["m_pm_weight_vectors"] = ok
+    checks["m_pm_weight_vectors"] = all(
+        linalg.mat_vec(ad, v) == [I * rational(wt[k]) * c for c in v]
+        for k, ad in enumerate(map(space.ad_m_of_h, space.h_weight_torus))
+        for v, wt in space.m_plus_weights + space.m_minus_weights
+    )
 
     h_ads = [space.ad_m_of_h(e) for e in linalg.identity(hd)]
     kahler = space.kahler_form()

@@ -80,6 +80,12 @@ def nonzeros(a: Matrix) -> dict:
     return {(i, j): c for i, row in enumerate(a) for j, c in enumerate(row) if c}
 
 
+def trace_pairing(x: dict, y: dict) -> Scalar:
+    """tr(x y) = sum of x_ij y_ji, for two matrices given by their
+    nonzeros {(i, j): c}."""
+    return sum((c * y[j, i] for (i, j), c in x.items() if (j, i) in y), ZERO)
+
+
 def sum_of_products(terms) -> dict:
     """Nonzeros of the sum of x y (of -x y when negate) over the terms
     (x, y, negate), each matrix given by its nonzeros {(i, j): c}."""

@@ -40,7 +40,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .lie import ReductiveSpace, build_space
@@ -49,12 +49,19 @@ from .scalars import Scalar
 @dataclass(frozen=True)
 class GroupData:
     name: str
-    rank: int
     gram_t: tuple            # Gram of Q on the torus basis (Fractions)
     simple_roots: tuple
     positive_roots: tuple
-    two_delta: tuple         # sum of positive roots, i.e. twice delta
     box: tuple               # label -> bounds of the simple-root coordinates of its weights
+
+    @cached_property
+    def rank(self) -> int:
+        return len(self.simple_roots)
+
+    @cached_property
+    def two_delta(self) -> tuple:
+        """The sum of the positive roots, i.e. twice delta."""
+        return tuple(map(sum, zip(*self.positive_roots)))
 
 
 def _integral_inverse(m) -> tuple:
@@ -95,7 +102,6 @@ def _coroot(alpha: tuple, dual: tuple) -> tuple:
 _register(
     GroupData(
         name="k3",
-        rank=3,
         gram_t=(
             (Fraction(2, 3), Fraction(0), Fraction(0)),
             (Fraction(0), Fraction(2, 3), Fraction(0)),
@@ -103,7 +109,6 @@ _register(
         ),
         simple_roots=((2, 0, 0), (0, 2, 0), (0, 0, 2)),
         positive_roots=((2, 0, 0), (0, 2, 0), (0, 0, 2)),
-        two_delta=(2, 2, 2),
         box=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
     )
 )
@@ -111,11 +116,9 @@ _register(
 _register(
     GroupData(
         name="so5",
-        rank=2,
         gram_t=((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))),
         simple_roots=((1, -1), (0, 1)),
         positive_roots=((1, -1), (0, 1), (1, 0), (1, 1)),
-        two_delta=(3, 1),
         box=((2, 0), (2, 2)),
     )
 )
@@ -123,11 +126,9 @@ _register(
 _register(
     GroupData(
         name="su3",
-        rank=2,
         gram_t=((Fraction(1), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(1))),
         simple_roots=((2, -1), (-1, 2)),
         positive_roots=((2, -1), (-1, 2), (1, 1)),
-        two_delta=(2, 2),
         box=((1, 1), (1, 1)),
     )
 )

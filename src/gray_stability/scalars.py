@@ -17,20 +17,22 @@ and ``rational()``.  JSON and ``str`` read the numerators directly: each
 coordinate x/d is put in lowest terms with one gcd.
 
 Most scalars the pipeline meets are monomials, one rational times one
-basis element, or zero.  In ``coindex`` on the three spaces, 5,612 of
-the 5,820 products have two monomial operands and the other 208 a zero
-one, and 2,702 of the 3,123 sums and differences add two monomials on
-the same basis element; in ``reproduce-all`` the counts are 10,570 of
-10,974 products and 3,985 of 4,601 sums, and 2,147 of its 4,800
-negations are of zero.  All 182 and 209 inverses are of monomials.  So
-each scalar also carries a ``tag``, set once wherever it is made: the
-index of its only nonzero coordinate, ``_ZERO_TAG`` or ``_GENERAL_TAG``.
-Only the constructor and the general paths read it off ``n``; the other
-paths know it.  The operations branch on the tags instead of scanning
-``n``: a product of two monomials is one lookup in the multiplication
-table and one gcd, a sum or difference of two on the same basis element
-one integer operation (``ZERO`` when they cancel), the inverse of one a
-division by e_k * e_k, a rational, and a zero operand returns at once.
+basis element, or zero.  In ``coindex`` on the three spaces, 5,852 of
+the 6,177 products have two monomial operands and the other 325 a zero
+one (an int operand counts as the scalar it is coerced to), and 2,991
+of the 3,574 sums add two monomials on the same basis element; in
+``reproduce-all`` the counts are 10,745 and 525 of 11,270 products and
+4,257 of 5,040 sums, and 2,196 of its 5,010 negations are of zero.  All
+202 and 229 inverses are of monomials.  So each scalar also carries a
+``tag``, set once wherever it is made: the index of its only nonzero
+coordinate, ``_ZERO_TAG`` or ``_GENERAL_TAG``.  Only the constructor
+and the general paths read it off ``n``; the other paths know it.  The
+operations branch on the tags instead of scanning ``n``: a product of
+two monomials is one lookup in the multiplication table and one gcd, a
+sum of two on the same basis element one integer operation (``ZERO``
+when they cancel), a difference the sum with the negation, the inverse
+of a monomial a division by e_k * e_k, a rational, and a zero operand
+returns at once.
 Each path returns the same canonical ``(n, d)`` as the general one, and
 the tag is a function of ``n``, so equality, hashing and JSON mean what
 they meant on ``(n, d)`` alone.
@@ -216,21 +218,7 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not Scalar:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        ta, tb = self.tag, other.tag
-        if ta == tb and ta < 8:
-            return _monomial_sum(ta, self.n[ta], self.d, -other.n[ta], other.d)
-        if tb == _ZERO_TAG:
-            return self
-        if ta == _ZERO_TAG:
-            return -other
-        a, b, ad, bd = self.n, other.n, self.d, other.d
-        if ad == bd:
-            return _reduced([x - y for x, y in zip(a, b)], ad)
-        return _reduced([x * bd - y * ad for x, y in zip(a, b)], ad * bd)
+        return self + -other
 
     def __neg__(self):
         if self.tag == _ZERO_TAG:

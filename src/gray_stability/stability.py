@@ -42,16 +42,8 @@ def _sqrt_fraction(q: Fraction):
     """Exact square root of a non-negative rational, or None."""
     if q < 0:
         return None
-    num = _isqrt_exact(q.numerator)
-    den = _isqrt_exact(q.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _isqrt_exact(n: int):
-    r = math.isqrt(n)
-    return r if r * r == n else None
+    r = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    return r if r * r == q else None
 
 
 @dataclass(frozen=True)

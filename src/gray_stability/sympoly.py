@@ -106,14 +106,6 @@ class SymPoly:
         """Partial derivative along the k-th generator."""
         return _of({m[:k] + (m[k] - 1,) + m[k + 1 :]: c * m[k] for m, c in self.terms.items() if m[k]})
 
-    def is_homogeneous(self, k: int | None = None) -> bool:
-        degs = {sum(m) for m in self.terms}
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return k is None or degs == {k}
-
     def substitute_polys(self, values: list) -> "SymPoly":
         """Substitute polynomials for the generators, each power once."""
         powers = [[SymPoly.constant(ONE), v] for v in values]
@@ -220,9 +212,6 @@ def sym_inner(p: SymPoly, q: SymPoly) -> Scalar:
     <a_1...a_k, b_1...b_k> = sum over permutations of prod <a_i, b_sigma(i)>,
     extended bilinearly.  Both arguments must be homogeneous of equal degree.
     """
-    if not p.terms or not q.terms:
-        if p.is_homogeneous() and q.is_homogeneous():
-            return ZERO
     dp = {sum(m) for m in p.terms}
     dq = {sum(m) for m in q.terms}
     if len(dp) > 1 or len(dq) > 1:
@@ -263,37 +252,22 @@ def det_cubic() -> SymPoly:
 
 def reduce_v_cubic(p: SymPoly) -> SymPoly:
     """Canonical representative modulo the trace relation: the pure-v part
-    (which must be a symmetric cubic) is rewritten as a multiple of
-    v1 v2 v3 using e1 = v1 + v2 + v3 = 0; mixed monomials are untouched."""
-    pure: dict = {}
-    rest: dict = {}
-    for m, c in p.terms.items():
-        if any(m[3:]):
-            rest[m] = c
-        else:
-            pure[m] = c
+    must be a symmetric cubic a e1^3 + b e1 e2 + c e3 in the elementary
+    symmetric polynomials of v1, v2, v3, and on e1 = v1 + v2 + v3 = 0 it is
+    c v1 v2 v3; mixed monomials are untouched."""
+    pure = {m: c for m, c in p.terms.items() if not any(m[3:])}
     if not pure:
         return p
-    pv = SymPoly(pure)
-    if not pv.is_homogeneous(3):
-        raise ValueError("pure-v part is not a homogeneous cubic")
-    for perm in itertools.permutations(range(3)):
-        permuted = SymPoly(
-            {
-                tuple(m[perm.index(k)] if k < 3 else m[k] for k in range(NGENS)): c
-                for m, c in pv.terms.items()
-            }
-        )
-        if permuted != pv:
-            raise ValueError("pure-v part is not symmetric; no canonical form")
-    # On e1 = 0 a symmetric cubic is c * e3, and eliminating v3 turns e3
-    # into -v1^2 v2 - v1 v2^2, so c is read off the coefficient of v1^2 v2.
-    reduced = eliminate_v3(pv)
-    coeff = -reduced.terms.get((2, 1, 0, 0, 0, 0, 0, 0, 0), ZERO)
-    cubic = SymPoly({(1, 1, 1, 0, 0, 0, 0, 0, 0): coeff})
-    if reduced != eliminate_v3(cubic):
-        raise ArithmeticError("symmetric cubic is not a multiple of v1 v2 v3 modulo the trace")
-    return SymPoly(rest) + cubic
+    v123 = (1, 1, 1) + (0,) * 6
+    a = pure.get((3,) + (0,) * 8, ZERO)
+    b = pure.get((2, 1) + (0,) * 7, ZERO) - a * 3
+    c = pure.get(v123, ZERO) - a * 6 - b * 3
+    e1 = V1 + V2 + V3
+    e2 = SymPoly.sum((V1 * V2, V1 * V3, V2 * V3))
+    cubic = SymPoly({v123: c})
+    if _of(pure) != SymPoly.sum(((e1 * e1 * e1).scale(a), (e1 * e2).scale(b), cubic)):
+        raise ValueError("pure-v part is not a symmetric cubic; no canonical form")
+    return SymPoly({m: x for m, x in p.terms.items() if any(m[3:])}) + cubic
 
 
 def eliminate_v3(p: SymPoly) -> SymPoly:

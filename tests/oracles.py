@@ -5,6 +5,7 @@ convenience for writing one; none of them runs under a command.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -17,8 +18,8 @@ from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, build_space
 from gray_stability.reps import _GRAM_INV, GROUPS, _doubled_shift, _dual, check_label, explicit_rep
 from gray_stability.scalars import BASIS_NAMES, I, ONE, SQRT2, ZERO, Scalar, rational
-from gray_stability.stability import _sqrt_fraction, eigenspace_sources
-from gray_stability.sympoly import SymPoly, eliminate_v3, generators, gram_su3
+from gray_stability.stability import eigenspace_sources
+from gray_stability.sympoly import NGENS, SymPoly, eliminate_v3, generators, gram_su3
 
 SQRT3 = Scalar.basis_element(3)
 # Primitive cube root of unity (-1 + i*sqrt3)/2.
@@ -732,6 +733,16 @@ def matrix_a(eps) -> list:
     ]
 
 
+def sqrt_fraction_reference(q: Fraction):
+    """sqrt(q) = sqrt(p d)/d for q = p/d in lowest terms, or None when
+    q < 0 or p d is not a square."""
+    if q < 0:
+        return None
+    n = q.numerator * q.denominator
+    r = math.isqrt(n)
+    return Fraction(r, q.denominator) if r * r == n else None
+
+
 def matrix_a_eigenvalues(eps):
     """(eigenvalues sorted descending, diagonalizable) for rational spectra,
     or (None, None) when the eigenvalues are irrational."""
@@ -739,7 +750,7 @@ def matrix_a_eigenvalues(eps):
     tr = a[0][0] + a[1][1]
     det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
     disc = tr * tr - 4 * det
-    s = _sqrt_fraction(disc)
+    s = sqrt_fraction_reference(disc)
     if s is None:
         return None, None
     vals = ((tr + s) / 2, (tr - s) / 2)
@@ -810,6 +821,26 @@ def trace_cube_reference(tensor: dict, n: int = 6) -> SymPoly:
 
 def equal_mod_trace(p: SymPoly, q: SymPoly) -> bool:
     return eliminate_v3(p - q) == SymPoly.zero()
+
+
+def reduce_v_cubic_reference(p: SymPoly) -> SymPoly:
+    """Reference for sympoly.reduce_v_cubic: the pure-v part must be a
+    homogeneous cubic fixed by the six permutations of v1, v2, v3; on
+    e1 = 0 it is c e3, and eliminating v3 turns e3 into -v1^2 v2 - v1 v2^2,
+    so c is read off the coefficient of v1^2 v2 and checked there."""
+    pure = {m: c for m, c in p.terms.items() if not any(m[3:])}
+    if not pure:
+        return p
+    if {sum(m) for m in pure} != {3}:
+        raise ValueError("pure-v part is not a homogeneous cubic")
+    for perm in itertools.permutations(range(3)):
+        if {tuple(m[k] for k in perm) + m[3:]: c for m, c in pure.items()} != pure:
+            raise ValueError("pure-v part is not symmetric")
+    reduced = eliminate_v3(SymPoly(pure))
+    cubic = SymPoly({(1, 1, 1) + (0,) * (NGENS - 3): -reduced.terms.get((2, 1) + (0,) * (NGENS - 2), ZERO)})
+    if reduced != eliminate_v3(cubic):
+        raise ArithmeticError("symmetric cubic is not a multiple of v1 v2 v3 modulo the trace")
+    return SymPoly({m: c for m, c in p.terms.items() if any(m[3:])}) + cubic
 
 
 @lru_cache(maxsize=1)

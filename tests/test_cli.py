@@ -96,6 +96,15 @@ def test_delta_matches_golden(capsys, space, gamma):
     assert out == (DATA / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("gamma", ["0,0", "1,1"])
+def test_delta_table_matches_golden(capsys, gamma):
+    # table is delta's default format: one line per generator, "delta = 0"
+    # on the b2 = 2 harmonic generators of (0,0), "delta != 0" on (1,1)
+    code, out = _run(capsys, "delta", "--space", "flag", "--gamma", gamma)
+    assert code == 0
+    assert out == (DATA / f"golden_delta_table_flag_{gamma.replace(',', '_')}.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("space", ["s3xs3", "cp3", "flag"])
 def test_branch_table_matches_golden(capsys, space):
     # the table pins the isotropy label format and the mult*label join
@@ -247,6 +256,12 @@ def test_bad_label_is_usage_error(capsys):
     assert main(["killing", "--t", "1,-1"]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 5
+
+
+def test_unparsable_gamma_is_usage_error(capsys):
+    assert main(["homdim", "--space", "flag", "--gamma", "a,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: cannot parse label 'a,1'\n"
 
 
 @pytest.mark.parametrize("command", ["casimir", "branch"])

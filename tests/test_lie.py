@@ -264,6 +264,33 @@ def test_betti_numbers_and_constants():
         assert space.einstein_constant == 5
 
 
+def test_derived_dimensions_and_m_minus():
+    # dim m is twice dim m^+, dim h is dim g - dim m, and m^- with its
+    # weight basis are the conjugates of m^+ with the weights negated
+    expect = {"s3xs3": 3, "cp3": 4, "flag": 2}
+    for name, h_dim in expect.items():
+        space = build_space(name)
+        assert (space.h_dim, space.m_dim, space.algebra.dim) == (h_dim, 6, h_dim + 6)
+        assert space.m_minus == tuple(tuple(x.conjugate() for x in v) for v in space.m_plus)
+        assert space.m_minus_weights == tuple(
+            (tuple(x.conjugate() for x in v), tuple(-w for w in wt)) for v, wt in space.m_plus_weights
+        )
+
+
+@pytest.mark.parametrize("name", sorted(SCALES))
+def test_m_pm_weight_check_can_say_no(name):
+    space = build_space(name)
+    (v, wt), *others = space.m_plus_weights
+    wrong_wt = (wt[0] + 1,) + wt[1:]
+    wrong = dataclasses.replace(space, m_plus_weights=((v, wrong_wt),) + tuple(others))
+    # the derived m^- weights follow the wrong one
+    assert wrong.m_minus_weights[0][1] == tuple(-w for w in wrong_wt)
+    want, got = validate_space(space), validate_space(wrong)
+    assert want.pop("m_pm_weight_vectors") is True
+    assert got.pop("m_pm_weight_vectors") is False
+    assert got == want
+
+
 def test_psi_minus_flag_coefficients():
     space = build_space("flag")
     assert dict(space.psi_minus) == {

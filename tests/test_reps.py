@@ -88,6 +88,11 @@ def test_dimensions():
     assert dim("su3", (0, 0)) == 1
 
 
+def test_rank_and_two_delta_are_derived_from_the_roots():
+    expect = {"k3": (3, (2, 2, 2)), "so5": (2, (3, 1)), "su3": (2, (2, 2))}
+    assert {name: (g.rank, g.two_delta) for name, g in GROUPS.items()} == expect
+
+
 def test_integer_dim_and_casimir_match_fraction_references():
     for group in GROUPS:
         for label in enumerate_labels(group, 200):

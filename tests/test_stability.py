@@ -11,6 +11,7 @@ from gray_stability import branching, fourier, reps, stability
 from gray_stability.branching import hom_dim
 from gray_stability.forms import lambda11_0
 from gray_stability.stability import (
+    _sqrt_fraction,
     assemble_report,
     candidate_eps,
     coindex_report,
@@ -19,7 +20,22 @@ from gray_stability.stability import (
     _coclosed_table,
 )
 from gray_stability.lie import SPACE_NAMES, build_space
-from oracles import matrix_a, matrix_a_eigenvalues, solution_dim
+from oracles import matrix_a, matrix_a_eigenvalues, solution_dim, sqrt_fraction_reference
+
+
+@pytest.mark.parametrize(
+    "q, root",
+    [(0, 0), (Fraction(9, 4), Fraction(3, 2)), (2, None), (Fraction(9, 2), None), (Fraction(2, 9), None), (-1, None)],
+)
+def test_sqrt_fraction(q, root):
+    assert _sqrt_fraction(Fraction(q)) == root
+
+
+def test_sqrt_fraction_matches_the_reference():
+    for p in range(-5, 50):
+        for d in range(1, 50):
+            q = Fraction(p, d)
+            assert _sqrt_fraction(q) == sqrt_fraction_reference(q), q
 
 
 def test_matrix_a_entries():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gray_stability import linalg
-from gray_stability.scalars import I, ONE, ZERO, Scalar, rational
+from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from gray_stability.sympoly import (
     GRAM_D,
     INTEGRAL_GRAM,
@@ -30,6 +30,7 @@ from oracles import (
     equal_mod_trace,
     matrix_from_coordinates,
     monomial_pairing_reference,
+    reduce_v_cubic_reference,
     substitute,
     substitute_polys_reference,
     torus_derivative,
@@ -159,6 +160,54 @@ def test_reduce_v_cubic():
 def test_reduce_v_cubic_rejects_asymmetric():
     with pytest.raises(ValueError):
         reduce_v_cubic(V1 * V1 * V2)
+
+
+@pytest.mark.parametrize("p", [(V1 + V2 + V3) * (V1 + V2 + V3), V1 + V2 + V3 + V1 * V2 * V3], ids=["e1^2", "e1+e3"])
+def test_reduce_v_cubic_rejects_symmetric_non_cubics(p):
+    # e1^2 has no cubic coefficient to read, and e1 + e3 the right ones
+    # with a linear part left over
+    with pytest.raises(ValueError):
+        reduce_v_cubic(p)
+
+
+def test_reduce_v_cubic_leaves_a_polynomial_without_pure_v_part():
+    p = (X[0] * X[1] * V1).scale(3) + X[2] * X[2] * X[3] + X[4].scale(I)
+    assert reduce_v_cubic(p) == p
+
+
+def test_reduce_v_cubic_matches_the_permutation_reference():
+    rng = random.Random(25)
+    coeffs = [ONE, -ONE, rational(3, 2), I, SQRT2, ZERO]
+    v = (V1, V2, V3)
+    asymmetric = 0
+    for _ in range(40):
+        cubic = SymPoly.sum(
+            (v[i] * v[j] * v[k]).scale(rng.choice(coeffs))
+            for i, j, k in itertools.combinations_with_replacement(range(3), 3)
+        )
+        # the sum over the six permutations of v1, v2, v3 is symmetric
+        symmetric = SymPoly.sum(
+            cubic.substitute_polys([v[s] for s in perm] + list(X)) for perm in itertools.permutations(range(3))
+        )
+        mixed = SymPoly.sum(
+            (X[rng.randrange(6)] * X[rng.randrange(6)] * v[rng.randrange(3)]).scale(rng.choice(coeffs))
+            for _ in range(rng.randrange(4))
+        )
+        p = symmetric + mixed
+        assert reduce_v_cubic(p) == reduce_v_cubic_reference(p)
+        assert equal_mod_trace(reduce_v_cubic(p), p)
+        if cubic.substitute_polys([V2, V1, V3] + list(X)) != cubic:
+            asymmetric += 1
+            for reduce in (reduce_v_cubic, reduce_v_cubic_reference):
+                with pytest.raises(ValueError):
+                    reduce(cubic + mixed)
+    assert asymmetric > 20
+
+
+def test_sym_inner_with_an_empty_argument_is_zero():
+    assert sym_inner(SymPoly.zero(), det_cubic()) == ZERO
+    assert sym_inner(det_cubic(), SymPoly.zero()) == ZERO
+    assert sym_inner(SymPoly.zero(), SymPoly.zero()) == ZERO
 
 
 def test_eliminate_v3_normal_form():
