@@ -10,13 +10,14 @@ coordinate at central weight b, with highest weight (a, b).  An irrep is
 labelled by its kind and its highest weight: ("V", k), ("E", a, b),
 ("chi", p, q).
 
-Decomposition is by greedy subtraction of full characters: the
-lexicographically largest remaining weight is a highest weight.  It
-self-verifies through the non-negativity of every remainder.
+Decomposition subtracts full characters in one pass over the weights in
+descending lexicographic order: the largest weight left is a highest weight,
+a character lowers no weight above its top, and no remainder may go negative.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from .lie import GroupRecord, ReductiveSpace, group_record
@@ -45,13 +46,14 @@ def format_h_label(label: tuple) -> str:
 
 
 def decompose_weights(h_type: str, weights: dict) -> dict:
-    """Greedy highest-weight character subtraction."""
+    """Greedy highest-weight character subtraction, in one descending pass."""
     remaining = {w: m for w, m in weights.items() if m}
     if any(m < 0 for m in remaining.values()):
         raise BranchingError("negative input multiplicity")
     out: dict[tuple, int] = {}
-    while remaining:
-        top = max(remaining)
+    for top in sorted(remaining, reverse=True):
+        if top not in remaining:  # a character above took all of it
+            continue
         if top[0] < 0 and h_type != "t2":
             raise BranchingError(f"asymmetric SU(2) weight multiset: {remaining}")
         label = (KINDS[h_type],) + top
@@ -64,7 +66,7 @@ def decompose_weights(h_type: str, weights: dict) -> dict:
                 remaining[w] = have
             else:
                 remaining.pop(w, None)
-        out[label] = out.get(label, 0) + mult
+        out[label] = mult
     return out
 
 
@@ -74,7 +76,7 @@ def restricted_weights(space: GroupRecord, gamma: tuple) -> dict:
     emb = space.weight_embedding
     out: dict[tuple, int] = {}
     for w, m in ws.items():
-        hw = tuple(sum(row[i] * w[i] for i in range(len(w))) for row in emb)
+        hw = tuple([sum(map(operator.mul, row, w)) for row in emb])
         out[hw] = out.get(hw, 0) + m
     return out
 

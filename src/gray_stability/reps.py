@@ -11,17 +11,23 @@ simple root alpha (Humphreys, *Introduction to Lie Algebras and
 Representation Theory*, section 13).  Every weight of its module is
 label - sum n_k alpha_k with n_k >= 0 bounded by the group's box matrix
 applied to the label, and every dominant point of that box is a weight
-(section 21.3).  Freudenthal's recursion runs on those points alone, in
-level order (sum n_k), and writes each multiplicity to the point's Weyl
-orbit, reached by the simple reflections mu - <mu, alpha^vee> alpha that
-lower a weight (Moody-Patera, Bull. AMS 7 (1982); Humphreys, section
-22.3).  Every weight above lam then has its entry and alpha-strings are
+(section 21.3).  Dominance is linear in n: <label - sum n_k alpha_k,
+alpha_j^vee> = <label, alpha_j^vee> - sum_k n_k C_kj, C the Cartan matrix,
+so for each prefix n_0 ... n_{r-2} of the box the dominant values of the
+last coordinate form one interval, and only those points are visited.
+Freudenthal's recursion runs on those points alone, in level order
+(sum n_k), and writes each multiplicity to the point's Weyl orbit,
+reached by the simple reflections mu - <mu, alpha^vee> alpha that lower
+a weight (Moody-Patera, Bull. AMS 7 (1982); Humphreys, section 22.3).
+Every weight above lam then has its entry and alpha-strings are
 unbroken, so the sum over lam + k alpha stops at the first k without one.
 
 Freudenthal's recursion, the Weyl dimension and the Casimir constant run
 in plain integers: their inner products (_dual) are scaled by the common
 denominator of the inverse Gram matrix and taken on doubled shifted
-weights; each simple coroot is an integral row.
+weights; each simple coroot is an integral row.  The Casimir cutoff of
+enumerate_labels is an integer bound on 4D |label + delta|^2, so no label
+forms a Fraction.
 
 The explicit module of a label is the top component of the product of
 Sym^k(seed) over the group's seed modules (``_SEEDS``): C^2 of each su2
@@ -81,6 +87,7 @@ GROUPS: dict[str, GroupData] = {}
 _GRAM_INV: dict[str, tuple] = {}  # (D * G^-1, D), D the denominator of G^-1
 _ROOT_DUALS: dict[str, tuple] = {}  # (alpha, D G^-1 alpha) per positive root: D <mu, alpha> = mu . dual
 _COROOTS: dict[str, tuple] = {}  # per simple root, in order, the coroot: <mu, alpha^vee> = mu . coroot
+_CARTAN: dict[str, tuple] = {}  # the Cartan matrix, C[k][j] = <alpha_k, alpha_j^vee>
 
 
 def _register(g: GroupData):
@@ -88,7 +95,8 @@ def _register(g: GroupData):
     gi, _ = _GRAM_INV[g.name] = _integral_inverse(g.gram_t)
     duals = {a: tuple(_dot(row, a) for row in gi) for a in g.positive_roots}  # G^-1 is symmetric
     _ROOT_DUALS[g.name] = tuple(duals.items())
-    _COROOTS[g.name] = tuple(_coroot(a, duals[a]) for a in g.simple_roots)
+    coroots = _COROOTS[g.name] = tuple(_coroot(a, duals[a]) for a in g.simple_roots)
+    _CARTAN[g.name] = tuple(tuple(_dot(a, co) for co in coroots) for a in g.simple_roots)
 
 
 def _coroot(alpha: tuple, dual: tuple) -> tuple:
@@ -169,8 +177,8 @@ def check_label(group: str, label: tuple) -> tuple:
 
 def weight_system(group: str, label: tuple) -> dict:
     """Full weight multiset of the irreducible module, by Freudenthal's
-    recursion on the dominant weights, run in integers, each multiplicity
-    written to its Weyl orbit.
+    recursion on the dominant weights (found by interval, see the module
+    docstring), run in integers, each multiplicity written to its Weyl orbit.
 
     With D the common denominator of G^-1, 4D * |lam + delta|^2 (taken on
     the integral doubled weight 2(lam + delta)) and D * <mu, alpha> are
@@ -180,13 +188,26 @@ def weight_system(group: str, label: tuple) -> dict:
     g = GROUPS[group]
     c4 = _norm4(group, label)
 
-    bounds = [_dot(row, label) for row in g.box]
-    columns = tuple(zip(*g.simple_roots))
+    # lam - n alpha_last is dominant iff n C[last][j] <= <lam, alpha_j^vee> for every j
+    *heads, last = g.simple_roots
+    *bounds, last_bound = [_dot(row, label) for row in g.box]
+    coroots, cartan_last = _COROOTS[group], _CARTAN[group][-1]
     dominant = []
     for ns in itertools.product(*(range(b + 1) for b in bounds)):
-        lam = tuple(h - _dot(ns, col) for h, col in zip(label, columns))
-        if _dominant(group, lam):
-            dominant.append((sum(ns), lam))
+        lam = label
+        for n, alpha in zip(ns, heads):
+            lam = [x - n * a for x, a in zip(lam, alpha)]
+        lo, hi = 0, last_bound
+        for co, c in zip(coroots, cartan_last):
+            rest = _dot(lam, co)
+            if c > 0:
+                hi = min(hi, rest // c)
+            elif c < 0:
+                lo = max(lo, -(-rest // c))
+            elif rest < 0:
+                hi = -1
+        level = sum(ns)
+        dominant += [(level + n, tuple([x - n * a for x, a in zip(lam, last)])) for n in range(lo, hi + 1)]
     dominant.sort()
 
     mult: dict[tuple, int] = {}
@@ -208,10 +229,10 @@ def weight_system(group: str, label: tuple) -> dict:
         mult[lam] = m
         orbit = [lam]
         for mu in orbit:
-            for alpha, co in zip(g.simple_roots, _COROOTS[group]):
+            for alpha, co in zip(g.simple_roots, coroots):
                 c = _dot(mu, co)
                 if c > 0:
-                    nu = tuple(x - c * a for x, a in zip(mu, alpha))
+                    nu = tuple([x - c * a for x, a in zip(mu, alpha)])
                     if nu not in mult:
                         mult[nu] = m
                         orbit.append(nu)
@@ -234,28 +255,24 @@ def dim(group: str, label: tuple) -> int:
 
 def casimir_constant(group: str, label: tuple) -> Fraction:
     """Casimir eigenvalue <hw, hw + 2 delta> = |hw + delta|^2 - |delta|^2
-    in the Q-dual inner product."""
-    return _casimir(group, check_label(group, label))
-
-
-def _casimir(group: str, label: tuple) -> Fraction:
-    _, d = _GRAM_INV[group]
-    two_delta = GROUPS[group].two_delta
-    return Fraction(_norm4(group, label) - _dual(group, two_delta, two_delta), 4 * d)
+    in the Q-dual inner product, (_norm4(hw) - _norm4(0)) / 4D."""
+    label = check_label(group, label)
+    return Fraction(_norm4(group, label) - _norm4(group, (0,) * len(label)), 4 * _GRAM_INV[group][1])
 
 
 def enumerate_labels(group: str, max_cas: Fraction) -> list:
-    """All dominant labels with Casimir constant <= max_cas, each computed
-    once.  The Casimir polynomial is strictly increasing in each label
-    coordinate, so the sweep of the first coordinate bounds every one."""
+    """Dominant labels with Casimir constant <= max_cas = p/q, by Casimir
+    constant and label.  Cas is increasing affine in _norm4 (casimir_constant):
+    the test is _norm4 q <= _norm4(0) q + 4D p, and _norm4 sorts like Cas.  Cas
+    increases in each coordinate, so the first coordinate's sweep bounds all."""
     rank = GROUPS[group].rank
-    n = 0
-    while _casimir(group, (n,) + (0,) * (rank - 1)) <= max_cas:
-        n += 1
+    q = max_cas.denominator
+    top = _norm4(group, (0,) * rank) * q + 4 * _GRAM_INV[group][1] * max_cas.numerator
+    n = next(n for n in itertools.count() if _norm4(group, (n,) + (0,) * (rank - 1)) * q > top)
     keyed = []
     for lab in itertools.product(range(n), repeat=rank):
-        if _dominant(group, lab) and (cas := _casimir(group, lab)) <= max_cas:
-            keyed.append((cas, lab))
+        if _dominant(group, lab) and (norm4 := _norm4(group, lab)) * q <= top:
+            keyed.append((norm4, lab))
     return [lab for _, lab in sorted(keyed)]
 
 

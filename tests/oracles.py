@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from gray_stability import linalg
-from gray_stability.branching import decompose_weights
+from gray_stability.branching import KINDS, BranchingError, decompose_weights, h_irrep_weights
 from gray_stability.exterior import Form, wedge2
 from gray_stability.forms import HRep, _h_action_matrices, _span_coords, lambda11_0
 from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
@@ -557,6 +557,37 @@ def casimir_reference(group: str, label: tuple) -> Fraction:
 
 
 
+def enumerate_labels_reference(group: str, max_cas: Fraction) -> list:
+    """The dominant labels with Casimir constant <= max_cas, by (Casimir
+    constant, label), in Fractions.  The Casimir constant grows along each
+    coordinate, so the box stops at the first n at which every dominant
+    axis point n e_k is above the cutoff."""
+    rank = GROUPS[group].rank
+
+    def axis(k, n):
+        return tuple(n if i == k else 0 for i in range(rank))
+
+    n = 0
+    while any(cas <= max_cas for cas, _ in _casimir_keyed(group, [axis(k, n) for k in range(rank)])):
+        n += 1
+    return [lab for cas, lab in _box_by_casimir(group, n) if cas <= max_cas]
+
+
+@lru_cache(maxsize=None)
+def _box_by_casimir(group: str, n: int) -> list:
+    return sorted(_casimir_keyed(group, itertools.product(range(n), repeat=GROUPS[group].rank)))
+
+
+def _casimir_keyed(group: str, labels) -> list:
+    """(Casimir constant, label) of each dominant label: <label, alpha> >= 0
+    for every simple root alpha."""
+    return [
+        (casimir_reference(group, lab), lab)
+        for lab in labels
+        if all(dual_ip(group, lab, a) >= 0 for a in GROUPS[group].simple_roots)
+    ]
+
+
 def weyl_generators(group: str):
     if group == "k3":
         return [
@@ -597,6 +628,31 @@ def h_irrep_dim(h_type: str, label: tuple) -> int:
 
 def decomposition_dim(h_type: str, decomposition: dict) -> int:
     return sum(h_irrep_dim(h_type, lab) * m for lab, m in decomposition.items())
+
+
+def decompose_weights_reference(h_type: str, weights: dict) -> dict:
+    """Greedy highest-weight character subtraction, taking the largest
+    remaining weight anew at every step."""
+    remaining = {w: m for w, m in weights.items() if m}
+    if any(m < 0 for m in remaining.values()):
+        raise BranchingError("negative input multiplicity")
+    out: dict[tuple, int] = {}
+    while remaining:
+        top = max(remaining)
+        if top[0] < 0 and h_type != "t2":
+            raise BranchingError(f"asymmetric SU(2) weight multiset: {remaining}")
+        label = (KINDS[h_type],) + top
+        mult = remaining[top]
+        for w in h_irrep_weights(h_type, label):
+            have = remaining.get(w, 0) - mult
+            if have < 0:
+                raise BranchingError(f"character of {label} does not fit at {w}")
+            if have:
+                remaining[w] = have
+            else:
+                remaining.pop(w, None)
+        out[label] = out.get(label, 0) + mult
+    return out
 
 
 # -- isotropy modules and Fourier coefficients -------------------------------

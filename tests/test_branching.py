@@ -1,5 +1,6 @@
 """Branching of symmetry-group irreps to the isotropy subgroup."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,9 @@ from gray_stability.branching import (
     restricted_weights,
 )
 from gray_stability.forms import lambda11_0
-from gray_stability.lie import build_space
+from gray_stability.lie import SPACE_NAMES, build_space, group_record
 from gray_stability.reps import dim, enumerate_labels
-from oracles import decomposition_dim, h_irrep_dim
+from oracles import decompose_weights_reference, decomposition_dim, h_irrep_dim
 
 
 def test_branching_table_s3xs3():
@@ -146,3 +147,34 @@ def test_restricted_weights_zero_maps_to_zero():
         trivial = tuple([0, 0, 0] if space.group == "k3" else [0, 0])
         ws = restricted_weights(space, trivial)
         assert list(ws) == [tuple(0 for _ in space.h_weight_torus)]
+
+
+def test_one_pass_decomposition_equals_the_repeated_max_reference():
+    for name in SPACE_NAMES:
+        record = group_record(name)
+        for label in enumerate_labels(record.group, Fraction(40)):
+            weights = restricted_weights(record, label)
+            got = decompose_weights(record.h_type, weights)
+            assert got == decompose_weights_reference(record.h_type, weights), (name, label)
+        target = lambda11_0(name)
+        weights = Counter(target.weights)
+        got = decompose_weights(record.h_type, weights)
+        assert got == decompose_weights_reference(record.h_type, weights) == target.decomposition, name
+
+
+@pytest.mark.parametrize(
+    "h_type, weights, message",
+    [
+        ("delta_su2", {(1,): 2, (-1,): -1}, "negative input multiplicity"),
+        ("delta_su2", {(1,): 1, (-1,): 1, (-2,): 1}, "asymmetric"),  # (-2,) is left after V1
+        ("t2", {(1, 0): 1, (0, 1): -1}, "negative input multiplicity"),
+        ("u2", {_u2(1, 0): 2, _u2(0, 1): 1}, "does not fit"),  # E^1_1 twice, one (0, 1)
+    ],
+)
+def test_decomposition_errors_match_the_reference(h_type, weights, message):
+    raised = []
+    for decompose in (decompose_weights, decompose_weights_reference):
+        with pytest.raises(BranchingError, match=message) as exc:
+            decompose(h_type, dict(weights))
+        raised.append(str(exc.value))
+    assert raised[0] == raised[1]

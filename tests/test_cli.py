@@ -487,6 +487,18 @@ def test_homdim_and_killing_match_golden(capsys, argv, name, fmt, suffix):
     assert out == (DATA / f"{name}.{suffix}").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["casimir", "--space", s, "--max", "40"], f"golden_casimir_{s}_max40") for s in SPACE_NAMES]
+    + [(["coindex", "--space", s], f"golden_coindex_{s}") for s in SPACE_NAMES]
+    + [(["validate"], "golden_validate")],
+)
+def test_json_matches_golden(capsys, argv, name):
+    code, out = _run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == (DATA / f"{name}.json").read_text(encoding="utf-8")
+
+
 def _fail_one_check(monkeypatch):
     from gray_stability import cli
 

@@ -28,6 +28,7 @@ from oracles import (
     J,
     casimir_reference,
     dual_ip,
+    enumerate_labels_reference,
     validate_rep,
     weight_system_reference,
     weyl_dim_reference,
@@ -279,6 +280,18 @@ def test_enumerate_labels_equals_a_brute_force_sort():
             below = [lab for cas, lab in brute if cas <= top]
             assert enumerate_labels(group, top) == below, (group, top)
         assert max(map(max, below)) <= 10, group
+
+
+def test_integer_cutoff_equals_the_fraction_reference():
+    # labels and order, at fixed cutoffs, at every Casimir value up to 40
+    # (a label sits exactly on the cutoff) and just below each
+    fixed = {Fraction(0), Fraction(3, 4), Fraction(25, 4), Fraction(12), Fraction(40), Fraction(200)}
+    for group in GROUPS:
+        exact = {casimir_constant(group, lab) for lab in enumerate_labels_reference(group, Fraction(40))}
+        assert len(exact) >= 8, group
+        below = {c - Fraction(1, 1000) for c in exact if c}
+        for top in sorted(fixed | exact | below):
+            assert enumerate_labels(group, top) == enumerate_labels_reference(group, top), (group, top)
 
 
 def test_explicit_rep_matches_reference_matrices():
