@@ -10,9 +10,13 @@ coordinate at central weight b, with highest weight (a, b).  An irrep is
 labelled by its kind and its highest weight: ("V", k), ("E", a, b),
 ("chi", p, q).
 
-Decomposition subtracts full characters in one pass over the weights in
-descending lexicographic order: the largest weight left is a highest weight,
-a character lowers no weight above its top, and no remainder may go negative.
+Decomposition reads each multiplicity off the weights in one pass.  On
+the torus the irrep chi occurs m(chi) times.  On SU(2)^e x torus the irrep
+of highest weight (a, c), a >= 0, occurs m(a, c) - m(a + 2, c) times:
+that is Weyl's character formula for SU(2), whose irrep V_a has the
+weights a, a - 2, ..., -a once each.  The multiset is a sum of characters
+exactly when it is symmetric, m(a, c) = m(-a, c), and its strings are
+unbroken, m(a, c) <= m(a - 2, c) for a > 0.
 """
 
 from __future__ import annotations
@@ -32,41 +36,28 @@ class BranchingError(ValueError):
     """Weight multiset is not a non-negative sum of irreducible characters."""
 
 
-def h_irrep_weights(h_type: str, label: tuple) -> dict:
-    """Weights of an isotropy irrep: the SU(2) string through its highest
-    weight, or that weight alone when the isotropy group is a torus."""
-    top = label[1:]
-    if h_type == "t2":
-        return {top: 1}
-    return {(n,) + top[1:]: 1 for n in range(-top[0], top[0] + 1, 2)}
-
-
 def format_h_label(label: tuple) -> str:
     return LABEL_FORMATS[label[0]].format(*label[1:])
 
 
 def decompose_weights(h_type: str, weights: dict) -> dict:
-    """Greedy highest-weight character subtraction, in one descending pass."""
-    remaining = {w: m for w, m in weights.items() if m}
-    if any(m < 0 for m in remaining.values()):
+    """Isotropy irrep multiplicities by first differences (module docstring)."""
+    if any(m < 0 for m in weights.values()):
         raise BranchingError("negative input multiplicity")
+    kind = KINDS[h_type]
+    if h_type == "t2":
+        return {(kind,) + w: m for w, m in weights.items() if m}
     out: dict[tuple, int] = {}
-    for top in sorted(remaining, reverse=True):
-        if top not in remaining:  # a character above took all of it
-            continue
-        if top[0] < 0 and h_type != "t2":
-            raise BranchingError(f"asymmetric SU(2) weight multiset: {remaining}")
-        label = (KINDS[h_type],) + top
-        mult = remaining[top]
-        for w in h_irrep_weights(h_type, label):
-            have = remaining.get(w, 0) - mult
-            if have < 0:
-                raise BranchingError(f"character of {label} does not fit at {w}")
-            if have:
-                remaining[w] = have
-            else:
-                remaining.pop(w, None)
-        out[label] = mult
+    for w, m in weights.items():
+        a, rest = w[0], w[1:]
+        mirror, below = (-a,) + rest, (a - 2,) + rest
+        if m != weights.get(mirror, 0):
+            raise BranchingError(f"asymmetric SU(2) weight multiset: m{w} = {m}, "
+                                 f"m{mirror} = {weights.get(mirror, 0)}")
+        if a > 0 and m > weights.get(below, 0):
+            raise BranchingError(f"broken SU(2) string: m{w} = {m} > m{below} = {weights.get(below, 0)}")
+        if a >= 0 and (mult := m - weights.get((a + 2,) + rest, 0)):
+            out[(kind,) + w] = mult
     return out
 
 

@@ -8,19 +8,20 @@ brute force on the explicit representations).
 
 A label is a dominant integral weight: <label, alpha> >= 0 for every
 simple root alpha (Humphreys, *Introduction to Lie Algebras and
-Representation Theory*, section 13).  Every weight of its module is
-label - sum n_k alpha_k with n_k >= 0 bounded by the group's box matrix
-applied to the label, and every dominant point of that box is a weight
-(section 21.3).  Dominance is linear in n: <label - sum n_k alpha_k,
-alpha_j^vee> = <label, alpha_j^vee> - sum_k n_k C_kj, C the Cartan matrix,
-so for each prefix n_0 ... n_{r-2} of the box the dominant values of the
-last coordinate form one interval, and only those points are visited.
-Freudenthal's recursion runs on those points alone, in level order
-(sum n_k), and writes each multiplicity to the point's Weyl orbit,
-reached by the simple reflections mu - <mu, alpha^vee> alpha that lower
-a weight (Moody-Patera, Bull. AMS 7 (1982); Humphreys, section 22.3).
-Every weight above lam then has its entry and alpha-strings are
-unbroken, so the sum over lam + k alpha stops at the first k without one.
+Representation Theory*, section 13).  The dominant weights of its module
+are the dominant mu <= label (section 21.3), and each of them is joined to
+the label by positive-root steps that stay dominant (Stembridge, *The
+partial order of dominant weights*, Adv. Math. 136 (1998)), so a worklist
+from the label that subtracts each positive root and keeps what stays
+dominant finds them all.  Freudenthal's recursion runs on them alone, in
+descending |mu + delta|^2, and writes each multiplicity to the weight's
+Weyl orbit, reached by the simple reflections mu - <mu, alpha^vee> alpha
+that lower a weight (Moody-Patera, Bull. AMS 7 (1982); Humphreys, section
+22.3).  That order is valid because label + delta is strictly dominant:
+every mu + k alpha above mu (k >= 1) has a strictly larger |. + delta|^2,
+and its dominant conjugate a norm at least as large.  Every weight above
+mu then has its entry and alpha-strings are unbroken, so the sum over
+mu + k alpha stops at the first k without one.
 
 Freudenthal's recursion, the Weyl dimension and the Casimir constant run
 in plain integers: their inner products (_dual) are scaled by the common
@@ -58,7 +59,6 @@ class GroupData:
     gram_t: tuple            # Gram of Q on the torus basis (Fractions)
     simple_roots: tuple
     positive_roots: tuple
-    box: tuple               # label -> bounds of the simple-root coordinates of its weights
 
     @cached_property
     def rank(self) -> int:
@@ -87,7 +87,6 @@ GROUPS: dict[str, GroupData] = {}
 _GRAM_INV: dict[str, tuple] = {}  # (D * G^-1, D), D the denominator of G^-1
 _ROOT_DUALS: dict[str, tuple] = {}  # (alpha, D G^-1 alpha) per positive root: D <mu, alpha> = mu . dual
 _COROOTS: dict[str, tuple] = {}  # per simple root, in order, the coroot: <mu, alpha^vee> = mu . coroot
-_CARTAN: dict[str, tuple] = {}  # the Cartan matrix, C[k][j] = <alpha_k, alpha_j^vee>
 
 
 def _register(g: GroupData):
@@ -95,8 +94,7 @@ def _register(g: GroupData):
     gi, _ = _GRAM_INV[g.name] = _integral_inverse(g.gram_t)
     duals = {a: tuple(_dot(row, a) for row in gi) for a in g.positive_roots}  # G^-1 is symmetric
     _ROOT_DUALS[g.name] = tuple(duals.items())
-    coroots = _COROOTS[g.name] = tuple(_coroot(a, duals[a]) for a in g.simple_roots)
-    _CARTAN[g.name] = tuple(tuple(_dot(a, co) for co in coroots) for a in g.simple_roots)
+    _COROOTS[g.name] = tuple(_coroot(a, duals[a]) for a in g.simple_roots)
 
 
 def _coroot(alpha: tuple, dual: tuple) -> tuple:
@@ -117,7 +115,6 @@ _register(
         ),
         simple_roots=((2, 0, 0), (0, 2, 0), (0, 0, 2)),
         positive_roots=((2, 0, 0), (0, 2, 0), (0, 0, 2)),
-        box=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
     )
 )
 
@@ -127,7 +124,6 @@ _register(
         gram_t=((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))),
         simple_roots=((1, -1), (0, 1)),
         positive_roots=((1, -1), (0, 1), (1, 0), (1, 1)),
-        box=((2, 0), (2, 2)),
     )
 )
 
@@ -137,7 +133,6 @@ _register(
         gram_t=((Fraction(1), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(1))),
         simple_roots=((2, -1), (-1, 2)),
         positive_roots=((2, -1), (-1, 2), (1, 1)),
-        box=((1, 1), (1, 1)),
     )
 )
 
@@ -177,8 +172,9 @@ def check_label(group: str, label: tuple) -> tuple:
 
 def weight_system(group: str, label: tuple) -> dict:
     """Full weight multiset of the irreducible module, by Freudenthal's
-    recursion on the dominant weights (found by interval, see the module
-    docstring), run in integers, each multiplicity written to its Weyl orbit.
+    recursion on the dominant weights (found by positive-root steps from
+    the label, see the module docstring), run in integers, each
+    multiplicity written to its Weyl orbit.
 
     With D the common denominator of G^-1, 4D * |lam + delta|^2 (taken on
     the integral doubled weight 2(lam + delta)) and D * <mu, alpha> are
@@ -186,34 +182,21 @@ def weight_system(group: str, label: tuple) -> dict:
     it must still divide out exactly."""
     label = check_label(group, label)
     g = GROUPS[group]
-    c4 = _norm4(group, label)
+    norm4 = {label: _norm4(group, label)}  # 4D |mu + delta|^2 of each dominant weight
+    work = [label]
+    for mu in work:
+        for alpha in g.positive_roots:
+            nu = tuple(map(operator.sub, mu, alpha))
+            if nu not in norm4 and _dominant(group, nu):
+                norm4[nu] = _norm4(group, nu)
+                work.append(nu)
+    c4 = norm4[label]
 
-    # lam - n alpha_last is dominant iff n C[last][j] <= <lam, alpha_j^vee> for every j
-    *heads, last = g.simple_roots
-    *bounds, last_bound = [_dot(row, label) for row in g.box]
-    coroots, cartan_last = _COROOTS[group], _CARTAN[group][-1]
-    dominant = []
-    for ns in itertools.product(*(range(b + 1) for b in bounds)):
-        lam = label
-        for n, alpha in zip(ns, heads):
-            lam = [x - n * a for x, a in zip(lam, alpha)]
-        lo, hi = 0, last_bound
-        for co, c in zip(coroots, cartan_last):
-            rest = _dot(lam, co)
-            if c > 0:
-                hi = min(hi, rest // c)
-            elif c < 0:
-                lo = max(lo, -(-rest // c))
-            elif rest < 0:
-                hi = -1
-        level = sum(ns)
-        dominant += [(level + n, tuple([x - n * a for x, a in zip(lam, last)])) for n in range(lo, hi + 1)]
-    dominant.sort()
-
+    coroots = _COROOTS[group]
     mult: dict[tuple, int] = {}
-    for level, lam in dominant:
+    for lam in sorted(norm4, key=norm4.get, reverse=True):
         m = 1
-        if level:
+        if denom4 := c4 - norm4[lam]:  # 0 at the label alone
             # every weight above lam has its entry, and alpha-strings are unbroken
             num_d = 0
             for alpha, alpha_dual in _ROOT_DUALS[group]:
@@ -221,7 +204,6 @@ def weight_system(group: str, label: tuple) -> dict:
                 while mu in mult:
                     num_d += mult[mu] * _dot(mu, alpha_dual)
                     mu = tuple(map(operator.add, mu, alpha))
-            denom4 = c4 - _norm4(group, lam)
             m, rem = divmod(8 * num_d, denom4)
             if rem or m <= 0:  # every dominant weight below the label is a weight
                 raise ArithmeticError(f"bad multiplicity for {lam}: {Fraction(8 * num_d, denom4)}")

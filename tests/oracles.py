@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from gray_stability import linalg
-from gray_stability.branching import KINDS, BranchingError, decompose_weights, h_irrep_weights
+from gray_stability.branching import KINDS, BranchingError, decompose_weights
 from gray_stability.exterior import Form, wedge2
 from gray_stability.forms import HRep, _h_action_matrices, _span_coords, lambda11_0
 from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
@@ -480,6 +480,15 @@ def _delta(group: str) -> tuple:
     return tuple(Fraction(x, 2) for x in GROUPS[group].two_delta)
 
 
+# label -> bounds of the simple-root coordinates of its weights: every weight
+# of the module is label - sum n_k alpha_k with 0 <= n_k <= (BOX[k] . label)
+BOX = {
+    "k3": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    "so5": ((2, 0), (2, 2)),
+    "su3": ((1, 1), (1, 1)),
+}
+
+
 def weight_system_reference(group: str, label: tuple) -> dict:
     """Freudenthal's recursion on every point of the box, in level order,
     in integers: with D the common denominator of G^-1, the multiplicity of
@@ -503,7 +512,7 @@ def weight_system_reference(group: str, label: tuple) -> dict:
     ]
     c4 = norm4(label)
 
-    bounds = [sum(b * h for b, h in zip(row, label)) for row in g.box]
+    bounds = [sum(b * h for b, h in zip(row, label)) for row in BOX[group]]
     candidates = []
     for ns in itertools.product(*(range(b + 1) for b in bounds)):
         lam = tuple(
@@ -628,6 +637,15 @@ def h_irrep_dim(h_type: str, label: tuple) -> int:
 
 def decomposition_dim(h_type: str, decomposition: dict) -> int:
     return sum(h_irrep_dim(h_type, lab) * m for lab, m in decomposition.items())
+
+
+def h_irrep_weights(h_type: str, label: tuple) -> dict:
+    """Weights of an isotropy irrep: the SU(2) string through its highest
+    weight, or that weight alone when the isotropy group is a torus."""
+    top = label[1:]
+    if h_type == "t2":
+        return {top: 1}
+    return {(n,) + top[1:]: 1 for n in range(-top[0], top[0] + 1, 2)}
 
 
 def decompose_weights_reference(h_type: str, weights: dict) -> dict:

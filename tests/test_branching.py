@@ -1,15 +1,16 @@
 """Branching of symmetry-group irreps to the isotropy subgroup."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from gray_stability.branching import (
+    KINDS,
     BranchingError,
     decompose_weights,
     format_h_label,
-    h_irrep_weights,
     hom_dim,
     restrict,
     restricted_weights,
@@ -17,7 +18,7 @@ from gray_stability.branching import (
 from gray_stability.forms import lambda11_0
 from gray_stability.lie import SPACE_NAMES, build_space, group_record
 from gray_stability.reps import dim, enumerate_labels
-from oracles import decompose_weights_reference, decomposition_dim, h_irrep_dim
+from oracles import decompose_weights_reference, decomposition_dim, h_irrep_dim, h_irrep_weights
 
 
 def test_branching_table_s3xs3():
@@ -166,15 +167,69 @@ def test_one_pass_decomposition_equals_the_repeated_max_reference():
     "h_type, weights, message",
     [
         ("delta_su2", {(1,): 2, (-1,): -1}, "negative input multiplicity"),
-        ("delta_su2", {(1,): 1, (-1,): 1, (-2,): 1}, "asymmetric"),  # (-2,) is left after V1
+        ("delta_su2", {(1,): 1, (-1,): 1, (-2,): 1}, "asymmetric"),  # (2,) is missing
         ("t2", {(1, 0): 1, (0, 1): -1}, "negative input multiplicity"),
-        ("u2", {_u2(1, 0): 2, _u2(0, 1): 1}, "does not fit"),  # E^1_1 twice, one (0, 1)
+        ("u2", {_u2(1, 0): 2, _u2(0, 1): 1}, "asymmetric"),  # the reference: "does not fit"
+        ("u2", {(2, 0): 1, (-2, 0): 1}, "broken"),  # no (0, 0) below (2, 0)
     ],
 )
 def test_decomposition_errors_match_the_reference(h_type, weights, message):
-    raised = []
+    # the two algorithms meet a non-character at different points, so only
+    # the rejection is shared; the message names the check that failed
+    with pytest.raises(BranchingError, match=message):
+        decompose_weights(h_type, dict(weights))
+    with pytest.raises(BranchingError):
+        decompose_weights_reference(h_type, dict(weights))
+
+
+def _both_decompositions(h_type: str, weights: dict):
+    """The decomposition of weights if both implementations agree on it,
+    None if both raise BranchingError."""
+    results = []
     for decompose in (decompose_weights, decompose_weights_reference):
-        with pytest.raises(BranchingError, match=message) as exc:
-            decompose(h_type, dict(weights))
-        raised.append(str(exc.value))
-    assert raised[0] == raised[1]
+        try:
+            results.append(decompose(h_type, dict(weights)))
+        except BranchingError:
+            results.append(None)
+    assert results[0] == results[1], (h_type, weights)
+    return results[0]
+
+
+def _random_h_label(rng: random.Random, h_type: str) -> tuple:
+    a = rng.randint(0, 6)
+    if h_type == "delta_su2":
+        return ("V", a)
+    if h_type == "u2":
+        return ("E", a, a + 2 * rng.randint(-4, 4))
+    return ("chi", rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+@pytest.mark.parametrize("h_type", sorted(KINDS))
+def test_random_sums_of_irreps_and_their_perturbations(h_type):
+    # first differences and character subtraction agree on sums of random
+    # irreps, and both reject every single-entry perturbation that breaks the
+    # SU(2) symmetry: a multiplicity off by one at a nonzero SU(2) weight, a
+    # weight's mirror dropped, a negative multiplicity.  Any other one-entry
+    # change (at SU(2) weight 0, or on the torus) they decompose alike.
+    rng = random.Random(27)
+    for _ in range(150):
+        irreps = Counter()
+        for _ in range(rng.randint(1, 5)):
+            irreps[_random_h_label(rng, h_type)] += rng.randint(1, 3)
+        weights = Counter()
+        for label, m in irreps.items():
+            for w in h_irrep_weights(h_type, label):
+                weights[w] += m
+        assert _both_decompositions(h_type, weights) == irreps
+        for w, m in weights.items():
+            changed = [{**weights, w: m + 1}, {**weights, w: m - 1}]
+            if h_type == "t2" or w[0] == 0:
+                for c in changed:
+                    _both_decompositions(h_type, c)
+                continue
+            mirror = (-w[0],) + w[1:]
+            changed.append({v: n for v, n in weights.items() if v != mirror})
+            for c in changed:
+                assert _both_decompositions(h_type, c) is None, (h_type, weights, c)
+        off = (7,) + next(iter(weights))[1:]  # above every random label
+        assert _both_decompositions(h_type, {**weights, off: -1}) is None

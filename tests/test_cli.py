@@ -1,6 +1,7 @@
 """Command-line interface behavior and output determinism."""
 
 import dataclasses
+import hashlib
 import json
 import pathlib
 from fractions import Fraction
@@ -111,6 +112,17 @@ def test_branch_table_matches_golden(capsys, space):
     code, out = _run(capsys, "branch", "--space", space, "--max", "40", "--format", "table")
     assert code == 0
     assert out == (DATA / f"golden_branch_{space}_max40.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("space", ["s3xs3", "cp3", "flag"])
+def test_branch_table_at_the_largest_max_matches_its_digest(capsys, space):
+    # --max accepts up to 200; the three tables (about 211 KB) are pinned by
+    # the SHA-256 digest of each, one "<digest>  <space>" line per space
+    code, out = _run(capsys, "branch", "--space", space, "--max", "200", "--format", "table")
+    assert code == 0
+    lines = (DATA / "golden_branch_max200.sha256").read_text(encoding="utf-8").splitlines()
+    digests = dict(line.split()[::-1] for line in lines)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[space]
 
 
 @pytest.mark.parametrize("space", ["s3xs3", "cp3", "flag"])
@@ -379,6 +391,17 @@ def test_internal_error_exits_1(capsys, monkeypatch, exc_type):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: matrix is singular\n"
+
+
+def test_branching_inconsistency_exits_1(capsys, monkeypatch):
+    from gray_stability import branching
+
+    monkeypatch.setattr(branching, "restricted_weights", lambda record, gamma: {(1,): 1})
+    branching._restrict.cache_clear()
+    assert main(["branch", "--space", "s3xs3", "--gamma", "1,1,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: asymmetric SU(2) weight multiset: m(1,) = 1, m(-1,) = 0\n"
 
 
 def test_user_input_errors_are_not_internal(capsys):

@@ -25,6 +25,7 @@ from gray_stability.reps import (
 )
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from oracles import (
+    BOX,
     J,
     casimir_reference,
     dual_ip,
@@ -145,11 +146,12 @@ def test_weight_system_matches_the_box_wide_recursion():
 
 
 def test_root_strings_above_a_weight_are_unbroken():
-    # weight_system runs Freudenthal on the dominant points of the box and
-    # ends the string mu + k alpha at its first k without an entry.  That is
-    # exact if every dominant point of the box is a weight, and if for every
-    # weight mu and positive root alpha the k >= 1 with mu + k alpha a weight
-    # are 1, ..., q.  A weight lies in the simple-root cone below the label,
+    # weight_system runs Freudenthal on the dominant weights and ends the
+    # string mu + k alpha at its first k without an entry; the reference runs
+    # it on every point of the box in oracles.BOX.  Both are exact if every
+    # dominant point of the box is a weight, and if for every weight mu and
+    # positive root alpha the k >= 1 with mu + k alpha a weight are
+    # 1, ..., q.  A weight lies in the simple-root cone below the label,
     # and a string that leaves the cone does not come back: alpha itself is
     # in the cone, so the simple-root coordinates of label - mu - k alpha fall.
     for group in GROUPS:
@@ -164,7 +166,7 @@ def test_root_strings_above_a_weight_are_unbroken():
 
         lengths = set()
         for hw in enumerate_labels(group, Fraction(40)):
-            bounds = [sum(b * h for b, h in zip(row, hw)) for row in g.box]
+            bounds = [sum(b * h for b, h in zip(row, hw)) for row in BOX[group]]
 
             def corner(ns):
                 return tuple(
