@@ -328,12 +328,7 @@ class Scalar:
                 terms.append(f"-{name}")
             else:
                 terms.append(f"{_ratio_str(x, d)}*{name}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return join_signed(terms)
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -354,6 +349,17 @@ def _ratio_str(x: int, d: int) -> str:
     """x/d for a positive d, in lowest terms: "p/q", or "p" when q is 1."""
     g = gcd(x, d)
     return f"{x // g}/{d // g}" if g != d else str(x // g)
+
+
+def join_signed(terms: list) -> str:
+    """The terms joined by " + ", or by " - " in place of a term's leading
+    minus sign; "0" when there are none."""
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
 
 
 def rational(p, q=1) -> Scalar:

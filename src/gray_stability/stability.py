@@ -3,23 +3,26 @@ action on the catalog spaces.
 
 The tt-eigenspace of the Lichnerowicz Laplacian at lambda = 10 - eps is
 assembled from eigenspaces E(mu) of the Hodge Laplacian on coclosed
-primitive (1,1)-forms, by the case analysis of eigenspace_sources
-(thresholds at eps = 6 and eps = 25/4, both handled by exact rational
-comparison).  E(mu) itself is computed from the Casimir spectrum and
+primitive (1,1)-forms.  The coupled eigenvalues there are
+mu_{1,2} = 7 - eps +/- sqrt(25 - 4 eps) and mu_3 = 6 - eps; tt_eigenspaces
+reads them forward, so that each E(mu) feeds
+eps = 5 - mu +/- sqrt(1 + 4 mu) (when rational) and eps = 6 - mu with
+0 <= eps <= 25/4.  The double root mu_1 = mu_2 = 3/4 at eps = 25/4 is one
+root in eps, 5 - 3/4 + 2, so E(3/4) is read there once.  At eps = 6 the
+harmonic 3-forms (lambda = 4) take the place of the harmonic 2-forms:
+(eps, mu) = (6, 0), where two of the three values meet, is dropped.
+The rows with lambda < 10 destabilize; those at lambda = 10 (eps = 0,
+where mu = 2, 6 and 12 are read) are the infinitesimal Einstein
+deformations.  E(mu) itself is computed from the Casimir spectrum and
 coclosed multiplicities; that mu is the Casimir constant on these forms
 is cited from Moroianu-Semmelmann (*The Hermitian Laplace operator on
 nearly Kaehler manifolds*; *Infinitesimal Einstein deformations of
 nearly Kaehler metrics*), not checked here.
 
-Why the Casimir cutoff of 12 suffices.  Only 0 < eps <= 25/4 can give a
-nonzero eigenspace.  There sqrt(25 - 4 eps) < 5, so
-mu1 = 7 - eps + sqrt(25 - 4 eps) < 12, while
-mu2 = 7 - eps - sqrt(25 - 4 eps) and mu3 = 6 - eps are below 7; eps = 6
-reads only E(2) (and b3), and eps = 25/4 only E(3/4).  So no E(mu) with
-mu >= 12 enters eigenspace_sources; mu = 12 enters only at the boundary
-eps = 0 of the infinitesimal Einstein deformations, which
-assemble_report counts apart.  The tests check this on every candidate
-eps of the three spaces and on a grid of eps.
+Why the Casimir cutoff of 12 suffices.  The largest eps that E(mu) feeds,
+5 - mu + sqrt(1 + 4 mu), reaches 0 at mu = 12 and falls below it after,
+so no label above Casimir 12 feeds lambda < 10, and mu = 12 feeds only
+lambda = 10.
 """
 
 from __future__ import annotations
@@ -46,68 +49,23 @@ def _sqrt_fraction(q: Fraction):
     return r if r * r == q else None
 
 
-@dataclass(frozen=True)
-class MuValues:
-    case: str              # generic | eps6 | eps25over4 | empty
-    mu1: Fraction | None   # None when irrational or not read by the case
-    mu2: Fraction | None
-    mu3: Fraction | None
-
-
-def mu_values(eps) -> MuValues:
-    """The three coupled Hodge eigenvalues at lambda = 10 - eps:
-    mu_{1,2} = 7 - eps +/- sqrt(25 - 4 eps) and mu_3 = 6 - eps."""
-    eps = Fraction(eps)
-    if eps > CRITICAL_EPS:
-        return MuValues("empty", None, None, None)
-    mu3 = Fraction(6) - eps
-    if eps == CRITICAL_EPS:
-        return MuValues("eps25over4", Fraction(3, 4), Fraction(3, 4), mu3)
-    if eps == 6:
-        return MuValues("eps6", None, None, Fraction(0))
-    s = _sqrt_fraction(Fraction(25) - 4 * eps)
-    if s is None:
-        return MuValues("generic", None, None, mu3)
-    return MuValues("generic", Fraction(7) - eps + s, Fraction(7) - eps - s, mu3)
-
-
-def eigenspace_sources(eps, e_dims: dict, b3: int) -> list:
-    """The (multiplicity, source) pairs that make up the tt-eigenspace at
-    lambda = 10 - eps, given the dimensions of E(mu) (absent keys count
-    as zero) and the third Betti number; a multiplicity may be 0."""
-    mv = mu_values(eps)
-    if mv.case == "empty":
-        return []
-    if mv.case == "eps25over4":
-        return [(e_dims.get(Fraction(3, 4), 0), "E(3/4) eigenforms")]
-    if mv.case == "eps6":
-        return [(e_dims.get(Fraction(2), 0), "E(2) eigenforms"), (b3, "harmonic-3-forms")]
-    return [
-        (e_dims.get(mu, 0), "harmonic-2-forms" if mu == 0 else f"E({mu}) eigenforms")
-        for mu in (mv.mu1, mv.mu2, mv.mu3)
-        if mu is not None and mu >= 0
-    ]
-
-
-def candidate_eps(e_dims: dict, b3: int) -> set:
-    """Every eps in (0, 25/4] at which the eigenspace can be nonzero: where
-    mu1, mu2 or mu3 hits a Casimir value present in e_dims, and the two
-    thresholds when what they read is present."""
-    candidates = set()
-    for mu in e_dims:
+def tt_eigenspaces(e_dims: dict, b3: int) -> list:
+    """(lambda, mult, source) of every nonzero tt-eigenspace at
+    lambda = 10 - eps, 0 <= eps <= 25/4, read forward from the dimensions
+    of E(mu) and the third Betti number (module docstring)."""
+    rows = [(Fraction(4), b3, "harmonic-3-forms")] if b3 else []
+    for mu, mult in e_dims.items():
+        if not mult:
+            continue
         s = _sqrt_fraction(1 + 4 * mu)
-        if s is not None:
-            for eps in (Fraction(5) - mu + s, Fraction(5) - mu - s):
-                if 0 < eps <= CRITICAL_EPS:
-                    candidates.add(eps)
-        eps3 = Fraction(6) - mu
-        if 0 < eps3:
-            candidates.add(eps3)
-    if b3 > 0 or e_dims.get(Fraction(2), 0) > 0:
-        candidates.add(Fraction(6))
-    if e_dims.get(Fraction(3, 4), 0) > 0:
-        candidates.add(CRITICAL_EPS)
-    return candidates
+        roots = (6 - mu,) if s is None else (6 - mu, 5 - mu + s, 5 - mu - s)
+        source = "harmonic-2-forms" if mu == 0 else f"E({mu}) eigenforms"
+        rows += [
+            (10 - eps, mult, source)
+            for eps in roots
+            if 0 <= eps <= CRITICAL_EPS and (eps, mu) != (6, 0)
+        ]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -168,36 +126,23 @@ def assemble_report(space_name: str, rows: list) -> StabilityReport:
     b2, b3 = space.betti
 
     e_dims: dict[Fraction, int] = {}
-    ied_boundary = 0
     for label, d, cas, hd, cd in rows:
-        if cd == 0:
-            continue
-        contrib = d * cd
-        if cas == CASIMIR_THRESHOLD:
-            ied_boundary += contrib
-        else:
-            e_dims[cas] = e_dims.get(cas, 0) + contrib
-
+        e_dims[cas] = e_dims.get(cas, 0) + d * cd
     if e_dims.get(Fraction(0), 0) != b2:
         raise ArithmeticError(
             f"{space_name}: harmonic 2-form count {e_dims.get(Fraction(0), 0)} "
             f"does not match b2 = {b2}"
         )
 
-    ied_dim = e_dims.get(Fraction(2), 0) + e_dims.get(Fraction(6), 0) + ied_boundary
-
-    candidates = candidate_eps(e_dims, b3)
-    destabilizing = [
-        DestabilizingSpace(Fraction(10) - eps, mult, source)
-        for eps in candidates
-        for mult, source in eigenspace_sources(eps, e_dims, b3)
-        if mult
-    ]
-    destabilizing.sort(key=lambda d: (d.lam, d.source))
+    eigenspaces = tt_eigenspaces(e_dims, b3)
+    destabilizing = sorted(
+        (DestabilizingSpace(lam, mult, source) for lam, mult, source in eigenspaces if lam < 10),
+        key=lambda d: (d.lam, d.source),
+    )
     return StabilityReport(
         space=space_name,
         destabilizing=tuple(destabilizing),
         coindex=sum(d.mult for d in destabilizing),
-        ied_dim=ied_dim,
+        ied_dim=sum(mult for lam, mult, _ in eigenspaces if lam == 10),
         casimir_rows=tuple(rows),
     )

@@ -23,7 +23,7 @@ from math import lcm
 from operator import add
 
 from .linalg import add_into
-from .scalars import ONE, ZERO, Scalar, rational
+from .scalars import ONE, ZERO, Scalar, join_signed, rational
 
 NGENS = 9
 GEN_NAMES = ("v1", "v2", "v3", "x1", "x2", "x3", "x4", "x5", "x6")
@@ -122,8 +122,6 @@ class SymPoly:
         return SymPoly.sum(images)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for m in sorted(self.terms, key=_grlex_key):
             c = self.terms[m]
@@ -144,10 +142,7 @@ class SymPoly:
                 parts.append(f"({cs})*{body}")
             else:
                 parts.append(f"{cs}*{body}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return join_signed(parts)
 
     def __repr__(self):
         return f"SymPoly({self})"

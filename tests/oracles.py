@@ -7,6 +7,7 @@ convenience for writing one; none of them runs under a command.
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,7 +19,6 @@ from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, build_space
 from gray_stability.reps import _GRAM_INV, GROUPS, _doubled_shift, _dual, check_label, explicit_rep
 from gray_stability.scalars import BASIS_NAMES, I, ONE, SQRT2, ZERO, Scalar, rational
-from gray_stability.stability import eigenspace_sources
 from gray_stability.sympoly import NGENS, SymPoly, eliminate_v3, generators, gram_su3
 
 SQRT3 = Scalar.basis_element(3)
@@ -789,6 +789,72 @@ def coclosed_basis(space: ReductiveSpace, gamma: tuple) -> list:
 
 
 # -- spectral case analysis --------------------------------------------------
+# The eps-first reading of the coupling that stability.tt_eigenspaces reads
+# forward from E(mu): at lambda = 10 - eps, mu_{1,2} = 7 - eps +/- sqrt(25 - 4 eps)
+# and mu_3 = 6 - eps, with the thresholds eps = 6 and eps = 25/4 as cases.
+
+@dataclass(frozen=True)
+class MuValues:
+    case: str              # generic | eps6 | eps25over4 | empty
+    mu1: Fraction | None   # None when irrational or not read by the case
+    mu2: Fraction | None
+    mu3: Fraction | None
+
+
+def mu_values(eps) -> MuValues:
+    """The three coupled Hodge eigenvalues at lambda = 10 - eps:
+    mu_{1,2} = 7 - eps +/- sqrt(25 - 4 eps) and mu_3 = 6 - eps."""
+    eps = Fraction(eps)
+    if eps > Fraction(25, 4):
+        return MuValues("empty", None, None, None)
+    mu3 = Fraction(6) - eps
+    if eps == Fraction(25, 4):
+        return MuValues("eps25over4", Fraction(3, 4), Fraction(3, 4), mu3)
+    if eps == 6:
+        return MuValues("eps6", None, None, Fraction(0))
+    s = sqrt_fraction_reference(Fraction(25) - 4 * eps)
+    if s is None:
+        return MuValues("generic", None, None, mu3)
+    return MuValues("generic", Fraction(7) - eps + s, Fraction(7) - eps - s, mu3)
+
+
+def eigenspace_sources(eps, e_dims: dict, b3: int) -> list:
+    """The (multiplicity, source) pairs that make up the tt-eigenspace at
+    lambda = 10 - eps, given the dimensions of E(mu) (absent keys count
+    as zero) and the third Betti number; a multiplicity may be 0."""
+    mv = mu_values(eps)
+    if mv.case == "empty":
+        return []
+    if mv.case == "eps25over4":
+        return [(e_dims.get(Fraction(3, 4), 0), "E(3/4) eigenforms")]
+    if mv.case == "eps6":
+        return [(e_dims.get(Fraction(2), 0), "E(2) eigenforms"), (b3, "harmonic-3-forms")]
+    return [
+        (e_dims.get(mu, 0), "harmonic-2-forms" if mu == 0 else f"E({mu}) eigenforms")
+        for mu in (mv.mu1, mv.mu2, mv.mu3)
+        if mu is not None and mu >= 0
+    ]
+
+
+def candidate_eps(e_dims: dict, b3: int) -> set:
+    """Every eps in (0, 25/4] at which the eigenspace can be nonzero: where
+    mu1, mu2 or mu3 hits a Casimir value present in e_dims, and the two
+    thresholds when what they read is present."""
+    candidates = set()
+    for mu in e_dims:
+        s = sqrt_fraction_reference(1 + 4 * mu)
+        if s is not None:
+            for eps in (Fraction(5) - mu + s, Fraction(5) - mu - s):
+                if 0 < eps <= Fraction(25, 4):
+                    candidates.add(eps)
+        eps3 = Fraction(6) - mu
+        if 0 < eps3:
+            candidates.add(eps3)
+    if b3 > 0 or e_dims.get(Fraction(2), 0) > 0:
+        candidates.add(Fraction(6))
+    if e_dims.get(Fraction(3, 4), 0) > 0:
+        candidates.add(Fraction(25, 4))
+    return candidates
 
 def solution_dim(eps, e_dims: dict, b3: int) -> int:
     """Dimension of the tt-eigenspace at lambda = 10 - eps, summed over

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from gray_stability import branching, forms
 from gray_stability.branching import (
     KINDS,
     BranchingError,
@@ -161,6 +162,28 @@ def test_one_pass_decomposition_equals_the_repeated_max_reference():
         weights = Counter(target.weights)
         got = decompose_weights(record.h_type, weights)
         assert got == decompose_weights_reference(record.h_type, weights) == target.decomposition, name
+
+
+def test_every_cp3_weight_reaching_the_decomposition_has_matching_parity(monkeypatch):
+    # E^a_b needs a == b mod 2, which decompose_weights takes on trust: no
+    # catalog path hands it a u2 weight of mixed parity, neither the
+    # restrictions up to Casimir 40 nor the weights of Lambda^{1,1}_0
+    seen = []
+
+    def recording(h_type, weights):
+        seen.append((h_type, dict(weights)))
+        return decompose_weights(h_type, weights)
+
+    monkeypatch.setattr(branching, "decompose_weights", recording)
+    monkeypatch.setattr(forms, "decompose_weights", recording)
+    record = group_record("cp3")
+    labels = enumerate_labels(record.group, Fraction(40))
+    for label in labels:
+        branching._restrict.__wrapped__("cp3", label)
+    forms.lambda11_0.__wrapped__("cp3")
+    assert len(seen) == len(labels) + 1 and {h for h, _ in seen} == {"u2"}
+    odd = [w for _, weights in seen for w in weights if (w[0] - w[1]) % 2]
+    assert odd == []
 
 
 @pytest.mark.parametrize(

@@ -13,14 +13,20 @@ from gray_stability.forms import lambda11_0
 from gray_stability.stability import (
     _sqrt_fraction,
     assemble_report,
-    candidate_eps,
     coindex_report,
-    eigenspace_sources,
-    mu_values,
+    tt_eigenspaces,
     _coclosed_table,
 )
 from gray_stability.lie import SPACE_NAMES, build_space
-from oracles import matrix_a, matrix_a_eigenvalues, solution_dim, sqrt_fraction_reference
+from oracles import (
+    candidate_eps,
+    eigenspace_sources,
+    matrix_a,
+    matrix_a_eigenvalues,
+    mu_values,
+    solution_dim,
+    sqrt_fraction_reference,
+)
 
 
 @pytest.mark.parametrize(
@@ -101,6 +107,66 @@ def test_eigenspace_sources_per_case():
     assert eigenspace_sources(7, e_dims, b3=2) == []
     # sqrt(21) is irrational: only mu3 = 5 is read
     assert eigenspace_sources(1, e_dims, b3=2) == [(0, "E(5) eigenforms")]
+
+
+def _eps_first_rows(e_dims: dict, b3: int) -> list:
+    """The nonzero (lambda, mult, source) rows of the eps-first reference:
+    every candidate eps > 0, and eps = 0 read from mu_values(0)."""
+    return sorted(
+        (Fraction(10) - eps, mult, source)
+        for eps in candidate_eps(e_dims, b3) | {Fraction(0)}
+        for mult, source in eigenspace_sources(eps, e_dims, b3)
+        if mult
+    )
+
+
+# Casimir-like values: the coupling's special points, every mu with
+# 1 + 4 mu a square of s <= 60 (where 5 - mu +/- s is rational) and thirds
+_MU_POOL = sorted(
+    {Fraction(0), Fraction(3, 4), Fraction(2), Fraction(6), Fraction(12)}
+    | {Fraction(s * s - 1, 4) for s in range(1, 61)}
+    | {Fraction(k, 3) for k in range(0, 61)}
+)
+
+
+def test_tt_eigenspaces_equals_the_eps_first_reference():
+    rng = random.Random(28)
+    for _ in range(10_000):
+        e_dims = {mu: rng.randint(0, 4) for mu in rng.sample(_MU_POOL, rng.randint(1, 6))}
+        b3 = rng.choice((0, 1, 2))
+        rows = tt_eigenspaces(e_dims, b3)
+        assert sorted(rows) == _eps_first_rows(e_dims, b3), (e_dims, b3)
+        ied = sum(e_dims.get(Fraction(mu), 0) for mu in (2, 6, 12))
+        assert sum(mult for lam, mult, _ in rows if lam == 10) == ied, (e_dims, b3)
+
+
+@pytest.mark.parametrize(
+    "e_dims, b3, rows",
+    [
+        # (eps, mu) = (6, 0) is dropped: the 3-forms take its place at lambda = 4
+        ({Fraction(0): 1}, 2, [(4, 2, "harmonic-3-forms"), (6, 1, "harmonic-2-forms")]),
+        # E(2) feeds eps = 6, 4 and 0
+        ({Fraction(2): 3}, 0, [(4, 3, "E(2) eigenforms"), (6, 3, "E(2) eigenforms"), (10, 3, "E(2) eigenforms")]),
+        # the double root mu = 3/4 at eps = 25/4 counts once
+        ({Fraction(3, 4): 7}, 0, [
+            (Fraction(15, 4), 7, "E(3/4) eigenforms"),
+            (Fraction(19, 4), 7, "E(3/4) eigenforms"),
+            (Fraction(31, 4), 7, "E(3/4) eigenforms"),
+        ]),
+        ({Fraction(12): 5, Fraction(5): 0}, 0, [(10, 5, "E(12) eigenforms")]),
+    ],
+)
+def test_tt_eigenspaces_special_points(e_dims, b3, rows):
+    assert sorted(tt_eigenspaces(e_dims, b3)) == rows
+
+
+def test_no_label_above_the_cutoff_feeds_the_map():
+    # mu = 12 feeds only lambda = 10 (eps = 0); above it nothing is fed
+    assert tt_eigenspaces({Fraction(12): 1}, 0) == [(10, 1, "E(12) eigenforms")]
+    grid = [Fraction(12) + Fraction(k, 8) for k in range(1, 8 * 300)]
+    grid += [Fraction(s * s - 1, 4) for s in range(8, 200)]
+    for mu in grid:
+        assert tt_eigenspaces({mu: 1}, 0) == [], mu
 
 
 def _e_dims(name: str) -> dict:

@@ -13,6 +13,11 @@ or comprehension binds that name itself (as an argument, an assignment,
 a ``for``/``with`` target or a comprehension target): a local ``zeros``
 is not a use of a module-level ``zeros``.
 
+The oracle scan holds ``tests/oracles.py`` to the same rule from the other
+side: each of its top-level functions and classes must be reached from a
+test, named by some ``tests/test_*.py`` file or by an oracle that is
+itself reached, so a reference stays only while a test compares against it.
+
 Known limit: attributes match by bare name, so a definition or a field
 that shares its name with a used attribute (say a field ``name`` beside
 every ``space.name``) passes unseen.
@@ -27,7 +32,8 @@ import ast
 import pathlib
 from collections import Counter
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gray_stability"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "gray_stability"
 
 # Boundaries of the benchmark's outside-in tracer, which reports a missing
 # boundary as absent; they stay until the tracer stops listing them.
@@ -143,6 +149,28 @@ def unreferenced(src: pathlib.Path = SRC) -> list:
     return sorted(out)
 
 
+def unreached_oracles(tests: pathlib.Path = TESTS) -> list:
+    """Top-level functions and classes of oracles.py that no test reaches,
+    directly or through other oracles."""
+    tree = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    names_in = {
+        node.name: _references(node)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    named = Counter()
+    for path in sorted(tests.glob("test_*.py")):
+        named += _references(ast.parse(path.read_text(encoding="utf-8")))
+    frontier = [name for name in names_in if named[name]]
+    reached = set(frontier)
+    while frontier:
+        for name in names_in[frontier.pop()]:
+            if name in names_in and name not in reached:
+                reached.add(name)
+                frontier.append(name)
+    return sorted(set(names_in) - reached)
+
+
 def float_uses(src: pathlib.Path = SRC) -> list:
     """'module:line: what' for every float literal, name float, true
     division and non-integer math function in the modules under src."""
@@ -195,6 +223,34 @@ def test_float_scan_sees_literals_division_and_math(tmp_path):
 
 def test_every_definition_has_a_caller_in_src():
     assert [name for name in unreferenced() if name not in EXEMPT] == []
+
+
+def test_every_oracle_is_reached_from_a_test():
+    assert unreached_oracles() == []
+
+
+def test_oracle_scan_follows_helpers_from_the_tests(tmp_path):
+    (tmp_path / "oracles.py").write_text(
+        "def reference(x):\n"
+        "    return _helper(x)\n"
+        "def _helper(x):\n"
+        "    return x\n"
+        "def stale(x):\n"
+        "    return _stale_helper(x)\n"
+        "def _stale_helper(x):\n"
+        "    return stale(x)\n"
+        "class Record:\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "test_a.py").write_text(
+        "from oracles import reference, stale\n"
+        "def test_reference():\n"
+        "    assert reference(1) == 1\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "helpers.py").write_text("from oracles import Record\nRecord()\n", encoding="utf-8")
+    assert unreached_oracles(tmp_path) == ["Record", "_stale_helper", "stale"]
 
 
 def test_exemptions_are_still_needed():
