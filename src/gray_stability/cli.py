@@ -106,12 +106,12 @@ def casimir_doc(space_name: str, max_cas: Fraction) -> dict:
     # the group record would do, but perfbench's harness test traces build_space here
     group = build_space(space_name).group
     rows = []
-    for label in enumerate_labels(group, max_cas):
+    for label, cas in enumerate_labels(group, max_cas).items():
         rows.append(
             {
                 "label": list(label),
                 "dim": dim(group, label),
-                "casimir": fraction_jsonable(casimir_constant(group, label)),
+                "casimir": fraction_jsonable(cas),
             }
         )
     return {"space": space_name, "group": group, "rows": rows}
@@ -119,14 +119,17 @@ def casimir_doc(space_name: str, max_cas: Fraction) -> dict:
 
 def branch_doc(space_name: str, gamma: tuple | None, max_cas: Fraction) -> dict:
     record = group_record(space_name)
-    labels = [gamma] if gamma else enumerate_labels(record.group, max_cas)
+    if gamma:
+        labels = {gamma: casimir_constant(record.group, gamma)}
+    else:
+        labels = enumerate_labels(record.group, max_cas)
     rows = []
-    for label in labels:
+    for label, cas in labels.items():
         dec = restrict(record, label)
         rows.append(
             {
                 "gamma": list(label),
-                "casimir": fraction_jsonable(casimir_constant(record.group, label)),
+                "casimir": fraction_jsonable(cas),
                 "branching": [
                     {"h_label": format_h_label(lab), "mult": m}
                     for lab, m in sorted(dec.items())

@@ -27,8 +27,8 @@ Freudenthal's recursion, the Weyl dimension and the Casimir constant run
 in plain integers: their inner products (_dual) are scaled by the common
 denominator of the inverse Gram matrix and taken on doubled shifted
 weights; each simple coroot is an integral row.  The Casimir cutoff of
-enumerate_labels is an integer bound on 4D |label + delta|^2, so no label
-forms a Fraction.
+enumerate_labels is an integer bound on 4D |label + delta|^2, and each
+label it keeps reads its Casimir constant off that same integer.
 
 The explicit module of a label is the top component of the product of
 Sym^k(seed) over the group's seed modules (``_SEEDS``): C^2 of each su2
@@ -242,20 +242,23 @@ def casimir_constant(group: str, label: tuple) -> Fraction:
     return Fraction(_norm4(group, label) - _norm4(group, (0,) * len(label)), 4 * _GRAM_INV[group][1])
 
 
-def enumerate_labels(group: str, max_cas: Fraction) -> list:
-    """Dominant labels with Casimir constant <= max_cas = p/q, by Casimir
-    constant and label.  Cas is increasing affine in _norm4 (casimir_constant):
-    the test is _norm4 q <= _norm4(0) q + 4D p, and _norm4 sorts like Cas.  Cas
-    increases in each coordinate, so the first coordinate's sweep bounds all."""
+def enumerate_labels(group: str, max_cas: Fraction) -> dict:
+    """Dominant labels with Casimir constant <= max_cas = p/q, each mapped to
+    its Casimir constant, in order of Casimir constant and label.  Cas is
+    increasing affine in _norm4 (casimir_constant): the test is
+    _norm4 q <= _norm4(0) q + 4D p, and _norm4 sorts like Cas.  Cas increases
+    in each coordinate, so the first coordinate's sweep bounds all."""
     rank = GROUPS[group].rank
     q = max_cas.denominator
-    top = _norm4(group, (0,) * rank) * q + 4 * _GRAM_INV[group][1] * max_cas.numerator
+    norm0 = _norm4(group, (0,) * rank)
+    four_d = 4 * _GRAM_INV[group][1]
+    top = norm0 * q + four_d * max_cas.numerator
     n = next(n for n in itertools.count() if _norm4(group, (n,) + (0,) * (rank - 1)) * q > top)
     keyed = []
     for lab in itertools.product(range(n), repeat=rank):
         if _dominant(group, lab) and (norm4 := _norm4(group, lab)) * q <= top:
             keyed.append((norm4, lab))
-    return [lab for _, lab in sorted(keyed)]
+    return {lab: Fraction(norm4 - norm0, four_d) for norm4, lab in sorted(keyed)}
 
 
 # ---------------------------------------------------------------------------

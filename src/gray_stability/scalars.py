@@ -22,20 +22,36 @@ the 6,177 products have two monomial operands and the other 325 a zero
 one (an int operand counts as the scalar it is coerced to), and 2,991
 of the 3,574 sums add two monomials on the same basis element; in
 ``reproduce-all`` the counts are 10,745 and 525 of 11,270 products and
-4,257 of 5,040 sums, and 2,196 of its 5,010 negations are of zero.  All
-202 and 229 inverses are of monomials.  So each scalar also carries a
-``tag``, set once wherever it is made: the index of its only nonzero
-coordinate, ``_ZERO_TAG`` or ``_GENERAL_TAG``.  Only the constructor
-and the general paths read it off ``n``; the other paths know it.  The
-operations branch on the tags instead of scanning ``n``: a product of
-two monomials is one lookup in the multiplication table and one gcd, a
+4,257 of 5,040 sums, and 2,814 of its 5,010 negations are of monomials
+and 2,196 of zero.  All 202 and 229 inverses are of monomials.  So each
+scalar also carries a ``tag``, set once wherever it is made: the index
+of its only nonzero coordinate, ``_ZERO_TAG`` or ``_GENERAL_TAG``.  Only
+the constructor and the general paths read it off ``n``; the other paths
+know it.  The operations branch on the tags instead of scanning ``n``:
+a product of two monomials is one lookup in the multiplication table, a
 sum of two on the same basis element one integer operation (``ZERO``
 when they cancel), a difference the sum with the negation, the inverse
 of a monomial a division by e_k * e_k, a rational, and a zero operand
 returns at once.
+
+Those monomials take few values, so they are hash-consed (Goto, 1974;
+Filliatre and Conchon, 2006): ``_monomial(k, c, d)``, which makes every
+monomial of a product, a same-basis sum, an inverse or a negation, keeps
+what it makes in one table keyed by the request (k, c, d).  A request
+seen before returns the object made then; a new one not in lowest terms
+returns the object of its lowest-terms request, which it makes at most
+once.  A cold ``reproduce-all`` makes 15,954 requests, 15,557 of them
+hits, and leaves 500 entries over 278 objects, 18 entries and 13
+objects of them made by the import of the commands; ``obstruction``
+makes 2,848 requests and leaves 158 entries, ``coindex`` on the three
+spaces 9,265 requests and 414 entries.  The table stops growing at
+``MONOMIAL_CAP`` entries and evicts nothing: past the cap a request
+builds its monomial afresh, the same value, so a run does not depend on
+what ran before it.  A shared scalar is never changed: only the
+constructors write ``n``, ``d`` and ``tag``.
 Each path returns the same canonical ``(n, d)`` as the general one, and
 the tag is a function of ``n``, so equality, hashing and JSON mean what
-they meant on ``(n, d)`` alone.
+they meant on ``(n, d)`` alone; nothing compares scalars by identity.
 """
 
 from __future__ import annotations
@@ -136,20 +152,26 @@ def _reduced(n: list, d: int) -> "Scalar":
     return _raw(n, d, tag)
 
 
+# The monomial table, request (k, c, d) -> monomial, and its bound.
+MONOMIAL_CAP = 4096
+_MONOMIALS: dict = {}
+
+
 def _monomial(k: int, c: int, d: int) -> "Scalar":
     """The scalar (c/d) * basis element k, for an int c != 0 and a
     positive int d."""
-    if d != 1:
-        g = gcd(c, d)
-        if g != 1:
-            c //= g
-            d //= g
-    n = _ZEROS.copy()
-    n[k] = c
-    s = _new(Scalar)
-    s.n = tuple(n)
-    s.d = d
-    s.tag = k
+    s = _MONOMIALS.get((k, c, d))
+    if s is not None:
+        return s
+    g = gcd(c, d)
+    if g != 1:
+        s = _monomial(k, c // g, d // g)  # the lowest-terms request's object
+    else:
+        n = _ZEROS.copy()
+        n[k] = c
+        s = _raw(tuple(n), d, k)
+    if len(_MONOMIALS) < MONOMIAL_CAP:
+        _MONOMIALS[k, c, d] = s
     return s
 
 
@@ -221,9 +243,12 @@ class Scalar:
         return self + -other
 
     def __neg__(self):
-        if self.tag == _ZERO_TAG:
+        tag = self.tag
+        if tag < 8:
+            return _monomial(tag, -self.n[tag], self.d)
+        if tag == _ZERO_TAG:
             return self
-        return _raw(tuple([-x for x in self.n]), self.d, self.tag)
+        return _raw(tuple([-x for x in self.n]), self.d, tag)
 
     def __mul__(self, other):
         if type(other) is not Scalar:

@@ -35,7 +35,7 @@ from functools import lru_cache
 from .fourier import coclosed_dim, hom_basis
 from .lie import ReductiveSpace, build_space
 from .render import fraction_jsonable
-from .reps import casimir_constant, dim, enumerate_labels
+from .reps import dim, enumerate_labels
 
 CRITICAL_EPS = Fraction(25, 4)
 CASIMIR_THRESHOLD = Fraction(12)
@@ -103,8 +103,7 @@ def _coclosed_table(space: ReductiveSpace) -> list:
     """(label, dim, casimir, hom multiplicity, coclosed multiplicity) for
     every label with Casimir constant up to the enumeration threshold."""
     rows = []
-    for label in enumerate_labels(space.group, CASIMIR_THRESHOLD):
-        cas = casimir_constant(space.group, label)
+    for label, cas in enumerate_labels(space.group, CASIMIR_THRESHOLD).items():
         basis = hom_basis(space, label)
         cd = coclosed_dim(space, label, basis)
         rows.append((label, dim(space.group, label), cas, len(basis), cd))

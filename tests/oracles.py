@@ -79,6 +79,65 @@ def scalar_json_reference(s: Scalar) -> list:
     return [_fraction_str(q) for q in _fractions(s)]
 
 
+# (i, sqrt2, sqrt3) exponents of the storage basis, as in BASIS_NAMES
+_EXPS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1))
+
+
+def fraction_mul_reference(p, q) -> list:
+    """Product of two coordinate lists by the rules i^2 = -1, sqrt2^2 = 2,
+    sqrt3^2 = 3, computed in Fractions."""
+    out = [Fraction(0)] * 8
+    for x, (i1, a1, b1) in zip(p, _EXPS):
+        for y, (i2, a2, b2) in zip(q, _EXPS):
+            if not (x and y):
+                continue
+            c = x * y * (-1 if i1 and i2 else 1) * (2 if a1 and a2 else 1) * (3 if b1 and b2 else 1)
+            out[_EXPS.index(((i1 + i2) % 2, (a1 + a2) % 2, (b1 + b2) % 2))] += c
+    return out
+
+
+def fraction_inverse_reference(p) -> list:
+    """The coordinates x with x * p = 1, by Gauss-Jordan elimination on the
+    8 x 8 matrix of multiplication by p, in Fractions; p must be nonzero."""
+    units = [[Fraction(j == k) for k in range(8)] for j in range(8)]
+    columns = [fraction_mul_reference(u, p) for u in units]
+    rows = [[col[r] for col in columns] + [units[0][r]] for r in range(8)]
+    for c in range(8):
+        pivot = next(r for r in range(c, 8) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(8):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [row[8] for row in rows]
+
+
+def scalar_op_reference(op: str, a: Scalar, b: Scalar | None = None) -> tuple:
+    """(n, d, tag) of a + b, a - b, a * b, -a or a.inverse() (op "+", "-",
+    "*", "neg", "inverse"), computed from the Fraction coordinates: d the
+    lcm of the coordinate denominators, n the coordinates times d, tag the
+    index of the only nonzero coordinate, else 8 for zero and 9 for any
+    other scalar."""
+    pa = _fractions(a)
+    pb = _fractions(b) if b is not None else None
+    if op == "+":
+        coords = [x + y for x, y in zip(pa, pb)]
+    elif op == "-":
+        coords = [x - y for x, y in zip(pa, pb)]
+    elif op == "*":
+        coords = fraction_mul_reference(pa, pb)
+    elif op == "neg":
+        coords = [-x for x in pa]
+    else:
+        coords = fraction_inverse_reference(pa)
+    d = math.lcm(*(q.denominator for q in coords))
+    n = tuple((q * d).numerator for q in coords)
+    nonzero = [k for k, x in enumerate(n) if x]
+    tag = nonzero[0] if len(nonzero) == 1 else 9 if nonzero else 8
+    return n, d, tag
+
+
 # -- linear algebra ----------------------------------------------------------
 
 def zeros(m: int, n: int):
@@ -567,10 +626,10 @@ def casimir_reference(group: str, label: tuple) -> Fraction:
 
 
 def enumerate_labels_reference(group: str, max_cas: Fraction) -> list:
-    """The dominant labels with Casimir constant <= max_cas, by (Casimir
-    constant, label), in Fractions.  The Casimir constant grows along each
-    coordinate, so the box stops at the first n at which every dominant
-    axis point n e_k is above the cutoff."""
+    """(label, Casimir constant) of the dominant labels with Casimir
+    constant <= max_cas, by (Casimir constant, label), in Fractions.  The
+    Casimir constant grows along each coordinate, so the box stops at the
+    first n at which every dominant axis point n e_k is above the cutoff."""
     rank = GROUPS[group].rank
 
     def axis(k, n):
@@ -579,7 +638,7 @@ def enumerate_labels_reference(group: str, max_cas: Fraction) -> list:
     n = 0
     while any(cas <= max_cas for cas, _ in _casimir_keyed(group, [axis(k, n) for k in range(rank)])):
         n += 1
-    return [lab for cas, lab in _box_by_casimir(group, n) if cas <= max_cas]
+    return [(lab, cas) for cas, lab in _box_by_casimir(group, n) if cas <= max_cas]
 
 
 @lru_cache(maxsize=None)
@@ -801,6 +860,7 @@ class MuValues:
     mu3: Fraction | None
 
 
+@lru_cache(maxsize=None)
 def mu_values(eps) -> MuValues:
     """The three coupled Hodge eigenvalues at lambda = 10 - eps:
     mu_{1,2} = 7 - eps +/- sqrt(25 - 4 eps) and mu_3 = 6 - eps."""
@@ -873,6 +933,7 @@ def matrix_a(eps) -> list:
     ]
 
 
+@lru_cache(maxsize=None)
 def sqrt_fraction_reference(q: Fraction):
     """sqrt(q) = sqrt(p d)/d for q = p/d in lowest terms, or None when
     q < 0 or p d is not a square."""

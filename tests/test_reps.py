@@ -263,11 +263,11 @@ def test_check_label_is_the_dominance_test():
 
 
 def test_enumerate_labels_below_threshold():
-    assert enumerate_labels("so5", Fraction(12)) == [(0, 0), (1, 0), (1, 1)]
-    assert enumerate_labels("su3", Fraction(12)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(enumerate_labels("so5", Fraction(12))) == [(0, 0), (1, 0), (1, 1)]
+    assert list(enumerate_labels("su3", Fraction(12))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     k3 = enumerate_labels("k3", Fraction(12))
     assert (1, 1, 0) in k3 and (2, 0, 0) in k3 and (1, 1, 1) not in k3
-    assert all(casimir_constant("k3", lab) <= 12 for lab in k3)
+    assert all(casimir_constant("k3", lab) == cas <= 12 for lab, cas in k3.items())
 
 
 def test_enumerate_labels_equals_a_brute_force_sort():
@@ -279,21 +279,23 @@ def test_enumerate_labels_equals_a_brute_force_sort():
             if all(dual_ip(group, lab, a) >= 0 for a in g.simple_roots)
         )
         for top in (Fraction(0), Fraction(12), Fraction(81, 2), Fraction(200)):
-            below = [lab for cas, lab in brute if cas <= top]
-            assert enumerate_labels(group, top) == below, (group, top)
-        assert max(map(max, below)) <= 10, group
+            below = [(lab, cas) for cas, lab in brute if cas <= top]
+            assert list(enumerate_labels(group, top).items()) == below, (group, top)
+        assert max(max(lab) for lab, _ in below) <= 10, group
 
 
 def test_integer_cutoff_equals_the_fraction_reference():
-    # labels and order, at fixed cutoffs, at every Casimir value up to 40
-    # (a label sits exactly on the cutoff) and just below each
+    # labels, order and Casimir constants, at fixed cutoffs, at every
+    # Casimir value up to 40 (a label sits exactly on the cutoff) and just
+    # below each
     fixed = {Fraction(0), Fraction(3, 4), Fraction(25, 4), Fraction(12), Fraction(40), Fraction(200)}
     for group in GROUPS:
-        exact = {casimir_constant(group, lab) for lab in enumerate_labels_reference(group, Fraction(40))}
+        exact = {cas for _, cas in enumerate_labels_reference(group, Fraction(40))}
         assert len(exact) >= 8, group
         below = {c - Fraction(1, 1000) for c in exact if c}
         for top in sorted(fixed | exact | below):
-            assert enumerate_labels(group, top) == enumerate_labels_reference(group, top), (group, top)
+            found = list(enumerate_labels(group, top).items())
+            assert found == enumerate_labels_reference(group, top), (group, top)
 
 
 def test_explicit_rep_matches_reference_matrices():

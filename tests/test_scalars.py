@@ -1,11 +1,16 @@
 """Unit tests for the exact scalar tower."""
 
 import math
+import operator
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from gray_stability import scalars
+from gray_stability.cli import main
 from gray_stability.scalars import (
     _GENERAL_TAG,
     _ZERO_TAG,
@@ -17,7 +22,18 @@ from gray_stability.scalars import (
     Scalar,
     rational,
 )
-from oracles import SQRT3, J, from_json, imag, real, scalar_json_reference, scalar_str_reference
+from oracles import (
+    _EXPS,
+    SQRT3,
+    J,
+    fraction_mul_reference,
+    from_json,
+    imag,
+    real,
+    scalar_json_reference,
+    scalar_op_reference,
+    scalar_str_reference,
+)
 
 
 def test_cube_root_of_unity():
@@ -97,23 +113,8 @@ def test_coercion_with_ints_and_fractions():
 
 # -- storage: eight int numerators over one positive common denominator ----
 
-# (i, sqrt2, sqrt3) exponents of the storage basis, as in BASIS_NAMES
-_EXPS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-
-
 def _coords(s):
     return [Fraction(x) for x in s.to_json()]
-
-
-def _reference_mul(p, q):
-    """Product of two coordinate lists by the rules i^2 = -1, sqrt2^2 = 2,
-    sqrt3^2 = 3, computed in Fractions."""
-    out = [Fraction(0)] * 8
-    for x, (i1, a1, b1) in zip(p, _EXPS):
-        for y, (i2, a2, b2) in zip(q, _EXPS):
-            c = x * y * (-1 if i1 and i2 else 1) * (2 if a1 and a2 else 1) * (3 if b1 and b2 else 1)
-            out[_EXPS.index(((i1 + i2) % 2, (a1 + a2) % 2, (b1 + b2) % 2))] += c
-    return out
 
 
 def _assert_canonical(s):
@@ -167,20 +168,20 @@ def test_canonical_form_after_every_operation():
         results = {
             "+": (a + b, [x + y for x, y in zip(pa, pb)]),
             "-": (a - b, [x - y for x, y in zip(pa, pb)]),
-            "*": (a * b, _reference_mul(pa, pb)),
+            "*": (a * b, fraction_mul_reference(pa, pb)),
             "neg": (-a, [-x for x in pa]),
             "galois": (a.galois(flip_sqrt2=True, flip_sqrt3=True), [
                 -x if e[1] != e[2] else x for x, e in zip(pa, _EXPS)
             ]),
             "a - a": (a - a, [Fraction(0)] * 8),
-            "a * a * a": (a * a * a, _reference_mul(_reference_mul(pa, pa), pa)),
+            "a * a * a": (a * a * a, fraction_mul_reference(fraction_mul_reference(pa, pa), pa)),
         }
         for op, (got, want) in results.items():
             _assert_canonical(got)
             assert _coords(got) == want, op
         inv = a.inverse()
         _assert_canonical(inv)
-        assert _reference_mul(_coords(inv), pa) == _coords(ONE)
+        assert fraction_mul_reference(_coords(inv), pa) == _coords(ONE)
         _assert_canonical((a * a).inverse())
         assert (a * a).inverse() * (a * a) == ONE
 
@@ -312,14 +313,14 @@ def test_monomial_products_sums_and_inverses_on_every_basis_pair():
             inv = a.inverse()
             _assert_canonical(inv)
             assert inv.n.count(0) == 7
-            assert _reference_mul(_coords(inv), _coords(a)) == _coords(ONE), (k1, p)
+            assert fraction_mul_reference(_coords(inv), _coords(a)) == _coords(ONE), (k1, p)
         for k2 in range(8):
             for p, q in _MONOMIAL_PAIRS:
                 a, b = _monomial(k1, p), _monomial(k2, q)
                 pa, pb = _coords(a), _coords(b)
                 assert a.n.count(0) == b.n.count(0) == 7
                 results = {
-                    "*": (a * b, _reference_mul(pa, pb)),
+                    "*": (a * b, fraction_mul_reference(pa, pb)),
                     "+": (a + b, [x + y for x, y in zip(pa, pb)]),
                     "-": (a - b, [x - y for x, y in zip(pa, pb)]),
                     "int *": (a * 3, [3 * x for x in pa]),
@@ -357,8 +358,8 @@ def test_mixed_monomial_and_general_operands():
                 a = _monomial(k, p)
                 pa = _coords(a)
                 results = {
-                    "m * g": (a * general, _reference_mul(pa, pg)),
-                    "g * m": (general * a, _reference_mul(pg, pa)),
+                    "m * g": (a * general, fraction_mul_reference(pa, pg)),
+                    "g * m": (general * a, fraction_mul_reference(pg, pa)),
                     "m + g": (a + general, [x + y for x, y in zip(pa, pg)]),
                     "g - m": (general - a, [y - x for x, y in zip(pa, pg)]),
                     "m - g": (a - general, [x - y for x, y in zip(pa, pg)]),
@@ -387,3 +388,118 @@ def test_rendering_matches_the_fraction_reference():
     assert str(_monomial(3, Fraction(-2, 3))) == "-2/3*sqrt3"
     assert str(_monomial(4, -1)) == "-i*sqrt2"
     assert _monomial(7, Fraction(-6, 4)).to_json() == ["0"] * 7 + ["-3/2"]
+
+
+# -- one object per monomial ---------------------------------------------------
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _nd(s):
+    return s.n, s.d, s.tag
+
+
+def test_operations_match_the_fraction_reference(monkeypatch):
+    # monomials on every basis element with either sign, numerators up to
+    # 10**4 and denominators 1..12, made by a product (through the table)
+    # or by the constructor (not through it); zero and general scalars.
+    # Each operation runs twice: when the operands are monomials and the
+    # result is one, the second result is the first, taken from the table.
+    monkeypatch.setattr(scalars, "_MONOMIALS", {})
+    rng = random.Random(29)
+    samples = [ZERO, J, ONE + I, SQRT2 - SQRT3 * rational(2, 7)] + [_random_scalar(rng) for _ in range(2)]
+    for k in range(8):
+        for sign in (1, -1):
+            c, d = sign * rng.randint(1, 10 ** 4), rng.randint(1, 12)
+            samples.append(rational(c, d) * Scalar.basis_element(k))
+            samples.append(_monomial(k, Fraction(sign * rng.randint(1, 10 ** 4), rng.randint(1, 12))))
+    assert {s.tag for s in samples} == set(range(8)) | {_ZERO_TAG, _GENERAL_TAG}
+    for a in samples:
+        unary = [("neg", None, -a, -a)]
+        if a:
+            unary.append(("inverse", None, a.inverse(), a.inverse()))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+        binary = [(op, b, f(a, b), f(a, b)) for b in samples for op, f in _OPS.items()]
+        for op, b, first, again in unary + binary:
+            assert _nd(first) == _nd(again) == scalar_op_reference(op, a, b), (op, a, b)
+            if first.tag < 8 and a.tag < 8 and (b is None or b.tag < 8):
+                assert again is first, (op, a, b)
+
+
+def test_equal_monomials_by_different_routes_are_one_object(monkeypatch):
+    monkeypatch.setattr(scalars, "_MONOMIALS", {})
+    half_sqrt2 = rational(1, 2) * SQRT2
+    routes = [
+        SQRT2 * rational(2, 4),
+        -(-(SQRT2 * rational(1, 2))),
+        -(SQRT2 * rational(-1, 2)),
+        SQRT2 * rational(1, 4) + SQRT2 * rational(1, 4),
+        SQRT2 * rational(3, 4) - SQRT2 * rational(1, 4),
+        SQRT2.inverse(),
+        (SQRT2 * 2).inverse() * 2,
+        SQRT6 * SQRT3 * rational(1, 6),
+    ]
+    for s in routes:
+        assert s is half_sqrt2
+    # the lowest-terms request holds the object, and so does each
+    # unreduced request that led to it
+    table = scalars._MONOMIALS
+    assert table[2, 1, 2] is table[2, 2, 4] is table[2, 3, 6] is half_sqrt2
+    assert half_sqrt2 is not (SQRT2 * rational(-1, 2)) and -half_sqrt2 is SQRT2 * rational(-1, 2)
+
+
+def test_the_table_stops_at_its_cap_and_results_stay_right(monkeypatch):
+    table = {}
+    monkeypatch.setattr(scalars, "_MONOMIALS", table)
+    cap = scalars.MONOMIAL_CAP
+    made = [SQRT2 * c for c in range(1, cap + 101)]
+    assert len(table) == cap
+    assert all(table[2, c, 1] is made[c - 1] for c in range(1, cap + 1))
+    # past the cap each request builds its own canonical monomial
+    late = SQRT2 * (cap + 50)
+    assert late == made[cap + 49] and late is not made[cap + 49]
+    assert _nd(late) == ((0, 0, cap + 50, 0, 0, 0, 0, 0), 1, 2)
+    pairs = [
+        (made[-1], made[-2]),
+        (late, SQRT2 * rational(7, 12)),
+        (late, I * rational(-3, 4)),
+        (SQRT2 * rational(1, 6), rational(3)),  # the request (2, 3, 6) reduces
+        (late, J),
+    ]
+    for a, b in pairs:
+        for op, f in _OPS.items():
+            assert _nd(f(a, b)) == scalar_op_reference(op, a, b), (op, a, b)
+        assert _nd(-a) == scalar_op_reference("neg", a)
+        assert _nd(a.inverse()) == scalar_op_reference("inverse", a)
+    assert len(table) == cap
+
+
+def _clear_pipeline_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gray_stability."):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+def test_one_process_history_reproduces_every_golden_file(monkeypatch, capsys):
+    # every command from an empty table and cold caches, then each later
+    # one with the table the earlier ones filled
+    monkeypatch.setattr(scalars, "_MONOMIALS", {})
+    _clear_pipeline_caches()
+    runs = [
+        (["obstruction"], "golden_obstruction.json"),
+        (["coindex", "--space", "s3xs3"], "golden_coindex_s3xs3.json"),
+        (["coindex", "--space", "cp3"], "golden_coindex_cp3.json"),
+        (["coindex", "--space", "flag"], "golden_coindex_flag.json"),
+        (["delta", "--space", "s3xs3", "--gamma", "2,2,2"], "golden_delta_s3xs3_2_2_2.json"),
+        (["reproduce-all"], "golden_reproduce_all.json"),
+    ]
+    for argv, golden in runs:
+        assert main(argv + ["--format", "json"]) == 0, argv
+        assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8"), argv
+    assert 0 < len(scalars._MONOMIALS) < scalars.MONOMIAL_CAP

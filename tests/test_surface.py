@@ -1,6 +1,6 @@
 """Every function, method, class and module constant of the library has a
 caller inside the library, and every field of a dataclass is read there;
-and no float enters the library.
+no float enters the library; and only its constructors write a scalar.
 
 Reference code that only the tests need lives in ``tests/oracles.py``;
 the library keeps what its commands run.  The scan is by name: a
@@ -26,6 +26,11 @@ The float scan rejects, anywhere in ``src/gray_stability``, a float or
 complex literal, the name ``float``, the true-division operator ``/`` and
 every ``math`` function but the integer ones; exact arithmetic divides
 through ``Fraction`` or ``Scalar.inverse``.
+
+The field-write scan keeps ``Scalar`` values immutable: equal monomials
+are one shared object, so outside the constructors that make a scalar
+nothing in ``src/gray_stability`` may write an attribute named ``n``,
+``d`` or ``tag``.
 """
 
 import ast
@@ -45,6 +50,9 @@ EXEMPT = {
 }
 # The math functions that stay in the integers.
 INTEGER_MATH = {"isqrt", "gcd", "lcm", "prod", "comb"}
+# The fields of a Scalar, and the only code that writes them.
+SCALAR_FIELDS = {"n", "d", "tag"}
+SCALAR_CONSTRUCTORS = {"scalars._raw", "scalars.Scalar.__init__"}
 
 
 def _dunder(name: str) -> bool:
@@ -191,6 +199,87 @@ def float_uses(src: pathlib.Path = SRC) -> list:
                 found = [f"from math import {a.name}" for a in node.names if a.name not in INTEGER_MATH]
             out += [f"{path.stem}:{node.lineno}: {what}" for what in found]
     return out
+
+
+def field_writes(src: pathlib.Path = SRC) -> list:
+    """(scope, line, what) of every write of an attribute named n, d or tag
+    in the modules under src: x.n, x.d or x.tag as an assignment, loop,
+    with or comprehension target or in a del, and each setattr,
+    __setattr__ or delattr call not given another constant name.  scope is
+    the module and the names of the enclosing classes and functions."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and node.attr in SCALAR_FIELDS):
+            out.append((scope, node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("setattr", "__setattr__", "delattr"):
+                attr = node.args[1] if len(node.args) > 1 else None
+                if not (isinstance(attr, ast.Constant) and attr.value not in SCALAR_FIELDS):
+                    out.append((scope, node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return out
+
+
+def test_only_the_scalar_constructors_write_its_fields():
+    writes = field_writes()
+    assert [w for w in writes if w[0] not in SCALAR_CONSTRUCTORS] == []
+    # and each constructor still writes them, so no exemption is spare
+    assert {scope for scope, *_ in writes} == SCALAR_CONSTRUCTORS
+
+
+def test_field_write_scan_sees_every_kind_of_write(tmp_path):
+    (tmp_path / "scalars.py").write_text(
+        "def _raw(n):\n"
+        "    s = Scalar.__new__(Scalar)\n"
+        "    s.n = n\n"
+        "    return s\n"
+        "class Scalar:\n"
+        "    def __init__(self, n):\n"
+        "        self.n, self.d = n, 1\n"
+        "    def scale(self, k):\n"
+        "        self.d *= k\n"
+        "        self.label = k\n"
+        "        return self.n\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "other.py").write_text(
+        "def shared(s, xs, name):\n"
+        "    for s.tag in xs:\n"
+        "        pass\n"
+        "    [0 for s.n in xs]\n"
+        "    del s.d\n"
+        "    setattr(s, 'tag', 1)\n"
+        "    object.__setattr__(s, 'n', ())\n"
+        "    setattr(s, name, 0)\n"
+        "    delattr(s, 'd')\n"
+        "    setattr(s, 'other', 0)\n"
+        "    s.total = s.n + s.d + s.tag\n"
+        "    return s\n",
+        encoding="utf-8",
+    )
+    assert field_writes(tmp_path) == [
+        ("other.shared", 2, ".tag"),
+        ("other.shared", 4, ".n"),
+        ("other.shared", 5, ".d"),
+        ("other.shared", 6, "setattr"),
+        ("other.shared", 7, "__setattr__"),
+        ("other.shared", 8, "setattr"),
+        ("other.shared", 9, "delattr"),
+        ("scalars._raw", 3, ".n"),
+        ("scalars.Scalar.__init__", 7, ".n"),
+        ("scalars.Scalar.__init__", 7, ".d"),
+        ("scalars.Scalar.scale", 9, ".d"),
+    ]
 
 
 def test_no_float_enters_the_library():
