@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     _command(
         p,
         lambda a: branch_doc(
-            a.space, _parse_label(a.space, a.gamma) if a.gamma else None, _parse_max(a.max)
+            a.space, _parse_label(a.space, a.gamma) if a.gamma is not None else None, _parse_max(a.max)
         ),
         _render_branch,
     )
@@ -436,7 +436,7 @@ def _command(p, doc, table, ok=lambda doc: True):
 
 
 def _emit(payload: str, path: str | None) -> None:
-    if path:
+    if path is not None:
         try:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(payload)

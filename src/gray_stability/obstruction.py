@@ -40,9 +40,9 @@ from .sympoly import (
     V1,
     V2,
     V3,
+    X,
     SymPoly,
     det_cubic,
-    eliminate_v3,
     generators,
     reduce_v_cubic,
     sym_inner,
@@ -212,8 +212,10 @@ def no_critical_point_certificate() -> bool:
 
         sum_ab G_ab d_aF d_bF = (4/3) |xi|^4,   |xi|^2 = 2 sum v_i^2 + sum x_k^2,
 
-    exactly, with v3 = -v1 - v2 eliminated and a, b running over
-    (v1, v2, x1..x6), G the Gram matrix of these coordinates.
+    exactly, both sides written on the slice v3 = -v1 - v2 itself (F and
+    |xi|^2 take the triple (v1, v2, -v1 - v2), so nothing is eliminated)
+    and a, b running over (v1, v2, x1..x6), G the Gram matrix of these
+    coordinates.
 
     G is positive definite there (its v-block [[1/3, -1/6], [-1/6, 1/3]]
     has determinant 1/12), so the left side vanishes only where dF = 0;
@@ -224,7 +226,8 @@ def no_critical_point_certificate() -> bool:
     P = xi^2 - (tr(xi^2)/3) Id and tr(P^2) = tr(xi^2)^2 / 6, while
     |xi|^2 = -tr(xi^2)/2.
     """
-    f = eliminate_v3(det_cubic())
+    v = (V1, V2, -(V1 + V2))
+    f = det_cubic(v)
     slice_gens = [k for k in range(NGENS) if k != 2]
     grad = {a: f.partial(a) for a in slice_gens}
     # D * lhs over the integral Gram, each unordered pair once
@@ -234,7 +237,7 @@ def no_critical_point_certificate() -> bool:
         for b in slice_gens[i:]
         if (g := INTEGRAL_GRAM[a][b])
     )
-    norm_sq = eliminate_v3(SymPoly.sum((g * g).scale(2 if k < 3 else 1) for k, g in enumerate(_GENS)))
+    norm_sq = SymPoly.sum([(w * w).scale(2) for w in v] + [x * x for x in X])
     return lhs == (norm_sq * norm_sq).scale(Fraction(4, 3) * GRAM_D)
 
 

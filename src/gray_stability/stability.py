@@ -69,16 +69,9 @@ def tt_eigenspaces(e_dims: dict, b3: int) -> list:
 
 
 @dataclass(frozen=True)
-class DestabilizingSpace:
-    lam: Fraction          # Lichnerowicz eigenvalue < 10
-    mult: int
-    source: str            # harmonic-2-forms | harmonic-3-forms | E(mu) eigenforms
-
-
-@dataclass(frozen=True)
 class StabilityReport:
     space: str
-    destabilizing: tuple   # tuple of DestabilizingSpace
+    destabilizing: tuple   # (lambda < 10, mult, source) rows of tt_eigenspaces
     coindex: int
     ied_dim: int
     casimir_rows: tuple    # ((label, dim, casimir, hom_dim, coclosed_dim) ...)
@@ -87,12 +80,8 @@ class StabilityReport:
         return {
             "space": self.space,
             "destabilizing": [
-                {
-                    "lambda": fraction_jsonable(d.lam),
-                    "mult": d.mult,
-                    "source": d.source,
-                }
-                for d in self.destabilizing
+                {"lambda": fraction_jsonable(lam), "mult": mult, "source": source}
+                for lam, mult, source in self.destabilizing
             ],
             "coindex": self.coindex,
             "ied_dim": self.ied_dim,
@@ -135,13 +124,12 @@ def assemble_report(space_name: str, rows: list) -> StabilityReport:
 
     eigenspaces = tt_eigenspaces(e_dims, b3)
     destabilizing = sorted(
-        (DestabilizingSpace(lam, mult, source) for lam, mult, source in eigenspaces if lam < 10),
-        key=lambda d: (d.lam, d.source),
+        (row for row in eigenspaces if row[0] < 10), key=lambda row: (row[0], row[2])
     )
     return StabilityReport(
         space=space_name,
         destabilizing=tuple(destabilizing),
-        coindex=sum(d.mult for d in destabilizing),
+        coindex=sum(mult for _, mult, _ in destabilizing),
         ied_dim=sum(mult for lam, mult, _ in eigenspaces if lam == 10),
         casimir_rows=tuple(rows),
     )

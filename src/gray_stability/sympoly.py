@@ -10,16 +10,14 @@ adds each term into a single dict with linalg.add_into; ``+`` is its
 two-operand case.
 
 The pairing of two degree-k monomials is a permanent of Gram entries,
-taken in ints over the integral Gram matrix D*G (D = 6, the lcm of G's
-denominators, checked at import) and divided by D**k once.  It is not
-memoized: the pairings a command takes share no monomial pair.
+taken in ints over the integral Gram matrix D*G and divided by D**k once.
+D = 6 and D*G are typed as integers, not derived from a Fraction Gram.
+It is not memoized: the pairings a command takes share no monomial pair.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import lcm
 from operator import add
 
 from .linalg import add_into
@@ -52,11 +50,6 @@ class SymPoly:
     def generator(index: int) -> "SymPoly":
         mono = tuple(1 if k == index else 0 for k in range(NGENS))
         return SymPoly({mono: ONE})
-
-    @staticmethod
-    def constant(c) -> "SymPoly":
-        c = c if isinstance(c, Scalar) else Scalar.from_fraction(c)
-        return SymPoly({(0,) * NGENS: c})
 
     def __bool__(self):
         return bool(self.terms)
@@ -106,21 +99,6 @@ class SymPoly:
         """Partial derivative along the k-th generator."""
         return _of({m[:k] + (m[k] - 1,) + m[k + 1 :]: c * m[k] for m, c in self.terms.items() if m[k]})
 
-    def substitute_polys(self, values: list) -> "SymPoly":
-        """Substitute polynomials for the generators, each power once."""
-        powers = [[SymPoly.constant(ONE), v] for v in values]
-        images = []
-        for m, c in self.terms.items():
-            term = SymPoly.constant(c)
-            for k, e in enumerate(m):
-                if e:
-                    pk = powers[k]
-                    while len(pk) <= e:
-                        pk.append(pk[-1] * values[k])
-                    term = term * pk[e]
-            images.append(term)
-        return SymPoly.sum(images)
-
     def __str__(self):
         parts = []
         for m in sorted(self.terms, key=_grlex_key):
@@ -167,23 +145,14 @@ def generators() -> tuple:
     return (V1, V2, V3) + X
 
 
-# Gram matrix of the coordinate functions on the traceless subalgebra:
-# <x_i, x_j> = delta, <x_i, v_j> = 0, <v_i, v_i> = 1/3, <v_i, v_j> = -1/6.
-def gram_su3() -> list:
-    g = [[Fraction(0)] * NGENS for _ in range(NGENS)]
-    for i in range(3):
-        for j in range(3):
-            g[i][j] = Fraction(1, 3) if i == j else Fraction(-1, 6)
-    for i in range(3, NGENS):
-        g[i][i] = Fraction(1)
-    return g
-
-
-_GRAM = gram_su3()
-GRAM_D = lcm(*(q.denominator for row in _GRAM for q in row))
-INTEGRAL_GRAM = tuple(tuple(int(q * GRAM_D) for q in row) for row in _GRAM)
-if [[Fraction(x, GRAM_D) for x in row] for row in INTEGRAL_GRAM] != _GRAM:
-    raise ArithmeticError("D * G is not integral")
+# D times the Gram matrix of the coordinate functions on the traceless
+# subalgebra, D = 6: <x_i, x_j> = delta, <x_i, v_j> = 0, <v_i, v_i> = 1/3,
+# <v_i, v_j> = -1/6.
+GRAM_D = 6
+INTEGRAL_GRAM = tuple(
+    tuple((2 if i == j else -1) if i < 3 and j < 3 else (6 if i == j else 0) for j in range(NGENS))
+    for i in range(NGENS)
+)
 
 
 def _monomial_pairing(m1: Monomial, m2: Monomial) -> Scalar:
@@ -222,26 +191,29 @@ def sym_inner(p: SymPoly, q: SymPoly) -> Scalar:
     return total
 
 
-def det_cubic() -> SymPoly:
+def det_cubic(v: tuple = (V1, V2, V3)) -> SymPoly:
     """The invariant cubic (i times the determinant) on the traceless
     skew-hermitian 3x3 matrices, in the nine coordinate functions:
 
         8 v1 v2 v3 + 2 (x2 x3 x5 + x1 x3 x6 + x2 x4 x6 - x1 x4 x5)
         - 2 (x1^2 + x2^2) v3 - 2 (x3^2 + x4^2) v2 - 2 (x5^2 + x6^2) v1
 
+    with the polynomials v in place of (v1, v2, v3); the pairing takes the
+    generators, the criticality certificate the slice (v1, v2, -v1 - v2).
     The triple-x coefficients are pinned by exact 3x3 determinants of the
     reconstructed matrix (see the tests); they make the cubic exactly
     torus invariant, which any conjugation-invariant function must be.
     """
+    v1, v2, v3 = v
     return SymPoly.sum((
-        (V1 * V2 * V3).scale(8),
+        (v1 * v2 * v3).scale(8),
         (X[1] * X[2] * X[4]).scale(2),
         (X[0] * X[2] * X[5]).scale(2),
         (X[1] * X[3] * X[5]).scale(2),
         (X[0] * X[3] * X[4]).scale(-2),
-        ((X[0] * X[0] + X[1] * X[1]) * V3).scale(-2),
-        ((X[2] * X[2] + X[3] * X[3]) * V2).scale(-2),
-        ((X[4] * X[4] + X[5] * X[5]) * V1).scale(-2),
+        ((X[0] * X[0] + X[1] * X[1]) * v3).scale(-2),
+        ((X[2] * X[2] + X[3] * X[3]) * v2).scale(-2),
+        ((X[4] * X[4] + X[5] * X[5]) * v1).scale(-2),
     ))
 
 
@@ -263,10 +235,3 @@ def reduce_v_cubic(p: SymPoly) -> SymPoly:
     if _of(pure) != SymPoly.sum(((e1 * e1 * e1).scale(a), (e1 * e2).scale(b), cubic)):
         raise ValueError("pure-v part is not a symmetric cubic; no canonical form")
     return SymPoly({m: x for m, x in p.terms.items() if any(m[3:])}) + cubic
-
-
-def eliminate_v3(p: SymPoly) -> SymPoly:
-    """Substitute v3 = -v1 - v2: normal form for equality modulo the
-    trace relation."""
-    subs = [V1, V2, -(V1 + V2)] + list(X)
-    return p.substitute_polys(subs)

@@ -19,7 +19,7 @@ from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, build_space
 from gray_stability.reps import _GRAM_INV, GROUPS, _doubled_shift, _dual, check_label, explicit_rep
 from gray_stability.scalars import BASIS_NAMES, I, ONE, SQRT2, ZERO, Scalar, rational
-from gray_stability.sympoly import NGENS, SymPoly, eliminate_v3, generators, gram_su3
+from gray_stability.sympoly import NGENS, V1, V2, X, SymPoly, generators
 
 SQRT3 = Scalar.basis_element(3)
 # Primitive cube root of unity (-1 + i*sqrt3)/2.
@@ -978,6 +978,19 @@ def substitute(p: SymPoly, values: list) -> Scalar:
     return total
 
 
+def gram_su3() -> list:
+    """The Fraction Gram matrix of the nine coordinate functions on the
+    traceless subalgebra: <x_i, x_j> = delta, <x_i, v_j> = 0,
+    <v_i, v_i> = 1/3, <v_i, v_j> = -1/6."""
+    g = [[Fraction(0)] * NGENS for _ in range(NGENS)]
+    for i in range(3):
+        for j in range(3):
+            g[i][j] = Fraction(1, 3) if i == j else Fraction(-1, 6)
+    for i in range(3, NGENS):
+        g[i][i] = Fraction(1)
+    return g
+
+
 _GRAM_SU3 = gram_su3()
 
 
@@ -1000,12 +1013,18 @@ def substitute_polys_reference(p: SymPoly, values: list) -> SymPoly:
     """p with the generators replaced by polynomials, one factor at a time."""
     total = SymPoly()
     for m, c in p.terms.items():
-        term = SymPoly.constant(c)
+        term = SymPoly({(0,) * NGENS: c})
         for k, e in enumerate(m):
             for _ in range(e):
                 term = term * values[k]
         total = total + term
     return total
+
+
+def eliminate_v3(p: SymPoly) -> SymPoly:
+    """Substitute v3 = -v1 - v2: normal form for equality modulo the
+    trace relation."""
+    return substitute_polys_reference(p, [V1, V2, -(V1 + V2)] + list(X))
 
 
 def trace_cube_reference(tensor: dict, n: int = 6) -> SymPoly:

@@ -210,7 +210,7 @@ def test_criterion_05_coindex_theorem():
         r = coindex_report(name)
         assert r.coindex == coindex, name
         assert r.ied_dim == ied, name
-        assert [(d.lam, d.mult, d.source) for d in r.destabilizing] == dest, name
+        assert list(r.destabilizing) == dest, name
     _report(5, "coindices (2, 1, 2) with eigenvalue lists and IED dims (0, 0, 8)")
 
 

@@ -254,6 +254,23 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["branch", "--space", "flag", "--gamma", "", "--max", "1"], "cannot parse label ''"),
+        (["homdim", "--space", "flag", "--gamma", ""], "cannot parse label ''"),
+        (["delta", "--space", "flag", "--gamma", ""], "cannot parse label ''"),
+        (["casimir", "--space", "flag", "--output", ""], "cannot write : No such file or directory"),
+    ],
+    ids=["branch-gamma", "homdim-gamma", "delta-gamma", "output"],
+)
+def test_empty_option_value_is_usage_error(capsys, argv, message):
+    # an empty value is given, not absent: it must not fall back to the default
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_unknown_space_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["casimir", "--space", "s6"])

@@ -179,56 +179,46 @@ def _e_dims(name: str) -> dict:
     return out
 
 
-class _ReadLog(dict):
-    """E(mu) dimensions that record every mu looked up."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read = []
-
-    def get(self, key, default=None):
-        self.read.append(key)
-        return super().get(key, default)
-
-
 def test_casimir_cutoff_covers_every_eigenvalue_read():
-    # The coindex reports only know E(mu) for Casimir values below 12, so
-    # the case analysis must never read mu >= 12 at eps > 0 (the argument
-    # is in the stability docstring).  The grid holds 6 = 384/64 and
-    # 25/4 = 400/64.
-    grid = [Fraction(k, 64) for k in range(1, 401)]
-    assert Fraction(6) in grid and Fraction(25, 4) in grid
-    for name in ("s3xs3", "cp3", "flag"):
-        e_dims = _e_dims(name)
+    # The reports read E(mu) up to Casimir 12 (the argument is in the
+    # stability docstring).  On each space's own E(mu) table, E(12) adds
+    # only lambda = 10 rows, and an E(mu) above 12, on the grid
+    # mu = 12 + k/64 (which meets a rational sqrt(1 + 4 mu), as at
+    # k = 57), leaves every row with lambda < 10 unchanged.
+    grid = [Fraction(12) + Fraction(k, 64) for k in range(1, 401)]
+    assert any(_sqrt_fraction(1 + 4 * mu) for mu in grid)
+    added_at_12 = {}
+    for name in SPACE_NAMES:
         b3 = build_space(name).betti[1]
-        candidates = candidate_eps(e_dims, b3)
-        assert candidates and all(0 < eps <= Fraction(25, 4) for eps in candidates)
-        for eps in sorted(candidates):
-            log = _ReadLog(e_dims)
-            solution_dim(eps, log, b3)
-            assert log.read and all(mu < 12 for mu in log.read), (name, eps, log.read)
-        for eps in grid:
-            log = _ReadLog(e_dims)
-            solution_dim(eps, log, b3)
-            assert all(mu < 12 for mu in log.read), (name, eps, log.read)
+        below = _e_dims(name)
+        e12 = sum(d * cd for _, d, cas, _, cd in coindex_report(name).casimir_rows if cas == 12)
+        rows = tt_eigenspaces({**below, Fraction(12): e12}, b3)
+        added = Counter(rows) - Counter(tt_eigenspaces(below, b3))
+        assert all(lam == 10 for lam, _, _ in added), (name, added)
+        added_at_12[name] = sum(mult for _, mult, _ in added)
+        destabilizing = [row for row in rows if row[0] < 10]
+        for mu in grid:
+            above = tt_eigenspaces({**below, Fraction(12): e12, mu: 1}, b3)
+            assert [row for row in above if row[0] < 10] == destabilizing, (name, mu)
+    assert added_at_12 == {"s3xs3": 0, "cp3": 0, "flag": 8}
 
 
 def test_coindex_reports():
     r = coindex_report("s3xs3")
     assert (r.coindex, r.ied_dim) == (2, 0)
-    assert [(d.lam, d.mult, d.source) for d in r.destabilizing] == [
+    assert list(r.destabilizing) == [
         (4, 2, "harmonic-3-forms")
     ]
 
     r = coindex_report("cp3")
     assert (r.coindex, r.ied_dim) == (1, 0)
-    assert [(d.lam, d.mult, d.source) for d in r.destabilizing] == [
+    assert list(r.destabilizing) == [
         (6, 1, "harmonic-2-forms")
     ]
 
     r = coindex_report("flag")
     assert (r.coindex, r.ied_dim) == (2, 8)
-    assert [(d.lam, d.mult, d.source) for d in r.destabilizing] == [
+    assert list(r.destabilizing) == [
         (6, 2, "harmonic-2-forms")
     ]
 

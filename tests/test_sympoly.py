@@ -20,14 +20,14 @@ from gray_stability.sympoly import (
     X,
     _monomial_pairing,
     det_cubic,
-    eliminate_v3,
     generators,
-    gram_su3,
     reduce_v_cubic,
     sym_inner,
 )
 from oracles import (
+    eliminate_v3,
     equal_mod_trace,
+    gram_su3,
     matrix_from_coordinates,
     monomial_pairing_reference,
     reduce_v_cubic_reference,
@@ -88,7 +88,7 @@ def test_sym_inner_symmetric_bilinear():
     def rand_poly(deg, terms=3):
         p = SymPoly.zero()
         for _ in range(terms):
-            mono = SymPoly.constant(rng.randint(-3, 3))
+            mono = SymPoly({(0,) * NGENS: rational(rng.randint(-3, 3))})
             for _ in range(deg):
                 mono = mono * gens[rng.randrange(9)]
             p = p + mono
@@ -142,7 +142,7 @@ def test_det_cubic_torus_invariance():
 
 def test_partial_derivative_by_hand():
     # d/dx1 (3 v1 x1^2 x2 - x1 v2 + 5) = 6 v1 x1 x2 - v2
-    p = (V1 * X[0] * X[0] * X[1]).scale(3) - X[0] * V2 + SymPoly.constant(5)
+    p = (V1 * X[0] * X[0] * X[1]).scale(3) - X[0] * V2 + SymPoly({(0,) * NGENS: rational(5)})
     assert p.partial(3) == (V1 * X[0] * X[1]).scale(6) - V2
     assert p.partial(2) == SymPoly.zero()
     assert det_cubic().partial(0) == (V2 * V3).scale(8) - (X[4] * X[4] + X[5] * X[5]).scale(2)
@@ -187,7 +187,8 @@ def test_reduce_v_cubic_matches_the_permutation_reference():
         )
         # the sum over the six permutations of v1, v2, v3 is symmetric
         symmetric = SymPoly.sum(
-            cubic.substitute_polys([v[s] for s in perm] + list(X)) for perm in itertools.permutations(range(3))
+            substitute_polys_reference(cubic, [v[s] for s in perm] + list(X))
+            for perm in itertools.permutations(range(3))
         )
         mixed = SymPoly.sum(
             (X[rng.randrange(6)] * X[rng.randrange(6)] * v[rng.randrange(3)]).scale(rng.choice(coeffs))
@@ -196,7 +197,7 @@ def test_reduce_v_cubic_matches_the_permutation_reference():
         p = symmetric + mixed
         assert reduce_v_cubic(p) == reduce_v_cubic_reference(p)
         assert equal_mod_trace(reduce_v_cubic(p), p)
-        if cubic.substitute_polys([V2, V1, V3] + list(X)) != cubic:
+        if substitute_polys_reference(cubic, [V2, V1, V3] + list(X)) != cubic:
             asymmetric += 1
             for reduce in (reduce_v_cubic, reduce_v_cubic_reference):
                 with pytest.raises(ValueError):
@@ -270,14 +271,11 @@ def test_sum_is_the_plus_chain_and_keeps_its_inputs():
         assert all(all(p.terms.values()) for p in (chain, SymPoly.sum(polys)))
 
 
-def test_substitute_polys_matches_repeated_multiplication():
-    rng = random.Random(2022)
-    for trial in range(30):
-        p = _random_poly(rng, 4, 8)
-        values = [_random_poly(rng, 2, 3) for _ in range(NGENS)]
-        if trial % 3 == 0:
-            values[2] = -(V1 + V2)  # the substitution of eliminate_v3
-        assert p.substitute_polys(values) == substitute_polys_reference(p, values)
-    p = (V1 * V1 * V1 * X[0] + V3 * V3 * X[5] * X[5]).scale(3)
-    subs = [V1, V2, -(V1 + V2)] + list(X)
-    assert eliminate_v3(p) == substitute_polys_reference(p, subs)
+def test_slice_cubic_and_norm_are_the_substitution_route():
+    # the certificate writes F and |xi|^2 on v3 = -v1 - v2 directly; that
+    # is what substituting v3 = -v1 - v2 into the nine-variable forms gives
+    v = (V1, V2, -(V1 + V2))
+    assert det_cubic(v) == eliminate_v3(det_cubic())
+    norm_sq = SymPoly.sum((g * g).scale(2 if k < 3 else 1) for k, g in enumerate(generators()))
+    assert SymPoly.sum([(w * w).scale(2) for w in v] + [x * x for x in X]) == eliminate_v3(norm_sq)
+    assert det_cubic((V1, V2, V3)) == det_cubic()
