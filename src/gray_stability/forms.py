@@ -2,9 +2,13 @@
 
 Basis vectors are (1,1)-wedges of the weight-adapted eigenbasis of the
 complexified reductive complement, expanded in real wedge coordinates.
-The primitive part is the orthogonal complement of the Kaehler 2-vector;
-the complement is taken inside the zero-weight block so every returned
+The primitive part is the kernel of the pairing with the Kaehler
+2-vector; that pairing lives on the zero-weight block, so every returned
 basis vector stays an exact torus weight vector.
+
+X in h preserves m^+ and m^-, so on the wedges p ^ q it is the Kronecker
+sum of its two blocks in the weight frame, whose inverse is the one
+elimination; the primitive part is read at the kernel's free columns.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from functools import lru_cache
 
 from . import linalg
 from .branching import decompose_weights
-from .exterior import Form, alternate, derivation_action, form_inner, wedge2
+from .exterior import Form, form_inner, wedge2
 from .lie import ReductiveSpace, build_space
-from .scalars import ZERO
+from .scalars import ONE
 
 
 @dataclass(frozen=True)
@@ -34,27 +38,22 @@ class HRep:
         return len(self.vectors)
 
 
-def _span_coords(vectors, forms) -> tuple:
-    """Exact coordinates of 2-vectors against a spanning set of 2-vectors,
-    by one elimination: column j of the result holds those of forms[j]."""
-    keys = sorted({k for v in vectors for k in v})
-    sol = None
-    if all(set(f) <= set(keys) for f in forms):
-        mat = [[v.get(k, ZERO) for v in vectors] for k in keys]
-        sol = linalg.solve(mat, [[f.get(k, ZERO) for f in forms] for k in keys])
-    if sol is None:
-        raise ValueError("2-vector outside the module span")
-    return sol
-
-
-def _h_action_matrices(space: ReductiveSpace, vectors: list) -> list:
-    """The matrix of each isotropy basis element on the span of vectors:
-    column j holds the coordinates of its image of vectors[j]."""
-    mats = []
+def _kronecker_sums(space: ReductiveSpace) -> list:
+    """The nonzeros {(i, j): c} of each isotropy basis element's action on
+    the nine wedges p_i ^ q_j (index 3i + j), the Kronecker sums of its
+    blocks on m^+ and m^- in the weight frame."""
+    frame = linalg.transpose([v for v, _ in space.m_plus_weights + space.m_minus_weights])
+    frame_inv = linalg.inverse(frame)
+    k = len(space.m_plus_weights)
+    one = linalg.identity(k)
+    sums = []
     for e in linalg.identity(space.h_dim):
-        ad = space.ad_m_of_h(e)
-        mats.append(_span_coords(vectors, [alternate(derivation_action(ad, v)) for v in vectors]))
-    return mats
+        block = linalg.mat_mul(frame_inv, linalg.mat_mul(space.ad_m_of_h(e), frame))
+        if any(x for row in block[:k] for x in row[k:]) or any(x for row in block[k:] for x in row[:k]):
+            raise ArithmeticError(f"{space.name}: the isotropy action mixes m^+ and m^-")
+        c, c_bar = [row[:k] for row in block[:k]], [row[k:] for row in block[k:]]
+        sums.append(linalg.nonzeros(linalg.lin_comb((ONE, ONE), (linalg.kron(c, one), linalg.kron(one, c_bar)))))
+    return sums
 
 
 @lru_cache(maxsize=None)
@@ -62,47 +61,29 @@ def lambda11_0(space_name: str) -> HRep:
     """Orthogonal complement of the Kaehler 2-vector inside the nine
     (1,1)-wedges p ^ q, p in m^+ and q in m^-."""
     space = build_space(space_name)
-    wedges = []
-    wedge_weights = []
-    for p, wp in space.m_plus_weights:
-        for q, wq in space.m_minus_weights:
-            wedges.append(wedge2(p, q))
-            wedge_weights.append(tuple(a + b for a, b in zip(wp, wq)))
-    kahler = space.kahler_form()
-    kahler_coords = [row[0] for row in _span_coords(wedges, [kahler])]
-
+    plus, minus = space.m_plus_weights, space.m_minus_weights
+    wedges = [wedge2(p, q) for p, _ in plus for q, _ in minus]
+    wedge_weights = [tuple(a + b for a, b in zip(wp, wq)) for _, wp in plus for _, wq in minus]
     zero_wt = tuple(0 for _ in space.h_weight_torus)
-    zero_idx = [i for i, w in enumerate(wedge_weights) if w == zero_wt]
-    if not any(kahler_coords[i] for i in zero_idx) or any(
-        kahler_coords[i] for i in range(len(wedges)) if i not in zero_idx
-    ):
-        raise ArithmeticError("Kaehler 2-vector must span a zero-weight line")
 
-    # Pairing of the zero-weight block against the Kaehler vector.
-    row: dict = {}
-    for j, i in enumerate(zero_idx):
-        linalg.add_into(row, j, form_inner(wedges[i], kahler))
-    combos = linalg.nullspace([row], len(zero_idx))
+    # Pairing of the nine wedges against the Kaehler vector.
+    kahler = space.kahler_form()
+    row = {j: x for j, w in enumerate(wedges) if (x := form_inner(w, kahler))}
+    if not row or any(wedge_weights[j] != zero_wt for j in row):
+        raise ArithmeticError("Kaehler 2-vector must span a zero-weight line")
+    # the wedges of nonzero weight, then the primitive zero-weight combinations
+    kernel = sorted(linalg.nullspace([row], len(wedges)), key=lambda v: wedge_weights[max(v)] == zero_wt)
 
     vectors: list[Form] = []
-    weights: list[tuple] = []
-    for i, (v, w) in enumerate(zip(wedges, wedge_weights)):
-        if i not in zero_idx:
-            vectors.append(v)
-            weights.append(w)
-    zero_block = [wedges[i] for i in zero_idx]
-    for combo in combos:
+    for combo in kernel:
         vec: Form = {}
         for j, c in combo.items():
-            linalg.axpy(vec, c, zero_block[j])
+            linalg.axpy(vec, c, wedges[j])
         vectors.append(vec)
-        weights.append(zero_wt)
-
-    mats = _h_action_matrices(space, vectors)
-    decomposition = decompose_weights(space.h_type, Counter(weights))
+    weights = [wedge_weights[max(v)] for v in kernel]
     return HRep(
         vectors=tuple(vectors),
         weights=tuple(weights),
-        h_matrices=tuple(mats),
-        decomposition=decomposition,
+        h_matrices=linalg.restrict_to_span(_kronecker_sums(space), kernel),
+        decomposition=decompose_weights(space.h_type, Counter(weights)),
     )

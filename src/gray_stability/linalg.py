@@ -13,9 +13,10 @@ entry) or ``axpy`` (a multiple of another sparse vector), which drop an
 entry when it cancels.
 
 Every kernel, solve, rank and inverse goes through one sparse exact
-elimination, ``_eliminate``.  The systems the pipeline builds
-(equivariance constraints, wedge coordinates) are a few percent dense,
-so it holds each row as a sparse vector and touches only its nonzeros.
+elimination, ``_eliminate``; an inverse is the solve against the
+identity.  The systems the pipeline builds (equivariance and Casimir
+constraints, codifferentials) are a few percent dense, so it holds each
+row as a sparse vector and touches only its nonzeros.
 Division is exact in the field, so no fraction-free tricks are needed.
 The isotropy torus acts diagonally on the weight bases, so many
 equivariance rows hold one entry; a presolve clears those columns with
@@ -29,6 +30,9 @@ coefficients and their kernels sparse, with no dense matrix in between
 and no zero test per cell.  ``rref`` keeps its dense rows in and out:
 the tracer of ``perfbench`` sizes each elimination by ``len(a[0])`` of
 the argument of ``rref``.
+
+``restrict_to_span`` reads matrices on the span of such kernel vectors at
+their free columns, with no further elimination.
 """
 
 from __future__ import annotations
@@ -205,8 +209,8 @@ def rref(a: Matrix) -> tuple[list, list[int]]:
     """Reduced row echelon form (a list of row lists, zero rows last) and
     the pivot column list, by the sparse elimination ``_eliminate``.
 
-    ``rref`` takes and returns dense rows, for ``rank``, ``solve`` and
-    ``inverse``; ``nullspace`` calls ``_eliminate`` directly.
+    ``rref`` takes and returns dense rows, for ``rank`` and ``solve``
+    (so ``inverse``); ``nullspace`` calls ``_eliminate`` directly.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -318,12 +322,27 @@ def solve(a: Matrix, b: Matrix):
 
 
 def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [list(row) + list(idrow) for row, idrow in zip(a, identity(n))]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    x = solve(a, identity(len(a)))
+    if x is None:
         raise ValueError("matrix is singular")
-    return _freeze(row[n:] for row in red[:n])
+    return x
+
+
+def restrict_to_span(mats, kernel) -> tuple:
+    """The action of each matrix (its nonzeros {(i, j): c}) on the span
+    of kernel vectors as ``nullspace`` returns them, each 1 at its free
+    column (its largest key) and 0 at the others': a vector of the span
+    has its coordinates there.  ArithmeticError if an image leaves it."""
+    free = {max(v): t for t, v in enumerate(kernel)}
+    basis = {(i, t): x for t, v in enumerate(kernel) for i, x in v.items()}
+    out = []
+    for m in mats:
+        image = sum_of_products([(m, basis, False)])
+        coords = {(free[i], t): x for (i, t), x in image.items() if i in free}
+        if image != sum_of_products([(basis, coords, False)]):
+            raise ArithmeticError("an image leaves the span of the kernel vectors")
+        out.append(from_entries(len(kernel), coords))
+    return tuple(out)
 
 
 def det3(a: Matrix) -> Scalar:

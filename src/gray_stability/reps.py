@@ -37,7 +37,8 @@ algebra acts on its monomials by derivation.  A product of the Weyl
 dimension is the module.  Otherwise every other component has a lower
 highest weight, so a smaller Casimir constant (Humphreys, sections 13 and
 21; Fulton-Harris, Lectures 13 and 19), and the module is the kernel of
-C - Cas(label), C the Casimir operator, whose dimension is checked exactly.
+C - Cas(label), C the Casimir operator, whose dimension is checked exactly;
+``linalg.restrict_to_span`` reads the algebra's action on that kernel.
 """
 
 from __future__ import annotations
@@ -322,11 +323,7 @@ def _explicit_rep(name: str, label: tuple) -> tuple:
     kernel = linalg.nullspace(shifted, n)
     if len(kernel) != d:
         raise ArithmeticError(f"{name} {label}: top component of dimension {len(kernel)}, not {d}")
-    # each kernel vector is 1 at its free column (its last) and 0 at the others'
-    free = {max(v): t for t, v in enumerate(kernel)}
-    basis = {(i, t): x for t, v in enumerate(kernel) for i, x in v.items()}
-    rows = [{(free[i], j): x for (i, j), x in e.items() if i in free} for e in rep]
-    return tuple(linalg.from_entries(d, linalg.sum_of_products([(r, basis, False)])) for r in rows)
+    return linalg.restrict_to_span(rep, kernel)
 
 
 def _casimir_operator(space: ReductiveSpace, rep: list) -> dict:

@@ -17,13 +17,13 @@ and ``rational()``.  JSON and ``str`` read the numerators directly: each
 coordinate x/d is put in lowest terms with one gcd.
 
 Most scalars the pipeline meets are monomials, one rational times one
-basis element, or zero.  In ``coindex`` on the three spaces, 5,852 of
-the 6,177 products have two monomial operands and the other 325 a zero
-one (an int operand counts as the scalar it is coerced to), and 2,991
-of the 3,574 sums add two monomials on the same basis element; in
-``reproduce-all`` the counts are 10,745 and 525 of 11,270 products and
-4,257 of 5,040 sums, and 2,814 of its 5,010 negations are of monomials
-and 2,196 of zero.  All 202 and 229 inverses are of monomials.  So each
+basis element, or zero.  In ``coindex`` on the three spaces, 5,498 of
+the 5,823 products have two monomial operands and the other 325 a zero
+one (an int operand counts as the scalar it is coerced to), and 2,430
+of the 3,337 sums add two monomials on the same basis element; in
+``reproduce-all`` the counts are 10,335 and 525 of 10,860 products and
+3,696 of 4,803 sums, and 2,536 of its 4,732 negations are of monomials
+and 2,196 of zero.  All 133 and 160 inverses are of monomials.  So each
 scalar also carries a ``tag``, set once wherever it is made: the index
 of its only nonzero coordinate, ``_ZERO_TAG`` or ``_GENERAL_TAG``.  Only
 the constructor and the general paths read it off ``n``; the other paths
@@ -40,11 +40,11 @@ monomial of a product, a same-basis sum, an inverse or a negation, keeps
 what it makes in one table keyed by the request (k, c, d).  A request
 seen before returns the object made then; a new one not in lowest terms
 returns the object of its lowest-terms request, which it makes at most
-once.  A cold ``reproduce-all`` makes 15,954 requests, 15,557 of them
-hits, and leaves 500 entries over 278 objects, 18 entries and 13
+once.  A cold ``reproduce-all`` makes 15,039 requests, 14,641 of them
+hits, and leaves 506 entries over 280 objects, 18 entries and 13
 objects of them made by the import of the commands; ``obstruction``
-makes 2,848 requests and leaves 158 entries, ``coindex`` on the three
-spaces 9,265 requests and 414 entries.  The table stops growing at
+makes 2,790 requests and leaves 158 entries, ``coindex`` on the three
+spaces 8,408 requests and 419 entries.  The table stops growing at
 ``MONOMIAL_CAP`` entries and evicts nothing: past the cap a request
 builds its monomial afresh, the same value, so a run does not depend on
 what ran before it.  A shared scalar is never changed: only the

@@ -13,8 +13,8 @@ from functools import lru_cache
 
 from gray_stability import linalg
 from gray_stability.branching import KINDS, BranchingError, decompose_weights
-from gray_stability.exterior import Form, wedge2
-from gray_stability.forms import HRep, _h_action_matrices, _span_coords, lambda11_0
+from gray_stability.exterior import Form, alternate, derivation_action, form_inner, wedge2
+from gray_stability.forms import HRep, lambda11_0
 from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, build_space
 from gray_stability.reps import _GRAM_INV, GROUPS, _doubled_shift, _dual, check_label, explicit_rep
@@ -733,6 +733,71 @@ def decompose_weights_reference(h_type: str, weights: dict) -> dict:
 
 
 # -- isotropy modules and Fourier coefficients -------------------------------
+
+def _span_coords(vectors, forms) -> tuple:
+    """Exact coordinates of 2-vectors against a spanning set of 2-vectors,
+    by one elimination: column j of the result holds those of forms[j]."""
+    keys = sorted({k for v in vectors for k in v})
+    sol = None
+    if all(set(f) <= set(keys) for f in forms):
+        mat = [[v.get(k, ZERO) for v in vectors] for k in keys]
+        sol = linalg.solve(mat, [[f.get(k, ZERO) for f in forms] for k in keys])
+    if sol is None:
+        raise ValueError("2-vector outside the module span")
+    return sol
+
+
+def _h_action_matrices(space: ReductiveSpace, vectors: list) -> list:
+    """The matrix of each isotropy basis element on the span of vectors:
+    column j holds the coordinates of its image of vectors[j]."""
+    mats = []
+    for e in linalg.identity(space.h_dim):
+        ad = space.ad_m_of_h(e)
+        mats.append(_span_coords(vectors, [alternate(derivation_action(ad, v)) for v in vectors]))
+    return mats
+
+
+def lambda11_0_reference(space_name: str) -> HRep:
+    """forms.lambda11_0 by elimination: the Kaehler 2-vector's coordinates
+    against the nine wedges, the primitive combinations of the zero-weight
+    block, and the isotropy matrices solved for in 2-vector coordinates."""
+    space = build_space(space_name)
+    wedges = []
+    wedge_weights = []
+    for p, wp in space.m_plus_weights:
+        for q, wq in space.m_minus_weights:
+            wedges.append(wedge2(p, q))
+            wedge_weights.append(tuple(a + b for a, b in zip(wp, wq)))
+    kahler = space.kahler_form()
+    kahler_coords = [row[0] for row in _span_coords(wedges, [kahler])]
+
+    zero_wt = tuple(0 for _ in space.h_weight_torus)
+    zero_idx = [i for i, w in enumerate(wedge_weights) if w == zero_wt]
+    if not any(kahler_coords[i] for i in zero_idx) or any(
+        kahler_coords[i] for i in range(len(wedges)) if i not in zero_idx
+    ):
+        raise ArithmeticError("Kaehler 2-vector must span a zero-weight line")
+
+    row: dict = {}
+    for j, i in enumerate(zero_idx):
+        linalg.add_into(row, j, form_inner(wedges[i], kahler))
+    combos = linalg.nullspace([row], len(zero_idx))
+
+    vectors = [v for i, v in enumerate(wedges) if i not in zero_idx]
+    weights = [w for i, w in enumerate(wedge_weights) if i not in zero_idx]
+    for combo in combos:
+        vec: Form = {}
+        for j, c in combo.items():
+            linalg.axpy(vec, c, wedges[zero_idx[j]])
+        vectors.append(vec)
+        weights.append(zero_wt)
+    return HRep(
+        vectors=tuple(vectors),
+        weights=tuple(weights),
+        h_matrices=tuple(_h_action_matrices(space, vectors)),
+        decomposition=decompose_weights(space.h_type, Counter(weights)),
+    )
+
 
 def lambda11(space_name: str) -> HRep:
     """m^+ wedge m^-, the full (1,1) module (dimension 9)."""

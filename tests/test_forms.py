@@ -17,6 +17,7 @@ from oracles import (
     coords_of,
     derivation_reference,
     lambda11,
+    lambda11_0_reference,
     trivial_summand_basis,
     wedge2_reference,
 )
@@ -62,6 +63,63 @@ def test_kahler_off_the_zero_weight_line_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(ReductiveSpace, "kahler_form", lambda self: off_line)
     with pytest.raises(ArithmeticError, match="zero-weight line"):
         forms.lambda11_0.__wrapped__("flag")
+
+
+def test_zero_kahler_form_is_the_same_internal_error(monkeypatch):
+    monkeypatch.setattr(ReductiveSpace, "kahler_form", lambda self: {})
+    with pytest.raises(ArithmeticError, match="zero-weight line"):
+        forms.lambda11_0.__wrapped__("flag")
+
+
+@pytest.mark.parametrize("name", ["s3xs3", "cp3", "flag"])
+def test_isotropy_action_mixing_m_plus_and_m_minus_is_an_internal_error(monkeypatch, name):
+    # adding the projection onto the second m-coordinate, which is not
+    # complex linear, sends part of m^+ into m^-
+    original = ReductiveSpace.ad_m_of_h
+
+    def mixed(self, h_coords):
+        ad = original(self, h_coords)
+        return linalg.lin_comb((ONE, ONE), (ad, linalg.from_entries(self.m_dim, {(1, 1): ONE})))
+
+    monkeypatch.setattr(ReductiveSpace, "ad_m_of_h", mixed)
+    with pytest.raises(ArithmeticError, match=f"{name}: the isotropy action mixes m"):
+        forms.lambda11_0.__wrapped__(name)
+
+
+@pytest.mark.parametrize("name", ["s3xs3", "cp3", "flag"])
+def test_lambda11_0_equals_the_elimination_reference(name):
+    rep, ref = lambda11_0(name), lambda11_0_reference(name)
+    assert rep.vectors == ref.vectors
+    assert rep.weights == ref.weights
+    assert rep.h_matrices == ref.h_matrices
+    assert rep.decomposition == ref.decomposition
+
+
+@pytest.mark.parametrize("name", ["s3xs3", "cp3", "flag"])
+def test_kronecker_sums_are_the_full_module_matrices(name):
+    # the nine wedges p_i ^ q_j are lambda11's basis, in the same order
+    sums = forms._kronecker_sums(build_space(name))
+    assert sums == [linalg.nonzeros(m) for m in lambda11(name).h_matrices]
+
+
+def test_lambda11_0_eliminates_once_per_space(monkeypatch):
+    # the inverse of the weight frame is the only elimination; the
+    # elimination route solved once per isotropy generator and once for
+    # the Kaehler coordinates, 12 solves over the three spaces
+    names = ("s3xs3", "cp3", "flag")
+    for name in names:
+        build_space(name).kahler_form()
+    shapes = []
+    original = linalg.rref
+
+    def counted(a):
+        shapes.append((len(a), len(a[0])))
+        return original(a)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    for name in names:
+        forms.lambda11_0.__wrapped__(name)
+    assert shapes == [(6, 12)] * 3
 
 
 def test_lambda11_0_is_orthogonal_to_kahler():

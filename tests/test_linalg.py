@@ -464,3 +464,41 @@ def test_sum_of_products_matches_dense_products():
         expected = mat_sub(linalg.mat_mul(x, y), linalg.mat_mul(z, y))
         assert linalg.sum_of_products([(nx, ny, False), (nz, ny, True)]) == linalg.nonzeros(expected)
     assert linalg.sum_of_products([(nx, ny, False), (nx, ny, True)]) == {}
+
+
+def _invariant_span_case(rng, n=6, d=3):
+    """A matrix P B P^-1 with B block upper triangular (B_21 = 0), the
+    kernel of the last n - d rows of P^-1 (the span of P's first d
+    columns, which it preserves), and P and its inverse."""
+    while True:
+        p = _sparse_matrix(rng, n, n, 0.6)
+        if linalg.rank(p) == n:
+            break
+    b = [[ZERO if i >= d > j else _sparse_entry(rng, 0.6) for j in range(n)] for i in range(n)]
+    p_inv = linalg.inverse(p)
+    kernel = linalg.nullspace([to_sparse(row) for row in p_inv[d:]], n)
+    return p, b, p_inv, kernel
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_restrict_to_span_equals_dense_coordinates(seed):
+    # the coordinates x with M K = K x, K the kernel vectors as columns
+    rng = random.Random(seed)
+    p, b, p_inv, kernel = _invariant_span_case(rng)
+    m = linalg.mat_mul(p, linalg.mat_mul(b, p_inv))
+    k = linalg.transpose([to_dense(v, len(p)) for v in kernel])
+    expected = linalg.solve(k, linalg.mat_mul(m, k))
+    assert expected is not None
+    assert linalg.restrict_to_span([linalg.nonzeros(m), {}], kernel) == (expected, zeros(3, 3))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_restrict_to_span_rejects_a_span_that_is_not_invariant(seed):
+    rng = random.Random(seed)
+    p, b, p_inv, kernel = _invariant_span_case(rng)
+    b[4][1] = ONE + SQRT2  # P's column 1 now has an image off the span
+    m = linalg.mat_mul(p, linalg.mat_mul(b, p_inv))
+    k = linalg.transpose([to_dense(v, len(p)) for v in kernel])
+    assert linalg.solve(k, linalg.mat_mul(m, k)) is None
+    with pytest.raises(ArithmeticError, match="leaves the span"):
+        linalg.restrict_to_span([linalg.nonzeros(m)], kernel)
