@@ -24,9 +24,10 @@ mu then has its entry and alpha-strings are unbroken, so the sum over
 mu + k alpha stops at the first k without one.
 
 Freudenthal's recursion, the Weyl dimension and the Casimir constant run
-in plain integers: their inner products (_dual) are scaled by the common
-denominator of the inverse Gram matrix and taken on doubled shifted
-weights; each simple coroot is an integral row.  The Casimir cutoff of
+in plain integers.  Each group's record types D G^-1 and D, G the Gram of
+Q on the torus basis and D the least denominator of G^-1, so nothing is
+inverted at import; _dual scales inner products by D on doubled shifted
+weights, and each simple coroot is an integral row.  The Casimir cutoff of
 enumerate_labels is an integer bound on 4D |label + delta|^2, and each
 label it keeps reads its Casimir constant off that same integer.
 
@@ -54,10 +55,16 @@ from . import linalg
 from .lie import ReductiveSpace, build_space
 from .scalars import Scalar
 
+
+def _dot(u, v) -> int:
+    return sum(map(operator.mul, u, v))
+
+
 @dataclass(frozen=True)
 class GroupData:
     name: str
-    gram_t: tuple            # Gram of Q on the torus basis (Fractions)
+    dual_gram: tuple  # D G^-1 as integer rows, G the Gram of Q on the torus basis
+    denominator: int  # D, the least common denominator of G^-1
     simple_roots: tuple
     positive_roots: tuple
 
@@ -70,79 +77,47 @@ class GroupData:
         """The sum of the positive roots, i.e. twice delta."""
         return tuple(map(sum, zip(*self.positive_roots)))
 
+    @cached_property
+    def root_duals(self) -> tuple:
+        """(alpha, D G^-1 alpha) per positive root: D <mu, alpha> = mu . dual."""
+        return tuple((a, tuple(_dot(row, a) for row in self.dual_gram)) for a in self.positive_roots)
 
-def _integral_inverse(m) -> tuple:
-    """(d * m^-1, d) for an invertible rational matrix m, with d the least
-    common denominator of the entries of m^-1, so d * m^-1 is integral."""
-    inv = linalg.inverse([[Scalar.from_fraction(x) for x in row] for row in m])
-    inv = [[x.rational() for x in row] for row in inv]
-    d = math.lcm(*(x.denominator for row in inv for x in row))
-    return [[int(d * x) for x in row] for row in inv], d
-
-
-def _dot(u, v) -> int:
-    return sum(map(operator.mul, u, v))
-
-
-GROUPS: dict[str, GroupData] = {}
-_GRAM_INV: dict[str, tuple] = {}  # (D * G^-1, D), D the denominator of G^-1
-_ROOT_DUALS: dict[str, tuple] = {}  # (alpha, D G^-1 alpha) per positive root: D <mu, alpha> = mu . dual
-_COROOTS: dict[str, tuple] = {}  # per simple root, in order, the coroot: <mu, alpha^vee> = mu . coroot
-
-
-def _register(g: GroupData):
-    GROUPS[g.name] = g
-    gi, _ = _GRAM_INV[g.name] = _integral_inverse(g.gram_t)
-    duals = {a: tuple(_dot(row, a) for row in gi) for a in g.positive_roots}  # G^-1 is symmetric
-    _ROOT_DUALS[g.name] = tuple(duals.items())
-    _COROOTS[g.name] = tuple(_coroot(a, duals[a]) for a in g.simple_roots)
+    @cached_property
+    def coroots(self) -> tuple:
+        """Per simple root, in order, the coroot 2 G^-1 alpha / <alpha, alpha>
+        as an integral row: <mu, alpha^vee> = mu . coroot."""
+        out = []
+        for alpha in self.simple_roots:
+            dual = [_dot(row, alpha) for row in self.dual_gram]
+            n = _dot(alpha, dual)
+            if any(2 * x % n for x in dual):
+                raise ArithmeticError(f"coroot of {alpha} is not integral")
+            out.append(tuple(2 * x // n for x in dual))
+        return tuple(out)
 
 
-def _coroot(alpha: tuple, dual: tuple) -> tuple:
-    """2 G^-1 alpha / <alpha, alpha> as an integral row, from dual = D G^-1 alpha."""
-    n = _dot(alpha, dual)
-    if any(2 * x % n for x in dual):
-        raise ArithmeticError(f"coroot of {alpha} is not integral")
-    return tuple(2 * x // n for x in dual)
-
-
-_register(
+GROUPS: dict[str, GroupData] = {g.name: g for g in (
     GroupData(
-        name="k3",
-        gram_t=(
-            (Fraction(2, 3), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(2, 3), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(2, 3)),
-        ),
+        "k3", dual_gram=((3, 0, 0), (0, 3, 0), (0, 0, 3)), denominator=2,  # G = 2/3 I
         simple_roots=((2, 0, 0), (0, 2, 0), (0, 0, 2)),
         positive_roots=((2, 0, 0), (0, 2, 0), (0, 0, 2)),
-    )
-)
-
-_register(
+    ),
     GroupData(
-        name="so5",
-        gram_t=((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))),
+        "so5", dual_gram=((2, 0), (0, 2)), denominator=1,  # G = 1/2 I
         simple_roots=((1, -1), (0, 1)),
         positive_roots=((1, -1), (0, 1), (1, 0), (1, 1)),
-    )
-)
-
-_register(
+    ),
     GroupData(
-        name="su3",
-        gram_t=((Fraction(1), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(1))),
+        "su3", dual_gram=((4, 2), (2, 4)), denominator=3,  # G = ((1, -1/2), (-1/2, 1))
         simple_roots=((2, -1), (-1, 2)),
         positive_roots=((2, -1), (-1, 2), (1, 1)),
-    )
-)
+    ),
+)}
 
 
 def _dual(group: str, u, v) -> int:
-    """D * <u, v> in the Q-dual inner product, for integral weights u, v,
-    with D the common denominator of G^-1."""
-    gi, _ = _GRAM_INV[group]
-    return _dot(u, [_dot(row, v) for row in gi])
+    """D <u, v> in the Q-dual inner product for integral weights u, v."""
+    return _dot(u, [_dot(row, v) for row in GROUPS[group].dual_gram])
 
 
 def _doubled_shift(group: str, label: tuple) -> tuple:
@@ -157,7 +132,7 @@ def _norm4(group: str, label: tuple) -> int:
 
 
 def _dominant(group: str, label: tuple) -> bool:
-    return all(_dot(label, co) >= 0 for co in _COROOTS[group])
+    return all(_dot(label, co) >= 0 for co in GROUPS[group].coroots)
 
 
 def check_label(group: str, label: tuple) -> tuple:
@@ -193,14 +168,13 @@ def weight_system(group: str, label: tuple) -> dict:
                 work.append(nu)
     c4 = norm4[label]
 
-    coroots = _COROOTS[group]
     mult: dict[tuple, int] = {}
     for lam in sorted(norm4, key=norm4.get, reverse=True):
         m = 1
         if denom4 := c4 - norm4[lam]:  # 0 at the label alone
             # every weight above lam has its entry, and alpha-strings are unbroken
             num_d = 0
-            for alpha, alpha_dual in _ROOT_DUALS[group]:
+            for alpha, alpha_dual in g.root_duals:
                 mu = tuple(map(operator.add, lam, alpha))
                 while mu in mult:
                     num_d += mult[mu] * _dot(mu, alpha_dual)
@@ -212,7 +186,7 @@ def weight_system(group: str, label: tuple) -> dict:
         mult[lam] = m
         orbit = [lam]
         for mu in orbit:
-            for alpha, co in zip(g.simple_roots, coroots):
+            for alpha, co in zip(g.simple_roots, g.coroots):
                 c = _dot(mu, co)
                 if c > 0:
                     nu = tuple([x - c * a for x, a in zip(mu, alpha)])
@@ -240,7 +214,8 @@ def casimir_constant(group: str, label: tuple) -> Fraction:
     """Casimir eigenvalue <hw, hw + 2 delta> = |hw + delta|^2 - |delta|^2
     in the Q-dual inner product, (_norm4(hw) - _norm4(0)) / 4D."""
     label = check_label(group, label)
-    return Fraction(_norm4(group, label) - _norm4(group, (0,) * len(label)), 4 * _GRAM_INV[group][1])
+    norm4 = _norm4(group, label) - _norm4(group, (0,) * len(label))
+    return Fraction(norm4, 4 * GROUPS[group].denominator)
 
 
 def enumerate_labels(group: str, max_cas: Fraction) -> dict:
@@ -252,7 +227,7 @@ def enumerate_labels(group: str, max_cas: Fraction) -> dict:
     rank = GROUPS[group].rank
     q = max_cas.denominator
     norm0 = _norm4(group, (0,) * rank)
-    four_d = 4 * _GRAM_INV[group][1]
+    four_d = 4 * GROUPS[group].denominator
     top = norm0 * q + four_d * max_cas.numerator
     n = next(n for n in itertools.count() if _norm4(group, (n,) + (0,) * (rank - 1)) * q > top)
     keyed = []

@@ -40,11 +40,11 @@ monomial of a product, a same-basis sum, an inverse or a negation, keeps
 what it makes in one table keyed by the request (k, c, d).  A request
 seen before returns the object made then; a new one not in lowest terms
 returns the object of its lowest-terms request, which it makes at most
-once.  A cold ``reproduce-all`` makes 15,039 requests, 14,641 of them
-hits, and leaves 506 entries over 280 objects, 18 entries and 13
-objects of them made by the import of the commands; ``obstruction``
-makes 2,790 requests and leaves 158 entries, ``coindex`` on the three
-spaces 8,408 requests and 419 entries.  The table stops growing at
+once.  A cold ``reproduce-all`` makes 15,039 requests, 14,633 of them
+hits, and leaves 505 entries over 280 objects, 3 of each (I, sqrt2 and
+sqrt6, made here) left by the import of the commands; ``obstruction``
+makes 2,790 requests and leaves 157 entries, ``coindex`` on the three
+spaces 8,408 requests and 418 entries.  The table stops growing at
 ``MONOMIAL_CAP`` entries and evicts nothing: past the cap a request
 builds its monomial afresh, the same value, so a run does not depend on
 what ran before it.  A shared scalar is never changed: only the

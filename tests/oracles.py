@@ -17,7 +17,7 @@ from gray_stability.exterior import Form, alternate, derivation_action, form_inn
 from gray_stability.forms import HRep, lambda11_0
 from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, build_space
-from gray_stability.reps import _GRAM_INV, GROUPS, _doubled_shift, _dual, check_label, explicit_rep
+from gray_stability.reps import GROUPS, _doubled_shift, _dual, check_label, explicit_rep
 from gray_stability.scalars import BASIS_NAMES, I, ONE, SQRT2, ZERO, Scalar, rational
 from gray_stability.sympoly import NGENS, V1, V2, X, SymPoly, generators
 
@@ -525,14 +525,42 @@ def derivation_reference(m: list, form: Form) -> Form:
 
 # -- representations ---------------------------------------------------------
 
+# The Gram matrix of the catalog inner product Q on each group's torus basis.
+TORUS_GRAM = {
+    "k3": (
+        (Fraction(2, 3), Fraction(0), Fraction(0)),
+        (Fraction(0), Fraction(2, 3), Fraction(0)),
+        (Fraction(0), Fraction(0), Fraction(2, 3)),
+    ),
+    "so5": ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))),
+    "su3": ((Fraction(1), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(1))),
+}
+
+
+def fraction_inverse(m) -> list:
+    """m^-1 for an invertible square Fraction matrix, by Gauss-Jordan."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c])
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+@lru_cache(maxsize=None)
+def _torus_gram_inv(group: str) -> tuple:
+    return tuple(map(tuple, fraction_inverse(TORUS_GRAM[group])))
+
+
 def dual_ip(group: str, u, v) -> Fraction:
-    """<u, v> in the Q-dual inner product, in Fractions."""
-    gi, d = _GRAM_INV[group]
-    total = Fraction(0)
-    for a in range(GROUPS[group].rank):
-        for b in range(GROUPS[group].rank):
-            total += Fraction(u[a]) * gi[a][b] * Fraction(v[b])
-    return total / d
+    """<u, v> in the Q-dual inner product, in Fractions, from the inverse
+    of the torus Gram matrix."""
+    gi = _torus_gram_inv(group)
+    return sum(Fraction(u[a]) * gi[a][b] * Fraction(v[b]) for a in range(len(gi)) for b in range(len(gi)))
 
 
 def _delta(group: str) -> tuple:
@@ -557,7 +585,7 @@ def weight_system_reference(group: str, label: tuple) -> dict:
     denom is 0."""
     label = check_label(group, label)
     g = GROUPS[group]
-    gi, _ = _GRAM_INV[group]
+    gi = g.dual_gram
 
     def norm4(lam):
         """4D * |lam + delta|^2."""

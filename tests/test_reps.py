@@ -1,12 +1,18 @@
 """Highest-weight data: weight systems, dimensions, Casimir constants,
 explicit representations."""
 
+import dataclasses
 import itertools
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from gray_stability import linalg, reps
+from gray_stability import linalg, reps, scalars
 from gray_stability.branching import hom_dim, restricted_weights
 from gray_stability.forms import lambda11_0
 from gray_stability.fourier import hom_basis
@@ -26,6 +32,7 @@ from gray_stability.reps import (
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from oracles import (
     BOX,
+    TORUS_GRAM,
     J,
     casimir_reference,
     dual_ip,
@@ -93,6 +100,49 @@ def test_dimensions():
 def test_rank_and_two_delta_are_derived_from_the_roots():
     expect = {"k3": (3, (2, 2, 2)), "so5": (2, (3, 1)), "su3": (2, (2, 2))}
     assert {name: (g.rank, g.two_delta) for name, g in GROUPS.items()} == expect
+
+
+def test_dual_gram_is_the_least_integral_multiple_of_the_inverse_gram():
+    for group, g in GROUPS.items():
+        gram, d = TORUS_GRAM[group], g.denominator
+        product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*gram)] for row in g.dual_gram]
+        assert product == [[d * (i == j) for j in range(g.rank)] for i in range(g.rank)], group
+        assert all(type(x) is int for row in g.dual_gram for x in row) and type(d) is int, group
+        assert math.gcd(d, *(x for row in g.dual_gram for x in row)) == 1, group
+
+
+def test_a_non_integral_coroot_raises_on_first_use():
+    bad = reps.GroupData(
+        "bad", dual_gram=((1, 0), (0, 1)), denominator=1,
+        simple_roots=((1, 0), (2, 1)), positive_roots=((1, 0), (2, 1)),
+    )
+    assert bad.rank == 2  # making the record checks nothing
+    with pytest.raises(ArithmeticError, match=r"coroot of \(2, 1\) is not integral"):
+        bad.coroots
+
+
+def test_coroots_do_not_depend_on_the_order_of_the_positive_roots(monkeypatch):
+    su3 = GROUPS["su3"]
+    weights = weight_system("su3", (1, 1))
+    last = dataclasses.replace(su3, positive_roots=((1, 1), (-1, 2), (2, -1)))
+    assert last.coroots == su3.coroots == ((1, 0), (0, 1))
+    monkeypatch.setitem(GROUPS, "su3", last)
+    assert weight_system("su3", (1, 1)) == weights
+
+
+def test_importing_reps_does_no_scalar_arithmetic():
+    script = (
+        "from gray_stability import scalars\n"
+        "before = len(scalars._MONOMIALS)\n"
+        "from gray_stability import reps\n"
+        "print(before, len(scalars._MONOMIALS))\n"
+    )
+    src = str(Path(scalars.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    before, after = map(int, out.stdout.split())
+    assert after == before
 
 
 def test_integer_dim_and_casimir_match_fraction_references():
@@ -203,8 +253,8 @@ def test_a_non_integral_or_negative_multiplicity_raises(monkeypatch):
     with pytest.raises(ArithmeticError, match="multiplicity"):
         weight_system("so5", (1, 0))  # 1/3 at the zero weight
     monkeypatch.setattr(reps, "_norm4", norm4)
-    negated = tuple((alpha, tuple(-x for x in d)) for alpha, d in reps._ROOT_DUALS["su3"])
-    monkeypatch.setitem(reps._ROOT_DUALS, "su3", negated)
+    negated = tuple((alpha, tuple(-x for x in d)) for alpha, d in GROUPS["su3"].root_duals)
+    monkeypatch.setitem(GROUPS["su3"].__dict__, "root_duals", negated)
     with pytest.raises(ArithmeticError, match="multiplicity"):
         weight_system("su3", (1, 1))
 
