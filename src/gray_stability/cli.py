@@ -21,7 +21,7 @@ from .branching import format_h_label, hom_dim, restrict
 from .forms import lambda11_0
 from .fourier import delta_kernel, hom_basis, m_complex_coords, proto_delta
 from .lie import SPACE_NAMES, build_space, group_record, validate_space
-from .linalg import diag, is_zero_matrix, lin_comb, mat_eq
+from .linalg import diag, is_zero_matrix, lin_comb
 from .obstruction import (
     integrand,
     killing_check,
@@ -211,10 +211,7 @@ def validate_doc(space_names: list) -> dict:
         checks["lambda11_0_dim_8"] = target.dim == 8
         # each torus element t acts on the module as diag(i * weight_t)
         checks["lambda11_0_weight_vectors"] = all(
-            mat_eq(
-                lin_comb(t, target.h_matrices),
-                diag(*(I * rational(w[k]) for w in target.weights)),
-            )
+            lin_comb(t, target.h_matrices) == diag(*(I * rational(w[k]) for w in target.weights))
             for k, t in enumerate(space.h_weight_torus)
         )
         out[name] = {k: bool(v) for k, v in sorted(checks.items())}

@@ -158,9 +158,6 @@ class ReductiveSpace(GroupRecord):
         j, md = self.complex_structure, self.m_dim
         return {(a, b): j[b][a] for a in range(md) for b in range(a + 1, md) if j[b][a]}
 
-    def psi_minus_form(self) -> Form:
-        return dict(self.psi_minus) if self.psi_minus is not None else {}
-
     def ad_m_of_h(self, h_coords: list) -> tuple:
         """Matrix of ad(X) on m, in the orthonormal m-basis, for X in h."""
         hd = self.h_dim
@@ -428,7 +425,7 @@ def validate_space(space: ReductiveSpace) -> dict:
     kahler = space.kahler_form()
     checks["kahler_h_invariant"] = not any(alternate(derivation_action(ad, kahler)) for ad in h_ads)
     if space.psi_minus is not None:
-        psi = space.psi_minus_form()
+        psi = dict(space.psi_minus)
         checks["psi_minus_h_invariant"] = not any(
             alternate(derivation_action(ad, psi)) for ad in h_ads
         )

@@ -122,22 +122,19 @@ def diag(*values) -> Matrix:
     return from_entries(len(values), {(i, i): c for i, c in enumerate(values)})
 
 
-def kron(*mats) -> Matrix:
-    """Kronecker product of one or more matrices, left to right."""
-    out = mats[0]
-    for m in mats[1:]:
-        p, q = len(m), len(m[0])
-        rows = [[ZERO] * (len(out[0]) * q) for _ in range(len(out) * p)]
-        for i, orow in enumerate(out):
-            for j, c in enumerate(orow):
-                if not c:
-                    continue
-                for k, mrow in enumerate(m):
-                    for l, x in enumerate(mrow):
-                        if x:
-                            rows[i * p + k][j * q + l] = c * x
-        out = rows
-    return _freeze(out)
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product of two matrices."""
+    p, q = len(b), len(b[0])
+    rows = [[ZERO] * (len(a[0]) * q) for _ in range(len(a) * p)]
+    for i, arow in enumerate(a):
+        for j, c in enumerate(arow):
+            if not c:
+                continue
+            for k, brow in enumerate(b):
+                for l, x in enumerate(brow):
+                    if x:
+                        rows[i * p + k][j * q + l] = c * x
+    return _freeze(rows)
 
 
 def lin_comb(coeffs, mats) -> Matrix:
@@ -185,10 +182,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
                 s = s + x * y
         out.append(s)
     return out
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def is_zero_matrix(a: Matrix) -> bool:

@@ -34,23 +34,22 @@ from .exterior import derivation_action
 from .lie import ad_and_gram, bracket_closes, build_space
 from .scalars import I, ZERO, Scalar, rational
 from .sympoly import (
+    GENERATORS,
     GRAM_D,
     INTEGRAL_GRAM,
     NGENS,
     V1,
     V2,
     V3,
-    X,
     SymPoly,
+    coordinate_matrix,
     det_cubic,
-    generators,
     reduce_v_cubic,
     sym_inner,
 )
 
 M_DIM = 6
-_GENS = generators()
-_UNITS = tuple(next(iter(g.terms)) for g in _GENS)  # the exponent tuple of each generator
+_UNITS = tuple(next(iter(g.terms)) for g in GENERATORS)  # the exponent tuple of each generator
 
 Tensor = dict  # dict[index tuple, SymPoly]
 
@@ -112,7 +111,7 @@ def nabla_h() -> dict:
 def nabla_h_entry(i: int, k: int) -> list:
     """Vector-valued entry: list over l of the coefficient polynomial."""
     table = nabla_h()
-    return [table.get((i, k, l), SymPoly.zero()) for l in range(M_DIM)]
+    return [table.get((i, k, l), SymPoly()) for l in range(M_DIM)]
 
 
 def trace_cube(tensor: Tensor) -> SymPoly:
@@ -210,21 +209,20 @@ def killing_check(t1, t2, t3) -> bool:
 def no_critical_point_certificate() -> bool:
     """Whether the invariant cubic F on the traceless slice satisfies
 
-        sum_ab G_ab d_aF d_bF = (4/3) |xi|^4,   |xi|^2 = 2 sum v_i^2 + sum x_k^2,
+        sum_ab G_ab d_aF d_bF = (4/3) |xi|^4,   |xi|^2 = -(1/2) tr(xi^2),
 
-    exactly, both sides written on the slice v3 = -v1 - v2 itself (F and
-    |xi|^2 take the triple (v1, v2, -v1 - v2), so nothing is eliminated)
+    exactly, both sides written on the slice v3 = -v1 - v2 itself (F = i det
+    xi and xi take the triple (v1, v2, -v1 - v2), so nothing is eliminated)
     and a, b running over (v1, v2, x1..x6), G the Gram matrix of these
     coordinates.
 
     G is positive definite there (its v-block [[1/3, -1/6], [-1/6, 1/3]]
     has determinant 1/12), so the left side vanishes only where dF = 0;
-    |xi|^2 is a positive sum of squares, so the right side vanishes only
-    at xi = 0.  The identity therefore proves dF != 0 for every nonzero
-    xi.  Why it holds: dF is proportional to the traceless part P of
-    adj(xi), and for traceless xi Cayley-Hamilton gives
-    P = xi^2 - (tr(xi^2)/3) Id and tr(P^2) = tr(xi^2)^2 / 6, while
-    |xi|^2 = -tr(xi^2)/2.
+    |xi|^2 = 2 sum v_i^2 + sum x_k^2 is a positive sum of squares, so the
+    right side vanishes only at xi = 0.  The identity therefore proves
+    dF != 0 for every nonzero xi.  Why it holds: dF is proportional to the
+    traceless part P of adj(xi), and for traceless xi Cayley-Hamilton
+    gives P = xi^2 - (tr(xi^2)/3) Id and tr(P^2) = tr(xi^2)^2 / 6.
     """
     v = (V1, V2, -(V1 + V2))
     f = det_cubic(v)
@@ -237,7 +235,8 @@ def no_critical_point_certificate() -> bool:
         for b in slice_gens[i:]
         if (g := INTEGRAL_GRAM[a][b])
     )
-    norm_sq = SymPoly.sum([(w * w).scale(2) for w in v] + [x * x for x in X])
+    xi = coordinate_matrix(v)
+    norm_sq = SymPoly.sum(xi[a][b] * xi[b][a] for a in range(3) for b in range(3)).scale(rational(-1, 2))
     return lhs == (norm_sq * norm_sq).scale(Fraction(4, 3) * GRAM_D)
 
 

@@ -1,5 +1,8 @@
 """Polynomials in the nine coordinate functions v1, v2, v3, x1, ..., x6.
 
+The nine generators are the tuple GENERATORS.  The coordinate matrix xi
+is stated once, in coordinate_matrix, and the invariant cubic is i det(xi).
+
 The free commutative algebra is used; the trace relation v1 + v2 + v3 = 0
 is NOT quotiented out.  Well-definedness of the symmetric-power inner
 product under that relation comes from the degenerate Gram matrix, whose
@@ -20,8 +23,8 @@ from __future__ import annotations
 import itertools
 from operator import add
 
-from .linalg import add_into
-from .scalars import ONE, ZERO, Scalar, join_signed, rational
+from .linalg import add_into, det3
+from .scalars import I, ONE, ZERO, Scalar, join_signed, rational
 
 NGENS = 9
 GEN_NAMES = ("v1", "v2", "v3", "x1", "x2", "x3", "x4", "x5", "x6")
@@ -41,15 +44,6 @@ class SymPoly:
             for mono, c in terms.items():
                 if c:
                     self.terms[tuple(mono)] = c
-
-    @staticmethod
-    def zero() -> "SymPoly":
-        return SymPoly()
-
-    @staticmethod
-    def generator(index: int) -> "SymPoly":
-        mono = tuple(1 if k == index else 0 for k in range(NGENS))
-        return SymPoly({mono: ONE})
 
     def __bool__(self):
         return bool(self.terms)
@@ -137,12 +131,9 @@ def _grlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in m))
 
 
-V1, V2, V3 = (SymPoly.generator(k) for k in range(3))
-X = tuple(SymPoly.generator(3 + k) for k in range(6))
-
-
-def generators() -> tuple:
-    return (V1, V2, V3) + X
+GENERATORS = tuple(SymPoly({tuple(int(k == g) for k in range(NGENS)): ONE}) for g in range(NGENS))
+V1, V2, V3 = GENERATORS[:3]
+X = GENERATORS[3:]
 
 
 # D times the Gram matrix of the coordinate functions on the traceless
@@ -191,30 +182,31 @@ def sym_inner(p: SymPoly, q: SymPoly) -> Scalar:
     return total
 
 
+def coordinate_matrix(v: tuple = (V1, V2, V3)) -> tuple:
+    """xi, the traceless skew-hermitian 3x3 matrix of the nine coordinate
+    functions, as SymPolys: 2i v_k on the diagonal, x1 + i x2, x3 + i x4,
+    x5 + i x6 above it and -x1 + i x2, -x3 + i x4, -x5 + i x6 below, with
+    the polynomials v in place of (v1, v2, v3).  The coordinate function of
+    a u(3) frame matrix Z (i E_kk or e_k) is -(1/2) tr(xi Z)."""
+    d = [w.scale(2 * I) for w in v]
+    (r1, i1), (r2, i2), (r3, i3) = ((X[k], X[k + 1].scale(I)) for k in (0, 2, 4))
+    return (
+        (d[0], r1 + i1, r2 + i2),
+        (i1 - r1, d[1], r3 + i3),
+        (i2 - r2, i3 - r3, d[2]),
+    )
+
+
 def det_cubic(v: tuple = (V1, V2, V3)) -> SymPoly:
-    """The invariant cubic (i times the determinant) on the traceless
-    skew-hermitian 3x3 matrices, in the nine coordinate functions:
+    """The invariant cubic i det(xi) on the traceless skew-hermitian 3x3
+    matrices, xi the coordinate matrix with the polynomials v in place of
+    (v1, v2, v3); the pairing takes the generators, the criticality
+    certificate the slice (v1, v2, -v1 - v2).  It is
 
         8 v1 v2 v3 + 2 (x2 x3 x5 + x1 x3 x6 + x2 x4 x6 - x1 x4 x5)
-        - 2 (x1^2 + x2^2) v3 - 2 (x3^2 + x4^2) v2 - 2 (x5^2 + x6^2) v1
-
-    with the polynomials v in place of (v1, v2, v3); the pairing takes the
-    generators, the criticality certificate the slice (v1, v2, -v1 - v2).
-    The triple-x coefficients are pinned by exact 3x3 determinants of the
-    reconstructed matrix (see the tests); they make the cubic exactly
-    torus invariant, which any conjugation-invariant function must be.
+        - 2 (x1^2 + x2^2) v3 - 2 (x3^2 + x4^2) v2 - 2 (x5^2 + x6^2) v1.
     """
-    v1, v2, v3 = v
-    return SymPoly.sum((
-        (v1 * v2 * v3).scale(8),
-        (X[1] * X[2] * X[4]).scale(2),
-        (X[0] * X[2] * X[5]).scale(2),
-        (X[1] * X[3] * X[5]).scale(2),
-        (X[0] * X[3] * X[4]).scale(-2),
-        ((X[0] * X[0] + X[1] * X[1]) * v3).scale(-2),
-        ((X[2] * X[2] + X[3] * X[3]) * v2).scale(-2),
-        ((X[4] * X[4] + X[5] * X[5]) * v1).scale(-2),
-    ))
+    return det3(coordinate_matrix(v)) * I
 
 
 def reduce_v_cubic(p: SymPoly) -> SymPoly:
@@ -223,8 +215,6 @@ def reduce_v_cubic(p: SymPoly) -> SymPoly:
     symmetric polynomials of v1, v2, v3, and on e1 = v1 + v2 + v3 = 0 it is
     c v1 v2 v3; mixed monomials are untouched."""
     pure = {m: c for m, c in p.terms.items() if not any(m[3:])}
-    if not pure:
-        return p
     v123 = (1, 1, 1) + (0,) * 6
     a = pure.get((3,) + (0,) * 8, ZERO)
     b = pure.get((2, 1) + (0,) * 7, ZERO) - a * 3

@@ -16,7 +16,7 @@ def _vdiff(a, b):
 
 def _entry(*terms):
     """Each term is (basis index l, polynomial)."""
-    out = [SymPoly.zero()] * 6
+    out = [SymPoly()] * 6
     for l, poly in terms:
         out[l - 1] = out[l - 1] + poly
     return out

@@ -19,7 +19,7 @@ from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, build_space
 from gray_stability.reps import GROUPS, _doubled_shift, _dual, check_label, explicit_rep
 from gray_stability.scalars import BASIS_NAMES, I, ONE, SQRT2, ZERO, Scalar, rational
-from gray_stability.sympoly import NGENS, V1, V2, X, SymPoly, generators
+from gray_stability.sympoly import GENERATORS, NGENS, V1, V2, X, SymPoly
 
 SQRT3 = Scalar.basis_element(3)
 # Primitive cube root of unity (-1 + i*sqrt3)/2.
@@ -186,7 +186,7 @@ def validate_algebra_reference(alg) -> dict:
     return {
         "antisymmetry": all(cols[a][b] == tuple(-x for x in cols[b][a]) for a, b in pairs),
         "jacobi": all(
-            linalg.mat_eq(linalg.lin_comb(cols[a][b], ad), commutator(ad[a], ad[b]))
+            linalg.lin_comb(cols[a][b], ad) == commutator(ad[a], ad[b])
             for a, b in pairs
             if a < b
         ),
@@ -707,7 +707,7 @@ def validate_rep(space: ReductiveSpace, rep: tuple) -> bool:
         for b in range(a + 1, alg.dim):
             lhs = linalg.lin_comb(cols[b], rep)
             rhs = commutator(rep[a], rep[b])
-            if not linalg.mat_eq(lhs, rhs):
+            if lhs != rhs:
                 return False
     return True
 
@@ -873,7 +873,7 @@ def check_equivariance(space: ReductiveSpace, rep: tuple, target, f: tuple) -> b
     for t in range(space.h_dim):
         lhs = linalg.mat_mul(target.h_matrices[t], f)
         rhs = linalg.mat_mul(f, rep[t])
-        if not linalg.mat_eq(lhs, rhs):
+        if lhs != rhs:
             return False
     return True
 
@@ -1133,7 +1133,7 @@ def trace_cube_reference(tensor: dict, n: int = 6) -> SymPoly:
 
 
 def equal_mod_trace(p: SymPoly, q: SymPoly) -> bool:
-    return eliminate_v3(p - q) == SymPoly.zero()
+    return eliminate_v3(p - q) == SymPoly()
 
 
 def reduce_v_cubic_reference(p: SymPoly) -> SymPoly:
@@ -1176,7 +1176,7 @@ def _coords_u3(m) -> tuple:
     h_coeffs = [(_ip_u3(m, h) * rational(2)) for h in h_mats]
     e_coeffs = [_ip_u3(m, e) for e in e_mats]
     recon = linalg.lin_comb(h_coeffs + e_coeffs, h_mats + e_mats)
-    if not linalg.mat_eq(recon, m):
+    if recon != m:
         raise ValueError("matrix is not in the unitary frame span")
     return tuple(h_coeffs), tuple(e_coeffs)
 
@@ -1185,11 +1185,10 @@ def coordinate_poly(m) -> SymPoly:
     """Reference for obstruction.coordinate_derivatives: the coordinate
     function <xi*, m> as a linear polynomial, by the trace form."""
     h_coeffs, e_coeffs = _coords_u3(m)
-    gens = generators()
     out = SymPoly()
     for k, c in enumerate(h_coeffs + e_coeffs):
         if c:
-            out = out + gens[k].scale(c)
+            out = out + GENERATORS[k].scale(c)
     return out
 
 

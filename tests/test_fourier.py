@@ -244,7 +244,7 @@ def test_s3xs3_delta_output_is_equivariant():
         ad = space.ad_m_of_h(h)
         lhs = linalg.mat_mul(ad, d)
         rhs = linalg.mat_mul(d, rep[t])
-        assert linalg.mat_eq(lhs, rhs)
+        assert lhs == rhs
 
 
 def test_cp3_generator_is_z5_eta():
@@ -326,7 +326,7 @@ def test_proto_delta_linear_in_f():
     images = proto_delta(space, (1, 1), [to_sparse(f) for f in (f1, f2, combo)])
     d1, d2, dc = (to_dense(d, 6, 8) for d in images)
     expected = linalg.lin_comb((a, b), (d1, d2))
-    assert linalg.mat_eq(dc, expected)
+    assert dc == expected
 
 
 def test_proto_delta_equals_dense_reference():
@@ -362,4 +362,4 @@ def test_proto_delta_independent_of_orthonormal_basis():
     rotation = ((c, s, ZERO, ZERO, ZERO, ZERO), (-s, c, ZERO, ZERO, ZERO, ZERO))
     basis = rotation + linalg.identity(6)[2:]
     rotated = proto_delta_reference(space, (1, 1, 0), to_dense(f, 8, 4), m_basis=basis)
-    assert linalg.mat_eq(default, rotated)
+    assert default == rotated

@@ -36,9 +36,7 @@ def test_ad_is_bracket_of_basis_matrices(name):
     for a in range(alg.dim):
         cols = linalg.transpose(alg.ad[a])
         for b in range(alg.dim):
-            assert linalg.mat_eq(
-                linalg.lin_comb(cols[b], mats), commutator(mats[a], mats[b])
-            ), (a, b)
+            assert linalg.lin_comb(cols[b], mats) == commutator(mats[a], mats[b]), (a, b)
 
 
 @pytest.mark.parametrize("name", sorted(SCALES))

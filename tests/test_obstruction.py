@@ -29,7 +29,18 @@ from gray_stability.obstruction import (
     trace_cube,
 )
 from gray_stability.scalars import I, ONE, ZERO, rational
-from gray_stability.sympoly import SymPoly, V1, V2, V3, X, det_cubic, reduce_v_cubic, sym_inner
+from gray_stability.sympoly import (
+    GENERATORS,
+    SymPoly,
+    V1,
+    V2,
+    V3,
+    X,
+    coordinate_matrix,
+    det_cubic,
+    reduce_v_cubic,
+    sym_inner,
+)
 from oracles import (
     _frame,
     commutator,
@@ -48,12 +59,12 @@ def test_coordinate_derivatives_match_displays():
     # other two against a single x-function
     expect = {
         # (direction, generator) -> polynomial
-        (1, 2): X[1], (1, 1): -X[1], (1, 3): SymPoly.zero(),
-        (2, 2): -X[0], (2, 1): X[0], (2, 3): SymPoly.zero(),
-        (3, 3): X[3], (3, 1): -X[3], (3, 2): SymPoly.zero(),
-        (4, 3): -X[2], (4, 1): X[2], (4, 2): SymPoly.zero(),
-        (5, 3): X[5], (5, 2): -X[5], (5, 1): SymPoly.zero(),
-        (6, 3): -X[4], (6, 2): X[4], (6, 1): SymPoly.zero(),
+        (1, 2): X[1], (1, 1): -X[1], (1, 3): SymPoly(),
+        (2, 2): -X[0], (2, 1): X[0], (2, 3): SymPoly(),
+        (3, 3): X[3], (3, 1): -X[3], (3, 2): SymPoly(),
+        (4, 3): -X[2], (4, 1): X[2], (4, 2): SymPoly(),
+        (5, 3): X[5], (5, 2): -X[5], (5, 1): SymPoly(),
+        (6, 3): -X[4], (6, 2): X[4], (6, 1): SymPoly(),
     }
     for (e, v), poly in expect.items():
         assert coordinate_derivatives()[e - 1][v - 1] == poly, (e, v)
@@ -107,7 +118,7 @@ def test_torus_directions_annihilate_v():
     for j in range(3):
         for v in range(3):
             h_target = torus_derivative(j, (V1, V2, V3)[v])
-            assert h_target == SymPoly.zero()
+            assert h_target == SymPoly()
 
 
 def test_a_action_displays():
@@ -159,7 +170,7 @@ def test_nabla_h_table_reproduced_exactly():
 def test_nabla_h_symmetric_in_last_two_slots():
     table = nabla_h()
     for (i, k, l), poly in table.items():
-        assert table.get((i, l, k), SymPoly.zero()) == poly
+        assert table.get((i, l, k), SymPoly()) == poly
 
 
 def test_obstruction_terms():
@@ -192,13 +203,12 @@ def test_breakdown_total_is_the_full_pairing():
 def test_pairing_insensitive_to_trace_relation():
     rng = random.Random(23)
     base = sym_inner(integrand(), det_cubic())
-    gens = (V1, V2, V3) + X
     trace = V1 + V2 + V3
     for _ in range(25):
-        q = SymPoly.zero()
+        q = SymPoly()
         for _ in range(2):
             a, b = rng.randrange(9), rng.randrange(9)
-            q = q + (gens[a] * gens[b]).scale(rng.randint(-5, 5))
+            q = q + (GENERATORS[a] * GENERATORS[b]).scale(rng.randint(-5, 5))
         shifted = integrand() + trace * q
         assert sym_inner(shifted, det_cubic()) == base
 
@@ -207,11 +217,10 @@ def test_sign_convention_toggle():
     # Flipping the global sign of every degree-1 coordinate function
     # negates the integrand; re-expressing the invariant cubic in the
     # flipped functions negates it as well, so the pairing is unchanged.
-    gens = (V1, V2, V3) + X
     plus = integrand()
-    minus = substitute_polys_reference(integrand(), [-g for g in gens])
+    minus = substitute_polys_reference(integrand(), [-g for g in GENERATORS])
     assert minus == -plus
-    flipped_det = substitute_polys_reference(det_cubic(), [-g for g in gens])
+    flipped_det = substitute_polys_reference(det_cubic(), [-g for g in GENERATORS])
     assert flipped_det == -det_cubic()
     assert sym_inner(minus, flipped_det) == sym_inner(plus, det_cubic())
 
@@ -242,6 +251,16 @@ def test_killing_check_can_say_no(monkeypatch):
     # a torsion term at (e1; e1, e1) leaves the cyclic sum 3 there
     monkeypatch.setattr(obstruction, "_half_torsion", lambda i, tensor: {(0, 0): ONE} if i == 0 else {})
     assert not killing_check(1, -1, 0)
+
+
+def test_coordinate_matrix_reads_the_generators_on_the_u3_frame():
+    # -(1/2) tr(xi Z_g) is generator g on the frame that
+    # coordinate_derivatives reads: Z = (i E_11, i E_22, i E_33, e1..e6)
+    h_mats, e_mats = _frame()
+    xi = coordinate_matrix()
+    for g, z in enumerate(h_mats + e_mats):
+        pairing = SymPoly.sum(xi[a][b] * z[b][a] for a in range(3) for b in range(3) if z[b][a])
+        assert pairing.scale(rational(-1, 2)) == GENERATORS[g], g
 
 
 def test_matrix_reconstruction_round_trip():

@@ -366,37 +366,37 @@ def test_explicit_rep_matches_reference_matrices():
         g[3 + 2 * a + 1] = -(I * inv_s2)
         return linalg.lin_comb(g, rep)
 
-    x1 = [
-        [ZERO, c * J, c, ZERO],
-        [c * J, ZERO, ZERO, c],
-        [c, ZERO, ZERO, c * J],
-        [ZERO, c, c * J, ZERO],
-    ]
+    x1 = (
+        (ZERO, c * J, c, ZERO),
+        (c * J, ZERO, ZERO, c),
+        (c, ZERO, ZERO, c * J),
+        (ZERO, c, c * J, ZERO),
+    )
     r = inv_s2
-    x2 = [
-        [ZERO, -(r * J), -r, ZERO],
-        [r * J, ZERO, ZERO, -r],
-        [r, ZERO, ZERO, -(r * J)],
-        [ZERO, r, r * J, ZERO],
-    ]
-    x3 = [
-        [c * (ONE + J), ZERO, ZERO, ZERO],
-        [ZERO, c * (ONE - J), ZERO, ZERO],
-        [ZERO, ZERO, c * (J - ONE), ZERO],
-        [ZERO, ZERO, ZERO, -(c * (ONE + J))],
-    ]
-    assert linalg.mat_eq(rho_plus(0), x1)
-    assert linalg.mat_eq(rho_plus(1), x2)
-    assert linalg.mat_eq(rho_plus(2), x3)
+    x2 = (
+        (ZERO, -(r * J), -r, ZERO),
+        (r * J, ZERO, ZERO, -r),
+        (r, ZERO, ZERO, -(r * J)),
+        (ZERO, r, r * J, ZERO),
+    )
+    x3 = (
+        (c * (ONE + J), ZERO, ZERO, ZERO),
+        (ZERO, c * (ONE - J), ZERO, ZERO),
+        (ZERO, ZERO, c * (J - ONE), ZERO),
+        (ZERO, ZERO, ZERO, -(c * (ONE + J))),
+    )
+    assert rho_plus(0) == x1
+    assert rho_plus(1) == x2
+    assert rho_plus(2) == x3
 
     # The conjugate basis vectors act by replacing j with j^2 throughout.
     jj = J * J
 
     def swap_j(m):
-        return [[_rewrite_j(x, jj) for x in row] for row in m]
+        return tuple(tuple(_rewrite_j(x, jj) for x in row) for row in m)
 
     for a, plus in enumerate((x1, x2, x3)):
-        assert linalg.mat_eq(rho_minus(a), swap_j(plus))
+        assert rho_minus(a) == swap_j(plus)
 
 
 def _rewrite_j(x, jj):

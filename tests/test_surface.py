@@ -43,7 +43,6 @@ SRC = TESTS.parent / "src" / "gray_stability"
 # Boundaries of the benchmark's outside-in tracer, which reports a missing
 # boundary as absent; they stay until the tracer stops listing them.
 EXEMPT = {
-    "linalg.det3": "tracer boundary; the 3x3 determinant is a test oracle",
     "linalg.adjugate3": "tracer boundary; the 3x3 adjugate is a test oracle",
     "reps.casimir_bruteforce": "tracer boundary; cross-checks casimir_constant in the tests",
     "obstruction.obstruction_pairing": "tracer boundary; the commands read the pairing off pairing_breakdown",

@@ -10,6 +10,7 @@ import pytest
 from gray_stability import linalg
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from gray_stability.sympoly import (
+    GENERATORS,
     GRAM_D,
     INTEGRAL_GRAM,
     NGENS,
@@ -19,8 +20,8 @@ from gray_stability.sympoly import (
     V3,
     X,
     _monomial_pairing,
+    coordinate_matrix,
     det_cubic,
-    generators,
     reduce_v_cubic,
     sym_inner,
 )
@@ -39,7 +40,7 @@ from oracles import (
 
 def test_ring_basics():
     p = V1 * V2 + X[0].scale(3)
-    assert p + SymPoly.zero() == p
+    assert p + SymPoly() == p
     assert (V1 + V2 + V3) * (V1 * V2) == V1 * V1 * V2 + V1 * V2 * V2 + V1 * V2 * V3
     assert (V1 * V2 * V3).scale(6).terms.get((1, 1, 1, 0, 0, 0, 0, 0, 0), ZERO) == rational(6)
     assert str(X[0] * X[0] - V3) == "-v3 + x1^2"
@@ -67,11 +68,10 @@ def test_sym_inner_reference_values():
 
 
 def test_sym_inner_degree_one_reduces_to_gram():
-    gens = generators()
     g = gram_su3()
     for i in range(9):
         for j in range(9):
-            assert sym_inner(gens[i], gens[j]) == Scalar.from_fraction(g[i][j])
+            assert sym_inner(GENERATORS[i], GENERATORS[j]) == Scalar.from_fraction(g[i][j])
 
 
 def test_sym_inner_degree_mismatch_raises():
@@ -83,14 +83,13 @@ def test_sym_inner_degree_mismatch_raises():
 
 def test_sym_inner_symmetric_bilinear():
     rng = random.Random(5)
-    gens = generators()
 
     def rand_poly(deg, terms=3):
-        p = SymPoly.zero()
+        p = SymPoly()
         for _ in range(terms):
             mono = SymPoly({(0,) * NGENS: rational(rng.randint(-3, 3))})
             for _ in range(deg):
-                mono = mono * gens[rng.randrange(9)]
+                mono = mono * GENERATORS[rng.randrange(9)]
             p = p + mono
         return p
 
@@ -133,18 +132,38 @@ def test_det_cubic_against_matrix_determinant():
         assert substitute(d, values) == direct
 
 
+def test_coordinate_matrix_is_the_reconstructed_matrix():
+    # each entry of xi, evaluated at rational coordinates, is the entry of
+    # the matrix the oracle builds from them
+    rng = random.Random(33)
+    xi = coordinate_matrix()
+    for _ in range(20):
+        values = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(NGENS)]
+        scalars = [Scalar.from_fraction(q) for q in values]
+        direct = matrix_from_coordinates(values[:3], values[3:])
+        assert tuple(tuple(substitute(p, scalars) for p in row) for row in xi) == direct
+
+
+def test_coordinate_matrix_on_the_slice_is_traceless_with_the_coordinate_norm():
+    v = (V1, V2, -(V1 + V2))
+    xi = coordinate_matrix(v)
+    assert not SymPoly.sum(xi[k][k] for k in range(3))
+    tr_sq = SymPoly.sum(xi[a][b] * xi[b][a] for a in range(3) for b in range(3))
+    assert tr_sq.scale(rational(-1, 2)) == SymPoly.sum([(w * w).scale(2) for w in v] + [x * x for x in X])
+
+
 def test_det_cubic_torus_invariance():
     # the invariant cubic is annihilated by every torus direction
     d = det_cubic()
     for j in range(3):
-        assert torus_derivative(j, d) == SymPoly.zero()
+        assert torus_derivative(j, d) == SymPoly()
 
 
 def test_partial_derivative_by_hand():
     # d/dx1 (3 v1 x1^2 x2 - x1 v2 + 5) = 6 v1 x1 x2 - v2
     p = (V1 * X[0] * X[0] * X[1]).scale(3) - X[0] * V2 + SymPoly({(0,) * NGENS: rational(5)})
     assert p.partial(3) == (V1 * X[0] * X[1]).scale(6) - V2
-    assert p.partial(2) == SymPoly.zero()
+    assert p.partial(2) == SymPoly()
     assert det_cubic().partial(0) == (V2 * V3).scale(8) - (X[4] * X[4] + X[5] * X[5]).scale(2)
 
 
@@ -206,14 +225,14 @@ def test_reduce_v_cubic_matches_the_permutation_reference():
 
 
 def test_sym_inner_with_an_empty_argument_is_zero():
-    assert sym_inner(SymPoly.zero(), det_cubic()) == ZERO
-    assert sym_inner(det_cubic(), SymPoly.zero()) == ZERO
-    assert sym_inner(SymPoly.zero(), SymPoly.zero()) == ZERO
+    assert sym_inner(SymPoly(), det_cubic()) == ZERO
+    assert sym_inner(det_cubic(), SymPoly()) == ZERO
+    assert sym_inner(SymPoly(), SymPoly()) == ZERO
 
 
 def test_eliminate_v3_normal_form():
-    assert eliminate_v3(V1 + V2 + V3) == SymPoly.zero()
-    assert equal_mod_trace((V1 + V2 + V3) * X[0], SymPoly.zero())
+    assert eliminate_v3(V1 + V2 + V3) == SymPoly()
+    assert equal_mod_trace((V1 + V2 + V3) * X[0], SymPoly())
     assert not equal_mod_trace(V1, V2)
 
 
@@ -276,6 +295,6 @@ def test_slice_cubic_and_norm_are_the_substitution_route():
     # is what substituting v3 = -v1 - v2 into the nine-variable forms gives
     v = (V1, V2, -(V1 + V2))
     assert det_cubic(v) == eliminate_v3(det_cubic())
-    norm_sq = SymPoly.sum((g * g).scale(2 if k < 3 else 1) for k, g in enumerate(generators()))
+    norm_sq = SymPoly.sum((g * g).scale(2 if k < 3 else 1) for k, g in enumerate(GENERATORS))
     assert SymPoly.sum([(w * w).scale(2) for w in v] + [x * x for x in X]) == eliminate_v3(norm_sq)
     assert det_cubic((V1, V2, V3)) == det_cubic()
