@@ -29,13 +29,12 @@ one coordinate reader: the coordinates of any matrix C are the sum, over
 the nonzeros of C, of C_ij times the reader's ``{k: c}`` for (i, j).  Each
 commutator [X_a, X_b] with a < b is the difference of two sparse products,
 read through it; [X_b, X_a] is its negative.  ``ad_and_gram`` is the
-library's one bracket: ``obstruction`` calls it on the u(3) frame to read
-the derivatives of the coordinate functions.
+library's one bracket; the three catalog builders are its only callers.
 
 The run-time checks work on nonzeros too: ``bracket_closes`` compares
 sum_k ad[a][k][b] X_k with [X_a, X_b] as exact ``{(i, j): c}`` dicts, for
-Jacobi (X = ad, a < b) and the frame span of ``obstruction``, and the
-ad-invariance ad^T G + G ad = 0 is one sparse sum of products.
+Jacobi (X = ad, a < b), and the ad-invariance ad^T G + G ad = 0 is one
+sparse sum of products.
 """
 
 from __future__ import annotations
@@ -178,7 +177,8 @@ def _sparse_commutator(x: dict, y: dict) -> dict:
 
 def bracket_closes(mats: tuple, ad: tuple, pairs) -> bool:
     """Whether sum_k ad[a][k][b] mats[k] == [mats[a], mats[b]] for each pair
-    (a, b), on {(i, j): c} dicts of nonzeros, so dict equality is exact."""
+    (a, b), on {(i, j): c} dicts of nonzeros, so dict equality is exact.
+    Its one check is Jacobi, mats = ad, in ``validate_algebra``."""
     nz = [linalg.nonzeros(x) for x in mats]
     for a, b in pairs:
         lhs: dict = {}

@@ -10,14 +10,17 @@ v1..v3, x1..x6; the deformation tensor is
     h = v3 (e1 (x) e1 + e2 (x) e2) + v2 (e3 (x) e3 + e4 (x) e4)
       + v1 (e5 (x) e5 + e6 (x) e6).
 
-Derivatives reduce to the one bracket: the left-invariant derivative of
-the coordinate function of Z_g along e is the coordinate function of
-[e, Z_g], and ``lie.ad_and_gram`` of the frame holds the coordinates of
-[e, Z_g] in column g of the adjoint matrix of e.  The sign of this
-convention is fixed once; flipping it negates every degree-1 function and
-leaves the pairing unchanged (test_sign_convention_toggle).  The torsion
-correction acts as a derivation through A_X, the m-block of ad(X) on the
-catalog's su(3) frame; a test ties A_X to X -| Psi^-, entry by entry.
+Derivatives need no second bracket.  The left-invariant derivative of the
+coordinate function of Z along e is the coordinate function of [e, Z],
+and -(1/2) tr(xi [e, Z]) = -(1/2) tr([xi, e] Z), so e acts on every
+linear function L of xi by L -> L([xi, e]).  h is linear in xi (a
+deformation is an equivariant linear map), so its invariant derivative
+along e is h([xi, e]), xi the coordinate matrix of ``sympoly``.  The sign
+of this convention is fixed once; flipping it negates every degree-1
+function and leaves the pairing unchanged (test_sign_convention_toggle).
+The torsion correction acts as a derivation through A_X, the m-block of
+ad(X) on the catalog's su(3) frame; a test ties A_X to X -| Psi^-, entry
+by entry.
 
 The invariants I0 = tr(h^3), I1 and I2 are each one SymPoly.sum over the
 nonzeros of h and of nabla h.
@@ -31,10 +34,9 @@ from functools import lru_cache
 
 from . import linalg
 from .exterior import derivation_action
-from .lie import ad_and_gram, bracket_closes, build_space
+from .lie import build_space
 from .scalars import I, ZERO, Scalar, rational
 from .sympoly import (
-    GENERATORS,
     GRAM_D,
     INTEGRAL_GRAM,
     NGENS,
@@ -49,35 +51,18 @@ from .sympoly import (
 )
 
 M_DIM = 6
-_UNITS = tuple(next(iter(g.terms)) for g in GENERATORS)  # the exponent tuple of each generator
 
 Tensor = dict  # dict[index tuple, SymPoly]
 
+
+def canonical_variation(t1, t2, t3) -> Tensor:
+    """t1 g|_(e1,e2) + t2 g|_(e3,e4) + t3 g|_(e5,e6) in the orthonormal
+    frame, its zero coefficients left out."""
+    return {(a, a): t for a, t in enumerate((t1, t1, t2, t2, t3, t3)) if t}
+
+
 # The deformation 2-tensor in the orthonormal frame.
-H_HAT: Tensor = {
-    (0, 0): V3,
-    (1, 1): V3,
-    (2, 2): V2,
-    (3, 3): V2,
-    (4, 4): V1,
-    (5, 5): V1,
-}
-
-
-def coordinate_derivatives() -> tuple:
-    """D[a][g]: the derivative of coordinate function g along e_{a+1}, the
-    linear polynomial whose coefficients are column g of the adjoint
-    matrix of e_{a+1} on the u(3) frame.  Each column is checked exactly
-    to recombine to the bracket [e_{a+1}, Z_g]."""
-    frame = tuple(linalg.from_entries(3, {(k, k): I}) for k in range(3))
-    frame += build_space("flag").algebra.basis_matrices[2:]
-    ad = ad_and_gram(frame, Fraction(-1, 2)).ad
-    if not bracket_closes(frame, ad, ((3 + a, g) for a in range(M_DIM) for g in range(len(frame)))):
-        raise ValueError("matrix is not in the unitary frame span")
-    return tuple(
-        tuple(SymPoly(dict(zip(_UNITS, col))) for col in linalg.transpose(ad[3 + a]))
-        for a in range(M_DIM)
-    )
+H_HAT: Tensor = canonical_variation(V3, V2, V1)
 
 
 def _half_torsion(i: int, tensor: Tensor) -> Tensor:
@@ -95,14 +80,19 @@ def _half_torsion(i: int, tensor: Tensor) -> Tensor:
 def nabla_h() -> dict:
     """Full covariant derivative: entries (i, k, l) with
     nabla_h[(i, k, l)] = (e_i-component of the derivative) at slot (k, l),
-    computed as the invariant derivative (the Leibniz rule over the
-    coordinate derivatives) plus half the torsion correction.
+    computed as the invariant derivative h([xi, e_i]), H_HAT with
+    v_k = -(i/2) [xi, e_i]_kk, plus half the torsion correction.
     Symmetric in (k, l)."""
+    flag = build_space("flag")
+    xi = linalg.nonzeros(coordinate_matrix())
+    minus_half_i = I * rational(-1, 2)
     out: dict = {}
-    for i, derivs in enumerate(coordinate_derivatives()):
+    for i, e in enumerate(flag.algebra.basis_matrices[flag.h_dim :]):
+        e = linalg.nonzeros(e)
+        bracket = linalg.sum_of_products(((xi, e, False), (e, xi, True)))
+        v1, v2, v3 = (bracket.get((k, k), SymPoly()).scale(minus_half_i) for k in range(3))
         t = _half_torsion(i, H_HAT)
-        for key, p in H_HAT.items():
-            d = SymPoly.sum(p.partial(k) * dk for k, dk in enumerate(derivs))
+        for key, d in canonical_variation(v3, v2, v1).items():
             linalg.add_into(t, key, d)
         out.update(((i,) + key, coeff) for key, coeff in t.items())
     return out
@@ -169,7 +159,7 @@ def pairing_breakdown() -> dict:
     cubic, with its audit subtotals: the pure v-cubic block and the x^2 v
     block pair separately (the Gram matrix is block diagonal)."""
     full = integrand()
-    det = det_cubic()
+    det = det_cubic(coordinate_matrix())
     vvv = SymPoly({m: c for m, c in full.terms.items() if not any(m[3:])})
     xxv = full - vvv
     parts = {
@@ -189,10 +179,10 @@ def killing_check(t1, t2, t3) -> bool:
     t1 g|_(e1,e2) + t2 g|_(e3,e4) + t3 g|_(e5,e6) satisfies the Killing
     equation (vanishing cyclic symmetrization of its covariant
     derivative).  Requires a trace-free triple."""
-    t1, t2, t3 = Fraction(t1), Fraction(t2), Fraction(t3)
-    if t1 + t2 + t3 != 0:
+    t = [Fraction(x) for x in (t1, t2, t3)]
+    if sum(t) != 0:
         raise ValueError("canonical-variation coefficients must sum to zero")
-    tensor = {(a, a): Scalar.from_fraction(t) for a, t in enumerate((t1, t1, t2, t2, t3, t3)) if t}
+    tensor = canonical_variation(*map(Scalar.from_fraction, t))
     nabla = {
         (i,) + key: coeff for i in range(M_DIM) for key, coeff in _half_torsion(i, tensor).items()
     }
@@ -224,8 +214,8 @@ def no_critical_point_certificate() -> bool:
     traceless part P of adj(xi), and for traceless xi Cayley-Hamilton
     gives P = xi^2 - (tr(xi^2)/3) Id and tr(P^2) = tr(xi^2)^2 / 6.
     """
-    v = (V1, V2, -(V1 + V2))
-    f = det_cubic(v)
+    xi = coordinate_matrix((V1, V2, -(V1 + V2)))
+    f = det_cubic(xi)
     slice_gens = [k for k in range(NGENS) if k != 2]
     grad = {a: f.partial(a) for a in slice_gens}
     # D * lhs over the integral Gram, each unordered pair once
@@ -235,7 +225,6 @@ def no_critical_point_certificate() -> bool:
         for b in slice_gens[i:]
         if (g := INTEGRAL_GRAM[a][b])
     )
-    xi = coordinate_matrix(v)
     norm_sq = SymPoly.sum(xi[a][b] * xi[b][a] for a in range(3) for b in range(3)).scale(rational(-1, 2))
     return lhs == (norm_sq * norm_sq).scale(Fraction(4, 3) * GRAM_D)
 

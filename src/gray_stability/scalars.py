@@ -21,9 +21,9 @@ basis element, or zero.  In ``coindex`` on the three spaces, 5,498 of
 the 5,823 products have two monomial operands and the other 325 a zero
 one (an int operand counts as the scalar it is coerced to), and 2,430
 of the 3,337 sums add two monomials on the same basis element; in
-``reproduce-all`` the counts are 10,426 and 525 of 10,951 products and
-3,731 of 4,838 sums, and 2,583 of its 4,779 negations are of monomials
-and 2,196 of zero.  All 133 and 160 inverses are of monomials.  So each
+``reproduce-all`` the counts are 10,054 and 489 of 10,543 products and
+3,668 of 4,763 sums, and 2,499 of its 4,695 negations are of monomials
+and 2,196 of zero.  All 133 and 151 inverses are of monomials.  So each
 scalar also carries a ``tag``, set once wherever it is made: the index
 of its only nonzero coordinate, ``_ZERO_TAG`` or ``_GENERAL_TAG``.  Only
 the constructor and the general paths read it off ``n``; the other paths
@@ -40,10 +40,10 @@ monomial of a product, a same-basis sum, an inverse or a negation, keeps
 what it makes in one table keyed by the request (k, c, d).  A request
 seen before returns the object made then; a new one not in lowest terms
 returns the object of its lowest-terms request, which it makes at most
-once.  A cold ``reproduce-all`` makes 15,200 requests, 14,793 of them
+once.  A cold ``reproduce-all`` makes 14,699 requests, 14,292 of them
 hits, and leaves 506 entries over 280 objects, 3 of each (I, sqrt2 and
 sqrt6, made here) left by the import of the commands; ``obstruction``
-makes 2,951 requests and leaves 160 entries, ``coindex`` on the three
+makes 2,450 requests and leaves 160 entries, ``coindex`` on the three
 spaces 8,408 requests and 418 entries.  The table stops growing at
 ``MONOMIAL_CAP`` entries and evicts nothing: past the cap a request
 builds its monomial afresh, the same value, so a run does not depend on

@@ -197,16 +197,16 @@ def coordinate_matrix(v: tuple = (V1, V2, V3)) -> tuple:
     )
 
 
-def det_cubic(v: tuple = (V1, V2, V3)) -> SymPoly:
+def det_cubic(xi: tuple) -> SymPoly:
     """The invariant cubic i det(xi) on the traceless skew-hermitian 3x3
-    matrices, xi the coordinate matrix with the polynomials v in place of
-    (v1, v2, v3); the pairing takes the generators, the criticality
-    certificate the slice (v1, v2, -v1 - v2).  It is
+    matrices, xi a coordinate matrix; the pairing takes
+    coordinate_matrix(), the criticality certificate the slice
+    (v1, v2, -v1 - v2).  On the generators it is
 
         8 v1 v2 v3 + 2 (x2 x3 x5 + x1 x3 x6 + x2 x4 x6 - x1 x4 x5)
         - 2 (x1^2 + x2^2) v3 - 2 (x3^2 + x4^2) v2 - 2 (x5^2 + x6^2) v1.
     """
-    return det3(coordinate_matrix(v)) * I
+    return det3(xi) * I
 
 
 def reduce_v_cubic(p: SymPoly) -> SymPoly:

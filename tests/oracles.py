@@ -16,7 +16,7 @@ from gray_stability.branching import KINDS, BranchingError, decompose_weights
 from gray_stability.exterior import Form, alternate, derivation_action, form_inner, wedge2
 from gray_stability.forms import HRep, lambda11_0
 from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
-from gray_stability.lie import ReductiveSpace, build_space
+from gray_stability.lie import ReductiveSpace, ad_and_gram, bracket_closes, build_space
 from gray_stability.reps import GROUPS, _doubled_shift, _dual, check_label, explicit_rep
 from gray_stability.scalars import BASIS_NAMES, I, ONE, SQRT2, ZERO, Scalar, rational
 from gray_stability.sympoly import GENERATORS, NGENS, V1, V2, X, SymPoly
@@ -1181,8 +1181,27 @@ def _coords_u3(m) -> tuple:
     return tuple(h_coeffs), tuple(e_coeffs)
 
 
+def coordinate_derivatives_reference() -> tuple:
+    """D[a][g]: the derivative of coordinate function g along e_{a+1}, the
+    linear polynomial whose coefficients are column g of the adjoint
+    matrix of e_{a+1} on the u(3) frame.  Each column is checked exactly
+    to recombine to the bracket [e_{a+1}, Z_g].  obstruction.nabla_h takes
+    these derivatives as h([xi, e]) instead; the Leibniz rule over this
+    table is its reference."""
+    frame = tuple(linalg.from_entries(3, {(k, k): I}) for k in range(3))
+    frame += build_space("flag").algebra.basis_matrices[2:]
+    ad = ad_and_gram(frame, Fraction(-1, 2)).ad
+    if not bracket_closes(frame, ad, ((3 + a, g) for a in range(6) for g in range(len(frame)))):
+        raise ValueError("matrix is not in the unitary frame span")
+    units = [next(iter(g.terms)) for g in GENERATORS]  # the exponent tuple of each generator
+    return tuple(
+        tuple(SymPoly(dict(zip(units, col))) for col in linalg.transpose(ad[3 + a]))
+        for a in range(6)
+    )
+
+
 def coordinate_poly(m) -> SymPoly:
-    """Reference for obstruction.coordinate_derivatives: the coordinate
+    """Reference for coordinate_derivatives_reference: the coordinate
     function <xi*, m> as a linear polynomial, by the trace form."""
     h_coeffs, e_coeffs = _coords_u3(m)
     out = SymPoly()

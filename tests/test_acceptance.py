@@ -54,7 +54,7 @@ from gray_stability.reps import (
 )
 from gray_stability.scalars import ONE, SQRT2, Scalar, rational
 from gray_stability.stability import coindex_report
-from gray_stability.sympoly import GENERATORS, SymPoly, V1, V2, V3, det_cubic, sym_inner
+from gray_stability.sympoly import GENERATORS, SymPoly, V1, V2, V3, coordinate_matrix, det_cubic, sym_inner
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_reproduce_all.json"
 
@@ -292,7 +292,7 @@ def test_criterion_08a_field_axioms():
 def test_criterion_08b_gram_kernel_invariance():
     rng = random.Random(77)
     trace = V1 + V2 + V3
-    det = det_cubic()
+    det = det_cubic(coordinate_matrix())
     base = sym_inner(integrand(), det)
     trials = 1000
     for _ in range(trials):

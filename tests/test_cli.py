@@ -347,6 +347,22 @@ def test_obstruction_computes_its_terms_once(capsys):
     assert obstruction.integrand.cache_info().misses == 1
 
 
+def test_obstruction_eliminates_once(monkeypatch, capsys):
+    # a cold run inverts the flag catalog's 8x8 Gram matrix and nothing
+    # else: the derivatives of the coordinate functions are read off [xi, e]
+    from gray_stability import linalg, obstruction
+
+    build_space.cache_clear()
+    obstruction.obstruction_terms.cache_clear()
+    obstruction.nabla_h.cache_clear()
+    obstruction.integrand.cache_clear()
+    shapes = []
+    original = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda a: shapes.append((len(a), len(a[0]))) or original(a))
+    assert main(["obstruction"]) == 0
+    assert shapes == [(8, 16)]
+
+
 def test_obstruction_doc_sums_polynomials_in_one_accumulator(monkeypatch):
     # every polynomial sum goes through SymPoly.sum; a sum written as a
     # chain of `acc + x` costs hundreds of two-operand additions

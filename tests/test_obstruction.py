@@ -11,12 +11,13 @@ from frozen_tables import (
     expected_nabla_h_table,
     expected_obstruction_terms,
 )
+import oracles
 from gray_stability import linalg, obstruction
 from gray_stability.exterior import derivation_action
 from gray_stability.lie import build_space
 from gray_stability.obstruction import (
     H_HAT,
-    coordinate_derivatives,
+    _half_torsion,
     integrand,
     killing_check,
     nabla_h,
@@ -44,6 +45,7 @@ from gray_stability.sympoly import (
 from oracles import (
     _frame,
     commutator,
+    coordinate_derivatives_reference,
     coordinate_poly,
     matrix_from_coordinates,
     psi_lookup,
@@ -67,14 +69,14 @@ def test_coordinate_derivatives_match_displays():
         (6, 3): -X[4], (6, 2): X[4], (6, 1): SymPoly(),
     }
     for (e, v), poly in expect.items():
-        assert coordinate_derivatives()[e - 1][v - 1] == poly, (e, v)
+        assert coordinate_derivatives_reference()[e - 1][v - 1] == poly, (e, v)
 
 
 def test_coordinate_derivatives_match_trace_form_reference():
     # every (direction, generator) pair: the adjoint column against the
     # bracket read back through the trace form
     h_mats, e_mats = _frame()
-    table = coordinate_derivatives()
+    table = coordinate_derivatives_reference()
     for a in range(6):
         for g, target in enumerate(h_mats + e_mats):
             expected = coordinate_poly(commutator(e_mats[a], target))
@@ -85,26 +87,42 @@ def test_coordinate_derivatives_check_the_frame_span(monkeypatch):
     # a frame missing e6: the bracket [e1, e4] = -e6 leaves its span
     space = build_space("flag")
     algebra = SimpleNamespace(basis_matrices=space.algebra.basis_matrices[:-1])
-    monkeypatch.setattr(obstruction, "build_space", lambda name: SimpleNamespace(algebra=algebra))
+    monkeypatch.setattr(oracles, "build_space", lambda name: SimpleNamespace(algebra=algebra))
     with pytest.raises(ValueError, match="not in the unitary frame span"):
-        coordinate_derivatives()
+        coordinate_derivatives_reference()
 
 
 def test_coordinate_derivatives_check_all_54_frame_brackets(monkeypatch):
     # the span check covers each direction e_1..e_6 against each of the
     # nine frame matrices, once
     seen = []
-    original = obstruction.bracket_closes
+    original = oracles.bracket_closes
 
     def recording(mats, ad, pairs):
         pairs = list(pairs)
         seen.append((len(mats), pairs))
         return original(mats, ad, pairs)
 
-    monkeypatch.setattr(obstruction, "bracket_closes", recording)
-    coordinate_derivatives()
+    monkeypatch.setattr(oracles, "bracket_closes", recording)
+    coordinate_derivatives_reference()
     assert [n for n, _ in seen] == [9]
     assert sorted(seen[0][1]) == [(3 + a, g) for a in range(6) for g in range(9)]
+
+
+def test_nabla_h_is_the_leibniz_rule_over_the_reference_derivatives():
+    # h is linear in xi, so its invariant derivative h([xi, e_i]) is the
+    # Leibniz rule over the derivatives of the nine coordinate functions
+    table = nabla_h()
+    for i, derivs in enumerate(coordinate_derivatives_reference()):
+        invariant = {key[1:]: p for key, p in table.items() if key[0] == i}
+        for key, c in _half_torsion(i, H_HAT).items():
+            linalg.add_into(invariant, key, -c)
+        leibniz = {
+            key: d
+            for key, p in H_HAT.items()
+            if (d := SymPoly.sum(p.partial(k) * dk for k, dk in enumerate(derivs)))
+        }
+        assert leibniz and invariant == leibniz, i
 
 
 def _a(x: int) -> list:
@@ -197,12 +215,12 @@ def test_pairing_value_and_breakdown():
 
 def test_breakdown_total_is_the_full_pairing():
     # the blocks' sum against one pairing of the whole integrand
-    assert pairing_breakdown()["total"] == sym_inner(integrand(), det_cubic())
+    assert pairing_breakdown()["total"] == sym_inner(integrand(), det_cubic(coordinate_matrix()))
 
 
 def test_pairing_insensitive_to_trace_relation():
     rng = random.Random(23)
-    base = sym_inner(integrand(), det_cubic())
+    base = sym_inner(integrand(), det_cubic(coordinate_matrix()))
     trace = V1 + V2 + V3
     for _ in range(25):
         q = SymPoly()
@@ -210,7 +228,7 @@ def test_pairing_insensitive_to_trace_relation():
             a, b = rng.randrange(9), rng.randrange(9)
             q = q + (GENERATORS[a] * GENERATORS[b]).scale(rng.randint(-5, 5))
         shifted = integrand() + trace * q
-        assert sym_inner(shifted, det_cubic()) == base
+        assert sym_inner(shifted, det_cubic(coordinate_matrix())) == base
 
 
 def test_sign_convention_toggle():
@@ -220,9 +238,10 @@ def test_sign_convention_toggle():
     plus = integrand()
     minus = substitute_polys_reference(integrand(), [-g for g in GENERATORS])
     assert minus == -plus
-    flipped_det = substitute_polys_reference(det_cubic(), [-g for g in GENERATORS])
-    assert flipped_det == -det_cubic()
-    assert sym_inner(minus, flipped_det) == sym_inner(plus, det_cubic())
+    det = det_cubic(coordinate_matrix())
+    flipped_det = substitute_polys_reference(det, [-g for g in GENERATORS])
+    assert flipped_det == -det
+    assert sym_inner(minus, flipped_det) == sym_inner(plus, det)
 
 
 def test_trace_cube_is_the_trace_of_the_cube():
@@ -255,7 +274,7 @@ def test_killing_check_can_say_no(monkeypatch):
 
 def test_coordinate_matrix_reads_the_generators_on_the_u3_frame():
     # -(1/2) tr(xi Z_g) is generator g on the frame that
-    # coordinate_derivatives reads: Z = (i E_11, i E_22, i E_33, e1..e6)
+    # coordinate_derivatives_reference reads: Z = (i E_11, i E_22, i E_33, e1..e6)
     h_mats, e_mats = _frame()
     xi = coordinate_matrix()
     for g, z in enumerate(h_mats + e_mats):
@@ -302,13 +321,19 @@ def test_no_critical_point_certificate_holds():
     assert no_critical_point_certificate()
 
 
+def _pure_v_cubic(xi) -> SymPoly:
+    """8 v1 v2 v3, each v_k = -(i/2) xi_kk read off the coordinate matrix."""
+    v1, v2, v3 = (xi[k][k].scale(I * rational(-1, 2)) for k in range(3))
+    return (v1 * v2 * v3).scale(8)
+
+
 @pytest.mark.parametrize(
     "mutant",
     [
         # critical along the x-axes: every partial vanishes at v = 0
-        lambda v: (v[0] * v[1] * v[2]).scale(8),
+        _pure_v_cubic,
         # one triple-x sign flipped
-        lambda v: det_cubic(v) - (X[1] * X[2] * X[4]).scale(4),
+        lambda xi: det_cubic(xi) - (X[1] * X[2] * X[4]).scale(4),
     ],
     ids=["pure-v", "flipped-triple-x"],
 )

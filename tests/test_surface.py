@@ -22,6 +22,13 @@ Known limit: attributes match by bare name, so a definition or a field
 that shares its name with a used attribute (say a field ``name`` beside
 every ``space.name``) passes unseen.
 
+The import scan holds each module under ``src/gray_stability`` to the
+names it imports: every name that an ``import`` or ``from ... import``
+binds there must be read (a ``Name`` load) somewhere in the same module;
+``from __future__ import annotations`` binds nothing and is exempt.  The
+definition scan cannot see an unread import, which is a binding, not a
+definition.
+
 The float scan rejects, anywhere in ``src/gray_stability``, a float or
 complex literal, the name ``float``, the true-division operator ``/`` and
 every ``math`` function but the integer ones; exact arithmetic divides
@@ -178,6 +185,23 @@ def unreached_oracles(tests: pathlib.Path = TESTS) -> list:
     return sorted(set(names_in) - reached)
 
 
+def unread_imports(src: pathlib.Path = SRC) -> list:
+    """'module:line: name' for every name that an import in a module under
+    src binds and that module never reads."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loads:
+                    out.append(f"{path.stem}:{node.lineno}: {name}")
+    return out
+
+
 def float_uses(src: pathlib.Path = SRC) -> list:
     """'module:line: what' for every float literal, name float, true
     division and non-integer math function in the modules under src."""
@@ -279,6 +303,24 @@ def test_field_write_scan_sees_every_kind_of_write(tmp_path):
         ("scalars.Scalar.__init__", 7, ".d"),
         ("scalars.Scalar.scale", 9, ".d"),
     ]
+
+
+def test_every_import_is_read_in_its_module():
+    assert unread_imports() == []
+
+
+def test_import_scan_sees_unread_names(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import itertools\n"
+        "import os.path\n"
+        "from fractions import Fraction as F\n"
+        "from .b import used, spare\n"
+        "def f(x: F):\n"
+        "    return used(x), os.sep\n",
+        encoding="utf-8",
+    )
+    assert unread_imports(tmp_path) == ["a:2: itertools", "a:5: spare"]
 
 
 def test_no_float_enters_the_library():

@@ -100,7 +100,7 @@ def test_sym_inner_symmetric_bilinear():
 
 
 def test_det_cubic_coefficients():
-    d = det_cubic()
+    d = det_cubic(coordinate_matrix())
     assert d.terms.get((1, 1, 1, 0, 0, 0, 0, 0, 0), ZERO) == rational(8)
     # triple-x block, coefficients forced by the determinant identity:
     assert d.terms.get((0, 0, 0, 0, 1, 1, 0, 1, 0), ZERO) == rational(2)   # x2 x3 x5
@@ -115,12 +115,12 @@ def test_det_cubic_diagonal_example():
     # xi = diag(i, i, -2i) has coordinates v = (1/2, 1/2, -1), x = 0 and
     # i * det(xi) = -2.
     vals = [rational(1, 2), rational(1, 2), rational(-1)] + [ZERO] * 6
-    assert substitute(det_cubic(), vals) == rational(-2)
+    assert substitute(det_cubic(coordinate_matrix()), vals) == rational(-2)
 
 
 def test_det_cubic_against_matrix_determinant():
     rng = random.Random(17)
-    d = det_cubic()
+    d = det_cubic(coordinate_matrix())
     for _ in range(50):
         v1 = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
         v2 = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
@@ -154,7 +154,7 @@ def test_coordinate_matrix_on_the_slice_is_traceless_with_the_coordinate_norm():
 
 def test_det_cubic_torus_invariance():
     # the invariant cubic is annihilated by every torus direction
-    d = det_cubic()
+    d = det_cubic(coordinate_matrix())
     for j in range(3):
         assert torus_derivative(j, d) == SymPoly()
 
@@ -164,7 +164,8 @@ def test_partial_derivative_by_hand():
     p = (V1 * X[0] * X[0] * X[1]).scale(3) - X[0] * V2 + SymPoly({(0,) * NGENS: rational(5)})
     assert p.partial(3) == (V1 * X[0] * X[1]).scale(6) - V2
     assert p.partial(2) == SymPoly()
-    assert det_cubic().partial(0) == (V2 * V3).scale(8) - (X[4] * X[4] + X[5] * X[5]).scale(2)
+    d = det_cubic(coordinate_matrix())
+    assert d.partial(0) == (V2 * V3).scale(8) - (X[4] * X[4] + X[5] * X[5]).scale(2)
 
 
 def test_reduce_v_cubic():
@@ -225,8 +226,8 @@ def test_reduce_v_cubic_matches_the_permutation_reference():
 
 
 def test_sym_inner_with_an_empty_argument_is_zero():
-    assert sym_inner(SymPoly(), det_cubic()) == ZERO
-    assert sym_inner(det_cubic(), SymPoly()) == ZERO
+    assert sym_inner(SymPoly(), det_cubic(coordinate_matrix())) == ZERO
+    assert sym_inner(det_cubic(coordinate_matrix()), SymPoly()) == ZERO
     assert sym_inner(SymPoly(), SymPoly()) == ZERO
 
 
@@ -294,7 +295,7 @@ def test_slice_cubic_and_norm_are_the_substitution_route():
     # the certificate writes F and |xi|^2 on v3 = -v1 - v2 directly; that
     # is what substituting v3 = -v1 - v2 into the nine-variable forms gives
     v = (V1, V2, -(V1 + V2))
-    assert det_cubic(v) == eliminate_v3(det_cubic())
+    assert det_cubic(coordinate_matrix(v)) == eliminate_v3(det_cubic(coordinate_matrix()))
     norm_sq = SymPoly.sum((g * g).scale(2 if k < 3 else 1) for k, g in enumerate(GENERATORS))
     assert SymPoly.sum([(w * w).scale(2) for w in v] + [x * x for x in X]) == eliminate_v3(norm_sq)
-    assert det_cubic((V1, V2, V3)) == det_cubic()
+    assert coordinate_matrix((V1, V2, V3)) == coordinate_matrix()
