@@ -33,7 +33,7 @@ from .obstruction import (
 from .render import dumps, fraction_jsonable, scalar_jsonable
 from .reps import UnsupportedLabel, casimir_constant, check_label, dim, enumerate_labels
 from .scalars import I, rational
-from .stability import coindex_report
+from .stability import CASIMIR_THRESHOLD, coindex_report
 
 
 def _table(rows: list, headers: list) -> str:
@@ -223,7 +223,7 @@ def reproduce_all_doc() -> dict:
     doc = {
         "version": __version__,
         "casimir_branching_tables": {
-            n: branch_doc(n, None, Fraction(12))["rows"] for n in names
+            n: branch_doc(n, None, CASIMIR_THRESHOLD)["rows"] for n in names
         },
         "lambda11_0": {
             n: {

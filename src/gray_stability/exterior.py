@@ -1,11 +1,13 @@
 """Exterior algebra helpers on the reductive complement.
 
 Multivectors are sparse dicts keyed by strictly increasing index tuples;
-tensors are sparse dicts keyed by ordered index tuples.  alternate is the
-one map from a tensor to a multivector: wedge2 alternates an outer
-product, and derivation_action's result is alternated by its callers.
-All formulas below assume the ambient basis is orthonormal for the
-invariant metric, which holds for every catalog space.
+tensors are sparse dicts keyed by ordered index tuples.
+derivation_action is the one extension of a matrix to tensor keys: a
+k-vector's callers alternate its result, forms reads it on the ordered
+wedges p (x) q, and reps sorts each key into a monomial.  alternate is
+the one map from a tensor to a multivector; wedge2 alternates an outer
+product.  All formulas below assume the ambient basis is orthonormal for
+the invariant metric, which holds for every catalog space.
 """
 
 from __future__ import annotations

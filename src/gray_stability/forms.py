@@ -6,20 +6,22 @@ The primitive part is the kernel of the pairing with the Kaehler
 2-vector; that pairing lives on the zero-weight block, so every returned
 basis vector stays an exact torus weight vector.
 
-X in h preserves m^+ and m^-, so on the wedges p ^ q it is the Kronecker
-sum of its two blocks in the weight frame, whose inverse is the one
-elimination; the primitive part is read at the kernel's free columns.
+X in h preserves m^+ and m^-, so its block in the weight frame, whose
+inverse is the one elimination, acts on the wedges p ^ q by derivation:
+the Kronecker sum of its blocks on m^+ and m^-.  The primitive part is
+read at the kernel's free columns.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
 from .branching import decompose_weights
-from .exterior import Form, form_inner, wedge2
+from .exterior import Form, derivation_action, form_inner, wedge2
 from .lie import ReductiveSpace, build_space
 from .scalars import ONE
 
@@ -39,20 +41,22 @@ class HRep:
 
 
 def _kronecker_sums(space: ReductiveSpace) -> list:
-    """The nonzeros {(i, j): c} of each isotropy basis element's action on
-    the nine wedges p_i ^ q_j (index 3i + j), the Kronecker sums of its
-    blocks on m^+ and m^- in the weight frame."""
+    """The nonzeros {(3p + q, 3i + j): c} of each isotropy basis element's
+    action on the nine wedges p_i ^ q_j: its block in the weight frame,
+    extended to p_i (x) q_j as a derivation."""
     frame = linalg.transpose([v for v, _ in space.m_plus_weights + space.m_minus_weights])
     frame_inv = linalg.inverse(frame)
     k = len(space.m_plus_weights)
-    one = linalg.identity(k)
     sums = []
-    for e in linalg.identity(space.h_dim):
-        block = linalg.mat_mul(frame_inv, linalg.mat_mul(space.ad_m_of_h(e), frame))
-        if any(x for row in block[:k] for x in row[k:]) or any(x for row in block[k:] for x in row[:k]):
-            raise ArithmeticError(f"{space.name}: the isotropy action mixes m^+ and m^-")
-        c, c_bar = [row[:k] for row in block[:k]], [row[k:] for row in block[k:]]
-        sums.append(linalg.nonzeros(linalg.lin_comb((ONE, ONE), (linalg.kron(c, one), linalg.kron(one, c_bar)))))
+    for ad in space.m_action[: space.h_dim]:
+        block = linalg.mat_mul(frame_inv, linalg.mat_mul(ad, frame))
+        cols = {}
+        for i, j in itertools.product(range(k), repeat=2):
+            for (p, q), c in derivation_action(block, {(i, k + j): ONE}).items():
+                if p >= k or q < k:
+                    raise ArithmeticError(f"{space.name}: the isotropy action mixes m^+ and m^-")
+                cols[k * p + q - k, k * i + j] = c
+        sums.append(cols)
     return sums
 
 

@@ -19,7 +19,10 @@ and dim h is dim g - dim m.  What the metric gives is derived from
 - J = P diag(i, i, i, -i, -i, -i) P^-1, P the frame m^+ | m^-, and the
   Kaehler form omega(X, Y) = g(JX, Y);
 - the inverse Gram matrix, which ``ad_and_gram`` forms to read
-  coordinates and which the Casimir operator contracts with.
+  coordinates and which the Casimir operator contracts with;
+- ``m_action``, the m-block of ad(X) for each basis element X: the
+  isotropy action for X in h, the torsion A_X for X in m.  The other
+  modules read ad on m only through it; it checks [h, m] in m once.
 
 The adjoint matrices and the Gram matrix are built from the basis
 matrices' nonzeros alone (two to six each).  Each basis matrix is read
@@ -157,13 +160,14 @@ class ReductiveSpace(GroupRecord):
         j, md = self.complex_structure, self.m_dim
         return {(a, b): j[b][a] for a in range(md) for b in range(a + 1, md) if j[b][a]}
 
-    def ad_m_of_h(self, h_coords: list) -> tuple:
-        """Matrix of ad(X) on m, in the orthonormal m-basis, for X in h."""
+    @cached_property
+    def m_action(self) -> tuple:
+        """The m-block of ad(X_a) for each basis element X_a, in the
+        orthonormal m-basis; raises ValueError when [h, m] leaves m."""
         hd = self.h_dim
-        ad = linalg.lin_comb(h_coords, self.algebra.ad[:hd])
-        if any(any(row[hd:]) for row in ad[:hd]):
+        if any(any(row[hd:]) for x in self.algebra.ad[:hd] for row in x[:hd]):
             raise ValueError(f"{self.name}: [h, m] leaves m")
-        return tuple(row[hd:] for row in ad[hd:])
+        return tuple(tuple(row[hd:] for row in x[hd:]) for x in self.algebra.ad)
 
 
 def _conjugate(v: tuple) -> tuple:
@@ -415,13 +419,13 @@ def validate_space(space: ReductiveSpace) -> dict:
     )
     checks["m_pm_spans"] = linalg.rank(plus + minus) == md
 
+    h_ads = space.m_action[:hd]
     checks["m_pm_weight_vectors"] = all(
         linalg.mat_vec(ad, v) == [I * rational(wt[k]) * c for c in v]
-        for k, ad in enumerate(map(space.ad_m_of_h, space.h_weight_torus))
+        for k, ad in enumerate(linalg.lin_comb(t, h_ads) for t in space.h_weight_torus)
         for v, wt in space.m_plus_weights + space.m_minus_weights
     )
 
-    h_ads = [space.ad_m_of_h(e) for e in linalg.identity(hd)]
     kahler = space.kahler_form()
     checks["kahler_h_invariant"] = not any(alternate(derivation_action(ad, kahler)) for ad in h_ads)
     if space.psi_minus is not None:

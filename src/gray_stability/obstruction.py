@@ -18,9 +18,9 @@ deformation is an equivariant linear map), so its invariant derivative
 along e is h([xi, e]), xi the coordinate matrix of ``sympoly``.  The sign
 of this convention is fixed once; flipping it negates every degree-1
 function and leaves the pairing unchanged (test_sign_convention_toggle).
-The torsion correction acts as a derivation through A_X, the m-block of
-ad(X) on the catalog's su(3) frame; a test ties A_X to X -| Psi^-, entry
-by entry.
+The torsion correction is (1/2) A_X acting as a derivation, A_X the
+flag's ``m_action`` block of X, the m-block of ad(X); nabla_h halves
+H_HAT once for it.  A test ties A_X to X -| Psi^-, entry by entry.
 
 The invariants I0 = tr(h^3), I1 and I2 are each one SymPoly.sum over the
 nonzeros of h and of nabla h.
@@ -65,33 +65,23 @@ def canonical_variation(t1, t2, t3) -> Tensor:
 H_HAT: Tensor = canonical_variation(V3, V2, V1)
 
 
-def _half_torsion(i: int, tensor: Tensor) -> Tensor:
-    """The torsion correction (1/2) A_{e_{i+1}}(tensor), A_X the m-block of
-    ad(X) acting as a derivation on a tensor whose coefficients are
-    polynomials or constants."""
-    flag = build_space("flag")
-    hd = flag.h_dim
-    half = rational(1, 2)
-    torsion = derivation_action([row[hd:] for row in flag.algebra.ad[hd + i][hd:]], tensor)
-    return {key: coeff * half for key, coeff in torsion.items()}
-
-
 @lru_cache(maxsize=1)
 def nabla_h() -> dict:
     """Full covariant derivative: entries (i, k, l) with
     nabla_h[(i, k, l)] = (e_i-component of the derivative) at slot (k, l),
     computed as the invariant derivative h([xi, e_i]), H_HAT with
-    v_k = -(i/2) [xi, e_i]_kk, plus half the torsion correction.
-    Symmetric in (k, l)."""
+    v_k = -(i/2) [xi, e_i]_kk, plus the torsion correction (1/2) A_{e_i}
+    acting on H_HAT as a derivation.  Symmetric in (k, l)."""
     flag = build_space("flag")
     xi = linalg.nonzeros(coordinate_matrix())
     minus_half_i = I * rational(-1, 2)
+    half_h = {key: p.scale(rational(1, 2)) for key, p in H_HAT.items()}
     out: dict = {}
     for i, e in enumerate(flag.algebra.basis_matrices[flag.h_dim :]):
         e = linalg.nonzeros(e)
         bracket = linalg.sum_of_products(((xi, e, False), (e, xi, True)))
         v1, v2, v3 = (bracket.get((k, k), SymPoly()).scale(minus_half_i) for k in range(3))
-        t = _half_torsion(i, H_HAT)
+        t = derivation_action(flag.m_action[flag.h_dim + i], half_h)
         for key, d in canonical_variation(v3, v2, v1).items():
             linalg.add_into(t, key, d)
         out.update(((i,) + key, coeff) for key, coeff in t.items())
@@ -183,8 +173,12 @@ def killing_check(t1, t2, t3) -> bool:
     if sum(t) != 0:
         raise ValueError("canonical-variation coefficients must sum to zero")
     tensor = canonical_variation(*map(Scalar.from_fraction, t))
+    flag = build_space("flag")
+    # constant coefficients: nabla_X t = (1/2) A_X t; the equation is homogeneous
     nabla = {
-        (i,) + key: coeff for i in range(M_DIM) for key, coeff in _half_torsion(i, tensor).items()
+        (i,) + key: coeff
+        for i, a in enumerate(flag.m_action[flag.h_dim :])
+        for key, coeff in derivation_action(a, tensor).items()
     }
     return not any(
         nabla.get((a, b, c), ZERO) + nabla.get((b, c, a), ZERO) + nabla.get((c, a, b), ZERO)

@@ -52,8 +52,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import linalg
+from .exterior import derivation_action
 from .lie import ReductiveSpace, build_space
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 
 
 def _dot(u, v) -> int:
@@ -282,12 +283,9 @@ def _explicit_rep(name: str, label: tuple) -> tuple:
     for a, entries in enumerate(rep):
         for mono, col in index.items():
             for f, (seed, _) in enumerate(seeds):
-                for i, j in enumerate(mono[f]):  # x_j -> seed[a] x_j at place i of factor f
-                    for b, row in enumerate(seed[a]):
-                        if row[j]:
-                            factor = tuple(sorted(mono[f][:i] + (b,) + mono[f][i + 1 :]))
-                            new = index[mono[:f] + (factor,) + mono[f + 1 :]]
-                            linalg.add_into(entries, (new, col), row[j])
+                for key, c in derivation_action(seed[a], {mono[f]: ONE}).items():
+                    new = index[mono[:f] + (tuple(sorted(key)),) + mono[f + 1 :]]
+                    linalg.add_into(entries, (new, col), c)
     d = dim(space.group, label)
     if n == d:
         return tuple(linalg.from_entries(n, e) for e in rep)

@@ -17,16 +17,15 @@ and ``rational()``.  JSON and ``str`` read the numerators directly: each
 coordinate x/d is put in lowest terms with one gcd.
 
 Most scalars the pipeline meets are monomials, one rational times one
-basis element, or zero.  In ``coindex`` on the three spaces, 5,498 of
-the 5,823 products have two monomial operands and the other 325 a zero
-one (an int operand counts as the scalar it is coerced to), and 2,430
-of the 3,337 sums add two monomials on the same basis element; in
-``reproduce-all`` the counts are 10,054 and 489 of 10,543 products and
-3,668 of 4,763 sums, and 2,499 of its 4,695 negations are of monomials
-and 2,196 of zero.  All 133 and 151 inverses are of monomials.  So each
-scalar also carries a ``tag``, set once wherever it is made: the index
-of its only nonzero coordinate, ``_ZERO_TAG`` or ``_GENERAL_TAG``.  Only
-the constructor and the general paths read it off ``n``; the other paths
+basis element, or zero: the catalog's basis matrices, weight frames and
+structure constants are, and nearly every product, sum, negation and
+inverse that the pipeline forms from them is of monomials or zero (an
+int operand counts as the scalar it is coerced to).  A test holds a cold
+``reproduce-all`` to that premise as a bound: at least 95 % of its
+products have two monomial-or-zero operands.  So each scalar also
+carries a ``tag``, set once wherever it is made: the index of its only
+nonzero coordinate, ``_ZERO_TAG`` or ``_GENERAL_TAG``.  Only the
+constructor and the general paths read it off ``n``; the other paths
 know it.  The operations branch on the tags instead of scanning ``n``:
 a product of two monomials is one lookup in the multiplication table, a
 sum of two on the same basis element one integer operation (``ZERO``
@@ -40,15 +39,12 @@ monomial of a product, a same-basis sum, an inverse or a negation, keeps
 what it makes in one table keyed by the request (k, c, d).  A request
 seen before returns the object made then; a new one not in lowest terms
 returns the object of its lowest-terms request, which it makes at most
-once.  A cold ``reproduce-all`` makes 14,699 requests, 14,292 of them
-hits, and leaves 506 entries over 280 objects, 3 of each (I, sqrt2 and
-sqrt6, made here) left by the import of the commands; ``obstruction``
-makes 2,450 requests and leaves 160 entries, ``coindex`` on the three
-spaces 8,408 requests and 418 entries.  The table stops growing at
-``MONOMIAL_CAP`` entries and evicts nothing: past the cap a request
-builds its monomial afresh, the same value, so a run does not depend on
-what ran before it.  A shared scalar is never changed: only the
-constructors write ``n``, ``d`` and ``tag``.
+once.  Few distinct values are requested: the same test holds the table
+that a cold ``reproduce-all`` leaves below a quarter of its cap.  The table
+stops growing at ``MONOMIAL_CAP`` entries and evicts nothing: past the
+cap a request builds its monomial afresh, the same value, so a run does
+not depend on what ran before it.  A shared scalar is never changed:
+only the constructors write ``n``, ``d`` and ``tag``.
 Each path returns the same canonical ``(n, d)`` as the general one, and
 the tag is a function of ``n``, so equality, hashing and JSON mean what
 they meant on ``(n, d)`` alone; nothing compares scalars by identity.

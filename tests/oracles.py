@@ -779,8 +779,7 @@ def _h_action_matrices(space: ReductiveSpace, vectors: list) -> list:
     """The matrix of each isotropy basis element on the span of vectors:
     column j holds the coordinates of its image of vectors[j]."""
     mats = []
-    for e in linalg.identity(space.h_dim):
-        ad = space.ad_m_of_h(e)
+    for ad in space.m_action[: space.h_dim]:
         mats.append(_span_coords(vectors, [alternate(derivation_action(ad, v)) for v in vectors]))
     return mats
 

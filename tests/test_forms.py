@@ -75,13 +75,13 @@ def test_zero_kahler_form_is_the_same_internal_error(monkeypatch):
 def test_isotropy_action_mixing_m_plus_and_m_minus_is_an_internal_error(monkeypatch, name):
     # adding the projection onto the second m-coordinate, which is not
     # complex linear, sends part of m^+ into m^-
-    original = ReductiveSpace.ad_m_of_h
+    original = ReductiveSpace.m_action.func
 
-    def mixed(self, h_coords):
-        ad = original(self, h_coords)
-        return linalg.lin_comb((ONE, ONE), (ad, linalg.from_entries(self.m_dim, {(1, 1): ONE})))
+    def mixed(self):
+        projection = linalg.from_entries(self.m_dim, {(1, 1): ONE})
+        return tuple(linalg.lin_comb((ONE, ONE), (ad, projection)) for ad in original(self))
 
-    monkeypatch.setattr(ReductiveSpace, "ad_m_of_h", mixed)
+    monkeypatch.setattr(ReductiveSpace, "m_action", property(mixed))
     with pytest.raises(ArithmeticError, match=f"{name}: the isotropy action mixes m"):
         forms.lambda11_0.__wrapped__(name)
 
@@ -157,8 +157,7 @@ def test_batched_action_matrices_equal_per_form_coordinates():
         space = build_space(name)
         for rep in (lambda11_0(name), lambda11(name)):
             assert len(rep.h_matrices) == space.h_dim
-            for e, mat in zip(linalg.identity(space.h_dim), rep.h_matrices):
-                ad = space.ad_m_of_h(e)
+            for ad, mat in zip(space.m_action[: space.h_dim], rep.h_matrices):
                 cols = [coords_of(rep, alternate(derivation_action(ad, v))) for v in rep.vectors]
                 assert mat == linalg.transpose(cols), name
 
@@ -196,8 +195,7 @@ def test_alternated_derivation_matches_reference():
     for name in ("s3xs3", "cp3", "flag"):
         space = build_space(name)
         forms = list(lambda11(name).vectors) + [space.kahler_form(), dict(space.psi_minus or ())]
-        for e in linalg.identity(space.h_dim):
-            ad = space.ad_m_of_h(e)
+        for ad in space.m_action[: space.h_dim]:
             for f in forms:
                 assert alternate(derivation_action(ad, f)) == derivation_reference(ad, f)
 

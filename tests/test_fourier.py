@@ -240,8 +240,7 @@ def test_s3xs3_delta_output_is_equivariant():
     (d,) = proto_delta(space, (1, 1, 0), hom_basis(space, (1, 1, 0)))
     d = to_dense(d, 6, 4)
     # equivariance into the complexified complement: ad(h) after = before
-    for t, h in enumerate(linalg.identity(space.h_dim)):
-        ad = space.ad_m_of_h(h)
+    for t, ad in enumerate(space.m_action[: space.h_dim]):
         lhs = linalg.mat_mul(ad, d)
         rhs = linalg.mat_mul(d, rep[t])
         assert lhs == rhs

@@ -2,11 +2,12 @@
 
 import dataclasses
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
-from gray_stability import linalg
+from gray_stability import cli, linalg
 from gray_stability.exterior import derivation_action
 from gray_stability.lie import ad_and_gram, bracket_closes, build_space, validate_algebra, validate_space
 from gray_stability.scalars import I, ONE, ZERO, Scalar, rational
@@ -99,6 +100,22 @@ def test_corrupted_algebra_fails_named_checks(name, corrupt, failing):
     checks = validate_algebra(bad)
     assert {k for k, ok in checks.items() if not ok} == failing
     assert checks == validate_algebra_reference(bad)
+
+
+@pytest.mark.parametrize("name", sorted(SCALES))
+def test_m_action_rejects_a_bracket_of_h_and_m_outside_m(capsys, monkeypatch, name):
+    # coordinate 0 (in h) of [basis_0, basis_hd], basis_0 in h and basis_hd in m
+    space = build_space(name)
+    alg = space.algebra
+    bad = dataclasses.replace(space, algebra=dataclasses.replace(alg, ad=_shift_entry(alg.ad, 0, (0, space.h_dim), ONE)))
+    with pytest.raises(ValueError, match=re.escape(f"{name}: [h, m] leaves m")):
+        bad.m_action
+    # a catalog inconsistency, not a usage error
+    monkeypatch.setattr(cli, "build_space", lambda n: bad if n == name else build_space(n))
+    assert cli.main(["validate", "--space", name]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {name}: [h, m] leaves m\n"
 
 
 @pytest.mark.parametrize("name", sorted(SCALES))
@@ -197,13 +214,12 @@ def test_einstein_constant_is_the_nomizu_ricci_contraction(name):
 def _nabla_omega(space, omega) -> dict:
     """(nabla_X omega)(a, b) = (Lambda_X . omega)(a, b), Lambda_X = (1/2) ad_m(X)
     the Nomizu map of the normal metric, on the orthonormal m-basis."""
-    hd = space.h_dim
     full = {}
     for (a, b), c in omega.items():
         full[a, b], full[b, a] = c, -c
     out = {}
-    for x in range(space.m_dim):
-        lam = [[y * rational(1, 2) for y in row[hd:]] for row in space.algebra.ad[hd + x][hd:]]
+    for x, ad in enumerate(space.m_action[space.h_dim :]):
+        lam = [[y * rational(1, 2) for y in row] for row in ad]
         out.update(((x,) + key, c) for key, c in derivation_action(lam, full).items())
     return out
 

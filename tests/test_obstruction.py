@@ -14,10 +14,9 @@ from frozen_tables import (
 import oracles
 from gray_stability import linalg, obstruction
 from gray_stability.exterior import derivation_action
-from gray_stability.lie import build_space
+from gray_stability.lie import ReductiveSpace, build_space
 from gray_stability.obstruction import (
     H_HAT,
-    _half_torsion,
     integrand,
     killing_check,
     nabla_h,
@@ -115,8 +114,8 @@ def test_nabla_h_is_the_leibniz_rule_over_the_reference_derivatives():
     table = nabla_h()
     for i, derivs in enumerate(coordinate_derivatives_reference()):
         invariant = {key[1:]: p for key, p in table.items() if key[0] == i}
-        for key, c in _half_torsion(i, H_HAT).items():
-            linalg.add_into(invariant, key, -c)
+        for key, c in derivation_action(_a(i), H_HAT).items():
+            linalg.add_into(invariant, key, c.scale(rational(-1, 2)))
         leibniz = {
             key: d
             for key, p in H_HAT.items()
@@ -125,11 +124,10 @@ def test_nabla_h_is_the_leibniz_rule_over_the_reference_derivatives():
         assert leibniz and invariant == leibniz, i
 
 
-def _a(x: int) -> list:
+def _a(x: int) -> tuple:
     """A_{e_{x+1}}: the m-block of the adjoint matrix of e_{x+1} on flag."""
     flag = build_space("flag")
-    hd = flag.h_dim
-    return [row[hd:] for row in flag.algebra.ad[hd + x][hd:]]
+    return flag.m_action[flag.h_dim + x]
 
 
 def test_torus_directions_annihilate_v():
@@ -267,8 +265,11 @@ def test_killing_property():
 
 
 def test_killing_check_can_say_no(monkeypatch):
-    # a torsion term at (e1; e1, e1) leaves the cyclic sum 3 there
-    monkeypatch.setattr(obstruction, "_half_torsion", lambda i, tensor: {(0, 0): ONE} if i == 0 else {})
+    # A_{e1} = E_11 sends g|_(e1,e2) to 2 e1 (x) e1: the cyclic sum is 6 at (e1; e1, e1)
+    def torsion(space):
+        return tuple(linalg.from_entries(6, {(0, 0): ONE} if a == space.h_dim else {}) for a in range(space.algebra.dim))
+
+    monkeypatch.setattr(ReductiveSpace, "m_action", property(torsion))
     assert not killing_check(1, -1, 0)
 
 

@@ -1,9 +1,12 @@
 """Unit tests for the exact scalar tower."""
 
+import json
 import math
 import operator
+import os
 import pathlib
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -503,3 +506,38 @@ def test_one_process_history_reproduces_every_golden_file(monkeypatch, capsys):
         assert main(argv + ["--format", "json"]) == 0, argv
         assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8"), argv
     assert 0 < len(scalars._MONOMIALS) < scalars.MONOMIAL_CAP
+
+
+_COUNT_PRODUCTS = """
+import contextlib, io, json
+from gray_stability import scalars
+from gray_stability.cli import main
+
+S, mul = scalars.Scalar, scalars.Scalar.__mul__
+counts = {"products": 0, "monomial_or_zero": 0}
+
+def counting(a, b):
+    c = b if type(b) is S else scalars._coerce(b)
+    if c is not NotImplemented:
+        counts["products"] += 1
+        counts["monomial_or_zero"] += a.tag != scalars._GENERAL_TAG and c.tag != scalars._GENERAL_TAG
+    return mul(a, b)
+
+S.__mul__ = S.__rmul__ = counting
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["reproduce-all", "--format", "json"]) == 0
+print(json.dumps({**counts, "table": len(scalars._MONOMIALS)}))
+"""
+
+
+def test_cold_reproduce_all_multiplies_monomials_and_fills_a_small_table():
+    # the premise of the tags and of the monomial table (module docstring),
+    # as bounds on a cold run in a fresh process
+    src = str(pathlib.Path(scalars.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _COUNT_PRODUCTS], env=env, capture_output=True, text=True,
+                         check=True, timeout=300)
+    counts = json.loads(out.stdout)
+    assert counts["products"] > 0
+    assert 100 * counts["monomial_or_zero"] >= 95 * counts["products"], counts
+    assert counts["table"] < scalars.MONOMIAL_CAP // 4, counts
