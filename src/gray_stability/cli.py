@@ -1,7 +1,12 @@
 """Command-line front end: every computation as a reproducible command.
 
-Each subcommand registers its document builder, table renderer and exit
-rule with argparse's ``set_defaults``, and ``main`` runs them.  All exact
+``COMMANDS`` holds each subcommand's options, document builder, table
+renderer and exit rule, and ``main`` runs them.  A canonical command
+line (the command, then exact ``--flag VALUE`` pairs, each flag at most
+once, no value starting with "-", every value among its choices, every
+required flag given) is read straight from that table; argparse is
+imported only for any other line, and gives the help text and the
+usage errors.  All exact
 values render as integers or "p/q" strings; identical invocations
 produce byte-identical output.  Exit codes: 0 success,
 1 failed checks or an internal error, 2 usage errors (bad space, label
@@ -11,10 +16,12 @@ or option, a label whose product module is above the bound, and an
 
 from __future__ import annotations
 
-import argparse
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 from . import __version__
 from .branching import format_h_label, hom_dim, restrict
@@ -207,13 +214,16 @@ def validate_doc(space_names: list) -> dict:
     for name in space_names:
         space = build_space(name)
         checks = validate_space(space)
-        target = lambda11_0(name)
-        checks["lambda11_0_dim_8"] = target.dim == 8
-        # each torus element t acts on the module as diag(i * weight_t)
-        checks["lambda11_0_weight_vectors"] = all(
-            lin_comb(t, target.h_matrices) == diag(*(I * rational(w[k]) for w in target.weights))
-            for k, t in enumerate(space.h_weight_torus)
-        )
+        if checks["reductivity"]:
+            target = lambda11_0(name)
+            checks["lambda11_0_dim_8"] = target.dim == 8
+            # each torus element t acts on the module as diag(i * weight_t)
+            checks["lambda11_0_weight_vectors"] = all(
+                lin_comb(t, target.h_matrices) == diag(*(I * rational(w[k]) for w in target.weights))
+                for k, t in enumerate(space.h_weight_torus)
+            )
+        else:  # Lambda^{1,1}_0 m is built from the isotropy action on m
+            checks["lambda11_0_dim_8"] = checks["lambda11_0_weight_vectors"] = False
         out[name] = {k: bool(v) for k, v in sorted(checks.items())}
     return out
 
@@ -348,19 +358,120 @@ def _render_delta(doc: dict, args) -> str:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_space_arg(p, required=True):
-    p.add_argument("--space", choices=SPACE_NAMES, required=required)
-
-
 def _all_pass(doc: dict) -> bool:
     return all(all(checks.values()) for checks in doc.values())
 
 
-@lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parsing leaves it
-    unchanged.  Each subcommand sets ``doc`` (args -> document), ``table``
+@dataclass(frozen=True)
+class Option:
+    """One ``--flag VALUE`` option of a subcommand; its value is a string."""
+
+    flag: str
+    required: bool = False
+    default: str | None = None
+    choices: tuple | None = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:]
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its options, ``doc`` (args -> document), ``table``
     (document, args -> table text) and ``ok`` (document -> exit 0)."""
+
+    help: str
+    options: tuple
+    doc: Callable
+    table: Callable
+    ok: Callable = lambda doc: True
+
+
+_SPACE = Option("--space", required=True, choices=SPACE_NAMES)
+_MAX = Option("--max", default="12", help=f"Casimir cutoff, a rational in [0, {MAX_CUTOFF}]")
+_GAMMA = Option("--gamma", required=True)
+_OUTPUTS = (
+    Option("--format", default="table", choices=("table", "json")),
+    Option("--output", help="write output to a file"),
+)
+
+COMMANDS = {
+    "casimir": Command("Casimir table of a space's symmetry group", (_SPACE, _MAX, *_OUTPUTS),
+                       lambda a: casimir_doc(a.space, _parse_max(a.max)), _render_casimir),
+    "branch": Command(
+        "branching table to the isotropy subgroup",
+        (_SPACE, Option("--gamma", help="single label, e.g. 1,1,0"), _MAX, *_OUTPUTS),
+        lambda a: branch_doc(
+            a.space, _parse_label(a.space, a.gamma) if a.gamma is not None else None, _parse_max(a.max)
+        ),
+        _render_branch,
+    ),
+    "homdim": Command("multiplicity in the primitive (1,1) module", (_SPACE, _GAMMA, *_OUTPUTS),
+                      lambda a: homdim_doc(a.space, _parse_label(a.space, a.gamma)), _render_homdim),
+    "delta": Command("prototypical codifferential on a Fourier space", (_SPACE, _GAMMA, *_OUTPUTS),
+                     lambda a: delta_doc(a.space, _parse_label(a.space, a.gamma)), _render_delta),
+    "coindex": Command("coindex report of a catalog space", (_SPACE, *_OUTPUTS),
+                       lambda a: coindex_doc(a.space), _render_coindex),
+    "obstruction": Command("second-order rigidity obstruction", _OUTPUTS,
+                           lambda a: obstruction_doc(), _render_obstruction),
+    "killing": Command(
+        "Killing property of canonical variations",
+        (Option("--t", required=True, help="trace-free triple, e.g. 1,-1,0"), *_OUTPUTS),
+        lambda a: _killing_doc(a.t),
+        lambda doc, a: f"killing({a.t}) = {str(doc['killing']).lower()}\n",  # the raw --t text
+    ),
+    "validate": Command("run catalog invariant checks", (Option("--space", choices=SPACE_NAMES), *_OUTPUTS),
+                        lambda a: validate_doc([a.space] if a.space else SPACE_NAMES), _render_validate,
+                        _all_pass),
+    "reproduce-all": Command(
+        "regenerate every checked number",
+        _OUTPUTS,
+        lambda a: reproduce_all_doc(),
+        lambda doc, a: "all checks pass\n" if doc["all_checks_pass"] else "CHECKS FAILED\n",
+        lambda doc: doc["all_checks_pass"],
+    ),
+}
+
+
+def parse_canonical(argv: list) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read
+    straight from ``COMMANDS`` when argv is canonical: a command, then
+    ``FLAG VALUE`` pairs, each flag an exact option of the command given
+    at most once, no value starting with "-", each value among its
+    option's choices, and every required flag present.  None otherwise,
+    and argparse parses the line."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None or len(argv) % 2 == 0:
+        return None
+    options = {o.flag: o for o in command.options}
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        option = options.get(flag)
+        if option is None or flag in given or value.startswith("-"):
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        given[flag] = value
+    if any(o.required and o.flag not in given for o in command.options):
+        return None
+    return SimpleNamespace(
+        command=argv[0],
+        **{o.dest: given.get(o.flag, o.default) for o in command.options},
+        doc=command.doc,
+        table=command.table,
+        ok=command.ok,
+    )
+
+
+@lru_cache(maxsize=1)
+def build_parser():
+    """The argparse parser of ``COMMANDS``, built once per process on the
+    first command line that is not canonical; parsing leaves it unchanged.
+    It gives the help text and the usage errors."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="gray-stability",
         description="Exact stability and rigidity computations for the "
@@ -368,68 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("casimir", help="Casimir table of a space's symmetry group")
-    _add_space_arg(p)
-    p.add_argument("--max", default="12", help=f"Casimir cutoff, a rational in [0, {MAX_CUTOFF}]")
-    _command(p, lambda a: casimir_doc(a.space, _parse_max(a.max)), _render_casimir)
-
-    p = sub.add_parser("branch", help="branching table to the isotropy subgroup")
-    _add_space_arg(p)
-    p.add_argument("--gamma", default=None, help="single label, e.g. 1,1,0")
-    p.add_argument("--max", default="12", help=f"Casimir cutoff, a rational in [0, {MAX_CUTOFF}]")
-    _command(
-        p,
-        lambda a: branch_doc(
-            a.space, _parse_label(a.space, a.gamma) if a.gamma is not None else None, _parse_max(a.max)
-        ),
-        _render_branch,
-    )
-
-    p = sub.add_parser("homdim", help="multiplicity in the primitive (1,1) module")
-    _add_space_arg(p)
-    p.add_argument("--gamma", required=True)
-    _command(p, lambda a: homdim_doc(a.space, _parse_label(a.space, a.gamma)), _render_homdim)
-
-    p = sub.add_parser("delta", help="prototypical codifferential on a Fourier space")
-    _add_space_arg(p)
-    p.add_argument("--gamma", required=True)
-    _command(p, lambda a: delta_doc(a.space, _parse_label(a.space, a.gamma)), _render_delta)
-
-    p = sub.add_parser("coindex", help="coindex report of a catalog space")
-    _add_space_arg(p)
-    _command(p, lambda a: coindex_doc(a.space), _render_coindex)
-
-    p = sub.add_parser("obstruction", help="second-order rigidity obstruction")
-    _command(p, lambda a: obstruction_doc(), _render_obstruction)
-
-    p = sub.add_parser("killing", help="Killing property of canonical variations")
-    p.add_argument("--t", required=True, help="trace-free triple, e.g. 1,-1,0")
-    _command(
-        p,
-        lambda a: _killing_doc(a.t),
-        lambda doc, a: f"killing({a.t}) = {str(doc['killing']).lower()}\n",  # the raw --t text
-    )
-
-    p = sub.add_parser("validate", help="run catalog invariant checks")
-    _add_space_arg(p, required=False)
-    _command(p, lambda a: validate_doc([a.space] if a.space else SPACE_NAMES), _render_validate, _all_pass)
-
-    p = sub.add_parser("reproduce-all", help="regenerate every checked number")
-    _command(
-        p,
-        lambda a: reproduce_all_doc(),
-        lambda doc, a: "all checks pass\n" if doc["all_checks_pass"] else "CHECKS FAILED\n",
-        lambda doc: doc["all_checks_pass"],
-    )
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for o in command.options:
+            p.add_argument(o.flag, required=o.required, default=o.default, choices=o.choices, help=o.help)
+        p.set_defaults(doc=command.doc, table=command.table, ok=command.ok)
     return ap
-
-
-def _command(p, doc, table, ok=lambda doc: True):
-    """The output options of a subcommand, and what it runs."""
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--output", default=None, help="write output to a file")
-    p.set_defaults(doc=doc, table=table, ok=ok)
 
 
 def _emit(payload: str, path: str | None) -> None:
@@ -444,7 +499,8 @@ def _emit(payload: str, path: str | None) -> None:
 
 
 def main(argv: list | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parse_canonical(argv) or build_parser().parse_args(argv)
     try:
         doc = args.doc(args)
         _emit(dumps(doc) if args.format == "json" else args.table(doc, args), args.output)

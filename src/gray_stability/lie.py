@@ -36,8 +36,8 @@ library's one bracket; the three catalog builders are its only callers.
 
 The run-time checks work on nonzeros too: ``bracket_closes`` compares
 sum_k ad[a][k][b] X_k with [X_a, X_b] as exact ``{(i, j): c}`` dicts, for
-Jacobi (X = ad, a < b), and the ad-invariance ad^T G + G ad = 0 is one
-sparse sum of products.
+Jacobi (the basis matrices X, a < b), and the ad-invariance
+ad^T G + G ad = 0 is one sparse sum of products.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ def _sparse_commutator(x: dict, y: dict) -> dict:
 def bracket_closes(mats: tuple, ad: tuple, pairs) -> bool:
     """Whether sum_k ad[a][k][b] mats[k] == [mats[a], mats[b]] for each pair
     (a, b), on {(i, j): c} dicts of nonzeros, so dict equality is exact.
-    Its one check is Jacobi, mats = ad, in ``validate_algebra``."""
+    Its one check is Jacobi, mats the basis matrices, in ``validate_algebra``."""
     nz = [linalg.nonzeros(x) for x in mats]
     for a, b in pairs:
         lhs: dict = {}
@@ -387,9 +387,10 @@ def validate_algebra(alg: LieAlgebraData) -> dict:
     pairs = [(a, b) for a in range(alg.dim) for b in range(alg.dim)]
     return {
         "antisymmetry": all(cols[a][b] == tuple(-x for x in cols[b][a]) for a, b in pairs),
-        # ad is a homomorphism, ad([X_a, X_b]) = [ad_a, ad_b]; with
-        # antisymmetry the pairs a < b suffice, and this is Jacobi.
-        "jacobi": bracket_closes(ad, ad, [(a, b) for a, b in pairs if a < b]),
+        # ad is the bracket of the basis matrices, whose commutator obeys
+        # Jacobi; the invertible Gram makes them independent, and with
+        # antisymmetry the pairs a < b suffice.
+        "jacobi": bracket_closes(alg.basis_matrices, ad, [(a, b) for a, b in pairs if a < b]),
         # Q([X_a, y], z) + Q(y, [X_a, z]) = 0: ad_a^T G + G ad_a = 0
         "ad_invariance": not any(
             linalg.sum_of_products(((linalg.nonzeros(col), g, False), (g, linalg.nonzeros(x), False)))
@@ -399,6 +400,7 @@ def validate_algebra(alg: LieAlgebraData) -> dict:
 
 
 def validate_space(space: ReductiveSpace) -> dict:
+    """Run the catalog checks of a space; failures are reported, not raised."""
     checks = dict(validate_algebra(space.algebra))
     alg = space.algebra
     hd, md = space.h_dim, space.m_dim
@@ -418,6 +420,13 @@ def validate_space(space: ReductiveSpace) -> dict:
         _conjugate(q) in plus for q in minus
     )
     checks["m_pm_spans"] = linalg.rank(plus + minus) == md
+
+    if not checks["reductivity"]:
+        # the checks below read m_action, which needs [h, m] in m: they fail unrun
+        unrun = ["m_pm_weight_vectors", "kahler_h_invariant"]
+        if space.psi_minus is not None:
+            unrun.append("psi_minus_h_invariant")
+        return checks | dict.fromkeys(unrun, False)
 
     h_ads = space.m_action[:hd]
     checks["m_pm_weight_vectors"] = all(

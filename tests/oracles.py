@@ -180,13 +180,13 @@ def commutator(a, b):
 def validate_algebra_reference(alg) -> dict:
     """Reference for lie.validate_algebra: the same three checks with
     dense commutators and dense products."""
-    ad, g = alg.ad, alg.gram
+    ad, g, mats = alg.ad, alg.gram, alg.basis_matrices
     cols = [linalg.transpose(x) for x in ad]  # cols[a][b] = [basis_a, basis_b]
     pairs = [(a, b) for a in range(alg.dim) for b in range(alg.dim)]
     return {
         "antisymmetry": all(cols[a][b] == tuple(-x for x in cols[b][a]) for a, b in pairs),
         "jacobi": all(
-            linalg.lin_comb(cols[a][b], ad) == commutator(ad[a], ad[b])
+            linalg.lin_comb(cols[a][b], mats) == commutator(mats[a], mats[b])
             for a, b in pairs
             if a < b
         ),

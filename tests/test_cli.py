@@ -3,7 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import pathlib
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -636,3 +640,131 @@ def test_parser_options_are_pinned():
 def test_version_and_help_exit_0(capsys, argv):
     code, out, err = _run_all(capsys, argv)
     assert code == 0 and out and err == ""
+
+
+def test_command_table_lists_the_pinned_options():
+    from gray_stability.cli import COMMANDS
+
+    table = {
+        name: [_HELP] + [((o.flag,), o.required, o.default, o.choices) for o in command.options]
+        for name, command in COMMANDS.items()
+    }
+    assert table == PARSER_TABLE
+    assert list(table) == list(PARSER_TABLE)
+
+
+# What CI's golden steps and the benchmark's workloads run: every one is canonical.
+GOLDEN_ARGVS = (
+    [["reproduce-all", "--format", "json"], ["obstruction", "--format", "table"], ["obstruction", "--format", "json"]]
+    + [["validate", "--format", f] for f in ("table", "json")]
+    + [["coindex", "--space", s, "--format", f] for s in SPACE_NAMES for f in ("table", "json")]
+    + [["casimir", "--space", s, "--max", "40", "--format", f] for s in SPACE_NAMES for f in ("table", "json")]
+    + [["branch", "--space", s, "--max", m, "--format", f]
+       for s in SPACE_NAMES for m, f in (("40", "json"), ("40", "table"), ("200", "table"))]
+    + [["delta", "--space", s, "--gamma", g, "--format", "json"]
+       for s, g in (("s3xs3", "1,1,0"), ("cp3", "1,0"), ("flag", "1,1"), ("s3xs3", "1,1,2"), ("cp3", "1,1"),
+                    ("s3xs3", "2,2,2"), ("s3xs3", "2,2,0"), ("cp3", "2,0"), ("flag", "2,2"))]
+    + [["delta", "--space", "flag", "--gamma", g, "--format", "table"] for g in ("0,0", "1,1")]
+    + [["homdim", "--space", "flag", "--gamma", "1,1", "--format", f] for f in ("table", "json")]
+    + [["killing", "--t", t, "--format", f] for t in ("1,-1,0", "1/2,-0.5,0") for f in ("table", "json")]
+)
+
+# The forms CI runs through argparse: the same lines as golden ones, with --opt=value.
+EQUALS_ARGVS = [
+    ["obstruction", "--format=json"],
+    ["coindex", "--space=flag", "--format=json"],
+    ["branch", "--space=cp3", "--max=40", "--format=json"],
+]
+
+
+def _parsed(argv) -> dict:
+    from gray_stability import cli
+
+    return vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGVS)
+def test_golden_command_lines_take_the_fast_path(argv):
+    from gray_stability import cli
+
+    fast = cli.parse_canonical(argv)
+    assert fast is not None
+    assert vars(fast) == _parsed(argv)
+
+
+@pytest.mark.parametrize("argv", EQUALS_ARGVS)
+def test_equals_forms_fall_back_to_argparse(argv):
+    from gray_stability import cli
+
+    assert cli.parse_canonical(argv) is None
+    expanded = [argv[0]] + [t for token in argv[1:] for t in token.split("=")]
+    assert _parsed(argv) == vars(cli.parse_canonical(expanded))
+
+
+def _corpus(count: int, seed: int) -> list:
+    """Command lines drawn from a fixed token alphabet: command names, an
+    abbreviated command, every flag, an abbreviated flag, --opt=value forms
+    and -h; values that are valid and invalid choices, free text, "--",
+    "-1" and ""."""
+    from gray_stability.cli import COMMANDS
+
+    commands = [*COMMANDS, "obstr", "bogus", "-h", "--version"]
+    flags = sorted({o.flag for c in COMMANDS.values() for o in c.options})
+    flags += ["--sp", "--form", "--format=json", "--space=flag", "--max=40", "-h"]
+    values = ["--", "-1", "", "s3xs3", "cp3", "flag", "s6", "table", "json", "xml", "1,1", "1,-1,0", "40", "out"]
+    choices = {o.flag: o.choices for c in COMMANDS.values() for o in c.options if o.choices}
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(count):
+        command = rng.choice(commands)
+        own = [o.flag for o in COMMANDS[command].options] if command in COMMANDS else flags
+        argv = [command]
+        for _ in range(rng.randrange(5)):
+            # most flags are the command's own and half their values valid
+            # choices, so that many lines are canonical
+            flag = rng.choice(own if rng.random() < 0.7 else flags)
+            argv += [flag, rng.choice(choices[flag] if flag in choices and rng.random() < 0.5 else values)]
+        if len(argv) > 1 and rng.random() < 0.1:
+            del argv[rng.randrange(1, len(argv))]
+        corpus.append(argv)
+    return corpus
+
+
+def test_fast_path_agrees_with_argparse_on_a_seeded_corpus():
+    from gray_stability import cli
+
+    corpus = _corpus(2500, seed=36)
+    fast = 0
+    for argv in corpus:
+        args = cli.parse_canonical(argv)
+        if args is not None:
+            fast += 1
+            assert vars(args) == _parsed(argv), argv
+    # the corpus reaches both paths
+    assert len(corpus) // 20 < fast < len(corpus) // 2, fast
+
+
+_IMPORTS_OF_A_RUN = """
+import contextlib, io, json, sys
+from gray_stability.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["obstruction", "--format", "json"]) == 0
+loaded = lambda: sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules)
+fast = loaded()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    main(["--help"])
+print(json.dumps([fast, loaded()]))
+"""
+
+
+def test_a_canonical_run_never_imports_argparse():
+    from gray_stability import cli
+
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    # -S: no site hooks, so only the library's imports count
+    out = subprocess.run([sys.executable, "-S", "-c", _IMPORTS_OF_A_RUN], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    fast, helped = json.loads(out.stdout)
+    assert fast == []
+    assert "argparse" in helped

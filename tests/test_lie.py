@@ -89,8 +89,14 @@ def _shift_entry(mats: tuple, a: int, entry: tuple, c) -> tuple:
             lambda alg: {"gram": mat_add(alg.gram, linalg.from_entries(alg.dim, {(2, 2): ONE}))},
             {"ad_invariance"},
         ),
+        # E_00 added to basis_2 after ad_and_gram: ad is no longer the
+        # bracket of the basis matrices, though it still obeys Jacobi.
+        (
+            lambda alg: {"basis_matrices": _shift_entry(alg.basis_matrices, 2, (0, 0), ONE)},
+            {"jacobi"},
+        ),
     ],
-    ids=["symmetric_bracket", "one_sided_bracket", "gram_entry"],
+    ids=["symmetric_bracket", "one_sided_bracket", "gram_entry", "basis_matrix"],
 )
 @pytest.mark.parametrize("name", sorted(SCALES))
 def test_corrupted_algebra_fails_named_checks(name, corrupt, failing):
@@ -110,12 +116,16 @@ def test_m_action_rejects_a_bracket_of_h_and_m_outside_m(capsys, monkeypatch, na
     bad = dataclasses.replace(space, algebra=dataclasses.replace(alg, ad=_shift_entry(alg.ad, 0, (0, space.h_dim), ONE)))
     with pytest.raises(ValueError, match=re.escape(f"{name}: [h, m] leaves m")):
         bad.m_action
-    # a catalog inconsistency, not a usage error
+    # validate reports the failure, and fails the checks that need m_action unrun
+    keys = list(cli.validate_doc([name])[name])
     monkeypatch.setattr(cli, "build_space", lambda n: bad if n == name else build_space(n))
     assert cli.main(["validate", "--space", name]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"internal error: {name}: [h, m] leaves m\n"
+    assert captured.err == ""
+    rows = [line.split() for line in captured.out.splitlines()[2:]]
+    assert [row[1] for row in rows] == keys
+    failed = {check for _, check, result in rows if result == "FAIL"}
+    assert {"reductivity", "m_pm_weight_vectors", "kahler_h_invariant", "lambda11_0_dim_8"} <= failed
 
 
 @pytest.mark.parametrize("name", sorted(SCALES))
