@@ -214,7 +214,7 @@ def validate_doc(space_names: list) -> dict:
     for name in space_names:
         space = build_space(name)
         checks = validate_space(space)
-        if checks["reductivity"]:
+        if checks["reductivity"] and checks["m_orthonormal"] and checks["m_pm_spans"]:
             target = lambda11_0(name)
             checks["lambda11_0_dim_8"] = target.dim == 8
             # each torus element t acts on the module as diag(i * weight_t)
@@ -222,7 +222,7 @@ def validate_doc(space_names: list) -> dict:
                 lin_comb(t, target.h_matrices) == diag(*(I * rational(w[k]) for w in target.weights))
                 for k, t in enumerate(space.h_weight_torus)
             )
-        else:  # Lambda^{1,1}_0 m is built from the isotropy action on m
+        else:  # Lambda^{1,1}_0 m needs the isotropy action on an orthonormal m = m^+ + m^-
             checks["lambda11_0_dim_8"] = checks["lambda11_0_weight_vectors"] = False
         out[name] = {k: bool(v) for k, v in sorted(checks.items())}
     return out

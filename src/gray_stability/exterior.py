@@ -3,19 +3,20 @@
 Multivectors are sparse dicts keyed by strictly increasing index tuples;
 tensors are sparse dicts keyed by ordered index tuples.
 derivation_action is the one extension of a matrix to tensor keys: a
-k-vector's callers alternate its result, forms reads it on the ordered
-wedges p (x) q, and reps sorts each key into a monomial.  alternate is
-the one map from a tensor to a multivector; wedge2 alternates an outer
-product.  All formulas below assume the ambient basis is orthonormal for
-the invariant metric, which holds for every catalog space.
+k-vector's callers alternate its result, and product_action, the one
+builder of a product of symmetric powers (reps' modules, forms'
+m^+ (x) m^-), sorts each key into a monomial.  alternate is the one map
+from a tensor to a multivector; wedge2 alternates an outer product.  All
+formulas below assume the ambient basis is orthonormal for the invariant
+metric, which holds for every catalog space.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 from .linalg import add_into
-from .scalars import ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 Form = dict  # dict[tuple[int, ...], Scalar]
 
@@ -37,6 +38,24 @@ def derivation_action(m: list, tensor: dict) -> dict:
                 if not c:
                     continue
                 add_into(out, key[:slot] + (w,) + key[slot + 1 :], coeff * c)
+    return out
+
+
+def product_action(seeds: list) -> list:
+    """The nonzeros {(row, col): c} of each element's matrix on the
+    product of Sym^k(V) over the seed modules (mats, k), mats[a] the
+    matrix of element a on V.  The basis is one sorted k-tuple per seed,
+    in itertools.product order (so Kronecker order), and each element acts
+    by derivation on one factor at a time."""
+    combos = (combinations_with_replacement(range(len(mats[0])), k) for mats, k in seeds)
+    index = {mono: i for i, mono in enumerate(product(*combos))}
+    out = [{} for _ in seeds[0][0]]
+    for a, entries in enumerate(out):
+        for mono, col in index.items():
+            for f, (mats, _) in enumerate(seeds):
+                for key, c in derivation_action(mats[a], {mono[f]: ONE}).items():
+                    new = index[mono[:f] + (tuple(sorted(key)),) + mono[f + 1 :]]
+                    add_into(entries, (new, col), c)
     return out
 
 

@@ -6,24 +6,23 @@ The primitive part is the kernel of the pairing with the Kaehler
 2-vector; that pairing lives on the zero-weight block, so every returned
 basis vector stays an exact torus weight vector.
 
-X in h preserves m^+ and m^-, so its block in the weight frame, whose
-inverse is the one elimination, acts on the wedges p ^ q by derivation:
-the Kronecker sum of its blocks on m^+ and m^-.  The primitive part is
-read at the kernel's free columns.
+X in h preserves m^+ and m^-, so its matrix in the weight frame, whose
+inverse is the one elimination, has only an m^+ and an m^- block.  On the
+wedges p_i ^ q_j, the product module m^+ (x) m^- of
+``exterior.product_action`` (index 3i + j), it acts by their Kronecker
+sum.  The primitive part is read at the kernel's free columns.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
 from .branching import decompose_weights
-from .exterior import Form, derivation_action, form_inner, wedge2
+from .exterior import Form, form_inner, product_action, wedge2
 from .lie import ReductiveSpace, build_space
-from .scalars import ONE
 
 
 @dataclass(frozen=True)
@@ -40,24 +39,21 @@ class HRep:
         return len(self.vectors)
 
 
-def _kronecker_sums(space: ReductiveSpace) -> list:
-    """The nonzeros {(3p + q, 3i + j): c} of each isotropy basis element's
-    action on the nine wedges p_i ^ q_j: its block in the weight frame,
-    extended to p_i (x) q_j as a derivation."""
+def _isotropy_blocks(space: ReductiveSpace) -> tuple:
+    """The m^+ and the m^- diagonal blocks of each isotropy basis
+    element's matrix W^-1 ad W, W the weight frame m^+ | m^-; raises if an
+    off-diagonal block is nonzero."""
     frame = linalg.transpose([v for v, _ in space.m_plus_weights + space.m_minus_weights])
     frame_inv = linalg.inverse(frame)
     k = len(space.m_plus_weights)
-    sums = []
+    plus, minus = [], []
     for ad in space.m_action[: space.h_dim]:
         block = linalg.mat_mul(frame_inv, linalg.mat_mul(ad, frame))
-        cols = {}
-        for i, j in itertools.product(range(k), repeat=2):
-            for (p, q), c in derivation_action(block, {(i, k + j): ONE}).items():
-                if p >= k or q < k:
-                    raise ArithmeticError(f"{space.name}: the isotropy action mixes m^+ and m^-")
-                cols[k * p + q - k, k * i + j] = c
-        sums.append(cols)
-    return sums
+        if any(any(row[k:]) for row in block[:k]) or any(any(row[:k]) for row in block[k:]):
+            raise ArithmeticError(f"{space.name}: the isotropy action mixes m^+ and m^-")
+        plus.append(tuple(row[:k] for row in block[:k]))
+        minus.append(tuple(row[k:] for row in block[k:]))
+    return plus, minus
 
 
 @lru_cache(maxsize=None)
@@ -85,9 +81,10 @@ def lambda11_0(space_name: str) -> HRep:
             linalg.axpy(vec, c, wedges[j])
         vectors.append(vec)
     weights = [wedge_weights[max(v)] for v in kernel]
+    plus, minus = _isotropy_blocks(space)
     return HRep(
         vectors=tuple(vectors),
         weights=tuple(weights),
-        h_matrices=linalg.restrict_to_span(_kronecker_sums(space), kernel),
+        h_matrices=linalg.restrict_to_span(product_action([(plus, 1), (minus, 1)]), kernel),
         decomposition=decompose_weights(space.h_type, Counter(weights)),
     )

@@ -421,8 +421,9 @@ def validate_space(space: ReductiveSpace) -> dict:
     )
     checks["m_pm_spans"] = linalg.rank(plus + minus) == md
 
-    if not checks["reductivity"]:
-        # the checks below read m_action, which needs [h, m] in m: they fail unrun
+    if not (checks["reductivity"] and checks["m_pm_spans"]):
+        # the checks below read m_action, which needs [h, m] in m, and J or
+        # the weight frame, which need m^+ and m^- to span: they fail unrun
         unrun = ["m_pm_weight_vectors", "kahler_h_invariant"]
         if space.psi_minus is not None:
             unrun.append("psi_minus_h_invariant")

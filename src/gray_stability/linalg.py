@@ -188,16 +188,6 @@ def is_zero_matrix(a: Matrix) -> bool:
     return not any(any(row) for row in a)
 
 
-def scalar_multiple_of_identity(a: Matrix) -> Scalar | None:
-    """Return c with a == c*Id, or None if a is not scalar."""
-    c = a[0][0]
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if (x != c) if i == j else bool(x):
-                return None
-    return c
-
-
 def rref(a: Matrix) -> tuple[list, list[int]]:
     """Reduced row echelon form (a list of row lists, zero rows last) and
     the pivot column list, by the sparse elimination ``_eliminate``.

@@ -34,8 +34,8 @@ label it keeps reads its Casimir constant off that same integer.
 The explicit module of a label is the top component of the product of
 Sym^k(seed) over the group's seed modules (``_SEEDS``): C^2 of each su2
 factor for k3; C^3, its dual and ad for su3; C^5 and ad for so5.  The
-algebra acts on its monomials by derivation.  A product of the Weyl
-dimension is the module.  Otherwise every other component has a lower
+algebra acts on its monomials by derivation (``exterior.product_action``).
+A product of the Weyl dimension is the module.  Otherwise every other component has a lower
 highest weight, so a smaller Casimir constant (Humphreys, sections 13 and
 21; Fulton-Harris, Lectures 13 and 19), and the module is the kernel of
 C - Cas(label), C the Casimir operator, whose dimension is checked exactly;
@@ -52,9 +52,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import linalg
-from .exterior import derivation_action
+from .exterior import product_action
 from .lie import ReductiveSpace, build_space
-from .scalars import ONE, Scalar
+from .scalars import ZERO, Scalar
 
 
 def _dot(u, v) -> int:
@@ -276,16 +276,7 @@ def _explicit_rep(name: str, label: tuple) -> tuple:
     if n > MAX_PRODUCT_DIM:
         raise UnsupportedLabel(f"{space.group} label {label} needs a product module of "
                                f"dimension {n}, above the bound {MAX_PRODUCT_DIM}")
-    # k_f indices of each seed f, in itertools.product order: the kron order
-    combos = (itertools.combinations_with_replacement(range(len(s[0])), k) for s, k in seeds)
-    index = {mono: i for i, mono in enumerate(itertools.product(*combos))}
-    rep = [{} for _ in range(space.algebra.dim)]  # the nonzeros {(i, j): c} of each matrix
-    for a, entries in enumerate(rep):
-        for mono, col in index.items():
-            for f, (seed, _) in enumerate(seeds):
-                for key, c in derivation_action(seed[a], {mono[f]: ONE}).items():
-                    new = index[mono[:f] + (tuple(sorted(key)),) + mono[f + 1 :]]
-                    linalg.add_into(entries, (new, col), c)
+    rep = product_action(seeds)
     d = dim(space.group, label)
     if n == d:
         return tuple(linalg.from_entries(n, e) for e in rep)
@@ -312,7 +303,7 @@ def _casimir_operator(space: ReductiveSpace, rep: list) -> dict:
 def casimir_bruteforce(space: ReductiveSpace, rep: tuple) -> Fraction:
     """Casimir constant of an explicit_rep module; raises if it is not scalar."""
     cas = _casimir_operator(space, [linalg.nonzeros(m) for m in rep])
-    c = linalg.scalar_multiple_of_identity(linalg.from_entries(len(rep[0]), cas))
-    if c is None:
+    c = cas.get((0, 0), ZERO)
+    if cas != {(i, i): c for i in range(len(rep[0])) if c}:
         raise ArithmeticError(f"Casimir operator on a module of {space.name} is not scalar")
     return c.rational()

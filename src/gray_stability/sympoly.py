@@ -51,9 +51,6 @@ class SymPoly:
     def __eq__(self, other):
         return isinstance(other, SymPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     @staticmethod
     def sum(polys) -> "SymPoly":
         """The sum of polys, every term added into one dict."""

@@ -15,7 +15,7 @@ import pytest
 from gray_stability.branching import hom_dim
 from gray_stability.cli import main
 from gray_stability.forms import lambda11_0
-from gray_stability.lie import SPACE_NAMES, build_space, group_record
+from gray_stability.lie import SPACE_NAMES, ad_and_gram, build_space, group_record
 from gray_stability.reps import casimir_constant, enumerate_labels
 
 
@@ -580,6 +580,48 @@ def test_validate_with_a_failed_check_exits_1(capsys, monkeypatch):
     checks = json.loads(out)["cp3"]
     assert checks["kahler_h_invariant"] is False
     assert [k for k, ok in checks.items() if not ok] == ["kahler_h_invariant"]
+
+
+def _double_e1(space):
+    # the basis matrix e1 doubled before the bracket and the metric are formed
+    mats = list(space.algebra.basis_matrices)
+    mats[2] = tuple(tuple(x + x for x in row) for row in mats[2])
+    return dataclasses.replace(space, algebra=ad_and_gram(tuple(mats), Fraction(-1, 2)))
+
+
+def _repeat_p1(space):
+    p1, _, p3 = space.m_plus
+    return dataclasses.replace(space, m_plus=(p1, p1, p3))
+
+
+@pytest.mark.parametrize(
+    "mutate, failing",
+    [
+        (_double_e1, {"m_orthonormal", "m_pm_weight_vectors", "psi_minus_h_invariant"}),
+        (_repeat_p1, {"m_pm_spans", "m_pm_weight_vectors", "kahler_h_invariant", "psi_minus_h_invariant"}),
+    ],
+    ids=["doubled_e1", "repeated_p1"],
+)
+def test_validate_names_the_checks_a_broken_flag_fails(capsys, monkeypatch, mutate, failing):
+    # the broken space is what build_space returns everywhere, Lambda^{1,1}_0
+    # included: validate reports it, where building the module would raise
+    from gray_stability import forms, lie
+
+    real = lie._BUILDERS["flag"]
+    monkeypatch.setitem(lie._BUILDERS, "flag", lambda: mutate(real()))
+    caches = (build_space, forms.lambda11_0)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        assert main(["validate", "--space", "flag"]) == 1
+        captured = capsys.readouterr()
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert captured.err == ""
+    rows = [line.split() for line in captured.out.splitlines()[2:]]
+    failed = {check for _, check, result in rows if result == "FAIL"}
+    assert failed == failing | {"lambda11_0_dim_8", "lambda11_0_weight_vectors"}
 
 
 def test_reproduce_all_with_a_failed_check_exits_1(capsys, monkeypatch):

@@ -2,14 +2,17 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from gray_stability import forms, linalg
-from gray_stability.exterior import alternate, derivation_action, form_inner, wedge2
+from gray_stability.branching import decompose_weights, hom_dim
+from gray_stability.exterior import alternate, derivation_action, form_inner, product_action, wedge2
 from gray_stability.forms import lambda11_0
 from gray_stability.lie import ReductiveSpace, build_space
+from gray_stability.reps import enumerate_labels
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from oracles import (
     SQRT3,
@@ -97,9 +100,50 @@ def test_lambda11_0_equals_the_elimination_reference(name):
 
 @pytest.mark.parametrize("name", ["s3xs3", "cp3", "flag"])
 def test_kronecker_sums_are_the_full_module_matrices(name):
-    # the nine wedges p_i ^ q_j are lambda11's basis, in the same order
-    sums = forms._kronecker_sums(build_space(name))
+    # the product module m^+ (x) m^- of the isotropy blocks, basis vector
+    # 3i + j for p_i (x) q_j, is lambda11's basis p_i ^ q_j in the same order
+    plus, minus = forms._isotropy_blocks(build_space(name))
+    sums = product_action([(plus, 1), (minus, 1)])
     assert sums == [linalg.nonzeros(m) for m in lambda11(name).h_matrices]
+
+
+@pytest.mark.parametrize(
+    "name, homs, nonzero",
+    [
+        ("s3xs3", {(0, 0, 0): 2}, 23),
+        ("cp3", {(0, 0): 1}, 7),
+        ("flag", {(0, 0): 2, (1, 1): 10}, 5),
+    ],
+)
+def test_traceless_symmetric_square_from_the_product_module(name, homs, nonzero):
+    # S^2_0 m: Sym^2 m from the same routine as Lambda^{1,1}_0 m and the
+    # explicit modules, restricted to the kernel of the trace, which the
+    # isotropy action preserves as it preserves the metric
+    space = build_space(name)
+    hd = space.h_dim
+    sym2 = product_action([(space.m_action[:hd], 2)])
+    monomials = list(itertools.combinations_with_replacement(range(space.m_dim), 2))
+    trace = {monomials.index((a, a)): ONE for a in range(space.m_dim)}
+    rho = linalg.restrict_to_span(sym2, linalg.nullspace([trace], len(monomials)))
+    assert len(rho) == hd and all(len(m) == 20 for m in rho)
+    # a representation of h: [rho(X_s), rho(X_t)] = rho([X_s, X_t])
+    ad = space.algebra.ad
+    for s, t in itertools.product(range(hd), repeat=2):
+        bracket = linalg.lin_comb([ad[s][u][t] for u in range(hd)], rho)
+        commutator = linalg.mat_mul(rho[s], rho[t])
+        commutator = linalg.lin_comb((ONE, -ONE), (commutator, linalg.mat_mul(rho[t], rho[s])))
+        assert commutator == bracket, (name, s, t)
+    # its isotropy weights: the pairwise sums of the weights of m^C, less one zero weight
+    weights = [wt for _, wt in space.m_plus_weights + space.m_minus_weights]
+    sums = Counter(tuple(map(sum, zip(u, v))) for u, v in itertools.combinations_with_replacement(weights, 2))
+    sums[tuple(0 for _ in space.h_weight_torus)] -= 1
+    decomposition = decompose_weights(space.h_type, sums)
+    assert sum(m * (1 if lab[0] == "chi" else lab[1] + 1) for lab, m in decomposition.items()) == 20
+    # the labels that reach S^2_0 m up to Casimir 36
+    labels = enumerate_labels(space.group, Fraction(36))
+    reached = {lab: h for lab in labels if (h := hom_dim(space, lab, decomposition))}
+    assert len(reached) == nonzero
+    assert {lab: reached[lab] for lab in homs} == homs
 
 
 def test_lambda11_0_eliminates_once_per_space(monkeypatch):

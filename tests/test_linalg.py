@@ -88,14 +88,6 @@ def test_adjugate_identity():
         assert prod == linalg.mat_scale(det, linalg.identity(3))
 
 
-def test_scalar_multiple_of_identity():
-    assert linalg.scalar_multiple_of_identity(linalg.identity(4)) == ONE
-    m = linalg.mat_scale(SQRT2, linalg.identity(3))
-    assert linalg.scalar_multiple_of_identity(m) == SQRT2
-    m = mat_add(m, linalg.from_entries(3, {(0, 1): ONE}))
-    assert linalg.scalar_multiple_of_identity(m) is None
-
-
 def test_rank():
     a = [[ONE, ONE], [ONE, ONE], [ZERO, ONE]]
     assert linalg.rank(a) == 2

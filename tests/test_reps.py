@@ -14,6 +14,7 @@ import pytest
 
 from gray_stability import linalg, reps, scalars
 from gray_stability.branching import hom_dim, restricted_weights
+from gray_stability.exterior import product_action
 from gray_stability.forms import lambda11_0
 from gray_stability.fourier import hom_basis
 from gray_stability.lie import SPACE_NAMES, build_space
@@ -425,6 +426,18 @@ def test_bruteforce_casimir_matches_freudenthal():
             name,
             lab,
         )
+
+
+def test_casimir_bruteforce_rejects_a_reducible_module():
+    # C^3 (x) C^3* of su(3) is 8 + 1: the Casimir operator takes 12 and 0
+    # on it, and the trivial module alone reads 0
+    flag = build_space("flag")
+    std = flag.algebra.basis_matrices
+    dual = tuple(linalg.transpose([-x for x in row] for row in m) for m in std)
+    rep = tuple(linalg.from_entries(9, e) for e in product_action([(std, 1), (dual, 1)]))
+    with pytest.raises(ArithmeticError, match="Casimir operator on a module of flag is not scalar"):
+        casimir_bruteforce(flag, rep)
+    assert casimir_bruteforce(flag, explicit_rep(flag, (0, 0))) == 0
 
 
 def test_explicit_rep_has_the_weyl_dimension():
