@@ -27,7 +27,7 @@ from . import __version__
 from .branching import format_h_label, hom_dim, restrict
 from .forms import lambda11_0
 from .fourier import delta_kernel, hom_basis, m_complex_coords, proto_delta
-from .lie import SPACE_NAMES, build_space, group_record, validate_space
+from .lie import SPACE_NAMES, build_space, group_record, holds, validate_space
 from .linalg import diag, is_zero_matrix, lin_comb
 from .obstruction import (
     integrand,
@@ -214,17 +214,13 @@ def validate_doc(space_names: list) -> dict:
     for name in space_names:
         space = build_space(name)
         checks = validate_space(space)
-        if checks["reductivity"] and checks["m_orthonormal"] and checks["m_pm_spans"]:
-            target = lambda11_0(name)
-            checks["lambda11_0_dim_8"] = target.dim == 8
-            # each torus element t acts on the module as diag(i * weight_t)
-            checks["lambda11_0_weight_vectors"] = all(
-                lin_comb(t, target.h_matrices) == diag(*(I * rational(w[k]) for w in target.weights))
-                for k, t in enumerate(space.h_weight_torus)
-            )
-        else:  # Lambda^{1,1}_0 m needs the isotropy action on an orthonormal m = m^+ + m^-
-            checks["lambda11_0_dim_8"] = checks["lambda11_0_weight_vectors"] = False
-        out[name] = {k: bool(v) for k, v in sorted(checks.items())}
+        checks["lambda11_0_dim_8"] = holds(lambda: lambda11_0(name).dim == 8)
+        # each torus element t acts on the module as diag(i * weight_t)
+        checks["lambda11_0_weight_vectors"] = holds(lambda: all(
+            lin_comb(t, target.h_matrices) == diag(*(I * rational(w[k]) for w in target.weights))
+            for target in [lambda11_0(name)] for k, t in enumerate(space.h_weight_torus)
+        ))
+        out[name] = dict(sorted(checks.items()))
     return out
 
 

@@ -7,10 +7,13 @@ The primitive part is the kernel of the pairing with the Kaehler
 basis vector stays an exact torus weight vector.
 
 X in h preserves m^+ and m^-, so its matrix in the weight frame, whose
-inverse is the one elimination, has only an m^+ and an m^- block.  On the
-wedges p_i ^ q_j, the product module m^+ (x) m^- of
-``exterior.product_action`` (index 3i + j), it acts by their Kronecker
-sum.  The primitive part is read at the kernel's free columns.
+inverse is the one elimination, has only an m^+ and an m^- block.  A guard
+raises ``PremiseError`` when the weight frame does not span, when the
+action mixes m^+ and m^-, or when the Kaehler 2-vector spans no
+zero-weight line.  On the wedges p_i ^ q_j, the product module
+m^+ (x) m^- of ``exterior.product_action`` (index 3i + j), it acts by
+their Kronecker sum.  The primitive part is read at the kernel's free
+columns.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import lru_cache
 from . import linalg
 from .branching import decompose_weights
 from .exterior import Form, form_inner, product_action, wedge2
-from .lie import ReductiveSpace, build_space
+from .lie import PremiseError, ReductiveSpace, build_space
 
 
 @dataclass(frozen=True)
@@ -41,16 +44,19 @@ class HRep:
 
 def _isotropy_blocks(space: ReductiveSpace) -> tuple:
     """The m^+ and the m^- diagonal blocks of each isotropy basis
-    element's matrix W^-1 ad W, W the weight frame m^+ | m^-; raises if an
-    off-diagonal block is nonzero."""
+    element's matrix W^-1 ad W, W the weight frame m^+ | m^-; PremiseError
+    if W is singular or an off-diagonal block is nonzero."""
     frame = linalg.transpose([v for v, _ in space.m_plus_weights + space.m_minus_weights])
-    frame_inv = linalg.inverse(frame)
+    try:
+        frame_inv = linalg.inverse(frame)
+    except ValueError:
+        raise PremiseError(f"{space.name}: the weight bases of m^+ and m^- do not span m^C") from None
     k = len(space.m_plus_weights)
     plus, minus = [], []
     for ad in space.m_action[: space.h_dim]:
         block = linalg.mat_mul(frame_inv, linalg.mat_mul(ad, frame))
         if any(any(row[k:]) for row in block[:k]) or any(any(row[:k]) for row in block[k:]):
-            raise ArithmeticError(f"{space.name}: the isotropy action mixes m^+ and m^-")
+            raise PremiseError(f"{space.name}: the isotropy action mixes m^+ and m^-")
         plus.append(tuple(row[:k] for row in block[:k]))
         minus.append(tuple(row[k:] for row in block[k:]))
     return plus, minus
@@ -70,7 +76,7 @@ def lambda11_0(space_name: str) -> HRep:
     kahler = space.kahler_form()
     row = {j: x for j, w in enumerate(wedges) if (x := form_inner(w, kahler))}
     if not row or any(wedge_weights[j] != zero_wt for j in row):
-        raise ArithmeticError("Kaehler 2-vector must span a zero-weight line")
+        raise PremiseError("Kaehler 2-vector must span a zero-weight line")
     # the wedges of nonzero weight, then the primitive zero-weight combinations
     kernel = sorted(linalg.nullspace([row], len(wedges)), key=lambda v: wedge_weights[max(v)] == zero_wt)
 

@@ -38,6 +38,11 @@ The run-time checks work on nonzeros too: ``bracket_closes`` compares
 sum_k ad[a][k][b] X_k with [X_a, X_b] as exact ``{(i, j): c}`` dicts, for
 Jacobi (the basis matrices X, a < b), and the ad-invariance
 ad^T G + G ad = 0 is one sparse sum of products.
+
+Each catalog premise is tested once, by the guard of the value that needs
+it (``m_action``, ``eigenframe_inverse`` and three in ``forms``), which
+raises ``PremiseError``.  A validate key is its check, or False when a
+value it reads raises one: ``holds``.
 """
 
 from __future__ import annotations
@@ -88,6 +93,10 @@ class LieAlgebraData:
     @property
     def dim(self) -> int:
         return len(self.basis_matrices)
+
+
+class PremiseError(ValueError):
+    """A failed catalog premise, raised by the guard of the value that needs it."""
 
 
 @dataclass(frozen=True)
@@ -146,7 +155,10 @@ class ReductiveSpace(GroupRecord):
     def eigenframe_inverse(self) -> tuple:
         """P^-1, P the matrix with columns m^+ then m^-: it takes
         m-coordinates to coordinates in the eigenbasis of J."""
-        return linalg.inverse(linalg.transpose(self.m_plus + self.m_minus))
+        try:
+            return linalg.inverse(linalg.transpose(self.m_plus + self.m_minus))
+        except ValueError:
+            raise PremiseError(f"{self.name}: m^+ and m^- do not span m^C") from None
 
     @cached_property
     def complex_structure(self) -> tuple:
@@ -163,10 +175,10 @@ class ReductiveSpace(GroupRecord):
     @cached_property
     def m_action(self) -> tuple:
         """The m-block of ad(X_a) for each basis element X_a, in the
-        orthonormal m-basis; raises ValueError when [h, m] leaves m."""
+        orthonormal m-basis; raises PremiseError when [h, m] leaves m."""
         hd = self.h_dim
         if any(any(row[hd:]) for x in self.algebra.ad[:hd] for row in x[:hd]):
-            raise ValueError(f"{self.name}: [h, m] leaves m")
+            raise PremiseError(f"{self.name}: [h, m] leaves m")
         return tuple(tuple(row[hd:] for row in x[hd:]) for x in self.algebra.ad)
 
 
@@ -380,6 +392,14 @@ def build_space(name: str) -> ReductiveSpace:
 # Validation
 # ---------------------------------------------------------------------------
 
+def holds(check) -> bool:
+    """A validate key: check(), or False when a value it reads raises PremiseError."""
+    try:
+        return bool(check())
+    except PremiseError:
+        return False
+
+
 def validate_algebra(alg: LieAlgebraData) -> dict:
     """Run the structural checks; failures are reported, not raised."""
     ad, g = alg.ad, linalg.nonzeros(alg.gram)
@@ -412,36 +432,29 @@ def validate_space(space: ReductiveSpace) -> dict:
         alg.gram[i][hd + a] == ZERO for i in range(hd) for a in range(md)
     )
 
-    checks["reductivity"] = not any(any(row[hd:]) for x in alg.ad[:hd] for row in x[:hd])
+    checks["reductivity"] = holds(lambda: space.m_action)
     checks["h_subalgebra"] = not any(any(row[:hd]) for x in alg.ad[:hd] for row in x[hd:])
 
     plus, minus = space.m_plus, space.m_minus
     checks["m_pm_conjugate_swap"] = all(_conjugate(p) in minus for p in plus) and all(
         _conjugate(q) in plus for q in minus
     )
-    checks["m_pm_spans"] = linalg.rank(plus + minus) == md
 
-    if not (checks["reductivity"] and checks["m_pm_spans"]):
-        # the checks below read m_action, which needs [h, m] in m, and J or
-        # the weight frame, which need m^+ and m^- to span: they fail unrun
-        unrun = ["m_pm_weight_vectors", "kahler_h_invariant"]
-        if space.psi_minus is not None:
-            unrun.append("psi_minus_h_invariant")
-        return checks | dict.fromkeys(unrun, False)
+    def weight_basis_spans_m_plus():  # W that basis: P^-1 W has zero m^- rows, an invertible m^+ block
+        coords = linalg.mat_mul(space.eigenframe_inverse, linalg.transpose([v for v, _ in space.m_plus_weights]))
+        return linalg.is_zero_matrix(coords[3:]) and linalg.det3(coords[:3]) != ZERO
 
-    h_ads = space.m_action[:hd]
-    checks["m_pm_weight_vectors"] = all(
+    checks["m_pm_spans"] = holds(weight_basis_spans_m_plus)
+    checks["m_pm_weight_vectors"] = holds(lambda: all(
         linalg.mat_vec(ad, v) == [I * rational(wt[k]) * c for c in v]
-        for k, ad in enumerate(linalg.lin_comb(t, h_ads) for t in space.h_weight_torus)
+        for k, ad in enumerate(linalg.lin_comb(t, space.m_action[:hd]) for t in space.h_weight_torus)
         for v, wt in space.m_plus_weights + space.m_minus_weights
-    )
+    ))
 
-    kahler = space.kahler_form()
-    checks["kahler_h_invariant"] = not any(alternate(derivation_action(ad, kahler)) for ad in h_ads)
+    def h_invariant(form):
+        return not any(alternate(derivation_action(ad, form)) for ad in space.m_action[:hd])
+
+    checks["kahler_h_invariant"] = holds(lambda: h_invariant(space.kahler_form()))
     if space.psi_minus is not None:
-        psi = dict(space.psi_minus)
-        checks["psi_minus_h_invariant"] = not any(
-            alternate(derivation_action(ad, psi)) for ad in h_ads
-        )
-
+        checks["psi_minus_h_invariant"] = holds(lambda: h_invariant(dict(space.psi_minus)))
     return checks

@@ -12,7 +12,7 @@ column of a row.  Every sum into one goes through ``add_into`` (one
 entry) or ``axpy`` (a multiple of another sparse vector), which drop an
 entry when it cancels.
 
-Every kernel, solve, rank and inverse goes through one sparse exact
+Every kernel, solve and inverse goes through one sparse exact
 elimination, ``_eliminate``; an inverse is the solve against the
 identity.  The systems the pipeline builds (equivariance and Casimir
 constraints, codifferentials) are a few percent dense, so it holds each
@@ -192,8 +192,8 @@ def rref(a: Matrix) -> tuple[list, list[int]]:
     """Reduced row echelon form (a list of row lists, zero rows last) and
     the pivot column list, by the sparse elimination ``_eliminate``.
 
-    ``rref`` takes and returns dense rows, for ``rank`` and ``solve``
-    (so ``inverse``); ``nullspace`` calls ``_eliminate`` directly.
+    ``rref`` takes and returns dense rows, for ``solve`` (so
+    ``inverse``); ``nullspace`` calls ``_eliminate`` directly.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -270,10 +270,6 @@ def _eliminate(rows: list, n: int) -> tuple[list, list[int]]:
             if c is not None:
                 axpy(d, -c, piv)
     return reduced, pivots
-
-
-def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
 
 
 def nullspace(rows: list, n: int) -> list:

@@ -4,14 +4,15 @@ Each helper here is an independent check on a library result or a
 convenience for writing one; none of them runs under a command.
 """
 
+import contextlib
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from gray_stability import linalg
+from gray_stability import lie, linalg
 from gray_stability.branching import KINDS, BranchingError, decompose_weights
 from gray_stability.exterior import Form, alternate, derivation_action, form_inner, wedge2
 from gray_stability.forms import HRep, lambda11_0
@@ -19,6 +20,7 @@ from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, ad_and_gram, bracket_closes, build_space
 from gray_stability.reps import GROUPS, _doubled_shift, _dual, check_label, explicit_rep
 from gray_stability.scalars import BASIS_NAMES, I, ONE, SQRT2, ZERO, Scalar, rational
+from gray_stability.stability import coindex_report
 from gray_stability.sympoly import GENERATORS, NGENS, V1, V2, X, SymPoly
 
 SQRT3 = Scalar.basis_element(3)
@@ -175,6 +177,60 @@ def mat_sub(a, b):
 def commutator(a, b):
     """Dense a b - b a."""
     return mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+
+
+# The scale of each catalog space's trace form Q = scale * tr(x y).
+SCALES = {"s3xs3": Fraction(-1, 3), "cp3": Fraction(-1, 4), "flag": Fraction(-1, 2)}
+
+
+def shift_entry(mats: tuple, a: int, entry: tuple, c) -> tuple:
+    """mats with c added to entry (i, j) of mats[a]."""
+    out = list(mats)
+    out[a] = mat_add(out[a], linalg.from_entries(len(out[a]), {entry: c}))
+    return tuple(out)
+
+
+# Corruptions of a catalog algebra after ad_and_gram, each giving the
+# fields to replace.  ad[a] has column b = coordinates of [basis_a,
+# basis_b], so entry (k, b) of ad[a] is coordinate k of [basis_a, basis_b].
+ALGEBRA_CORRUPTIONS = {
+    # [basis_2, basis_3] and [basis_3, basis_2] move together, so
+    # antisymmetry still holds.
+    "symmetric_bracket": lambda alg: {"ad": shift_entry(shift_entry(alg.ad, 2, (0, 3), ONE), 3, (0, 2), -ONE)},
+    # [basis_2, basis_3] alone moves.
+    "one_sided_bracket": lambda alg: {"ad": shift_entry(alg.ad, 2, (0, 3), ONE)},
+    # Q(basis_2, basis_2) + 1 leaves the bracket alone.
+    "gram_entry": lambda alg: {"gram": mat_add(alg.gram, linalg.from_entries(alg.dim, {(2, 2): ONE}))},
+    # E_00 added to basis_2 after ad_and_gram: ad is no longer the
+    # bracket of the basis matrices, though it still obeys Jacobi.
+    "basis_matrix": lambda alg: {"basis_matrices": shift_entry(alg.basis_matrices, 2, (0, 0), ONE)},
+}
+
+
+def bracket_leaving_m(space: ReductiveSpace) -> ReductiveSpace:
+    """The space with coordinate 0 (in h) added to [basis_0, basis_hd],
+    basis_0 in h and basis_hd in m, so [h, m] leaves m."""
+    alg = space.algebra
+    return replace(space, algebra=replace(alg, ad=shift_entry(alg.ad, 0, (0, space.h_dim), ONE)))
+
+
+@contextlib.contextmanager
+def catalog_mutant(name: str, mutate):
+    """Inside the block build_space(name) returns mutate(real space),
+    installed through lie._BUILDERS, so every command and Lambda^{1,1}_0
+    read the mutant; the caches that hold a space, or what is built from
+    one, are cleared on entry and on exit."""
+    real = lie._BUILDERS[name]
+    caches = (build_space, lambda11_0, coindex_report)
+    lie._BUILDERS[name] = lambda: mutate(real())
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        yield
+    finally:
+        lie._BUILDERS[name] = real
+        for cache in caches:
+            cache.cache_clear()
 
 
 def validate_algebra_reference(alg) -> dict:

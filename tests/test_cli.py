@@ -13,10 +13,12 @@ from fractions import Fraction
 import pytest
 
 from gray_stability.branching import hom_dim
-from gray_stability.cli import main
+from gray_stability.cli import main, validate_doc
 from gray_stability.forms import lambda11_0
 from gray_stability.lie import SPACE_NAMES, ad_and_gram, build_space, group_record
 from gray_stability.reps import casimir_constant, enumerate_labels
+from gray_stability.scalars import ONE
+from oracles import ALGEBRA_CORRUPTIONS, SCALES, bracket_leaving_m, catalog_mutant, shift_entry
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -583,10 +585,10 @@ def test_validate_with_a_failed_check_exits_1(capsys, monkeypatch):
 
 
 def _double_e1(space):
-    # the basis matrix e1 doubled before the bracket and the metric are formed
+    # the first m-basis matrix doubled before the bracket and the metric are formed
     mats = list(space.algebra.basis_matrices)
-    mats[2] = tuple(tuple(x + x for x in row) for row in mats[2])
-    return dataclasses.replace(space, algebra=ad_and_gram(tuple(mats), Fraction(-1, 2)))
+    mats[space.h_dim] = tuple(tuple(x + x for x in row) for row in mats[space.h_dim])
+    return dataclasses.replace(space, algebra=ad_and_gram(tuple(mats), SCALES[space.name]))
 
 
 def _repeat_p1(space):
@@ -594,34 +596,113 @@ def _repeat_p1(space):
     return dataclasses.replace(space, m_plus=(p1, p1, p3))
 
 
+def _conjugate_p1(space):
+    # on flag another invariant almost complex structure, not the nearly Kaehler one
+    p1, p2, p3 = space.m_plus
+    return dataclasses.replace(space, m_plus=(tuple(x.conjugate() for x in p1), p2, p3))
+
+
+def _repeat_w1(space):
+    w1, _, w3 = space.m_plus_weights
+    return dataclasses.replace(space, m_plus_weights=(w1, w1, w3))
+
+
+def _tilt_p1(space):
+    # p1 + conj(p2) in place of p1: a J whose +i eigenspace no torus element keeps
+    p1, p2, p3 = space.m_plus
+    return dataclasses.replace(space, m_plus=(tuple(a + b.conjugate() for a, b in zip(p1, p2)), p2, p3))
+
+
+def _double_torus(space):
+    return dataclasses.replace(space, h_weight_torus=tuple(tuple(x + x for x in t) for t in space.h_weight_torus))
+
+
+def _negate_psi_term(space):
+    (wedge, c), *rest = space.psi_minus
+    return dataclasses.replace(space, psi_minus=((wedge, -c), *rest))
+
+
+def _corrupt(fields):
+    """A mutant whose algebra has the fields fields(space) replaced after ad_and_gram."""
+    return lambda space: dataclasses.replace(space, algebra=dataclasses.replace(space.algebra, **fields(space)))
+
+
+LAMBDA11_0_KEYS = {"lambda11_0_dim_8", "lambda11_0_weight_vectors"}
+
+
+def _validate_fails(capsys, name, mutate) -> set:
+    """The keys that validate --space name prints FAIL when build_space
+    returns the mutant everywhere; it must exit 1 with empty stderr."""
+    with catalog_mutant(name, mutate):
+        assert main(["validate", "--space", name]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split() for line in captured.out.splitlines()[2:]]
+    return {check for _, check, result in rows if result == "FAIL"}
+
+
 @pytest.mark.parametrize(
     "mutate, failing",
     [
-        (_double_e1, {"m_orthonormal", "m_pm_weight_vectors", "psi_minus_h_invariant"}),
-        (_repeat_p1, {"m_pm_spans", "m_pm_weight_vectors", "kahler_h_invariant", "psi_minus_h_invariant"}),
+        (_double_e1, {"m_orthonormal", "m_pm_weight_vectors", "psi_minus_h_invariant"} | LAMBDA11_0_KEYS),
+        (_repeat_p1, {"m_pm_spans", "kahler_h_invariant"} | LAMBDA11_0_KEYS),
+        (_conjugate_p1, {"m_pm_spans"}),
+        (_repeat_w1, {"m_pm_spans"} | LAMBDA11_0_KEYS),
     ],
-    ids=["doubled_e1", "repeated_p1"],
+    ids=["doubled_e1", "repeated_p1", "conjugated_p1", "repeated_w1"],
 )
-def test_validate_names_the_checks_a_broken_flag_fails(capsys, monkeypatch, mutate, failing):
+def test_validate_names_the_checks_a_broken_flag_fails(capsys, mutate, failing):
     # the broken space is what build_space returns everywhere, Lambda^{1,1}_0
-    # included: validate reports it, where building the module would raise
-    from gray_stability import forms, lie
+    # included: validate reports each check that reads a broken premise
+    assert _validate_fails(capsys, "flag", mutate) == failing
 
-    real = lie._BUILDERS["flag"]
-    monkeypatch.setitem(lie._BUILDERS, "flag", lambda: mutate(real()))
-    caches = (build_space, forms.lambda11_0)
-    for cache in caches:
-        cache.cache_clear()
-    try:
-        assert main(["validate", "--space", "flag"]) == 1
-        captured = capsys.readouterr()
-    finally:
-        for cache in caches:
-            cache.cache_clear()
-    assert captured.err == ""
-    rows = [line.split() for line in captured.out.splitlines()[2:]]
-    failed = {check for _, check, result in rows if result == "FAIL"}
-    assert failed == failing | {"lambda11_0_dim_8", "lambda11_0_weight_vectors"}
+
+# Each validate key with a mutant that makes it FAIL; psi_minus_h_invariant
+# exists on flag only.
+KEY_MUTANTS = {
+    "antisymmetry": _corrupt(lambda s: ALGEBRA_CORRUPTIONS["one_sided_bracket"](s.algebra)),
+    "jacobi": _corrupt(lambda s: ALGEBRA_CORRUPTIONS["basis_matrix"](s.algebra)),
+    "ad_invariance": _corrupt(lambda s: ALGEBRA_CORRUPTIONS["gram_entry"](s.algebra)),
+    "m_orthonormal": _double_e1,
+    # Q(basis_0, basis_hd) = 1, basis_0 in h and basis_hd in m
+    "h_m_orthogonal": _corrupt(lambda s: {"gram": shift_entry((s.algebra.gram,), 0, (0, s.h_dim), ONE)[0]}),
+    "reductivity": bracket_leaving_m,
+    # coordinate hd (in m) added to [basis_0, basis_1], both in h
+    "h_subalgebra": _corrupt(lambda s: {"ad": shift_entry(s.algebra.ad, 0, (s.h_dim, 1), ONE)}),
+    "m_pm_spans": _repeat_p1,
+    "m_pm_weight_vectors": _double_torus,
+    "kahler_h_invariant": _tilt_p1,
+    "psi_minus_h_invariant": _negate_psi_term,
+    "lambda11_0_weight_vectors": _double_torus,
+}
+# The keys no mutant of the catalog makes FAIL by their own comparison.
+NO_MUTANT = {
+    "m_pm_conjugate_swap": "m^- is derived as the conjugates of m^+",
+    "lambda11_0_dim_8": "nine wedges less one nonzero Kaehler row always leave 8; "
+    "it fails only when a guard under lambda11_0 raises",
+}
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [(name, key) for key in KEY_MUTANTS for name in SPACE_NAMES if key != "psi_minus_h_invariant" or name == "flag"],
+)
+def test_every_validate_key_can_say_no(capsys, name, key):
+    assert key in _validate_fails(capsys, name, KEY_MUTANTS[key])
+
+
+def test_every_validate_key_has_a_mutant_or_a_reason():
+    assert sorted(KEY_MUTANTS.keys() | NO_MUTANT.keys()) == list(validate_doc(["flag"])["flag"])
+
+
+@pytest.mark.parametrize(
+    "mutate, premise", [(_repeat_p1, "m^+ and m^- do not span m^C"), (bracket_leaving_m, "[h, m] leaves m")]
+)
+def test_other_commands_name_the_broken_premise(capsys, mutate, premise):
+    with catalog_mutant("flag", mutate):
+        assert main(["coindex", "--space", "flag"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"internal error: flag: {premise}\n")
 
 
 def test_reproduce_all_with_a_failed_check_exits_1(capsys, monkeypatch):

@@ -11,7 +11,7 @@ from gray_stability import forms, linalg
 from gray_stability.branching import decompose_weights, hom_dim
 from gray_stability.exterior import alternate, derivation_action, form_inner, product_action, wedge2
 from gray_stability.forms import lambda11_0
-from gray_stability.lie import ReductiveSpace, build_space
+from gray_stability.lie import PremiseError, ReductiveSpace, build_space
 from gray_stability.reps import enumerate_labels
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from oracles import (
@@ -59,18 +59,18 @@ def test_lambda11_0_decompositions():
 
 
 def test_kahler_off_the_zero_weight_line_is_an_internal_error(monkeypatch):
-    # an ArithmeticError, which the command line reports as an internal
-    # error with exit 1, not an AssertionError traceback
+    # a PremiseError, which validate reports as failed lambda11_0 keys and
+    # every other command as an internal error with exit 1
     space = build_space("flag")
     off_line = wedge2(space.m_plus[0], space.m_minus[1])
     monkeypatch.setattr(ReductiveSpace, "kahler_form", lambda self: off_line)
-    with pytest.raises(ArithmeticError, match="zero-weight line"):
+    with pytest.raises(PremiseError, match="zero-weight line"):
         forms.lambda11_0.__wrapped__("flag")
 
 
 def test_zero_kahler_form_is_the_same_internal_error(monkeypatch):
     monkeypatch.setattr(ReductiveSpace, "kahler_form", lambda self: {})
-    with pytest.raises(ArithmeticError, match="zero-weight line"):
+    with pytest.raises(PremiseError, match="zero-weight line"):
         forms.lambda11_0.__wrapped__("flag")
 
 
@@ -85,7 +85,7 @@ def test_isotropy_action_mixing_m_plus_and_m_minus_is_an_internal_error(monkeypa
         return tuple(linalg.lin_comb((ONE, ONE), (ad, projection)) for ad in original(self))
 
     monkeypatch.setattr(ReductiveSpace, "m_action", property(mixed))
-    with pytest.raises(ArithmeticError, match=f"{name}: the isotropy action mixes m"):
+    with pytest.raises(PremiseError, match=f"{name}: the isotropy action mixes m"):
         forms.lambda11_0.__wrapped__(name)
 
 

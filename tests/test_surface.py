@@ -38,6 +38,14 @@ The field-write scan keeps ``Scalar`` values immutable: equal monomials
 are one shared object, so outside the constructors that make a scalar
 nothing in ``src/gray_stability`` may write an attribute named ``n``,
 ``d`` or ``tag``.
+
+The handler scan keeps errors from being swallowed: no except clause in
+``src/gray_stability`` is bare or catches ``Exception`` or
+``BaseException``; only ``lie.holds`` catches ``PremiseError``, which
+turns a failed catalog premise into a failed validate key; and a clause
+naming ``ValueError`` or ``ArithmeticError``, which would catch a
+``PremiseError`` or an internal error too, stands only in the functions
+listed with their reasons.
 """
 
 import ast
@@ -59,6 +67,17 @@ INTEGER_MATH = {"isqrt", "gcd", "lcm", "prod", "comb"}
 # The fields of a Scalar, and the only code that writes them.
 SCALAR_FIELDS = {"n", "d", "tag"}
 SCALAR_CONSTRUCTORS = {"scalars._raw", "scalars.Scalar.__init__"}
+# The one function that catches a PremiseError: it turns a failed catalog
+# premise into a failed validate key.
+PREMISE_HANDLER = "lie.holds"
+# The functions that may catch ValueError or ArithmeticError, and why.
+VALUE_ERROR_HANDLERS = {
+    "cli.main": "prints any other ValueError or ArithmeticError as an internal error, exit 1",
+    "cli._parse_label": "a label that int() or check_label rejects is a usage error",
+    "cli._parse_rational": "a rational that Fraction rejects is a usage error",
+    "lie.ReductiveSpace.eigenframe_inverse": "a singular frame m^+ | m^- is a failed premise: they do not span",
+    "forms._isotropy_blocks": "a singular weight frame is a failed premise: the weight bases do not span",
+}
 
 
 def _dunder(name: str) -> bool:
@@ -224,17 +243,28 @@ def float_uses(src: pathlib.Path = SRC) -> list:
     return out
 
 
+def _scoped(src: pathlib.Path):
+    """(scope, node) for every node of the modules under src, in source
+    order; scope is the module and the names of the enclosing classes and
+    functions."""
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        yield scope, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    for path in sorted(src.glob("*.py")):
+        yield from visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+
+
 def field_writes(src: pathlib.Path = SRC) -> list:
     """(scope, line, what) of every write of an attribute named n, d or tag
     in the modules under src: x.n, x.d or x.tag as an assignment, loop,
     with or comprehension target or in a del, and each setattr,
-    __setattr__ or delattr call not given another constant name.  scope is
-    the module and the names of the enclosing classes and functions."""
+    __setattr__ or delattr call not given another constant name."""
     out = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}"
+    for scope, node in _scoped(src):
         if (isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
                 and node.attr in SCALAR_FIELDS):
             out.append((scope, node.lineno, f".{node.attr}"))
@@ -245,12 +275,31 @@ def field_writes(src: pathlib.Path = SRC) -> list:
                 attr = node.args[1] if len(node.args) > 1 else None
                 if not (isinstance(attr, ast.Constant) and attr.value not in SCALAR_FIELDS):
                     out.append((scope, node.lineno, name))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    for path in sorted(src.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     return out
+
+
+def caught(src: pathlib.Path = SRC) -> list:
+    """(scope, line, name) for each exception that each except clause in
+    the modules under src names; a bare clause names None."""
+    out = []
+    for scope, node in _scoped(src):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            out += [(scope, node.lineno, t and ast.unparse(t).rsplit(".", 1)[-1]) for t in types]
+    return out
+
+
+def handler_violations(src: pathlib.Path = SRC) -> list:
+    """The (scope, line, name) of ``caught`` that break the handler rule:
+    a bare clause, Exception or BaseException anywhere; PremiseError outside
+    its one handler; ValueError or ArithmeticError, which catch a
+    PremiseError or an internal error too, outside the listed functions."""
+    return [
+        (scope, line, name) for scope, line, name in caught(src)
+        if name in (None, "Exception", "BaseException")
+        or (name == "PremiseError" and scope != PREMISE_HANDLER)
+        or (name in ("ValueError", "ArithmeticError") and scope not in VALUE_ERROR_HANDLERS)
+    ]
 
 
 def test_only_the_scalar_constructors_write_its_fields():
@@ -302,6 +351,76 @@ def test_field_write_scan_sees_every_kind_of_write(tmp_path):
         ("scalars.Scalar.__init__", 7, ".n"),
         ("scalars.Scalar.__init__", 7, ".d"),
         ("scalars.Scalar.scale", 9, ".d"),
+    ]
+
+
+def test_handlers_catch_only_what_their_function_may():
+    assert handler_violations() == []
+
+
+def test_handler_allowances_are_still_needed():
+    # an allowed function that stopped catching its exception must leave the list
+    caught_by = {(scope, name) for scope, _, name in caught()}
+    assert {scope for scope, name in caught_by if name in ("ValueError", "ArithmeticError")} == set(VALUE_ERROR_HANDLERS)
+    assert {scope for scope, name in caught_by if name == "PremiseError"} == {PREMISE_HANDLER}
+
+
+def test_handler_scan_sees_every_forbidden_clause(tmp_path):
+    (tmp_path / "lie.py").write_text(
+        "class PremiseError(ValueError):\n"
+        "    pass\n"
+        "def holds(check):\n"
+        "    try:\n"
+        "        return check()\n"
+        "    except PremiseError:\n"
+        "        return False\n"
+        "class ReductiveSpace:\n"
+        "    def eigenframe_inverse(self, f):\n"
+        "        try:\n"
+        "            return f()\n"
+        "        except ValueError:\n"
+        "            raise PremiseError('frame') from None\n"
+        "    def value(self, f):\n"
+        "        try:\n"
+        "            return f()\n"
+        "        except lie.PremiseError:\n"
+        "            return 0\n"
+        "        except BaseException:\n"
+        "            raise\n"
+        "def swallow(f):\n"
+        "    try:\n"
+        "        return f()\n"
+        "    except (PremiseError, ArithmeticError, OSError):\n"
+        "        return None\n"
+        "def other(f):\n"
+        "    try:\n"
+        "        return f()\n"
+        "    except Exception:\n"
+        "        return 1\n"
+        "    except:\n"
+        "        return 2\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "cli.py").write_text(
+        "def main(f):\n"
+        "    try:\n"
+        "        return f()\n"
+        "    except (ValueError, ArithmeticError) as exc:\n"
+        "        return exc\n"
+        "def _emit(f):\n"
+        "    try:\n"
+        "        return f()\n"
+        "    except (OSError, ZeroDivisionError):\n"
+        "        return 0\n",
+        encoding="utf-8",
+    )
+    assert handler_violations(tmp_path) == [
+        ("lie.ReductiveSpace.value", 17, "PremiseError"),
+        ("lie.ReductiveSpace.value", 19, "BaseException"),
+        ("lie.swallow", 24, "PremiseError"),
+        ("lie.swallow", 24, "ArithmeticError"),
+        ("lie.other", 29, "Exception"),
+        ("lie.other", 31, None),
     ]
 
 
