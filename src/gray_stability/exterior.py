@@ -6,9 +6,9 @@ derivation_action is the one extension of a matrix to tensor keys: a
 k-vector's callers alternate its result, and product_action, the one
 builder of a product of symmetric powers (reps' modules, forms'
 m^+ (x) m^-), sorts each key into a monomial.  alternate is the one map
-from a tensor to a multivector; wedge2 alternates an outer product.  All
-formulas below assume the ambient basis is orthonormal for the invariant
-metric, which holds for every catalog space.
+from a tensor to a multivector; wedge2 alternates an outer product.  These
+four are the module.  None reads the metric: ``lie.frame_pairing`` gives
+the pairing of m^+ with m^- that the Kaehler form and Lambda^{1,1}_0 need.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement, product
 
 from .linalg import add_into
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE
 
 Form = dict  # dict[tuple[int, ...], Scalar]
 
@@ -71,14 +71,3 @@ def alternate(tensor: dict) -> Form:
         add_into(out, tuple(sorted(key)), -coeff if inversions % 2 else coeff)
     return out
 
-
-def form_inner(a: Form, b: Form) -> Scalar:
-    """Bilinear inner product induced by the orthonormal base frame:
-    <u1 ^ u2, w1 ^ w2> = <u1,w1><u2,w2> - <u1,w2><u2,w1>, etc."""
-    total = ZERO
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    for key, va in small.items():
-        vb = large.get(key)
-        if vb:
-            total = total + va * vb
-    return total

@@ -3,14 +3,14 @@
 Basis vectors are (1,1)-wedges of the weight-adapted eigenbasis of the
 complexified reductive complement, expanded in real wedge coordinates.
 The primitive part is the kernel of the pairing with the Kaehler
-2-vector; that pairing lives on the zero-weight block, so every returned
-basis vector stays an exact torus weight vector.
+2-vector: i d_k on the weight-0 wedge p_k ^ q_k, d the pairing of the
+weight frame (``lie.frame_pairing``), and 0 on the others, so every
+returned basis vector stays an exact torus weight vector.
 
-X in h preserves m^+ and m^-, so its matrix in the weight frame, whose
-inverse is the one elimination, has only an m^+ and an m^- block.  A guard
-raises ``PremiseError`` when the weight frame does not span, when the
-action mixes m^+ and m^-, or when the Kaehler 2-vector spans no
-zero-weight line.  On the wedges p_i ^ q_j, the product module
+X in h preserves m^+ and m^-, so its matrix in the weight frame has only
+an m^+ and an m^- block.  The pairing guard raises ``PremiseError`` when
+the weight bases do not pair under g, and a second guard when the action
+mixes m^+ and m^-.  On the wedges p_i ^ q_j, the product module
 m^+ (x) m^- of ``exterior.product_action`` (index 3i + j), it acts by
 their Kronecker sum.  The primitive part is read at the kernel's free
 columns.
@@ -24,8 +24,8 @@ from functools import lru_cache
 
 from . import linalg
 from .branching import decompose_weights
-from .exterior import Form, form_inner, product_action, wedge2
-from .lie import PremiseError, ReductiveSpace, build_space
+from .exterior import Form, product_action, wedge2
+from .lie import PremiseError, ReductiveSpace, build_space, frame_pairing
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,14 @@ class HRep:
 
 
 def _isotropy_blocks(space: ReductiveSpace) -> tuple:
-    """The m^+ and the m^- diagonal blocks of each isotropy basis
-    element's matrix W^-1 ad W, W the weight frame m^+ | m^-; PremiseError
-    if W is singular or an off-diagonal block is nonzero."""
-    frame = linalg.transpose([v for v, _ in space.m_plus_weights + space.m_minus_weights])
-    try:
-        frame_inv = linalg.inverse(frame)
-    except ValueError:
-        raise PremiseError(f"{space.name}: the weight bases of m^+ and m^- do not span m^C") from None
-    k = len(space.m_plus_weights)
+    """The pairing d of the weight frame W = m^+ | m^- (``frame_pairing``)
+    and the m^+ and the m^- diagonal blocks of each isotropy basis
+    element's matrix W^-1 ad W; PremiseError if an off-diagonal block is
+    nonzero."""
+    cols = [v for v, _ in space.m_plus_weights + space.m_minus_weights]
+    d, frame_inv = frame_pairing(cols, f"{space.name}: the weight bases of m^+ and m^-")
+    frame = linalg.transpose(cols)
+    k = len(d)
     plus, minus = [], []
     for ad in space.m_action[: space.h_dim]:
         block = linalg.mat_mul(frame_inv, linalg.mat_mul(ad, frame))
@@ -59,7 +58,7 @@ def _isotropy_blocks(space: ReductiveSpace) -> tuple:
             raise PremiseError(f"{space.name}: the isotropy action mixes m^+ and m^-")
         plus.append(tuple(row[:k] for row in block[:k]))
         minus.append(tuple(row[k:] for row in block[k:]))
-    return plus, minus
+    return d, plus, minus
 
 
 @lru_cache(maxsize=None)
@@ -67,16 +66,14 @@ def lambda11_0(space_name: str) -> HRep:
     """Orthogonal complement of the Kaehler 2-vector inside the nine
     (1,1)-wedges p ^ q, p in m^+ and q in m^-."""
     space = build_space(space_name)
+    d, on_plus, on_minus = _isotropy_blocks(space)
     plus, minus = space.m_plus_weights, space.m_minus_weights
     wedges = [wedge2(p, q) for p, _ in plus for q, _ in minus]
     wedge_weights = [tuple(a + b for a, b in zip(wp, wq)) for _, wp in plus for _, wq in minus]
     zero_wt = tuple(0 for _ in space.h_weight_torus)
 
-    # Pairing of the nine wedges against the Kaehler vector.
-    kahler = space.kahler_form()
-    row = {j: x for j, w in enumerate(wedges) if (x := form_inner(w, kahler))}
-    if not row or any(wedge_weights[j] != zero_wt for j in row):
-        raise PremiseError("Kaehler 2-vector must span a zero-weight line")
+    # <p_i ^ q_j, omega> is i d_i when i = j and 0 otherwise: the row d
+    row = {(len(d) + 1) * i: x for i, x in enumerate(d)}
     # the wedges of nonzero weight, then the primitive zero-weight combinations
     kernel = sorted(linalg.nullspace([row], len(wedges)), key=lambda v: wedge_weights[max(v)] == zero_wt)
 
@@ -87,10 +84,9 @@ def lambda11_0(space_name: str) -> HRep:
             linalg.axpy(vec, c, wedges[j])
         vectors.append(vec)
     weights = [wedge_weights[max(v)] for v in kernel]
-    plus, minus = _isotropy_blocks(space)
     return HRep(
         vectors=tuple(vectors),
         weights=tuple(weights),
-        h_matrices=linalg.restrict_to_span(product_action([(plus, 1), (minus, 1)]), kernel),
+        h_matrices=linalg.restrict_to_span(product_action([(on_plus, 1), (on_minus, 1)]), kernel),
         decomposition=decompose_weights(space.h_type, Counter(weights)),
     )

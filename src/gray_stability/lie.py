@@ -16,10 +16,12 @@ and dim h is dim g - dim m.  What the metric gives is derived from
   Ric(X, Y) = -B(X, Y)/2 - (1/4) sum_i <[X, e_i]_m, [Y, e_i]_m> with B
   the trace form tr(ad_X ad_Y) (Besse, *Einstein Manifolds*, 7.38); it
   raises unless Ric = E g with E rational;
-- J = P diag(i, i, i, -i, -i, -i) P^-1, P the frame m^+ | m^-, and the
-  Kaehler form omega(X, Y) = g(JX, Y);
-- the inverse Gram matrix, which ``ad_and_gram`` forms to read
-  coordinates and which the Casimir operator contracts with;
+- the pairing ``frame_pairing``: g is Hermitian, so a frame W = m^+ | m^-
+  has W^T W = [[0, D], [D, 0]], D diagonal; W^-1 is W^T with its halves
+  swapped and scaled by D^-1, and the Kaehler form omega(X, Y) = g(JX, Y)
+  is -i sum_k p_k ^ conj(p_k) / d_k;
+- the inverse Gram matrix, the one elimination, which ``ad_and_gram``
+  forms to read coordinates and the Casimir operator contracts with;
 - ``m_action``, the m-block of ad(X) for each basis element X: the
   isotropy action for X in h, the torsion A_X for X in m.  The other
   modules read ad on m only through it; it checks [h, m] in m once.
@@ -40,9 +42,9 @@ Jacobi (the basis matrices X, a < b), and the ad-invariance
 ad^T G + G ad = 0 is one sparse sum of products.
 
 Each catalog premise is tested once, by the guard of the value that needs
-it (``m_action``, ``eigenframe_inverse`` and three in ``forms``), which
-raises ``PremiseError``.  A validate key is its check, or False when a
-value it reads raises one: ``holds``.
+it (``m_action``, ``frame_pairing`` for both frames of m^C and the
+mixing guard in ``forms``), which raises ``PremiseError``.  A validate
+key is its check, or False when a value it reads raises one: ``holds``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import linalg
-from .exterior import Form, alternate, derivation_action
+from .exterior import Form, alternate, derivation_action, wedge2
 from .scalars import I, ONE, SQRT2, SQRT6, ZERO, Scalar, rational
 
 
@@ -103,8 +105,8 @@ class PremiseError(ValueError):
 class ReductiveSpace(GroupRecord):
     """A catalog homogeneous space G/H as typed: its bracket and complex
     structure.  The rest is derived on first use: m^-, its weight basis
-    and the dimensions below, and the metric data E, J and the Kaehler
-    form, with the inverse Gram matrix in ``algebra``."""
+    and the dimensions below, and the metric data E, P^-1 and the
+    Kaehler form, with the inverse Gram matrix in ``algebra``."""
 
     algebra: LieAlgebraData     # the bracket; the metric is its Gram matrix
     m_plus: tuple               # the +i eigenbasis of J in m^C, in m-coordinates
@@ -155,22 +157,15 @@ class ReductiveSpace(GroupRecord):
     def eigenframe_inverse(self) -> tuple:
         """P^-1, P the matrix with columns m^+ then m^-: it takes
         m-coordinates to coordinates in the eigenbasis of J."""
-        try:
-            return linalg.inverse(linalg.transpose(self.m_plus + self.m_minus))
-        except ValueError:
-            raise PremiseError(f"{self.name}: m^+ and m^- do not span m^C") from None
-
-    @cached_property
-    def complex_structure(self) -> tuple:
-        """J = P diag(i, i, i, -i, -i, -i) P^-1 on m, P the frame m^+ | m^-."""
-        k = len(self.m_plus)
-        d_pinv = [[(I if r < k else -I) * x for x in row] for r, row in enumerate(self.eigenframe_inverse)]
-        return linalg.mat_mul(linalg.transpose(self.m_plus + self.m_minus), d_pinv)
+        return frame_pairing(self.m_plus + self.m_minus, f"{self.name}: m^+ and m^-")[1]
 
     def kahler_form(self) -> Form:
-        """omega(e_a, e_b) = g(J e_a, e_b) for a < b, in the orthonormal m-basis."""
-        j, md = self.complex_structure, self.m_dim
-        return {(a, b): j[b][a] for a in range(md) for b in range(a + 1, md) if j[b][a]}
+        """omega(X, Y) = g(JX, Y) in the orthonormal m-basis: row k of P^-1
+        is conj(p_k)/d_k, so omega = -i sum_k p_k ^ P^-1[k]."""
+        omega: Form = {}
+        for p, row in zip(self.m_plus, self.eigenframe_inverse):
+            linalg.axpy(omega, -I, wedge2(p, row))
+        return omega
 
     @cached_property
     def m_action(self) -> tuple:
@@ -184,6 +179,20 @@ class ReductiveSpace(GroupRecord):
 
 def _conjugate(v: tuple) -> tuple:
     return tuple(x.conjugate() for x in v)
+
+
+def frame_pairing(cols, frame: str) -> tuple:
+    """d and W^-1 for the frame W of m^C with columns cols, a basis of m^+
+    then its conjugates: W^T W must be [[0, D], [D, 0]] with D = diag(d)
+    invertible, and W^-1 is W^T with its halves swapped and row k divided
+    by d_k.  Otherwise PremiseError names the frame."""
+    n = len(cols)
+    k = n // 2
+    gram = linalg.mat_mul(cols, linalg.transpose(cols))
+    d = tuple(gram[i][k + i] for i in range(k))
+    if not all(d) or gram != linalg.from_entries(n, {(i, (i + k) % n): d[i % k] for i in range(n)}):
+        raise PremiseError(f"{frame} do not pair under g")
+    return d, linalg.mat_mul(linalg.diag(*(x.inverse() for x in d + d)), cols[k:] + cols[:k])
 
 
 def _sparse_commutator(x: dict, y: dict) -> dict:
@@ -435,10 +444,8 @@ def validate_space(space: ReductiveSpace) -> dict:
     checks["reductivity"] = holds(lambda: space.m_action)
     checks["h_subalgebra"] = not any(any(row[:hd]) for x in alg.ad[:hd] for row in x[hd:])
 
-    plus, minus = space.m_plus, space.m_minus
-    checks["m_pm_conjugate_swap"] = all(_conjugate(p) in minus for p in plus) and all(
-        _conjugate(q) in plus for q in minus
-    )
+    # g pairs m^+ with its conjugates, which makes J orthogonal
+    checks["m_pm_conjugate_swap"] = holds(lambda: space.eigenframe_inverse)
 
     def weight_basis_spans_m_plus():  # W that basis: P^-1 W has zero m^- rows, an invertible m^+ block
         coords = linalg.mat_mul(space.eigenframe_inverse, linalg.transpose([v for v, _ in space.m_plus_weights]))

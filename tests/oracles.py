@@ -14,11 +14,11 @@ from functools import lru_cache
 
 from gray_stability import lie, linalg
 from gray_stability.branching import KINDS, BranchingError, decompose_weights
-from gray_stability.exterior import Form, alternate, derivation_action, form_inner, wedge2
+from gray_stability.exterior import Form, alternate, derivation_action, wedge2
 from gray_stability.forms import HRep, lambda11_0
 from gray_stability.fourier import delta_kernel, hom_basis, proto_delta
 from gray_stability.lie import ReductiveSpace, ad_and_gram, bracket_closes, build_space
-from gray_stability.reps import GROUPS, _doubled_shift, _dual, check_label, explicit_rep
+from gray_stability.reps import GROUPS, _doubled_shift, _dual, _explicit_rep, check_label, explicit_rep
 from gray_stability.scalars import BASIS_NAMES, I, ONE, SQRT2, ZERO, Scalar, rational
 from gray_stability.stability import coindex_report
 from gray_stability.sympoly import GENERATORS, NGENS, V1, V2, X, SymPoly
@@ -221,7 +221,7 @@ def catalog_mutant(name: str, mutate):
     read the mutant; the caches that hold a space, or what is built from
     one, are cleared on entry and on exit."""
     real = lie._BUILDERS[name]
-    caches = (build_space, lambda11_0, coindex_report)
+    caches = (build_space, lambda11_0, coindex_report, _explicit_rep)
     lie._BUILDERS[name] = lambda: mutate(real())
     for cache in caches:
         cache.cache_clear()
@@ -277,6 +277,14 @@ def ad_and_gram_reference(mats, scale) -> tuple:
         for x in mats
     )
     return ad, gram, gram_inv
+
+
+def complex_structure_reference(space: ReductiveSpace) -> tuple:
+    """J = P diag(i, i, i, -i, -i, -i) P^-1 on m, P the frame m^+ | m^-
+    inverted by elimination."""
+    p = linalg.transpose(space.m_plus + space.m_minus)
+    k = len(space.m_plus)
+    return linalg.mat_mul(linalg.mat_mul(p, linalg.diag(*[I] * k, *[-I] * k)), linalg.inverse(p))
 
 
 def nomizu_ricci(space: ReductiveSpace, sign: int = 1, isotropy_term: bool = True) -> tuple:
@@ -530,6 +538,18 @@ def wedge2_reference(u: list, v: list) -> Form:
             else:
                 linalg.add_into(out, (b, a), -c)
     return out
+
+
+def form_inner(a: Form, b: Form) -> Scalar:
+    """Bilinear inner product induced by the orthonormal base frame:
+    <u1 ^ u2, w1 ^ w2> = <u1,w1><u2,w2> - <u1,w2><u2,w1>, etc."""
+    total = ZERO
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    for key, va in small.items():
+        vb = large.get(key)
+        if vb:
+            total = total + va * vb
+    return total
 
 
 def form_add(a: Form, b: Form) -> Form:

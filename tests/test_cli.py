@@ -16,7 +16,7 @@ from gray_stability.branching import hom_dim
 from gray_stability.cli import main, validate_doc
 from gray_stability.forms import lambda11_0
 from gray_stability.lie import SPACE_NAMES, ad_and_gram, build_space, group_record
-from gray_stability.reps import casimir_constant, enumerate_labels
+from gray_stability.reps import _explicit_rep, casimir_constant, enumerate_labels
 from gray_stability.scalars import ONE
 from oracles import ALGEBRA_CORRUPTIONS, SCALES, bracket_leaving_m, catalog_mutant, shift_entry
 
@@ -369,6 +369,29 @@ def test_obstruction_eliminates_once(monkeypatch, capsys):
     assert shapes == [(8, 16)]
 
 
+def test_reproduce_all_eliminates_only_the_grams(monkeypatch, capsys):
+    # each catalog space inverts its Gram matrix and nothing else: the
+    # metric inverts both frames of m^C by transposition
+    from gray_stability import linalg, obstruction, stability
+
+    for cache in (build_space, lambda11_0, stability.coindex_report, obstruction.nabla_h,
+                  obstruction.obstruction_terms, obstruction.integrand):
+        cache.cache_clear()
+    shapes = []
+    original = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda a: shapes.append((len(a), len(a[0]))) or original(a))
+    assert main(["reproduce-all"]) == 0
+    assert shapes == [(9, 18), (10, 20), (8, 16)]
+    for name, gram in (("s3xs3", (9, 18)), ("cp3", (10, 20)), ("flag", (8, 16))):
+        build_space.cache_clear()
+        stability.coindex_report.cache_clear()
+        lambda11_0.cache_clear()
+        shapes.clear()
+        assert main(["coindex", "--space", name]) == 0
+        assert shapes == [gram]
+    capsys.readouterr()
+
+
 def test_obstruction_doc_sums_polynomials_in_one_accumulator(monkeypatch):
     # every polynomial sum goes through SymPoly.sum; a sum written as a
     # chain of `acc + x` costs hundreds of two-operand additions
@@ -645,7 +668,7 @@ def _validate_fails(capsys, name, mutate) -> set:
     "mutate, failing",
     [
         (_double_e1, {"m_orthonormal", "m_pm_weight_vectors", "psi_minus_h_invariant"} | LAMBDA11_0_KEYS),
-        (_repeat_p1, {"m_pm_spans", "kahler_h_invariant"} | LAMBDA11_0_KEYS),
+        (_repeat_p1, {"m_pm_conjugate_swap", "m_pm_spans", "kahler_h_invariant"}),
         (_conjugate_p1, {"m_pm_spans"}),
         (_repeat_w1, {"m_pm_spans"} | LAMBDA11_0_KEYS),
     ],
@@ -655,6 +678,23 @@ def test_validate_names_the_checks_a_broken_flag_fails(capsys, mutate, failing):
     # the broken space is what build_space returns everywhere, Lambda^{1,1}_0
     # included: validate reports each check that reads a broken premise
     assert _validate_fails(capsys, "flag", mutate) == failing
+
+
+@pytest.mark.parametrize("name", ["s3xs3", "cp3"])
+@pytest.mark.parametrize(
+    "mutate, failing",
+    [
+        (_repeat_p1, {"m_pm_conjugate_swap", "m_pm_spans", "kahler_h_invariant"}),
+        # unlike flag's, these conjugates give a J that the isotropy does not keep
+        (_conjugate_p1, {"m_pm_spans", "kahler_h_invariant"}),
+        (_repeat_w1, {"m_pm_spans"} | LAMBDA11_0_KEYS),
+    ],
+    ids=["repeated_p1", "conjugated_p1", "repeated_w1"],
+)
+def test_validate_names_the_checks_a_broken_space_fails(capsys, name, mutate, failing):
+    # the flag cases above on the other two spaces; Lambda^{1,1}_0 reads
+    # the weight bases alone, so a broken m^+ leaves its keys alone
+    assert _validate_fails(capsys, name, mutate) == failing
 
 
 # Each validate key with a mutant that makes it FAIL; psi_minus_h_invariant
@@ -669,6 +709,7 @@ KEY_MUTANTS = {
     "reductivity": bracket_leaving_m,
     # coordinate hd (in m) added to [basis_0, basis_1], both in h
     "h_subalgebra": _corrupt(lambda s: {"ad": shift_entry(s.algebra.ad, 0, (s.h_dim, 1), ONE)}),
+    "m_pm_conjugate_swap": _tilt_p1,
     "m_pm_spans": _repeat_p1,
     "m_pm_weight_vectors": _double_torus,
     "kahler_h_invariant": _tilt_p1,
@@ -677,8 +718,7 @@ KEY_MUTANTS = {
 }
 # The keys no mutant of the catalog makes FAIL by their own comparison.
 NO_MUTANT = {
-    "m_pm_conjugate_swap": "m^- is derived as the conjugates of m^+",
-    "lambda11_0_dim_8": "nine wedges less one nonzero Kaehler row always leave 8; "
+    "lambda11_0_dim_8": "nine wedges less one nonzero pairing row always leave 8; "
     "it fails only when a guard under lambda11_0 raises",
 }
 
@@ -695,14 +735,36 @@ def test_every_validate_key_has_a_mutant_or_a_reason():
     assert sorted(KEY_MUTANTS.keys() | NO_MUTANT.keys()) == list(validate_doc(["flag"])["flag"])
 
 
+FLAG_COINDEX = ["coindex", "--space", "flag"]
+
+
 @pytest.mark.parametrize(
-    "mutate, premise", [(_repeat_p1, "m^+ and m^- do not span m^C"), (bracket_leaving_m, "[h, m] leaves m")]
+    "argv, mutate, premise",
+    [
+        # coindex reads the weight bases of m^+ and m^-, not m^+ itself
+        pytest.param(FLAG_COINDEX, _repeat_w1, "the weight bases of m^+ and m^- do not pair under g",
+                     id="_repeat_w1-the weight bases of m^+ and m^- do not pair under g"),
+        # delta displays its images in the frame m^+ | m^-
+        pytest.param(["delta", "--space", "flag", "--gamma", "1,1"], _repeat_p1, "m^+ and m^- do not pair under g",
+                     id="_repeat_p1-m^+ and m^- do not pair under g"),
+        pytest.param(FLAG_COINDEX, bracket_leaving_m, "[h, m] leaves m", id="bracket_leaving_m-[h, m] leaves m"),
+    ],
 )
-def test_other_commands_name_the_broken_premise(capsys, mutate, premise):
+def test_other_commands_name_the_broken_premise(capsys, argv, mutate, premise):
     with catalog_mutant("flag", mutate):
-        assert main(["coindex", "--space", "flag"]) == 1
+        assert main(argv) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"internal error: flag: {premise}\n")
+
+
+def test_catalog_mutant_leaves_no_module_of_the_mutant_cached(capsys):
+    # coindex runs to the end under an m^+ mutant, building explicit
+    # modules from the mutant's algebra; none of them outlives the block
+    with catalog_mutant("flag", _repeat_p1):
+        assert main(FLAG_COINDEX) == 0
+        assert _explicit_rep.cache_info().currsize > 0
+    capsys.readouterr()
+    assert _explicit_rep.cache_info().currsize == 0
 
 
 def test_reproduce_all_with_a_failed_check_exits_1(capsys, monkeypatch):

@@ -1,7 +1,9 @@
 """The (1,1) isotropy modules and their primitive parts."""
 
+import dataclasses
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -9,16 +11,18 @@ import pytest
 
 from gray_stability import forms, linalg
 from gray_stability.branching import decompose_weights, hom_dim
-from gray_stability.exterior import alternate, derivation_action, form_inner, product_action, wedge2
+from gray_stability.exterior import alternate, derivation_action, product_action, wedge2
 from gray_stability.forms import lambda11_0
-from gray_stability.lie import PremiseError, ReductiveSpace, build_space
+from gray_stability.lie import SPACE_NAMES, PremiseError, ReductiveSpace, build_space
 from gray_stability.reps import enumerate_labels
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from oracles import (
     SQRT3,
     alternate_reference,
+    catalog_mutant,
     coords_of,
     derivation_reference,
+    form_inner,
     lambda11,
     lambda11_0_reference,
     trivial_summand_basis,
@@ -58,20 +62,26 @@ def test_lambda11_0_decompositions():
         assert lambda11_0(rep).dim == 8
 
 
-def test_kahler_off_the_zero_weight_line_is_an_internal_error(monkeypatch):
+def _zero_w1(space):
+    (v, wt), *others = space.m_plus_weights
+    return dataclasses.replace(space, m_plus_weights=((tuple(ZERO for _ in v), wt), *others))
+
+
+def _tilt_w1(space):
+    # w1 + conj(w2) in place of w1: g pairs it with w2, inside m^+
+    (v1, wt1), (v2, wt2), w3 = space.m_plus_weights
+    tilted = tuple(a + b.conjugate() for a, b in zip(v1, v2))
+    return dataclasses.replace(space, m_plus_weights=((tilted, wt1), (v2, wt2), w3))
+
+
+@pytest.mark.parametrize("mutate", [_zero_w1, _tilt_w1], ids=["zero_w1", "tilted_w1"])
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_weight_bases_that_g_does_not_pair_are_a_failed_premise(name, mutate):
     # a PremiseError, which validate reports as failed lambda11_0 keys and
     # every other command as an internal error with exit 1
-    space = build_space("flag")
-    off_line = wedge2(space.m_plus[0], space.m_minus[1])
-    monkeypatch.setattr(ReductiveSpace, "kahler_form", lambda self: off_line)
-    with pytest.raises(PremiseError, match="zero-weight line"):
-        forms.lambda11_0.__wrapped__("flag")
-
-
-def test_zero_kahler_form_is_the_same_internal_error(monkeypatch):
-    monkeypatch.setattr(ReductiveSpace, "kahler_form", lambda self: {})
-    with pytest.raises(PremiseError, match="zero-weight line"):
-        forms.lambda11_0.__wrapped__("flag")
+    with catalog_mutant(name, mutate):
+        with pytest.raises(PremiseError, match=re.escape(f"{name}: the weight bases of m^+ and m^- do not pair")):
+            lambda11_0(name)
 
 
 @pytest.mark.parametrize("name", ["s3xs3", "cp3", "flag"])
@@ -102,7 +112,7 @@ def test_lambda11_0_equals_the_elimination_reference(name):
 def test_kronecker_sums_are_the_full_module_matrices(name):
     # the product module m^+ (x) m^- of the isotropy blocks, basis vector
     # 3i + j for p_i (x) q_j, is lambda11's basis p_i ^ q_j in the same order
-    plus, minus = forms._isotropy_blocks(build_space(name))
+    _, plus, minus = forms._isotropy_blocks(build_space(name))
     sums = product_action([(plus, 1), (minus, 1)])
     assert sums == [linalg.nonzeros(m) for m in lambda11(name).h_matrices]
 
@@ -146,13 +156,12 @@ def test_traceless_symmetric_square_from_the_product_module(name, homs, nonzero)
     assert {lab: reached[lab] for lab in homs} == homs
 
 
-def test_lambda11_0_eliminates_once_per_space(monkeypatch):
-    # the inverse of the weight frame is the only elimination; the
-    # elimination route solved once per isotropy generator and once for
-    # the Kaehler coordinates, 12 solves over the three spaces
+def test_lambda11_0_eliminates_nothing(monkeypatch):
+    # the metric pairs the weight frame with itself, so its inverse is a
+    # transpose and the Kaehler row is the pairing: no solve at all
     names = ("s3xs3", "cp3", "flag")
     for name in names:
-        build_space(name).kahler_form()
+        build_space(name)
     shapes = []
     original = linalg.rref
 
@@ -163,7 +172,7 @@ def test_lambda11_0_eliminates_once_per_space(monkeypatch):
     monkeypatch.setattr(linalg, "rref", counted)
     for name in names:
         forms.lambda11_0.__wrapped__(name)
-    assert shapes == [(6, 12)] * 3
+    assert shapes == []
 
 
 def test_lambda11_0_is_orthogonal_to_kahler():

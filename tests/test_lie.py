@@ -8,7 +8,15 @@ import pytest
 
 from gray_stability import cli, linalg
 from gray_stability.exterior import derivation_action
-from gray_stability.lie import PremiseError, ad_and_gram, bracket_closes, build_space, validate_algebra, validate_space
+from gray_stability.lie import (
+    PremiseError,
+    ad_and_gram,
+    bracket_closes,
+    build_space,
+    frame_pairing,
+    validate_algebra,
+    validate_space,
+)
 from gray_stability.scalars import I, ONE, ZERO, Scalar, rational
 from oracles import (
     ALGEBRA_CORRUPTIONS,
@@ -17,6 +25,7 @@ from oracles import (
     bracket_leaving_m,
     catalog_mutant,
     commutator,
+    complex_structure_reference,
     mat_add,
     nomizu_ricci,
     shift_entry,
@@ -172,7 +181,7 @@ def test_kahler_elements():
 @pytest.mark.parametrize("name", sorted(SCALES))
 def test_complex_structure_is_a_real_isometry_squaring_to_minus_one(name):
     space = build_space(name)
-    j = space.complex_structure
+    j = complex_structure_reference(space)
     assert all(x.is_rational() for row in j for x in row)
     assert linalg.mat_mul(j, j) == linalg.mat_scale(-ONE, linalg.identity(6))
     # g(J., J.) = g, g the identity on the orthonormal m-basis
@@ -181,6 +190,25 @@ def test_complex_structure_is_a_real_isometry_squaring_to_minus_one(name):
     for sign, side in ((I, space.m_plus), (-I, space.m_minus)):
         for v in side:
             assert linalg.mat_vec(j, v) == [sign * x for x in v]
+    # omega(e_a, e_b) = g(J e_a, e_b), a < b, is the library's Kaehler form
+    omega = {(a, b): j[b][a] for a in range(6) for b in range(a + 1, 6) if j[b][a]}
+    assert omega == space.kahler_form()
+
+
+@pytest.mark.parametrize(
+    "name, eigen_d, weight_d",
+    [("s3xs3", (1, 1, 1), (2, 1, 2)), ("cp3", (1, 1, 2), (1, 1, 2)), ("flag", (2, 2, 2), (2, 2, 2))],
+    ids=["s3xs3", "cp3", "flag"],
+)
+def test_frame_pairing_inverts_both_frames_by_transposition(name, eigen_d, weight_d):
+    # g is zero on m^+ x m^+ and pairs p_k with conj(p_k) alone, so the
+    # swapped, rescaled transpose is the inverse that elimination gives
+    space = build_space(name)
+    weight_frame = [v for v, _ in space.m_plus_weights + space.m_minus_weights]
+    for cols, want in ((space.m_plus + space.m_minus, eigen_d), (weight_frame, weight_d)):
+        d, inverse = frame_pairing(cols, name)
+        assert d == tuple(rational(x) for x in want)
+        assert inverse == linalg.inverse(linalg.transpose(cols))
 
 
 @pytest.mark.parametrize("name", sorted(SCALES))
