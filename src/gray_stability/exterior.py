@@ -8,7 +8,8 @@ builder of a product of symmetric powers (reps' modules, forms'
 m^+ (x) m^-), sorts each key into a monomial.  alternate is the one map
 from a tensor to a multivector; wedge2 alternates an outer product.  These
 four are the module.  None reads the metric: ``lie.frame_pairing`` gives
-the pairing of m^+ with m^- that the Kaehler form and Lambda^{1,1}_0 need.
+the pairing of m^+ with m^- that Lambda^{1,1}_0 needs, and ``lie`` tests
+J against the bracket by its isotropy blocks, not by a Kaehler form.
 """
 
 from __future__ import annotations

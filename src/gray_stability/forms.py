@@ -8,12 +8,13 @@ weight frame (``lie.frame_pairing``), and 0 on the others, so every
 returned basis vector stays an exact torus weight vector.
 
 X in h preserves m^+ and m^-, so its matrix in the weight frame has only
-an m^+ and an m^- block.  The pairing guard raises ``PremiseError`` when
-the weight bases do not pair under g, and a second guard when the action
-mixes m^+ and m^-.  On the wedges p_i ^ q_j, the product module
-m^+ (x) m^- of ``exterior.product_action`` (index 3i + j), it acts by
-their Kronecker sum.  The primitive part is read at the kernel's free
-columns.
+an m^+ and an m^- block: ``lie.ReductiveSpace.isotropy_blocks``, the one
+test of J against the bracket, returns them or raises ``PremiseError``.
+A second guard raises when J is not nearly Kaehler, [m^+, m^-]_m != 0
+(Gray 1972: (nabla_X J)X = [X, JX]_m / 2 for the normal metric).  On the
+wedges p_i ^ q_j, the product module m^+ (x) m^- of
+``exterior.product_action`` (index 3i + j), it acts by their Kronecker
+sum.  The primitive part is read at the kernel's free columns.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 from . import linalg
 from .branching import decompose_weights
 from .exterior import Form, product_action, wedge2
-from .lie import PremiseError, ReductiveSpace, build_space, frame_pairing
+from .lie import PremiseError, build_space
 
 
 @dataclass(frozen=True)
@@ -42,32 +43,18 @@ class HRep:
         return len(self.vectors)
 
 
-def _isotropy_blocks(space: ReductiveSpace) -> tuple:
-    """The pairing d of the weight frame W = m^+ | m^- (``frame_pairing``)
-    and the m^+ and the m^- diagonal blocks of each isotropy basis
-    element's matrix W^-1 ad W; PremiseError if an off-diagonal block is
-    nonzero."""
-    cols = [v for v, _ in space.m_plus_weights + space.m_minus_weights]
-    d, frame_inv = frame_pairing(cols, f"{space.name}: the weight bases of m^+ and m^-")
-    frame = linalg.transpose(cols)
-    k = len(d)
-    plus, minus = [], []
-    for ad in space.m_action[: space.h_dim]:
-        block = linalg.mat_mul(frame_inv, linalg.mat_mul(ad, frame))
-        if any(any(row[k:]) for row in block[:k]) or any(any(row[:k]) for row in block[k:]):
-            raise PremiseError(f"{space.name}: the isotropy action mixes m^+ and m^-")
-        plus.append(tuple(row[:k] for row in block[:k]))
-        minus.append(tuple(row[k:] for row in block[k:]))
-    return d, plus, minus
-
-
 @lru_cache(maxsize=None)
 def lambda11_0(space_name: str) -> HRep:
     """Orthogonal complement of the Kaehler 2-vector inside the nine
     (1,1)-wedges p ^ q, p in m^+ and q in m^-."""
     space = build_space(space_name)
-    d, on_plus, on_minus = _isotropy_blocks(space)
     plus, minus = space.m_plus_weights, space.m_minus_weights
+    cols = [v for v, _ in plus + minus]
+    d, on_plus, on_minus = space.isotropy_blocks(cols, "the weight bases of m^+ and m^-")
+    # nearly Kaehler: [p, q]_m = 0 for p in m^+ and q in m^-, one product per p
+    q_frame, torsion = linalg.transpose(cols[len(d):]), space.m_action[space.h_dim :]
+    if not all(linalg.is_zero_matrix(linalg.mat_mul(linalg.lin_comb(p, torsion), q_frame)) for p, _ in plus):
+        raise PremiseError(f"{space.name}: J is not nearly Kaehler: [m^+, m^-] leaves h")
     wedges = [wedge2(p, q) for p, _ in plus for q, _ in minus]
     wedge_weights = [tuple(a + b for a, b in zip(wp, wq)) for _, wp in plus for _, wq in minus]
     zero_wt = tuple(0 for _ in space.h_weight_torus)

@@ -18,13 +18,14 @@ and dim h is dim g - dim m.  What the metric gives is derived from
   raises unless Ric = E g with E rational;
 - the pairing ``frame_pairing``: g is Hermitian, so a frame W = m^+ | m^-
   has W^T W = [[0, D], [D, 0]], D diagonal; W^-1 is W^T with its halves
-  swapped and scaled by D^-1, and the Kaehler form omega(X, Y) = g(JX, Y)
-  is -i sum_k p_k ^ conj(p_k) / d_k;
+  swapped and scaled by D^-1;
 - the inverse Gram matrix, the one elimination, which ``ad_and_gram``
   forms to read coordinates and the Casimir operator contracts with;
 - ``m_action``, the m-block of ad(X) for each basis element X: the
   isotropy action for X in h, the torsion A_X for X in m.  The other
-  modules read ad on m only through it; it checks [h, m] in m once.
+  modules read ad on m only through it; it checks [h, m] in m once;
+- ``isotropy_blocks``, the one test of J against the bracket: W^-1 ad(X) W,
+  X in h, keeps m^+ and m^-, so ad(h) commutes with J and keeps g(J., .).
 
 The adjoint matrices and the Gram matrix are built from the basis
 matrices' nonzeros alone (two to six each).  Each basis matrix is read
@@ -42,8 +43,8 @@ Jacobi (the basis matrices X, a < b), and the ad-invariance
 ad^T G + G ad = 0 is one sparse sum of products.
 
 Each catalog premise is tested once, by the guard of the value that needs
-it (``m_action``, ``frame_pairing`` for both frames of m^C and the
-mixing guard in ``forms``), which raises ``PremiseError``.  A validate
+it (``m_action``, ``frame_pairing``, ``isotropy_blocks`` and the nearly
+Kaehler guard in ``forms``), which raises ``PremiseError``.  A validate
 key is its check, or False when a value it reads raises one: ``holds``.
 """
 
@@ -54,7 +55,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import linalg
-from .exterior import Form, alternate, derivation_action, wedge2
+from .exterior import alternate, derivation_action
 from .scalars import I, ONE, SQRT2, SQRT6, ZERO, Scalar, rational
 
 
@@ -105,8 +106,8 @@ class PremiseError(ValueError):
 class ReductiveSpace(GroupRecord):
     """A catalog homogeneous space G/H as typed: its bracket and complex
     structure.  The rest is derived on first use: m^-, its weight basis
-    and the dimensions below, and the metric data E, P^-1 and the
-    Kaehler form, with the inverse Gram matrix in ``algebra``."""
+    and the dimensions below, and the metric data E and P^-1, with the
+    inverse Gram matrix in ``algebra``."""
 
     algebra: LieAlgebraData     # the bracket; the metric is its Gram matrix
     m_plus: tuple               # the +i eigenbasis of J in m^C, in m-coordinates
@@ -159,14 +160,6 @@ class ReductiveSpace(GroupRecord):
         m-coordinates to coordinates in the eigenbasis of J."""
         return frame_pairing(self.m_plus + self.m_minus, f"{self.name}: m^+ and m^-")[1]
 
-    def kahler_form(self) -> Form:
-        """omega(X, Y) = g(JX, Y) in the orthonormal m-basis: row k of P^-1
-        is conj(p_k)/d_k, so omega = -i sum_k p_k ^ P^-1[k]."""
-        omega: Form = {}
-        for p, row in zip(self.m_plus, self.eigenframe_inverse):
-            linalg.axpy(omega, -I, wedge2(p, row))
-        return omega
-
     @cached_property
     def m_action(self) -> tuple:
         """The m-block of ad(X_a) for each basis element X_a, in the
@@ -175,6 +168,22 @@ class ReductiveSpace(GroupRecord):
         if any(any(row[hd:]) for x in self.algebra.ad[:hd] for row in x[:hd]):
             raise PremiseError(f"{self.name}: [h, m] leaves m")
         return tuple(tuple(row[hd:] for row in x[hd:]) for x in self.algebra.ad)
+
+    def isotropy_blocks(self, cols, frame: str) -> tuple:
+        """The pairing d of the frame W with columns cols (``frame_pairing``)
+        and the m^+ and the m^- diagonal blocks of each isotropy basis
+        element's matrix W^-1 ad W; PremiseError if an off-diagonal block
+        is nonzero, since then ad(h) does not commute with J."""
+        d, frame_inv = frame_pairing(cols, f"{self.name}: {frame}")
+        w, k = linalg.transpose(cols), len(d)
+        plus, minus = [], []
+        for ad in self.m_action[: self.h_dim]:
+            block = linalg.mat_mul(frame_inv, linalg.mat_mul(ad, w))
+            if any(any(row[k:]) for row in block[:k]) or any(any(row[:k]) for row in block[k:]):
+                raise PremiseError(f"{self.name}: the isotropy action mixes m^+ and m^-")
+            plus.append(tuple(row[:k] for row in block[:k]))
+            minus.append(tuple(row[k:] for row in block[k:]))
+        return d, plus, minus
 
 
 def _conjugate(v: tuple) -> tuple:
@@ -458,10 +467,9 @@ def validate_space(space: ReductiveSpace) -> dict:
         for v, wt in space.m_plus_weights + space.m_minus_weights
     ))
 
-    def h_invariant(form):
-        return not any(alternate(derivation_action(ad, form)) for ad in space.m_action[:hd])
-
-    checks["kahler_h_invariant"] = holds(lambda: h_invariant(space.kahler_form()))
+    checks["kahler_h_invariant"] = holds(lambda: space.isotropy_blocks(space.m_plus + space.m_minus, "m^+ and m^-"))
     if space.psi_minus is not None:
-        checks["psi_minus_h_invariant"] = holds(lambda: h_invariant(dict(space.psi_minus)))
+        checks["psi_minus_h_invariant"] = holds(lambda: not any(
+            alternate(derivation_action(ad, dict(space.psi_minus))) for ad in space.m_action[:hd]
+        ))
     return checks

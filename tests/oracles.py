@@ -214,6 +214,28 @@ def bracket_leaving_m(space: ReductiveSpace) -> ReductiveSpace:
     return replace(space, algebra=replace(alg, ad=shift_entry(alg.ad, 0, (0, space.h_dim), ONE)))
 
 
+def flip_planes(space: ReductiveSpace, planes) -> ReductiveSpace:
+    """J flipped on the planes of p_k, k in planes: p_k and the k-th weight
+    vector become their conjugates and its weight is negated, so the weight
+    basis stays consistent with m^+."""
+
+    def flip(k, v):
+        return tuple(x.conjugate() for x in v) if k in planes else v
+
+    return replace(
+        space,
+        m_plus=tuple(flip(k, p) for k, p in enumerate(space.m_plus)),
+        m_plus_weights=tuple(
+            (flip(k, v), tuple(-x for x in wt) if k in planes else wt)
+            for k, (v, wt) in enumerate(space.m_plus_weights)
+        ),
+    )
+
+
+# the J flips of one or two of the three planes
+J_FLIPS = [planes for r in (1, 2) for planes in itertools.combinations(range(3), r)]
+
+
 @contextlib.contextmanager
 def catalog_mutant(name: str, mutate):
     """Inside the block build_space(name) returns mutate(real space),
@@ -285,6 +307,15 @@ def complex_structure_reference(space: ReductiveSpace) -> tuple:
     p = linalg.transpose(space.m_plus + space.m_minus)
     k = len(space.m_plus)
     return linalg.mat_mul(linalg.mat_mul(p, linalg.diag(*[I] * k, *[-I] * k)), linalg.inverse(p))
+
+
+def kahler_form(space: ReductiveSpace) -> Form:
+    """omega(X, Y) = g(JX, Y) in the orthonormal m-basis: row k of P^-1 is
+    conj(p_k)/d_k, so omega = -i sum_k p_k ^ P^-1[k]."""
+    omega: Form = {}
+    for p, row in zip(space.m_plus, space.eigenframe_inverse):
+        linalg.axpy(omega, -I, wedge2(p, row))
+    return omega
 
 
 def nomizu_ricci(space: ReductiveSpace, sign: int = 1, isotropy_term: bool = True) -> tuple:
@@ -871,7 +902,7 @@ def lambda11_0_reference(space_name: str) -> HRep:
         for q, wq in space.m_minus_weights:
             wedges.append(wedge2(p, q))
             wedge_weights.append(tuple(a + b for a, b in zip(wp, wq)))
-    kahler = space.kahler_form()
+    kahler = kahler_form(space)
     kahler_coords = [row[0] for row in _span_coords(wedges, [kahler])]
 
     zero_wt = tuple(0 for _ in space.h_weight_torus)

@@ -18,10 +18,16 @@ from gray_stability.forms import lambda11_0
 from gray_stability.lie import SPACE_NAMES, ad_and_gram, build_space, group_record
 from gray_stability.reps import _explicit_rep, casimir_constant, enumerate_labels
 from gray_stability.scalars import ONE
-from oracles import ALGEBRA_CORRUPTIONS, SCALES, bracket_leaving_m, catalog_mutant, shift_entry
+from oracles import ALGEBRA_CORRUPTIONS, J_FLIPS, SCALES, bracket_leaving_m, catalog_mutant, flip_planes, shift_entry
 
 
 DATA = pathlib.Path(__file__).parent / "data"
+# One line per golden file, "<expected file> <argv...>", the file relative to
+# the repository root: the one list that this module and CI's cmp loop read.
+GOLDEN_TABLE = [
+    (DATA.parents[1] / path, argv)
+    for path, *argv in map(str.split, (DATA / "golden_commands.txt").read_text(encoding="utf-8").splitlines())
+]
 
 
 def _run(capsys, *argv):
@@ -636,6 +642,12 @@ def _tilt_p1(space):
     return dataclasses.replace(space, m_plus=(tuple(a + b.conjugate() for a, b in zip(p1, p2)), p2, p3))
 
 
+def _flip_p1(space):
+    # J flipped on the plane of p1: on flag an integrable J, h-invariant but
+    # not nearly Kaehler; on the other two, a J that the isotropy does not keep
+    return flip_planes(space, {0})
+
+
 def _double_torus(space):
     return dataclasses.replace(space, h_weight_torus=tuple(tuple(x + x for x in t) for t in space.h_weight_torus))
 
@@ -667,7 +679,10 @@ def _validate_fails(capsys, name, mutate) -> set:
 @pytest.mark.parametrize(
     "mutate, failing",
     [
-        (_double_e1, {"m_orthonormal", "m_pm_weight_vectors", "psi_minus_h_invariant"} | LAMBDA11_0_KEYS),
+        # a doubled e1 leaves ad(h) non-skew on the m-basis: A omega + omega A^T
+        # is still 0, but A no longer keeps m^+ and m^-, so J is not h-invariant
+        (_double_e1, {"m_orthonormal", "m_pm_weight_vectors", "kahler_h_invariant", "psi_minus_h_invariant"}
+         | LAMBDA11_0_KEYS),
         (_repeat_p1, {"m_pm_conjugate_swap", "m_pm_spans", "kahler_h_invariant"}),
         (_conjugate_p1, {"m_pm_spans"}),
         (_repeat_w1, {"m_pm_spans"} | LAMBDA11_0_KEYS),
@@ -715,12 +730,12 @@ KEY_MUTANTS = {
     "kahler_h_invariant": _tilt_p1,
     "psi_minus_h_invariant": _negate_psi_term,
     "lambda11_0_weight_vectors": _double_torus,
+    # nine wedges less one nonzero pairing row always leave 8: it fails when
+    # a guard under lambda11_0 raises, here the nearly Kaehler guard or the mixing one
+    "lambda11_0_dim_8": _flip_p1,
 }
-# The keys no mutant of the catalog makes FAIL by their own comparison.
-NO_MUTANT = {
-    "lambda11_0_dim_8": "nine wedges less one nonzero pairing row always leave 8; "
-    "it fails only when a guard under lambda11_0 raises",
-}
+# The keys no mutant of the catalog makes FAIL, each with its reason.
+NO_MUTANT: dict = {}
 
 
 @pytest.mark.parametrize(
@@ -748,6 +763,8 @@ FLAG_COINDEX = ["coindex", "--space", "flag"]
         pytest.param(["delta", "--space", "flag", "--gamma", "1,1"], _repeat_p1, "m^+ and m^- do not pair under g",
                      id="_repeat_p1-m^+ and m^- do not pair under g"),
         pytest.param(FLAG_COINDEX, bracket_leaving_m, "[h, m] leaves m", id="bracket_leaving_m-[h, m] leaves m"),
+        pytest.param(FLAG_COINDEX, _flip_p1, "J is not nearly Kaehler: [m^+, m^-] leaves h",
+                     id="_flip_p1-J is not nearly Kaehler"),
     ],
 )
 def test_other_commands_name_the_broken_premise(capsys, argv, mutate, premise):
@@ -755,6 +772,21 @@ def test_other_commands_name_the_broken_premise(capsys, argv, mutate, premise):
         assert main(argv) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"internal error: flag: {premise}\n")
+
+
+@pytest.mark.parametrize("planes", J_FLIPS, ids=lambda planes: "+".join(f"p{k + 1}" for k in planes))
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_no_j_flip_is_silent(capsys, name, planes):
+    # J flipped on one or two planes, the weight basis with it: validate
+    # FAILs a key and coindex names the broken premise, on every space
+    def mutate(space):
+        return flip_planes(space, planes)
+
+    assert _validate_fails(capsys, name, mutate)
+    with catalog_mutant(name, mutate):
+        assert main(["coindex", "--space", name]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"internal error: {name}: ")
 
 
 def test_catalog_mutant_leaves_no_module_of_the_mutant_cached(capsys):
@@ -838,28 +870,25 @@ def test_command_table_lists_the_pinned_options():
     assert list(table) == list(PARSER_TABLE)
 
 
-# What CI's golden steps and the benchmark's workloads run: every one is canonical.
-GOLDEN_ARGVS = (
-    [["reproduce-all", "--format", "json"], ["obstruction", "--format", "table"], ["obstruction", "--format", "json"]]
-    + [["validate", "--format", f] for f in ("table", "json")]
-    + [["coindex", "--space", s, "--format", f] for s in SPACE_NAMES for f in ("table", "json")]
-    + [["casimir", "--space", s, "--max", "40", "--format", f] for s in SPACE_NAMES for f in ("table", "json")]
-    + [["branch", "--space", s, "--max", m, "--format", f]
-       for s in SPACE_NAMES for m, f in (("40", "json"), ("40", "table"), ("200", "table"))]
-    + [["delta", "--space", s, "--gamma", g, "--format", "json"]
-       for s, g in (("s3xs3", "1,1,0"), ("cp3", "1,0"), ("flag", "1,1"), ("s3xs3", "1,1,2"), ("cp3", "1,1"),
-                    ("s3xs3", "2,2,2"), ("s3xs3", "2,2,0"), ("cp3", "2,0"), ("flag", "2,2"))]
-    + [["delta", "--space", "flag", "--gamma", g, "--format", "table"] for g in ("0,0", "1,1")]
-    + [["homdim", "--space", "flag", "--gamma", "1,1", "--format", f] for f in ("table", "json")]
-    + [["killing", "--t", t, "--format", f] for t in ("1,-1,0", "1/2,-0.5,0") for f in ("table", "json")]
-)
-
-# The forms CI runs through argparse: the same lines as golden ones, with --opt=value.
-EQUALS_ARGVS = [
-    ["obstruction", "--format=json"],
-    ["coindex", "--space=flag", "--format=json"],
-    ["branch", "--space=cp3", "--max=40", "--format=json"],
+# The forms the golden table runs through argparse, with --opt=value.
+EQUALS_ARGVS = [argv for _, argv in GOLDEN_TABLE if any("=" in token for token in argv)]
+# Its other lines, and the lines of the branch --max 200 digests: every one is canonical.
+GOLDEN_ARGVS = [argv for _, argv in GOLDEN_TABLE if argv not in EQUALS_ARGVS] + [
+    ["branch", "--space", s, "--max", "200", "--format", "table"] for s in SPACE_NAMES
 ]
+
+
+@pytest.mark.parametrize("path, argv", GOLDEN_TABLE, ids=[" ".join(argv) for _, argv in GOLDEN_TABLE])
+def test_golden_command_line_matches_its_file(capsys, path, argv):
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == path.read_bytes()
+
+
+def test_golden_table_lists_every_golden_file():
+    # the branch --max 200 tables are pinned by their digests instead
+    listed = {path.name for path, _ in GOLDEN_TABLE if path.parent == DATA}
+    assert listed == {p.name for p in DATA.glob("golden_*")} - {"golden_branch_max200.sha256", "golden_commands.txt"}
 
 
 def _parsed(argv) -> dict:

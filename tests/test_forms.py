@@ -17,12 +17,15 @@ from gray_stability.lie import SPACE_NAMES, PremiseError, ReductiveSpace, build_
 from gray_stability.reps import enumerate_labels
 from gray_stability.scalars import I, ONE, SQRT2, ZERO, Scalar, rational
 from oracles import (
+    J_FLIPS,
     SQRT3,
     alternate_reference,
     catalog_mutant,
     coords_of,
     derivation_reference,
+    flip_planes,
     form_inner,
+    kahler_form,
     lambda11,
     lambda11_0_reference,
     trivial_summand_basis,
@@ -99,6 +102,37 @@ def test_isotropy_action_mixing_m_plus_and_m_minus_is_an_internal_error(monkeypa
         forms.lambda11_0.__wrapped__(name)
 
 
+def _brackets_m(space, left, right) -> list:
+    """[x, y]_m in m-coordinates for x in left and y in right, read off m_action."""
+    torsion = space.m_action[space.h_dim :]
+    return [linalg.mat_vec(linalg.lin_comb(x, torsion), y) for x in left for y in right]
+
+
+# the flips whose J the isotropy keeps: the integrable invariant complex structures
+H_INVARIANT_FLIPS = {"s3xs3": [], "cp3": [(2,), (0, 1)], "flag": J_FLIPS}
+
+
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_j_is_nearly_kaehler_and_no_flip_of_it_is(name):
+    # for the normal metric (nabla_X J)X = [X, JX]_m / 2, so J is nearly
+    # Kaehler exactly when [m^+, m^-]_m = 0
+    space = build_space(name)
+    assert not any(map(any, _brackets_m(space, space.m_plus, space.m_minus)))
+    # strict, of Gray's 3-symmetric type: [m^+, m^+]_m is nonzero and lies in m^-
+    plus_plus = _brackets_m(space, space.m_plus, space.m_plus)
+    assert any(map(any, plus_plus))
+    assert not any(any(linalg.mat_vec(space.eigenframe_inverse, v)[:3]) for v in plus_plus)
+    for planes in J_FLIPS:
+        flipped = flip_planes(space, planes)
+        assert any(map(any, _brackets_m(flipped, flipped.m_plus, flipped.m_minus))), planes
+        # the guard raises on each flip that the isotropy blocks let through
+        nearly_kaehler = planes in H_INVARIANT_FLIPS[name]
+        premise = "J is not nearly Kaehler: [m^+, m^-] leaves h" if nearly_kaehler else "the isotropy action mixes"
+        with catalog_mutant(name, lambda s, planes=planes: flip_planes(s, planes)):
+            with pytest.raises(PremiseError, match=re.escape(f"{name}: {premise}")):
+                lambda11_0(name)
+
+
 @pytest.mark.parametrize("name", ["s3xs3", "cp3", "flag"])
 def test_lambda11_0_equals_the_elimination_reference(name):
     rep, ref = lambda11_0(name), lambda11_0_reference(name)
@@ -112,7 +146,9 @@ def test_lambda11_0_equals_the_elimination_reference(name):
 def test_kronecker_sums_are_the_full_module_matrices(name):
     # the product module m^+ (x) m^- of the isotropy blocks, basis vector
     # 3i + j for p_i (x) q_j, is lambda11's basis p_i ^ q_j in the same order
-    _, plus, minus = forms._isotropy_blocks(build_space(name))
+    space = build_space(name)
+    cols = [v for v, _ in space.m_plus_weights + space.m_minus_weights]
+    _, plus, minus = space.isotropy_blocks(cols, "the weight bases of m^+ and m^-")
     sums = product_action([(plus, 1), (minus, 1)])
     assert sums == [linalg.nonzeros(m) for m in lambda11(name).h_matrices]
 
@@ -178,7 +214,7 @@ def test_lambda11_0_eliminates_nothing(monkeypatch):
 def test_lambda11_0_is_orthogonal_to_kahler():
     for name in ("s3xs3", "cp3", "flag"):
         space = build_space(name)
-        kahler = space.kahler_form()
+        kahler = kahler_form(space)
         for vec in lambda11_0(name).vectors:
             assert form_inner(vec, kahler) == ZERO
 
@@ -222,7 +258,7 @@ def test_coords_of_rejects_2_vectors_outside_the_span():
         coords_of(rep, {(0, 6): ONE})
     # the Kaehler 2-vector is orthogonal to the primitive part
     with pytest.raises(ValueError, match="outside the module span"):
-        coords_of(rep, build_space("flag").kahler_form())
+        coords_of(rep, kahler_form(build_space("flag")))
 
 
 def test_trivial_summands():
@@ -236,7 +272,7 @@ def test_trivial_summands():
 
     flag_basis = trivial_summand_basis("flag")
     assert len(flag_basis) == 2
-    kahler = build_space("flag").kahler_form()
+    kahler = kahler_form(build_space("flag"))
     for v in flag_basis:
         assert set(v) <= {(0, 1), (2, 3), (4, 5)}
         assert form_inner(v, kahler) == ZERO
@@ -247,7 +283,7 @@ def test_alternated_derivation_matches_reference():
     # derivation that sorts each key as it is made
     for name in ("s3xs3", "cp3", "flag"):
         space = build_space(name)
-        forms = list(lambda11(name).vectors) + [space.kahler_form(), dict(space.psi_minus or ())]
+        forms = list(lambda11(name).vectors) + [kahler_form(space), dict(space.psi_minus or ())]
         for ad in space.m_action[: space.h_dim]:
             for f in forms:
                 assert alternate(derivation_action(ad, f)) == derivation_reference(ad, f)
