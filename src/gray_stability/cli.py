@@ -28,7 +28,7 @@ from .branching import format_h_label, hom_dim, restrict
 from .forms import lambda11_0
 from .fourier import delta_kernel, hom_basis, m_complex_coords, proto_delta
 from .lie import SPACE_NAMES, build_space, group_record, holds, validate_space
-from .linalg import diag, is_zero_matrix, lin_comb
+from .linalg import identity, is_zero_matrix
 from .obstruction import (
     integrand,
     killing_check,
@@ -39,7 +39,6 @@ from .obstruction import (
 )
 from .render import dumps, fraction_jsonable, scalar_jsonable
 from .reps import UnsupportedLabel, casimir_constant, check_label, dim, enumerate_labels
-from .scalars import I, rational
 from .stability import CASIMIR_THRESHOLD, coindex_report
 
 
@@ -124,25 +123,24 @@ def casimir_doc(space_name: str, max_cas: Fraction) -> dict:
     return {"space": space_name, "group": group, "rows": rows}
 
 
+def _decomposition_rows(dec: dict) -> list:
+    return [{"h_label": format_h_label(lab), "mult": m} for lab, m in sorted(dec.items())]
+
+
 def branch_doc(space_name: str, gamma: tuple | None, max_cas: Fraction) -> dict:
     record = group_record(space_name)
     if gamma:
         labels = {gamma: casimir_constant(record.group, gamma)}
     else:
         labels = enumerate_labels(record.group, max_cas)
-    rows = []
-    for label, cas in labels.items():
-        dec = restrict(record, label)
-        rows.append(
-            {
-                "gamma": list(label),
-                "casimir": fraction_jsonable(cas),
-                "branching": [
-                    {"h_label": format_h_label(lab), "mult": m}
-                    for lab, m in sorted(dec.items())
-                ],
-            }
-        )
+    rows = [
+        {
+            "gamma": list(label),
+            "casimir": fraction_jsonable(cas),
+            "branching": _decomposition_rows(restrict(record, label)),
+        }
+        for label, cas in labels.items()
+    ]
     return {"space": space_name, "rows": rows}
 
 
@@ -182,14 +180,9 @@ def coindex_doc(space_name: str) -> dict:
 
 def obstruction_doc() -> dict:
     i0, i1, i2 = obstruction_terms()
-    table = {}
-    for i in range(6):
-        for k in range(6):
-            entry = nabla_h_entry(i, k)
-            table[f"({i+1},{k+1})"] = [str(p) for p in entry]
     breakdown = pairing_breakdown()
     return {
-        "nabla_h": table,
+        "nabla_h": {f"({i+1},{k+1})": [str(p) for p in nabla_h_entry(i, k)] for i in range(6) for k in range(6)},
         "I0": str(i0),
         "I1": str(i1),
         "I2": str(i2),
@@ -215,10 +208,10 @@ def validate_doc(space_names: list) -> dict:
         space = build_space(name)
         checks = validate_space(space)
         checks["lambda11_0_dim_8"] = holds(lambda: lambda11_0(name).dim == 8)
-        # each torus element t acts on the module as diag(i * weight_t)
+        # each torus element t acts on the module's basis as diag(i * weight_t)
         checks["lambda11_0_weight_vectors"] = holds(lambda: all(
-            lin_comb(t, target.h_matrices) == diag(*(I * rational(w[k]) for w in target.weights))
-            for target in [lambda11_0(name)] for k, t in enumerate(space.h_weight_torus)
+            space.torus_acts_by(target.h_matrices, identity(target.dim), target.weights)
+            for target in [lambda11_0(name)]
         ))
         out[name] = dict(sorted(checks.items()))
     return out
@@ -234,10 +227,7 @@ def reproduce_all_doc() -> dict:
         "lambda11_0": {
             n: {
                 "dim": lambda11_0(n).dim,
-                "decomposition": [
-                    {"h_label": format_h_label(lab), "mult": m}
-                    for lab, m in sorted(lambda11_0(n).decomposition.items())
-                ],
+                "decomposition": _decomposition_rows(lambda11_0(n).decomposition),
             }
             for n in names
         },
@@ -308,13 +298,9 @@ def _render_coindex(doc: dict, args) -> str:
 def _render_obstruction(doc: dict, args) -> str:
     out = "covariant derivative coefficients (rows i, slots k):\n"
     rows = []
-    for i in range(6):
-        for k in range(6):
-            entries = doc["nabla_h"][f"({i+1},{k+1})"]
-            terms = [
-                f"({p})*e{l+1}" for l, p in enumerate(entries) if p != "0"
-            ]
-            rows.append((f"({i+1},{k+1})", " + ".join(terms) if terms else "0"))
+    for key, entries in doc["nabla_h"].items():
+        terms = [f"({p})*e{l+1}" for l, p in enumerate(entries) if p != "0"]
+        rows.append((key, " + ".join(terms) or "0"))
     out += _table(rows, ["(i,k)", "entry"])
     out += f'I0 = {doc["I0"]}\n'
     out += f'I1 = {doc["I1"]}\n'

@@ -25,7 +25,9 @@ and dim h is dim g - dim m.  What the metric gives is derived from
   isotropy action for X in h, the torsion A_X for X in m.  The other
   modules read ad on m only through it; it checks [h, m] in m once;
 - ``isotropy_blocks``, the one test of J against the bracket: W^-1 ad(X) W,
-  X in h, keeps m^+ and m^-, so ad(h) commutes with J and keeps g(J., .).
+  X in h, keeps m^+ and m^-, so ad(h) commutes with J and keeps g(J., .);
+- ``torus_acts_by``, the one test that the isotropy torus acts by the
+  typed weights, on the weight frame of m^C and on Lambda^{1,1}_0.
 
 The adjoint matrices and the Gram matrix are built from the basis
 matrices' nonzeros alone (two to six each).  Each basis matrix is read
@@ -185,6 +187,17 @@ class ReductiveSpace(GroupRecord):
             minus.append(tuple(row[k:] for row in block[k:]))
         return d, plus, minus
 
+    def torus_acts_by(self, mats, frame, weights) -> bool:
+        """Whether each torus element t acts on the frame F with the given
+        vectors as columns by their weights, lin_comb(t, mats) F =
+        F diag(i weight_t), mats the action of the isotropy basis."""
+        f = linalg.transpose(frame)
+        return all(
+            linalg.mat_mul(linalg.lin_comb(t, mats), f)
+            == linalg.mat_mul(f, linalg.diag(*(I * rational(w[k]) for w in weights)))
+            for k, t in enumerate(self.h_weight_torus)
+        )
+
 
 def _conjugate(v: tuple) -> tuple:
     return tuple(x.conjugate() for x in v)
@@ -323,25 +336,24 @@ def _build_s3xs3() -> ReductiveSpace:
 # ---------------------------------------------------------------------------
 
 def _build_cp3() -> ReductiveSpace:
-    def skew(i, j):  # 1-indexed E_ij - E_ji inside so(5)
-        return linalg.from_entries(5, {(i - 1, j - 1): ONE, (j - 1, i - 1): -ONE})
+    def skew(i, j, c=ONE):  # 1-indexed c (E_ij - E_ji) inside so(5)
+        return linalg.from_entries(5, {(i - 1, j - 1): c, (j - 1, i - 1): -c})
 
     t1 = skew(2, 1)
     t2 = skew(4, 3)
     a = linalg.from_entries(5, {(0, 2): ONE, (1, 3): ONE, (2, 0): -ONE, (3, 1): -ONE})
     b = linalg.from_entries(5, {(0, 3): -ONE, (1, 2): ONE, (2, 1): -ONE, (3, 0): ONE})
-    e = [skew(i, 5) for i in (1, 2, 3, 4)]
     f1 = linalg.from_entries(5, {(0, 2): ONE, (1, 3): -ONE, (2, 0): -ONE, (3, 1): ONE})
     f2 = linalg.from_entries(5, {(0, 3): ONE, (1, 2): ONE, (2, 1): -ONE, (3, 0): -ONE})
 
     h_mats = (t1, t2, a, b)
-    m_mats = tuple(linalg.mat_scale(SQRT2, ei) for ei in e) + (f1, f2)
+    m_mats = tuple(skew(i, 5, SQRT2) for i in (1, 2, 3, 4)) + (f1, f2)
     mats = h_mats + m_mats
     algebra = ad_and_gram(mats, Fraction(-1, 4))
 
     inv_s2 = SQRT2.inverse()
     i_inv_s2 = I * inv_s2
-    # m-basis is (sqrt2 e_1..sqrt2 e_4, f_1, f_2); p_i are root vectors.
+    # m-basis is (sqrt2 skew(i, 5) for i = 1..4, f_1, f_2); p_i are root vectors.
     p1 = (inv_s2, -i_inv_s2, ZERO, ZERO, ZERO, ZERO)
     p2 = (ZERO, ZERO, inv_s2, -i_inv_s2, ZERO, ZERO)
     p3 = (ZERO, ZERO, ZERO, ZERO, ONE, I)
@@ -461,10 +473,9 @@ def validate_space(space: ReductiveSpace) -> dict:
         return linalg.is_zero_matrix(coords[3:]) and linalg.det3(coords[:3]) != ZERO
 
     checks["m_pm_spans"] = holds(weight_basis_spans_m_plus)
-    checks["m_pm_weight_vectors"] = holds(lambda: all(
-        linalg.mat_vec(ad, v) == [I * rational(wt[k]) * c for c in v]
-        for k, ad in enumerate(linalg.lin_comb(t, space.m_action[:hd]) for t in space.h_weight_torus)
-        for v, wt in space.m_plus_weights + space.m_minus_weights
+    weight_frame = space.m_plus_weights + space.m_minus_weights
+    checks["m_pm_weight_vectors"] = holds(lambda: space.torus_acts_by(
+        space.m_action[:hd], [v for v, _ in weight_frame], [wt for _, wt in weight_frame]
     ))
 
     checks["kahler_h_invariant"] = holds(lambda: space.isotropy_blocks(space.m_plus + space.m_minus, "m^+ and m^-"))

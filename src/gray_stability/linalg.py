@@ -3,7 +3,8 @@
 A matrix is a tuple of row tuples of Scalar, and this module is the only
 one that builds that type: every function here that returns a matrix
 returns it, and every function reads any sequence of row sequences.
-Vectors are lists.
+``mat_mul`` is the one dense product; vectors enter it as the columns
+of a matrix.
 
 A sparse vector is a dict of its nonzeros: elimination rows, kernel
 vectors, forms, polynomial terms.  It never stores a zero, so two of them
@@ -42,7 +43,6 @@ from functools import lru_cache
 from .scalars import ONE, ZERO, Scalar
 
 Matrix = tuple  # tuple[tuple[Scalar, ...], ...]
-Vector = list  # list[Scalar]
 
 
 def _freeze(rows) -> Matrix:
@@ -155,10 +155,6 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
-def mat_scale(c: Scalar, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     m = len(b[0])
     b_rows = [[(j, x) for j, x in enumerate(brow) if x] for brow in b]  # each row's nonzeros, read once
@@ -171,17 +167,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     acc[j] = acc[j] + c * x
         out.append(acc)
     return _freeze(out)
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    out = []
-    for row in a:
-        s = ZERO
-        for x, y in zip(row, v):
-            if x and y:
-                s = s + x * y
-        out.append(s)
-    return out
 
 
 def is_zero_matrix(a: Matrix) -> bool:

@@ -174,6 +174,15 @@ def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
+def mat_scale(c, a):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def mat_vec(a, v) -> list:
+    """a v for a vector v, as a list."""
+    return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
+
+
 def commutator(a, b):
     """Dense a b - b a."""
     return mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
@@ -293,7 +302,7 @@ def ad_and_gram_reference(mats, scale) -> tuple:
     gram_inv = linalg.inverse(gram)
     ad = tuple(
         linalg.transpose(
-            linalg.mat_vec(gram_inv, [ip(c, m) for m in mats])
+            mat_vec(gram_inv, [ip(c, m) for m in mats])
             for c in (commutator(x, y) for y in mats)
         )
         for x in mats
@@ -332,7 +341,7 @@ def nomizu_ricci(space: ReductiveSpace, sign: int = 1, isotropy_term: bool = Tru
     def block(x):  # the m-block of an adjoint matrix
         return [row[hd:] for row in x[hd:]]
 
-    lam = [linalg.mat_scale(rational(sign, 2), block(ad[hd + a])) for a in range(md)]
+    lam = [mat_scale(rational(sign, 2), block(ad[hd + a])) for a in range(md)]
     ad_h = [block(ad[k]) for k in range(hd)]
 
     def curvature(a, b):
@@ -345,6 +354,36 @@ def nomizu_ricci(space: ReductiveSpace, sign: int = 1, isotropy_term: bool = Tru
     return linalg.from_entries(
         md, {(y, z): sum((curv[c, y][c][z] for c in range(md)), ZERO) for y in range(md) for z in range(md)}
     )
+
+
+def invariant_forms(space: ReductiveSpace, k: int) -> list:
+    """A basis of the H-invariant k-forms (Lambda^k m*)^H, each a {sorted
+    k-tuple: c} dict: the common kernel of the isotropy action on k-vectors,
+    which is its action on k-forms, the m-basis being orthonormal."""
+    keys = list(itertools.combinations(range(space.m_dim), k))
+    rows: dict = {}
+    for t, ad in enumerate(space.m_action[: space.h_dim]):
+        for c, key in enumerate(keys):
+            for out, x in alternate(derivation_action(ad, {key: ONE})).items():
+                rows.setdefault((t, out), {})[c] = x
+    return [{keys[c]: x for c, x in v.items()} for v in linalg.nullspace(list(rows.values()), len(keys))]
+
+
+def invariant_d(space: ReductiveSpace, form: Form, k: int) -> Form:
+    """The Chevalley-Eilenberg d of a k-form on m, which on invariant forms
+    is the de Rham d of G/H: d w(e_0, ..., e_k) is the sum over a < b of
+    (-1)^(a+b) w([e_a, e_b]_m, e_0, ..., e_k without e_a and e_b), the
+    bracket [e_i, e_j]_m column j of m_action[h_dim + i]."""
+    torsion = space.m_action[space.h_dim :]
+    out: Form = {}
+    for key in itertools.combinations(range(space.m_dim), k + 1):
+        for a, b in itertools.combinations(range(k + 1), 2):
+            rest = key[:a] + key[a + 1 : b] + key[b + 1 :]
+            bracket = {(r,) + rest: row[key[b]] for r, row in enumerate(torsion[key[a]]) if row[key[b]]}
+            for s, c in alternate(bracket).items():
+                if s in form:
+                    linalg.add_into(out, key, c * form[s] if (a + b) % 2 == 0 else -(c * form[s]))
+    return out
 
 
 def dense_rref(a) -> tuple:

@@ -1,7 +1,10 @@
 """Command-line interface behavior and output determinism."""
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -34,6 +37,16 @@ def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_run(argv: tuple) -> tuple:
+    """Exit status, stdout and stderr of main on a golden command line, run
+    once per session: the table test and the per-file tests read it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_casimir_table(capsys):
@@ -100,28 +113,32 @@ def test_delta_command(capsys):
         ("flag", "2,2"),  # Sym^2 ad, 36 -> 27 by the Casimir kernel
     ],
 )
-def test_delta_matches_golden(capsys, space, gamma):
+def test_delta_matches_golden(space, gamma):
     # the delta matrices are printed in the basis of the primitive (1,1)
     # module, so they pin its construction and its isotropy matrices
-    code, out = _run(capsys, "delta", "--space", space, "--gamma", gamma, "--format", "json")
+    code, out, _ = _golden_run(("delta", "--space", space, "--gamma", gamma, "--format", "json"))
     assert code == 0
     name = f"golden_delta_{space}_{gamma.replace(',', '_')}.json"
     assert out == (DATA / name).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("gamma", ["0,0", "1,1"])
-def test_delta_table_matches_golden(capsys, gamma):
+def test_delta_table_matches_golden(gamma):
     # table is delta's default format: one line per generator, "delta = 0"
     # on the b2 = 2 harmonic generators of (0,0), "delta != 0" on (1,1)
-    code, out = _run(capsys, "delta", "--space", "flag", "--gamma", gamma)
+    from gray_stability import cli
+
+    argv = ("delta", "--space", "flag", "--gamma", gamma)
+    assert cli.parse_canonical(list(argv)).format == "table"
+    code, out, _ = _golden_run(argv + ("--format", "table"))
     assert code == 0
     assert out == (DATA / f"golden_delta_table_flag_{gamma.replace(',', '_')}.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("space", ["s3xs3", "cp3", "flag"])
-def test_branch_table_matches_golden(capsys, space):
+def test_branch_table_matches_golden(space):
     # the table pins the isotropy label format and the mult*label join
-    code, out = _run(capsys, "branch", "--space", space, "--max", "40", "--format", "table")
+    code, out, _ = _golden_run(("branch", "--space", space, "--max", "40", "--format", "table"))
     assert code == 0
     assert out == (DATA / f"golden_branch_{space}_max40.txt").read_text(encoding="utf-8")
 
@@ -138,17 +155,17 @@ def test_branch_table_at_the_largest_max_matches_its_digest(capsys, space):
 
 
 @pytest.mark.parametrize("space", ["s3xs3", "cp3", "flag"])
-def test_casimir_table_matches_golden(capsys, space):
-    code, out = _run(capsys, "casimir", "--space", space, "--max", "40", "--format", "table")
+def test_casimir_table_matches_golden(space):
+    code, out, _ = _golden_run(("casimir", "--space", space, "--max", "40", "--format", "table"))
     assert code == 0
     assert out == (DATA / f"golden_casimir_{space}_max40.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("space", ["s3xs3", "cp3", "flag"])
-def test_coindex_table_matches_golden(capsys, space):
+def test_coindex_table_matches_golden(space):
     # the destabilizing eigenvalues with their multiplicities and sources,
     # the coindex and the IED dimension
-    code, out = _run(capsys, "coindex", "--space", space, "--format", "table")
+    code, out, _ = _golden_run(("coindex", "--space", space, "--format", "table"))
     assert code == 0
     assert out == (DATA / f"golden_coindex_{space}.txt").read_text(encoding="utf-8")
 
@@ -189,23 +206,23 @@ def test_obstruction_final_line(capsys):
     assert out.strip().splitlines()[-1] == "pairing = 256/3, rigid = true"
 
 
-def test_obstruction_table_matches_golden(capsys):
+def test_obstruction_table_matches_golden():
     # the nabla_h table, I0, I1, I2, I, the pairing and the verdict
-    code, out = _run(capsys, "obstruction", "--format", "table")
+    code, out, _ = _golden_run(("obstruction", "--format", "table"))
     assert code == 0
     assert out == (DATA / "golden_obstruction.txt").read_text(encoding="utf-8")
 
 
-def test_obstruction_json_matches_golden(capsys):
+def test_obstruction_json_matches_golden():
     # every nabla_h string, the integrand and the pairing breakdown
-    code, out = _run(capsys, "obstruction", "--format", "json")
+    code, out, _ = _golden_run(("obstruction", "--format", "json"))
     assert code == 0
     assert out == (DATA / "golden_obstruction.json").read_text(encoding="utf-8")
 
 
-def test_validate_table_matches_golden(capsys):
+def test_validate_table_matches_golden():
     # every structural check of the three spaces, by name
-    code, out = _run(capsys, "validate", "--format", "table")
+    code, out, _ = _golden_run(("validate", "--format", "table"))
     assert code == 0
     assert out == (DATA / "golden_validate.txt").read_text(encoding="utf-8")
 
@@ -229,13 +246,13 @@ def test_validate_reads_the_weights_of_lambda11_0(monkeypatch, space):
 
     assert cli.validate_doc([space])[space]["lambda11_0_weight_vectors"] is True
     target = cli.lambda11_0(space)
-    weights = list(target.weights)
-    weights[0] = (weights[0][0] + 1,) + weights[0][1:]
-    wrong = dataclasses.replace(target, weights=tuple(weights))
-    monkeypatch.setattr(cli, "lambda11_0", lambda name: wrong)
-    checks = cli.validate_doc([space])[space]
-    assert checks["lambda11_0_weight_vectors"] is False
-    assert checks["lambda11_0_dim_8"] is True
+    first, *others = target.weights
+    for k in range(len(first)):  # one wrong component per torus element
+        wrong = dataclasses.replace(target, weights=(first[:k] + (first[k] + 1,) + first[k + 1 :], *others))
+        monkeypatch.setattr(cli, "lambda11_0", lambda name, wrong=wrong: wrong)
+        checks = cli.validate_doc([space])[space]
+        assert checks["lambda11_0_weight_vectors"] is False
+        assert checks["lambda11_0_dim_8"] is True
 
 
 def test_byte_identical_reruns(capsys):
@@ -318,6 +335,14 @@ def test_unparsable_killing_t_is_usage_error(capsys, value):
     assert main(["killing", "--t", value]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_an_option_value_starting_with_a_dash_takes_the_equals_form(capsys):
+    # argparse reads "-1,1,0" after --t as an option, so --t has no value
+    for argv, flag in [(["killing", "--t", "-1,1,0"], "--t"), (["homdim", "--space", "flag", "--gamma", "-1,1"], "--gamma")]:
+        code, out, err = _run_all(capsys, argv)
+        assert (code, out) == (2, "") and err.endswith(f"error: argument {flag}: expected one argument\n")
+    assert _run_all(capsys, ["killing", "--t=-1,1,0"]) == (0, "killing(-1,1,0) = true\n", "")
 
 
 @pytest.mark.parametrize("command", ["branch", "homdim", "delta"])
@@ -572,8 +597,8 @@ def test_shared_parser_matches_fresh_parser(capsys):
     ],
 )
 @pytest.mark.parametrize("fmt, suffix", [("table", "txt"), ("json", "json")])
-def test_homdim_and_killing_match_golden(capsys, argv, name, fmt, suffix):
-    code, out = _run(capsys, *argv, "--format", fmt)
+def test_homdim_and_killing_match_golden(argv, name, fmt, suffix):
+    code, out, _ = _golden_run((*argv, "--format", fmt))
     assert code == 0
     assert out == (DATA / f"{name}.{suffix}").read_text(encoding="utf-8")
 
@@ -584,8 +609,8 @@ def test_homdim_and_killing_match_golden(capsys, argv, name, fmt, suffix):
     + [(["coindex", "--space", s], f"golden_coindex_{s}") for s in SPACE_NAMES]
     + [(["validate"], "golden_validate")],
 )
-def test_json_matches_golden(capsys, argv, name):
-    code, out = _run(capsys, *argv, "--format", "json")
+def test_json_matches_golden(argv, name):
+    code, out, _ = _golden_run((*argv, "--format", "json"))
     assert code == 0
     assert out == (DATA / f"{name}.json").read_text(encoding="utf-8")
 
@@ -879,9 +904,9 @@ GOLDEN_ARGVS = [argv for _, argv in GOLDEN_TABLE if argv not in EQUALS_ARGVS] + 
 
 
 @pytest.mark.parametrize("path, argv", GOLDEN_TABLE, ids=[" ".join(argv) for _, argv in GOLDEN_TABLE])
-def test_golden_command_line_matches_its_file(capsys, path, argv):
-    code, out = _run(capsys, *argv)
-    assert code == 0
+def test_golden_command_line_matches_its_file(path, argv):
+    code, out, err = _golden_run(tuple(argv))
+    assert code == 0 and err == ""
     assert out.encode("utf-8") == path.read_bytes()
 
 

@@ -28,6 +28,7 @@ from oracles import (
     kahler_form,
     lambda11,
     lambda11_0_reference,
+    mat_vec,
     trivial_summand_basis,
     wedge2_reference,
 )
@@ -105,7 +106,7 @@ def test_isotropy_action_mixing_m_plus_and_m_minus_is_an_internal_error(monkeypa
 def _brackets_m(space, left, right) -> list:
     """[x, y]_m in m-coordinates for x in left and y in right, read off m_action."""
     torsion = space.m_action[space.h_dim :]
-    return [linalg.mat_vec(linalg.lin_comb(x, torsion), y) for x in left for y in right]
+    return [mat_vec(linalg.lin_comb(x, torsion), y) for x in left for y in right]
 
 
 # the flips whose J the isotropy keeps: the integrable invariant complex structures
@@ -121,7 +122,7 @@ def test_j_is_nearly_kaehler_and_no_flip_of_it_is(name):
     # strict, of Gray's 3-symmetric type: [m^+, m^+]_m is nonzero and lies in m^-
     plus_plus = _brackets_m(space, space.m_plus, space.m_plus)
     assert any(map(any, plus_plus))
-    assert not any(any(linalg.mat_vec(space.eigenframe_inverse, v)[:3]) for v in plus_plus)
+    assert not any(any(mat_vec(space.eigenframe_inverse, v)[:3]) for v in plus_plus)
     for planes in J_FLIPS:
         flipped = flip_planes(space, planes)
         assert any(map(any, _brackets_m(flipped, flipped.m_plus, flipped.m_minus))), planes

@@ -17,7 +17,9 @@ from oracles import (
     dense_rref,
     eliminate_reference,
     mat_add,
+    mat_scale,
     mat_sub,
+    mat_vec,
     to_dense,
     to_sparse,
     trace,
@@ -41,7 +43,7 @@ def test_rref_and_nullspace():
     ns = [to_dense(v, 3) for v in linalg.nullspace([to_sparse(row) for row in a], 3)]
     assert len(ns) == 2
     for v in ns:
-        assert not any(linalg.mat_vec(a, v))
+        assert not any(mat_vec(a, v))
 
 
 def _column(v):
@@ -52,7 +54,7 @@ def _column(v):
 def test_solve_unique():
     a = [[ONE, I], [ZERO, SQRT2]]
     x = [rational(3), I * rational(5)]
-    b = linalg.mat_vec(a, x)
+    b = mat_vec(a, x)
     assert linalg.solve(a, _column(b)) == tuple(_column(x))
 
 
@@ -85,7 +87,7 @@ def test_adjugate_identity():
         a = [[_rand_scalar(rng) for _ in range(3)] for _ in range(3)]
         prod = linalg.mat_mul(linalg.adjugate3(a), a)
         det = linalg.det3(a)
-        assert prod == linalg.mat_scale(det, linalg.identity(3))
+        assert prod == mat_scale(det, linalg.identity(3))
 
 
 def test_trace_product_matches_trace_of_product():
@@ -118,7 +120,7 @@ def test_constructors_return_the_immutable_matrix_type():
         linalg.transpose(a),
         mat_add(a, a),
         mat_sub(a, a),
-        linalg.mat_scale(I, a),
+        mat_scale(I, a),
         linalg.mat_mul(a, a),
         commutator(a, a),
         linalg.inverse(a),
@@ -161,7 +163,7 @@ def test_lin_comb_matches_scale_and_add():
     coeffs = [SQRT2, ZERO, I]
     expected = zeros(2, 3)
     for c, m in zip(coeffs, mats):
-        expected = mat_add(expected, linalg.mat_scale(c, m))
+        expected = mat_add(expected, mat_scale(c, m))
     assert linalg.lin_comb(coeffs, mats) == expected
     assert linalg.lin_comb([ZERO, ZERO, ZERO], mats) == zeros(2, 3)
 
@@ -226,7 +228,7 @@ def _check_against_dense(monkeypatch, rng, a, outcomes):
     checked on its own terms; outcomes counts the kinds of answer."""
     m, n = len(a), len(a[0])
     x = [_sparse_entry(rng, 0.7) for _ in range(n)]
-    rhs = [linalg.mat_vec(a, x), [ZERO] * m, [_sparse_entry(rng, 0.8) for _ in range(m)]]
+    rhs = [mat_vec(a, x), [ZERO] * m, [_sparse_entry(rng, 0.8) for _ in range(m)]]
     got = _eliminations(a, rhs)
     with monkeypatch.context() as patched:
         patched.setattr(linalg, "rref", dense_rref)
@@ -242,9 +244,9 @@ def _check_against_dense(monkeypatch, rng, a, outcomes):
     assert got["solve_several"] == (None if None in cols else linalg.transpose(cols))
     assert linalg.solve(a, linalg.transpose(rhs[:2])) == linalg.transpose(cols[:2])
     for b, sol in zip(rhs, cols):
-        assert sol is None or linalg.mat_vec(a, sol) == b
+        assert sol is None or mat_vec(a, sol) == b
     for v in got["nullspace"]:
-        assert not any(linalg.mat_vec(a, v))
+        assert not any(mat_vec(a, v))
     assert len(got["nullspace"]) == n - got["rank"]
     outcomes["inconsistent"] += cols[2] is None
     outcomes["singular"] += got.get("inverse") == "singular"
@@ -387,7 +389,7 @@ def test_nullspace_of_sparse_rows_equals_dense_kernels(seed):
         again = linalg.nullspace([to_sparse(row) for row in expanded], n)
         assert dense == [to_dense(v, n) for v in again] == dense_nullspace(expanded)
         for v in dense:
-            assert not any(linalg.mat_vec(expanded, v))
+            assert not any(mat_vec(expanded, v))
 
 
 def test_add_into_drops_a_sum_that_cancels():
